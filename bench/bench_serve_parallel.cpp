@@ -24,7 +24,7 @@
 #include "serve/parallel/parallel_engine.hpp"
 #include "serve/server_sim.hpp"
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   using namespace marlin;
   namespace sched = serve::sched;
   namespace par = serve::parallel;
@@ -177,4 +177,8 @@ int main(int argc, char** argv) {
     bench::maybe_write_observation(cli, engine, sc);
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return marlin::bench::run_main(argc, argv, run);
 }

@@ -82,6 +82,23 @@ inline void maybe_print_help(const CliArgs& args, const std::string& binary,
   std::exit(0);
 }
 
+/// Shared `main` for bench and example binaries: runs `body` and turns a
+/// `marlin::Error` escaping it (a bad flag value, an invalid serving
+/// configuration) into one `<binary>: error: <message>` line on stderr
+/// and exit code 2, instead of `std::terminate` and exit 134.
+inline int run_main(int argc, char** argv, int (*body)(int, char**)) {
+  try {
+    return body(argc, argv);
+  } catch (const Error& e) {
+    std::string binary = argc > 0 ? argv[0] : "marlin";
+    binary = binary.substr(binary.find_last_of('/') + 1);
+    std::string msg = e.what();
+    std::replace(msg.begin(), msg.end(), '\n', ' ');
+    std::cerr << binary << ": error: " << msg << "\n";
+    return 2;
+  }
+}
+
 /// The serving flags shared by fig15/fig16/bench_serve_* (documented at
 /// the top of this header).
 inline std::vector<FlagHelp> serving_flag_help() {

@@ -22,7 +22,7 @@
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   using namespace marlin;
   namespace sched = serve::sched;
   const CliArgs args(argc, argv);
@@ -263,4 +263,8 @@ int main(int argc, char** argv) {
     bench::maybe_write_observation(cli, engine, scfg);
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return marlin::bench::run_main(argc, argv, run);
 }

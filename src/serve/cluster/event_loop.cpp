@@ -4,6 +4,7 @@
 #include <deque>
 
 #include "obs/serve_recorder.hpp"
+#include "serve/cluster/busy_heap.hpp"
 #include "util/error.hpp"
 
 namespace marlin::serve::cluster {
@@ -89,14 +90,25 @@ ClusterStats EventLoop::run(const std::vector<sched::TraceRequest>& trace,
   const index_t initial_replicas =
       disagg.enabled ? disagg.prefill_replicas + disagg.decode_replicas
                      : opts_.replicas;
+  // Tenants resolve once per run; each replica copies the O(tenants)
+  // result.
+  const sched::TenantSpecs tenants = scheduler_.resolve_tenants(requests);
   std::deque<Replica> fleet;
+  // Busy replicas keyed (clock, id); re-keyed only where a replica's
+  // clock or busy state can change: delivery, migration landing, its own
+  // tick (plus the migration scan after it) and an autoscaler add.
+  BusyHeap busy;
+  busy.reserve(static_cast<std::size_t>(initial_replicas));
+  const auto rekey = [&](const Replica& rep) {
+    busy.update(static_cast<std::size_t>(rep.id()), rep.busy(), rep.now());
+  };
   for (index_t i = 0; i < initial_replicas; ++i) {
     const ReplicaRole role =
         !disagg.enabled ? ReplicaRole::kUnified
         : (i < disagg.prefill_replicas ? ReplicaRole::kPrefill
                                        : ReplicaRole::kDecode);
     fleet.emplace_back(i, scheduler_, role);
-    fleet.back().register_tenants(requests);
+    fleet.back().register_tenants(tenants);
     if (obs != nullptr) {
       fleet.back().set_observer(obs);
       obs->on_replica_start(0.0, i);
@@ -110,21 +122,12 @@ ClusterStats EventLoop::run(const std::vector<sched::TraceRequest>& trace,
     for (const Replica& rep : fleet) n += rep.routable() ? 1 : 0;
     return n;
   };
-  const auto earliest_busy = [&]() -> Replica* {
-    Replica* best = nullptr;
-    for (Replica& rep : fleet) {
-      // Strict < keeps the lowest id on ties.
-      if (rep.busy() && (best == nullptr || rep.now() < best->now())) {
-        best = &rep;
-      }
-    }
-    return best;
-  };
-  const auto retire_drained = [&] {
-    for (Replica& rep : fleet) {
-      if (rep.try_retire() && obs != nullptr) {
-        obs->on_replica_retire(rep.now(), rep.id());
-      }
+  // A replica goes idle only in its own tick and begins draining only at
+  // an autoscaler evaluation, so checking just that replica at those two
+  // points retires every drained replica the moment it can retire.
+  const auto retire_if_drained = [&](Replica& rep) {
+    if (rep.try_retire() && obs != nullptr) {
+      obs->on_replica_retire(rep.now(), rep.id());
     }
   };
 
@@ -182,7 +185,7 @@ ClusterStats EventLoop::run(const std::vector<sched::TraceRequest>& trace,
           continue;
         }
         // Strict < keeps the lowest id on ties.
-        const index_t load = rep.outstanding_tokens(requests);
+        const index_t load = rep.outstanding_tokens();
         if (dest == nullptr || load < dest_load) {
           dest = &rep;
           dest_load = load;
@@ -245,7 +248,6 @@ ClusterStats EventLoop::run(const std::vector<sched::TraceRequest>& trace,
     while (next_eval_s <= frontier) {
       const double t_eval = next_eval_s;
       next_eval_s += as.interval_s;
-      retire_drained();
       const index_t routable = routable_count();
       index_t queued = 0;
       for (const Replica& rep : fleet) {
@@ -260,7 +262,8 @@ ClusterStats EventLoop::run(const std::vector<sched::TraceRequest>& trace,
         const index_t new_id = static_cast<index_t>(fleet.size());
         fleet.emplace_back(new_id, scheduler_);
         fleet.back().advance_to(t_eval);  // joins at the evaluation time
-        fleet.back().register_tenants(requests);
+        fleet.back().register_tenants(tenants);
+        rekey(fleet.back());
         if (obs != nullptr) {
           fleet.back().set_observer(obs);
           obs->on_autoscaler_eval(t_eval, load, routable, "scale-up");
@@ -282,10 +285,10 @@ ClusterStats EventLoop::run(const std::vector<sched::TraceRequest>& trace,
             if (obs != nullptr) {
               obs->on_replica_drain(t_eval, fleet[i].id());
             }
+            retire_if_drained(fleet[i]);
             break;
           }
         }
-        retire_drained();
       } else if (obs != nullptr) {
         obs->on_autoscaler_eval(t_eval, load, routable, "hold");
       }
@@ -293,9 +296,8 @@ ClusterStats EventLoop::run(const std::vector<sched::TraceRequest>& trace,
   };
 
   while (true) {
-    Replica* target = earliest_busy();
     double frontier;
-    if (target == nullptr) {
+    if (busy.empty()) {
       // Idle jump to the next event: an undelivered arrival or an
       // in-flight migration, whichever lands first. Neither left means
       // the trace is drained.
@@ -313,7 +315,7 @@ ClusterStats EventLoop::run(const std::vector<sched::TraceRequest>& trace,
       }
       if (!have_event) break;
     } else {
-      frontier = target->now();
+      frontier = fleet[busy.top()].now();
     }
 
     autoscale_upto(frontier);
@@ -322,8 +324,10 @@ ClusterStats EventLoop::run(const std::vector<sched::TraceRequest>& trace,
     // order is decision order, so ties resolve deterministically).
     for (std::size_t i = 0; i < pending.size();) {
       if (pending[i].ready_s <= frontier) {
-        fleet[pending[i].dest].finish_migration(pending[i].request_id,
-                                                pending[i].ready_s, requests);
+        Replica& dest = fleet[pending[i].dest];
+        dest.finish_migration(pending[i].request_id, pending[i].ready_s,
+                              requests);
+        rekey(dest);
         pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(i));
       } else {
         ++i;
@@ -333,16 +337,16 @@ ClusterStats EventLoop::run(const std::vector<sched::TraceRequest>& trace,
     // Deliver (route) every arrival the frontier has passed.
     while (next_arrival < requests.size() &&
            requests[next_arrival].arrival_s <= frontier) {
-      const std::size_t placed =
-          router.pick(requests[next_arrival], fleet, requests);
-      fleet[placed].deliver(next_arrival, requests);
+      Replica& placed = fleet[router.pick(requests[next_arrival], fleet)];
+      placed.deliver(next_arrival, requests);
+      rekey(placed);
       ++next_arrival;
     }
 
     // Delivery can wake a replica whose clock is earlier than the old
-    // frontier; re-pick so ticks stay globally time-ordered.
-    target = earliest_busy();
-    MARLIN_ASSERT(target != nullptr);
+    // frontier; re-read the top so ticks stay globally time-ordered.
+    MARLIN_ASSERT(!busy.empty());
+    Replica* const target = &fleet[busy.top()];
 
     // Liveness guard: a tick of a busy replica must change *something*
     // (the clock, a flight, or a terminal counter) or the loop would spin
@@ -368,7 +372,8 @@ ClusterStats EventLoop::run(const std::vector<sched::TraceRequest>& trace,
       scan_migrations(*target);
     }
 
-    retire_drained();
+    rekey(*target);
+    retire_if_drained(*target);
   }
 
   // Legacy SchedStats over the whole fleet: counters summed, metrics over

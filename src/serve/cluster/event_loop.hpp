@@ -5,18 +5,26 @@
 //
 // The loop is strictly serial and deterministic (part of the
 // bit-identical-across-threads contract; parallelism lives below, in
-// StepModel evaluation). Each iteration:
+// StepModel evaluation). Busy replicas sit in a `BusyHeap`, an indexed
+// min-heap keyed (clock, id). Each iteration:
 //
-//   1. The *frontier* is the earliest busy replica's clock — or, when the
-//      whole fleet is idle, the next undelivered arrival's time.
+//   1. The *frontier* is the heap top's clock — the earliest busy
+//      replica — or, when the whole fleet is idle, the next undelivered
+//      arrival's (or in-flight migration's) time.
 //   2. The autoscaler (if enabled) evaluates at every multiple of its
 //      interval the frontier has passed, adding replicas or draining the
 //      highest-id one against the observed queue depth.
 //   3. The Router delivers every arrival with `arrival_s <= frontier` to
 //      its placed replica (which advances an idle replica's clock to the
-//      arrival — a request cannot be seen early).
-//   4. The earliest busy replica (ties: lowest id) is *ticked*: one
-//      admission pass plus one engine step (see Scheduler's passive API).
+//      arrival — a request cannot be seen early) and re-keys it.
+//   4. The heap top (earliest clock, ties: lowest id) is *ticked*: one
+//      admission pass plus one engine step (see Scheduler's passive API),
+//      then re-keyed, and retired if it was draining and went idle.
+//
+// Cost per event: a tick is O(log R) heap work for R replicas; an
+// arrival is O(R) integer compares in the Router (each replica's
+// least-loaded key is a maintained counter); nothing rescans the fleet
+// per tick. The autoscaler's evaluations scan the fleet once each.
 //
 // With one replica this reduces — engine call for engine call — to the
 // original Scheduler::run loop: step 3 is its `admit_arrivals(now)`, the

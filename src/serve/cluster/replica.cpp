@@ -50,6 +50,7 @@ void Replica::deliver(std::size_t request_id,
   r.replica = id_;
   advance_to(r.arrival_s);
   state_.queue.push_back(request_id);
+  state_.outstanding_tokens += r.owed_tokens();
   ++routed_;
   if (state_.obs != nullptr) {
     state_.obs->on_request_queued(r.arrival_s, r.id, r.tenant_id, id_);
@@ -65,10 +66,6 @@ void Replica::tick(std::vector<sched::Request>& requests) {
                         static_cast<index_t>(state_.running.size()),
                         state_.bm.used_blocks(), state_.bm.total_blocks());
   }
-}
-
-void Replica::register_tenants(const std::vector<sched::Request>& requests) {
-  scheduler_->register_tenants(state_, requests);
 }
 
 void Replica::begin_drain() {
@@ -102,6 +99,7 @@ void Replica::migrate_out(std::size_t request_id,
                "request " << r.id << " is not in replica " << id_
                           << "'s running batch");
   state_.running.erase(it);
+  state_.outstanding_tokens -= r.owed_tokens();
   state_.bm.release(r.blocks, r.tenant_id);
   for (sched::SequenceBlocks& f : r.forks) state_.bm.release(f, r.tenant_id);
   r.forks.clear();
@@ -152,30 +150,8 @@ void Replica::finish_migration(std::size_t request_id, double ready_s,
   r.replica = id_;
   advance_to(ready_s);
   state_.running.push_back(request_id);
+  state_.outstanding_tokens += r.owed_tokens();
   ++migrated_in_;
-}
-
-index_t Replica::outstanding_tokens(
-    const std::vector<sched::Request>& requests) const {
-  index_t total = 0;
-  const auto owed = [&](std::size_t id) {
-    const sched::Request& r = requests[id];
-    return (r.prefill_target() - r.prefilled) +
-           (r.output_tokens - r.generated);
-  };
-  for (const std::size_t id : state_.queue) total += owed(id);
-  for (const std::size_t id : state_.prefilling) total += owed(id);
-  for (const std::size_t id : state_.running) total += owed(id);
-  return total;
-}
-
-index_t Replica::cached_prefix_blocks(const sched::Request& r) const {
-  const sched::BlockManager& bm = state_.bm;
-  if (!bm.config().prefix_cache.enabled) return 0;
-  r.append_prefix_chain(bm.block_size(),
-                        bm.blocks_for_tokens(r.prefill_target()),
-                        probe_chain_);
-  return bm.cached_chain_blocks(probe_chain_);
 }
 
 }  // namespace marlin::serve::cluster

@@ -67,10 +67,13 @@ class Replica {
   /// One scheduler tick: an admission pass, then one engine step.
   void tick(std::vector<sched::Request>& requests);
 
-  /// Registers every tenant in `requests` with this replica's WFQ state
-  /// (idempotent) — required before the first tick, including for
-  /// replicas the autoscaler adds mid-run.
-  void register_tenants(const std::vector<sched::Request>& requests);
+  /// Registers the run's resolved tenants (`Scheduler::resolve_tenants`,
+  /// computed once per run) with this replica's WFQ state in
+  /// O(tenants); idempotent. Required before the first tick, including
+  /// for replicas the autoscaler adds mid-run.
+  void register_tenants(const sched::TenantSpecs& tenants) {
+    state_.register_tenants(tenants);
+  }
 
   /// Attaches the observability recorder (borrowed; null detaches — the
   /// default, recording-off fast path). The EventLoop sets this on every
@@ -113,17 +116,14 @@ class Replica {
   [[nodiscard]] index_t migrated_in() const { return migrated_in_; }
   [[nodiscard]] index_t migrated_out() const { return migrated_out_; }
 
-  /// Total tokens of outstanding work (prefill still owed plus decode
-  /// tokens still owed) across queued and in-flight requests — the
-  /// least-loaded placement key.
-  [[nodiscard]] index_t outstanding_tokens(
-      const std::vector<sched::Request>& requests) const;
-
-  /// Leading blocks of `r`'s prompt already resident in this replica's
-  /// prefix cache — 0 when the cache is off or `r` has no shared-prefix
-  /// tag. Read-only probe (no refcounts move); the router's
-  /// prefix-affinity placement key.
-  [[nodiscard]] index_t cached_prefix_blocks(const sched::Request& r) const;
+  /// The least-loaded placement key: `Request::owed_tokens()` summed
+  /// over queued and in-flight requests, i.e. prompt + output - prefilled
+  /// per request. A running request keeps counting its full output (the
+  /// key does not shrink as it decodes). O(1): a counter maintained on
+  /// every change, see `sched::ReplicaState::outstanding_tokens`.
+  [[nodiscard]] index_t outstanding_tokens() const {
+    return state_.outstanding_tokens;
+  }
 
   /// Direct state access for the EventLoop's stats aggregation and for
   /// white-box tests.
@@ -138,9 +138,9 @@ class Replica {
   index_t routed_ = 0;
   index_t migrated_in_ = 0;
   index_t migrated_out_ = 0;
-  /// Scratch for `cached_prefix_blocks` (probes run once per arrival;
-  /// retained capacity keeps the routing path allocation-free).
-  mutable std::vector<std::uint64_t> probe_chain_;
+  /// Prefix-chain scratch for `begin_migration` (retained capacity keeps
+  /// repeated handoffs allocation-free).
+  std::vector<std::uint64_t> probe_chain_;
 };
 
 }  // namespace marlin::serve::cluster

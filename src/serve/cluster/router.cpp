@@ -30,8 +30,7 @@ Placement placement_by_name(const std::string& name) {
 }
 
 std::size_t Router::pick(const sched::Request& r,
-                         const std::deque<Replica>& fleet,
-                         const std::vector<sched::Request>& requests) {
+                         const std::deque<Replica>& fleet) {
   // The routable set, in id order (fleet is only ever appended to, so
   // deque order == id order). `routable_` is member scratch whose
   // capacity persists across arrivals.
@@ -53,9 +52,9 @@ std::size_t Router::pick(const sched::Request& r,
     }
     case Placement::kLeastLoaded: {
       std::size_t best = routable[0];
-      index_t best_load = fleet[best].outstanding_tokens(requests);
+      index_t best_load = fleet[best].outstanding_tokens();
       for (std::size_t k = 1; k < routable.size(); ++k) {
-        const index_t load = fleet[routable[k]].outstanding_tokens(requests);
+        const index_t load = fleet[routable[k]].outstanding_tokens();
         if (load < best_load) {  // ties keep the lowest id
           best_load = load;
           best = routable[k];
@@ -75,16 +74,6 @@ std::size_t Router::pick(const sched::Request& r,
                    to_string(placement_));
   }
   return chosen;
-}
-
-void Router::probe_cached_prefix(const sched::Request& r,
-                                 const std::deque<Replica>& fleet,
-                                 std::vector<index_t>& out) const {
-  out.resize(fleet.size());
-  for (std::size_t i = 0; i < fleet.size(); ++i) {
-    out[i] = fleet[i].routable() ? fleet[i].cached_prefix_blocks(r)
-                                 : index_t{-1};
-  }
 }
 
 }  // namespace marlin::serve::cluster

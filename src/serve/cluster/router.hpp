@@ -6,9 +6,11 @@
 // count.
 //
 //   * kRoundRobin     — rotate over routable replicas in id order.
-//   * kLeastLoaded    — fewest outstanding tokens (prefill + decode still
-//                       owed across queue and flights); ties go to the
-//                       lowest replica id.
+//   * kLeastLoaded    — fewest outstanding tokens (prompt + output -
+//                       prefilled, summed over queue and flights; see
+//                       `Replica::outstanding_tokens`); ties go to the
+//                       lowest replica id. One integer compare per
+//                       routable replica.
 //   * kSessionAffinity — hash the tenant id onto the routable set, so one
 //                       tenant's requests land on one replica while the
 //                       fleet size holds (the hook prefix caching will
@@ -52,17 +54,7 @@ class Router {
   /// Picks the routable replica for `r` and returns its index into
   /// `fleet`. Throws if no replica is routable.
   [[nodiscard]] std::size_t pick(const sched::Request& r,
-                                 const std::deque<Replica>& fleet,
-                                 const std::vector<sched::Request>& requests);
-
-  /// Read-only prefix-cache probe over the fleet: resizes `out` to
-  /// `fleet.size()` and fills `out[i]` with the blocks of `r`'s prompt
-  /// replica `i` already holds cached, or -1 when replica `i` is not
-  /// routable. Groundwork for a prefix-affinity placement policy; no
-  /// refcounts move and no placement is made.
-  void probe_cached_prefix(const sched::Request& r,
-                           const std::deque<Replica>& fleet,
-                           std::vector<index_t>& out) const;
+                                 const std::deque<Replica>& fleet);
 
  private:
   Placement placement_;

@@ -117,6 +117,16 @@ struct Request {
   [[nodiscard]] index_t prefill_target() const {
     return prompt_tokens + generated;
   }
+  /// The request's share of its replica's least-loaded placement key:
+  /// prefill still owed plus output still owed,
+  /// (prefill_target - prefilled) + (output_tokens - generated), which
+  /// is prompt_tokens + output_tokens - prefilled. Decoding does not
+  /// shrink it (each token grows the recompute target as much as it
+  /// shrinks the output owed); only admission, prefill chunks and
+  /// preemption move it.
+  [[nodiscard]] index_t owed_tokens() const {
+    return prompt_tokens + output_tokens - prefilled;
+  }
   /// Tokens of KV one sequence holds at completion. The final output
   /// token is emitted without growing the cache (its KV is never
   /// written), hence the -1.

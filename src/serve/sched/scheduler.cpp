@@ -220,6 +220,14 @@ class Ticker {
     return best_ttft_s * 1e3 > deadline_ms;
   }
 
+  // The only way the tick moves `r.prefilled`: keeps the replica's
+  // least-loaded key exact across the change.
+  void set_prefilled(Request& r, index_t prefilled) {
+    s_.outstanding_tokens -= r.owed_tokens();
+    r.prefilled = prefilled;
+    s_.outstanding_tokens += r.owed_tokens();
+  }
+
   void preempt_running_at(std::size_t pos) {
     MARLIN_ASSERT(pos < s_.running.size());
     const std::size_t victim = s_.running[pos];
@@ -232,7 +240,7 @@ class Ticker {
     s_.bm.release(v.blocks, v.tenant_id);
     for (SequenceBlocks& f : v.forks) s_.bm.release(f, v.tenant_id);
     v.forks.clear();
-    v.prefilled = 0;
+    set_prefilled(v, 0);
     ++v.preemptions;
     ++s_.preemptions;
     s_.queue.push_front(victim);
@@ -395,6 +403,7 @@ void Ticker::admit() {
     if (slo_hopeless(r)) {
       r.shed = true;
       r.set_state(RequestState::kFinished);
+      s_.outstanding_tokens -= r.owed_tokens();
       ++s_.shed;
       scr.taken[id] = 1;
       if (s_.obs != nullptr) s_.obs->on_shed(s_.now, r.id);
@@ -403,6 +412,7 @@ void Ticker::admit() {
     if (never_fits(r)) {
       r.rejected = true;
       r.set_state(RequestState::kFinished);
+      s_.outstanding_tokens -= r.owed_tokens();
       ++s_.rejected;
       scr.taken[id] = 1;
       if (s_.obs != nullptr) s_.obs->on_rejected(s_.now, r.id);
@@ -441,7 +451,7 @@ void Ticker::admit() {
       s_.bm.acquire(r.blocks, need, r.tenant_id);
     }
     r.set_state(RequestState::kPrefilling);
-    r.prefilled = cached_tokens;
+    set_prefilled(r, cached_tokens);
     s_.prefilling.push_back(id);
     scr.taken[id] = 1;
     if (s_.obs != nullptr) {
@@ -487,7 +497,7 @@ void Ticker::prefill_round() {
     if (cfg_.prefill_chunk_tokens > 0) {
       chunk = std::min(chunk, cfg_.prefill_chunk_tokens);
     }
-    r.prefilled += chunk;
+    set_prefilled(r, r.prefilled + chunk);
     add_service(r.tenant_id, chunk);
     if (r.prefilled < r.prefill_target()) {
       s_.prefilling[keep++] = id;
@@ -627,6 +637,7 @@ void Ticker::decode_round() {
         if (s_.obs != nullptr) s_.obs->on_slo_tpot_violation(s_.now, r.id);
       }
       r.set_state(RequestState::kFinished);
+      s_.outstanding_tokens -= r.owed_tokens();
       s_.bm.release(r.blocks, r.tenant_id);
       for (SequenceBlocks& f : r.forks) s_.bm.release(f, r.tenant_id);
       r.forks.clear();
@@ -688,15 +699,27 @@ Scheduler::Scheduler(const StepModel& model, SchedulerConfig cfg,
   }
 }
 
-void Scheduler::register_tenants(ReplicaState& s,
-                                 const std::vector<Request>& requests) const {
+void ReplicaState::register_tenants(const TenantSpecs& tenants) {
+  for (const auto& [id, spec] : tenants) {
+    if (tenant_specs.emplace(id, spec).second) service_debt[id] = 0.0;
+  }
+}
+
+TenantSpecs Scheduler::resolve_tenants(
+    const std::vector<Request>& requests) const {
+  TenantSpecs specs;
   for (const Request& r : requests) {
-    if (!s.tenant_specs.contains(r.tenant_id)) {
-      s.tenant_specs.emplace(r.tenant_id,
-                             tenant_spec_or_default(cfg_.tenants, r.tenant_id));
-      s.service_debt[r.tenant_id] = 0.0;
+    if (!specs.contains(r.tenant_id)) {
+      specs.emplace(r.tenant_id,
+                    tenant_spec_or_default(cfg_.tenants, r.tenant_id));
     }
   }
+  return specs;
+}
+
+void Scheduler::register_tenants(ReplicaState& s,
+                                 const std::vector<Request>& requests) const {
+  s.register_tenants(resolve_tenants(requests));
 }
 
 void Scheduler::admit(ReplicaState& s, std::vector<Request>& requests) const {

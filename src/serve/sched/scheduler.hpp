@@ -176,6 +176,13 @@ struct ReplicaState {
   std::deque<std::size_t> queue;        // waiting request indices
   std::vector<std::size_t> prefilling;  // admission order, this flight
   std::vector<std::size_t> running;     // admission order
+  /// Sum of `Request::owed_tokens()` over queue, prefilling and running:
+  /// the least-loaded placement key, read in O(1) per replica. Kept
+  /// exact wherever a request enters or leaves this replica or its
+  /// `prefilled` changes — `cluster::Replica` (deliver, migrations) and
+  /// the scheduler tick (admit, shed, reject, prefill chunk, preempt,
+  /// finish). Code that pushes onto `queue` directly bypasses it.
+  index_t outstanding_tokens = 0;
   /// The replica's discrete-event clock: the time its last engine step
   /// completed. Advanced by `Scheduler::step` and (when idle) by the
   /// EventLoop jumping to the next routed arrival.
@@ -187,8 +194,13 @@ struct ReplicaState {
 
   // WFQ state: one resolved spec and one weighted service-debt counter
   // (tokens served / weight) per tenant appearing in the trace.
-  std::map<index_t, TenantSpec> tenant_specs;
+  TenantSpecs tenant_specs;
   std::map<index_t, double> service_debt;
+
+  /// Registers every tenant of `tenants` not yet known here (resolved
+  /// spec plus zeroed service debt). O(tenants); required before the
+  /// first tick under WFQ.
+  void register_tenants(const TenantSpecs& tenants);
 
   /// Reusable per-tick scratch buffers. Kept on the replica (not on the
   /// per-call Ticker) so a steady-state decode tick performs zero heap
@@ -321,10 +333,15 @@ class Scheduler {
     return ReplicaState(cfg_.blocks);
   }
 
-  /// Registers every tenant appearing in `requests` in `s` (resolved
-  /// spec + zeroed service debt), exactly as the legacy loop did before
-  /// its first iteration. Idempotent; call once per replica before
-  /// ticking (including replicas the autoscaler adds mid-run).
+  /// Resolved spec of every tenant appearing in `requests`. One O(requests)
+  /// walk per run; every replica then registers the result in O(tenants)
+  /// via `ReplicaState::register_tenants`.
+  [[nodiscard]] TenantSpecs resolve_tenants(
+      const std::vector<Request>& requests) const;
+
+  /// Single-replica shorthand for
+  /// `s.register_tenants(resolve_tenants(requests))`, exactly what the
+  /// legacy loop did before its first iteration. Idempotent.
   void register_tenants(ReplicaState& s,
                         const std::vector<Request>& requests) const;
 

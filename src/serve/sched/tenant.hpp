@@ -22,6 +22,7 @@
 // `traffic_share` feeds the workload generator's tenant mix — it shapes
 // the trace, not the scheduler.
 
+#include <map>
 #include <string>
 #include <vector>
 
@@ -48,5 +49,8 @@ struct TenantSpec {
 /// unconfigured tenants are legal and neutral.
 [[nodiscard]] TenantSpec tenant_spec_or_default(
     const std::vector<TenantSpec>& tenants, index_t tenant_id);
+
+/// Resolved specs of the tenants a run's trace mentions, keyed by id.
+using TenantSpecs = std::map<index_t, TenantSpec>;
 
 }  // namespace marlin::serve::sched

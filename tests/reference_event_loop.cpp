@@ -1,0 +1,434 @@
+#include "reference_event_loop.hpp"
+
+#include <algorithm>
+#include <deque>
+
+#include "serve/parallel/interconnect.hpp"
+#include "util/error.hpp"
+
+namespace marlin::serve::cluster::reference {
+namespace {
+
+/// The Router's placement policies over the recounted key.
+class Placer {
+ public:
+  explicit Placer(Placement placement) : placement_(placement) {}
+
+  std::size_t pick(const sched::Request& r, const std::deque<Replica>& fleet,
+                   const std::vector<sched::Request>& requests) {
+    std::vector<std::size_t> routable;
+    for (std::size_t i = 0; i < fleet.size(); ++i) {
+      if (fleet[i].routable()) routable.push_back(i);
+    }
+    MARLIN_CHECK(!routable.empty(),
+                 "router has no routable replica for request " << r.id);
+    switch (placement_) {
+      case Placement::kRoundRobin: {
+        const std::size_t slot = rr_cursor_ % routable.size();
+        rr_cursor_ = slot + 1;
+        return routable[slot];
+      }
+      case Placement::kLeastLoaded: {
+        std::size_t best = routable[0];
+        index_t best_load = recount_load(fleet[best], requests);
+        for (std::size_t k = 1; k < routable.size(); ++k) {
+          const index_t load = recount_load(fleet[routable[k]], requests);
+          if (load < best_load) {
+            best_load = load;
+            best = routable[k];
+          }
+        }
+        return best;
+      }
+      case Placement::kSessionAffinity: {
+        const auto h = mix64(static_cast<std::uint64_t>(r.tenant_id));
+        return routable[static_cast<std::size_t>(h % routable.size())];
+      }
+    }
+    return routable[0];
+  }
+
+ private:
+  Placement placement_;
+  std::size_t rr_cursor_ = 0;
+};
+
+}  // namespace
+
+index_t recount_load(const Replica& rep,
+                     const std::vector<sched::Request>& requests) {
+  const auto owed = [&](std::size_t id) {
+    const sched::Request& r = requests[id];
+    return (r.prefill_target() - r.prefilled) +
+           (r.output_tokens - r.generated);
+  };
+  index_t total = 0;
+  for (const std::size_t id : rep.state().queue) total += owed(id);
+  for (const std::size_t id : rep.state().prefilling) total += owed(id);
+  for (const std::size_t id : rep.state().running) total += owed(id);
+  return total;
+}
+
+ClusterStats run(const sched::Scheduler& scheduler,
+                 const ClusterOptions& opts,
+                 const std::vector<sched::TraceRequest>& trace) {
+  opts.validate();
+  ClusterStats stats;
+  std::vector<sched::Request>& requests = stats.sched.requests;
+  requests.reserve(trace.size());
+  index_t max_context = 1;
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    requests.emplace_back(static_cast<index_t>(i), trace[i].arrival_s,
+                          trace[i].input_tokens, trace[i].output_tokens,
+                          trace[i].tenant_id);
+    requests.back().prefix_id = trace[i].prefix_id;
+    requests.back().prefix_tokens = trace[i].prefix_tokens;
+    requests.back().num_sequences =
+        std::max<index_t>(1, trace[i].num_sequences);
+    max_context =
+        std::max(max_context, trace[i].input_tokens + trace[i].output_tokens);
+  }
+  const sched::SchedulerConfig& cfg = scheduler.config();
+  const SimContext& ctx = SimContext::serial_context();
+  scheduler.model().warm_decode_cache(ctx, cfg.max_batch,
+                                      static_cast<double>(max_context));
+  if (scheduler.draft_model() != nullptr) {
+    scheduler.draft_model()->warm_decode_cache(
+        ctx, cfg.max_batch, static_cast<double>(max_context));
+  }
+
+  const DisaggConfig& disagg = opts.disagg;
+  const index_t initial_replicas =
+      disagg.enabled ? disagg.prefill_replicas + disagg.decode_replicas
+                     : opts.replicas;
+  std::deque<Replica> fleet;
+  for (index_t i = 0; i < initial_replicas; ++i) {
+    const ReplicaRole role =
+        !disagg.enabled ? ReplicaRole::kUnified
+        : (i < disagg.prefill_replicas ? ReplicaRole::kPrefill
+                                       : ReplicaRole::kDecode);
+    fleet.emplace_back(i, scheduler, role);
+    fleet.back().register_tenants(scheduler.resolve_tenants(requests));
+  }
+  Placer placer(opts.placement);
+  std::size_t next_arrival = 0;
+
+  const auto routable_count = [&] {
+    index_t n = 0;
+    for (const Replica& rep : fleet) n += rep.routable() ? 1 : 0;
+    return n;
+  };
+  const auto earliest_busy = [&]() -> Replica* {
+    Replica* best = nullptr;
+    for (Replica& rep : fleet) {
+      // Strict < keeps the lowest id on ties.
+      if (rep.busy() && (best == nullptr || rep.now() < best->now())) {
+        best = &rep;
+      }
+    }
+    return best;
+  };
+  const auto retire_drained = [&] {
+    for (Replica& rep : fleet) (void)rep.try_retire();
+  };
+
+  struct PendingMigration {
+    std::size_t request_id;
+    std::size_t dest;
+    double ready_s;
+  };
+  std::vector<PendingMigration> pending;
+  index_t migration_ttft_violations = 0;
+
+  const auto link_stats_for = [&](index_t src, index_t dst) -> LinkStats& {
+    for (LinkStats& l : stats.links) {
+      if (l.src == src && l.dst == dst) return l;
+    }
+    stats.links.push_back(LinkStats{src, dst, 0, 0.0, 0.0});
+    return stats.links.back();
+  };
+
+  const auto scan_migrations = [&](Replica& src) {
+    for (std::size_t pos = 0; pos < src.state().running.size();) {
+      const std::size_t id = src.state().running[pos];
+      sched::Request& r = requests[id];
+      if (r.migration_decided ||
+          r.state != sched::RequestState::kRunning) {
+        ++pos;
+        continue;
+      }
+      r.migration_decided = true;
+      if (src.lifecycle() != ReplicaLifecycle::kActive ||
+          r.generated >= r.output_tokens) {
+        ++pos;
+        continue;
+      }
+      const index_t need =
+          src.state().bm.blocks_for_tokens(r.prefill_target());
+      Replica* dest = nullptr;
+      index_t dest_load = 0;
+      for (Replica& rep : fleet) {
+        if (rep.role() != ReplicaRole::kDecode ||
+            rep.lifecycle() != ReplicaLifecycle::kActive ||
+            !rep.state().bm.can_allocate(need)) {
+          continue;
+        }
+        const index_t load = recount_load(rep, requests);
+        if (dest == nullptr || load < dest_load) {
+          dest = &rep;
+          dest_load = load;
+        }
+      }
+      if (dest == nullptr) {
+        ++pos;
+        continue;
+      }
+      const double t0 = src.now();
+      src.migrate_out(id, requests);
+      const index_t skipped = dest->begin_migration(id, requests);
+      const index_t moved = std::max<index_t>(0, r.prompt_tokens - skipped);
+      const double bytes =
+          disagg.kv_bytes_per_token * static_cast<double>(moved);
+      const double ready_s = t0 + disagg.transfer_seconds(bytes);
+      const sched::SloConfig& slo = cfg.slo;
+      if (slo.ttft_deadline_ms > 0 && r.first_token_s >= 0) {
+        const double old_ms = (r.first_token_s - r.arrival_s) * 1e3;
+        const double new_ms = (ready_s - r.arrival_s) * 1e3;
+        if (old_ms <= slo.ttft_deadline_ms &&
+            new_ms > slo.ttft_deadline_ms) {
+          ++migration_ttft_violations;
+        }
+      }
+      r.first_token_s = ready_s;
+      ++r.migrations;
+      ++stats.migrations;
+      stats.transferred_tokens += moved;
+      stats.transfer_skipped_tokens += skipped;
+      stats.transfer_bytes += bytes;
+      stats.transfer_seconds += ready_s - t0;
+      LinkStats& link = link_stats_for(src.id(), dest->id());
+      ++link.transfers;
+      link.bytes += bytes;
+      link.seconds += ready_s - t0;
+      pending.push_back(PendingMigration{
+          id, static_cast<std::size_t>(dest->id()), ready_s});
+    }
+  };
+
+  const AutoscalerConfig& as = opts.autoscaler;
+  double next_eval_s = as.interval_s;
+  stats.peak_replicas = routable_count();
+
+  const auto autoscale_upto = [&](double frontier) {
+    if (!as.enabled) return;
+    while (next_eval_s <= frontier) {
+      const double t_eval = next_eval_s;
+      next_eval_s += as.interval_s;
+      retire_drained();
+      const index_t routable = routable_count();
+      index_t queued = 0;
+      for (const Replica& rep : fleet) {
+        if (rep.routable()) {
+          queued += static_cast<index_t>(rep.state().queue.size());
+        }
+      }
+      const double load =
+          static_cast<double>(queued) / static_cast<double>(routable);
+      if (load > as.scale_up_queue_per_replica &&
+          routable < as.max_replicas) {
+        const index_t new_id = static_cast<index_t>(fleet.size());
+        fleet.emplace_back(new_id, scheduler);
+        fleet.back().advance_to(t_eval);
+        fleet.back().register_tenants(scheduler.resolve_tenants(requests));
+        ++stats.replicas_added;
+        stats.peak_replicas = std::max(stats.peak_replicas, routable_count());
+      } else if (load < as.scale_down_queue_per_replica &&
+                 routable > as.min_replicas) {
+        for (std::size_t i = fleet.size(); i-- > 0;) {
+          if (fleet[i].routable()) {
+            fleet[i].begin_drain();
+            ++stats.replicas_drained;
+            break;
+          }
+        }
+        retire_drained();
+      }
+    }
+  };
+
+  while (true) {
+    Replica* target = earliest_busy();
+    double frontier;
+    if (target == nullptr) {
+      bool have_event = false;
+      frontier = 0.0;
+      if (next_arrival < requests.size()) {
+        frontier = requests[next_arrival].arrival_s;
+        have_event = true;
+      }
+      for (const PendingMigration& p : pending) {
+        if (!have_event || p.ready_s < frontier) {
+          frontier = p.ready_s;
+          have_event = true;
+        }
+      }
+      if (!have_event) break;
+    } else {
+      frontier = target->now();
+    }
+
+    autoscale_upto(frontier);
+
+    for (std::size_t i = 0; i < pending.size();) {
+      if (pending[i].ready_s <= frontier) {
+        fleet[pending[i].dest].finish_migration(pending[i].request_id,
+                                                pending[i].ready_s, requests);
+        pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(i));
+      } else {
+        ++i;
+      }
+    }
+
+    while (next_arrival < requests.size() &&
+           requests[next_arrival].arrival_s <= frontier) {
+      const std::size_t placed =
+          placer.pick(requests[next_arrival], fleet, requests);
+      fleet[placed].deliver(next_arrival, requests);
+      ++next_arrival;
+    }
+
+    target = earliest_busy();
+    MARLIN_CHECK(target != nullptr, "reference loop: no busy replica");
+    target->tick(requests);
+    if (disagg.enabled && target->role() == ReplicaRole::kPrefill) {
+      scan_migrations(*target);
+    }
+    retire_drained();
+  }
+
+  double batch_weighted = 0;
+  double decode_time_total = 0;
+  for (const Replica& rep : fleet) {
+    const sched::ReplicaState& s = rep.state();
+    stats.sched.preemptions += s.preemptions;
+    stats.sched.rejected += s.rejected;
+    stats.sched.shed += s.shed;
+    stats.sched.prefill_steps += s.prefill_steps;
+    stats.sched.decode_steps += s.decode_steps;
+    stats.sched.spec_rounds += s.spec_rounds;
+    stats.sched.spec_draft_tokens += s.spec_draft_tokens;
+    stats.sched.spec_committed_tokens += s.spec_committed_tokens;
+    stats.sched.slo_ttft_violations += s.slo_ttft_violations;
+    stats.sched.slo_tpot_violations += s.slo_tpot_violations;
+    stats.sched.prefix_cache_lookup_blocks += s.bm.prefix_cache_lookup_blocks();
+    stats.sched.prefix_cache_hit_blocks += s.bm.prefix_cache_hit_blocks();
+    stats.sched.prefix_cache_evictions += s.bm.prefix_cache_evictions();
+    stats.sched.prefix_tokens_skipped += s.prefix_tokens_skipped;
+    stats.sched.cow_forks += s.bm.cow_forks();
+    stats.sched.cow_copies += s.bm.cow_copies();
+    stats.sched.peak_kv_blocks =
+        std::max(stats.sched.peak_kv_blocks, s.bm.peak_used_blocks());
+    stats.sched.sim_end_s = std::max(stats.sched.sim_end_s, s.now);
+    batch_weighted += s.batch_weighted;
+    decode_time_total += s.decode_time_total;
+  }
+  stats.sched.slo_ttft_violations += migration_ttft_violations;
+  stats.sched.metrics = sched::metrics_from_requests(
+      requests, batch_weighted, decode_time_total);
+
+  for (const Replica& rep : fleet) {
+    const sched::ReplicaState& s = rep.state();
+    ReplicaStats r;
+    r.id = rep.id();
+    r.lifecycle = rep.lifecycle();
+    r.role = rep.role();
+    r.clock_s = s.now;
+    r.routed = rep.routed();
+    r.shed = s.shed;
+    r.preemptions = s.preemptions;
+    r.prefill_steps = s.prefill_steps;
+    r.decode_steps = s.decode_steps;
+    r.peak_kv_blocks = s.bm.peak_used_blocks();
+    r.leaked_kv_blocks = s.bm.used_blocks();
+    r.migrated_in = rep.migrated_in();
+    r.migrated_out = rep.migrated_out();
+    stats.replicas.push_back(r);
+  }
+  for (const sched::Request& r : requests) {
+    if (r.finish_s >= 0 && r.replica >= 0) {
+      ++stats.replicas[static_cast<std::size_t>(r.replica)].completed;
+    }
+  }
+  return stats;
+}
+
+Setup::Setup(const Engine& engine, const ServingConfig& cfg) {
+  MARLIN_CHECK(cfg.recorder == nullptr,
+               "the reference loop does not record");
+  sched::WorkloadConfig w;
+  w.shape = cfg.shape;
+  w.qps = cfg.qps;
+  w.duration_s = cfg.duration_s;
+  w.input_tokens = cfg.input_tokens;
+  w.output_tokens = cfg.output_tokens;
+  w.seed = cfg.seed;
+  w.shared_prefix_tokens = cfg.shared_prefix_tokens;
+  w.shared_prefix_groups = cfg.shared_prefix_groups;
+  w.shared_prefix_share = cfg.shared_prefix_share;
+  w.sampling_n = cfg.sampling_n;
+  if (!cfg.tenants.empty()) {
+    index_t max_id = 0;
+    for (const auto& t : cfg.tenants) max_id = std::max(max_id, t.id);
+    w.tenant_shares.assign(static_cast<std::size_t>(max_id) + 1, 0.0);
+    for (const auto& t : cfg.tenants) {
+      w.tenant_shares[static_cast<std::size_t>(t.id)] = t.traffic_share;
+    }
+  }
+  trace = sched::generate_trace(w);
+
+  if (!cfg.parallel.trivial()) sharded_.emplace(engine, cfg.parallel);
+  const StepModel& model =
+      sharded_ ? static_cast<const StepModel&>(*sharded_) : engine;
+  index_t kv_blocks = cfg.kv_blocks;
+  if (kv_blocks < 0) {
+    kv_blocks = sharded_
+                    ? sharded_->min_kv_block_budget(cfg.kv_block_size)
+                    : sched::derive_kv_block_budget(engine, cfg.kv_block_size);
+  }
+
+  sched::SchedulerConfig sc;
+  sc.policy = cfg.policy;
+  sc.max_batch = cfg.max_batch;
+  sc.prefill_chunk_tokens = cfg.prefill_chunk_tokens;
+  sc.blocks.block_size = cfg.kv_block_size;
+  sc.blocks.num_blocks = kv_blocks;
+  sc.blocks.prefix_cache = cfg.prefix_cache;
+  sc.tenants = cfg.tenants;
+  sc.speculation = cfg.speculation;
+  sc.slo = cfg.slo;
+
+  if (cfg.speculation.enabled()) {
+    EngineConfig dcfg = engine.config();
+    dcfg.model =
+        cfg.draft_model.name.empty() ? tinyllama_1_1b() : cfg.draft_model;
+    dcfg.num_gpus = 1;
+    draft_.emplace(dcfg);
+  }
+  scheduler_.emplace(model, sc, draft_ ? &*draft_ : nullptr);
+
+  options_ = cfg.cluster;
+  if (options_.disagg.enabled) {
+    if (options_.disagg.kv_bytes_per_token <= 0) {
+      options_.disagg.kv_bytes_per_token = engine.kv_bytes_per_token();
+    }
+    if (options_.disagg.link_bytes_per_s <= 0 &&
+        options_.disagg.link_latency_s <= 0) {
+      const parallel::Interconnect link =
+          parallel::Interconnect::of(engine.config().gpu);
+      options_.disagg.link_bytes_per_s = link.bytes_per_s;
+      options_.disagg.link_latency_s = link.latency_s;
+    }
+  }
+}
+
+}  // namespace marlin::serve::cluster::reference

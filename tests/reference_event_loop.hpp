@@ -1,0 +1,60 @@
+#pragma once
+// Test-only reference for the cluster EventLoop: the fleet loop as it
+// stood before busy replicas moved into a heap, kept deliberately simple
+// so the optimized loop can be fuzzed against it for bit-equal
+// ClusterStats. Per tick it scans the whole fleet for the earliest busy
+// replica (twice) and for drained replicas to retire; per arrival it
+// recounts every replica's least-loaded key from its queue and flights;
+// and it registers tenants by walking the trace once per replica.
+//
+// It shares `Replica` and the passive `Scheduler` with the real loop (so
+// both run the same tick), but none of the state this optimization
+// introduced: not the busy heap, not the maintained load counter, not
+// the once-per-run tenant table. Recording is not supported.
+
+#include <optional>
+#include <vector>
+
+#include "serve/cluster/event_loop.hpp"
+#include "serve/parallel/parallel_engine.hpp"
+#include "serve/server_sim.hpp"
+
+namespace marlin::serve::cluster::reference {
+
+/// The least-loaded key recounted from scratch by its definition:
+/// prefill still owed plus decode tokens still owed, over the replica's
+/// queue and both flights.
+[[nodiscard]] index_t recount_load(
+    const Replica& rep, const std::vector<sched::Request>& requests);
+
+/// `EventLoop(scheduler, opts).run(trace)` computed the slow way.
+[[nodiscard]] ClusterStats run(const sched::Scheduler& scheduler,
+                               const ClusterOptions& opts,
+                               const std::vector<sched::TraceRequest>& trace);
+
+/// The trace, scheduler and priced cluster options that
+/// `simulate_cluster_detailed(engine, cfg)` runs, built piecewise so a
+/// test can hand the same inputs to either loop (and reshape the trace
+/// first). Supports every ServingConfig except a recorder. Not copyable:
+/// the scheduler borrows the step models held here.
+class Setup {
+ public:
+  Setup(const Engine& engine, const ServingConfig& cfg);
+  Setup(const Setup&) = delete;
+  Setup& operator=(const Setup&) = delete;
+
+  [[nodiscard]] const sched::Scheduler& scheduler() const {
+    return *scheduler_;
+  }
+  [[nodiscard]] const ClusterOptions& options() const { return options_; }
+
+  std::vector<sched::TraceRequest> trace;
+
+ private:
+  std::optional<parallel::ParallelEngine> sharded_;
+  std::optional<Engine> draft_;
+  std::optional<sched::Scheduler> scheduler_;
+  ClusterOptions options_;
+};
+
+}  // namespace marlin::serve::cluster::reference

@@ -1,15 +1,19 @@
 // Seed-swept randomized invariant fuzzer for the serving stack: every
 // seed derives a random ServingConfig spanning the policy × replica ×
-// SLO × prefix-cache × speculation × disaggregation space, runs it end
-// to end, and asserts the invariants that must hold for *every*
-// configuration:
+// SLO × prefix-cache × speculation × disaggregation × autoscaler space,
+// runs it end to end, and asserts the invariants that must hold for
+// *every* configuration:
 //
 //   - no KV blocks leak (every replica ends at used_blocks == 0),
 //   - request conservation (completed + rejected + shed == offered, and
 //     every request reaches a terminal state),
 //   - monotone time (arrival <= first token <= finish <= sim end),
 //   - per-tenant splits sum back to the fleet totals,
-//   - repeat runs reproduce bit-identically (subset of seeds).
+//   - repeat runs reproduce bit-identically (subset of seeds),
+//   - the optimized EventLoop (busy-replica heap, maintained least-loaded
+//     counters, once-per-run tenant table) produces bit-equal
+//     ClusterStats to the frozen linear-scan reference loop in
+//     reference_event_loop.cpp, on every seed.
 //
 // The sweep size defaults to 200 fixed seeds and can be narrowed with
 // MARLIN_FUZZ_SEEDS=<n> (the sanitizer CI job runs a subset; the seeds
@@ -19,10 +23,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <random>
 #include <string>
 
+#include "reference_event_loop.hpp"
 #include "serve/server_sim.hpp"
 
 namespace marlin::serve {
@@ -47,10 +54,19 @@ index_t seed_count() {
   return 200;
 }
 
-/// Deterministic config for one seed. The generator is seeded by the
+/// One seed's draw: the serving configuration plus, for the differential
+/// oracle only, a grid the trace's arrival times are snapped down to
+/// (0 = leave them), so many requests land at one instant and many busy
+/// replicas tie on the clock.
+struct FuzzCase {
+  ServingConfig sc;
+  double arrival_grid_s = 0;
+};
+
+/// Deterministic case for one seed. The generator is seeded by the
 /// sweep seed alone, so seed k means the same configuration forever —
 /// a failure report of "seed 137" reproduces by number.
-ServingConfig config_for_seed(std::uint64_t seed) {
+FuzzCase case_for_seed(std::uint64_t seed) {
   std::mt19937_64 rng(seed * 0x9E3779B97F4A7C15ull + 0xD1B54A32D192ED03ull);
   const auto pick = [&](int lo, int hi) {
     return std::uniform_int_distribution<int>(lo, hi)(rng);
@@ -105,8 +121,9 @@ ServingConfig config_for_seed(std::uint64_t seed) {
     }
   }
 
-  // Cluster shape: unified fleet of 1-3 replicas, or disaggregated
-  // prefill/decode pools with engine-derived transfer pricing.
+  // Cluster shape: unified fleet of 1-3 replicas (widened below), or
+  // disaggregated prefill/decode pools with engine-derived transfer
+  // pricing.
   if (pick(0, 2) == 0) {
     sc.cluster.disagg.enabled = true;
     sc.cluster.disagg.prefill_replicas = pick(1, 2);
@@ -118,7 +135,49 @@ ServingConfig config_for_seed(std::uint64_t seed) {
                    cluster::Placement::kLeastLoaded,
                    cluster::Placement::kSessionAffinity}[pick(0, 2)];
   }
-  return sc;
+
+  // Drawn after every dimension above, so each seed keeps the values
+  // those draws always had. Unified fleets may widen to 4-8 replicas
+  // (many busy replicas tying on the clock) and run the autoscaler
+  // (add, drain and retire); never under disaggregation, whose pool
+  // sizes are fixed — there the prefill pool's placement is drawn
+  // instead. Seeds with neither SLOs nor a KV budget may get a tight
+  // TTFT deadline, so shedding (a request leaving a replica unserved) is
+  // common without thinning out the preemption-heavy tight-KV seeds.
+  const bool widen = pick(0, 2) == 0;
+  const index_t wide_replicas = pick(4, 8);
+  const bool autoscale = pick(0, 2) == 0;
+  const index_t headroom = pick(0, 4);
+  const double interval_s = pickd(0.25, 1.5);
+  const double scale_up = pickd(0.5, 4.0);
+  const double scale_down = scale_up * pickd(0.0, 0.5);
+  const bool snap_arrivals = pick(0, 1) == 1;
+  const double arrival_grid_s = pickd(0.05, 0.5);
+  const auto prefill_placement =
+      std::array{cluster::Placement::kRoundRobin,
+                 cluster::Placement::kLeastLoaded,
+                 cluster::Placement::kSessionAffinity}[pick(0, 2)];
+  const bool tight_ttft = pick(0, 2) == 0;
+  const double tight_ttft_ms = pickd(30.0, 120.0);
+  if (tight_ttft && !sc.slo.enabled() && sc.kv_blocks == 0) {
+    sc.slo.ttft_deadline_ms = tight_ttft_ms;
+  }
+  if (sc.cluster.disagg.enabled) {
+    sc.cluster.placement = prefill_placement;
+  } else {
+    if (widen) sc.cluster.replicas = wide_replicas;
+    if (autoscale) {
+      cluster::AutoscalerConfig& as = sc.cluster.autoscaler;
+      as.enabled = true;
+      as.min_replicas = 1;
+      as.max_replicas =
+          std::min<index_t>(8, sc.cluster.replicas + headroom);
+      as.interval_s = interval_s;
+      as.scale_up_queue_per_replica = scale_up;
+      as.scale_down_queue_per_replica = scale_down;
+    }
+  }
+  return FuzzCase{sc, snap_arrivals ? arrival_grid_s : 0.0};
 }
 
 void check_invariants(const cluster::ClusterStats& cs, std::uint64_t seed) {
@@ -198,44 +257,156 @@ void check_invariants(const cluster::ClusterStats& cs, std::uint64_t seed) {
   EXPECT_GE(cs.transfer_seconds, 0.0) << "seed " << seed;
 }
 
-void expect_bit_identical(const cluster::ClusterStats& a,
-                          const cluster::ClusterStats& b,
-                          std::uint64_t seed) {
-  EXPECT_EQ(a.sched.metrics.mean_tpot_ms, b.sched.metrics.mean_tpot_ms)
-      << "seed " << seed;
-  EXPECT_EQ(a.sched.metrics.mean_ttft_ms, b.sched.metrics.mean_ttft_ms)
-      << "seed " << seed;
-  EXPECT_EQ(a.sched.metrics.completed, b.sched.metrics.completed)
-      << "seed " << seed;
-  EXPECT_EQ(a.sched.sim_end_s, b.sched.sim_end_s) << "seed " << seed;
-  EXPECT_EQ(a.sched.preemptions, b.sched.preemptions) << "seed " << seed;
-  EXPECT_EQ(a.migrations, b.migrations) << "seed " << seed;
-  EXPECT_EQ(a.transfer_bytes, b.transfer_bytes) << "seed " << seed;
-  ASSERT_EQ(a.sched.requests.size(), b.sched.requests.size());
-  for (std::size_t i = 0; i < a.sched.requests.size(); ++i) {
-    EXPECT_EQ(a.sched.requests[i].first_token_s,
-              b.sched.requests[i].first_token_s)
-        << "seed " << seed << " request " << i;
-    EXPECT_EQ(a.sched.requests[i].finish_s, b.sched.requests[i].finish_s)
-        << "seed " << seed << " request " << i;
+// Field-by-field equality of two runs' complete ClusterStats: every
+// counter, every metric double, every per-replica and per-link record
+// and every request's outcome.
+void expect_same_cluster_stats(const cluster::ClusterStats& a,
+                               const cluster::ClusterStats& b,
+                               std::uint64_t seed) {
+  const sched::SchedStats& x = a.sched;
+  const sched::SchedStats& y = b.sched;
+  EXPECT_EQ(x.metrics.mean_tpot_ms, y.metrics.mean_tpot_ms) << seed;
+  EXPECT_EQ(x.metrics.mean_ttft_ms, y.metrics.mean_ttft_ms) << seed;
+  EXPECT_EQ(x.metrics.p50_tpot_ms, y.metrics.p50_tpot_ms) << seed;
+  EXPECT_EQ(x.metrics.p90_tpot_ms, y.metrics.p90_tpot_ms) << seed;
+  EXPECT_EQ(x.metrics.p99_tpot_ms, y.metrics.p99_tpot_ms) << seed;
+  EXPECT_EQ(x.metrics.p90_ttft_ms, y.metrics.p90_ttft_ms) << seed;
+  EXPECT_EQ(x.metrics.mean_batch, y.metrics.mean_batch) << seed;
+  EXPECT_EQ(x.metrics.completed, y.metrics.completed) << seed;
+  EXPECT_EQ(x.preemptions, y.preemptions) << seed;
+  EXPECT_EQ(x.rejected, y.rejected) << seed;
+  EXPECT_EQ(x.shed, y.shed) << seed;
+  EXPECT_EQ(x.prefill_steps, y.prefill_steps) << seed;
+  EXPECT_EQ(x.decode_steps, y.decode_steps) << seed;
+  EXPECT_EQ(x.peak_kv_blocks, y.peak_kv_blocks) << seed;
+  EXPECT_EQ(x.sim_end_s, y.sim_end_s) << seed;
+  EXPECT_EQ(x.slo_ttft_violations, y.slo_ttft_violations) << seed;
+  EXPECT_EQ(x.slo_tpot_violations, y.slo_tpot_violations) << seed;
+  EXPECT_EQ(x.spec_rounds, y.spec_rounds) << seed;
+  EXPECT_EQ(x.spec_draft_tokens, y.spec_draft_tokens) << seed;
+  EXPECT_EQ(x.spec_committed_tokens, y.spec_committed_tokens) << seed;
+  EXPECT_EQ(x.prefix_cache_hit_blocks, y.prefix_cache_hit_blocks) << seed;
+  EXPECT_EQ(x.prefix_cache_lookup_blocks, y.prefix_cache_lookup_blocks)
+      << seed;
+  EXPECT_EQ(x.prefix_cache_evictions, y.prefix_cache_evictions) << seed;
+  EXPECT_EQ(x.prefix_tokens_skipped, y.prefix_tokens_skipped) << seed;
+  EXPECT_EQ(x.cow_forks, y.cow_forks) << seed;
+  EXPECT_EQ(x.cow_copies, y.cow_copies) << seed;
+  ASSERT_EQ(x.requests.size(), y.requests.size()) << seed;
+  for (std::size_t i = 0; i < x.requests.size(); ++i) {
+    const sched::Request& p = x.requests[i];
+    const sched::Request& q = y.requests[i];
+    EXPECT_EQ(p.first_token_s, q.first_token_s) << seed << " request " << i;
+    EXPECT_EQ(p.finish_s, q.finish_s) << seed << " request " << i;
+    EXPECT_EQ(p.replica, q.replica) << seed << " request " << i;
+    EXPECT_EQ(p.preemptions, q.preemptions) << seed << " request " << i;
+    EXPECT_EQ(p.generated, q.generated) << seed << " request " << i;
+    EXPECT_EQ(p.migrations, q.migrations) << seed << " request " << i;
+    EXPECT_EQ(p.state, q.state) << seed << " request " << i;
+    EXPECT_EQ(p.rejected, q.rejected) << seed << " request " << i;
+    EXPECT_EQ(p.shed, q.shed) << seed << " request " << i;
+  }
+
+  ASSERT_EQ(a.replicas.size(), b.replicas.size()) << seed;
+  for (std::size_t i = 0; i < a.replicas.size(); ++i) {
+    const cluster::ReplicaStats& p = a.replicas[i];
+    const cluster::ReplicaStats& q = b.replicas[i];
+    EXPECT_EQ(p.id, q.id) << seed << " replica " << i;
+    EXPECT_EQ(p.lifecycle, q.lifecycle) << seed << " replica " << i;
+    EXPECT_EQ(p.role, q.role) << seed << " replica " << i;
+    EXPECT_EQ(p.clock_s, q.clock_s) << seed << " replica " << i;
+    EXPECT_EQ(p.routed, q.routed) << seed << " replica " << i;
+    EXPECT_EQ(p.completed, q.completed) << seed << " replica " << i;
+    EXPECT_EQ(p.shed, q.shed) << seed << " replica " << i;
+    EXPECT_EQ(p.preemptions, q.preemptions) << seed << " replica " << i;
+    EXPECT_EQ(p.prefill_steps, q.prefill_steps) << seed << " replica " << i;
+    EXPECT_EQ(p.decode_steps, q.decode_steps) << seed << " replica " << i;
+    EXPECT_EQ(p.peak_kv_blocks, q.peak_kv_blocks) << seed << " replica " << i;
+    EXPECT_EQ(p.leaked_kv_blocks, q.leaked_kv_blocks)
+        << seed << " replica " << i;
+    EXPECT_EQ(p.migrated_out, q.migrated_out) << seed << " replica " << i;
+    EXPECT_EQ(p.migrated_in, q.migrated_in) << seed << " replica " << i;
+  }
+  EXPECT_EQ(a.replicas_added, b.replicas_added) << seed;
+  EXPECT_EQ(a.replicas_drained, b.replicas_drained) << seed;
+  EXPECT_EQ(a.peak_replicas, b.peak_replicas) << seed;
+
+  EXPECT_EQ(a.migrations, b.migrations) << seed;
+  EXPECT_EQ(a.transferred_tokens, b.transferred_tokens) << seed;
+  EXPECT_EQ(a.transfer_skipped_tokens, b.transfer_skipped_tokens) << seed;
+  EXPECT_EQ(a.transfer_bytes, b.transfer_bytes) << seed;
+  EXPECT_EQ(a.transfer_seconds, b.transfer_seconds) << seed;
+  ASSERT_EQ(a.links.size(), b.links.size()) << seed;
+  for (std::size_t i = 0; i < a.links.size(); ++i) {
+    EXPECT_EQ(a.links[i].src, b.links[i].src) << seed << " link " << i;
+    EXPECT_EQ(a.links[i].dst, b.links[i].dst) << seed << " link " << i;
+    EXPECT_EQ(a.links[i].transfers, b.links[i].transfers)
+        << seed << " link " << i;
+    EXPECT_EQ(a.links[i].bytes, b.links[i].bytes) << seed << " link " << i;
+    EXPECT_EQ(a.links[i].seconds, b.links[i].seconds)
+        << seed << " link " << i;
   }
 }
 
 TEST(ClusterFuzz, InvariantsHoldAcrossTheSeedSweep) {
   const index_t seeds = seed_count();
+  // Coverage of the paths the busy-replica heap and the retire check
+  // must get right, tallied over the sweep.
+  index_t wide_fleets = 0;
+  index_t autoscaler_adds = 0;
+  index_t autoscaler_retires = 0;
   for (index_t seed = 1; seed <= seeds; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
-    const ServingConfig sc = config_for_seed(seed);
+    const FuzzCase fc = case_for_seed(seed);
+    const ServingConfig& sc = fc.sc;
     const cluster::ClusterStats cs =
         simulate_cluster_detailed(fuzz_engine(), sc);
     check_invariants(cs, seed);
     EXPECT_GT(cs.sched.requests.size(), 0u) << "seed " << seed;
+
+    // Differential oracle, every seed: the optimized loop against the
+    // frozen linear-scan reference on identical inputs.
+    cluster::reference::Setup setup(fuzz_engine(), sc);
+    if (fc.arrival_grid_s > 0) {
+      for (sched::TraceRequest& r : setup.trace) {
+        r.arrival_s = std::floor(r.arrival_s / fc.arrival_grid_s) *
+                      fc.arrival_grid_s;
+      }
+    }
+    const cluster::ClusterStats fast =
+        cluster::EventLoop(setup.scheduler(), setup.options())
+            .run(setup.trace);
+    if (fc.arrival_grid_s > 0) {
+      check_invariants(fast, seed);
+    } else {
+      expect_same_cluster_stats(cs, fast, seed);  // set-up mirrors server_sim
+    }
+    expect_same_cluster_stats(
+        fast,
+        cluster::reference::run(setup.scheduler(), setup.options(),
+                                setup.trace),
+        seed);
     // Every 8th seed: the run must reproduce bit-for-bit from scratch.
     if (seed % 8 == 0) {
-      expect_bit_identical(cs, simulate_cluster_detailed(fuzz_engine(), sc),
+      expect_same_cluster_stats(cs, simulate_cluster_detailed(fuzz_engine(), sc),
                            seed);
     }
     if (HasFatalFailure()) return;
+    wide_fleets += cs.replicas.size() >= 4 ? 1 : 0;
+    autoscaler_adds += cs.replicas_added > 0 ? 1 : 0;
+    for (const cluster::ReplicaStats& rep : cs.replicas) {
+      if (rep.lifecycle == cluster::ReplicaLifecycle::kRetired) {
+        ++autoscaler_retires;
+        break;
+      }
+    }
+  }
+  // The full sweep must actually reach those paths (a narrowed
+  // MARLIN_FUZZ_SEEDS subset may not).
+  if (seeds >= 200) {
+    EXPECT_GT(wide_fleets, 0);
+    EXPECT_GT(autoscaler_adds, 0);
+    EXPECT_GT(autoscaler_retires, 0);
   }
 }
 
@@ -245,8 +416,8 @@ TEST(ClusterFuzz, SweepIsDeterministicAcrossThreadCounts) {
   const SimContext pooled(4);
   for (const std::uint64_t seed : {3u, 57u, 111u, 169u}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
-    const ServingConfig sc = config_for_seed(seed);
-    expect_bit_identical(simulate_cluster_detailed(fuzz_engine(), sc),
+    const ServingConfig sc = case_for_seed(seed).sc;
+    expect_same_cluster_stats(simulate_cluster_detailed(fuzz_engine(), sc),
                          simulate_cluster_detailed(fuzz_engine(), sc, pooled),
                          seed);
   }

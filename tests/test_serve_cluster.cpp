@@ -2,11 +2,15 @@
 // legacy scheduler loop (including through the server_sim path), router
 // placement determinism, replica add/drain lifecycle, SLO shed
 // accounting, autoscaler round trips with no KV-block leaks, config
-// validation, and disaggregated prefill/decode pools (zero-cost-link
-// differential equivalence, priced KV transfers, migration edge cases).
+// validation, disaggregated prefill/decode pools (zero-cost-link
+// differential equivalence, priced KV transfers, migration edge cases),
+// the maintained least-loaded counter against a recount after every
+// replica call, and the busy-replica heap against a linear scan.
 
 #include <gtest/gtest.h>
 
+#include "reference_event_loop.hpp"
+#include "serve/cluster/busy_heap.hpp"
 #include "serve/server_sim.hpp"
 
 namespace marlin::serve::cluster {
@@ -141,12 +145,12 @@ TEST(RouterPlacement, RoundRobinRotatesOverRoutableInIdOrder) {
   auto requests = some_requests(8);
   Router router(Placement::kRoundRobin);
   for (const std::size_t expected : {0u, 1u, 2u, 0u, 1u}) {
-    EXPECT_EQ(router.pick(requests[0], fleet, requests), expected);
+    EXPECT_EQ(router.pick(requests[0], fleet), expected);
   }
   // A drained replica drops out of the rotation.
   fleet[1].begin_drain();
   for (int i = 0; i < 4; ++i) {
-    EXPECT_NE(router.pick(requests[0], fleet, requests), 1u);
+    EXPECT_NE(router.pick(requests[0], fleet), 1u);
   }
 }
 
@@ -157,15 +161,15 @@ TEST(RouterPlacement, LeastLoadedByOutstandingTokensTiesToLowestId) {
   auto requests = some_requests(4);
   Router router(Placement::kLeastLoaded);
   // All empty: tie goes to replica 0.
-  EXPECT_EQ(router.pick(requests[3], fleet, requests), 0u);
+  EXPECT_EQ(router.pick(requests[3], fleet), 0u);
   // Each delivery adds 8 + 4 = 12 outstanding tokens.
   fleet[0].deliver(0, requests);
-  EXPECT_EQ(fleet[0].outstanding_tokens(requests), 12);
-  EXPECT_EQ(router.pick(requests[3], fleet, requests), 1u);
+  EXPECT_EQ(fleet[0].outstanding_tokens(), 12);
+  EXPECT_EQ(router.pick(requests[3], fleet), 1u);
   fleet[1].deliver(1, requests);
-  EXPECT_EQ(router.pick(requests[3], fleet, requests), 2u);
+  EXPECT_EQ(router.pick(requests[3], fleet), 2u);
   fleet[2].deliver(2, requests);  // all tied again
-  EXPECT_EQ(router.pick(requests[3], fleet, requests), 0u);
+  EXPECT_EQ(router.pick(requests[3], fleet), 0u);
 }
 
 TEST(RouterPlacement, SessionAffinityPinsTenantsViaMix64) {
@@ -176,12 +180,12 @@ TEST(RouterPlacement, SessionAffinityPinsTenantsViaMix64) {
   Router router(Placement::kSessionAffinity);
   std::vector<std::size_t> hit(3, 0);
   for (const auto& r : requests) {
-    const std::size_t picked = router.pick(r, fleet, requests);
+    const std::size_t picked = router.pick(r, fleet);
     // The placement is a pure function of the tenant id and fleet size —
     // repeat picks (and the same tenant's later requests) pin to it.
     EXPECT_EQ(picked,
               mix64(static_cast<std::uint64_t>(r.tenant_id)) % 3u);
-    EXPECT_EQ(router.pick(r, fleet, requests), picked);
+    EXPECT_EQ(router.pick(r, fleet), picked);
     ++hit[picked];
   }
   // 8 tenants over 3 replicas: the mix spreads them across the fleet.
@@ -203,7 +207,7 @@ TEST(RouterPlacement, NoRoutableReplicaThrows) {
   auto requests = some_requests(1);
   fleet[0].begin_drain();
   Router router(Placement::kRoundRobin);
-  EXPECT_THROW((void)router.pick(requests[0], fleet, requests), Error);
+  EXPECT_THROW((void)router.pick(requests[0], fleet), Error);
 }
 
 // ------------------------------------------------------ replica lifecycle
@@ -496,7 +500,7 @@ TEST(DisaggMigration, OnlyRunningRequestsMayMigrateOut) {
   std::vector<sched::Request> requests;
   requests.emplace_back(0, 0.0, 64, 8);
   requests.emplace_back(1, 0.0, 64, 8);
-  src.register_tenants(requests);
+  src.register_tenants(sch.resolve_tenants(requests));
   src.deliver(0, requests);
   // Still queued: no prefill has produced KV worth moving.
   EXPECT_THROW(src.migrate_out(0, requests), Error);
@@ -519,7 +523,7 @@ TEST(DisaggMigration, DrainingPrefillReplicaFinishesItsWorkInPlace) {
   Replica src(0, sch, ReplicaRole::kPrefill);
   std::vector<sched::Request> requests;
   requests.emplace_back(0, 0.0, 64, 8);
-  src.register_tenants(requests);
+  src.register_tenants(sch.resolve_tenants(requests));
   src.deliver(0, requests);
   while (requests[0].state != sched::RequestState::kRunning) {
     src.tick(requests);
@@ -548,8 +552,8 @@ TEST(DisaggMigration, DestinationPrefixCacheSkipsTransferredBlocks) {
     r.prefix_id = 7;
     r.prefix_tokens = 64;  // 4 full blocks of shared prefix
   }
-  src.register_tenants(requests);
-  dst.register_tenants(requests);
+  src.register_tenants(sch.resolve_tenants(requests));
+  dst.register_tenants(sch.resolve_tenants(requests));
 
   // First request: cold destination cache, everything crosses the wire.
   src.deliver(0, requests);
@@ -605,6 +609,201 @@ TEST(DisaggMigration, EndToEndServerSimPricesTransfersFromTheEngine) {
   expect_sched_equal(cs.sched, again.sched);
   EXPECT_EQ(cs.migrations, again.migrations);
   EXPECT_EQ(cs.transfer_bytes, again.transfer_bytes);
+}
+
+// ------------------------------------------------- least-loaded counter
+
+// The maintained counter must equal the reference recount after every
+// replica call.
+using reference::recount_load;
+
+#define EXPECT_COUNTER_EXACT(rep, requests) \
+  EXPECT_EQ((rep).outstanding_tokens(), recount_load((rep), (requests)))
+
+// Ticks until `done` holds, checking the counter after every tick.
+template <typename Done>
+void tick_until(Replica& rep, std::vector<sched::Request>& requests,
+                const Done& done) {
+  for (int guard = 0; !done(); ++guard) {
+    ASSERT_LT(guard, 100000) << "replica made no progress";
+    rep.tick(requests);
+    EXPECT_COUNTER_EXACT(rep, requests);
+  }
+}
+
+TEST(LeastLoadedCounter, MatchesRecountThroughDeliverChunkedPrefillAndFinish) {
+  sched::SchedulerConfig cfg = sched_cfg(0);
+  cfg.prefill_chunk_tokens = 16;  // several prefill chunks per request
+  const sched::Scheduler sch(test_engine(), cfg);
+  Replica rep(0, sch);
+  std::vector<sched::Request> requests;
+  requests.emplace_back(0, 0.0, 40, 6);
+  requests.emplace_back(1, 0.0, 70, 3);
+  requests.emplace_back(2, 0.0, 9, 12);
+  rep.register_tenants(sch.resolve_tenants(requests));
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    rep.deliver(i, requests);
+    EXPECT_COUNTER_EXACT(rep, requests);
+  }
+  EXPECT_EQ(rep.outstanding_tokens(), 46 + 73 + 21);
+  tick_until(rep, requests, [&] { return !rep.busy(); });
+  EXPECT_EQ(rep.outstanding_tokens(), 0);
+}
+
+TEST(LeastLoadedCounter, RunningRequestKeepsItsFullOutputWhileDecoding) {
+  // Today's key: once prefilled, a request counts prompt + output -
+  // prefilled = output tokens, and decoding does not shrink that.
+  const sched::Scheduler sch(test_engine(), sched_cfg(0));
+  Replica rep(0, sch);
+  std::vector<sched::Request> requests;
+  requests.emplace_back(0, 0.0, 32, 10);
+  rep.register_tenants(sch.resolve_tenants(requests));
+  rep.deliver(0, requests);
+  EXPECT_EQ(rep.outstanding_tokens(), 42);
+  tick_until(rep, requests, [&] {
+    return requests[0].state == sched::RequestState::kRunning;
+  });
+  EXPECT_EQ(rep.outstanding_tokens(), 10);
+  const index_t generated_at_start = requests[0].generated;
+  while (requests[0].generated < requests[0].output_tokens - 1) {
+    rep.tick(requests);
+    EXPECT_EQ(rep.outstanding_tokens(), 10);
+    EXPECT_COUNTER_EXACT(rep, requests);
+  }
+  EXPECT_GT(requests[0].generated, generated_at_start);
+  tick_until(rep, requests, [&] { return requests[0].finished(); });
+  EXPECT_EQ(rep.outstanding_tokens(), 0);
+}
+
+TEST(LeastLoadedCounter, TracksPreemptionUnderATightKvBudget) {
+  // 12 blocks of 16 tokens: four 32-token prompts fit at admission, but
+  // their decode growth does not, so the last-admitted get preempted
+  // (prefilled back to 0, recompute target grows).
+  const sched::Scheduler sch(test_engine(), sched_cfg(12));
+  Replica rep(0, sch);
+  std::vector<sched::Request> requests;
+  for (index_t i = 0; i < 4; ++i) requests.emplace_back(i, 0.0, 32, 40);
+  rep.register_tenants(sch.resolve_tenants(requests));
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    rep.deliver(i, requests);
+  }
+  EXPECT_COUNTER_EXACT(rep, requests);
+  tick_until(rep, requests, [&] { return !rep.busy(); });
+  EXPECT_GT(rep.state().preemptions, 0);
+  EXPECT_EQ(rep.state().rejected, 0);
+  EXPECT_EQ(rep.outstanding_tokens(), 0);
+}
+
+TEST(LeastLoadedCounter, PrefixCacheHitStartsPastTheCachedRun) {
+  sched::SchedulerConfig cfg = sched_cfg(96);
+  cfg.blocks.prefix_cache.enabled = true;
+  const sched::Scheduler sch(test_engine(), cfg);
+  Replica rep(0, sch);
+  std::vector<sched::Request> requests;
+  for (index_t i = 0; i < 2; ++i) {
+    sched::Request& r = requests.emplace_back(i, 0.0, 64, 8);
+    r.prefix_id = 3;
+    r.prefix_tokens = 64;  // 4 full shared blocks
+  }
+  rep.register_tenants(sch.resolve_tenants(requests));
+  rep.deliver(0, requests);
+  tick_until(rep, requests, [&] { return requests[0].finished(); });
+  // The second request's admission hits the published prefix, so its
+  // prefill starts at prefilled = cached_tokens > 0.
+  rep.deliver(1, requests);
+  EXPECT_EQ(rep.outstanding_tokens(), 72);
+  rep.tick(requests);
+  EXPECT_COUNTER_EXACT(rep, requests);
+  EXPECT_GT(rep.state().prefix_tokens_skipped, 0);
+  tick_until(rep, requests, [&] { return !rep.busy(); });
+  EXPECT_EQ(rep.outstanding_tokens(), 0);
+}
+
+TEST(LeastLoadedCounter, ShedAndRejectedRequestsLeaveTheKey) {
+  // Rejection: 4 blocks can never hold a 96 + 8 token request.
+  {
+    const sched::Scheduler sch(test_engine(), sched_cfg(4));
+    Replica rep(0, sch);
+    std::vector<sched::Request> requests;
+    requests.emplace_back(0, 0.0, 96, 8);
+    rep.register_tenants(sch.resolve_tenants(requests));
+    rep.deliver(0, requests);
+    EXPECT_EQ(rep.outstanding_tokens(), 104);
+    tick_until(rep, requests, [&] { return !rep.busy(); });
+    EXPECT_EQ(rep.state().rejected, 1);
+    EXPECT_EQ(rep.outstanding_tokens(), 0);
+  }
+  // Shedding: a TTFT deadline no prefill can meet.
+  {
+    sched::SchedulerConfig cfg = sched_cfg(0);
+    cfg.slo.ttft_deadline_ms = 1e-6;
+    const sched::Scheduler sch(test_engine(), cfg);
+    Replica rep(0, sch);
+    std::vector<sched::Request> requests;
+    requests.emplace_back(0, 0.0, 64, 8);
+    requests.emplace_back(1, 0.0, 32, 4);
+    rep.register_tenants(sch.resolve_tenants(requests));
+    rep.deliver(0, requests);
+    rep.deliver(1, requests);
+    tick_until(rep, requests, [&] { return !rep.busy(); });
+    EXPECT_EQ(rep.state().shed, 2);
+    EXPECT_EQ(rep.outstanding_tokens(), 0);
+  }
+}
+
+TEST(LeastLoadedCounter, FollowsADisaggMigration) {
+  const sched::Scheduler sch(test_engine(), sched_cfg(96));
+  Replica src(0, sch, ReplicaRole::kPrefill);
+  Replica dst(1, sch, ReplicaRole::kDecode);
+  std::vector<sched::Request> requests;
+  requests.emplace_back(0, 0.0, 64, 8);
+  const sched::TenantSpecs tenants = sch.resolve_tenants(requests);
+  src.register_tenants(tenants);
+  dst.register_tenants(tenants);
+  src.deliver(0, requests);
+  tick_until(src, requests, [&] {
+    return requests[0].state == sched::RequestState::kRunning;
+  });
+  EXPECT_EQ(src.outstanding_tokens(), 8);
+  src.migrate_out(0, requests);
+  EXPECT_COUNTER_EXACT(src, requests);
+  EXPECT_EQ(src.outstanding_tokens(), 0);
+  (void)dst.begin_migration(0, requests);
+  // In flight: counted on neither side until the KV lands.
+  EXPECT_EQ(dst.outstanding_tokens(), 0);
+  dst.finish_migration(0, src.now(), requests);
+  EXPECT_COUNTER_EXACT(dst, requests);
+  EXPECT_EQ(dst.outstanding_tokens(), 8);
+  tick_until(dst, requests, [&] { return !dst.busy(); });
+  EXPECT_EQ(dst.outstanding_tokens(), 0);
+}
+
+// ------------------------------------------------------ busy-replica heap
+
+TEST(BusyHeap, TopMatchesALinearScanUnderRandomUpdates) {
+  // Coarse clocks force many ties; the heap must break them to the
+  // lowest id exactly like the scan it replaces.
+  constexpr std::size_t kReplicas = 9;
+  BusyHeap heap;
+  heap.reserve(kReplicas);
+  std::vector<bool> busy(kReplicas, false);
+  std::vector<double> now(kReplicas, 0.0);
+  std::uint64_t x = 12345;
+  for (int step = 0; step < 5000; ++step) {
+    x = mix64(x);
+    const std::size_t id = x % kReplicas;
+    busy[id] = (x >> 8) % 4 != 0;
+    now[id] = static_cast<double>((x >> 16) % 6);
+    heap.update(id, busy[id], now[id]);
+    std::size_t best = kReplicas;
+    for (std::size_t i = 0; i < kReplicas; ++i) {
+      if (busy[i] && (best == kReplicas || now[i] < now[best])) best = i;
+    }
+    ASSERT_EQ(heap.empty(), best == kReplicas) << "step " << step;
+    if (best < kReplicas) {
+      ASSERT_EQ(heap.top(), best) << "step " << step;
+    }
+  }
 }
 
 // ------------------------------------------------------------- validation
