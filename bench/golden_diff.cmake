@@ -5,7 +5,11 @@
 #
 # Usage:
 #   cmake -DBINARY=<exe> -DGOLDEN=<file> [-DTHREADS=N] [-DUPDATE=1]
-#         -P golden_diff.cmake
+#         [-DMETRICS_OUT=<file>] -P golden_diff.cmake
+#
+# METRICS_OUT switches the diffed artifact from stdout to the metrics
+# exposition: the bench runs with `--metrics-out <file>` and that file's
+# contents are compared against (or written to) GOLDEN.
 #
 # UPDATE=1 rewrites the golden instead of diffing (the `update-goldens`
 # build target drives this; see README "Benchmark goldens").
@@ -17,13 +21,22 @@ if(NOT DEFINED THREADS)
   set(THREADS 1)
 endif()
 
+set(extra_args)
+if(DEFINED METRICS_OUT)
+  file(REMOVE ${METRICS_OUT})
+  set(extra_args --metrics-out ${METRICS_OUT})
+endif()
+
 execute_process(
-  COMMAND ${BINARY} --threads ${THREADS}
+  COMMAND ${BINARY} --threads ${THREADS} ${extra_args}
   OUTPUT_VARIABLE actual
   ERROR_VARIABLE stderr_out
   RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "${BINARY} exited with ${rc}:\n${stderr_out}")
+endif()
+if(DEFINED METRICS_OUT)
+  file(READ ${METRICS_OUT} actual)
 endif()
 
 if(DEFINED UPDATE)
