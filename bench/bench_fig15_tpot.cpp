@@ -72,7 +72,8 @@ int main(int argc, char** argv) {
     sc.seed = cli.seed;
     cli.apply_prefix_cache(sc);
     sc.policy = cli.policy;
-    const auto m = serve::simulate_serving(*engines[pt.engine], sc);
+    const auto m =
+        serve::simulate_cluster_detailed(*engines[pt.engine], sc).sched.metrics;
     return Cell{m.mean_tpot_ms, m.mean_batch};
   });
 

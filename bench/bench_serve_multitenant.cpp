@@ -114,7 +114,7 @@ static int run(int argc, char** argv) {
     sc.tenants = mixes[pt.mix].tenants;
     sc.speculation.depth = spec_depths[pt.spec];
     sc.speculation.acceptance = spec_accept;
-    return serve::simulate_serving_detailed(engine, sc);
+    return serve::simulate_cluster_detailed(engine, sc).sched;
   });
 
   std::size_t cell = 0;

@@ -130,7 +130,7 @@ static int run(int argc, char** argv) {
     // 10 QPS overload, so the policy axis actually reorders requests.
     sc.max_batch = 32;
     sc.parallel = grids[pt.grid];
-    return serve::simulate_serving_detailed(engine, sc);
+    return serve::simulate_cluster_detailed(engine, sc).sched;
   });
 
   std::size_t cell = 0;

@@ -113,7 +113,7 @@ static int run(int argc, char** argv) {
       sc.sampling_n = mixes[pt.mix].sampling_n;
       sc.prefix_cache.enabled = cache_axis[pt.cache];
       sc.prefix_cache.max_cached_blocks = cli.prefix_cache_blocks;
-      return serve::simulate_serving_detailed(engine, sc);
+      return serve::simulate_cluster_detailed(engine, sc).sched;
     });
   }();
 

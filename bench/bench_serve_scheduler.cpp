@@ -97,7 +97,7 @@ static int run(int argc, char** argv) {
     sc.kv_blocks = budgets[pt.budget].blocks;
     sc.kv_block_size = block_size;
     sc.prefill_chunk_tokens = chunk;
-    return serve::simulate_serving_detailed(engine, sc);
+    return serve::simulate_cluster_detailed(engine, sc).sched;
   });
 
   std::size_t cell = 0;

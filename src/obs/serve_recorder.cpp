@@ -31,57 +31,6 @@ ServeRecorder::ServeRecorder(TraceRecorder* trace, MetricsRegistry* metrics)
   }
   if (metrics_ != nullptr) {
     MetricsRegistry& m = *metrics_;
-    routed_ = &m.counter("marlin_requests_routed_total",
-                         "Requests the router placed on a replica");
-    completed_ = &m.counter("marlin_requests_completed_total",
-                            "Requests that finished generating");
-    rejected_ = &m.counter("marlin_requests_rejected_total",
-                           "Requests that could never fit the KV budget");
-    shed_ = &m.counter("marlin_requests_shed_total",
-                       "Requests shed by deadline-aware admission");
-    preemptions_ = &m.counter("marlin_preemptions_total",
-                              "Recompute preemptions of running sequences");
-    prefill_steps_ =
-        &m.counter("marlin_prefill_steps_total", "Chunked-prefill rounds");
-    decode_steps_ =
-        &m.counter("marlin_decode_steps_total", "Decode engine steps");
-    spec_rounds_ = &m.counter("marlin_spec_rounds_total",
-                              "Speculative propose-then-verify rounds");
-    spec_draft_tokens_ = &m.counter("marlin_spec_draft_tokens_total",
-                                    "Draft tokens proposed");
-    spec_committed_tokens_ = &m.counter("marlin_spec_committed_tokens_total",
-                                        "Tokens committed by verification");
-    prefix_cache_hits_ = &m.counter("marlin_prefix_cache_hits_total",
-                                    "Admissions that reused cached prefix "
-                                    "blocks");
-    prefix_cache_hit_blocks_ =
-        &m.counter("marlin_prefix_cache_hit_blocks_total",
-                   "KV blocks reused from the prefix cache");
-    prefix_tokens_skipped_ =
-        &m.counter("marlin_prefix_tokens_skipped_total",
-                   "Prefill tokens skipped thanks to cached prefixes");
-    slo_ttft_violations_ = &m.counter("marlin_slo_ttft_violations_total",
-                                      "Completed requests past the TTFT "
-                                      "deadline");
-    slo_tpot_violations_ = &m.counter("marlin_slo_tpot_violations_total",
-                                      "Completed requests past the TPOT "
-                                      "deadline");
-    kv_transfers_ = &m.counter("marlin_kv_transfers_total",
-                               "Prefill -> decode KV handoffs (disaggregated "
-                               "pools)");
-    kv_transfer_bytes_ = &m.counter("marlin_kv_transfer_bytes_total",
-                                    "KV bytes moved prefill -> decode");
-    kv_transfer_seconds_ = &m.counter("marlin_kv_transfer_seconds_total",
-                                      "Link seconds spent moving KV "
-                                      "prefill -> decode");
-    replicas_started_ =
-        &m.counter("marlin_replicas_started_total", "Replicas brought up");
-    replicas_drained_ = &m.counter("marlin_replicas_drained_total",
-                                   "Replica drains begun by the autoscaler");
-    replicas_retired_ = &m.counter("marlin_replicas_retired_total",
-                                   "Drained replicas that went idle");
-    autoscaler_evals_ = &m.counter("marlin_autoscaler_evaluations_total",
-                                   "Autoscaler evaluation points");
     queue_depth_gauge_ = &m.gauge("marlin_queue_depth",
                                   "Queued requests at the last tick, summed "
                                   "over replicas sampled at that instant");
@@ -123,7 +72,6 @@ void ServeRecorder::on_replica_start(double t_s, index_t replica) {
     trace_->instant(replica_pid(replica), kLifecycleTid, "start", "replica",
                     clamp_lifecycle(replica, t_s));
   }
-  if (replicas_started_ != nullptr) replicas_started_->inc();
 }
 
 void ServeRecorder::on_replica_drain(double t_s, index_t replica) {
@@ -131,7 +79,6 @@ void ServeRecorder::on_replica_drain(double t_s, index_t replica) {
     trace_->instant(replica_pid(replica), kLifecycleTid, "drain", "replica",
                     clamp_lifecycle(replica, t_s));
   }
-  if (replicas_drained_ != nullptr) replicas_drained_->inc();
 }
 
 void ServeRecorder::on_replica_retire(double t_s, index_t replica) {
@@ -139,7 +86,6 @@ void ServeRecorder::on_replica_retire(double t_s, index_t replica) {
     trace_->instant(replica_pid(replica), kLifecycleTid, "retire", "replica",
                     clamp_lifecycle(replica, t_s));
   }
-  if (replicas_retired_ != nullptr) replicas_retired_->inc();
 }
 
 void ServeRecorder::on_autoscaler_eval(double t_s, double queue_per_replica,
@@ -149,7 +95,6 @@ void ServeRecorder::on_autoscaler_eval(double t_s, double queue_per_replica,
                     {{"queue_per_replica", queue_per_replica},
                      {"routable", static_cast<std::int64_t>(routable)}});
   }
-  if (autoscaler_evals_ != nullptr) autoscaler_evals_->inc();
 }
 
 void ServeRecorder::on_route(double t_s, index_t request, index_t tenant,
@@ -160,7 +105,6 @@ void ServeRecorder::on_route(double t_s, index_t request, index_t tenant,
                      {"tenant", static_cast<std::int64_t>(tenant)},
                      {"replica", static_cast<std::int64_t>(replica)}});
   }
-  if (routed_ != nullptr) routed_->inc();
 }
 
 void ServeRecorder::on_request_queued(double t_s, index_t request,
@@ -194,13 +138,6 @@ void ServeRecorder::on_prefix_cache_hit(double t_s, index_t request,
                      {"blocks", static_cast<std::int64_t>(blocks)},
                      {"tokens", static_cast<std::int64_t>(tokens)}});
   }
-  if (prefix_cache_hits_ != nullptr) prefix_cache_hits_->inc();
-  if (prefix_cache_hit_blocks_ != nullptr) {
-    prefix_cache_hit_blocks_->inc(static_cast<double>(blocks));
-  }
-  if (prefix_tokens_skipped_ != nullptr) {
-    prefix_tokens_skipped_->inc(static_cast<double>(tokens));
-  }
 }
 
 void ServeRecorder::on_prefill_done(double t_s, index_t request,
@@ -224,7 +161,6 @@ void ServeRecorder::on_preempted(double t_s, index_t request, index_t replica,
                       static_cast<std::int64_t>(blocks_freed)}});
     trace_->begin(kRequestsPid, tid, "queued", "request", t_s);
   }
-  if (preemptions_ != nullptr) preemptions_->inc();
 }
 
 void ServeRecorder::on_rejected(double t_s, index_t request) {
@@ -233,7 +169,6 @@ void ServeRecorder::on_rejected(double t_s, index_t request) {
     trace_->end(kRequestsPid, tid, "queued", "request", t_s);
     trace_->instant(kRequestsPid, tid, "reject", "request", t_s);
   }
-  if (rejected_ != nullptr) rejected_->inc();
 }
 
 void ServeRecorder::on_shed(double t_s, index_t request) {
@@ -242,10 +177,9 @@ void ServeRecorder::on_shed(double t_s, index_t request) {
     trace_->end(kRequestsPid, tid, "queued", "request", t_s);
     trace_->instant(kRequestsPid, tid, "shed", "request", t_s);
   }
-  if (shed_ != nullptr) shed_->inc();
 }
 
-void ServeRecorder::on_finished(double t_s, index_t request, index_t tenant,
+void ServeRecorder::on_finished(double t_s, index_t request,
                                 index_t output_tokens, double ttft_ms,
                                 double tpot_ms) {
   if (trace_ != nullptr) {
@@ -257,15 +191,7 @@ void ServeRecorder::on_finished(double t_s, index_t request, index_t tenant,
                      {"ttft_ms", ttft_ms},
                      {"tpot_ms", tpot_ms}});
   }
-  if (metrics_ != nullptr) {
-    completed_->inc();
-    if (tpot_ms_ != nullptr) tpot_ms_->observe(tpot_ms);
-    metrics_
-        ->counter("marlin_tenant_tokens_generated_total",
-                  "Output tokens generated, per tenant",
-                  "tenant=\"" + std::to_string(tenant) + "\"")
-        .inc(static_cast<double>(output_tokens));
-  }
+  if (tpot_ms_ != nullptr) tpot_ms_->observe(tpot_ms);
 }
 
 void ServeRecorder::on_slo_ttft_violation(double t_s, index_t request) {
@@ -273,7 +199,6 @@ void ServeRecorder::on_slo_ttft_violation(double t_s, index_t request) {
     trace_->instant(kRequestsPid, static_cast<std::int64_t>(request),
                     "slo-ttft-violation", "slo", t_s);
   }
-  if (slo_ttft_violations_ != nullptr) slo_ttft_violations_->inc();
 }
 
 void ServeRecorder::on_slo_tpot_violation(double t_s, index_t request) {
@@ -281,7 +206,6 @@ void ServeRecorder::on_slo_tpot_violation(double t_s, index_t request) {
     trace_->instant(kRequestsPid, static_cast<std::int64_t>(request),
                     "slo-tpot-violation", "slo", t_s);
   }
-  if (slo_tpot_violations_ != nullptr) slo_tpot_violations_->inc();
 }
 
 void ServeRecorder::on_kv_transfer(double t0_s, double t1_s, index_t request,
@@ -295,11 +219,6 @@ void ServeRecorder::on_kv_transfer(double t0_s, double t1_s, index_t request,
                       {"bytes", bytes},
                       {"tokens", static_cast<std::int64_t>(tokens)}});
   }
-  if (kv_transfers_ != nullptr) kv_transfers_->inc();
-  if (kv_transfer_bytes_ != nullptr) kv_transfer_bytes_->inc(bytes);
-  if (kv_transfer_seconds_ != nullptr) {
-    kv_transfer_seconds_->inc(t1_s - t0_s);
-  }
 }
 
 void ServeRecorder::on_prefill_step(double t0_s, double t1_s, index_t replica,
@@ -312,7 +231,6 @@ void ServeRecorder::on_prefill_step(double t0_s, double t1_s, index_t replica,
                       {"tokens_per_seq",
                        static_cast<std::int64_t>(tokens_per_seq)}});
   }
-  if (prefill_steps_ != nullptr) prefill_steps_->inc();
 }
 
 void ServeRecorder::on_decode_step(double t0_s, double t1_s, index_t replica,
@@ -324,7 +242,6 @@ void ServeRecorder::on_decode_step(double t0_s, double t1_s, index_t replica,
                      {{"batch", static_cast<std::int64_t>(batch)},
                       {"avg_context", avg_context}});
   }
-  if (decode_steps_ != nullptr) decode_steps_->inc();
   if (decode_batch_ != nullptr) {
     decode_batch_->observe(static_cast<double>(batch));
   }
@@ -340,19 +257,8 @@ void ServeRecorder::on_spec_round(double t0_s, double t1_s, index_t replica,
                       {"draft_tokens",
                        static_cast<std::int64_t>(draft_tokens)}});
   }
-  if (decode_steps_ != nullptr) decode_steps_->inc();
-  if (spec_rounds_ != nullptr) spec_rounds_->inc();
-  if (spec_draft_tokens_ != nullptr) {
-    spec_draft_tokens_->inc(static_cast<double>(draft_tokens));
-  }
   if (decode_batch_ != nullptr) {
     decode_batch_->observe(static_cast<double>(batch));
-  }
-}
-
-void ServeRecorder::on_spec_commit(index_t tokens) {
-  if (spec_committed_tokens_ != nullptr) {
-    spec_committed_tokens_->inc(static_cast<double>(tokens));
   }
 }
 
@@ -384,56 +290,6 @@ void ServeRecorder::on_tick(double t_s, index_t replica, index_t queued,
     queue_depth_hist_->observe(static_cast<double>(queued));
     kv_used_gauge_->set_max(static_cast<double>(kv_used));
   }
-}
-
-void ServeRecorder::on_run_end(double sim_end_s, index_t peak_kv_blocks,
-                               index_t peak_replicas,
-                               index_t kv_blocks_allocated,
-                               index_t kv_blocks_freed,
-                               index_t kv_grow_failures) {
-  if (metrics_ == nullptr) return;
-  MetricsRegistry& m = *metrics_;
-  m.gauge("marlin_sim_end_seconds", "Simulated time the run finished at")
-      .set(sim_end_s);
-  m.gauge("marlin_kv_blocks_peak", "Fleet-wide peak KV blocks in use")
-      .set(static_cast<double>(peak_kv_blocks));
-  m.gauge("marlin_replicas_peak", "Peak simultaneously routable replicas")
-      .set(static_cast<double>(peak_replicas));
-  m.counter("marlin_kv_blocks_allocated_total",
-            "KV blocks handed out over the run")
-      .inc(static_cast<double>(kv_blocks_allocated));
-  m.counter("marlin_kv_blocks_freed_total",
-            "KV blocks returned over the run")
-      .inc(static_cast<double>(kv_blocks_freed));
-  m.counter("marlin_kv_grow_failures_total",
-            "Decode KV growths refused by the budget (preemption pressure)")
-      .inc(static_cast<double>(kv_grow_failures));
-}
-
-void ServeRecorder::on_prefix_cache_run_end(index_t lookup_blocks,
-                                            index_t hit_blocks,
-                                            index_t evictions,
-                                            index_t cow_forks,
-                                            index_t cow_copies) {
-  if (metrics_ == nullptr) return;
-  MetricsRegistry& m = *metrics_;
-  m.counter("marlin_prefix_cache_lookup_blocks_total",
-            "Prompt blocks probed against the prefix cache")
-      .inc(static_cast<double>(lookup_blocks));
-  m.counter("marlin_prefix_cache_evictions_total",
-            "Cached-but-idle prefix blocks reclaimed under pressure")
-      .inc(static_cast<double>(evictions));
-  m.counter("marlin_cow_forks_total",
-            "Sequences forked to share a prompt copy-on-write")
-      .inc(static_cast<double>(cow_forks));
-  m.counter("marlin_cow_copies_total",
-            "Shared KV blocks copied on first divergent write")
-      .inc(static_cast<double>(cow_copies));
-  m.gauge("marlin_prefix_cache_hit_rate",
-          "Fraction of probed prompt blocks served from the prefix cache")
-      .set(lookup_blocks > 0 ? static_cast<double>(hit_blocks) /
-                                   static_cast<double>(lookup_blocks)
-                             : 0.0);
 }
 
 }  // namespace marlin::obs

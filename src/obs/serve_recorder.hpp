@@ -1,12 +1,17 @@
 #pragma once
 // Serving-stack observability facade: the single place the event taxonomy
 // of the simulator lives. The scheduler, block manager, router, replicas
-// and event loop call the typed `on_*` hooks below; the recorder fans
-// each hook out to a Chrome-trace event stream (TraceRecorder) and/or a
-// metrics registry (MetricsRegistry) — either sink may be null, and a
-// null ServeRecorder pointer at the instrumentation sites is the
-// recording-off fast path (one pointer test, no allocation, no work —
-// the steady-state decode tick stays allocation-free).
+// and event loop call the typed `on_*` hooks below; the recorder turns
+// each hook into Chrome-trace events (TraceRecorder) and feeds the
+// metrics registry (MetricsRegistry) only what the run's stats cannot
+// hold: the latency / queue-depth / decode-batch histograms and the
+// per-tick gauges. Run totals (every `marlin_*_total` counter and the
+// run-end gauges) are not counted here — `cluster::EventLoop::run`
+// writes them into the same registry once, from ClusterStats, when the
+// run ends. Either sink may be null, and a null ServeRecorder pointer at
+// the instrumentation sites is the recording-off fast path (one pointer
+// test, no allocation, no work — the steady-state decode tick stays
+// allocation-free).
 //
 // Perfetto track layout (process = pid, thread = tid):
 //
@@ -73,8 +78,8 @@ class ServeRecorder {
                     index_t blocks_freed);
   void on_rejected(double t_s, index_t request);
   void on_shed(double t_s, index_t request);
-  void on_finished(double t_s, index_t request, index_t tenant,
-                   index_t output_tokens, double ttft_ms, double tpot_ms);
+  void on_finished(double t_s, index_t request, index_t output_tokens,
+                   double ttft_ms, double tpot_ms);
   void on_slo_ttft_violation(double t_s, index_t request);
   void on_slo_tpot_violation(double t_s, index_t request);
   /// Disaggregated prefill -> decode KV handoff: `tokens` of prompt KV
@@ -90,8 +95,6 @@ class ServeRecorder {
                       index_t batch, double avg_context);
   void on_spec_round(double t0_s, double t1_s, index_t replica, index_t batch,
                      index_t draft_tokens);
-  /// Tokens one speculative round committed for one request.
-  void on_spec_commit(index_t tokens);
   /// Parallel decode pricing split (ParallelEngine only): compute vs
   /// interconnect seconds of the step, plus the pipeline bubble fraction
   /// — rendered as counter tracks under the replica's engine row.
@@ -101,16 +104,6 @@ class ServeRecorder {
   /// Per-tick replica occupancy sample (queue depth, flights, KV blocks).
   void on_tick(double t_s, index_t replica, index_t queued, index_t running,
                index_t kv_used, index_t kv_total);
-
-  // ---- end of run ------------------------------------------------------
-  void on_run_end(double sim_end_s, index_t peak_kv_blocks,
-                  index_t peak_replicas, index_t kv_blocks_allocated,
-                  index_t kv_blocks_freed, index_t kv_grow_failures);
-  /// Fleet-wide prefix-cache / copy-on-write totals (all zero when the
-  /// cache is off and every request samples n=1).
-  void on_prefix_cache_run_end(index_t lookup_blocks, index_t hit_blocks,
-                               index_t evictions, index_t cow_forks,
-                               index_t cow_copies);
 
  private:
   /// Ensures "replica r" process/thread rows are named (idempotent).
@@ -124,30 +117,8 @@ class ServeRecorder {
   MetricsRegistry* metrics_;
   std::map<index_t, double> lifecycle_last_s_;
 
-  // Hot instruments, resolved once in the constructor (null when
-  // `metrics_` is null).
-  Counter* routed_ = nullptr;
-  Counter* completed_ = nullptr;
-  Counter* rejected_ = nullptr;
-  Counter* shed_ = nullptr;
-  Counter* preemptions_ = nullptr;
-  Counter* prefill_steps_ = nullptr;
-  Counter* decode_steps_ = nullptr;
-  Counter* spec_rounds_ = nullptr;
-  Counter* spec_draft_tokens_ = nullptr;
-  Counter* spec_committed_tokens_ = nullptr;
-  Counter* prefix_cache_hits_ = nullptr;
-  Counter* prefix_cache_hit_blocks_ = nullptr;
-  Counter* prefix_tokens_skipped_ = nullptr;
-  Counter* slo_ttft_violations_ = nullptr;
-  Counter* slo_tpot_violations_ = nullptr;
-  Counter* kv_transfers_ = nullptr;
-  Counter* kv_transfer_bytes_ = nullptr;
-  Counter* kv_transfer_seconds_ = nullptr;
-  Counter* replicas_started_ = nullptr;
-  Counter* replicas_drained_ = nullptr;
-  Counter* replicas_retired_ = nullptr;
-  Counter* autoscaler_evals_ = nullptr;
+  // Instruments resolved once in the constructor (null when `metrics_`
+  // is null).
   Gauge* queue_depth_gauge_ = nullptr;
   Gauge* kv_used_gauge_ = nullptr;
   Histogram* ttft_ms_ = nullptr;

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <deque>
+#include <string>
 
+#include "obs/metrics.hpp"
 #include "obs/serve_recorder.hpp"
 #include "serve/cluster/busy_heap.hpp"
 #include "util/error.hpp"
@@ -51,6 +53,120 @@ void ClusterOptions::validate() const {
                                           << autoscaler.max_replicas << "]");
   }
 }
+
+namespace {
+
+/// The metrics exposition's single writer of run totals: every
+/// `marlin_*_total` counter and run-end gauge, derived from the finished
+/// run's stats. Counters are incremented by the run's totals, so a
+/// registry reused across runs accumulates; gauges take this run's value.
+void export_run_metrics(const ClusterStats& stats, obs::MetricsRegistry& m) {
+  const sched::SchedStats& st = stats.sched;
+  index_t routed = 0;
+  index_t retired = 0;
+  for (const ReplicaStats& rep : stats.replicas) {
+    routed += rep.routed;
+    retired += rep.lifecycle == ReplicaLifecycle::kRetired ? 1 : 0;
+  }
+  const auto n = [](index_t v) { return static_cast<double>(v); };
+  const struct {
+    const char* name;
+    const char* help;
+    double value;
+  } counters[] = {
+      {"marlin_requests_routed_total",
+       "Requests the router placed on a replica", n(routed)},
+      {"marlin_requests_completed_total", "Requests that finished generating",
+       n(st.metrics.completed)},
+      {"marlin_requests_rejected_total",
+       "Requests that could never fit the KV budget", n(st.rejected)},
+      {"marlin_requests_shed_total",
+       "Requests shed by deadline-aware admission", n(st.shed)},
+      {"marlin_preemptions_total",
+       "Recompute preemptions of running sequences", n(st.preemptions)},
+      {"marlin_prefill_steps_total", "Chunked-prefill rounds",
+       n(st.prefill_steps)},
+      {"marlin_decode_steps_total", "Decode engine steps",
+       n(st.decode_steps)},
+      {"marlin_spec_rounds_total", "Speculative propose-then-verify rounds",
+       n(st.spec_rounds)},
+      {"marlin_spec_draft_tokens_total", "Draft tokens proposed",
+       n(st.spec_draft_tokens)},
+      {"marlin_spec_committed_tokens_total",
+       "Tokens committed by verification", n(st.spec_committed_tokens)},
+      {"marlin_prefix_cache_hits_total",
+       "Admissions that reused cached prefix blocks",
+       n(st.prefix_cache_hits)},
+      {"marlin_prefix_cache_hit_blocks_total",
+       "KV blocks reused from the prefix cache",
+       n(st.prefix_cache_hit_blocks)},
+      {"marlin_prefix_tokens_skipped_total",
+       "Prefill tokens skipped thanks to cached prefixes",
+       n(st.prefix_tokens_skipped)},
+      {"marlin_prefix_cache_lookup_blocks_total",
+       "Prompt blocks probed against the prefix cache",
+       n(st.prefix_cache_lookup_blocks)},
+      {"marlin_prefix_cache_evictions_total",
+       "Cached-but-idle prefix blocks reclaimed under pressure",
+       n(st.prefix_cache_evictions)},
+      {"marlin_cow_forks_total",
+       "Sequences forked to share a prompt copy-on-write", n(st.cow_forks)},
+      {"marlin_cow_copies_total",
+       "Shared KV blocks copied on first divergent write", n(st.cow_copies)},
+      {"marlin_slo_ttft_violations_total",
+       "Completed requests past the TTFT deadline",
+       n(st.slo_ttft_violations)},
+      {"marlin_slo_tpot_violations_total",
+       "Completed requests past the TPOT deadline",
+       n(st.slo_tpot_violations)},
+      {"marlin_kv_transfers_total",
+       "Prefill -> decode KV handoffs (disaggregated pools)",
+       n(stats.migrations)},
+      {"marlin_kv_transfer_bytes_total", "KV bytes moved prefill -> decode",
+       stats.transfer_bytes},
+      {"marlin_kv_transfer_seconds_total",
+       "Link seconds spent moving KV prefill -> decode",
+       stats.transfer_seconds},
+      {"marlin_kv_blocks_allocated_total", "KV blocks handed out over the run",
+       n(st.kv_blocks_allocated)},
+      {"marlin_kv_blocks_freed_total", "KV blocks returned over the run",
+       n(st.kv_blocks_freed)},
+      {"marlin_kv_grow_failures_total",
+       "Decode KV growths refused by the budget (preemption pressure)",
+       n(st.kv_grow_failures)},
+      {"marlin_replicas_started_total", "Replicas brought up",
+       n(static_cast<index_t>(stats.replicas.size()))},
+      {"marlin_replicas_drained_total",
+       "Replica drains begun by the autoscaler", n(stats.replicas_drained)},
+      {"marlin_replicas_retired_total", "Drained replicas that went idle",
+       n(retired)},
+      {"marlin_autoscaler_evaluations_total", "Autoscaler evaluation points",
+       n(stats.autoscaler_evaluations)},
+  };
+  for (const auto& c : counters) m.counter(c.name, c.help).inc(c.value);
+  for (const sched::TenantMetrics& t : sched::per_tenant_metrics(st)) {
+    if (t.completed == 0) continue;
+    m.counter("marlin_tenant_tokens_generated_total",
+              "Output tokens generated, per tenant",
+              "tenant=\"" + std::to_string(t.tenant) + "\"")
+        .inc(n(t.output_tokens));
+  }
+
+  m.gauge("marlin_sim_end_seconds", "Simulated time the run finished at")
+      .set(st.sim_end_s);
+  m.gauge("marlin_kv_blocks_peak", "Fleet-wide peak KV blocks in use")
+      .set(n(st.peak_kv_blocks));
+  m.gauge("marlin_replicas_peak", "Peak simultaneously routable replicas")
+      .set(n(stats.peak_replicas));
+  m.gauge("marlin_prefix_cache_hit_rate",
+          "Fraction of probed prompt blocks served from the prefix cache")
+      .set(st.prefix_cache_lookup_blocks > 0
+               ? n(st.prefix_cache_hit_blocks) /
+                     n(st.prefix_cache_lookup_blocks)
+               : 0.0);
+}
+
+}  // namespace
 
 EventLoop::EventLoop(const sched::Scheduler& scheduler, ClusterOptions opts)
     : scheduler_(scheduler), opts_(opts) {
@@ -248,6 +364,7 @@ ClusterStats EventLoop::run(const std::vector<sched::TraceRequest>& trace,
     while (next_eval_s <= frontier) {
       const double t_eval = next_eval_s;
       next_eval_s += as.interval_s;
+      ++stats.autoscaler_evaluations;
       const index_t routable = routable_count();
       index_t queued = 0;
       for (const Replica& rep : fleet) {
@@ -394,11 +511,15 @@ ClusterStats EventLoop::run(const std::vector<sched::TraceRequest>& trace,
     stats.sched.slo_ttft_violations += s.slo_ttft_violations;
     stats.sched.slo_tpot_violations += s.slo_tpot_violations;
     stats.sched.prefix_cache_lookup_blocks += s.bm.prefix_cache_lookup_blocks();
+    stats.sched.prefix_cache_hits += s.prefix_cache_hits;
     stats.sched.prefix_cache_hit_blocks += s.bm.prefix_cache_hit_blocks();
     stats.sched.prefix_cache_evictions += s.bm.prefix_cache_evictions();
     stats.sched.prefix_tokens_skipped += s.prefix_tokens_skipped;
     stats.sched.cow_forks += s.bm.cow_forks();
     stats.sched.cow_copies += s.bm.cow_copies();
+    stats.sched.kv_blocks_allocated += s.bm.blocks_allocated_total();
+    stats.sched.kv_blocks_freed += s.bm.blocks_freed_total();
+    stats.sched.kv_grow_failures += s.bm.grow_failures();
     stats.sched.peak_kv_blocks =
         std::max(stats.sched.peak_kv_blocks, s.bm.peak_used_blocks());
     stats.sched.sim_end_s = std::max(stats.sched.sim_end_s, s.now);
@@ -434,23 +555,8 @@ ClusterStats EventLoop::run(const std::vector<sched::TraceRequest>& trace,
       ++stats.replicas[static_cast<std::size_t>(r.replica)].completed;
     }
   }
-  if (obs != nullptr) {
-    index_t allocated = 0;
-    index_t freed = 0;
-    index_t grow_failures = 0;
-    for (const Replica& rep : fleet) {
-      const sched::ReplicaState& s = rep.state();
-      allocated += s.bm.blocks_allocated_total();
-      freed += s.bm.blocks_freed_total();
-      grow_failures += s.bm.grow_failures();
-    }
-    obs->on_run_end(stats.sched.sim_end_s, stats.sched.peak_kv_blocks,
-                    stats.peak_replicas, allocated, freed, grow_failures);
-    obs->on_prefix_cache_run_end(stats.sched.prefix_cache_lookup_blocks,
-                                 stats.sched.prefix_cache_hit_blocks,
-                                 stats.sched.prefix_cache_evictions,
-                                 stats.sched.cow_forks,
-                                 stats.sched.cow_copies);
+  if (obs != nullptr && obs->metrics() != nullptr) {
+    export_run_metrics(stats, *obs->metrics());
   }
   return stats;
 }

@@ -150,6 +150,7 @@ struct ClusterStats {
   std::vector<ReplicaStats> replicas;
   index_t replicas_added = 0;    // autoscaler additions beyond the initial
   index_t replicas_drained = 0;  // drains begun (retired or still busy)
+  index_t autoscaler_evaluations = 0;
   index_t peak_replicas = 0;     // max simultaneously routable
 
   // Disaggregation accounting (all zero when disagg is off).

@@ -125,9 +125,12 @@ index_t Replica::begin_migration(std::size_t request_id,
     // skipped tokens like a prefill-side cache hit.
     cached_tokens = hits * bm.block_size();
     state_.prefix_tokens_skipped += cached_tokens;
-    if (hits > 0 && state_.obs != nullptr) {
-      state_.obs->on_prefix_cache_hit(state_.now, r.id, id_, hits,
-                                      cached_tokens);
+    if (hits > 0) {
+      ++state_.prefix_cache_hits;
+      if (state_.obs != nullptr) {
+        state_.obs->on_prefix_cache_hit(state_.now, r.id, id_, hits,
+                                        cached_tokens);
+      }
     }
   } else {
     bm.acquire(r.blocks, need, r.tenant_id);

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "obs/serve_recorder.hpp"
-#include "serve/cluster/event_loop.hpp"
 #include "util/error.hpp"
 #include "util/stats.hpp"
 
@@ -443,9 +442,12 @@ void Ticker::admit() {
       // already exists, so their prefill compute is skipped outright.
       cached_tokens = hits * s_.bm.block_size();
       s_.prefix_tokens_skipped += cached_tokens;
-      if (hits > 0 && s_.obs != nullptr) {
-        s_.obs->on_prefix_cache_hit(s_.now, r.id, s_.replica_id, hits,
-                                    cached_tokens);
+      if (hits > 0) {
+        ++s_.prefix_cache_hits;
+        if (s_.obs != nullptr) {
+          s_.obs->on_prefix_cache_hit(s_.now, r.id, s_.replica_id, hits,
+                                      cached_tokens);
+        }
       }
     } else {
       s_.bm.acquire(r.blocks, need, r.tenant_id);
@@ -621,9 +623,6 @@ void Ticker::decode_round() {
       r.spec_credit =
           r.spec_credit + spec_expected_ - static_cast<double>(committed);
       s_.spec_committed_tokens += committed * r.num_sequences;
-      if (s_.obs != nullptr) {
-        s_.obs->on_spec_commit(committed * r.num_sequences);
-      }
     }
     r.generated += committed;
     // Every sampled sequence consumes a batch slot, so WFQ charges the
@@ -642,8 +641,8 @@ void Ticker::decode_round() {
       for (SequenceBlocks& f : r.forks) s_.bm.release(f, r.tenant_id);
       r.forks.clear();
       if (s_.obs != nullptr) {
-        s_.obs->on_finished(s_.now, r.id, r.tenant_id, r.generated,
-                            request_ttft_ms(r), request_tpot_ms(r));
+        s_.obs->on_finished(s_.now, r.id, r.generated, request_ttft_ms(r),
+                            request_tpot_ms(r));
       }
     } else {
       s_.running[keep++] = id;
@@ -728,13 +727,6 @@ void Scheduler::admit(ReplicaState& s, std::vector<Request>& requests) const {
 
 void Scheduler::step(ReplicaState& s, std::vector<Request>& requests) const {
   Ticker(cfg_, model_, draft_model_, spec_expected_, s, requests).step();
-}
-
-SchedStats Scheduler::run(const std::vector<TraceRequest>& trace,
-                          const SimContext& ctx) const {
-  cluster::ClusterStats stats =
-      cluster::EventLoop(*this, cluster::ClusterOptions{}).run(trace, ctx);
-  return std::move(stats.sched);
 }
 
 }  // namespace marlin::serve::sched

@@ -21,10 +21,9 @@
 //      sequence is preempted (blocks freed, recompute on re-admission,
 //      re-queued at the front).
 //
-// `Scheduler::run` is the single-replica convenience wrapper: it drives
-// a 1-replica `cluster::EventLoop`, which reduces — engine call for
-// engine call, floating-point add for add — to the original
-// `simulate_serving` loop, which the fig15/fig16 goldens pin down.
+// A 1-replica `cluster::EventLoop` with default options reduces — engine
+// call for engine call, floating-point add for add — to the original
+// single-engine serving loop, which the fig15/fig16 goldens pin down.
 //
 // The event loop is strictly serial (its results are part of the
 // bit-identical-across-threads contract); parallelism comes from warming
@@ -59,7 +58,6 @@
 #include "serve/sched/request.hpp"
 #include "serve/sched/tenant.hpp"
 #include "serve/sched/workload.hpp"
-#include "util/sim_context.hpp"
 
 namespace marlin::obs {
 class ServeRecorder;
@@ -68,8 +66,8 @@ class ServeRecorder;
 namespace marlin::serve {
 
 /// Aggregate latency metrics of one serving simulation. Field set and
-/// semantics predate the scheduler subsystem — golden tables and the
-/// `simulate_serving` API depend on them.
+/// semantics predate the scheduler subsystem — golden tables depend on
+/// them.
 struct ServingMetrics {
   double mean_tpot_ms = 0;  // time per output token (after the first)
   double mean_ttft_ms = 0;  // time to first token
@@ -244,6 +242,9 @@ struct ReplicaState {
   /// Prompt tokens whose prefill was skipped because their KV came out of
   /// the prefix cache (block-level counters live on `bm`).
   index_t prefix_tokens_skipped = 0;
+  /// Prefix-cache probes (admissions and migration landings) that reused
+  /// at least one cached block.
+  index_t prefix_cache_hits = 0;
 
   /// Requests in flight or waiting — a busy replica must be ticked.
   [[nodiscard]] bool busy() const {
@@ -280,12 +281,18 @@ struct SchedStats {
   /// with the cache off and n=1 sampling). Hit blocks are exactly the
   /// physical allocations (and their recomputed prefill) saved; the
   /// hit-rate is hits / lookups.
+  index_t prefix_cache_hits = 0;  // probes that reused >= 1 cached block
   index_t prefix_cache_hit_blocks = 0;
   index_t prefix_cache_lookup_blocks = 0;
   index_t prefix_cache_evictions = 0;
   index_t prefix_tokens_skipped = 0;
   index_t cow_forks = 0;
   index_t cow_copies = 0;
+  /// KV block traffic summed over replicas: physical blocks handed out
+  /// and returned, and decode growths the budget refused.
+  index_t kv_blocks_allocated = 0;
+  index_t kv_blocks_freed = 0;
+  index_t kv_grow_failures = 0;
   std::vector<Request> requests;
 };
 
@@ -315,16 +322,6 @@ class Scheduler {
   /// not owned and must outlive the scheduler.
   Scheduler(const StepModel& model, SchedulerConfig cfg,
             const StepModel* draft_model = nullptr);
-
-  /// Runs the trace to completion on a single replica — a convenience
-  /// wrapper that drives a 1-replica `cluster::EventLoop` with default
-  /// cluster options, reproducing the pre-cluster scheduler loop
-  /// bit-for-bit. `ctx` only pre-warms the step model's decode memo
-  /// (per-rank step evaluation on the shared pool); the stats are
-  /// bit-identical for every context.
-  [[nodiscard]] SchedStats run(
-      const std::vector<TraceRequest>& trace,
-      const SimContext& ctx = SimContext::serial_context()) const;
 
   // ---- passive tick API (driven by cluster::EventLoop) -----------------
 

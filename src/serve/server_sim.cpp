@@ -106,15 +106,4 @@ cluster::ClusterStats simulate_cluster_detailed(const Engine& engine,
       .run(sched::generate_trace(w), ctx, cfg.recorder);
 }
 
-sched::SchedStats simulate_serving_detailed(const Engine& engine,
-                                            const ServingConfig& cfg,
-                                            const SimContext& ctx) {
-  return std::move(simulate_cluster_detailed(engine, cfg, ctx).sched);
-}
-
-ServingMetrics simulate_serving(const Engine& engine,
-                                const ServingConfig& cfg) {
-  return simulate_serving_detailed(engine, cfg).metrics;
-}
-
 }  // namespace marlin::serve

@@ -1,13 +1,16 @@
 #pragma once
 // Serving simulation entry point (paper Figures 15/16) — a thin adapter
-// over the request-level scheduler subsystem in serve/sched/.
+// over the request-level scheduler subsystem in serve/sched/ and the
+// cluster event loop in serve/cluster/.
 //
-// `simulate_serving` turns a ServingConfig into a workload trace plus a
-// scheduler configuration and runs the continuous-batching scheduler.
-// The defaults (Poisson arrivals, FCFS, unlimited KV blocks, unchunked
-// prefill) reproduce the pre-subsystem simulator bit-for-bit — the
-// fig15/fig16 golden tables hold — while the extra knobs open the
-// scheduler's policy, workload and KV-budget space to the benches.
+// `simulate_cluster_detailed` turns a ServingConfig into a workload trace
+// plus a scheduler configuration and runs the continuous-batching
+// scheduler on the configured fleet. The defaults (one replica, Poisson
+// arrivals, FCFS, unlimited KV blocks, unchunked prefill) reproduce the
+// pre-subsystem simulator bit-for-bit — the fig15/fig16 golden tables
+// hold — while the extra knobs open the scheduler's policy, workload and
+// KV-budget space to the benches. Callers that only need the
+// single-engine view read its `.sched` (or `.sched.metrics`) slice.
 
 #include "serve/cluster/event_loop.hpp"
 #include "serve/engine.hpp"
@@ -98,14 +101,5 @@ struct ServingConfig {
 cluster::ClusterStats simulate_cluster_detailed(
     const Engine& engine, const ServingConfig& cfg,
     const SimContext& ctx = SimContext::serial_context());
-
-/// Full scheduler statistics (metrics + preemptions, KV peak, per-request
-/// outcomes) — the `.sched` slice of `simulate_cluster_detailed`.
-sched::SchedStats simulate_serving_detailed(
-    const Engine& engine, const ServingConfig& cfg,
-    const SimContext& ctx = SimContext::serial_context());
-
-ServingMetrics simulate_serving(const Engine& engine,
-                                const ServingConfig& cfg);
 
 }  // namespace marlin::serve

@@ -224,6 +224,7 @@ ClusterStats run(const sched::Scheduler& scheduler,
     while (next_eval_s <= frontier) {
       const double t_eval = next_eval_s;
       next_eval_s += as.interval_s;
+      ++stats.autoscaler_evaluations;
       retire_drained();
       const index_t routable = routable_count();
       index_t queued = 0;
@@ -321,11 +322,15 @@ ClusterStats run(const sched::Scheduler& scheduler,
     stats.sched.slo_ttft_violations += s.slo_ttft_violations;
     stats.sched.slo_tpot_violations += s.slo_tpot_violations;
     stats.sched.prefix_cache_lookup_blocks += s.bm.prefix_cache_lookup_blocks();
+    stats.sched.prefix_cache_hits += s.prefix_cache_hits;
     stats.sched.prefix_cache_hit_blocks += s.bm.prefix_cache_hit_blocks();
     stats.sched.prefix_cache_evictions += s.bm.prefix_cache_evictions();
     stats.sched.prefix_tokens_skipped += s.prefix_tokens_skipped;
     stats.sched.cow_forks += s.bm.cow_forks();
     stats.sched.cow_copies += s.bm.cow_copies();
+    stats.sched.kv_blocks_allocated += s.bm.blocks_allocated_total();
+    stats.sched.kv_blocks_freed += s.bm.blocks_freed_total();
+    stats.sched.kv_grow_failures += s.bm.grow_failures();
     stats.sched.peak_kv_blocks =
         std::max(stats.sched.peak_kv_blocks, s.bm.peak_used_blocks());
     stats.sched.sim_end_s = std::max(stats.sched.sim_end_s, s.now);

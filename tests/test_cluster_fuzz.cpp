@@ -13,7 +13,11 @@
 //   - the optimized EventLoop (busy-replica heap, maintained least-loaded
 //     counters, once-per-run tenant table) produces bit-equal
 //     ClusterStats to the frozen linear-scan reference loop in
-//     reference_event_loop.cpp, on every seed.
+//     reference_event_loop.cpp, on every seed,
+//   - attaching a ServeRecorder with both a trace and a metrics sink
+//     changes no bit of the ClusterStats, and every exported
+//     `marlin_*_total` series equals the stats field it is derived from,
+//     on every seed.
 //
 // The sweep size defaults to 200 fixed seeds and can be narrowed with
 // MARLIN_FUZZ_SEEDS=<n> (the sanitizer CI job runs a subset; the seeds
@@ -26,9 +30,14 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <map>
 #include <random>
+#include <sstream>
 #include <string>
 
+#include "obs/metrics.hpp"
+#include "obs/serve_recorder.hpp"
+#include "obs/trace.hpp"
 #include "reference_event_loop.hpp"
 #include "serve/server_sim.hpp"
 
@@ -290,8 +299,12 @@ void expect_same_cluster_stats(const cluster::ClusterStats& a,
       << seed;
   EXPECT_EQ(x.prefix_cache_evictions, y.prefix_cache_evictions) << seed;
   EXPECT_EQ(x.prefix_tokens_skipped, y.prefix_tokens_skipped) << seed;
+  EXPECT_EQ(x.prefix_cache_hits, y.prefix_cache_hits) << seed;
   EXPECT_EQ(x.cow_forks, y.cow_forks) << seed;
   EXPECT_EQ(x.cow_copies, y.cow_copies) << seed;
+  EXPECT_EQ(x.kv_blocks_allocated, y.kv_blocks_allocated) << seed;
+  EXPECT_EQ(x.kv_blocks_freed, y.kv_blocks_freed) << seed;
+  EXPECT_EQ(x.kv_grow_failures, y.kv_grow_failures) << seed;
   ASSERT_EQ(x.requests.size(), y.requests.size()) << seed;
   for (std::size_t i = 0; i < x.requests.size(); ++i) {
     const sched::Request& p = x.requests[i];
@@ -329,6 +342,7 @@ void expect_same_cluster_stats(const cluster::ClusterStats& a,
   }
   EXPECT_EQ(a.replicas_added, b.replicas_added) << seed;
   EXPECT_EQ(a.replicas_drained, b.replicas_drained) << seed;
+  EXPECT_EQ(a.autoscaler_evaluations, b.autoscaler_evaluations) << seed;
   EXPECT_EQ(a.peak_replicas, b.peak_replicas) << seed;
 
   EXPECT_EQ(a.migrations, b.migrations) << seed;
@@ -348,6 +362,76 @@ void expect_same_cluster_stats(const cluster::ClusterStats& a,
   }
 }
 
+// Every `marlin_*_total` series of a metrics exposition, as printed
+// (`name` or `name{labels}` -> value text).
+std::map<std::string, std::string> exported_totals(const std::string& text) {
+  std::map<std::string, std::string> out;
+  std::istringstream in(text);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    const std::size_t space = line.rfind(' ');
+    const std::string series = line.substr(0, space);
+    const std::string name = series.substr(0, series.find('{'));
+    if (name.ends_with("_total")) out[series] = line.substr(space + 1);
+  }
+  return out;
+}
+
+// What each exported run total must read: the ClusterStats field it is
+// derived from, formatted the way the exposition prints values.
+std::map<std::string, std::string> expected_totals(
+    const cluster::ClusterStats& cs) {
+  const sched::SchedStats& st = cs.sched;
+  index_t routed = 0;
+  index_t retired = 0;
+  for (const cluster::ReplicaStats& rep : cs.replicas) {
+    routed += rep.routed;
+    retired += rep.lifecycle == cluster::ReplicaLifecycle::kRetired ? 1 : 0;
+  }
+  const auto v = [](double x) { return obs::format_metric_value(x); };
+  const auto n = [&v](index_t x) { return v(static_cast<double>(x)); };
+  std::map<std::string, std::string> out = {
+      {"marlin_requests_routed_total", n(routed)},
+      {"marlin_requests_completed_total", n(st.metrics.completed)},
+      {"marlin_requests_rejected_total", n(st.rejected)},
+      {"marlin_requests_shed_total", n(st.shed)},
+      {"marlin_preemptions_total", n(st.preemptions)},
+      {"marlin_prefill_steps_total", n(st.prefill_steps)},
+      {"marlin_decode_steps_total", n(st.decode_steps)},
+      {"marlin_spec_rounds_total", n(st.spec_rounds)},
+      {"marlin_spec_draft_tokens_total", n(st.spec_draft_tokens)},
+      {"marlin_spec_committed_tokens_total", n(st.spec_committed_tokens)},
+      {"marlin_prefix_cache_hits_total", n(st.prefix_cache_hits)},
+      {"marlin_prefix_cache_hit_blocks_total", n(st.prefix_cache_hit_blocks)},
+      {"marlin_prefix_tokens_skipped_total", n(st.prefix_tokens_skipped)},
+      {"marlin_prefix_cache_lookup_blocks_total",
+       n(st.prefix_cache_lookup_blocks)},
+      {"marlin_prefix_cache_evictions_total", n(st.prefix_cache_evictions)},
+      {"marlin_cow_forks_total", n(st.cow_forks)},
+      {"marlin_cow_copies_total", n(st.cow_copies)},
+      {"marlin_slo_ttft_violations_total", n(st.slo_ttft_violations)},
+      {"marlin_slo_tpot_violations_total", n(st.slo_tpot_violations)},
+      {"marlin_kv_transfers_total", n(cs.migrations)},
+      {"marlin_kv_transfer_bytes_total", v(cs.transfer_bytes)},
+      {"marlin_kv_transfer_seconds_total", v(cs.transfer_seconds)},
+      {"marlin_kv_blocks_allocated_total", n(st.kv_blocks_allocated)},
+      {"marlin_kv_blocks_freed_total", n(st.kv_blocks_freed)},
+      {"marlin_kv_grow_failures_total", n(st.kv_grow_failures)},
+      {"marlin_replicas_started_total",
+       n(static_cast<index_t>(cs.replicas.size()))},
+      {"marlin_replicas_drained_total", n(cs.replicas_drained)},
+      {"marlin_replicas_retired_total", n(retired)},
+      {"marlin_autoscaler_evaluations_total", n(cs.autoscaler_evaluations)},
+  };
+  for (const sched::TenantMetrics& t : sched::per_tenant_metrics(st)) {
+    if (t.completed == 0) continue;
+    out["marlin_tenant_tokens_generated_total{tenant=\"" +
+        std::to_string(t.tenant) + "\"}"] = n(t.output_tokens);
+  }
+  return out;
+}
+
 TEST(ClusterFuzz, InvariantsHoldAcrossTheSeedSweep) {
   const index_t seeds = seed_count();
   // Coverage of the paths the busy-replica heap and the retire check
@@ -363,6 +447,21 @@ TEST(ClusterFuzz, InvariantsHoldAcrossTheSeedSweep) {
         simulate_cluster_detailed(fuzz_engine(), sc);
     check_invariants(cs, seed);
     EXPECT_GT(cs.sched.requests.size(), 0u) << "seed " << seed;
+
+    // The same run with a recorder attached to both sinks: recording
+    // changes nothing, and the exposition's run totals are the stats'.
+    {
+      obs::TraceRecorder trace;
+      obs::MetricsRegistry metrics;
+      obs::ServeRecorder recorder(&trace, &metrics);
+      ServingConfig recorded = sc;
+      recorded.recorder = &recorder;
+      const cluster::ClusterStats rs =
+          simulate_cluster_detailed(fuzz_engine(), recorded);
+      expect_same_cluster_stats(cs, rs, seed);
+      EXPECT_EQ(exported_totals(metrics.expose()), expected_totals(rs))
+          << "seed " << seed;
+    }
 
     // Differential oracle, every seed: the optimized loop against the
     // frozen linear-scan reference on identical inputs.

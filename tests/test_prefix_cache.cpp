@@ -377,8 +377,8 @@ TEST(PrefixCacheEndToEnd, CacheOffIsBitIdenticalOnAnyWorkload) {
   const serve::Engine engine = test_engine();
   serve::ServingConfig off = shared_prefix_config();
   off.prefix_cache.enabled = false;
-  const auto a = serve::simulate_serving_detailed(engine, off);
-  const auto b = serve::simulate_serving_detailed(engine, off);
+  const auto a = serve::simulate_cluster_detailed(engine, off).sched;
+  const auto b = serve::simulate_cluster_detailed(engine, off).sched;
   EXPECT_EQ(a.metrics.mean_tpot_ms, b.metrics.mean_tpot_ms);
   EXPECT_EQ(a.prefix_cache_lookup_blocks, 0);
   EXPECT_EQ(a.prefix_cache_hit_blocks, 0);
@@ -392,9 +392,9 @@ TEST(PrefixCacheEndToEnd, UniqueWorkloadIsUnchangedByTheCache) {
   serve::ServingConfig sc = shared_prefix_config();
   sc.shared_prefix_tokens = 0;  // fully unique prompts
   sc.prefix_cache.enabled = false;
-  const auto off = serve::simulate_serving_detailed(engine, sc);
+  const auto off = serve::simulate_cluster_detailed(engine, sc).sched;
   sc.prefix_cache.enabled = true;
-  const auto on = serve::simulate_serving_detailed(engine, sc);
+  const auto on = serve::simulate_cluster_detailed(engine, sc).sched;
 
   EXPECT_EQ(off.metrics.completed, on.metrics.completed);
   EXPECT_EQ(off.metrics.mean_tpot_ms, on.metrics.mean_tpot_ms);
@@ -411,7 +411,7 @@ TEST(PrefixCacheEndToEnd, SharedPrefixesHitAndSkipPrefillTokens) {
   const serve::Engine engine = test_engine();
   serve::ServingConfig sc = shared_prefix_config();
   sc.prefix_cache.enabled = true;
-  const auto st = serve::simulate_serving_detailed(engine, sc);
+  const auto st = serve::simulate_cluster_detailed(engine, sc).sched;
   EXPECT_GT(st.prefix_cache_lookup_blocks, 0);
   EXPECT_GT(st.prefix_cache_hit_blocks, 0);
   EXPECT_GT(st.prefix_tokens_skipped, 0);
@@ -423,7 +423,7 @@ TEST(PrefixCacheEndToEnd, SharedPrefixesHitAndSkipPrefillTokens) {
   // Warm admissions reach their first token sooner than the cold run.
   serve::ServingConfig off = sc;
   off.prefix_cache.enabled = false;
-  const auto cold = serve::simulate_serving_detailed(engine, off);
+  const auto cold = serve::simulate_cluster_detailed(engine, off).sched;
   EXPECT_LT(st.metrics.mean_ttft_ms, cold.metrics.mean_ttft_ms);
   EXPECT_EQ(st.metrics.completed, cold.metrics.completed);
 }
@@ -436,7 +436,7 @@ TEST(PrefixCacheEndToEnd, ParallelSamplingForksAndDiverges) {
   // 60 + 128 prompt tokens: the partial tail block is shared at fork
   // time and must CoW-split on each sequence's first divergent write.
   sc.input_tokens = 60;
-  const auto st = serve::simulate_serving_detailed(engine, sc);
+  const auto st = serve::simulate_cluster_detailed(engine, sc).sched;
   EXPECT_GT(st.cow_forks, 0);
   EXPECT_GT(st.cow_copies, 0);
   EXPECT_GT(st.metrics.completed, 0);
@@ -444,7 +444,7 @@ TEST(PrefixCacheEndToEnd, ParallelSamplingForksAndDiverges) {
   // strictly larger decode batch than the n=1 run.
   serve::ServingConfig single = sc;
   single.sampling_n = 1;
-  const auto one = serve::simulate_serving_detailed(engine, single);
+  const auto one = serve::simulate_cluster_detailed(engine, single).sched;
   EXPECT_GT(st.metrics.mean_batch, one.metrics.mean_batch);
 }
 
@@ -455,8 +455,8 @@ TEST(PrefixCacheEndToEnd, DeterministicAcrossThreadCounts) {
   sc.sampling_n = 2;
   const SimContext& serial = SimContext::serial_context();
   const SimContext pool(4);
-  const auto a = serve::simulate_serving_detailed(engine, sc, serial);
-  const auto b = serve::simulate_serving_detailed(engine, sc, pool);
+  const auto a = serve::simulate_cluster_detailed(engine, sc, serial).sched;
+  const auto b = serve::simulate_cluster_detailed(engine, sc, pool).sched;
   EXPECT_EQ(a.metrics.mean_tpot_ms, b.metrics.mean_tpot_ms);
   EXPECT_EQ(a.metrics.mean_ttft_ms, b.metrics.mean_ttft_ms);
   EXPECT_EQ(a.prefix_cache_hit_blocks, b.prefix_cache_hit_blocks);

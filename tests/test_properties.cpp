@@ -200,7 +200,7 @@ TEST_P(ServingConservation, LawsHold) {
   scfg.qps = GetParam();
   scfg.duration_s = 25.0;
   scfg.seed = 7;
-  const auto m = serve::simulate_serving(engine, scfg);
+  const auto m = serve::simulate_cluster_detailed(engine, scfg).sched.metrics;
 
   // The sim drains: every arrival completes.
   EXPECT_GE(m.completed, static_cast<index_t>(scfg.qps * 15));
@@ -214,7 +214,7 @@ TEST_P(ServingConservation, LawsHold) {
   EXPECT_GE(m.mean_batch, 1.0);
   EXPECT_LE(m.mean_batch, static_cast<double>(scfg.max_batch));
   // Determinism: same seed, same metrics.
-  const auto m2 = serve::simulate_serving(engine, scfg);
+  const auto m2 = serve::simulate_cluster_detailed(engine, scfg).sched.metrics;
   EXPECT_DOUBLE_EQ(m.mean_tpot_ms, m2.mean_tpot_ms);
   EXPECT_DOUBLE_EQ(m.mean_ttft_ms, m2.mean_ttft_ms);
 }

@@ -173,7 +173,7 @@ TEST(ServingSim, CompletesAllRequestsAtLowLoad) {
   ServingConfig sc;
   sc.qps = 1.0;
   sc.duration_s = 30.0;
-  const auto m = simulate_serving(marlin, sc);
+  const auto m = simulate_cluster_detailed(marlin, sc).sched.metrics;
   EXPECT_GT(m.completed, 15);
   EXPECT_GT(m.mean_tpot_ms, 0.0);
   EXPECT_GT(m.mean_ttft_ms, 0.0);
@@ -186,8 +186,8 @@ TEST(ServingSim, MarlinReducesTpotRoughly3x) {
   ServingConfig sc;
   sc.qps = 1.0;
   sc.duration_s = 40.0;
-  const auto mf = simulate_serving(fp16, sc);
-  const auto mm = simulate_serving(marlin, sc);
+  const auto mf = simulate_cluster_detailed(fp16, sc).sched.metrics;
+  const auto mm = simulate_cluster_detailed(marlin, sc).sched.metrics;
   const double s = mf.mean_tpot_ms / mm.mean_tpot_ms;
   EXPECT_GT(s, 2.0);
   EXPECT_LT(s, 3.8);
@@ -200,8 +200,8 @@ TEST(ServingSim, TpotGrowsWithQps) {
   lo.duration_s = 30.0;
   ServingConfig hi = lo;
   hi.qps = 10.0;
-  const auto mlo = simulate_serving(marlin, lo);
-  const auto mhi = simulate_serving(marlin, hi);
+  const auto mlo = simulate_cluster_detailed(marlin, lo).sched.metrics;
+  const auto mhi = simulate_cluster_detailed(marlin, hi).sched.metrics;
   EXPECT_GT(mhi.mean_tpot_ms, mlo.mean_tpot_ms * 0.99);
   EXPECT_GT(mhi.mean_batch, mlo.mean_batch);
 }
@@ -213,8 +213,8 @@ TEST(ServingSim, FasterKernelSeesSmallerAverageBatch) {
   ServingConfig sc;
   sc.qps = 5.0;
   sc.duration_s = 40.0;
-  const auto mf = simulate_serving(fp16, sc);
-  const auto mm = simulate_serving(marlin, sc);
+  const auto mf = simulate_cluster_detailed(fp16, sc).sched.metrics;
+  const auto mm = simulate_cluster_detailed(marlin, sc).sched.metrics;
   EXPECT_LT(mm.mean_batch, mf.mean_batch);
 }
 
@@ -226,8 +226,8 @@ TEST(ServingSim, TtftImprovementSmallerThanTpot) {
   ServingConfig sc;
   sc.qps = 2.5;
   sc.duration_s = 40.0;
-  const auto mf = simulate_serving(fp16, sc);
-  const auto mm = simulate_serving(marlin, sc);
+  const auto mf = simulate_cluster_detailed(fp16, sc).sched.metrics;
+  const auto mm = simulate_cluster_detailed(marlin, sc).sched.metrics;
   const double tpot_gain = mf.mean_tpot_ms / mm.mean_tpot_ms;
   const double ttft_gain = mf.mean_ttft_ms / mm.mean_ttft_ms;
   EXPECT_GT(ttft_gain, 1.0);

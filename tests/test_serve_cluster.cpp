@@ -1,6 +1,5 @@
-// Cluster serving tier: single-replica EventLoop equivalence with the
-// legacy scheduler loop (including through the server_sim path), router
-// placement determinism, replica add/drain lifecycle, SLO shed
+// Cluster serving tier: single-replica EventLoop equivalence across
+// placements, router placement determinism, replica add/drain lifecycle, SLO shed
 // accounting, autoscaler round trips with no KV-block leaks, config
 // validation, disaggregated prefill/decode pools (zero-cost-link
 // differential equivalence, priced KV transfers, migration edge cases),
@@ -81,10 +80,11 @@ void expect_sched_equal(const sched::SchedStats& a,
 TEST(SingleReplicaEquivalence, EventLoopMatchesSchedulerRunAllPlacements) {
   const sched::Scheduler sch(test_engine(), sched_cfg(96));
   const auto trace = make_trace(6.0, 20.0);
-  const sched::SchedStats base = sch.run(trace);
+  const sched::SchedStats base =
+      EventLoop(sch, ClusterOptions{}).run(trace).sched;
   EXPECT_GT(base.metrics.completed, 0);
   // Placement cannot matter with one replica; every policy must reduce to
-  // the legacy loop bit-for-bit.
+  // the default round-robin loop bit-for-bit.
   for (const auto placement :
        {Placement::kRoundRobin, Placement::kLeastLoaded,
         Placement::kSessionAffinity}) {
@@ -107,10 +107,8 @@ TEST(SingleReplicaEquivalence, ServerSimPathsAgree) {
   sc.qps = 4.0;
   sc.duration_s = 15.0;
   sc.kv_blocks = 96;
-  const sched::SchedStats legacy =
-      simulate_serving_detailed(test_engine(), sc);
   const ClusterStats cs = simulate_cluster_detailed(test_engine(), sc);
-  expect_sched_equal(legacy, cs.sched);
+  EXPECT_GT(cs.sched.metrics.completed, 0);
   // No SLO configured: the new accounting must stay inert.
   EXPECT_EQ(cs.sched.shed, 0);
   EXPECT_EQ(cs.sched.slo_ttft_violations, 0);
@@ -388,16 +386,17 @@ ClusterOptions disagg_1p1d(double kv_bytes_per_token = 0.0,
 TEST(DisaggDifferential, ZeroCostLinkMatchesUnifiedAndLegacyBitForBit) {
   const sched::Scheduler sch(test_engine(), sched_cfg(96));
   const auto trace = sparse_trace(4, 20.0);
+  const sched::SchedStats serial =
+      EventLoop(sch, ClusterOptions{}).run(trace).sched;
+  EXPECT_EQ(serial.metrics.completed, 4);
   for (const int threads : {1, 4}) {
     const SimContext ctx(threads);
-    const sched::SchedStats legacy = sch.run(trace, ctx);
-    EXPECT_EQ(legacy.metrics.completed, 4);
     const ClusterStats unified =
         EventLoop(sch, ClusterOptions{}).run(trace, ctx);
     const ClusterStats disagg =
         EventLoop(sch, disagg_1p1d()).run(trace, ctx);
-    expect_sched_equal(legacy, unified.sched);
-    expect_sched_equal(legacy, disagg.sched);
+    expect_sched_equal(serial, unified.sched);
+    expect_sched_equal(serial, disagg.sched);
     // The handoffs really happened — equivalence is not migration
     // having silently fallen back to in-place decoding.
     EXPECT_EQ(disagg.migrations, 4);

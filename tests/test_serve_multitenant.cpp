@@ -202,7 +202,7 @@ TEST(WeightedFairQueuing, HigherTierAndWeightWinAdmission) {
   // tier-0 tenant still overtakes at the admission point.
   std::vector<TraceRequest> trace{
       {0.0, 64, 8, 1}, {0.0, 64, 8, 0}, {0.0, 64, 8, 1}, {0.0, 64, 8, 0}};
-  const auto stats = s.run(trace);
+  const auto stats = cluster::EventLoop(s, {}).run(trace).sched;
   EXPECT_LT(stats.requests[1].first_token_s, stats.requests[0].first_token_s);
   EXPECT_LT(stats.requests[3].first_token_s, stats.requests[2].first_token_s);
   EXPECT_EQ(stats.metrics.completed, 4);
@@ -227,7 +227,7 @@ TEST(WeightedFairQueuing, ServiceDebtBalancesTokenShares) {
   for (index_t i = 0; i < 12; ++i) {
     trace.push_back({0.0, 32, 16, i % 2});
   }
-  const auto stats = s.run(trace);
+  const auto stats = cluster::EventLoop(s, {}).run(trace).sched;
   const auto tenants = per_tenant_metrics(stats);
   ASSERT_EQ(tenants.size(), 2u);
   EXPECT_EQ(tenants[0].completed + tenants[1].completed, 12);
@@ -256,7 +256,7 @@ TEST(WeightedFairQueuing, AgingIsStarvationProof) {
   for (index_t i = 0; i < 40; ++i) {
     trace.push_back({static_cast<double>(i) * 0.05, 64, 8, 0});
   }
-  const auto stats = s.run(trace);
+  const auto stats = cluster::EventLoop(s, {}).run(trace).sched;
   EXPECT_EQ(stats.metrics.completed, 41);
   // It cannot be the last to finish: aging lifts it over the vip stream.
   index_t later = 0;
@@ -286,7 +286,7 @@ TEST(WeightedFairQueuing, ReclaimPreemptsOverQuotaBorrower) {
   std::vector<TraceRequest> trace{
       {0.0, 48, 60, 0}, {0.0, 48, 60, 0},  // 3 blocks each, growing
       {0.2, 48, 8, 1}};
-  const auto stats = s.run(trace);
+  const auto stats = cluster::EventLoop(s, {}).run(trace).sched;
   EXPECT_GT(stats.preemptions, 0);
   EXPECT_EQ(stats.metrics.completed, 3);
   // The reclaim victim is a tenant-0 sequence (tenant 1 never preempted).
@@ -315,7 +315,7 @@ TEST(WeightedFairQueuing, InfeasibleReclaimPreemptsNobody) {
   const std::vector<TraceRequest> trace{
       {0.0, 48, 8, 0}, {0.0, 48, 8, 0},
       {0.1, 48, 8, 1}};  // within quota 4, must wait
-  const auto stats = s.run(trace);
+  const auto stats = cluster::EventLoop(s, {}).run(trace).sched;
   EXPECT_EQ(stats.preemptions, 0);
   EXPECT_EQ(stats.metrics.completed, 3);
   // The guest was admitted only after capacity freed up naturally.
@@ -330,9 +330,9 @@ TEST(WeightedFairQueuing, SingleTenantMatchesFcfsStructure) {
   sc.qps = 8.0;
   sc.duration_s = 15.0;
   sc.kv_blocks = 128;
-  const auto fcfs = simulate_serving_detailed(engine, sc);
+  const auto fcfs = simulate_cluster_detailed(engine, sc).sched;
   sc.policy = SchedPolicy::kWeightedFair;
-  const auto wfq = simulate_serving_detailed(engine, sc);
+  const auto wfq = simulate_cluster_detailed(engine, sc).sched;
   EXPECT_EQ(fcfs.metrics.completed, wfq.metrics.completed);
   EXPECT_EQ(fcfs.decode_steps, wfq.decode_steps);
   EXPECT_EQ(fcfs.prefill_steps, wfq.prefill_steps);
@@ -396,10 +396,10 @@ TEST(Speculation, RequiresDraftModelAndCommitsFasterSchedule) {
   ServingConfig sc;
   sc.qps = 4.0;
   sc.duration_s = 20.0;
-  const auto plain = simulate_serving_detailed(engine, sc);
+  const auto plain = simulate_cluster_detailed(engine, sc).sched;
   sc.speculation.depth = 4;
   sc.speculation.acceptance = 0.8;
-  const auto spec = simulate_serving_detailed(engine, sc);
+  const auto spec = simulate_cluster_detailed(engine, sc).sched;
 
   EXPECT_EQ(plain.spec_rounds, 0);
   EXPECT_GT(spec.spec_rounds, 0);
@@ -428,7 +428,7 @@ TEST(Speculation, ComposesWithPreemptionAndChunkedPrefill) {
   sc.prefill_chunk_tokens = 16;
   sc.speculation.depth = 3;
   sc.speculation.acceptance = 0.7;
-  const auto stats = simulate_serving_detailed(engine, sc);
+  const auto stats = simulate_cluster_detailed(engine, sc).sched;
   EXPECT_GT(stats.preemptions, 0);
   EXPECT_GT(stats.spec_rounds, 0);
   EXPECT_LE(stats.peak_kv_blocks, 96);
@@ -451,8 +451,8 @@ TEST(Speculation, BitIdenticalAcrossThreadCounts) {
   sc.speculation.acceptance = 0.8;
   const SimContext serial(1);
   const SimContext pooled(4);
-  const auto a = simulate_serving_detailed(engine, sc, serial);
-  const auto b = simulate_serving_detailed(engine, sc, pooled);
+  const auto a = simulate_cluster_detailed(engine, sc, serial).sched;
+  const auto b = simulate_cluster_detailed(engine, sc, pooled).sched;
   EXPECT_EQ(a.metrics.mean_tpot_ms, b.metrics.mean_tpot_ms);
   EXPECT_EQ(a.metrics.mean_ttft_ms, b.metrics.mean_ttft_ms);
   EXPECT_EQ(a.metrics.p90_ttft_ms, b.metrics.p90_ttft_ms);
@@ -476,7 +476,7 @@ TEST(PerTenantMetrics, SplitsByTenant) {
   sc.policy = SchedPolicy::kWeightedFair;
   sc.tenants = {TenantSpec{0, "a", 1.0, 0, kNoQuota, 1.0},
                 TenantSpec{1, "b", 1.0, 0, kNoQuota, 1.0}};
-  const auto stats = simulate_serving_detailed(engine, sc);
+  const auto stats = simulate_cluster_detailed(engine, sc).sched;
   const auto tenants = per_tenant_metrics(stats);
   ASSERT_EQ(tenants.size(), 2u);
   index_t completed = 0, tokens = 0;

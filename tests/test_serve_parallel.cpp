@@ -169,9 +169,9 @@ TEST(ParallelEngine, TrivialConfigEqualsLegacyEngineBitForBit) {
   ServingConfig sc;
   sc.qps = 4.0;
   sc.duration_s = 15.0;
-  const auto legacy = simulate_serving_detailed(engine, sc);
+  const auto legacy = simulate_cluster_detailed(engine, sc).sched;
   sc.parallel = {1, 1, 0};
-  const auto routed = simulate_serving_detailed(engine, sc);
+  const auto routed = simulate_cluster_detailed(engine, sc).sched;
   EXPECT_EQ(legacy.metrics.mean_tpot_ms, routed.metrics.mean_tpot_ms);
   EXPECT_EQ(legacy.metrics.mean_ttft_ms, routed.metrics.mean_ttft_ms);
   EXPECT_EQ(legacy.metrics.p90_tpot_ms, routed.metrics.p90_tpot_ms);
@@ -180,7 +180,7 @@ TEST(ParallelEngine, TrivialConfigEqualsLegacyEngineBitForBit) {
   // A malformed config is rejected even on the trivial path (tp/pp of 1
   // must not mask a bad microbatch count).
   sc.parallel = {1, 1, -5};
-  EXPECT_THROW((void)simulate_serving_detailed(engine, sc), Error);
+  EXPECT_THROW((void)simulate_cluster_detailed(engine, sc), Error);
 }
 
 TEST(ParallelEngine, RejectsCompoundingWithLegacyNumGpusSplit) {
@@ -299,8 +299,8 @@ TEST(ParallelEngine, ServingBitIdenticalAcrossThreadCounts) {
   sc.parallel = {2, 2, 0};
   const SimContext serial(1);
   const SimContext pooled(4);
-  const auto a = simulate_serving_detailed(engine, sc, serial);
-  const auto b = simulate_serving_detailed(engine, sc, pooled);
+  const auto a = simulate_cluster_detailed(engine, sc, serial).sched;
+  const auto b = simulate_cluster_detailed(engine, sc, pooled).sched;
   EXPECT_EQ(a.metrics.mean_tpot_ms, b.metrics.mean_tpot_ms);
   EXPECT_EQ(a.metrics.mean_ttft_ms, b.metrics.mean_ttft_ms);
   EXPECT_EQ(a.metrics.p90_tpot_ms, b.metrics.p90_tpot_ms);
@@ -318,9 +318,9 @@ TEST(ParallelEngine, RepeatRunsAreDeterministic) {
   sc.qps = 6.0;
   sc.duration_s = 10.0;
   sc.parallel = {2, 1, 0};
-  const auto a = simulate_serving_detailed(engine, sc);
+  const auto a = simulate_cluster_detailed(engine, sc).sched;
   // A fresh ParallelEngine (cold memo) must reproduce the same bits.
-  const auto b = simulate_serving_detailed(engine, sc);
+  const auto b = simulate_cluster_detailed(engine, sc).sched;
   EXPECT_EQ(a.metrics.mean_tpot_ms, b.metrics.mean_tpot_ms);
   EXPECT_EQ(a.metrics.mean_ttft_ms, b.metrics.mean_ttft_ms);
   EXPECT_EQ(a.sim_end_s, b.sim_end_s);

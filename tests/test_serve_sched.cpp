@@ -238,8 +238,8 @@ TEST(Scheduler, MetricsBitIdenticalAcrossThreadCounts) {
   sc.kv_blocks = 256;
   const SimContext serial(1);
   const SimContext pooled(4);
-  const auto a = simulate_serving_detailed(engine, sc, serial);
-  const auto b = simulate_serving_detailed(engine, sc, pooled);
+  const auto a = simulate_cluster_detailed(engine, sc, serial).sched;
+  const auto b = simulate_cluster_detailed(engine, sc, pooled).sched;
   EXPECT_EQ(a.metrics.mean_tpot_ms, b.metrics.mean_tpot_ms);
   EXPECT_EQ(a.metrics.mean_ttft_ms, b.metrics.mean_ttft_ms);
   EXPECT_EQ(a.metrics.p90_tpot_ms, b.metrics.p90_tpot_ms);
@@ -253,9 +253,9 @@ TEST(Scheduler, MetricsBitIdenticalAcrossThreadCounts) {
 TEST(Scheduler, PreemptionRecomputeRoundTrip) {
   const Engine engine(a6000_marlin());
   ServingConfig sc = overload_cfg();
-  const auto unlimited = simulate_serving_detailed(engine, sc);
+  const auto unlimited = simulate_cluster_detailed(engine, sc).sched;
   sc.kv_blocks = 96;  // ~1.5k KV tokens at block 16: heavy pressure
-  const auto tight = simulate_serving_detailed(engine, sc);
+  const auto tight = simulate_cluster_detailed(engine, sc).sched;
 
   EXPECT_EQ(tight.rejected, 0);
   EXPECT_GT(tight.preemptions, 0);
@@ -276,9 +276,9 @@ TEST(Scheduler, PreemptionRecomputeRoundTrip) {
 TEST(Scheduler, ChunkedPrefillTakesMoreSmallerSteps) {
   const Engine engine(a6000_marlin());
   ServingConfig sc = overload_cfg();
-  const auto whole = simulate_serving_detailed(engine, sc);
+  const auto whole = simulate_cluster_detailed(engine, sc).sched;
   sc.prefill_chunk_tokens = 16;  // 64-token prompts => 4 chunks
-  const auto chunked = simulate_serving_detailed(engine, sc);
+  const auto chunked = simulate_cluster_detailed(engine, sc).sched;
   EXPECT_GT(chunked.prefill_steps, whole.prefill_steps);
   EXPECT_EQ(chunked.metrics.completed, whole.metrics.completed);
   for (const auto& r : chunked.requests) {
@@ -297,7 +297,7 @@ TEST(Scheduler, ImpossibleRequestIsRejectedNotStarved) {
   // final output token never writes KV) and must NOT be rejected.
   const std::vector<TraceRequest> trace{
       {0.0, 64, 32}, {0.1, 16, 8}, {0.2, 48, 17}};
-  const auto stats = s.run(trace);
+  const auto stats = cluster::EventLoop(s, {}).run(trace).sched;
   EXPECT_EQ(stats.rejected, 1);
   EXPECT_TRUE(stats.requests[0].rejected);
   EXPECT_EQ(stats.requests[0].state, RequestState::kFinished);
@@ -321,8 +321,8 @@ TEST(SchedulerPolicy, ShortestJobOvertakesLongJobAtBatch1) {
   const Scheduler fcfs(engine, cfg);
   cfg.policy = SchedPolicy::kShortestJob;
   const Scheduler sjf(engine, cfg);
-  const auto f = fcfs.run(trace);
-  const auto s = sjf.run(trace);
+  const auto f = cluster::EventLoop(fcfs, {}).run(trace).sched;
+  const auto s = cluster::EventLoop(sjf, {}).run(trace).sched;
   // FCFS serves in arrival order: the long job finishes first.
   EXPECT_LT(f.requests[0].finish_s, f.requests[1].finish_s);
   // SJF lets every short job jump the long one.
@@ -344,10 +344,10 @@ TEST(SchedulerPolicy, MaxUtilizationPacksSmallFootprintsFirst) {
   const std::vector<TraceRequest> trace{
       {0.0, 48, 2}, {0.0, 16, 2}, {0.0, 16, 2}};
   const Scheduler fcfs(engine, cfg);
-  const auto f = fcfs.run(trace);
+  const auto f = cluster::EventLoop(fcfs, {}).run(trace).sched;
   cfg.policy = SchedPolicy::kMaxUtilization;
   const Scheduler mu(engine, cfg);
-  const auto m = mu.run(trace);
+  const auto m = cluster::EventLoop(mu, {}).run(trace).sched;
   // Under FCFS, C is the straggler; under max-util, A is.
   EXPECT_GT(f.requests[2].first_token_s, f.requests[1].first_token_s);
   EXPECT_GT(m.requests[0].first_token_s, m.requests[2].first_token_s);
@@ -376,7 +376,7 @@ TEST(Scheduler, FcfsUnlimitedMatchesLegacySimulateServing) {
   ServingConfig sc;
   sc.qps = 1.0;
   sc.duration_s = 120.0;
-  const auto m = simulate_serving(engine, sc);
+  const auto m = simulate_cluster_detailed(engine, sc).sched.metrics;
   EXPECT_NEAR(m.mean_tpot_ms, 7.99, 0.005);  // goldens table, row MARLIN
   EXPECT_NEAR(m.mean_batch, 1.3, 0.05);
 }
