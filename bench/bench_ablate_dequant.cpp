@@ -14,7 +14,7 @@
 #include "quant/pack.hpp"
 #include "util/rng.hpp"
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   using namespace marlin;
   const CliArgs args(argc, argv);
   bench::maybe_print_help(args, "bench_ablate_dequant",
@@ -76,4 +76,8 @@ int main(int argc, char** argv) {
          "The bit-exactness of both paths is proven in "
          "tests/test_pack_dequant.cpp.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return marlin::bench::run_main(argc, argv, run);
 }

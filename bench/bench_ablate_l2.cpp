@@ -9,7 +9,7 @@
 #include "core/timing.hpp"
 #include "gpusim/memory.hpp"
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   using namespace marlin;
   const CliArgs args(argc, argv);
   bench::maybe_print_help(args, "bench_ablate_l2",
@@ -90,4 +90,8 @@ int main(int argc, char** argv) {
                "refetches on misaligned grids — the paper's §3.4 "
                "cache-pollution argument, measured.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return marlin::bench::run_main(argc, argv, run);
 }

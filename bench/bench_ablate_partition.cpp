@@ -12,7 +12,7 @@
 #include "core/timing.hpp"
 #include "serve/model_config.hpp"
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   using namespace marlin;
   using core::striped_partition_stats;
   const CliArgs args(argc, argv);
@@ -97,4 +97,8 @@ int main(int argc, char** argv) {
                "a handful of serial reductions; column-wise idles most SMs "
                "on LLM shapes; k-split balances but multiplies reductions.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return marlin::bench::run_main(argc, argv, run);
 }

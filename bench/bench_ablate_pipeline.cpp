@@ -7,7 +7,7 @@
 #include "core/timing.hpp"
 #include "gpusim/pipeline.hpp"
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   using namespace marlin;
   const CliArgs args(argc, argv);
   bench::maybe_print_help(args, "bench_ablate_pipeline",
@@ -43,4 +43,8 @@ int main(int argc, char** argv) {
          "most latency; P=4 (the paper's choice — even, fits SMEM at M=64) "
          "is within noise of P=8.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return marlin::bench::run_main(argc, argv, run);
 }

@@ -17,7 +17,7 @@
 #include "core/timing.hpp"
 #include "gpusim/warp_exec.hpp"
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   using namespace marlin;
   const CliArgs args(argc, argv);
   bench::maybe_print_help(args, "bench_ablate_warps",
@@ -82,4 +82,8 @@ int main(int argc, char** argv) {
                "per-thread load vector and stalls the pipes — exactly the "
                "paper's argument for Figure 4.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return marlin::bench::run_main(argc, argv, run);
 }

@@ -12,7 +12,7 @@
 #include "quant/gptq.hpp"
 #include "quant/uniform.hpp"
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   using namespace marlin;
   const CliArgs args(argc, argv);
   bench::maybe_print_help(args, "bench_ext_awq",
@@ -69,4 +69,8 @@ int main(int argc, char** argv) {
                "(and the real awq-marlin kernel in vLLM) is unchanged vs "
                "the GPTQ format.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return marlin::bench::run_main(argc, argv, run);
 }

@@ -11,7 +11,7 @@
 #include "eval/synthetic.hpp"
 #include "quant/gptq.hpp"
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   using namespace marlin;
   const CliArgs args(argc, argv);
   bench::maybe_print_help(args, "bench_ext_bitwidths",
@@ -59,4 +59,8 @@ int main(int argc, char** argv) {
                "error — closing that gap needs the vector-quantization "
                "codebooks the paper names as future work.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return marlin::bench::run_main(argc, argv, run);
 }

@@ -6,7 +6,7 @@
 
 #include "common.hpp"
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   using namespace marlin;
   const CliArgs args(argc, argv);
   bench::maybe_print_help(args, "bench_ext_w4a8",
@@ -42,4 +42,8 @@ int main(int argc, char** argv) {
                "into the compute-bound regime — the reason QQQ extended "
                "MARLIN this way.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return marlin::bench::run_main(argc, argv, run);
 }

@@ -9,7 +9,7 @@
 
 #include "common.hpp"
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   using namespace marlin;
   const CliArgs args(argc, argv);
   bench::maybe_print_help(args, "bench_fig10_sustained",
@@ -29,4 +29,8 @@ int main(int argc, char** argv) {
                "every batch size; prior kernels lose additional ground vs "
                "Figure 1.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return marlin::bench::run_main(argc, argv, run);
 }

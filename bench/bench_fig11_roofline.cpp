@@ -12,7 +12,7 @@
 #include "core/timing.hpp"
 #include "gpusim/roofline.hpp"
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   using namespace marlin;
   const CliArgs args(argc, argv);
   bench::maybe_print_help(args, "bench_fig11_roofline",
@@ -64,4 +64,8 @@ int main(int argc, char** argv) {
                "shapes at large batch throttle towards the base-clock "
                "roof.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return marlin::bench::run_main(argc, argv, run);
 }

@@ -9,7 +9,7 @@
 
 #include "common.hpp"
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   using namespace marlin;
   const CliArgs args(argc, argv);
   bench::maybe_print_help(args, "bench_fig12_sparse_peak",
@@ -28,4 +28,8 @@ int main(int argc, char** argv) {
                "memory-bound, 0.75x bytes => ~1.3x gap), up to ~1.65x over "
                "dense at batch 64-128.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return marlin::bench::run_main(argc, argv, run);
 }

@@ -4,7 +4,7 @@
 
 #include "common.hpp"
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   using namespace marlin;
   const CliArgs args(argc, argv);
   bench::maybe_print_help(args, "bench_fig13_sparse_sustained",
@@ -23,4 +23,8 @@ int main(int argc, char** argv) {
   std::cout << "Paper reference: both MARLIN variants stay near their "
                "ideals at base clock; comparators degrade further.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return marlin::bench::run_main(argc, argv, run);
 }

@@ -10,7 +10,7 @@
 #include "common.hpp"
 #include "serve/generation.hpp"
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   using namespace marlin;
   using serve::WeightFormat;
   const CliArgs args(argc, argv);
@@ -74,4 +74,8 @@ int main(int argc, char** argv) {
   std::cout << "\nPaper reference: MARLIN ~3x at small batch; "
                "Sparse-MARLIN ~1.2x over MARLIN.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return marlin::bench::run_main(argc, argv, run);
 }

@@ -10,7 +10,7 @@
 #include "common.hpp"
 #include "serve/server_sim.hpp"
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   using namespace marlin;
   using serve::WeightFormat;
   const CliArgs args(argc, argv);
@@ -100,4 +100,8 @@ int main(int argc, char** argv) {
     bench::maybe_write_observation(cli, *engines[1], sc);
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return marlin::bench::run_main(argc, argv, run);
 }

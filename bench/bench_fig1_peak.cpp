@@ -91,7 +91,7 @@ void functional_sweep(const SimContext& ctx) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   using namespace marlin;
   const CliArgs args(argc, argv);
   bench::maybe_print_help(args, "bench_fig1_peak",
@@ -118,4 +118,8 @@ int main(int argc, char** argv) {
   std::cout << "Paper reference: MARLIN ~3.87x (bs<=16), ~3x (bs=64), "
                "~1.5x (bs=128); comparators <1x beyond bs~32.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return marlin::bench::run_main(argc, argv, run);
 }

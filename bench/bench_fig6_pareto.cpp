@@ -18,7 +18,7 @@
 #include "quant/gptq.hpp"
 #include "quant/uniform.hpp"
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   using namespace marlin;
   const CliArgs args(argc, argv);
   bench::maybe_print_help(args, "bench_fig6_pareto",
@@ -114,4 +114,8 @@ int main(int argc, char** argv) {
               << "x smaller (paper: ~3.33x; lossless bound 3.87x)\n";
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return marlin::bench::run_main(argc, argv, run);
 }

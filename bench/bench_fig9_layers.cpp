@@ -11,7 +11,7 @@
 #include "common.hpp"
 #include "serve/model_config.hpp"
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   using namespace marlin;
   const CliArgs args(argc, argv);
   bench::maybe_print_help(args, "bench_fig9_layers",
@@ -64,4 +64,8 @@ int main(int argc, char** argv) {
                "(~3.5-3.9x), lowest on A100 (~2.5-3x), growing with model "
                "size on every GPU.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return marlin::bench::run_main(argc, argv, run);
 }

@@ -6,7 +6,7 @@
 
 #include "common.hpp"
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   using namespace marlin;
   const CliArgs args(argc, argv);
   bench::maybe_print_help(args, "bench_prefill_large_batch",
@@ -36,4 +36,8 @@ int main(int argc, char** argv) {
   std::cout << "\nPaper reference: ratio ~1.0 up to batch 1024, ~1.1 at "
                "very large shapes.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return marlin::bench::run_main(argc, argv, run);
 }

@@ -19,7 +19,7 @@
 #include "quant/uniform.hpp"
 #include "sparse/sparsegpt.hpp"
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   using namespace marlin;
   const CliArgs args(argc, argv);
   bench::maybe_print_help(args, "bench_table1_accuracy",
@@ -123,4 +123,8 @@ int main(int argc, char** argv) {
             << format_double(nmse_sparse / nmse_int4, 2)
             << "x (2:4+INT4 loses more before fine-tuning, as expected).\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return marlin::bench::run_main(argc, argv, run);
 }

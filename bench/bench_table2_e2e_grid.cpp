@@ -10,7 +10,7 @@
 #include "common.hpp"
 #include "serve/generation.hpp"
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   using namespace marlin;
   const CliArgs args(argc, argv);
   bench::maybe_print_help(args, "bench_table2_e2e_grid",
@@ -69,4 +69,8 @@ int main(int argc, char** argv) {
   std::cout << "\nPaper reference (selection): 7B/A10 2.93..1.20; "
                "70B/A100x8 1.38..1.07; Falcon-180B/A100x8 1.76..1.08.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return marlin::bench::run_main(argc, argv, run);
 }

@@ -495,7 +495,7 @@ ClusterStats EventLoop::run(const std::vector<sched::TraceRequest>& trace,
 
   // Legacy SchedStats over the whole fleet: counters summed, metrics over
   // the trace-order request vector — for one replica this is exactly what
-  // the pre-cluster Scheduler::run computed.
+  // the pre-cluster scheduler loop computed.
   double batch_weighted = 0;
   double decode_time_total = 0;
   for (const Replica& rep : fleet) {

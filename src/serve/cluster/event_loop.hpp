@@ -1,7 +1,7 @@
 #pragma once
 // Cluster-level discrete-event loop: the clock that used to live inside
-// Scheduler::run, hoisted one level up so it can drive a whole fleet of
-// replicas behind a front-end Router.
+// the scheduler's run loop, hoisted one level up so it can drive a whole
+// fleet of replicas behind a front-end Router.
 //
 // The loop is strictly serial and deterministic (part of the
 // bit-identical-across-threads contract; parallelism lives below, in
@@ -27,10 +27,11 @@
 // per tick. The autoscaler's evaluations scan the fleet once each.
 //
 // With one replica this reduces — engine call for engine call — to the
-// original Scheduler::run loop: step 3 is its `admit_arrivals(now)`, the
-// idle frontier is its idle jump, and step 4 is its loop body. That
-// equivalence is what keeps every pre-cluster golden byte-identical
-// through the refactor (and is pinned by test_serve_cluster).
+// original single-engine scheduler loop: step 3 is its
+// `admit_arrivals(now)`, the idle frontier is its idle jump, and step 4
+// is its loop body. That equivalence is what keeps every pre-cluster
+// golden byte-identical through the refactor (and is pinned by
+// test_serve_cluster).
 
 #include <vector>
 
@@ -143,14 +144,14 @@ struct LinkStats {
 
 /// Fleet-level outcome: the legacy SchedStats (metrics over all requests,
 /// counters summed across replicas — for one replica bit-identical to the
-/// pre-cluster Scheduler::run) plus the per-replica split and autoscaler
+/// pre-cluster scheduler loop) plus the per-replica split and autoscaler
 /// accounting.
 struct ClusterStats {
   sched::SchedStats sched;
   std::vector<ReplicaStats> replicas;
   index_t replicas_added = 0;    // autoscaler additions beyond the initial
   index_t replicas_drained = 0;  // drains begun (retired or still busy)
-  index_t autoscaler_evaluations = 0;
+  index_t autoscaler_evaluations = 0;  // evaluation points reached
   index_t peak_replicas = 0;     // max simultaneously routable
 
   // Disaggregation accounting (all zero when disagg is off).

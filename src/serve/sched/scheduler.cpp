@@ -150,7 +150,7 @@ index_t policy_key(SchedPolicy policy, const Request& r) {
 }
 
 /// One tick's worth of scheduling against a ReplicaState — the former
-/// Scheduler::run loop body, with its helper lambdas promoted to member
+/// scheduler run-loop body, with its helper lambdas promoted to member
 /// functions. Constructed per Scheduler::admit/step call (it only
 /// bundles references); every floating-point operation happens in the
 /// exact order of the legacy loop, which is what keeps a 1-replica

@@ -45,7 +45,7 @@ index_t lognormal_tokens(Rng& rng, index_t median, double sigma, index_t lo,
 std::vector<TraceRequest> poisson_trace(const WorkloadConfig& cfg, Rng& rng,
                                         bool lognormal_lengths) {
   // NOTE: for fixed lengths this draw sequence is the exact arrival
-  // process of the pre-subsystem `simulate_serving`, which the fig15/16
+  // process of the pre-subsystem serving simulator, which the fig15/16
   // goldens pin down — lengths (when log-normal) are drawn *after* each
   // arrival so the arrival times themselves stay on the same stream.
   std::vector<TraceRequest> trace;

@@ -1,7 +1,7 @@
 // Cluster serving tier: single-replica EventLoop equivalence across
-// placements, router placement determinism, replica add/drain lifecycle, SLO shed
-// accounting, autoscaler round trips with no KV-block leaks, config
-// validation, disaggregated prefill/decode pools (zero-cost-link
+// placements, router placement determinism, replica add/drain
+// lifecycle, SLO shed accounting, autoscaler round trips with no
+// KV-block leaks, config validation, disaggregated prefill/decode pools (zero-cost-link
 // differential equivalence, priced KV transfers, migration edge cases),
 // the maintained least-loaded counter against a recount after every
 // replica call, and the busy-replica heap against a linear scan.
