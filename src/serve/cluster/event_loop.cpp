@@ -135,7 +135,7 @@ void export_run_metrics(const ClusterStats& stats, obs::MetricsRegistry& m) {
        "Decode KV growths refused by the budget (preemption pressure)",
        n(st.kv_grow_failures)},
       {"marlin_replicas_started_total", "Replicas brought up",
-       n(static_cast<index_t>(stats.replicas.size()))},
+       static_cast<double>(stats.replicas.size())},
       {"marlin_replicas_drained_total",
        "Replica drains begun by the autoscaler", n(stats.replicas_drained)},
       {"marlin_replicas_retired_total", "Drained replicas that went idle",

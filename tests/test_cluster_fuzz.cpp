@@ -419,7 +419,7 @@ std::map<std::string, std::string> expected_totals(
       {"marlin_kv_blocks_freed_total", n(st.kv_blocks_freed)},
       {"marlin_kv_grow_failures_total", n(st.kv_grow_failures)},
       {"marlin_replicas_started_total",
-       n(static_cast<index_t>(cs.replicas.size()))},
+       v(static_cast<double>(cs.replicas.size()))},
       {"marlin_replicas_drained_total", n(cs.replicas_drained)},
       {"marlin_replicas_retired_total", n(retired)},
       {"marlin_autoscaler_evaluations_total", n(cs.autoscaler_evaluations)},
