@@ -69,14 +69,10 @@ index_t recount_load(const Replica& rep,
   return total;
 }
 
-ClusterStats run(const sched::Scheduler& scheduler,
-                 const ClusterOptions& opts,
-                 const std::vector<sched::TraceRequest>& trace) {
-  opts.validate();
-  ClusterStats stats;
-  std::vector<sched::Request>& requests = stats.sched.requests;
+std::vector<sched::Request> requests_from_trace(
+    const std::vector<sched::TraceRequest>& trace) {
+  std::vector<sched::Request> requests;
   requests.reserve(trace.size());
-  index_t max_context = 1;
   for (std::size_t i = 0; i < trace.size(); ++i) {
     requests.emplace_back(static_cast<index_t>(i), trace[i].arrival_s,
                           trace[i].input_tokens, trace[i].output_tokens,
@@ -85,8 +81,20 @@ ClusterStats run(const sched::Scheduler& scheduler,
     requests.back().prefix_tokens = trace[i].prefix_tokens;
     requests.back().num_sequences =
         std::max<index_t>(1, trace[i].num_sequences);
-    max_context =
-        std::max(max_context, trace[i].input_tokens + trace[i].output_tokens);
+  }
+  return requests;
+}
+
+ClusterStats run(const sched::Scheduler& scheduler,
+                 const ClusterOptions& opts,
+                 const std::vector<sched::TraceRequest>& trace) {
+  opts.validate();
+  ClusterStats stats;
+  std::vector<sched::Request>& requests = stats.sched.requests;
+  requests = requests_from_trace(trace);
+  index_t max_context = 1;
+  for (const sched::TraceRequest& t : trace) {
+    max_context = std::max(max_context, t.input_tokens + t.output_tokens);
   }
   const sched::SchedulerConfig& cfg = scheduler.config();
   const SimContext& ctx = SimContext::serial_context();

@@ -27,6 +27,10 @@ namespace marlin::serve::cluster::reference {
 [[nodiscard]] index_t recount_load(
     const Replica& rep, const std::vector<sched::Request>& requests);
 
+/// The trace-order request vector a run over `trace` starts from.
+[[nodiscard]] std::vector<sched::Request> requests_from_trace(
+    const std::vector<sched::TraceRequest>& trace);
+
 /// `EventLoop(scheduler, opts).run(trace)` computed the slow way.
 [[nodiscard]] ClusterStats run(const sched::Scheduler& scheduler,
                                const ClusterOptions& opts,

@@ -17,7 +17,10 @@
 //   - attaching a ServeRecorder with both a trace and a metrics sink
 //     changes no bit of the ClusterStats, and every exported
 //     `marlin_*_total` series equals the stats field it is derived from,
-//     on every seed.
+//     on every seed,
+//   - on every seed's trace run on one FCFS replica, `Scheduler::admit`
+//     produces bit-equal request outcomes and replica counters to the
+//     frozen queue-snapshot admission in reference_admission.cpp.
 //
 // The sweep size defaults to 200 fixed seeds and can be narrowed with
 // MARLIN_FUZZ_SEEDS=<n> (the sanitizer CI job runs a subset; the seeds
@@ -38,6 +41,7 @@
 #include "obs/metrics.hpp"
 #include "obs/serve_recorder.hpp"
 #include "obs/trace.hpp"
+#include "reference_admission.hpp"
 #include "reference_event_loop.hpp"
 #include "serve/server_sim.hpp"
 
@@ -186,6 +190,7 @@ FuzzCase case_for_seed(std::uint64_t seed) {
       as.scale_down_queue_per_replica = scale_down;
     }
   }
+
   return FuzzCase{sc, snap_arrivals ? arrival_grid_s : 0.0};
 }
 
@@ -432,6 +437,77 @@ std::map<std::string, std::string> expected_totals(
   return out;
 }
 
+/// One replica's run over a trace, driven tick by tick the way the
+/// EventLoop drives a single busy replica: deliver every arrival up to
+/// the replica's clock (jumping the idle clock to the next arrival), one
+/// admission pass, one step. `admit` is the admission pass under test.
+struct ReplicaRun {
+  std::vector<sched::Request> requests;
+  sched::ReplicaState state;
+};
+
+template <typename Admit>
+ReplicaRun run_one_replica(const sched::Scheduler& scheduler,
+                           const std::vector<sched::TraceRequest>& trace,
+                           const Admit& admit) {
+  ReplicaRun run{cluster::reference::requests_from_trace(trace),
+                 scheduler.make_replica_state()};
+  std::vector<sched::Request>& requests = run.requests;
+  sched::ReplicaState& s = run.state;
+  scheduler.register_tenants(s, requests);
+  std::size_t next = 0;
+  while (true) {
+    if (!s.busy()) {
+      if (next == requests.size()) break;
+      s.now = std::max(s.now, requests[next].arrival_s);
+    }
+    for (; next < requests.size() && requests[next].arrival_s <= s.now;
+         ++next) {
+      requests[next].replica = 0;
+      s.queue.push_back(next);
+      s.outstanding_tokens += requests[next].owed_tokens();
+    }
+    admit(s, requests);
+    scheduler.step(s, requests);
+  }
+  return run;
+}
+
+// Bit-equality of two single-replica runs: every request's outcome and
+// the replica's counters.
+void expect_same_replica_run(const ReplicaRun& a, const ReplicaRun& b,
+                             std::uint64_t seed) {
+  ASSERT_EQ(a.requests.size(), b.requests.size()) << seed;
+  for (std::size_t i = 0; i < a.requests.size(); ++i) {
+    const sched::Request& p = a.requests[i];
+    const sched::Request& q = b.requests[i];
+    EXPECT_EQ(p.first_token_s, q.first_token_s) << seed << " request " << i;
+    EXPECT_EQ(p.finish_s, q.finish_s) << seed << " request " << i;
+    EXPECT_EQ(p.preemptions, q.preemptions) << seed << " request " << i;
+    EXPECT_EQ(p.generated, q.generated) << seed << " request " << i;
+    EXPECT_EQ(p.shed, q.shed) << seed << " request " << i;
+    EXPECT_EQ(p.rejected, q.rejected) << seed << " request " << i;
+    EXPECT_EQ(p.state, q.state) << seed << " request " << i;
+  }
+  const sched::ReplicaState& x = a.state;
+  const sched::ReplicaState& y = b.state;
+  EXPECT_EQ(x.now, y.now) << seed;
+  EXPECT_EQ(x.preemptions, y.preemptions) << seed;
+  EXPECT_EQ(x.shed, y.shed) << seed;
+  EXPECT_EQ(x.rejected, y.rejected) << seed;
+  EXPECT_EQ(x.prefill_steps, y.prefill_steps) << seed;
+  EXPECT_EQ(x.decode_steps, y.decode_steps) << seed;
+  EXPECT_EQ(x.prefix_cache_hits, y.prefix_cache_hits) << seed;
+  EXPECT_EQ(x.prefix_tokens_skipped, y.prefix_tokens_skipped) << seed;
+  EXPECT_EQ(x.bm.prefix_cache_hit_blocks(), y.bm.prefix_cache_hit_blocks())
+      << seed;
+  EXPECT_EQ(x.bm.cow_forks(), y.bm.cow_forks()) << seed;
+  EXPECT_EQ(x.bm.cow_copies(), y.bm.cow_copies()) << seed;
+  EXPECT_EQ(x.outstanding_tokens, y.outstanding_tokens) << seed;
+  EXPECT_EQ(x.outstanding_tokens, 0) << seed;
+  EXPECT_EQ(x.bm.used_blocks(), 0) << seed;
+}
+
 TEST(ClusterFuzz, InvariantsHoldAcrossTheSeedSweep) {
   const index_t seeds = seed_count();
   // Coverage of the paths the busy-replica heap and the retire check
@@ -485,6 +561,27 @@ TEST(ClusterFuzz, InvariantsHoldAcrossTheSeedSweep) {
         cluster::reference::run(setup.scheduler(), setup.options(),
                                 setup.trace),
         seed);
+    // Admission differential, every seed: the trace on one FCFS replica,
+    // admitted by the scheduler and by the frozen queue-snapshot copy.
+    {
+      ServingConfig one = sc;
+      one.policy = sched::SchedPolicy::kFcfs;
+      const cluster::reference::Setup fcfs(fuzz_engine(), one);
+      const sched::Scheduler& scheduler = fcfs.scheduler();
+      expect_same_replica_run(
+          run_one_replica(scheduler, setup.trace,
+                          [&](sched::ReplicaState& s,
+                              std::vector<sched::Request>& requests) {
+                            scheduler.admit(s, requests);
+                          }),
+          run_one_replica(scheduler, setup.trace,
+                          [&](sched::ReplicaState& s,
+                              std::vector<sched::Request>& requests) {
+                            sched::reference::admit_fcfs(scheduler, s,
+                                                         requests);
+                          }),
+          seed);
+    }
     // Every 8th seed: the run must reproduce bit-for-bit from scratch.
     if (seed % 8 == 0) {
       expect_same_cluster_stats(cs, simulate_cluster_detailed(fuzz_engine(), sc),
