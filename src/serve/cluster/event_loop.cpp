@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <limits>
 #include <string>
 
 #include "obs/metrics.hpp"
@@ -467,7 +468,8 @@ ClusterStats EventLoop::run(const std::vector<sched::TraceRequest>& trace,
 
     // Liveness guard: a tick of a busy replica must change *something*
     // (the clock, a flight, or a terminal counter) or the loop would spin
-    // forever on a scheduler bug.
+    // forever — it idles a decode replica waiting on a landing, and
+    // throws on anything else (a scheduler bug).
     const double now_before = target->now();
     const std::size_t queue_before = target->state().queue.size();
     const std::size_t active_before = target->state().active();
@@ -476,14 +478,24 @@ ClusterStats EventLoop::run(const std::vector<sched::TraceRequest>& trace,
 
     target->tick(requests);
 
-    MARLIN_CHECK(!target->busy() || target->now() != now_before ||
-                     target->state().queue.size() != queue_before ||
-                     target->state().active() != active_before ||
-                     target->state().rejected + target->state().shed !=
-                         terminal_before,
-                 "event loop stalled: replica " << target->id()
-                                                << " made no progress at t="
-                                                << target->now());
+    if (target->busy() && target->now() == now_before &&
+        target->state().queue.size() == queue_before &&
+        target->state().active() == active_before &&
+        target->state().rejected + target->state().shed == terminal_before) {
+      // Only a decode replica's queue can block with nothing admitted:
+      // on KV its in-flight landings hold. It idles until the first one.
+      double land_s = std::numeric_limits<double>::infinity();
+      for (const PendingMigration& p : pending) {
+        if (p.dest == static_cast<std::size_t>(target->id())) {
+          land_s = std::min(land_s, p.ready_s);
+        }
+      }
+      MARLIN_CHECK(land_s < std::numeric_limits<double>::infinity(),
+                   "event loop stalled: replica " << target->id()
+                                                  << " made no progress at t="
+                                                  << target->now());
+      target->advance_to(land_s);
+    }
 
     if (disagg.enabled && target->role() == ReplicaRole::kPrefill) {
       scan_migrations(*target);

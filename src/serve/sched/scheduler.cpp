@@ -352,6 +352,25 @@ class Ticker {
     return std::clamp<index_t>(c, 1, std::max<index_t>(1, remaining));
   }
 
+  // Completion: SLO accounting, every sequence's KV released.
+  void finish(Request& r) {
+    r.finish_s = s_.now;
+    if (cfg_.slo.tpot_deadline_ms > 0 &&
+        request_tpot_ms(r) > cfg_.slo.tpot_deadline_ms) {
+      ++s_.slo_tpot_violations;
+      if (s_.obs != nullptr) s_.obs->on_slo_tpot_violation(s_.now, r.id);
+    }
+    r.set_state(RequestState::kFinished);
+    s_.outstanding_tokens -= r.owed_tokens();
+    s_.bm.release(r.blocks, r.tenant_id);
+    for (SequenceBlocks& f : r.forks) s_.bm.release(f, r.tenant_id);
+    r.forks.clear();
+    if (s_.obs != nullptr) {
+      s_.obs->on_finished(s_.now, r.id, r.generated, request_ttft_ms(r),
+                          request_tpot_ms(r));
+    }
+  }
+
   void prefill_round();
   void decode_round();
 
@@ -507,18 +526,8 @@ void Ticker::prefill_round() {
     }
     r.set_state(RequestState::kRunning);
     // The prompt KV now exists: publish the hashed blocks into the prefix
-    // cache (no-op when the cache is off), then fork the extra sampling
-    // sequences — they share every prompt block until their first
-    // divergent write copy-on-writes the tail.
+    // cache (no-op when the cache is off).
     s_.bm.publish(r.blocks);
-    if (r.num_sequences > 1 && r.forks.empty()) {
-      const index_t per_seq =
-          s_.bm.blocks_for_tokens(r.max_kv_tokens());
-      r.forks.reserve(static_cast<std::size_t>(r.num_sequences - 1));
-      for (index_t k = 1; k < r.num_sequences; ++k) {
-        r.forks.push_back(s_.bm.fork(r.blocks, r.tenant_id, per_seq));
-      }
-    }
     const bool first_token = r.first_token_s < 0;
     if (first_token) {
       r.first_token_s = s_.now;  // prefill emits #1
@@ -533,6 +542,20 @@ void Ticker::prefill_round() {
                               first_token ? request_ttft_ms(r) : 0.0);
     }
     r.generated = std::max<index_t>(r.generated, 1);
+    if (r.generated >= r.output_tokens) {
+      finish(r);  // a 1-token output: the prefill emitted all of it
+      continue;
+    }
+    // Fork the extra sampling sequences: they share every prompt block
+    // until their first divergent write copy-on-writes the tail.
+    if (r.num_sequences > 1 && r.forks.empty()) {
+      const index_t per_seq =
+          s_.bm.blocks_for_tokens(r.max_kv_tokens());
+      r.forks.reserve(static_cast<std::size_t>(r.num_sequences - 1));
+      for (index_t k = 1; k < r.num_sequences; ++k) {
+        r.forks.push_back(s_.bm.fork(r.blocks, r.tenant_id, per_seq));
+      }
+    }
     s_.running.push_back(id);
   }
   s_.prefilling.resize(keep);
@@ -629,21 +652,7 @@ void Ticker::decode_round() {
     // tenant for all of them.
     add_service(r.tenant_id, committed * r.num_sequences);
     if (r.generated >= r.output_tokens) {
-      r.finish_s = s_.now;
-      if (cfg_.slo.tpot_deadline_ms > 0 &&
-          request_tpot_ms(r) > cfg_.slo.tpot_deadline_ms) {
-        ++s_.slo_tpot_violations;
-        if (s_.obs != nullptr) s_.obs->on_slo_tpot_violation(s_.now, r.id);
-      }
-      r.set_state(RequestState::kFinished);
-      s_.outstanding_tokens -= r.owed_tokens();
-      s_.bm.release(r.blocks, r.tenant_id);
-      for (SequenceBlocks& f : r.forks) s_.bm.release(f, r.tenant_id);
-      r.forks.clear();
-      if (s_.obs != nullptr) {
-        s_.obs->on_finished(s_.now, r.id, r.generated, request_ttft_ms(r),
-                            request_tpot_ms(r));
-      }
+      finish(r);
     } else {
       s_.running[keep++] = id;
     }

@@ -308,7 +308,29 @@ ClusterStats run(const sched::Scheduler& scheduler,
 
     target = earliest_busy();
     MARLIN_CHECK(target != nullptr, "reference loop: no busy replica");
+    const double now_before = target->now();
+    const std::size_t queue_before = target->state().queue.size();
+    const std::size_t active_before = target->state().active();
+    const index_t terminal_before =
+        target->state().rejected + target->state().shed;
     target->tick(requests);
+    if (target->busy() && target->now() == now_before &&
+        target->state().queue.size() == queue_before &&
+        target->state().active() == active_before &&
+        target->state().rejected + target->state().shed == terminal_before) {
+      // A decode replica blocked on KV its in-flight landings hold idles
+      // until the first of them lands.
+      double land_s = -1;
+      for (const PendingMigration& p : pending) {
+        if (p.dest == static_cast<std::size_t>(target->id()) &&
+            (land_s < 0 || p.ready_s < land_s)) {
+          land_s = p.ready_s;
+        }
+      }
+      MARLIN_CHECK(land_s >= 0, "reference loop: replica "
+                                    << target->id() << " stalled");
+      target->advance_to(land_s);
+    }
     if (disagg.enabled && target->role() == ReplicaRole::kPrefill) {
       scan_migrations(*target);
     }

@@ -191,7 +191,45 @@ FuzzCase case_for_seed(std::uint64_t seed) {
     }
   }
 
-  return FuzzCase{sc, snap_arrivals ? arrival_grid_s : 0.0};
+  // Edge sizes, drawn after everything above so every seed keeps the
+  // configuration those draws always gave it: 1-token outputs (the
+  // prefill emits the only token), a KV budget exactly at the never-fits
+  // boundary of the nominal request (its lifetime blocks plus the
+  // admission watermark — larger ShareGPT draws are rejected, the
+  // nominal one fits alone), and on a few seeds about 1e4 arrivals at
+  // one instant (the differential traces snap every arrival to t = 0).
+  const bool one_token_outputs = pick(0, 9) == 0;
+  const bool kv_at_boundary = pick(0, 9) == 0;
+  const bool same_instant_burst = pick(0, 49) == 0;
+  if (one_token_outputs) sc.output_tokens = 1;
+  if (kv_at_boundary && !same_instant_burst) {
+    sched::Request nominal(0, 0.0, sc.input_tokens + sc.shared_prefix_tokens,
+                           sc.output_tokens);
+    nominal.num_sequences = sc.sampling_n;
+    const index_t lifetime = nominal.max_kv_blocks(sc.kv_block_size);
+    index_t budget = lifetime;
+    const auto watermark = [&](index_t blocks) {
+      sched::BlockManagerConfig bm;
+      bm.block_size = sc.kv_block_size;
+      bm.num_blocks = blocks;
+      return sched::BlockManager(bm).watermark_blocks();
+    };
+    while (lifetime + watermark(budget) > budget) ++budget;
+    sc.kv_blocks = budget;
+  }
+  double grid_s = snap_arrivals ? arrival_grid_s : 0.0;
+  if (same_instant_burst) {
+    // FCFS: the sorted policies re-sort the whole queue on every tick, so
+    // a 1e4-deep queue would cost them seconds per run. Poisson arrivals
+    // keep the count near 1e4 (a bursty trace's ON windows can triple it).
+    sc.policy = sched::SchedPolicy::kFcfs;
+    if (sc.shape == sched::WorkloadShape::kBursty) {
+      sc.shape = sched::WorkloadShape::kPoisson;
+    }
+    sc.qps = 1e4 / sc.duration_s;
+    grid_s = 2.0 * sc.duration_s;
+  }
+  return FuzzCase{sc, grid_s};
 }
 
 void check_invariants(const cluster::ClusterStats& cs, std::uint64_t seed) {

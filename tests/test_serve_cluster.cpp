@@ -493,6 +493,30 @@ TEST(DisaggMigration, FullDecodePoolFallsBackToDecodingInPlace) {
   EXPECT_EQ(cs.sched.metrics.completed, 3);
 }
 
+TEST(DisaggMigration, BlockedDecodeReplicaWaitsForItsInFlightLanding) {
+  // 8 blocks per replica. The first request lands on the decode replica
+  // and grows to 5 blocks while the second's 3-block receive buffer is
+  // held there in flight (a slow link). Its 6th block cannot be had, so it
+  // is preempted — and its recompute prefill cannot be re-admitted while
+  // the landing still holds the buffer. The decode replica must idle
+  // until the landing, not stall.
+  const sched::Scheduler sch(test_engine(), sched_cfg(8));
+  std::vector<sched::TraceRequest> trace(2);
+  trace[0] = {0.0, 48, 40};
+  trace[1] = {0.15, 48, 40};
+  const ClusterStats cs =
+      EventLoop(sch, disagg_1p1d(0.0, 0.0, 1.0)).run(trace);
+  EXPECT_EQ(cs.migrations, 2);
+  ASSERT_EQ(cs.replicas.size(), 2u);
+  EXPECT_GE(cs.replicas[1].preemptions, 1);
+  EXPECT_EQ(cs.sched.metrics.completed, 2);
+  EXPECT_EQ(cs.replicas[1].leaked_kv_blocks, 0);
+  const ClusterStats ref =
+      reference::run(sch, disagg_1p1d(0.0, 0.0, 1.0), trace);
+  EXPECT_EQ(ref.sched.sim_end_s, cs.sched.sim_end_s);
+  EXPECT_EQ(ref.replicas[1].preemptions, cs.replicas[1].preemptions);
+}
+
 TEST(DisaggMigration, OnlyRunningRequestsMayMigrateOut) {
   const sched::Scheduler sch(test_engine(), sched_cfg(96));
   Replica src(0, sch, ReplicaRole::kPrefill);

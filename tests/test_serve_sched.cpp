@@ -309,6 +309,28 @@ TEST(Scheduler, ImpossibleRequestIsRejectedNotStarved) {
   EXPECT_LE(stats.peak_kv_blocks, 4);
 }
 
+TEST(Scheduler, OneTokenOutputFinishesAtPrefill) {
+  // The prefill emits the first output token, so a 1-token request is
+  // complete when its prefill is: it must never enter a decode step (which
+  // would emit a second token) and never fork its n>1 sequences.
+  const Engine engine(a6000_marlin());
+  SchedulerConfig cfg;
+  cfg.blocks.num_blocks = 64;
+  const Scheduler s(engine, cfg);
+  std::vector<TraceRequest> trace{{0.0, 40, 1}, {0.0, 24, 1}};
+  trace[1].num_sequences = 3;
+  const auto stats = cluster::EventLoop(s, {}).run(trace).sched;
+  EXPECT_EQ(stats.metrics.completed, 2);
+  EXPECT_EQ(stats.decode_steps, 0);
+  EXPECT_EQ(stats.cow_forks, 0);
+  EXPECT_EQ(stats.kv_blocks_freed, stats.kv_blocks_allocated);
+  for (const Request& r : stats.requests) {
+    EXPECT_EQ(r.generated, 1);
+    EXPECT_EQ(r.finish_s, r.first_token_s);
+    EXPECT_EQ(r.state, RequestState::kFinished);
+  }
+}
+
 TEST(SchedulerPolicy, ShortestJobOvertakesLongJobAtBatch1) {
   const Engine engine(a6000_marlin());
   SchedulerConfig cfg;
