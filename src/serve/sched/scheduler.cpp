@@ -130,8 +130,9 @@ ServingMetrics metrics_from_requests(const std::vector<Request>& requests,
 
 namespace {
 
-/// Admission priority key; smaller admits first. FCFS keeps queue order.
-/// (kWeightedFair uses the separate double-valued WFQ key in Ticker.)
+/// Admission priority key of the sorted policies; smaller admits first.
+/// (FCFS walks the queue head unsorted; kWeightedFair uses the separate
+/// double-valued WFQ key in Ticker.)
 index_t policy_key(SchedPolicy policy, const Request& r) {
   switch (policy) {
     case SchedPolicy::kFcfs:
@@ -371,6 +372,13 @@ class Ticker {
     }
   }
 
+  // One queued request's admission attempt, shared by every policy:
+  // shed if SLO-hopeless, reject if it never fits, WFQ reclaim, then
+  // the watermark test and the prefix-cache or plain prefill
+  // allocation. True when the request left the queue (shed, rejected or
+  // admitted); false when the watermark refused it.
+  bool take(std::size_t id);
+
   void prefill_round();
   void decode_round();
 
@@ -385,12 +393,22 @@ class Ticker {
 
 void Ticker::admit() {
   // Admission in policy order, bounded by batch cap and KV watermark.
-  if (s_.queue.empty() ||
-      s_.active() >= static_cast<std::size_t>(cfg_.max_batch)) {
+  const auto batch_cap = static_cast<std::size_t>(cfg_.max_batch);
+  if (s_.queue.empty() || s_.active() >= batch_cap) return;
+  if (cfg_.policy == SchedPolicy::kFcfs) {
+    // FCFS takes a prefix of the queue — it stops at the first request
+    // the watermark refuses — so it walks the head and pops each request
+    // it takes: O(taken) per pass, however deep the queue.
+    while (!s_.queue.empty() && s_.active() < batch_cap &&
+           take(s_.queue.front())) {
+      s_.queue.pop_front();
+    }
     return;
   }
-  // Reused scratch: `order`/`keyed` keep their grown capacity across
-  // ticks; `taken` is lazily sized once and re-cleared via `order` below.
+  // The sorted policies take requests from anywhere in the queue: admit
+  // from a snapshot in policy order, then erase what left. Reused
+  // scratch: `order`/`keyed` keep their grown capacity across ticks;
+  // `taken` is lazily sized once and re-cleared via `order` below.
   ReplicaState::TickScratch& scr = s_.scratch;
   scr.order.assign(s_.queue.begin(), s_.queue.end());
   if (wfq_) {
@@ -407,7 +425,7 @@ void Ticker::admit() {
     for (std::size_t i = 0; i < scr.keyed.size(); ++i) {
       scr.order[i] = scr.keyed[i].second;
     }
-  } else if (cfg_.policy != SchedPolicy::kFcfs) {
+  } else {
     std::stable_sort(scr.order.begin(), scr.order.end(),
                      [&](std::size_t a, std::size_t b) {
                        return policy_key(cfg_.policy, requests_[a]) <
@@ -416,72 +434,75 @@ void Ticker::admit() {
   }
   if (scr.taken.size() < requests_.size()) scr.taken.resize(requests_.size());
   for (const std::size_t id : scr.order) {
-    if (s_.active() >= static_cast<std::size_t>(cfg_.max_batch)) break;
-    Request& r = requests_[id];
-    if (slo_hopeless(r)) {
-      r.shed = true;
-      r.set_state(RequestState::kFinished);
-      s_.outstanding_tokens -= r.owed_tokens();
-      ++s_.shed;
+    if (s_.active() >= batch_cap) break;
+    if (take(id)) {
       scr.taken[id] = 1;
-      if (s_.obs != nullptr) s_.obs->on_shed(s_.now, r.id);
       continue;
     }
-    if (never_fits(r)) {
-      r.rejected = true;
-      r.set_state(RequestState::kFinished);
-      s_.outstanding_tokens -= r.owed_tokens();
-      ++s_.rejected;
-      scr.taken[id] = 1;
-      if (s_.obs != nullptr) s_.obs->on_rejected(s_.now, r.id);
-      continue;
-    }
-    if (wfq_ && !s_.bm.can_admit(r.prefill_target())) {
-      reclaim_for(r);
-    }
-    if (!s_.bm.can_admit(r.prefill_target())) {
-      // FCFS and SJF respect head-of-line order; max-util and WFQ
-      // keep scanning for anything that still fits.
-      if (cfg_.policy == SchedPolicy::kMaxUtilization || wfq_) continue;
-      break;
-    }
-    // Reserve the lifetime footprint up front so decode-time `grow_to`
-    // never reallocates the block-id vector.
-    r.blocks.reserve(
-        static_cast<std::size_t>(s_.bm.blocks_for_tokens(r.max_kv_tokens())));
-    const index_t need = s_.bm.blocks_for_tokens(r.prefill_target());
-    index_t cached_tokens = 0;
-    const PrefixCacheConfig& pc = s_.bm.config().prefix_cache;
-    if (pc.enabled &&
-        r.hashable_prefix_blocks(s_.bm.block_size()) >= pc.min_prefix_blocks) {
-      r.append_prefix_chain(s_.bm.block_size(), need, scr.chain);
-      const index_t hits =
-          s_.bm.acquire_prefill(r.blocks, need, scr.chain, r.tenant_id);
-      // Chunked prefill starts past the cached run — those tokens' KV
-      // already exists, so their prefill compute is skipped outright.
-      cached_tokens = hits * s_.bm.block_size();
-      s_.prefix_tokens_skipped += cached_tokens;
-      if (hits > 0) {
-        ++s_.prefix_cache_hits;
-        if (s_.obs != nullptr) {
-          s_.obs->on_prefix_cache_hit(s_.now, r.id, s_.replica_id, hits,
-                                      cached_tokens);
-        }
-      }
-    } else {
-      s_.bm.acquire(r.blocks, need, r.tenant_id);
-    }
-    r.set_state(RequestState::kPrefilling);
-    set_prefilled(r, cached_tokens);
-    s_.prefilling.push_back(id);
-    scr.taken[id] = 1;
-    if (s_.obs != nullptr) {
-      s_.obs->on_admitted(s_.now, r.id, s_.replica_id, r.blocks.count());
-    }
+    // SJF respects head-of-line order; max-util and WFQ keep scanning
+    // for anything that still fits.
+    if (cfg_.policy == SchedPolicy::kShortestJob) break;
   }
   std::erase_if(s_.queue,
                 [&](std::size_t id) { return scr.taken[id] != 0; });
   for (const std::size_t id : scr.order) scr.taken[id] = 0;
+}
+
+bool Ticker::take(std::size_t id) {
+  Request& r = requests_[id];
+  if (slo_hopeless(r)) {
+    r.shed = true;
+    r.set_state(RequestState::kFinished);
+    s_.outstanding_tokens -= r.owed_tokens();
+    ++s_.shed;
+    if (s_.obs != nullptr) s_.obs->on_shed(s_.now, r.id);
+    return true;
+  }
+  if (never_fits(r)) {
+    r.rejected = true;
+    r.set_state(RequestState::kFinished);
+    s_.outstanding_tokens -= r.owed_tokens();
+    ++s_.rejected;
+    if (s_.obs != nullptr) s_.obs->on_rejected(s_.now, r.id);
+    return true;
+  }
+  if (wfq_ && !s_.bm.can_admit(r.prefill_target())) {
+    reclaim_for(r);
+  }
+  if (!s_.bm.can_admit(r.prefill_target())) return false;
+  // Reserve the lifetime footprint up front so decode-time `grow_to`
+  // never reallocates the block-id vector.
+  r.blocks.reserve(
+      static_cast<std::size_t>(s_.bm.blocks_for_tokens(r.max_kv_tokens())));
+  const index_t need = s_.bm.blocks_for_tokens(r.prefill_target());
+  index_t cached_tokens = 0;
+  const PrefixCacheConfig& pc = s_.bm.config().prefix_cache;
+  if (pc.enabled &&
+      r.hashable_prefix_blocks(s_.bm.block_size()) >= pc.min_prefix_blocks) {
+    r.append_prefix_chain(s_.bm.block_size(), need, s_.scratch.chain);
+    const index_t hits =
+        s_.bm.acquire_prefill(r.blocks, need, s_.scratch.chain, r.tenant_id);
+    // Chunked prefill starts past the cached run — those tokens' KV
+    // already exists, so their prefill compute is skipped outright.
+    cached_tokens = hits * s_.bm.block_size();
+    s_.prefix_tokens_skipped += cached_tokens;
+    if (hits > 0) {
+      ++s_.prefix_cache_hits;
+      if (s_.obs != nullptr) {
+        s_.obs->on_prefix_cache_hit(s_.now, r.id, s_.replica_id, hits,
+                                    cached_tokens);
+      }
+    }
+  } else {
+    s_.bm.acquire(r.blocks, need, r.tenant_id);
+  }
+  r.set_state(RequestState::kPrefilling);
+  set_prefilled(r, cached_tokens);
+  s_.prefilling.push_back(id);
+  if (s_.obs != nullptr) {
+    s_.obs->on_admitted(s_.now, r.id, s_.replica_id, r.blocks.count());
+  }
+  return true;
 }
 
 void Ticker::prefill_round() {

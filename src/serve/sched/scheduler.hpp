@@ -204,6 +204,8 @@ struct ReplicaState {
   /// per-call Ticker) so a steady-state decode tick performs zero heap
   /// allocations — admission and the round compaction reuse the capacity
   /// grown on earlier ticks. Contents are meaningless between calls.
+  /// `order`, `keyed` and `taken` serve only the sorted policies (SJF,
+  /// max-util, WFQ); FCFS admission pops the queue head in place.
   struct TickScratch {
     /// Queue snapshot, rearranged into policy order by `admit`.
     std::vector<std::size_t> order;
@@ -345,7 +347,8 @@ class Scheduler {
   /// One admission pass in policy order, bounded by the batch cap and KV
   /// watermark: rejects never-fitting requests, sheds SLO-hopeless ones,
   /// reclaims quota under WFQ, and moves admitted requests to
-  /// `s.prefilling`.
+  /// `s.prefilling`. FCFS costs O(requests taken) per pass; the sorted
+  /// policies sort a snapshot of the whole queue.
   void admit(ReplicaState& s, std::vector<Request>& requests) const;
 
   /// One engine step at `s.now`: a chunked-prefill round if any request
