@@ -26,18 +26,19 @@ BlockManager::BlockManager(BlockManagerConfig cfg) : cfg_(std::move(cfg)) {
   if (!unlimited()) {
     watermark_blocks_ = static_cast<index_t>(
         std::ceil(cfg_.watermark * static_cast<double>(cfg_.num_blocks)));
-    free_list_.reserve(uz(cfg_.num_blocks));
-    // Stack of ids; popping from the back hands out 0, 1, 2, ... first.
-    for (index_t i = cfg_.num_blocks - 1; i >= 0; --i) free_list_.push_back(i);
+    // Capacity only: ids are minted on first use, so a replica touches
+    // (and pays resident memory for) just the blocks it ever hands out,
+    // while the per-id arrays never reallocate on the decode path.
     const std::size_t n = uz(cfg_.num_blocks);
-    refcount_.assign(n, 0);
-    hash_.assign(n, 0);
-    hashed_.assign(n, 0);
-    published_.assign(n, 0);
-    parked_.assign(n, 0);
-    lru_prev_.assign(n, -1);
-    lru_next_.assign(n, -1);
-    holder_head_.assign(n, -1);
+    free_list_.reserve(n);
+    refcount_.reserve(n);
+    hash_.reserve(n);
+    hashed_.reserve(n);
+    published_.reserve(n);
+    parked_.reserve(n);
+    lru_prev_.reserve(n);
+    lru_next_.reserve(n);
+    holder_head_.reserve(n);
     // Two nodes per block cover single ownership plus one shared
     // reference without the pool ever reallocating on the steady-state
     // decode path; deeper sharing grows it geometrically.
@@ -89,15 +90,18 @@ void BlockManager::ensure_id(index_t id) {
 }
 
 index_t BlockManager::pop_free_block() {
-  // Free list first; under pressure reclaim the LRU's oldest parked
-  // block; only an unlimited cache mints fresh ids.
-  if (free_list_.empty() && cached_ > 0) evict_one();
+  // Returned ids first (LIFO). A bounded budget then mints its unseen ids
+  // in ascending order — exactly what a stack pre-filled with every id
+  // would hand out — and reclaims the LRU's oldest parked block only once
+  // all are minted. An unlimited cache reclaims before minting.
+  const bool mint_first = !unlimited() && next_fresh_ < cfg_.num_blocks;
+  if (free_list_.empty() && !mint_first && cached_ > 0) evict_one();
   if (!free_list_.empty()) {
     const index_t id = free_list_.back();
     free_list_.pop_back();
     return id;
   }
-  MARLIN_ASSERT(unlimited());
+  MARLIN_ASSERT(unlimited() || mint_first);
   const index_t id = next_fresh_++;
   ensure_id(id);
   return id;

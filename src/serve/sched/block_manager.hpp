@@ -239,10 +239,11 @@ class BlockManager {
   };
 
   [[nodiscard]] bool cache_on() const { return cfg_.prefix_cache.enabled; }
-  /// Grows the per-id state arrays to cover `id` (unlimited mode).
+  /// Grows the per-id state arrays to cover a freshly minted `id`.
   void ensure_id(index_t id);
-  /// Pops a free block id: free list first, then LRU eviction, then (in
-  /// unlimited mode) a fresh id.
+  /// Pops a free block id: a returned id first (LIFO); then, bounded, a
+  /// fresh id while any is unminted and LRU eviction after; unlimited,
+  /// LRU eviction and then a fresh id.
   [[nodiscard]] index_t pop_free_block();
   /// `tenant`'s charge-accounting slot, grown on first appearance.
   [[nodiscard]] index_t& tenant_slot(index_t tenant);
@@ -274,10 +275,11 @@ class BlockManager {
   index_t prefix_evictions_total_ = 0;
   index_t cow_forks_total_ = 0;
   index_t cow_copies_total_ = 0;
-  std::vector<index_t> free_list_;  // bounded mode: ids ready to reuse
-  index_t next_fresh_ = 0;          // unlimited mode: next unseen id
+  std::vector<index_t> free_list_;  // returned ids ready to reuse
+  index_t next_fresh_ = 0;          // next never-minted id
 
-  // Per-id state (indexed by block id; grown on demand in unlimited mode).
+  // Per-id state (indexed by block id; grown as ids are minted — within
+  // the reserved capacity in bounded mode).
   std::vector<index_t> refcount_;
   /// Chain hash per id; meaningful iff `hashed_[id]`.
   std::vector<std::uint64_t> hash_;

@@ -185,6 +185,43 @@ TEST(PrefixCache, PressureEvictsDeepestChainPositionsFirst) {
   bm.release(b);
 }
 
+TEST(PrefixCache, BoundedIdsMintInOrderReuseLifoAndEvictLast) {
+  // A bounded budget mints ids on first use, yet hands them out in the
+  // order a stack pre-filled with every id would: 0, 1, 2, ... fresh,
+  // returned ids LIFO ahead of fresh ones, and a parked block is evicted
+  // only once every id is in use or parked.
+  BlockManager bm(cache_cfg(6));
+  const auto chain = chain_of(0, 2);
+  SequenceBlocks p;
+  bm.acquire_prefill(p, 2, chain);
+  EXPECT_EQ(p.ids(), (std::vector<index_t>{0, 1}));
+  bm.publish(p);
+  bm.release(p);  // parks 1 (LRU head), then 0
+  EXPECT_EQ(bm.cached_blocks(), 2);
+
+  SequenceBlocks a;
+  bm.acquire(a, 3);  // unminted ids go out before any parked one
+  EXPECT_EQ(a.ids(), (std::vector<index_t>{2, 3, 4}));
+  EXPECT_EQ(bm.prefix_cache_evictions(), 0);
+  bm.release(a);  // returns 4, 3, 2: 2 is on top
+
+  SequenceBlocks b;
+  bm.acquire(b, 2);
+  EXPECT_EQ(b.ids(), (std::vector<index_t>{2, 3}));
+  SequenceBlocks c;
+  bm.acquire(c, 2);  // the last returned id, then the last unminted one
+  EXPECT_EQ(c.ids(), (std::vector<index_t>{4, 5}));
+  EXPECT_EQ(bm.prefix_cache_evictions(), 0);
+
+  SequenceBlocks d;
+  bm.acquire(d, 1);  // every id in use or parked: evict the LRU head
+  EXPECT_EQ(d.ids(), (std::vector<index_t>{1}));
+  EXPECT_EQ(bm.prefix_cache_evictions(), 1);
+  EXPECT_EQ(bm.cached_chain_blocks(chain), 1);
+  for (SequenceBlocks* s : {&b, &c, &d}) bm.release(*s);
+  EXPECT_EQ(bm.used_blocks(), 0);
+}
+
 TEST(PrefixCache, MaxCachedBlocksCapsTheLru) {
   BlockManager bm(cache_cfg(8, /*max_cached=*/2));
   const auto chain = chain_of(0, 4);
