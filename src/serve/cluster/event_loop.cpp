@@ -286,8 +286,7 @@ ClusterStats EventLoop::run(const std::vector<sched::TraceRequest>& trace,
         continue;
       }
       r.migration_decided = true;
-      if (src.lifecycle() != ReplicaLifecycle::kActive ||
-          r.generated >= r.output_tokens) {
+      if (src.lifecycle() != ReplicaLifecycle::kActive) {
         ++pos;
         continue;
       }
