@@ -91,9 +91,8 @@ void BlockManager::ensure_id(index_t id) {
 
 index_t BlockManager::pop_free_block() {
   // Returned ids first (LIFO). A bounded budget then mints its unseen ids
-  // in ascending order — exactly what a stack pre-filled with every id
-  // would hand out — and reclaims the LRU's oldest parked block only once
-  // all are minted. An unlimited cache reclaims before minting.
+  // in ascending order and reclaims the LRU's oldest parked block only
+  // once all are minted; an unlimited cache reclaims before minting.
   const bool mint_first = !unlimited() && next_fresh_ < cfg_.num_blocks;
   if (free_list_.empty() && !mint_first && cached_ > 0) evict_one();
   if (!free_list_.empty()) {
