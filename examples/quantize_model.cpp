@@ -18,7 +18,7 @@
 #include "util/sim_context.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   using namespace marlin;
   const CliArgs args(argc, argv);
   bench::maybe_print_help(
@@ -102,4 +102,8 @@ int main(int argc, char** argv) {
             << format_double(fp16_bytes / total_bytes, 2)
             << "x compression)\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return marlin::bench::run_main(argc, argv, run);
 }

@@ -16,15 +16,7 @@ HessianAccumulator::HessianAccumulator(index_t k) : k_(k), gram_(k, k, 0.0) {
 void HessianAccumulator::add_sequence(ConstMatrixView<float> x) {
   MARLIN_CHECK(x.cols() == k_, "activation width " << x.cols()
                                                    << " != hessian dim " << k_);
-  for (index_t r = 0; r < x.rows(); ++r) {
-    for (index_t i = 0; i < k_; ++i) {
-      const double xi = x(r, i);
-      if (xi == 0.0) continue;
-      for (index_t j = i; j < k_; ++j) {
-        gram_(i, j) += xi * static_cast<double>(x(r, j));
-      }
-    }
-  }
+  add_gram_upper(x, gram_);
   tokens_ += x.rows();
 }
 
@@ -41,36 +33,153 @@ Matrix<double> HessianAccumulator::hessian() const {
   return h;
 }
 
+Matrix<double> damped_inverse_factor(Matrix<double> h, double damping,
+                                     std::vector<std::uint8_t>* dead) {
+  const index_t k = h.rows();
+  double mean_diag = 0.0;
+  for (index_t i = 0; i < k; ++i) mean_diag += h(i, i);
+  mean_diag /= static_cast<double>(k);
+  MARLIN_CHECK(mean_diag > 0.0, "hessian has zero diagonal");
+  const double lambda = damping * mean_diag;
+  if (dead != nullptr) dead->assign(static_cast<std::size_t>(k), 0);
+  for (index_t i = 0; i < k; ++i) {
+    if (dead != nullptr && h(i, i) == 0.0) {
+      (*dead)[static_cast<std::size_t>(i)] = 1;
+      h(i, i) = 1.0;
+    }
+    h(i, i) += lambda;
+  }
+  return upper_cholesky_of_inverse(std::move(h));
+}
+
 namespace {
 
-/// Per-column scale over rows [g0, g1) of the working copy, optionally with
-/// the §3.5 clipping-threshold search.
-float group_scale(const Matrix<double>& w, index_t g0, index_t g1, index_t col,
-                  const QuantConfig& cfg) {
+/// Rows per lazy-batch block, and columns per tile of the deferred update
+/// (a 128 x 128 error tile is 128 KiB, so it stays in L2 while the rows
+/// below stream past it).
+constexpr index_t kBlockRows = 128;
+constexpr index_t kTileCols = 128;
+/// Columns whose group values are gathered together for the scale search.
+constexpr index_t kScaleCols = 16;
+
+/// work[r, j0:j1) -= e[j0:j1) * f.
+void subtract_scaled(double* wr, const double* e, double f, index_t j0,
+                     index_t j1) {
+  for (index_t j = j0; j < j1; ++j) wr[j] -= e[j] * f;
+}
+
+/// FP16 scales of the group at rows [g0, g1) from the current values of
+/// `work`, into q.scales and (as floats) scales_now.
+void set_group_scales(const Matrix<double>& work, index_t g0, index_t g1,
+                      const QuantConfig& cfg, QuantizedWeights& q,
+                      std::vector<float>& scales_now,
+                      std::vector<float>& vals) {
+  const index_t n = work.cols(), len = g1 - g0;
+  const index_t gi = cfg.group_of_row(g0);
+  vals.resize(static_cast<std::size_t>(kScaleCols * len));
+  for (index_t j0 = 0; j0 < n; j0 += kScaleCols) {
+    const index_t cols = std::min(kScaleCols, n - j0);
+    for (index_t i = g0; i < g1; ++i) {
+      const double* wr = &work(i, j0);
+      for (index_t c = 0; c < cols; ++c) {
+        vals[static_cast<std::size_t>(c * len + i - g0)] =
+            static_cast<float>(wr[c]);
+      }
+    }
+    for (index_t c = 0; c < cols; ++c) {
+      const std::span<const float> v(vals.data() + c * len,
+                                     static_cast<std::size_t>(len));
+      const Half sh(group_scale(v, cfg));
+      q.scales(gi, j0 + c) = sh;
+      scales_now[static_cast<std::size_t>(j0 + c)] = sh.to_float();
+    }
+  }
+}
+
+}  // namespace
+
+void gptq_solve(Matrix<double>& work, const Matrix<double>& u,
+                const QuantConfig& scale_cfg, QuantizedWeights& q,
+                const RowQuantizer& quantize_row) {
+  const index_t k = work.rows(), n = work.cols();
+  const index_t g = scale_cfg.group_size == kPerColumn ? k : scale_cfg.group_size;
+  std::vector<float> scales_now(static_cast<std::size_t>(n), 1.0f);
   std::vector<float> vals;
-  vals.reserve(static_cast<std::size_t>(g1 - g0));
-  for (index_t i = g0; i < g1; ++i) {
-    vals.push_back(static_cast<float>(w(i, col)));
-  }
-  if (!cfg.clip_search) return symmetric_scale(vals, cfg.bits, 1.0f);
-  float best_s = symmetric_scale(vals, cfg.bits, 1.0f);
-  double best_err = HUGE_VAL;
-  for (float clip = 1.0f; clip >= 0.45f; clip -= 0.05f) {
-    const float s_raw = symmetric_scale(vals, cfg.bits, clip);
-    const float s = Half(s_raw).to_float();
-    double err = 0.0;
-    const int zero = 1 << (cfg.bits - 1);
-    for (const float v : vals) {
-      const int code = static_cast<int>(encode_symmetric(v, s, cfg.bits)) - zero;
-      const double d = static_cast<double>(v) - static_cast<double>(code) * s;
-      err += d * d;
+  std::vector<double> err(static_cast<std::size_t>(std::min(k, kBlockRows) * n));
+  for (index_t b0 = 0; b0 < k;) {
+    // A group must not straddle the block's end, or its scale would read
+    // rows that still lack this block's updates.
+    index_t b1 = std::min(k, b0 + kBlockRows);
+    if (b1 < k && b1 - b1 % g > b0) b1 -= b1 % g;
+
+    for (index_t row = b0; row < b1; ++row) {
+      if (row % g == 0) {
+        set_group_scales(work, row, std::min(k, row + g), scale_cfg, q,
+                         scales_now, vals);
+      }
+      double* e = &err[static_cast<std::size_t>((row - b0) * n)];
+      quantize_row(row, scales_now.data(), e);
+      for (index_t r = row + 1; r < b1; ++r) {
+        const double f = u(row, r);
+        if (f == 0.0) continue;
+        subtract_scaled(&work(r, 0), e, f, 0, n);
+      }
     }
-    if (err < best_err) {
-      best_err = err;
-      best_s = s_raw;
+
+    // The deferred update of rows [b1, k), in the same per-element order.
+    for (index_t j0 = 0; j0 < n; j0 += kTileCols) {
+      const index_t j1 = std::min(n, j0 + kTileCols);
+      for (index_t r = b1; r < k; ++r) {
+        double* wr = &work(r, 0);
+        for (index_t i = b0; i < b1; ++i) {
+          const double f = u(i, r);
+          if (f == 0.0) continue;
+          subtract_scaled(wr, &err[static_cast<std::size_t>((i - b0) * n)], f,
+                          j0, j1);
+        }
+      }
+    }
+    b0 = b1;
+  }
+}
+
+namespace {
+
+/// GPTQ over the rows in their given order; consumes the Hessian copy.
+GptqResult quantize_in_order(ConstMatrixView<float> w, Matrix<double> hessian,
+                             const GptqConfig& cfg) {
+  const index_t k = w.rows(), n = w.cols();
+  std::vector<std::uint8_t> dead;
+  const Matrix<double> u =
+      damped_inverse_factor(std::move(hessian), cfg.damping, &dead);
+  Matrix<double> work(k, n);
+  for (index_t i = 0; i < k; ++i) {
+    for (index_t j = 0; j < n; ++j) {
+      work(i, j) =
+          dead[static_cast<std::size_t>(i)] ? 0.0 : static_cast<double>(w(i, j));
     }
   }
-  return best_s;
+
+  GptqResult res;
+  res.weights = QuantizedWeights(k, n, cfg.quant);
+  auto& q = res.weights;
+  const int bits = cfg.quant.bits;
+  gptq_solve(work, u, cfg.quant, q,
+             [&](index_t row, const float* scales, double* err) {
+               const double d = u(row, row);
+               for (index_t j = 0; j < n; ++j) {
+                 const double wv = work(row, j);
+                 const float s = scales[j];
+                 const std::uint8_t code =
+                     encode_symmetric(static_cast<float>(wv), s, bits);
+                 q.codes(row, j) = code;
+                 const double dq = (static_cast<int>(code) - (1 << (bits - 1))) *
+                                   static_cast<double>(s);
+                 err[j] = (wv - dq) / d;
+                 res.hessian_weighted_error += err[j] * err[j];
+               }
+             });
+  return res;
 }
 
 }  // namespace
@@ -81,6 +190,7 @@ GptqResult gptq_quantize(ConstMatrixView<float> w,
   const index_t k = w.rows(), n = w.cols();
   MARLIN_CHECK(hessian.rows() == k && hessian.cols() == k,
                "hessian must be K x K");
+  cfg.quant.validate();
 
   if (cfg.act_order) {
     // desc_act: process rows by decreasing Hessian diagonal. Permute W and
@@ -101,9 +211,7 @@ GptqResult gptq_quantize(ConstMatrixView<float> w,
         hp(i, j) = hessian(pi, perm[static_cast<std::size_t>(j)]);
       }
     }
-    GptqConfig inner = cfg;
-    inner.act_order = false;
-    GptqResult permuted = gptq_quantize(wp.view(), hp, inner);
+    GptqResult permuted = quantize_in_order(wp.view(), std::move(hp), cfg);
 
     GptqResult res;
     res.hessian_weighted_error = permuted.hessian_weighted_error;
@@ -120,74 +228,7 @@ GptqResult gptq_quantize(ConstMatrixView<float> w,
     }
     return res;
   }
-
-  // Damping + dead-feature handling, exactly as in the reference GPTQ.
-  Matrix<double> h = hessian;
-  double mean_diag = 0.0;
-  for (index_t i = 0; i < k; ++i) mean_diag += h(i, i);
-  mean_diag /= static_cast<double>(k);
-  MARLIN_CHECK(mean_diag > 0.0, "hessian has zero diagonal");
-  const double lambda = cfg.damping * mean_diag;
-
-  Matrix<double> work(k, n);
-  for (index_t i = 0; i < k; ++i) {
-    const bool dead = h(i, i) == 0.0;
-    if (dead) h(i, i) = 1.0;
-    h(i, i) += lambda;
-    for (index_t j = 0; j < n; ++j) {
-      work(i, j) = dead ? 0.0 : static_cast<double>(w(i, j));
-    }
-  }
-
-  const Matrix<double> u = upper_cholesky_of_inverse(h);
-
-  GptqResult res;
-  res.weights = QuantizedWeights(k, n, cfg.quant);
-  auto& q = res.weights;
-
-  const index_t g =
-      cfg.quant.group_size == kPerColumn ? k : cfg.quant.group_size;
-  std::vector<float> scales_now(static_cast<std::size_t>(n), 1.0f);
-  std::vector<double> err_row(static_cast<std::size_t>(n));
-
-  for (index_t row = 0; row < k; ++row) {
-    if (row % g == 0) {
-      const index_t g1 = std::min(k, row + g);
-      const index_t gi = cfg.quant.group_of_row(row);
-      for (index_t j = 0; j < n; ++j) {
-        const float s = group_scale(work, row, g1, j, cfg.quant);
-        const Half sh(s);
-        q.scales(gi, j) = sh;
-        scales_now[static_cast<std::size_t>(j)] = sh.to_float();
-      }
-    }
-
-    const double d = u(row, row);
-    for (index_t j = 0; j < n; ++j) {
-      const double wv = work(row, j);
-      const float s = scales_now[static_cast<std::size_t>(j)];
-      const std::uint8_t code =
-          encode_symmetric(static_cast<float>(wv), s, cfg.quant.bits);
-      q.codes(row, j) = code;
-      const double dq =
-          (static_cast<int>(code) - (1 << (cfg.quant.bits - 1))) *
-          static_cast<double>(s);
-      const double err = (wv - dq) / d;
-      err_row[static_cast<std::size_t>(j)] = err;
-      res.hessian_weighted_error += err * err;
-    }
-
-    // Propagate: W[row+1:, :] -= err ⊗ U[row, row+1:].
-    for (index_t r = row + 1; r < k; ++r) {
-      const double f = u(row, r);
-      if (f == 0.0) continue;
-      double* wr = &work(r, 0);
-      for (index_t j = 0; j < n; ++j) {
-        wr[j] -= err_row[static_cast<std::size_t>(j)] * f;
-      }
-    }
-  }
-  return res;
+  return quantize_in_order(w, hessian, cfg);
 }
 
 }  // namespace marlin::quant

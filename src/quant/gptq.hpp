@@ -12,6 +12,10 @@
 // row k is propagated into the remaining rows through row k of the upper
 // Cholesky factor U of H^{-1} (the classic GPTQ update).
 
+#include <cstdint>
+#include <functional>
+#include <vector>
+
 #include "quant/linalg.hpp"
 #include "quant/qweights.hpp"
 
@@ -56,6 +60,38 @@ class HessianAccumulator {
   index_t tokens_ = 0;
   Matrix<double> gram_;
 };
+
+/// Upper Cholesky factor U of the damped inverse Hessian (H + λI)^{-1},
+/// with GPTQ's "percdamp" λ = damping * mean(diag H). With `dead`
+/// non-null, a row whose diagonal is 0 (an input feature that never
+/// fired) gets H_ii = 1 before damping and is flagged in *dead, as in
+/// reference GPTQ; the caller zeroes its weights.
+Matrix<double> damped_inverse_factor(Matrix<double> h, double damping,
+                                     std::vector<std::uint8_t>* dead);
+
+/// Quantizes row `row` of the working weights against the current group
+/// scales (FP16 values as floats, one per column): stores its codes and
+/// writes each column's scaled error (w - q) / U_rr into err.
+using RowQuantizer =
+    std::function<void(index_t row, const float* scales, double* err)>;
+
+/// The GPTQ solve shared by GPTQ and SparseGPT-lite. Walks the rows of
+/// `work` (K x N) top to bottom: at each group start of `scale_cfg` it
+/// sets the group's FP16 scales in `q` from the group's current,
+/// error-compensated values; it quantizes each row with `quantize_row`
+/// and subtracts err ⊗ U[row, row+1:] from the rows below.
+///
+/// Rows run in lazy-batch blocks (GPTQ paper §4, "lazy batch-updates") of
+/// at most 128 rows that never split a group after its first row: inside
+/// a block the update is applied at once; rows past the block receive the
+/// block's errors afterwards, column tile by column tile. Every element
+/// still receives its updates in row order, so the result is the same as
+/// the row-at-a-time loop, bit for bit, and every row a group scale,
+/// `quantize_row` or a 4-row-aligned look-ahead within the block reads is
+/// fully updated.
+void gptq_solve(Matrix<double>& work, const Matrix<double>& u,
+                const QuantConfig& scale_cfg, QuantizedWeights& q,
+                const RowQuantizer& quantize_row);
 
 /// Quantize W (K x N) given a calibration Hessian (K x K).
 GptqResult gptq_quantize(ConstMatrixView<float> w,

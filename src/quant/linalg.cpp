@@ -1,72 +1,163 @@
 #include "quant/linalg.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "util/simd_ops.hpp"
 
 namespace marlin::quant {
 
+namespace {
+
+/// Right-hand sides solved per pass of solve_columns: independent chains
+/// that share each load of the factor.
+constexpr index_t kRhs = 8;
+
+/// Copies the lower triangle of `a` onto its upper triangle.
+void mirror_lower(Matrix<double>& a) {
+  const index_t n = a.rows();
+  MARLIN_CHECK(a.cols() == n, "matrix must be square");
+  for (index_t i = 1; i < n; ++i) {
+    for (index_t j = 0; j < i; ++j) a(j, i) = a(i, j);
+  }
+}
+
+/// In-place Cholesky on the upper triangle: on entry it holds the SPD
+/// matrix H, on exit the factor R = L^T with R^T R = H. Every entry sees
+/// the textbook left-looking loop's operations in the same order (one
+/// subtraction per earlier pivot, ascending, then the divide), only
+/// grouped by pivot so the inner loop runs along a row. The strict lower
+/// triangle is not touched.
+void factor_upper(Matrix<double>& a) {
+  const index_t n = a.rows();
+  for (index_t t = 0; t < n; ++t) {
+    double* rt = &a(t, 0);
+    MARLIN_CHECK(rt[t] > 0.0, "matrix not positive definite at pivot " << t);
+    const double d = std::sqrt(rt[t]);
+    rt[t] = d;
+    for (index_t i = t + 1; i < n; ++i) rt[i] /= d;
+    for (index_t j = t + 1; j < n; ++j) {
+      const double f = rt[j];
+      double* rj = &a(j, 0);
+      for (index_t i = j; i < n; ++i) rj[i] -= rt[i] * f;
+    }
+  }
+}
+
+/// Columns [c0, c0 + kRhs) of H^{-1} from the upper factor R = L^T (upper
+/// triangle of `r`): solves L Y = I, then L^T X = Y, for rows [stop, n)
+/// of X, into x (n x kRhs, row-major). Column c's entries keep the
+/// operation order of the textbook per-column solve: the forward solve
+/// starts at row c0, because the rows above a unit vector's 1 stay +0 and
+/// subtracting a finite ±0 product leaves a value unchanged.
+void solve_columns(const Matrix<double>& r, index_t c0, index_t stop,
+                   std::vector<double>& x) {
+  const index_t n = r.rows();
+  x.assign(static_cast<std::size_t>(n * kRhs), 0.0);
+  const auto at = [&](index_t i) {
+    return x.data() + static_cast<std::size_t>(i * kRhs);
+  };
+  for (index_t c = c0; c < std::min(n, c0 + kRhs); ++c) at(c)[c - c0] = 1.0;
+  // Forward: Y row t is final once every earlier row has been subtracted;
+  // it is then pushed into the rows below along R's row t.
+  for (index_t t = c0; t < n; ++t) {
+    const double* rt = &r(t, 0);
+    double* yt = at(t);
+    for (index_t c = 0; c < kRhs; ++c) yt[c] /= rt[t];
+    for (index_t i = t + 1; i < n; ++i) {
+      double* yi = at(i);
+      for (index_t c = 0; c < kRhs; ++c) yi[c] -= rt[i] * yt[c];
+    }
+  }
+  // Back: X row i = (Y row i - sum_{t>i} L(t,i) X row t) / L(i,i), with
+  // L's column i read as R's row i.
+  for (index_t i = n - 1; i >= stop; --i) {
+    const double* ri = &r(i, 0);
+    std::array<double, kRhs> s;
+    std::copy_n(at(i), kRhs, s.begin());
+    for (index_t t = i + 1; t < n; ++t) {
+      const double* xt = at(t);
+      for (index_t c = 0; c < kRhs; ++c) s[c] -= ri[t] * xt[c];
+    }
+    double* xi = at(i);
+    for (index_t c = 0; c < kRhs; ++c) xi[c] = s[c] / ri[i];
+  }
+}
+
+}  // namespace
+
 Matrix<double> cholesky_lower(const Matrix<double>& h) {
   const index_t n = h.rows();
-  MARLIN_CHECK(h.cols() == n, "matrix must be square");
+  Matrix<double> r = h;
+  mirror_lower(r);
+  factor_upper(r);
   Matrix<double> l(n, n, 0.0);
-  for (index_t j = 0; j < n; ++j) {
-    double diag = h(j, j);
-    for (index_t t = 0; t < j; ++t) diag -= l(j, t) * l(j, t);
-    MARLIN_CHECK(diag > 0.0, "matrix not positive definite at pivot " << j);
-    l(j, j) = std::sqrt(diag);
-    for (index_t i = j + 1; i < n; ++i) {
-      double s = h(i, j);
-      for (index_t t = 0; t < j; ++t) s -= l(i, t) * l(j, t);
-      l(i, j) = s / l(j, j);
-    }
+  for (index_t i = 0; i < n; ++i) {
+    for (index_t j = 0; j <= i; ++j) l(i, j) = r(j, i);
   }
   return l;
 }
 
 Matrix<double> spd_inverse(const Matrix<double>& h) {
   const index_t n = h.rows();
-  const Matrix<double> l = cholesky_lower(h);
-  // Solve L Y = I, then L^T X = Y, column by column.
-  Matrix<double> inv(n, n, 0.0);
-  std::vector<double> y(static_cast<std::size_t>(n));
-  for (index_t c = 0; c < n; ++c) {
-    for (index_t i = 0; i < n; ++i) {
-      double s = (i == c) ? 1.0 : 0.0;
-      for (index_t t = 0; t < i; ++t) s -= l(i, t) * y[static_cast<std::size_t>(t)];
-      y[static_cast<std::size_t>(i)] = s / l(i, i);
-    }
-    for (index_t i = n - 1; i >= 0; --i) {
-      double s = y[static_cast<std::size_t>(i)];
-      for (index_t t = i + 1; t < n; ++t) s -= l(t, i) * inv(t, c);
-      inv(i, c) = s / l(i, i);
+  Matrix<double> r = h;
+  mirror_lower(r);
+  factor_upper(r);
+  Matrix<double> inv(n, n);
+  std::vector<double> x;
+  for (index_t c0 = 0; c0 < n; c0 += kRhs) {
+    solve_columns(r, c0, 0, x);
+    for (index_t c = c0; c < std::min(n, c0 + kRhs); ++c) {
+      for (index_t i = 0; i < n; ++i) {
+        inv(i, c) = x[static_cast<std::size_t>(i * kRhs + c - c0)];
+      }
     }
   }
   return inv;
 }
 
-Matrix<double> upper_cholesky_of_inverse(const Matrix<double>& h) {
+Matrix<double> upper_cholesky_of_inverse(Matrix<double> h) {
   const index_t n = h.rows();
-  // H^{-1} = L L^T  =>  H^{-1} = U^T U with U = L^T (upper triangular).
-  const Matrix<double> l = cholesky_lower(spd_inverse(h));
-  Matrix<double> u(n, n, 0.0);
-  for (index_t i = 0; i < n; ++i) {
-    for (index_t j = 0; j <= i; ++j) u(j, i) = l(i, j);
+  mirror_lower(h);
+  factor_upper(h);
+  // H^{-1} = L2 L2^T => U = L2^T. The second Cholesky reads only the
+  // lower triangle of H^{-1}, so each column c is solved for rows i >= c
+  // alone and stored as row c of the upper triangle. Rows [c0, c0 + kRhs)
+  // of R are dead once their columns are solved, so they take the result.
+  std::vector<double> x;
+  for (index_t c0 = 0; c0 < n; c0 += kRhs) {
+    solve_columns(h, c0, c0, x);
+    for (index_t c = c0; c < std::min(n, c0 + kRhs); ++c) {
+      for (index_t i = c; i < n; ++i) {
+        h(c, i) = x[static_cast<std::size_t>(i * kRhs + c - c0)];
+      }
+    }
   }
-  return u;
+  factor_upper(h);
+  for (index_t i = 1; i < n; ++i) {
+    for (index_t j = 0; j < i; ++j) h(i, j) = 0.0;
+  }
+  return h;
 }
 
-Matrix<double> gram(ConstMatrixView<float> a) {
-  const index_t m = a.rows(), n = a.cols();
-  Matrix<double> g(n, n, 0.0);
+void add_gram_upper(ConstMatrixView<float> a, Matrix<double>& g) {
+  const index_t n = a.cols();
+  MARLIN_CHECK(g.rows() == n && g.cols() == n, "gram must be n x n");
   const simd::Ops& o = simd::ops();
-  for (index_t r = 0; r < m; ++r) {
+  for (index_t r = 0; r < a.rows(); ++r) {
     for (index_t i = 0; i < n; ++i) {
       const double ai = a(r, i);
       if (ai == 0.0) continue;
       o.axpy_f32_f64(static_cast<std::size_t>(n - i), ai, &a(r, i), &g(i, i));
     }
   }
+}
+
+Matrix<double> gram(ConstMatrixView<float> a) {
+  const index_t n = a.cols();
+  Matrix<double> g(n, n, 0.0);
+  add_gram_upper(a, g);
   for (index_t i = 0; i < n; ++i) {
     for (index_t j = 0; j < i; ++j) g(i, j) = g(j, i);
   }

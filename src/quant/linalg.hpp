@@ -16,8 +16,13 @@ Matrix<double> spd_inverse(const Matrix<double>& h);
 
 /// Upper-triangular U with U^T U = H^{-1}. GPTQ consumes row k of U:
 /// the diagonal scales the quantisation error and the tail propagates it
-/// into not-yet-quantised rows.
-Matrix<double> upper_cholesky_of_inverse(const Matrix<double>& h);
+/// into not-yet-quantised rows. Works in place in `h`'s storage: pass an
+/// rvalue to avoid the copy.
+Matrix<double> upper_cholesky_of_inverse(Matrix<double> h);
+
+/// g += A^T A on the upper triangle (j >= i) for an m x n input, one row
+/// of A at a time in double, skipping zero entries of A.
+void add_gram_upper(ConstMatrixView<float> a, Matrix<double>& g);
 
 /// C = A^T A for an m x n input (result n x n), accumulated in double.
 Matrix<double> gram(ConstMatrixView<float> a);

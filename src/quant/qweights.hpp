@@ -25,6 +25,16 @@ struct QuantConfig {
   /// using plain max-abs scaling.
   bool clip_search = false;
 
+  /// Throws marlin::Error unless bits is in [2, 8] and group_size is
+  /// positive or kPerColumn.
+  void validate() const {
+    MARLIN_CHECK(bits >= 2 && bits <= 8,
+                 "quantization bits must be in [2, 8], got " << bits);
+    MARLIN_CHECK(group_size > 0 || group_size == kPerColumn,
+                 "group size must be positive or per-column, got "
+                     << group_size);
+  }
+
   [[nodiscard]] index_t groups_for(index_t k) const {
     return group_size == kPerColumn ? 1 : (k + group_size - 1) / group_size;
   }

@@ -51,46 +51,49 @@ std::uint8_t encode_symmetric(float v, float scale, int bits) {
   return static_cast<std::uint8_t>(code + zero);
 }
 
-namespace {
-
-/// Squared error of a group quantized against scale s (as the FP16 value the
-/// kernel will actually multiply with, to keep the search honest).
-double group_sq_error(std::span<const float> v, float s_fp32, int bits) {
-  const float s = Half(s_fp32).to_float();
-  const int zero = 1 << (bits - 1);
-  double err = 0.0;
-  for (const float x : v) {
-    const int code = static_cast<int>(encode_symmetric(x, s, bits)) - zero;
-    const double d = static_cast<double>(x) - static_cast<double>(code) * s;
-    err += d * d;
-  }
-  return err;
-}
-
-/// §3.5 (a): grid search over clipping fractions; returns the best scale.
 float search_clipped_scale(std::span<const float> v, int bits) {
-  float best_s = symmetric_scale(v, bits, 1.0f);
-  double best_err = group_sq_error(v, best_s, bits);
-  for (float clip = 0.95f; clip >= 0.45f; clip -= 0.05f) {
-    const float s = symmetric_scale(v, bits, clip);
-    const double err = group_sq_error(v, s, bits);
+  const simd::Ops& o = simd::ops();
+  const float maxabs = o.max_abs_f32(v.size(), v.data());
+  const float levels = static_cast<float>((1 << (bits - 1)) - 1);
+  const int zero = 1 << (bits - 1);
+  const auto scale_at = [&](float clip) {
+    const float s = clip * maxabs / levels;  // symmetric_scale(v, bits, clip)
+    return s > 0 ? s : 1.0f;
+  };
+  std::vector<std::uint8_t> codes(v.size());
+  float best_s = scale_at(1.0f);
+  // Starting from +inf (not from the clip = 1 error) lets a finite scale
+  // win when the unclipped one overflows FP16 and its error is NaN.
+  double best_err = HUGE_VAL;
+  for (float clip = 1.0f; clip >= 0.45f; clip -= 0.05f) {
+    const float s_raw = scale_at(clip);
+    // Scored at the FP16 value the kernel will actually multiply with.
+    const float s = Half(s_raw).to_float();
+    o.encode_symmetric(v.size(), v.data(), s, bits, codes.data());
+    double err = 0.0;
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      const int code = static_cast<int>(codes[i]) - zero;
+      const double d = static_cast<double>(v[i]) - static_cast<double>(code) * s;
+      err += d * d;
+    }
     if (err < best_err) {
       best_err = err;
-      best_s = s;
+      best_s = s_raw;
     }
   }
   return best_s;
 }
 
-}  // namespace
+float group_scale(std::span<const float> v, const QuantConfig& cfg) {
+  return cfg.clip_search ? search_clipped_scale(v, cfg.bits)
+                         : symmetric_scale(v, cfg.bits, 1.0f);
+}
 
 QuantizedWeights quantize_rtn(ConstMatrixView<float> w,
                               const QuantConfig& cfg) {
   const index_t k = w.rows(), n = w.cols();
   MARLIN_CHECK(k > 0 && n > 0, "empty weight matrix");
-  if (cfg.group_size != kPerColumn) {
-    MARLIN_CHECK(cfg.group_size > 0, "group size must be positive");
-  }
+  cfg.validate();
   QuantizedWeights q(k, n, cfg);
 
   const index_t g = cfg.group_size == kPerColumn ? k : cfg.group_size;
@@ -105,10 +108,7 @@ QuantizedWeights quantize_rtn(ConstMatrixView<float> w,
       col_group.clear();
       for (index_t i = g0; i < g1; ++i) col_group.push_back(w(i, j));
 
-      const float s = cfg.clip_search
-                          ? search_clipped_scale(col_group, cfg.bits)
-                          : symmetric_scale(col_group, cfg.bits, 1.0f);
-      const Half sh(s);
+      const Half sh(group_scale(col_group, cfg));
       q.scales(cfg.group_of_row(g0), j) = sh;
       o.encode_symmetric(col_group.size(), col_group.data(), sh.to_float(),
                          cfg.bits, enc.data());

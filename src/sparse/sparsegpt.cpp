@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
 #include <vector>
 
 #include "quant/uniform.hpp"
@@ -12,28 +11,20 @@ namespace marlin::sparse {
 SparseGptResult sparsegpt_24_quantize(ConstMatrixView<float> w,
                                       const Matrix<double>& hessian,
                                       const quant::GptqConfig& cfg) {
-  using quant::encode_symmetric;
-  using quant::kPerColumn;
-  using quant::symmetric_scale;
-
   const index_t k = w.rows(), n = w.cols();
   MARLIN_CHECK(k % 4 == 0, "K must be divisible by 4");
   MARLIN_CHECK(hessian.rows() == k && hessian.cols() == k,
                "hessian must be K x K");
-  const index_t g =
-      cfg.quant.group_size == kPerColumn ? k : cfg.quant.group_size;
-  MARLIN_CHECK(g % 4 == 0 || cfg.quant.group_size == kPerColumn,
+  cfg.quant.validate();
+  MARLIN_CHECK(cfg.quant.group_size == quant::kPerColumn ||
+                   cfg.quant.group_size % 4 == 0,
                "group size must align with 4-row sparsity blocks");
 
-  // Damping as in GPTQ.
-  Matrix<double> h = hessian;
-  double mean_diag = 0.0;
-  for (index_t i = 0; i < k; ++i) mean_diag += h(i, i);
-  mean_diag /= static_cast<double>(k);
-  MARLIN_CHECK(mean_diag > 0.0, "hessian has zero diagonal");
-  for (index_t i = 0; i < k; ++i) h(i, i) += cfg.damping * mean_diag;
-  const Matrix<double> u = quant::upper_cholesky_of_inverse(h);
-
+  // GPTQ's damping, without its dead-row rule. The solve's blocks then
+  // end on 4-row boundaries (K and the group size are multiples of 4), so
+  // the saliency look-ahead over rows row..row+3 reads updated values.
+  const Matrix<double> u =
+      quant::damped_inverse_factor(hessian, cfg.damping, nullptr);
   Matrix<double> work(k, n);
   for (index_t i = 0; i < k; ++i) {
     for (index_t j = 0; j < n; ++j) work(i, j) = w(i, j);
@@ -44,28 +35,14 @@ SparseGptResult sparsegpt_24_quantize(ConstMatrixView<float> w,
   res.mask.keep = Matrix<std::uint8_t>(k, n, 0);
   auto& q = res.weights;
 
-  std::vector<float> scales_now(static_cast<std::size_t>(n), 1.0f);
   std::vector<std::uint8_t> prune_row(static_cast<std::size_t>(n));
-  std::vector<double> err_row(static_cast<std::size_t>(n));
   const int zero = 1 << (cfg.quant.bits - 1);
+  // Group scales are plain max-abs; SparseGPT-lite does not clip-search.
+  quant::QuantConfig scale_cfg = cfg.quant;
+  scale_cfg.clip_search = false;
 
-  for (index_t row = 0; row < k; ++row) {
-    // Group scales from the compensated weights at group boundaries.
-    if (row % g == 0) {
-      const index_t g1 = std::min(k, row + g);
-      const index_t gi = cfg.quant.group_of_row(row);
-      std::vector<float> vals;
-      for (index_t j = 0; j < n; ++j) {
-        vals.clear();
-        for (index_t i = row; i < g1; ++i) {
-          vals.push_back(static_cast<float>(work(i, j)));
-        }
-        const Half sh(symmetric_scale(vals, cfg.quant.bits, 1.0f));
-        q.scales(gi, j) = sh;
-        scales_now[static_cast<std::size_t>(j)] = sh.to_float();
-      }
-    }
-
+  quant::gptq_solve(work, u, scale_cfg, q, [&](index_t row, const float* scales,
+                                                double* err) {
     // At 4-row block starts, decide which 2 of the next 4 rows each column
     // prunes, using OBS saliency on the compensated values.
     if (row % 4 == 0) {
@@ -96,27 +73,17 @@ SparseGptResult sparsegpt_24_quantize(ConstMatrixView<float> w,
         q.codes(row, j) = static_cast<std::uint8_t>(zero);  // exact zero
         dq = 0.0;
       } else {
-        const float s = scales_now[static_cast<std::size_t>(j)];
+        const float s = scales[j];
         const std::uint8_t code =
-            encode_symmetric(static_cast<float>(wv), s, cfg.quant.bits);
+            quant::encode_symmetric(static_cast<float>(wv), s, cfg.quant.bits);
         q.codes(row, j) = code;
         dq = (static_cast<int>(code) - zero) * static_cast<double>(s);
         res.mask.keep(row, j) = 1;
       }
-      const double err = (wv - dq) / d;
-      err_row[static_cast<std::size_t>(j)] = err;
-      res.hessian_weighted_error += err * err;
+      err[j] = (wv - dq) / d;
+      res.hessian_weighted_error += err[j] * err[j];
     }
-
-    for (index_t r = row + 1; r < k; ++r) {
-      const double f = u(row, r);
-      if (f == 0.0) continue;
-      double* wr = &work(r, 0);
-      for (index_t j = 0; j < n; ++j) {
-        wr[j] -= err_row[static_cast<std::size_t>(j)] * f;
-      }
-    }
-  }
+  });
   return res;
 }
 

@@ -256,5 +256,23 @@ TEST(Gptq, HessianShapeMismatchThrows) {
   EXPECT_THROW(gptq_quantize(w.view(), h, cfg), marlin::Error);
 }
 
+TEST(Gptq, RejectsBadBitsAndGroupSizes) {
+  Matrix<float> w(8, 4, 0.1f);
+  Matrix<double> h(8, 8, 0.0);
+  for (index_t i = 0; i < 8; ++i) h(i, i) = 1.0;
+  for (const index_t g : {index_t{0}, index_t{-5}}) {
+    GptqConfig cfg;
+    cfg.quant.group_size = g;
+    EXPECT_THROW(gptq_quantize(w.view(), h, cfg), marlin::Error)
+        << "group " << g;
+  }
+  for (const int bits : {1, 9}) {
+    GptqConfig cfg;
+    cfg.quant.bits = bits;
+    EXPECT_THROW(gptq_quantize(w.view(), h, cfg), marlin::Error)
+        << "bits " << bits;
+  }
+}
+
 }  // namespace
 }  // namespace marlin::quant

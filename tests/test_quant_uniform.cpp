@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "quant/uniform.hpp"
 #include "util/rng.hpp"
@@ -159,6 +160,36 @@ TEST(Rtn, ZeroGroupGetsUnitScale) {
   const auto q = quantize_rtn(w.view(), cfg);
   for (index_t j = 0; j < 4; ++j) {
     EXPECT_EQ(q.decode(0, j), 0.0f);
+  }
+}
+
+TEST(ClipSearch, FiniteScaleWinsWhenTheUnclippedOneOverflowsHalf) {
+  // max|w| / 7 = 72,369 overflows FP16, so the unclipped scale's error is
+  // NaN; clip 0.9 gives 65,131.7, stored as FP16 65,120.
+  const std::vector<float> v{506580.0f};
+  EXPECT_TRUE(std::isinf(Half(symmetric_scale(v, 4)).to_float()));
+  EXPECT_EQ(Half(search_clipped_scale(v, 4)).to_float(), 65120.0f);
+
+  Matrix<float> w(1, 1, 506580.0f);
+  QuantConfig cfg;
+  cfg.group_size = 1;
+  cfg.clip_search = true;
+  const QuantizedWeights q = quantize_rtn(w.view(), cfg);
+  EXPECT_EQ(q.scales(0, 0).to_float(), 65120.0f);
+  EXPECT_EQ(q.decode(0, 0), 7.0f * 65120.0f);
+}
+
+TEST(Rtn, RejectsBadBitsAndGroupSizes) {
+  Matrix<float> w(8, 4, 0.5f);
+  for (const index_t g : {index_t{0}, index_t{-5}}) {
+    QuantConfig cfg;
+    cfg.group_size = g;
+    EXPECT_THROW(quantize_rtn(w.view(), cfg), Error) << "group " << g;
+  }
+  for (const int bits : {1, 9}) {
+    QuantConfig cfg;
+    cfg.bits = bits;
+    EXPECT_THROW(quantize_rtn(w.view(), cfg), Error) << "bits " << bits;
   }
 }
 

@@ -255,5 +255,23 @@ TEST(SparseGpt, ComposesWithCompression) {
   }
 }
 
+TEST(SparseGpt, RejectsBadBitsAndGroupSizes) {
+  Matrix<float> w(8, 4, 0.1f);
+  Matrix<double> h(8, 8, 0.0);
+  for (index_t i = 0; i < 8; ++i) h(i, i) = 1.0;
+  for (const index_t g : {index_t{0}, index_t{-4}, index_t{6}}) {
+    quant::GptqConfig cfg;
+    cfg.quant.group_size = g;
+    EXPECT_THROW(sparsegpt_24_quantize(w.view(), h, cfg), Error)
+        << "group " << g;
+  }
+  for (const int bits : {1, 9}) {
+    quant::GptqConfig cfg;
+    cfg.quant.bits = bits;
+    EXPECT_THROW(sparsegpt_24_quantize(w.view(), h, cfg), Error)
+        << "bits " << bits;
+  }
+}
+
 }  // namespace
 }  // namespace marlin::sparse
