@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "quant/uniform.hpp"
+#include "util/simd_ops.hpp"
 
 namespace marlin::quant {
 
@@ -54,19 +55,14 @@ Matrix<double> damped_inverse_factor(Matrix<double> h, double damping,
 
 namespace {
 
-/// Rows per lazy-batch block, and columns per tile of the deferred update
-/// (a 128 x 128 error tile is 128 KiB, so it stays in L2 while the rows
-/// below stream past it).
+/// Rows per lazy-batch block and per sub-block, and columns per tile of a
+/// deferred update (a 128 x 128 error tile is 128 KiB, so it stays in L2
+/// while the rows below stream past it).
 constexpr index_t kBlockRows = 128;
+constexpr index_t kSubBlockRows = 16;
 constexpr index_t kTileCols = 128;
 /// Columns whose group values are gathered together for the scale search.
 constexpr index_t kScaleCols = 16;
-
-/// work[r, j0:j1) -= e[j0:j1) * f.
-void subtract_scaled(double* wr, const double* e, double f, index_t j0,
-                     index_t j1) {
-  for (index_t j = j0; j < j1; ++j) wr[j] -= e[j] * f;
-}
 
 /// FP16 scales of the group at rows [g0, g1) from the current values of
 /// `work`, into q.scales and (as floats) scales_now.
@@ -102,43 +98,57 @@ void gptq_solve(Matrix<double>& work, const Matrix<double>& u,
                 const QuantConfig& scale_cfg, QuantizedWeights& q,
                 const RowQuantizer& quantize_row) {
   const index_t k = work.rows(), n = work.cols();
-  const index_t g = scale_cfg.group_size == kPerColumn ? k : scale_cfg.group_size;
+  const index_t g =
+      scale_cfg.group_size == kPerColumn ? k : scale_cfg.group_size;
   std::vector<float> scales_now(static_cast<std::size_t>(n), 1.0f);
   std::vector<float> vals;
   std::vector<double> err(static_cast<std::size_t>(std::min(k, kBlockRows) * n));
-  for (index_t b0 = 0; b0 < k;) {
-    // A group must not straddle the block's end, or its scale would read
-    // rows that still lack this block's updates.
-    index_t b1 = std::min(k, b0 + kBlockRows);
-    if (b1 < k && b1 - b1 % g > b0) b1 -= b1 % g;
+  std::vector<double> f(static_cast<std::size_t>(kBlockRows));
+  const simd::Ops& o = simd::ops();
+  index_t b0 = 0;  // the block whose errors `err` holds
 
-    for (index_t row = b0; row < b1; ++row) {
-      if (row % g == 0) {
-        set_group_scales(work, row, std::min(k, row + g), scale_cfg, q,
-                         scales_now, vals);
-      }
-      double* e = &err[static_cast<std::size_t>((row - b0) * n)];
-      quantize_row(row, scales_now.data(), e);
-      for (index_t r = row + 1; r < b1; ++r) {
-        const double f = u(row, r);
-        if (f == 0.0) continue;
-        subtract_scaled(&work(r, 0), e, f, 0, n);
-      }
-    }
-
-    // The deferred update of rows [b1, k), in the same per-element order.
+  // The end of a batch of at most `rows` rows from `start`, before
+  // `limit`. A group must not straddle it, or the group's scale would read
+  // rows that still lack the batch's updates.
+  const auto batch_end = [&](index_t start, index_t rows, index_t limit) {
+    const index_t end = std::min(limit, start + rows);
+    return end < limit && end - end % g > start ? end - end % g : end;
+  };
+  // Subtracts err ⊗ U[i, r] for rows i in [i0, i1) from rows r in
+  // [r0, r1), column tile by column tile; each element takes its updates
+  // in row order, skipping zero factors.
+  const auto propagate = [&](index_t i0, index_t i1, index_t r0, index_t r1) {
+    const auto rows = static_cast<std::size_t>(i1 - i0);
     for (index_t j0 = 0; j0 < n; j0 += kTileCols) {
-      const index_t j1 = std::min(n, j0 + kTileCols);
-      for (index_t r = b1; r < k; ++r) {
-        double* wr = &work(r, 0);
-        for (index_t i = b0; i < b1; ++i) {
-          const double f = u(i, r);
-          if (f == 0.0) continue;
-          subtract_scaled(wr, &err[static_cast<std::size_t>((i - b0) * n)], f,
-                          j0, j1);
+      const auto cols = static_cast<std::size_t>(std::min(kTileCols, n - j0));
+      const double* e = &err[static_cast<std::size_t>((i0 - b0) * n + j0)];
+      for (index_t r = r0; r < r1; ++r) {
+        for (index_t i = i0; i < i1; ++i) {
+          f[static_cast<std::size_t>(i - i0)] = u(i, r);
         }
+        o.sub_scaled_rows_f64(cols, rows, f.data(), e,
+                              static_cast<std::size_t>(n), &work(r, j0));
       }
     }
+  };
+
+  for (; b0 < k;) {
+    const index_t b1 = batch_end(b0, kBlockRows, k);
+    for (index_t s0 = b0; s0 < b1;) {
+      const index_t s1 = batch_end(s0, kSubBlockRows, b1);
+      for (index_t row = s0; row < s1; ++row) {
+        if (row % g == 0) {
+          set_group_scales(work, row, std::min(k, row + g), scale_cfg, q,
+                           scales_now, vals);
+        }
+        quantize_row(row, scales_now.data(),
+                     &err[static_cast<std::size_t>((row - b0) * n)]);
+        propagate(row, row + 1, row + 1, s1);
+      }
+      propagate(s0, s1, s1, b1);
+      s0 = s1;
+    }
+    propagate(b0, b1, b1, k);
     b0 = b1;
   }
 }

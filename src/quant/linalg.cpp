@@ -1,7 +1,6 @@
 #include "quant/linalg.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 
 #include "util/simd_ops.hpp"
@@ -10,8 +9,7 @@ namespace marlin::quant {
 
 namespace {
 
-/// Right-hand sides solved per pass of solve_columns: independent chains
-/// that share each load of the factor.
+/// Right-hand sides per pass of solve_columns (simd tri_solve8_f64).
 constexpr index_t kRhs = 8;
 
 /// Copies the lower triangle of `a` onto its upper triangle.
@@ -27,20 +25,41 @@ void mirror_lower(Matrix<double>& a) {
 /// matrix H, on exit the factor R = L^T with R^T R = H. Every entry sees
 /// the textbook left-looking loop's operations in the same order (one
 /// subtraction per earlier pivot, ascending, then the divide), only
-/// grouped by pivot so the inner loop runs along a row. The strict lower
-/// triangle is not touched.
+/// grouped by pivot so the inner loops run along rows: a panel of
+/// kPanel pivots is finished first, then the rows below take the panel's
+/// updates in one pass. The strict lower triangle is not touched.
 void factor_upper(Matrix<double>& a) {
+  constexpr index_t kPanel = 4;
   const index_t n = a.rows();
-  for (index_t t = 0; t < n; ++t) {
-    double* rt = &a(t, 0);
-    MARLIN_CHECK(rt[t] > 0.0, "matrix not positive definite at pivot " << t);
-    const double d = std::sqrt(rt[t]);
-    rt[t] = d;
-    for (index_t i = t + 1; i < n; ++i) rt[i] /= d;
-    for (index_t j = t + 1; j < n; ++j) {
-      const double f = rt[j];
+  for (index_t t0 = 0; t0 < n; t0 += kPanel) {
+    const index_t t1 = std::min(n, t0 + kPanel);
+    for (index_t t = t0; t < t1; ++t) {
+      double* rt = &a(t, 0);
+      MARLIN_CHECK(rt[t] > 0.0, "matrix not positive definite at pivot " << t);
+      const double d = std::sqrt(rt[t]);
+      rt[t] = d;
+      for (index_t i = t + 1; i < n; ++i) rt[i] /= d;
+      for (index_t j = t + 1; j < t1; ++j) {
+        double* rj = &a(j, 0);
+        for (index_t i = j; i < n; ++i) rj[i] -= rt[i] * rt[j];
+      }
+    }
+    if (t1 - t0 < kPanel) break;  // the last pivots; no rows below
+    const double* r0 = &a(t0, 0);
+    const double* r1 = &a(t0 + 1, 0);
+    const double* r2 = &a(t0 + 2, 0);
+    const double* r3 = &a(t0 + 3, 0);
+    for (index_t j = t1; j < n; ++j) {
+      const double f0 = r0[j], f1 = r1[j], f2 = r2[j], f3 = r3[j];
       double* rj = &a(j, 0);
-      for (index_t i = j; i < n; ++i) rj[i] -= rt[i] * f;
+      for (index_t i = j; i < n; ++i) {
+        double v = rj[i];
+        v -= r0[i] * f0;
+        v -= r1[i] * f1;
+        v -= r2[i] * f2;
+        v -= r3[i] * f3;
+        rj[i] = v;
+      }
     }
   }
 }
@@ -48,41 +67,20 @@ void factor_upper(Matrix<double>& a) {
 /// Columns [c0, c0 + kRhs) of H^{-1} from the upper factor R = L^T (upper
 /// triangle of `r`): solves L Y = I, then L^T X = Y, for rows [stop, n)
 /// of X, into x (n x kRhs, row-major). Column c's entries keep the
-/// operation order of the textbook per-column solve: the forward solve
-/// starts at row c0, because the rows above a unit vector's 1 stay +0 and
-/// subtracting a finite ±0 product leaves a value unchanged.
+/// operation order of the textbook per-column solve (one serial chain per
+/// entry, read along R's rows): the forward solve starts at row c0,
+/// because the rows above a unit vector's 1 stay +0 and subtracting a
+/// finite ±0 product leaves a value unchanged.
 void solve_columns(const Matrix<double>& r, index_t c0, index_t stop,
                    std::vector<double>& x) {
   const index_t n = r.rows();
   x.assign(static_cast<std::size_t>(n * kRhs), 0.0);
-  const auto at = [&](index_t i) {
-    return x.data() + static_cast<std::size_t>(i * kRhs);
-  };
-  for (index_t c = c0; c < std::min(n, c0 + kRhs); ++c) at(c)[c - c0] = 1.0;
-  // Forward: Y row t is final once every earlier row has been subtracted;
-  // it is then pushed into the rows below along R's row t.
-  for (index_t t = c0; t < n; ++t) {
-    const double* rt = &r(t, 0);
-    double* yt = at(t);
-    for (index_t c = 0; c < kRhs; ++c) yt[c] /= rt[t];
-    for (index_t i = t + 1; i < n; ++i) {
-      double* yi = at(i);
-      for (index_t c = 0; c < kRhs; ++c) yi[c] -= rt[i] * yt[c];
-    }
+  for (index_t c = c0; c < std::min(n, c0 + kRhs); ++c) {
+    x[static_cast<std::size_t>(c * kRhs + c - c0)] = 1.0;
   }
-  // Back: X row i = (Y row i - sum_{t>i} L(t,i) X row t) / L(i,i), with
-  // L's column i read as R's row i.
-  for (index_t i = n - 1; i >= stop; --i) {
-    const double* ri = &r(i, 0);
-    std::array<double, kRhs> s;
-    std::copy_n(at(i), kRhs, s.begin());
-    for (index_t t = i + 1; t < n; ++t) {
-      const double* xt = at(t);
-      for (index_t c = 0; c < kRhs; ++c) s[c] -= ri[t] * xt[c];
-    }
-    double* xi = at(i);
-    for (index_t c = 0; c < kRhs; ++c) xi[c] = s[c] / ri[i];
-  }
+  simd::ops().tri_solve8_f64(static_cast<std::size_t>(n), r.data(),
+                             static_cast<std::size_t>(c0),
+                             static_cast<std::size_t>(stop), x.data());
 }
 
 }  // namespace
@@ -144,12 +142,19 @@ Matrix<double> upper_cholesky_of_inverse(Matrix<double> h) {
 void add_gram_upper(ConstMatrixView<float> a, Matrix<double>& g) {
   const index_t n = a.cols();
   MARLIN_CHECK(g.rows() == n && g.cols() == n, "gram must be n x n");
+  // Rows of A go in blocks, so that row i of g takes a block's updates
+  // while it is in L1; each entry still sums the rows in order.
+  constexpr index_t kRowBlock = 16;
   const simd::Ops& o = simd::ops();
-  for (index_t r = 0; r < a.rows(); ++r) {
+  for (index_t r0 = 0; r0 < a.rows(); r0 += kRowBlock) {
+    const index_t r1 = std::min(a.rows(), r0 + kRowBlock);
     for (index_t i = 0; i < n; ++i) {
-      const double ai = a(r, i);
-      if (ai == 0.0) continue;
-      o.axpy_f32_f64(static_cast<std::size_t>(n - i), ai, &a(r, i), &g(i, i));
+      for (index_t r = r0; r < r1; ++r) {
+        const double ari = a(r, i);
+        if (ari == 0.0) continue;
+        o.axpy_f32_f64(static_cast<std::size_t>(n - i), ari, &a(r, i),
+                       &g(i, i));
+      }
     }
   }
 }

@@ -69,6 +69,81 @@ void axpy_f32_f64_avx2(std::size_t n, double a, const float* x, double* y) {
   for (; i < n; ++i) y[i] += a * static_cast<double>(x[i]);
 }
 
+// y's columns stay in registers while every error row goes past, so each
+// y element is loaded and stored once per call.
+void sub_scaled_rows_f64_avx2(std::size_t n, std::size_t rows,
+                              const double* f, const double* e,
+                              std::size_t ld, double* y) {
+  std::size_t j = 0;
+  for (; j + 16 <= n; j += 16) {
+    __m256d y0 = _mm256_loadu_pd(y + j), y1 = _mm256_loadu_pd(y + j + 4);
+    __m256d y2 = _mm256_loadu_pd(y + j + 8), y3 = _mm256_loadu_pd(y + j + 12);
+    for (std::size_t i = 0; i < rows; ++i) {
+      if (f[i] == 0.0) continue;
+      const __m256d vf = _mm256_set1_pd(f[i]);
+      const double* ei = e + i * ld + j;
+      y0 = _mm256_sub_pd(y0, _mm256_mul_pd(_mm256_loadu_pd(ei), vf));
+      y1 = _mm256_sub_pd(y1, _mm256_mul_pd(_mm256_loadu_pd(ei + 4), vf));
+      y2 = _mm256_sub_pd(y2, _mm256_mul_pd(_mm256_loadu_pd(ei + 8), vf));
+      y3 = _mm256_sub_pd(y3, _mm256_mul_pd(_mm256_loadu_pd(ei + 12), vf));
+    }
+    _mm256_storeu_pd(y + j, y0);
+    _mm256_storeu_pd(y + j + 4, y1);
+    _mm256_storeu_pd(y + j + 8, y2);
+    _mm256_storeu_pd(y + j + 12, y3);
+  }
+  for (; j + 4 <= n; j += 4) {
+    __m256d y0 = _mm256_loadu_pd(y + j);
+    for (std::size_t i = 0; i < rows; ++i) {
+      if (f[i] == 0.0) continue;
+      y0 = _mm256_sub_pd(y0, _mm256_mul_pd(_mm256_loadu_pd(e + i * ld + j),
+                                           _mm256_set1_pd(f[i])));
+    }
+    _mm256_storeu_pd(y + j, y0);
+  }
+  for (; j < n; ++j) {
+    double v = y[j];
+    for (std::size_t i = 0; i < rows; ++i) {
+      if (f[i] != 0.0) v -= e[i * ld + j] * f[i];
+    }
+    y[j] = v;
+  }
+}
+
+// The 8 right-hand sides of a row are two registers.
+void tri_solve8_f64_avx2(std::size_t n, const double* r, std::size_t c0,
+                         std::size_t stop, double* x) {
+  for (std::size_t t = c0; t < n; ++t) {
+    const double* rt = r + t * n;
+    const __m256d d = _mm256_set1_pd(rt[t]);
+    const __m256d y0 = _mm256_div_pd(_mm256_loadu_pd(x + t * 8), d);
+    const __m256d y1 = _mm256_div_pd(_mm256_loadu_pd(x + t * 8 + 4), d);
+    _mm256_storeu_pd(x + t * 8, y0);
+    _mm256_storeu_pd(x + t * 8 + 4, y1);
+    for (std::size_t i = t + 1; i < n; ++i) {
+      const __m256d l = _mm256_set1_pd(rt[i]);
+      double* xi = x + i * 8;
+      _mm256_storeu_pd(xi, _mm256_sub_pd(_mm256_loadu_pd(xi),
+                                         _mm256_mul_pd(l, y0)));
+      _mm256_storeu_pd(xi + 4, _mm256_sub_pd(_mm256_loadu_pd(xi + 4),
+                                             _mm256_mul_pd(l, y1)));
+    }
+  }
+  for (std::size_t i = n; i-- > stop;) {
+    const double* ri = r + i * n;
+    __m256d s0 = _mm256_loadu_pd(x + i * 8);
+    __m256d s1 = _mm256_loadu_pd(x + i * 8 + 4);
+    for (std::size_t t = i + 1; t < n; ++t) {
+      const __m256d l = _mm256_set1_pd(ri[t]);
+      s0 = _mm256_sub_pd(s0, _mm256_mul_pd(l, _mm256_loadu_pd(x + t * 8)));
+      s1 = _mm256_sub_pd(s1, _mm256_mul_pd(l, _mm256_loadu_pd(x + t * 8 + 4)));
+    }
+    const __m256d d = _mm256_set1_pd(ri[i]);
+    _mm256_storeu_pd(x + i * 8, _mm256_div_pd(s0, d));
+    _mm256_storeu_pd(x + i * 8 + 4, _mm256_div_pd(s1, d));
+  }
+}
+
 float max_abs_f32_avx2(std::size_t n, const float* x) {
   const __m256 absmask =
       _mm256_castsi256_ps(_mm256_set1_epi32(0x7fffffff));
@@ -276,6 +351,8 @@ void apply_avx2_overrides(Ops& t) {
   t.add_f32 = add_f32_avx2;
   t.mul_f32 = mul_f32_avx2;
   t.axpy_f32_f64 = axpy_f32_f64_avx2;
+  t.sub_scaled_rows_f64 = sub_scaled_rows_f64_avx2;
+  t.tri_solve8_f64 = tri_solve8_f64_avx2;
   t.max_abs_f32 = max_abs_f32_avx2;
   t.f16_to_f32 = f16_to_f32_avx2;
   t.f32_to_f16 = f32_to_f16_avx2;

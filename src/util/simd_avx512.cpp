@@ -65,6 +65,68 @@ void axpy_f32_f64_avx512(std::size_t n, double a, const float* x, double* y) {
   for (; i < n; ++i) y[i] += a * static_cast<double>(x[i]);
 }
 
+// As the AVX2 kernel: y's columns stay in registers across the rows.
+void sub_scaled_rows_f64_avx512(std::size_t n, std::size_t rows,
+                                const double* f, const double* e,
+                                std::size_t ld, double* y) {
+  std::size_t j = 0;
+  for (; j + 32 <= n; j += 32) {
+    __m512d y0 = _mm512_loadu_pd(y + j), y1 = _mm512_loadu_pd(y + j + 8);
+    __m512d y2 = _mm512_loadu_pd(y + j + 16), y3 = _mm512_loadu_pd(y + j + 24);
+    for (std::size_t i = 0; i < rows; ++i) {
+      if (f[i] == 0.0) continue;
+      const __m512d vf = _mm512_set1_pd(f[i]);
+      const double* ei = e + i * ld + j;
+      y0 = _mm512_sub_pd(y0, _mm512_mul_pd(_mm512_loadu_pd(ei), vf));
+      y1 = _mm512_sub_pd(y1, _mm512_mul_pd(_mm512_loadu_pd(ei + 8), vf));
+      y2 = _mm512_sub_pd(y2, _mm512_mul_pd(_mm512_loadu_pd(ei + 16), vf));
+      y3 = _mm512_sub_pd(y3, _mm512_mul_pd(_mm512_loadu_pd(ei + 24), vf));
+    }
+    _mm512_storeu_pd(y + j, y0);
+    _mm512_storeu_pd(y + j + 8, y1);
+    _mm512_storeu_pd(y + j + 16, y2);
+    _mm512_storeu_pd(y + j + 24, y3);
+  }
+  for (; j < n; j += 8) {
+    const __mmask8 m =
+        n - j >= 8 ? 0xFF : static_cast<__mmask8>((1u << (n - j)) - 1);
+    __m512d y0 = _mm512_maskz_loadu_pd(m, y + j);
+    for (std::size_t i = 0; i < rows; ++i) {
+      if (f[i] == 0.0) continue;
+      y0 = _mm512_sub_pd(
+          y0, _mm512_mul_pd(_mm512_maskz_loadu_pd(m, e + i * ld + j),
+                            _mm512_set1_pd(f[i])));
+    }
+    _mm512_mask_storeu_pd(y + j, m, y0);
+  }
+}
+
+// The 8 right-hand sides of a row are one register.
+void tri_solve8_f64_avx512(std::size_t n, const double* r, std::size_t c0,
+                           std::size_t stop, double* x) {
+  for (std::size_t t = c0; t < n; ++t) {
+    const double* rt = r + t * n;
+    const __m512d yt =
+        _mm512_div_pd(_mm512_loadu_pd(x + t * 8), _mm512_set1_pd(rt[t]));
+    _mm512_storeu_pd(x + t * 8, yt);
+    for (std::size_t i = t + 1; i < n; ++i) {
+      double* xi = x + i * 8;
+      _mm512_storeu_pd(xi, _mm512_sub_pd(_mm512_loadu_pd(xi),
+                                         _mm512_mul_pd(_mm512_set1_pd(rt[i]),
+                                                       yt)));
+    }
+  }
+  for (std::size_t i = n; i-- > stop;) {
+    const double* ri = r + i * n;
+    __m512d s = _mm512_loadu_pd(x + i * 8);
+    for (std::size_t t = i + 1; t < n; ++t) {
+      s = _mm512_sub_pd(s, _mm512_mul_pd(_mm512_set1_pd(ri[t]),
+                                         _mm512_loadu_pd(x + t * 8)));
+    }
+    _mm512_storeu_pd(x + i * 8, _mm512_div_pd(s, _mm512_set1_pd(ri[i])));
+  }
+}
+
 float max_abs_f32_avx512(std::size_t n, const float* x) {
   __m512 vmax = _mm512_setzero_ps();
   std::size_t i = 0;
@@ -140,6 +202,8 @@ void apply_avx512_overrides(Ops& t) {
   t.add_f32 = add_f32_avx512;
   t.mul_f32 = mul_f32_avx512;
   t.axpy_f32_f64 = axpy_f32_f64_avx512;
+  t.sub_scaled_rows_f64 = sub_scaled_rows_f64_avx512;
+  t.tri_solve8_f64 = tri_solve8_f64_avx512;
   t.max_abs_f32 = max_abs_f32_avx512;
   t.f16_to_f32 = f16_to_f32_avx512;
   t.f32_to_f16 = f32_to_f16_avx512;

@@ -33,6 +33,39 @@ void axpy_f32_f64_scalar(std::size_t n, double a, const float* x, double* y) {
   for (std::size_t i = 0; i < n; ++i) y[i] += a * static_cast<double>(x[i]);
 }
 
+void sub_scaled_rows_f64_scalar(std::size_t n, std::size_t rows,
+                                const double* f, const double* e,
+                                std::size_t ld, double* y) {
+  for (std::size_t i = 0; i < rows; ++i) {
+    if (f[i] == 0.0) continue;
+    const double* ei = e + i * ld;
+    for (std::size_t j = 0; j < n; ++j) y[j] -= ei[j] * f[i];
+  }
+}
+
+void tri_solve8_f64_scalar(std::size_t n, const double* r, std::size_t c0,
+                           std::size_t stop, double* x) {
+  for (std::size_t t = c0; t < n; ++t) {
+    const double* rt = r + t * n;
+    double yt[8];
+    for (std::size_t c = 0; c < 8; ++c) yt[c] = x[t * 8 + c] / rt[t];
+    std::copy_n(yt, 8, x + t * 8);
+    for (std::size_t i = t + 1; i < n; ++i) {
+      const double l = rt[i];
+      for (std::size_t c = 0; c < 8; ++c) x[i * 8 + c] -= l * yt[c];
+    }
+  }
+  for (std::size_t i = n; i-- > stop;) {
+    const double* ri = r + i * n;
+    double s[8];
+    std::copy_n(x + i * 8, 8, s);
+    for (std::size_t t = i + 1; t < n; ++t) {
+      for (std::size_t c = 0; c < 8; ++c) s[c] -= ri[t] * x[t * 8 + c];
+    }
+    for (std::size_t c = 0; c < 8; ++c) x[i * 8 + c] = s[c] / ri[i];
+  }
+}
+
 float max_abs_f32_scalar(std::size_t n, const float* x) {
   float maxabs = 0.0f;
   for (std::size_t i = 0; i < n; ++i) {
@@ -128,6 +161,8 @@ Ops make_scalar_table() {
   t.add_f32 = add_f32_scalar;
   t.mul_f32 = mul_f32_scalar;
   t.axpy_f32_f64 = axpy_f32_f64_scalar;
+  t.sub_scaled_rows_f64 = sub_scaled_rows_f64_scalar;
+  t.tri_solve8_f64 = tri_solve8_f64_scalar;
   t.max_abs_f32 = max_abs_f32_scalar;
   t.f16_to_f32 = f16_to_f32_scalar;
   t.f32_to_f16 = f32_to_f16_scalar;

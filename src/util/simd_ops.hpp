@@ -42,8 +42,25 @@ struct Ops {
   void (*mul_f32)(std::size_t n, const float* x, float* y);
   /// y[i] += a * (double)x[i]  (double accumulator, float source).
   void (*axpy_f32_f64)(std::size_t n, double a, const float* x, double* y);
+  /// For i = 0 .. rows-1 in order, skipping f[i] == 0: y[j] -= e[i * ld +
+  /// j] * f[i] for every j < n (separate multiply and subtract — no FMA).
+  /// GPTQ's error propagation: y one weight row, e the error rows.
+  void (*sub_scaled_rows_f64)(std::size_t n, std::size_t rows,
+                              const double* f, const double* e,
+                              std::size_t ld, double* y);
   /// max_i |x[i]| (0.0f for n == 0; order-insensitive fold).
   float (*max_abs_f32)(std::size_t n, const float* x);
+
+  // ---- dense linear algebra -------------------------------------------
+  /// Eight right-hand sides of the triangular solve pair behind an SPD
+  /// inverse, in place. r: the n x n upper factor R (row-major, R^T R = H);
+  /// x: n x 8 row-major, rows [c0, n) holding B. Forward, R^T Y = B: for
+  /// t = c0 .. n-1, x[t] /= r[t][t], then x[i] -= r[t][i] * x[t] for each
+  /// i > t. Back, R X = Y: for i = n-1 down to `stop`, x[i] = (x[i] minus
+  /// r[i][t] * x[t] for t = i+1 .. n-1 in order) / r[i][i]. Separate
+  /// multiplies and subtracts; the 8 columns are independent.
+  void (*tri_solve8_f64)(std::size_t n, const double* r, std::size_t c0,
+                         std::size_t stop, double* x);
 
   // ---- IEEE binary16 <-> binary32 bulk conversion ---------------------
   /// out[i] = half_bits_to_float(h[i]).

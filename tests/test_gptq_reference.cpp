@@ -205,16 +205,23 @@ TEST_P(GptqSolveMatchesReference, SparseGptAtEverySimdLevel) {
 INSTANTIATE_TEST_SUITE_P(Dims, GptqSolveMatchesReference,
                          ::testing::Values(1, 4, 17, 128, 129, 300, 512));
 
-TEST(LinalgMatchesReference, FactorsAndInverseBitForBit) {
+TEST(LinalgMatchesReference, FactorsAndInverseAtEverySimdLevel) {
+  SimdLevelGuard guard;
   for (const index_t n : {1, 2, 7, 8, 9, 17, 64, 129}) {
     const Matrix<double> h = random_hessian(n, false, 40 + n);
-    EXPECT_TRUE(same_bits(cholesky_lower(h), reference::cholesky_lower(h)))
-        << "cholesky_lower n=" << n;
-    EXPECT_TRUE(same_bits(spd_inverse(h), reference::spd_inverse(h)))
-        << "spd_inverse n=" << n;
-    EXPECT_TRUE(same_bits(upper_cholesky_of_inverse(h),
-                          reference::upper_cholesky_of_inverse(h)))
-        << "upper_cholesky_of_inverse n=" << n;
+    for (const simd::Level l : kAllLevels) {
+      if (!simd::supported(l)) continue;
+      simd::set_level(l);
+      const std::string where =
+          "n=" + std::to_string(n) + " simd=" + simd::to_string(l);
+      EXPECT_TRUE(same_bits(cholesky_lower(h), reference::cholesky_lower(h)))
+          << "cholesky_lower " << where;
+      EXPECT_TRUE(same_bits(spd_inverse(h), reference::spd_inverse(h)))
+          << "spd_inverse " << where;
+      EXPECT_TRUE(same_bits(upper_cholesky_of_inverse(h),
+                            reference::upper_cholesky_of_inverse(h)))
+          << "upper_cholesky_of_inverse " << where;
+    }
   }
 }
 

@@ -390,6 +390,61 @@ TEST(SimdBitIdentity, ElementwiseFloatKernels) {
   }
 }
 
+TEST(SimdBitIdentity, SubScaledRowsF64) {
+  Rng rng(25);
+  const simd::Ops& scalar = simd::ops_for(simd::Level::kScalar);
+  for (const std::size_t n : kSizes) {
+    for (const std::size_t rows : {0u, 1u, 5u, 17u}) {
+      const std::size_t ld = n + 3;
+      std::vector<double> e(rows * ld), f(rows), y0(n);
+      for (double& v : e) v = rng.normal();
+      // Zero factors are skipped, so -0.0 entries of y must survive them.
+      for (double& v : f) v = rng.uniform_int(3) == 0 ? 0.0 : rng.normal();
+      for (double& v : y0) v = rng.uniform_int(4) == 0 ? -0.0 : rng.normal();
+
+      std::vector<double> want = y0;
+      scalar.sub_scaled_rows_f64(n, rows, f.data(), e.data(), ld,
+                                 want.data());
+      for (const simd::Level l : kAllLevels) {
+        if (l == simd::Level::kScalar || !simd::supported(l)) continue;
+        std::vector<double> got = y0;
+        simd::ops_for(l).sub_scaled_rows_f64(n, rows, f.data(), e.data(), ld,
+                                             got.data());
+        expect_bytes_eq(got, want, l, "sub_scaled_rows_f64", n);
+      }
+    }
+  }
+}
+
+TEST(SimdBitIdentity, TriSolve8F64) {
+  Rng rng(26);
+  const simd::Ops& scalar = simd::ops_for(simd::Level::kScalar);
+  for (const std::size_t n : {1u, 2u, 9u, 33u}) {
+    // A well-conditioned upper factor: positive diagonal, small off-diagonal.
+    std::vector<double> r(n * n, 0.0);
+    for (std::size_t i = 0; i < n; ++i) {
+      r[i * n + i] = 1.0 + rng.uniform();
+      for (std::size_t j = i + 1; j < n; ++j) r[i * n + j] = 0.3 * rng.normal();
+    }
+    for (const std::size_t c0 : {std::size_t{0}, n / 2}) {
+      for (const std::size_t stop : {std::size_t{0}, c0}) {
+        std::vector<double> x0(n * 8, 0.0);
+        for (std::size_t i = c0; i < n; ++i) {
+          for (std::size_t c = 0; c < 8; ++c) x0[i * 8 + c] = rng.normal();
+        }
+        std::vector<double> want = x0;
+        scalar.tri_solve8_f64(n, r.data(), c0, stop, want.data());
+        for (const simd::Level l : kAllLevels) {
+          if (l == simd::Level::kScalar || !simd::supported(l)) continue;
+          std::vector<double> got = x0;
+          simd::ops_for(l).tri_solve8_f64(n, r.data(), c0, stop, got.data());
+          expect_bytes_eq(got, want, l, "tri_solve8_f64", n);
+        }
+      }
+    }
+  }
+}
+
 TEST(SimdBitIdentity, HalfConversionKernels) {
   Rng rng(22);
   const simd::Ops& scalar = simd::ops_for(simd::Level::kScalar);
