@@ -132,7 +132,7 @@ void gptq_solve(Matrix<double>& work, const Matrix<double>& u,
     }
   };
 
-  for (; b0 < k;) {
+  while (b0 < k) {
     const index_t b1 = batch_end(b0, kBlockRows, k);
     for (index_t s0 = b0; s0 < b1;) {
       const index_t s1 = batch_end(s0, kSubBlockRows, b1);

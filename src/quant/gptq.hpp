@@ -81,14 +81,15 @@ using RowQuantizer =
 /// error-compensated values; it quantizes each row with `quantize_row`
 /// and subtracts err ⊗ U[row, row+1:] from the rows below.
 ///
-/// Rows run in lazy-batch blocks (GPTQ paper §4, "lazy batch-updates") of
-/// at most 128 rows that never split a group after its first row: inside
-/// a block the update is applied at once; rows past the block receive the
-/// block's errors afterwards, column tile by column tile. Every element
-/// still receives its updates in row order, so the result is the same as
-/// the row-at-a-time loop, bit for bit, and every row a group scale,
-/// `quantize_row` or a 4-row-aligned look-ahead within the block reads is
-/// fully updated.
+/// Rows run in lazy batches (GPTQ paper §4, "lazy batch-updates"):
+/// blocks of at most 128 rows split into sub-blocks of at most 16, none
+/// of which splits a group after its first row. A row's errors reach the
+/// rest of its sub-block at once, the rest of its block after the
+/// sub-block, and the rows below after the block, column tile by column
+/// tile. Every element still receives its updates in row order, so the
+/// result equals the row-at-a-time loop bit for bit. When K and the group
+/// size are multiples of 4, every batch ends on a 4-row boundary, so a
+/// look-ahead over rows row..row+3 at row % 4 == 0 reads updated values.
 void gptq_solve(Matrix<double>& work, const Matrix<double>& u,
                 const QuantConfig& scale_cfg, QuantizedWeights& q,
                 const RowQuantizer& quantize_row);
