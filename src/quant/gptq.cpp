@@ -102,7 +102,8 @@ void gptq_solve(Matrix<double>& work, const Matrix<double>& u,
       scale_cfg.group_size == kPerColumn ? k : scale_cfg.group_size;
   std::vector<float> scales_now(static_cast<std::size_t>(n), 1.0f);
   std::vector<float> vals;
-  std::vector<double> err(static_cast<std::size_t>(std::min(k, kBlockRows) * n));
+  std::vector<double> err(
+      static_cast<std::size_t>(std::min(k, kBlockRows) * n));
   std::vector<double> f(static_cast<std::size_t>(kBlockRows));
   const simd::Ops& o = simd::ops();
   index_t b0 = 0;  // the block whose errors `err` holds
@@ -165,15 +166,16 @@ GptqResult quantize_in_order(ConstMatrixView<float> w, Matrix<double> hessian,
   Matrix<double> work(k, n);
   for (index_t i = 0; i < k; ++i) {
     for (index_t j = 0; j < n; ++j) {
-      work(i, j) =
-          dead[static_cast<std::size_t>(i)] ? 0.0 : static_cast<double>(w(i, j));
+      work(i, j) = dead[static_cast<std::size_t>(i)]
+                       ? 0.0
+                       : static_cast<double>(w(i, j));
     }
   }
 
   GptqResult res;
   res.weights = QuantizedWeights(k, n, cfg.quant);
   auto& q = res.weights;
-  const int bits = cfg.quant.bits;
+  const int bits = cfg.quant.bits, zero = 1 << (bits - 1);
   gptq_solve(work, u, cfg.quant, q,
              [&](index_t row, const float* scales, double* err) {
                const double d = u(row, row);
@@ -183,8 +185,8 @@ GptqResult quantize_in_order(ConstMatrixView<float> w, Matrix<double> hessian,
                  const std::uint8_t code =
                      encode_symmetric(static_cast<float>(wv), s, bits);
                  q.codes(row, j) = code;
-                 const double dq = (static_cast<int>(code) - (1 << (bits - 1))) *
-                                   static_cast<double>(s);
+                 const double dq =
+                     (static_cast<int>(code) - zero) * static_cast<double>(s);
                  err[j] = (wv - dq) / d;
                  res.hessian_weighted_error += err[j] * err[j];
                }

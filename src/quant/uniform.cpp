@@ -73,7 +73,8 @@ float search_clipped_scale(std::span<const float> v, int bits) {
     double err = 0.0;
     for (std::size_t i = 0; i < v.size(); ++i) {
       const int code = static_cast<int>(codes[i]) - zero;
-      const double d = static_cast<double>(v[i]) - static_cast<double>(code) * s;
+      const double d =
+          static_cast<double>(v[i]) - static_cast<double>(code) * s;
       err += d * d;
     }
     if (err < best_err) {

@@ -11,18 +11,19 @@ namespace marlin::sparse {
 SparseGptResult sparsegpt_24_quantize(ConstMatrixView<float> w,
                                       const Matrix<double>& hessian,
                                       const quant::GptqConfig& cfg) {
+  using quant::encode_symmetric;
+  using quant::kPerColumn;
+
   const index_t k = w.rows(), n = w.cols();
   MARLIN_CHECK(k % 4 == 0, "K must be divisible by 4");
   MARLIN_CHECK(hessian.rows() == k && hessian.cols() == k,
                "hessian must be K x K");
   cfg.quant.validate();
-  MARLIN_CHECK(cfg.quant.group_size == quant::kPerColumn ||
+  MARLIN_CHECK(cfg.quant.group_size == kPerColumn ||
                    cfg.quant.group_size % 4 == 0,
                "group size must align with 4-row sparsity blocks");
 
-  // GPTQ's damping, without its dead-row rule. The solve's blocks then
-  // end on 4-row boundaries (K and the group size are multiples of 4), so
-  // the saliency look-ahead over rows row..row+3 reads updated values.
+  // GPTQ's damping, without its dead-row rule.
   const Matrix<double> u =
       quant::damped_inverse_factor(hessian, cfg.damping, nullptr);
   Matrix<double> work(k, n);
@@ -41,6 +42,9 @@ SparseGptResult sparsegpt_24_quantize(ConstMatrixView<float> w,
   quant::QuantConfig scale_cfg = cfg.quant;
   scale_cfg.clip_search = false;
 
+  // K and the group size are multiples of 4, so the solve's batches end on
+  // 4-row boundaries and the saliency look-ahead over rows row..row+3
+  // reads updated values.
   quant::gptq_solve(work, u, scale_cfg, q, [&](index_t row, const float* scales,
                                                 double* err) {
     // At 4-row block starts, decide which 2 of the next 4 rows each column
@@ -75,7 +79,7 @@ SparseGptResult sparsegpt_24_quantize(ConstMatrixView<float> w,
       } else {
         const float s = scales[j];
         const std::uint8_t code =
-            quant::encode_symmetric(static_cast<float>(wv), s, cfg.quant.bits);
+            encode_symmetric(static_cast<float>(wv), s, cfg.quant.bits);
         q.codes(row, j) = code;
         dq = (static_cast<int>(code) - zero) * static_cast<double>(s);
         res.mask.keep(row, j) = 1;
