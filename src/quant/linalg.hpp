@@ -20,8 +20,9 @@ Matrix<double> spd_inverse(const Matrix<double>& h);
 /// rvalue to avoid the copy.
 Matrix<double> upper_cholesky_of_inverse(Matrix<double> h);
 
-/// g += A^T A on the upper triangle (j >= i) for an m x n input, one row
-/// of A at a time in double, skipping zero entries of A.
+/// g += A^T A on the upper triangle (j >= i) for an m x n input, in
+/// double: each entry adds the rows' products in row order, skipping zero
+/// entries of A.
 void add_gram_upper(ConstMatrixView<float> a, Matrix<double>& g);
 
 /// C = A^T A for an m x n input (result n x n), accumulated in double.
