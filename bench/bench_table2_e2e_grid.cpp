@@ -4,11 +4,16 @@
 // Paper shape: speedups are largest (2-3.2x) when inference is
 // memory-bound (batch <= 16) on weaker or fewer GPUs, and shrink toward
 // ~1.1-1.2x at batch 128 or with 8-way tensor parallelism on A100s.
+//
+// The multi-GPU rows price each step through `parallel::ParallelEngine`
+// (Megatron sharding, two ring all-reduces per block); a 1-GPU row
+// delegates to the single-device Engine unchanged.
 
 #include <iostream>
 
 #include "common.hpp"
 #include "serve/generation.hpp"
+#include "serve/parallel/parallel_engine.hpp"
 
 static int run(int argc, char** argv) {
   using namespace marlin;
@@ -21,7 +26,7 @@ static int run(int argc, char** argv) {
   struct Row {
     serve::ModelConfig model;
     gpusim::DeviceSpec gpu;
-    int num_gpus;
+    int gpus;
   };
   const std::vector<Row> rows{
       {serve::llama2_7b(), gpusim::a10(), 1},
@@ -45,14 +50,16 @@ static int run(int argc, char** argv) {
         serve::EngineConfig cfg;
         cfg.model = r.model;
         cfg.gpu = r.gpu;
-        cfg.num_gpus = r.num_gpus;
         cfg.format = serve::WeightFormat::kFp16;
-        const serve::Engine fp16(cfg);
+        const serve::Engine fp16_engine(cfg);
         cfg.format = serve::WeightFormat::kMarlin;
-        const serve::Engine marlin(cfg);
+        const serve::Engine marlin_engine(cfg);
+        const serve::parallel::ParallelConfig tp{r.gpus, 1, 0};
+        const serve::parallel::ParallelEngine fp16(fp16_engine, tp);
+        const serve::parallel::ParallelEngine marlin(marlin_engine, tp);
 
         std::vector<std::string> cells{r.model.name, r.gpu.name,
-                                       std::to_string(r.num_gpus)};
+                                       std::to_string(r.gpus)};
         for (const auto b : batches) {
           const auto gf = serve::generation_time(fp16, b, 64, 64);
           const auto gm = serve::generation_time(marlin, b, 64, 64);

@@ -11,8 +11,7 @@
 //
 // `--tp/--pp/--microbatches` shard the model across a tensor/pipeline-
 // parallel rank grid (per-rank workers, interconnect-priced all-reduce and
-// activation send/recv); `--gpus` is the legacy single-model weight split
-// and cannot be combined with them.
+// activation send/recv).
 
 #include <iostream>
 
@@ -32,8 +31,6 @@ static int run(int argc, char** argv) {
       "Sparse-MARLIN) on the request-level scheduler",
       {{"--model M", "target model (default llama-2-7b)"},
        {"--device D", "GPU (default rtxa6000)"},
-       {"--gpus N", "legacy single-model weight split (default 1; exclusive "
-                    "with --tp/--pp)"},
        {"--qps Q", "mean arrival rate (default 2.5)"},
        {"--duration S", "arrival window seconds (default 120)"},
        {"--input-tokens N", "prompt tokens (default 64)"},
@@ -89,7 +86,6 @@ static int run(int argc, char** argv) {
   ecfg.model = serve::model_by_name(
       args.get_string("model", "llama-2-7b"));
   ecfg.gpu = gpusim::device_by_name(args.get_string("device", "rtxa6000"));
-  ecfg.num_gpus = static_cast<int>(args.get_int("gpus", 1));
 
   serve::ServingConfig scfg;
   scfg.qps = cli.qps;
@@ -152,9 +148,7 @@ static int run(int argc, char** argv) {
     scfg.cluster.disagg.decode_replicas = args.get_int("decode-replicas", 1);
   }
 
-  const int world = scfg.parallel.world_size();
-  std::cout << ecfg.model.name << " on "
-            << (scfg.parallel.trivial() ? ecfg.num_gpus : world) << "x "
+  std::cout << ecfg.model.name << " on " << scfg.parallel.world_size() << "x "
             << ecfg.gpu.name;
   if (!scfg.parallel.trivial()) {
     std::cout << " (" << scfg.parallel.to_string() << ", "

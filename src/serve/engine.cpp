@@ -34,13 +34,13 @@ baselines::KernelModelPtr make_kernel(WeightFormat f) {
 }
 
 /// Megatron sharding: the first linear of each pair splits N, the second
-/// splits K; both keep per-GPU work at 1/g with two all-reduces per block.
-core::MatmulProblem shard(const LayerShape& l, index_t m, int num_gpus,
+/// splits K; both keep per-rank work at 1/tp with two all-reduces per block.
+core::MatmulProblem shard(const LayerShape& l, index_t m, int tp,
                           index_t group_size, bool split_n) {
   core::MatmulProblem p;
   p.m = m;
-  p.k = split_n ? l.k : std::max<index_t>(64, l.k / num_gpus);
-  p.n = split_n ? std::max<index_t>(64, l.n / num_gpus) : l.n;
+  p.k = split_n ? l.k : std::max<index_t>(64, l.k / tp);
+  p.n = split_n ? std::max<index_t>(64, l.n / tp) : l.n;
   p.group_size = group_size;
   return p;
 }
@@ -48,9 +48,7 @@ core::MatmulProblem shard(const LayerShape& l, index_t m, int num_gpus,
 }  // namespace
 
 Engine::Engine(EngineConfig cfg)
-    : cfg_(std::move(cfg)), kernel_(make_kernel(cfg_.format)) {
-  MARLIN_CHECK(cfg_.num_gpus >= 1, "need at least one GPU");
-}
+    : cfg_(std::move(cfg)), kernel_(make_kernel(cfg_.format)) {}
 
 double Engine::block_linear_seconds(index_t m, int tp) const {
   MARLIN_CHECK(tp >= 1, "tensor-parallel degree must be >= 1");
@@ -101,25 +99,16 @@ double Engine::lm_head_seconds(index_t m, int tp) const {
 }
 
 double Engine::linear_layers_seconds(index_t m) const {
-  {
-    const std::lock_guard lock(cache_mutex_);
-    if (const auto it = linear_cache_.find(m); it != linear_cache_.end()) {
-      return it->second;
-    }
-  }
-  double total = block_linear_seconds(m, cfg_.num_gpus) *
-                 static_cast<double>(cfg_.model.num_layers);
-  total += lm_head_seconds(m, cfg_.num_gpus);
-  const std::lock_guard lock(cache_mutex_);
-  linear_cache_[m] = total;
-  return total;
+  return block_linear_seconds(m, 1) *
+             static_cast<double>(cfg_.model.num_layers) +
+         lm_head_seconds(m, 1);
 }
 
 double Engine::kv_bytes_per_token() const {
-  // 2 (K and V) * layers * kv_heads * head_dim * 2 bytes, sharded.
+  // 2 (K and V) * layers * kv_heads * head_dim * 2 bytes.
   return 2.0 * static_cast<double>(cfg_.model.num_layers) *
          static_cast<double>(cfg_.model.num_kv_heads) *
-         static_cast<double>(cfg_.model.head_dim) * 2.0 / cfg_.num_gpus;
+         static_cast<double>(cfg_.model.head_dim) * 2.0;
 }
 
 double Engine::attention_layer_seconds(index_t batch, double avg_context,
@@ -164,22 +153,6 @@ double Engine::attention_decode_seconds(index_t batch,
   return t_mem + t_launch;
 }
 
-double Engine::allreduce_seconds(index_t tokens) const {
-  // Legacy num_gpus pricing: one latency hop per all-reduce. The
-  // parallel::Interconnect model charges 2(g-1) hops per ring instead;
-  // this copy must keep its arithmetic as-is because the fig14/table2
-  // goldens pin it down bit-for-bit.
-  if (cfg_.num_gpus <= 1) return 0.0;
-  const double g = cfg_.num_gpus;
-  const double bytes = static_cast<double>(tokens) *
-                       static_cast<double>(cfg_.model.hidden) * 2.0;
-  const double ring = 2.0 * (g - 1.0) / g * bytes /
-                      (cfg_.gpu.interconnect_bandwidth_gbs * 1e9);
-  const double per_op = ring + cfg_.gpu.interconnect_latency_s;
-  // Two all-reduces per transformer block (attention out, MLP down).
-  return 2.0 * static_cast<double>(cfg_.model.num_layers) * per_op;
-}
-
 double Engine::decode_step_seconds(index_t batch, double avg_context) const {
   MARLIN_CHECK(batch >= 1, "batch must be >= 1");
   // Bucket contexts to keep the memo small (64-token buckets).
@@ -194,7 +167,7 @@ double Engine::decode_step_seconds(index_t batch, double avg_context) const {
   const double ctx = static_cast<double>(ctx_bucket) * 64.0 + 32.0;
   const double t = linear_layers_seconds(batch) +
                    attention_decode_seconds(batch, ctx) +
-                   allreduce_seconds(batch) + cfg_.step_overhead_s;
+                   cfg_.step_overhead_s;
   const std::lock_guard lock(cache_mutex_);
   decode_cache_[key] = t;
   return t;
@@ -222,7 +195,7 @@ double Engine::verify_step_seconds(index_t batch, double avg_context,
   const index_t m = batch * (depth + 1);
   const double t = linear_layers_seconds(m) +
                    attention_decode_seconds(batch, ctx) +
-                   allreduce_seconds(m) + cfg_.step_overhead_s;
+                   cfg_.step_overhead_s;
   const std::lock_guard lock(cache_mutex_);
   verify_cache_[key] = t;
   return t;
@@ -236,20 +209,20 @@ double Engine::prefill_seconds(index_t batch, index_t prompt_tokens) const {
       4.0 * static_cast<double>(m) * static_cast<double>(prompt_tokens) *
       static_cast<double>(cfg_.model.num_heads) *
       static_cast<double>(cfg_.model.head_dim) *
-      static_cast<double>(cfg_.model.num_layers) / cfg_.num_gpus;
+      static_cast<double>(cfg_.model.num_layers);
   const double clock = cfg_.clock.effective_clock_ghz(cfg_.gpu, 0.0);
   const double t_attn = attn_flops / (cfg_.gpu.tc_flops(clock) * 0.5);
-  return linear_layers_seconds(m) + t_attn + allreduce_seconds(m) +
-         cfg_.prefill_overhead_s;
+  return linear_layers_seconds(m) + t_attn + cfg_.prefill_overhead_s;
 }
 
 void Engine::warm_decode_cache(const SimContext& ctx, index_t max_batch,
                                double max_context) const {
   if (ctx.serial()) return;
   MARLIN_CHECK(max_batch >= 1, "batch must be >= 1");
-  // One task per batch size fills the (mutex-guarded) linear-layer memo —
-  // the expensive kernel-model part — concurrently; every 64-token context
-  // bucket is then priced from the already-cached linear time.
+  // One task per batch size fills the (mutex-guarded) per-block and
+  // LM-head memos — the expensive kernel-model part — concurrently; every
+  // 64-token context bucket is then priced from the already-cached linear
+  // time.
   const auto buckets = static_cast<index_t>(max_context / 64.0) + 1;
   ctx.parallel_for(1, max_batch + 1, [&](std::int64_t batch) {
     for (index_t b = 0; b < buckets; ++b) {
@@ -265,7 +238,7 @@ double Engine::weight_bits() const {
 }
 
 double Engine::weight_bytes_per_gpu() const {
-  return cfg_.model.num_params() * weight_bits() / 8.0 / cfg_.num_gpus;
+  return cfg_.model.num_params() * weight_bits() / 8.0;
 }
 
 }  // namespace marlin::serve

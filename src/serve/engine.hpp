@@ -1,16 +1,16 @@
 #pragma once
 // vLLM-like inference engine cost model (paper §5.2).
 //
-// A decode step for a batch of sequences prices:
+// A single-device decode step for a batch of sequences prices:
 //   * every transformer-block linear layer via the selected kernel model
-//     (FP16 / MARLIN / Sparse-MARLIN), sharded Megatron-style under tensor
-//     parallelism (QKV & gate/up column-split, O & down row-split);
+//     (FP16 / MARLIN / Sparse-MARLIN);
 //   * KV-cache attention reads (memory-bound paged attention);
-//   * two ring all-reduces per block when tensor-parallel;
 //   * a fixed per-step engine overhead (scheduler / sampler / Python),
 //     calibrated once against the paper's measured 2.93x at batch 1 on A10.
 // Prefill prices the same linear layers at M = total new tokens plus the
-// quadratic attention term.
+// quadratic attention term. Tensor and pipeline parallelism are priced by
+// `parallel::ParallelEngine`, which composes the per-layer building
+// blocks below across a rank grid.
 
 #include <map>
 #include <memory>
@@ -82,7 +82,6 @@ class StepModel {
 struct EngineConfig {
   ModelConfig model;
   gpusim::DeviceSpec gpu;
-  int num_gpus = 1;  // tensor parallel degree
   WeightFormat format = WeightFormat::kMarlin;
   index_t group_size = 128;
   gpusim::ClockModel clock{gpusim::ClockMode::kAutoThermal};
@@ -113,17 +112,15 @@ class Engine : public StepModel {
                                        index_t prompt_tokens) const override;
 
   /// Speculative verification: linear layers at `batch * (depth + 1)`
-  /// tokens, one shared KV stream per layer, all-reduces at the widened
-  /// token count. Memoised like decode.
+  /// tokens, one shared KV stream per layer. Memoised like decode.
   [[nodiscard]] double verify_step_seconds(index_t batch, double avg_context,
                                            index_t depth) const override;
 
   [[nodiscard]] const EngineConfig& config() const { return cfg_; }
-  /// Quantized+sharded weight bytes resident per GPU.
+  /// Quantized weight bytes resident on the device.
   [[nodiscard]] double weight_bytes_per_gpu() const;
-  /// FP16 KV-cache bytes one context token occupies per GPU (K and V for
-  /// every layer, sharded across the tensor-parallel group). The serving
-  /// scheduler derives its block budget from this.
+  /// FP16 KV-cache bytes one context token occupies (K and V for every
+  /// layer). The serving scheduler derives its block budget from this.
   [[nodiscard]] double kv_bytes_per_token() const;
   /// Quantized weight bits per parameter of the configured format (16 for
   /// FP16, 4.125 for MARLIN incl. group scales, 3.125 for Sparse-MARLIN).
@@ -149,7 +146,7 @@ class Engine : public StepModel {
       index_t m, index_t prompt_tokens, int tp) const;
 
   /// Pre-fills the decode memo for every batch in [1, max_batch] and the
-  /// context buckets up to `max_context`, fanning the per-GPU step-model
+  /// context buckets up to `max_context`, fanning the step-model
   /// evaluations out on the context's shared pool. Purely a warm-up: the
   /// cached values are identical to on-demand computation, so simulation
   /// results are bit-identical whether or not (and on how many threads)
@@ -161,7 +158,6 @@ class Engine : public StepModel {
   [[nodiscard]] double linear_layers_seconds(index_t m) const;
   [[nodiscard]] double attention_decode_seconds(index_t batch,
                                                 double avg_context) const;
-  [[nodiscard]] double allreduce_seconds(index_t tokens) const;
 
   EngineConfig cfg_;
   baselines::KernelModelPtr kernel_;
@@ -173,7 +169,6 @@ class Engine : public StepModel {
   mutable std::map<std::pair<index_t, index_t>, double> decode_cache_;
   mutable std::map<std::tuple<index_t, index_t, index_t>, double>
       verify_cache_;
-  mutable std::map<index_t, double> linear_cache_;
   mutable std::map<std::pair<index_t, int>, double> block_cache_;
   mutable std::map<std::pair<index_t, int>, double> head_cache_;
 };

@@ -1,7 +1,9 @@
 #pragma once
 // Batched generation benchmark (paper Figure 14 and Table 2): total time to
 // produce output tokens 2..64 — i.e. the pure decode phase after prefill —
-// for a fixed batch of sequences with 64 input tokens each.
+// for a fixed batch of sequences with 64 input tokens each. Any StepModel
+// prices the steps: a single-device `Engine`, or a `parallel::ParallelEngine`
+// for the multi-GPU rows of Table 2.
 
 #include "serve/engine.hpp"
 
@@ -13,7 +15,7 @@ struct GenerationResult {
   double output_tokens_per_s = 0;
 };
 
-GenerationResult generation_time(const Engine& engine, index_t batch,
+GenerationResult generation_time(const StepModel& model, index_t batch,
                                  index_t input_tokens, index_t output_tokens);
 
 }  // namespace marlin::serve

@@ -15,9 +15,7 @@ double Interconnect::allreduce_seconds(double bytes, int ranks) const {
   if (ranks == 1) return 0.0;
   const double g = static_cast<double>(ranks);
   // Ring: reduce-scatter + all-gather, each moving (g-1)/g of the payload
-  // per rank across g-1 latency-bound steps. Deliberately finer than the
-  // legacy Engine::allreduce_seconds (one hop per op), which is pinned by
-  // the fig14/table2 goldens and must not change.
+  // per rank across g-1 latency-bound steps.
   return 2.0 * (g - 1.0) / g * bytes / bytes_per_s +
          2.0 * (g - 1.0) * latency_s;
 }

@@ -9,7 +9,7 @@
 // stages overlap (fill/drain bubbles shrink as microbatches grow).
 //
 // The trivial config (TP=1, PP=1) is the single-device model and is
-// guaranteed to reproduce the legacy `Engine` numbers bit-for-bit.
+// guaranteed to reproduce the single-device `Engine` numbers bit-for-bit.
 
 #include <string>
 

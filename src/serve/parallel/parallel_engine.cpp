@@ -30,11 +30,6 @@ MicrobatchPlan plan_microbatches(const ParallelConfig& cfg, index_t batch) {
 ParallelEngine::ParallelEngine(const Engine& engine, ParallelConfig cfg)
     : engine_(engine), cfg_(cfg), link_(Interconnect::of(engine.config().gpu)) {
   cfg_.validate();
-  MARLIN_CHECK(cfg_.trivial() || engine_.config().num_gpus == 1,
-               "ParallelConfig owns all sharding: configure the Engine with "
-               "num_gpus == 1 (got "
-                   << engine_.config().num_gpus << ") instead of combining it "
-                   << "with " << cfg_.to_string());
   workers_.reserve(static_cast<std::size_t>(cfg_.world_size()));
   for (int stage = 0; stage < cfg_.pipeline_parallel; ++stage) {
     for (int tp = 0; tp < cfg_.tensor_parallel; ++tp) {

@@ -24,11 +24,8 @@
 // serialized pricing bit-for-bit.
 //
 // The trivial config (TP=1, PP=1) delegates every query to the wrapped
-// Engine, so it reproduces the legacy single-device numbers — and the
-// fig15/fig16/serve_scheduler goldens — bit-for-bit. Non-trivial configs
-// require the Engine to be configured with num_gpus == 1: the
-// ParallelConfig owns all sharding (the legacy `num_gpus` weight split
-// must not compound with it).
+// single-device Engine, so it reproduces its numbers — and the
+// fig15/fig16/serve_scheduler goldens — bit-for-bit.
 //
 // Deterministic and memoised like the Engine; safe to share across
 // concurrent sweep workers. `warm_decode_cache` fans the per-rank step

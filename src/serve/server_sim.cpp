@@ -79,7 +79,6 @@ cluster::ClusterStats simulate_cluster_detailed(const Engine& engine,
     EngineConfig dcfg = engine.config();
     dcfg.model =
         cfg.draft_model.name.empty() ? tinyllama_1_1b() : cfg.draft_model;
-    dcfg.num_gpus = 1;
     draft.emplace(dcfg);
   }
 

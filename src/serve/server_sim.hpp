@@ -57,8 +57,7 @@ struct ServingConfig {
   /// Multi-GPU sharding. The default (TP=1, PP=1) runs the engine
   /// directly and reproduces the single-device goldens byte-for-byte;
   /// anything else prices steps through `parallel::ParallelEngine` (max
-  /// over ranks plus interconnect communication) and requires the engine
-  /// to be configured with num_gpus == 1.
+  /// over ranks plus interconnect communication).
   parallel::ParallelConfig parallel{};
 
   /// Multi-tenant serving: tenant specs (WFQ weights, priority tiers,

@@ -446,7 +446,6 @@ Setup::Setup(const Engine& engine, const ServingConfig& cfg) {
     EngineConfig dcfg = engine.config();
     dcfg.model =
         cfg.draft_model.name.empty() ? tinyllama_1_1b() : cfg.draft_model;
-    dcfg.num_gpus = 1;
     draft_.emplace(dcfg);
   }
   scheduler_.emplace(model, sc, draft_ ? &*draft_ : nullptr);

@@ -6,6 +6,7 @@
 #include "serve/engine.hpp"
 #include "serve/generation.hpp"
 #include "serve/model_config.hpp"
+#include "serve/parallel/parallel_engine.hpp"
 #include "serve/server_sim.hpp"
 
 namespace marlin::serve {
@@ -98,10 +99,18 @@ TEST(Engine, WeightBytesPerGpuShrinkWithFormatAndTp) {
   EngineConfig cfg = a10_7b(WeightFormat::kFp16);
   const double fp16_bytes = Engine(cfg).weight_bytes_per_gpu();
   cfg.format = WeightFormat::kMarlin;
-  const double q_bytes = Engine(cfg).weight_bytes_per_gpu();
+  const Engine marlin(cfg);
+  const double q_bytes = marlin.weight_bytes_per_gpu();
   EXPECT_NEAR(fp16_bytes / q_bytes, 16.0 / 4.125, 0.01);
-  cfg.num_gpus = 2;
-  EXPECT_NEAR(Engine(cfg).weight_bytes_per_gpu(), q_bytes / 2, 1.0);
+  // Under tensor parallelism every rank holds 1/tp of the weights. The
+  // embedding and LM head stay FP16, so a shard is heavier than the
+  // all-quantized device total divided by tp.
+  const double tp1 =
+      parallel::ParallelEngine(marlin, {1, 1, 0}).max_weight_shard_bytes();
+  const double tp2 =
+      parallel::ParallelEngine(marlin, {2, 1, 0}).max_weight_shard_bytes();
+  EXPECT_GT(tp1, q_bytes);
+  EXPECT_NEAR(tp2, tp1 / 2, 1.0);
 }
 
 TEST(Engine, TensorParallelismSpeedsUpBigModelsButSubLinearly) {
@@ -109,27 +118,29 @@ TEST(Engine, TensorParallelismSpeedsUpBigModelsButSubLinearly) {
   cfg.model = llama2_70b();
   cfg.gpu = gpusim::a100_80g();
   cfg.format = WeightFormat::kFp16;
-  cfg.num_gpus = 2;
-  const double t2 = Engine(cfg).decode_step_seconds(8, 128.0);
-  cfg.num_gpus = 8;
-  const double t8 = Engine(cfg).decode_step_seconds(8, 128.0);
+  const Engine engine(cfg);
+  const double t2 =
+      parallel::ParallelEngine(engine, {2, 1, 0}).decode_step_seconds(8, 128.0);
+  const double t8 =
+      parallel::ParallelEngine(engine, {8, 1, 0}).decode_step_seconds(8, 128.0);
   EXPECT_LT(t8, t2);
   EXPECT_GT(t8, t2 / 4.0);  // far from linear: comm + overheads
 }
 
 TEST(Engine, MoreGpusShrinkMarlinAdvantage) {
-  // Table 2: Llama-2-70B on A100: TP2 => 2.55x, TP8 => 1.38x at batch 1.
+  // Table 2, Llama-2-70B on A100 at batch 1: the paper measures 2.55x on
+  // TP2 and 1.38x on TP8; the ring-priced model gives about 2.6x and 1.25x.
   auto speedup_at = [&](int gpus) {
     EngineConfig cfg;
     cfg.model = llama2_70b();
     cfg.gpu = gpusim::a100_80g();
-    cfg.num_gpus = gpus;
     cfg.format = WeightFormat::kFp16;
     const Engine fp16(cfg);
     cfg.format = WeightFormat::kMarlin;
     const Engine marlin(cfg);
-    return fp16.decode_step_seconds(1, 128.0) /
-           marlin.decode_step_seconds(1, 128.0);
+    const parallel::ParallelConfig tp{gpus, 1, 0};
+    return parallel::ParallelEngine(fp16, tp).decode_step_seconds(1, 128.0) /
+           parallel::ParallelEngine(marlin, tp).decode_step_seconds(1, 128.0);
   };
   const double s2 = speedup_at(2);
   const double s8 = speedup_at(8);

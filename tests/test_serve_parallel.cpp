@@ -183,17 +183,6 @@ TEST(ParallelEngine, TrivialConfigEqualsLegacyEngineBitForBit) {
   EXPECT_THROW((void)simulate_cluster_detailed(engine, sc), Error);
 }
 
-TEST(ParallelEngine, RejectsCompoundingWithLegacyNumGpusSplit) {
-  auto cfg = a100_cfg();
-  cfg.num_gpus = 2;
-  const Engine engine(cfg);
-  EXPECT_THROW(ParallelEngine(engine, ParallelConfig{2, 1, 0}), Error);
-  // Trivial configs stay compatible with the legacy split.
-  const ParallelEngine pe(engine, {1, 1, 0});
-  EXPECT_EQ(pe.decode_step_seconds(8, 100.0),
-            engine.decode_step_seconds(8, 100.0));
-}
-
 TEST(ParallelEngine, TensorParallelSpeedsUpButPaysAllReduce) {
   const Engine engine(a100_cfg());
   const ParallelEngine tp2(engine, {2, 1, 0});
