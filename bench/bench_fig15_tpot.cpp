@@ -16,7 +16,9 @@ static int run(int argc, char** argv) {
   using namespace marlin;
   using serve::WeightFormat;
   const CliArgs args(argc, argv);
-  auto help = bench::serving_flag_help();
+  // The figure sweeps its own QPS axis over a fixed 120 s window.
+  auto help =
+      bench::serving_flag_help(1.0, 120.0, {"qps", "duration", "workload"});
   help.push_back(bench::bench_json_flag_help());
   bench::maybe_print_help(
       args, "bench_fig15_tpot",

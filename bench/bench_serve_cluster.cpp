@@ -26,21 +26,20 @@ static int run(int argc, char** argv) {
   namespace sched = serve::sched;
   namespace cluster = serve::cluster;
   const CliArgs args(argc, argv);
-  bench::maybe_print_help(
-      args, "bench_serve_cluster",
-      "cluster serving sweep: replicas x placement x SLO shed, plus the "
-      "trace-driven autoscaler (Llama-2-7B MARLIN on RTX A6000)",
-      {{"--seed S", "workload-trace seed (default 42; goldens use 42)"},
-       {"--qps Q", "mean arrival rate (default 24)"},
-       {"--duration S", "arrival window seconds (default 40)"},
-       {"--ttft-slo MS", "TTFT shed deadline for the SLO axis (default 250)"},
+  auto help = bench::serving_flag_help(24.0, 40.0, {"workload"});
+  help.insert(
+      help.begin(),
+      {{"--ttft-slo MS", "TTFT shed deadline for the SLO axis (default 250)"},
        {"--tpot-slo MS", "TPOT deadline for the SLO axis (default 15)"},
        {"--trace-out FILE",
         "write a Chrome/Perfetto trace of one recorded serial re-run "
         "(autoscaled bursty config with the SLO axis on)"},
-       {"--metrics-out FILE",
-        "write the Prometheus-style metrics exposition of the same run"},
        bench::bench_json_flag_help()});
+  bench::maybe_print_help(
+      args, "bench_serve_cluster",
+      "cluster serving sweep: replicas x placement x SLO shed, plus the "
+      "trace-driven autoscaler (Llama-2-7B MARLIN on RTX A6000)",
+      std::move(help));
   const SimContext ctx = bench::make_context(args);
   const bench::ServeCliOptions cli = bench::parse_serve_cli(args, 24.0, 40.0);
   const double ttft_slo = args.get_double("ttft-slo", 250.0);

@@ -28,22 +28,20 @@ static int run(int argc, char** argv) {
   using namespace marlin;
   namespace sched = serve::sched;
   const CliArgs args(argc, argv);
+  auto help = bench::serving_flag_help(10.0, 30.0);
+  help.insert(help.begin(),
+              {{"--input N", "prompt tokens (default 256 — prefill-heavy)"},
+               {"--output N", "output tokens per request (default 64)"},
+               {"--trace-out FILE",
+                "write a Chrome/Perfetto trace of one recorded serial "
+                "re-run (disaggregated pools on the device link)"},
+               bench::bench_json_flag_help()});
   bench::maybe_print_help(
       args, "bench_serve_disagg",
       "disaggregated prefill/decode pools vs a unified fleet, priced KV "
       "transfer, and TP comm/compute overlap (Llama-2-7B MARLIN on RTX "
       "A6000)",
-      {{"--seed S", "workload-trace seed (default 42; goldens use 42)"},
-       {"--qps Q", "mean arrival rate (default 10)"},
-       {"--duration S", "arrival window seconds (default 30)"},
-       {"--input N", "prompt tokens (default 256 — prefill-heavy)"},
-       {"--output N", "output tokens per request (default 64)"},
-       {"--trace-out FILE",
-        "write a Chrome/Perfetto trace of one recorded serial re-run "
-        "(disaggregated pools on the device link)"},
-       {"--metrics-out FILE",
-        "write the Prometheus-style metrics exposition of the same run"},
-       bench::bench_json_flag_help()});
+      std::move(help));
   const SimContext ctx = bench::make_context(args);
   const bench::ServeCliOptions cli = bench::parse_serve_cli(args, 10.0, 30.0);
   const auto input_tokens =

@@ -32,23 +32,22 @@ static int run(int argc, char** argv) {
   using namespace marlin;
   namespace sched = serve::sched;
   const CliArgs args(argc, argv);
-  bench::maybe_print_help(
-      args, "bench_serve_multitenant",
-      "tenant mix x {fcfs,wfq} x speculation on/off serving sweep "
-      "(Llama-2-7B MARLIN on RTX A6000, tight KV budget)",
-      // No --policy here: the sweep runs fcfs AND wfq itself.
-      {{"--seed S", "workload-trace seed (default 42; goldens use 42)"},
-       {"--qps Q", "mean arrival rate (default 20)"},
-       {"--duration S", "arrival window seconds (default 40)"},
-       {"--kv-blocks N", "KV budget in blocks of 16 tokens (default 96)"},
+  // No --policy here: the sweep runs fcfs AND wfq itself.
+  auto help = bench::serving_flag_help(20.0, 40.0, {"policy", "workload"});
+  help.insert(
+      help.begin(),
+      {{"--kv-blocks N", "KV budget in blocks of 16 tokens (default 96)"},
        {"--spec-depth D", "draft tokens per speculative round (default 4)"},
        {"--spec-accept A", "per-token draft acceptance (default 0.8)"},
        {"--trace-out FILE",
         "write a Chrome/Perfetto trace of one recorded serial re-run "
         "(tiered wfq cell with speculation)"},
-       {"--metrics-out FILE",
-        "write the Prometheus-style metrics exposition of the same run"},
        bench::bench_json_flag_help()});
+  bench::maybe_print_help(
+      args, "bench_serve_multitenant",
+      "tenant mix x {fcfs,wfq} x speculation on/off serving sweep "
+      "(Llama-2-7B MARLIN on RTX A6000, tight KV budget)",
+      std::move(help));
   const SimContext ctx = bench::make_context(args);
   const bench::ServeCliOptions cli = bench::parse_serve_cli(args, 20.0, 40.0);
   bench::BenchJsonReporter json(args, ctx, "bench_serve_multitenant");

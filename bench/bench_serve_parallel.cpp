@@ -29,19 +29,17 @@ static int run(int argc, char** argv) {
   namespace sched = serve::sched;
   namespace par = serve::parallel;
   const CliArgs args(argc, argv);
+  auto help = bench::serving_flag_help(10.0, 40.0, {"workload"});
+  help.insert(help.begin(),
+              {{"--trace-out FILE",
+                "write a Chrome/Perfetto trace of one recorded serial "
+                "re-run (TP2xPP2 grid with decode_split counter tracks)"},
+               bench::bench_json_flag_help()});
   bench::maybe_print_help(
       args, "bench_serve_parallel",
       "multi-GPU parallel serving sweep: TPxPP rank grids x policy x "
       "workload, Llama-2-70B on A100/NVLink (sweeps fcfs/sjf itself)",
-      {{"--seed S", "workload-trace seed (default 42; goldens use 42)"},
-       {"--qps Q", "mean arrival rate (default 10)"},
-       {"--duration S", "arrival window seconds (default 40)"},
-       {"--trace-out FILE",
-        "write a Chrome/Perfetto trace of one recorded serial re-run "
-        "(TP2xPP2 grid with decode_split counter tracks)"},
-       {"--metrics-out FILE",
-        "write the Prometheus-style metrics exposition of the same run"},
-       bench::bench_json_flag_help()});
+      std::move(help));
   const SimContext ctx = bench::make_context(args);
   const bench::ServeCliOptions cli = bench::parse_serve_cli(args, 10.0, 40.0);
   bench::BenchJsonReporter json(args, ctx, "bench_serve_parallel");

@@ -31,22 +31,22 @@ static int run(int argc, char** argv) {
   using namespace marlin;
   namespace sched = serve::sched;
   const CliArgs args(argc, argv);
+  // The sweep sets the cache on/off, the policy and the mix itself.
+  auto help = bench::serving_flag_help(16.0, 40.0,
+                                       {"prefix-cache", "policy", "workload"});
+  help.insert(help.begin(),
+              {{"--prefix-cache-blocks N",
+                "cap on evicted-but-cached blocks kept for reuse in the "
+                "cache-on rows (0 = no cap, the golden configuration)"},
+               {"--trace-out FILE",
+                "write a Chrome/Perfetto trace of one recorded serial "
+                "re-run (shared mix, cache on, wfq)"},
+               bench::bench_json_flag_help()});
   bench::maybe_print_help(
       args, "bench_serve_prefixcache",
       "hashed prefix cache sweep: shared-prefix workloads x cache on/off x "
       "fcfs/wfq (Llama-2-7B MARLIN on RTX A6000)",
-      {{"--seed S", "workload-trace seed (default 42; goldens use 42)"},
-       {"--qps Q", "mean arrival rate (default 16)"},
-       {"--duration S", "arrival window seconds (default 40)"},
-       {"--prefix-cache-blocks N",
-        "cap on evicted-but-cached blocks kept for reuse in the cache-on "
-        "rows (0 = no cap, the golden configuration)"},
-       {"--trace-out FILE",
-        "write a Chrome/Perfetto trace of one recorded serial re-run "
-        "(shared mix, cache on, wfq)"},
-       {"--metrics-out FILE",
-        "write the Prometheus-style metrics exposition of the same run"},
-       bench::bench_json_flag_help()});
+      std::move(help));
   const SimContext ctx = bench::make_context(args);
   const bench::ServeCliOptions cli = bench::parse_serve_cli(args, 16.0, 40.0);
   bench::BenchJsonReporter json(args, ctx, "bench_serve_prefixcache");

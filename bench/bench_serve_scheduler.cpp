@@ -21,21 +21,19 @@ static int run(int argc, char** argv) {
   using namespace marlin;
   namespace sched = serve::sched;
   const CliArgs args(argc, argv);
+  auto help = bench::serving_flag_help(8.0, 60.0, {"workload"});
+  help.insert(help.begin(),
+              {{"--prefill-chunk N",
+                "per-sequence prefill chunk tokens (0 = unchunked)"},
+               {"--trace-out FILE",
+                "write a Chrome/Perfetto trace of one recorded serial "
+                "re-run (tight-KV bursty cell)"},
+               bench::bench_json_flag_help()});
   bench::maybe_print_help(
       args, "bench_serve_scheduler",
       "scheduler scenario sweep: admission policy x workload shape x KV "
       "budget under overload (sweeps fcfs/sjf/max-util itself)",
-      {{"--seed S", "workload-trace seed (default 42; goldens use 42)"},
-       {"--qps Q", "mean arrival rate (default 8)"},
-       {"--duration S", "arrival window seconds (default 60)"},
-       {"--prefill-chunk N",
-        "per-sequence prefill chunk tokens (0 = unchunked)"},
-       {"--trace-out FILE",
-        "write a Chrome/Perfetto trace of one recorded serial re-run "
-        "(tight-KV bursty cell)"},
-       {"--metrics-out FILE",
-        "write the Prometheus-style metrics exposition of the same run"},
-       bench::bench_json_flag_help()});
+      std::move(help));
   const SimContext ctx = bench::make_context(args);
   const bench::ServeCliOptions cli = bench::parse_serve_cli(args, 8.0, 60.0);
   const index_t chunk = args.get_int("prefill-chunk", 0);

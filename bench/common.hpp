@@ -17,7 +17,8 @@
 //                multi-tenant weighted-fair policy).
 //
 // Every binary also answers `--help` via `maybe_print_help` below, which
-// is the single source of flag documentation at runtime.
+// is the single source of flag documentation at runtime and rejects any
+// flag the binary does not declare.
 
 #include <algorithm>
 #include <chrono>
@@ -54,14 +55,23 @@ struct FlagHelp {
   std::string text;
 };
 
-/// Shared `--help` handling for every bench and example binary: prints
-/// the binary's one-line summary, the universal `--threads` flag, the
-/// binary-specific flags, and `--help` itself, then exits. Call right
-/// after constructing the CliArgs so `--help` never runs a sweep.
+/// The flag name of a help entry: "--seed S" -> "seed".
+inline std::string flag_name(const FlagHelp& f) {
+  const std::size_t end = f.flag.find(' ');
+  return f.flag.substr(2, end == std::string::npos ? end : end - 2);
+}
+
+/// Shared `--help` handling and flag validation for every bench and
+/// example binary. With `--help` it prints the binary's one-line summary,
+/// the universal `--threads` and `--simd` flags, the binary-specific
+/// flags (the first entry per flag wins), and `--help` itself, then
+/// exits. Otherwise it throws a `marlin::Error` on any flag that is
+/// neither universal (`--threads`, `--simd`, `--bench-json`, `--help`)
+/// nor declared in `flags`, so a typo fails instead of being ignored.
+/// Call right after constructing the CliArgs so neither runs a sweep.
 inline void maybe_print_help(const CliArgs& args, const std::string& binary,
                              const std::string& summary,
                              std::vector<FlagHelp> flags = {}) {
-  if (!args.get_bool("help", false)) return;
   std::vector<FlagHelp> all;
   all.push_back({"--threads N",
                  "worker threads; 0/absent = MARLIN_THREADS env, then "
@@ -70,8 +80,25 @@ inline void maybe_print_help(const CliArgs& args, const std::string& binary,
                  "SIMD dispatch level: scalar | avx2 | avx512 | auto "
                  "(default: MARLIN_SIMD env, then auto-detect; every level "
                  "is bit-identical by contract)"});
-  for (auto& f : flags) all.push_back(std::move(f));
+  for (auto& f : flags) {
+    const bool seen = std::any_of(all.begin(), all.end(), [&](const auto& a) {
+      return flag_name(a) == flag_name(f);
+    });
+    if (!seen) all.push_back(std::move(f));
+  }
   all.push_back({"--help", "print this help and exit"});
+  if (!args.get_bool("help", false)) {
+    for (const std::string& name : args.flag_names()) {
+      const bool known =
+          name == "bench-json" ||
+          std::any_of(all.begin(), all.end(),
+                      [&](const auto& a) { return flag_name(a) == name; });
+      if (!known) {
+        throw Error("unknown flag --" + name + " (see --help)");
+      }
+    }
+    return;
+  }
   std::size_t width = 0;
   for (const auto& f : all) width = std::max(width, f.flag.size());
   std::cout << binary << " — " << summary << "\n\nFlags:\n";
@@ -99,26 +126,46 @@ inline int run_main(int argc, char** argv, int (*body)(int, char**)) {
   }
 }
 
-/// The serving flags shared by fig15/fig16/bench_serve_* (documented at
-/// the top of this header).
-inline std::vector<FlagHelp> serving_flag_help() {
-  return {{"--seed S", "workload-trace seed (default 42; goldens use 42)"},
-          {"--policy P",
-           "scheduler admission policy: fcfs | sjf | max-util | wfq"},
-          {"--prefix-cache",
-           "enable the hashed prefix cache (reuses cached shared-prefix KV "
-           "blocks at admission; default off, the goldens configuration)"},
-          {"--prefix-cache-blocks N",
-           "cap on evicted-but-cached blocks kept for reuse (0 = every "
-           "free block may stay cached; only meaningful with "
-           "--prefix-cache)"},
-          {"--trace-out FILE",
-           "write a Chrome/Perfetto trace of one recorded serial re-run of "
-           "a representative config (stderr announce; golden stdout "
-           "untouched)"},
-          {"--metrics-out FILE",
-           "write the Prometheus-style metrics exposition of the same "
-           "recorded run"}};
+/// Every flag `parse_serve_cli` reads, with its help text: the one list
+/// the serving binaries (fig15/fig16/bench_serve_*/serving_simulation)
+/// declare. The qps/duration defaults are the binary's own, as passed to
+/// `parse_serve_cli`. `unused` names flags the binary sweeps itself
+/// instead of reading (say "policy" for a bench that runs every policy);
+/// they are left out, so `maybe_print_help` rejects them. Entries the
+/// binary lists before these win, which lets it describe, for example,
+/// which config its `--trace-out` run records.
+inline std::vector<FlagHelp> serving_flag_help(
+    double default_qps, double default_duration_s,
+    const std::vector<std::string>& unused = {}) {
+  std::ostringstream qps;
+  std::ostringstream duration;
+  qps << "mean arrival rate (default " << default_qps << ")";
+  duration << "arrival window seconds (default " << default_duration_s
+           << ")";
+  std::vector<FlagHelp> flags{
+      {"--seed S", "workload-trace seed (default 42; goldens use 42)"},
+      {"--qps Q", qps.str()},
+      {"--duration S", duration.str()},
+      {"--workload W", "arrival shape: poisson | bursty | sharegpt"},
+      {"--policy P",
+       "scheduler admission policy: fcfs | sjf | max-util | wfq"},
+      {"--prefix-cache",
+       "enable the hashed prefix cache (reuses cached shared-prefix KV "
+       "blocks at admission; default off, the goldens configuration)"},
+      {"--prefix-cache-blocks N",
+       "cap on evicted-but-cached blocks kept for reuse (0 = every free "
+       "block may stay cached; only meaningful with --prefix-cache)"},
+      {"--trace-out FILE",
+       "write a Chrome/Perfetto trace of one recorded serial re-run of a "
+       "representative config (stderr announce; golden stdout untouched)"},
+      {"--metrics-out FILE",
+       "write the Prometheus-style metrics exposition of the same recorded "
+       "run"}};
+  std::erase_if(flags, [&](const FlagHelp& f) {
+    return std::find(unused.begin(), unused.end(), flag_name(f)) !=
+           unused.end();
+  });
+  return flags;
 }
 
 /// Help entry for `--bench-json` (golden benches construct a

@@ -19,7 +19,7 @@
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   using namespace marlin;
   const CliArgs args(argc, argv);
   bench::maybe_print_help(
@@ -86,4 +86,8 @@ int main(int argc, char** argv) {
             << format_seconds(fp16.seconds) << " -> "
             << format_double(fp16.seconds / est.seconds, 2) << "x speedup\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return marlin::bench::run_main(argc, argv, run);
 }

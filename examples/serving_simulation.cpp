@@ -25,27 +25,18 @@ static int run(int argc, char** argv) {
   using namespace marlin;
   namespace sched = serve::sched;
   const CliArgs args(argc, argv);
-  bench::maybe_print_help(
-      args, "serving_simulation",
-      "trace-driven serving comparison of weight formats (FP16 / MARLIN / "
-      "Sparse-MARLIN) on the request-level scheduler",
+  auto help = bench::serving_flag_help(2.5, 120.0);
+  help.insert(
+      help.begin(),
       {{"--model M", "target model (default llama-2-7b)"},
        {"--device D", "GPU (default rtxa6000)"},
-       {"--qps Q", "mean arrival rate (default 2.5)"},
-       {"--duration S", "arrival window seconds (default 120)"},
        {"--input-tokens N", "prompt tokens (default 64)"},
        {"--output-tokens N", "output tokens (default 64)"},
-       {"--seed S", "workload-trace seed (default 42)"},
-       {"--workload W", "arrival shape: poisson | bursty | sharegpt"},
-       {"--policy P", "admission policy: fcfs | sjf | max-util | wfq"},
        {"--kv-blocks N", "KV budget in blocks (-1 = derive from HBM, 0 = "
                          "unlimited)"},
        {"--kv-block-size N", "tokens per KV block (default 16)"},
        {"--prefill-chunk N", "per-sequence prefill chunk tokens (0 = whole "
                              "prompt)"},
-       {"--prefix-cache", "enable the hashed prefix cache"},
-       {"--prefix-cache-blocks N",
-        "cap on evicted-but-cached blocks kept for reuse (0 = no cap)"},
        {"--shared-prefix-tokens N",
         "shared system-prompt length prepended to tagged prompts (0 = "
         "off)"},
@@ -77,9 +68,12 @@ static int run(int argc, char** argv) {
        {"--autoscale-max N", "autoscaler replica ceiling (default 8)"},
        {"--trace-out FILE",
         "write a Chrome/Perfetto trace of a serial re-run of this exact "
-        "config (MARLIN engine)"},
-       {"--metrics-out FILE",
-        "write the Prometheus-style metrics exposition of the same run"}});
+        "config (MARLIN engine)"}});
+  bench::maybe_print_help(
+      args, "serving_simulation",
+      "trace-driven serving comparison of weight formats (FP16 / MARLIN / "
+      "Sparse-MARLIN) on the request-level scheduler",
+      std::move(help));
   const SimContext ctx = make_sim_context(args);
   const bench::ServeCliOptions cli = bench::parse_serve_cli(args, 2.5, 120.0);
   serve::EngineConfig ecfg;

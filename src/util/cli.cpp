@@ -1,5 +1,6 @@
 #include "util/cli.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "util/error.hpp"
@@ -23,6 +24,14 @@ CliArgs::CliArgs(int argc, const char* const* argv) {
       flags_[arg] = "true";
     }
   }
+}
+
+std::vector<std::string> CliArgs::flag_names() const {
+  std::vector<std::string> names;
+  names.reserve(flags_.size());
+  for (const auto& [name, value] : flags_) names.push_back(name);
+  std::sort(names.begin(), names.end());
+  return names;
 }
 
 bool CliArgs::has(const std::string& name) const {

@@ -22,6 +22,9 @@ class CliArgs {
                                   double fallback) const;
   [[nodiscard]] bool get_bool(const std::string& name, bool fallback) const;
 
+  /// Names of every parsed `--flag`, sorted.
+  [[nodiscard]] std::vector<std::string> flag_names() const;
+
   /// Non-flag positional arguments in order.
   [[nodiscard]] const std::vector<std::string>& positional() const {
     return positional_;

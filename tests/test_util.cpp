@@ -133,6 +133,8 @@ TEST(Cli, ParsesAllForms) {
   EXPECT_EQ(args.get_int("missing", 99), 99);
   ASSERT_EQ(args.positional().size(), 1u);
   EXPECT_EQ(args.positional()[0], "positional");
+  EXPECT_EQ(args.flag_names(),
+            (std::vector<std::string>{"device", "enable", "m"}));
 }
 
 // The pool is reached through SimContext — the only supported owner.
