@@ -1,6 +1,7 @@
 // Seed-swept randomized invariant fuzzer for the serving stack: every
 // seed derives a random ServingConfig spanning the policy × replica ×
-// SLO × prefix-cache × speculation × disaggregation × autoscaler space,
+// SLO × prefix-cache × speculation × disaggregation × autoscaler ×
+// tensor/pipeline-parallel space,
 // runs it end to end, and asserts the invariants that must hold for
 // *every* configuration:
 //
@@ -229,6 +230,16 @@ FuzzCase case_for_seed(std::uint64_t seed) {
     sc.qps = 1e4 / sc.duration_s;
     grid_s = 2.0 * sc.duration_s;
   }
+
+  // Tensor/pipeline sharding through ParallelEngine on about 1 seed in 5,
+  // drawn last so every seed keeps the configuration above. The draws
+  // are unconditional, so the stream position never depends on them.
+  const bool sharded = pick(0, 4) == 0;
+  const int tp = std::array{1, 2, 4}[pick(0, 2)];
+  const int pp = pick(1, 2);
+  const int microbatches = pick(0, 4);
+  const int comm_buckets = std::array{1, 2, 4}[pick(0, 2)];
+  if (sharded) sc.parallel = {tp, pp, microbatches, comm_buckets};
   return FuzzCase{sc, grid_s};
 }
 
@@ -553,6 +564,7 @@ TEST(ClusterFuzz, InvariantsHoldAcrossTheSeedSweep) {
   index_t wide_fleets = 0;
   index_t autoscaler_adds = 0;
   index_t autoscaler_retires = 0;
+  index_t sharded = 0;
   for (index_t seed = 1; seed <= seeds; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     const FuzzCase fc = case_for_seed(seed);
@@ -627,6 +639,7 @@ TEST(ClusterFuzz, InvariantsHoldAcrossTheSeedSweep) {
     }
     if (HasFatalFailure()) return;
     wide_fleets += cs.replicas.size() >= 4 ? 1 : 0;
+    sharded += sc.parallel.trivial() ? 0 : 1;
     autoscaler_adds += cs.replicas_added > 0 ? 1 : 0;
     for (const cluster::ReplicaStats& rep : cs.replicas) {
       if (rep.lifecycle == cluster::ReplicaLifecycle::kRetired) {
@@ -641,6 +654,7 @@ TEST(ClusterFuzz, InvariantsHoldAcrossTheSeedSweep) {
     EXPECT_GT(wide_fleets, 0);
     EXPECT_GT(autoscaler_adds, 0);
     EXPECT_GT(autoscaler_retires, 0);
+    EXPECT_GT(sharded, 0);
   }
 }
 
