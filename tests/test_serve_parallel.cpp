@@ -2,7 +2,8 @@
 // per-rank weight shards and KV budgets (incl. the clamp-to-zero error
 // path), interconnect pricing, TP=1/PP=1 equivalence to the legacy
 // single-device path, and the bit-identical-across-threads contract for
-// the per-rank Worker path.
+// the per-rank Worker path, plus every step price checked bit-for-bit
+// against the frozen formulas in reference_step_model.cpp.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +11,7 @@
 #include <cstdlib>
 #include <string>
 
+#include "reference_step_model.hpp"
 #include "serve/parallel/parallel_engine.hpp"
 #include "serve/server_sim.hpp"
 
@@ -313,6 +315,141 @@ TEST(ParallelEngine, RepeatRunsAreDeterministic) {
   EXPECT_EQ(a.metrics.mean_tpot_ms, b.metrics.mean_tpot_ms);
   EXPECT_EQ(a.metrics.mean_ttft_ms, b.metrics.mean_ttft_ms);
   EXPECT_EQ(a.sim_end_s, b.sim_end_s);
+}
+
+// ------------------------------------------- frozen step-model reference
+
+/// Counts bit-for-bit comparisons against the reference and reports the
+/// first few mismatches (a broken formula would otherwise print thousands).
+class BitChecker {
+ public:
+  void check(double got, double want, const std::string& what) {
+    ++queries_;
+    if (got == want) return;
+    if (++mismatches_ <= 10) {
+      ADD_FAILURE() << what << ": got " << got << ", reference " << want;
+    }
+  }
+  [[nodiscard]] int queries() const { return queries_; }
+  [[nodiscard]] int mismatches() const { return mismatches_; }
+
+ private:
+  int queries_ = 0;
+  int mismatches_ = 0;
+};
+
+TEST(StepModelReference, EveryPriceMatchesTheFrozenFormulasBitForBit) {
+  const index_t batches[] = {1, 7, 64, 128};
+  const double contexts[] = {1.0, 63.9, 64.0, 1000.5};
+  const index_t depths[] = {0, 1, 3};
+  const index_t prompts[] = {1, 17, 512};
+  const SimContext pool(4);
+  BitChecker bits;
+  for (const WeightFormat fmt : {WeightFormat::kFp16, WeightFormat::kMarlin,
+                                 WeightFormat::kSparseMarlin}) {
+    // Half of the grids run on an engine whose memos were filled on the
+    // pool first, half on a cold one, so warm-up is covered too.
+    const Engine cold(a100_cfg(llama2_7b(), fmt));
+    const Engine warm(a100_cfg(llama2_7b(), fmt));
+    warm.warm_decode_cache(pool, 128, 1000.5);
+    int grid = 0;
+    for (const int tp : {1, 2, 4}) {
+      for (const int pp : {1, 2, 4}) {
+        for (const int mb : {0, 3}) {
+          for (const int cb : {1, 4}) {
+            ParallelConfig pc{tp, pp, mb};
+            pc.comm_buckets = cb;
+            const bool warmed = grid++ % 2 == 0;
+            const Engine& engine = warmed ? warm : cold;
+            const ParallelEngine pe(engine, pc);
+            if (warmed) pe.warm_decode_cache(pool, 128, 1000.5);
+            const std::string at = std::string(to_string(fmt)) + " " +
+                                   pc.to_string() + " cb" +
+                                   std::to_string(cb);
+            for (const index_t batch : batches) {
+              for (const index_t prompt : prompts) {
+                const std::string q = at + " b" + std::to_string(batch) +
+                                      " prompt" + std::to_string(prompt);
+                bits.check(engine.prefill_seconds(batch, prompt),
+                           reference::engine_prefill_seconds(engine, batch,
+                                                             prompt),
+                           q + " engine prefill");
+                bits.check(pe.prefill_seconds(batch, prompt),
+                           reference::parallel_prefill_seconds(pe, batch,
+                                                               prompt),
+                           q + " parallel prefill");
+                for (const Worker& w : pe.workers()) {
+                  const index_t tokens = batch * prompt;
+                  bits.check(w.prefill_compute_seconds(tokens, prompt),
+                             reference::worker_prefill_compute_seconds(
+                                 pe, w, tokens, prompt),
+                             q + " worker prefill");
+                }
+              }
+              for (const double ctx : contexts) {
+                const std::string q = at + " b" + std::to_string(batch) +
+                                      " ctx" + std::to_string(ctx);
+                const StepBreakdown got = pe.decode_breakdown(batch, ctx);
+                const StepBreakdown want =
+                    reference::parallel_decode_breakdown(pe, batch, ctx);
+                bits.check(got.total_s, want.total_s, q + " total_s");
+                bits.check(got.stage_compute_s, want.stage_compute_s,
+                           q + " stage_compute_s");
+                bits.check(got.tp_comm_s, want.tp_comm_s, q + " tp_comm_s");
+                bits.check(got.pp_send_s, want.pp_send_s, q + " pp_send_s");
+                bits.check(got.microbatches, want.microbatches,
+                           q + " microbatches");
+                bits.check(got.bubble_fraction, want.bubble_fraction,
+                           q + " bubble_fraction");
+                bits.check(got.overlap_saved_s, want.overlap_saved_s,
+                           q + " overlap_saved_s");
+                bits.check(engine.decode_step_seconds(batch, ctx),
+                           reference::engine_decode_step_seconds(engine, batch,
+                                                                 ctx),
+                           q + " engine decode");
+                bits.check(pe.decode_step_seconds(batch, ctx),
+                           reference::parallel_decode_step_seconds(pe, batch,
+                                                                   ctx),
+                           q + " parallel decode");
+                for (const index_t depth : depths) {
+                  const std::string qd = q + " depth" + std::to_string(depth);
+                  bits.check(engine.verify_step_seconds(batch, ctx, depth),
+                             reference::engine_verify_step_seconds(
+                                 engine, batch, ctx, depth),
+                             qd + " engine verify");
+                  bits.check(pe.verify_step_seconds(batch, ctx, depth),
+                             reference::parallel_verify_step_seconds(
+                                 pe, batch, ctx, depth),
+                             qd + " parallel verify");
+                }
+                for (const Worker& w : pe.workers()) {
+                  bits.check(w.decode_compute_seconds(batch, ctx),
+                             reference::worker_decode_compute_seconds(
+                                 pe, w, batch, ctx),
+                             q + " worker decode");
+                  for (const int buckets : {1, cb}) {
+                    bits.check(w.overlapped_decode_stage_seconds(batch, ctx,
+                                                                 buckets),
+                               reference::worker_overlapped_decode_stage_seconds(
+                                   pe, w, batch, ctx, buckets),
+                               q + " worker overlapped stage");
+                  }
+                  for (const index_t depth : depths) {
+                    bits.check(w.verify_compute_seconds(batch, ctx, depth),
+                               reference::worker_verify_compute_seconds(
+                                   pe, w, batch, ctx, depth),
+                               q + " worker verify depth" +
+                                   std::to_string(depth));
+                  }
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(bits.mismatches(), 0) << "of " << bits.queries() << " queries";
 }
 
 }  // namespace
