@@ -19,6 +19,21 @@ const char* to_string(WeightFormat f) {
   return "?";
 }
 
+void StepModel::warm_decode_cache(const SimContext& ctx, index_t max_batch,
+                                  double max_context) const {
+  if (ctx.serial()) return;
+  MARLIN_CHECK(max_batch >= 1, "batch must be >= 1");
+  // One task per batch size fills the model's (mutex-guarded) memos — the
+  // expensive kernel-model part — concurrently; every 64-token context
+  // bucket is then priced from the already-cached linear time.
+  const auto buckets = static_cast<index_t>(max_context / 64.0) + 1;
+  ctx.parallel_for(1, max_batch + 1, [&](std::int64_t batch) {
+    for (index_t b = 0; b < buckets; ++b) {
+      (void)decode_step_seconds(batch, static_cast<double>(b) * 64.0 + 1.0);
+    }
+  });
+}
+
 namespace {
 
 baselines::KernelModelPtr make_kernel(WeightFormat f) {
@@ -154,35 +169,19 @@ double Engine::attention_decode_seconds(index_t batch,
 }
 
 double Engine::decode_step_seconds(index_t batch, double avg_context) const {
-  MARLIN_CHECK(batch >= 1, "batch must be >= 1");
-  // Bucket contexts to keep the memo small (64-token buckets).
-  const index_t ctx_bucket = static_cast<index_t>(avg_context / 64.0);
-  const auto key = std::make_pair(batch, ctx_bucket);
-  {
-    const std::lock_guard lock(cache_mutex_);
-    if (const auto it = decode_cache_.find(key); it != decode_cache_.end()) {
-      return it->second;
-    }
-  }
-  const double ctx = static_cast<double>(ctx_bucket) * 64.0 + 32.0;
-  const double t = linear_layers_seconds(batch) +
-                   attention_decode_seconds(batch, ctx) +
-                   cfg_.step_overhead_s;
-  const std::lock_guard lock(cache_mutex_);
-  decode_cache_[key] = t;
-  return t;
+  return verify_step_seconds(batch, avg_context, 0);
 }
 
 double Engine::verify_step_seconds(index_t batch, double avg_context,
                                    index_t depth) const {
   MARLIN_CHECK(batch >= 1, "batch must be >= 1");
   MARLIN_CHECK(depth >= 0, "speculation depth must be >= 0");
-  if (depth == 0) return decode_step_seconds(batch, avg_context);
+  // Bucket contexts to keep the memo small (64-token buckets).
   const auto ctx_bucket = static_cast<index_t>(avg_context / 64.0);
   const auto key = std::make_tuple(batch, ctx_bucket, depth);
   {
     const std::lock_guard lock(cache_mutex_);
-    if (const auto it = verify_cache_.find(key); it != verify_cache_.end()) {
+    if (const auto it = step_cache_.find(key); it != step_cache_.end()) {
       return it->second;
     }
   }
@@ -190,14 +189,13 @@ double Engine::verify_step_seconds(index_t batch, double avg_context,
   // them), but each sequence's paged KV is streamed once per layer — the
   // depth + 1 query positions share the fetch, which is the whole point
   // of verifying a draft in one batched step instead of depth + 1 decode
-  // steps. Same 64-token context bucketing as decode.
+  // steps. A decode step is depth 0.
   const double ctx = static_cast<double>(ctx_bucket) * 64.0 + 32.0;
-  const index_t m = batch * (depth + 1);
-  const double t = linear_layers_seconds(m) +
+  const double t = linear_layers_seconds(batch * (depth + 1)) +
                    attention_decode_seconds(batch, ctx) +
                    cfg_.step_overhead_s;
   const std::lock_guard lock(cache_mutex_);
-  verify_cache_[key] = t;
+  step_cache_[key] = t;
   return t;
 }
 
@@ -213,22 +211,6 @@ double Engine::prefill_seconds(index_t batch, index_t prompt_tokens) const {
   const double clock = cfg_.clock.effective_clock_ghz(cfg_.gpu, 0.0);
   const double t_attn = attn_flops / (cfg_.gpu.tc_flops(clock) * 0.5);
   return linear_layers_seconds(m) + t_attn + cfg_.prefill_overhead_s;
-}
-
-void Engine::warm_decode_cache(const SimContext& ctx, index_t max_batch,
-                               double max_context) const {
-  if (ctx.serial()) return;
-  MARLIN_CHECK(max_batch >= 1, "batch must be >= 1");
-  // One task per batch size fills the (mutex-guarded) per-block and
-  // LM-head memos — the expensive kernel-model part — concurrently; every
-  // 64-token context bucket is then priced from the already-cached linear
-  // time.
-  const auto buckets = static_cast<index_t>(max_context / 64.0) + 1;
-  ctx.parallel_for(1, max_batch + 1, [&](std::int64_t batch) {
-    for (index_t b = 0; b < buckets; ++b) {
-      (void)decode_step_seconds(batch, static_cast<double>(b) * 64.0 + 1.0);
-    }
-  });
 }
 
 double Engine::weight_bits() const {

@@ -58,10 +58,14 @@ class StepModel {
   [[nodiscard]] virtual double verify_step_seconds(index_t batch,
                                                    double avg_context,
                                                    index_t depth) const = 0;
-  /// Pre-fills the decode memo on the context's pool (purely a warm-up;
-  /// cached values must equal on-demand computation bit-for-bit).
+  /// Pre-fills the decode memo for every batch in [1, max_batch] and the
+  /// 64-token context buckets up to `max_context`, fanning the
+  /// `decode_step_seconds` evaluations out on the context's shared pool.
+  /// Purely a warm-up: cached values must equal on-demand computation, so
+  /// simulation results are bit-identical whether or not (and on how many
+  /// threads) this ran. A serial context skips the fan-out.
   virtual void warm_decode_cache(const SimContext& ctx, index_t max_batch,
-                                 double max_context) const = 0;
+                                 double max_context) const;
 
   /// Optional decode-step latency decomposition for the observability
   /// layer: when the model can attribute a decode step to compute vs
@@ -100,10 +104,7 @@ class Engine : public StepModel {
   explicit Engine(EngineConfig cfg);
 
   /// Seconds to advance every sequence of `batch` by one token, with the
-  /// given mean context length. Results are memoised; the memo caches are
-  /// mutex-guarded so one Engine can be shared by concurrent sweep workers
-  /// (values are deterministic, so duplicated computation of a missing
-  /// entry is benign).
+  /// given mean context length: the depth-0 verification step.
   [[nodiscard]] double decode_step_seconds(index_t batch,
                                            double avg_context) const override;
 
@@ -112,7 +113,10 @@ class Engine : public StepModel {
                                        index_t prompt_tokens) const override;
 
   /// Speculative verification: linear layers at `batch * (depth + 1)`
-  /// tokens, one shared KV stream per layer. Memoised like decode.
+  /// tokens, one shared KV stream per layer. Results are memoised; the
+  /// memo caches are mutex-guarded so one Engine can be shared by
+  /// concurrent sweep workers (values are deterministic, so duplicated
+  /// computation of a missing entry is benign).
   [[nodiscard]] double verify_step_seconds(index_t batch, double avg_context,
                                            index_t depth) const override;
 
@@ -145,15 +149,6 @@ class Engine : public StepModel {
   [[nodiscard]] double prefill_attention_layer_seconds(
       index_t m, index_t prompt_tokens, int tp) const;
 
-  /// Pre-fills the decode memo for every batch in [1, max_batch] and the
-  /// context buckets up to `max_context`, fanning the step-model
-  /// evaluations out on the context's shared pool. Purely a warm-up: the
-  /// cached values are identical to on-demand computation, so simulation
-  /// results are bit-identical whether or not (and on how many threads)
-  /// this ran. A serial context skips the fan-out.
-  void warm_decode_cache(const SimContext& ctx, index_t max_batch,
-                         double max_context) const override;
-
  private:
   [[nodiscard]] double linear_layers_seconds(index_t m) const;
   [[nodiscard]] double attention_decode_seconds(index_t batch,
@@ -164,11 +159,10 @@ class Engine : public StepModel {
   /// Guards every memo cache; held only around lookups/inserts, never
   /// across the kernel-model estimates, so the cache fills concurrently
   /// without lock nesting (linear_layers_seconds runs under no lock when
-  /// decode_step_seconds computes a miss).
+  /// verify_step_seconds computes a miss).
   mutable std::mutex cache_mutex_;
-  mutable std::map<std::pair<index_t, index_t>, double> decode_cache_;
-  mutable std::map<std::tuple<index_t, index_t, index_t>, double>
-      verify_cache_;
+  /// Step seconds keyed (batch, 64-token context bucket, depth).
+  mutable std::map<std::tuple<index_t, index_t, index_t>, double> step_cache_;
   mutable std::map<std::pair<index_t, int>, double> block_cache_;
   mutable std::map<std::pair<index_t, int>, double> head_cache_;
 };

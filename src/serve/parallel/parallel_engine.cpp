@@ -38,9 +38,26 @@ ParallelEngine::ParallelEngine(const Engine& engine, ParallelConfig cfg)
   }
 }
 
-StepBreakdown ParallelEngine::decode_breakdown_at(
-    index_t batch, double bucket_context) const {
+double ParallelEngine::send_seconds(index_t tokens) const {
+  const int pp = cfg_.pipeline_parallel;
+  if (pp == 1) return 0.0;
+  const double activation_bytes =
+      static_cast<double>(tokens) *
+      static_cast<double>(engine_.config().model.hidden) * 2.0;
+  return static_cast<double>(pp - 1) *
+         link_.transfer_seconds(activation_bytes);
+}
+
+StepBreakdown ParallelEngine::step_breakdown(index_t batch,
+                                             double bucket_context,
+                                             index_t depth) const {
   const auto mb = plan_microbatches(cfg_, batch);
+  // Each stage scores every candidate: compute, TP all-reduces and the
+  // activation sends on the stage boundaries price (depth + 1)x the
+  // tokens. `comm_buckets` prices decode steps only, so a verification
+  // step keeps the serialized stage.
+  const index_t tokens = mb.seqs * (depth + 1);
+  const int buckets = depth == 0 ? cfg_.comm_buckets : 1;
   StepBreakdown b;
   b.microbatches = mb.count;
 
@@ -48,13 +65,14 @@ StepBreakdown ParallelEngine::decode_breakdown_at(
   // tensor-parallel all-reduce share. Iterate in rank order with a strict
   // greater-than so the argmax is deterministic. With comm_buckets > 1
   // the schedule the step actually pays is the overlapped one, tracked as
-  // a second max over the same rank order; comm_buckets == 1 keeps both
-  // maxima equal by construction.
+  // a second max over the same rank order; one bucket keeps both maxima
+  // equal by construction.
   double stage_max = 0.0;
   double stage_max_overlapped = 0.0;
   for (const Worker& w : workers_) {
-    const double compute = w.decode_compute_seconds(mb.seqs, bucket_context);
-    const double comm = w.tp_comm_seconds(mb.seqs);
+    const double compute =
+        w.step_compute_seconds(mb.seqs, bucket_context, depth);
+    const double comm = w.tp_comm_seconds(tokens);
     if (compute + comm > stage_max) {
       stage_max = compute + comm;
       b.stage_compute_s = compute;
@@ -62,17 +80,11 @@ StepBreakdown ParallelEngine::decode_breakdown_at(
     }
     stage_max_overlapped = std::max(
         stage_max_overlapped,
-        w.overlapped_decode_stage_seconds(mb.seqs, bucket_context,
-                                          cfg_.comm_buckets));
+        w.overlapped_stage_seconds(mb.seqs, bucket_context, depth, buckets));
   }
 
   const int pp = cfg_.pipeline_parallel;
-  const double activation_bytes =
-      static_cast<double>(mb.seqs) *
-      static_cast<double>(engine_.config().model.hidden) * 2.0;
-  b.pp_send_s = static_cast<double>(pp - 1) *
-                link_.transfer_seconds(activation_bytes);
-
+  b.pp_send_s = send_seconds(tokens);
   const double slots = static_cast<double>(mb.count + pp - 1);
   b.bubble_fraction = static_cast<double>(pp - 1) / slots;
   b.overlap_saved_s = slots * (stage_max - stage_max_overlapped);
@@ -93,7 +105,7 @@ StepBreakdown ParallelEngine::decode_breakdown(index_t batch,
   // Mirror the Engine's 64-token context bucketing so memo hits and fresh
   // computations see the same context value.
   const auto bucket = static_cast<index_t>(avg_context / 64.0);
-  return decode_breakdown_at(batch, static_cast<double>(bucket) * 64.0 + 32.0);
+  return step_breakdown(batch, static_cast<double>(bucket) * 64.0 + 32.0, 0);
 }
 
 bool ParallelEngine::decode_split(index_t batch, double avg_context,
@@ -110,22 +122,7 @@ bool ParallelEngine::decode_split(index_t batch, double avg_context,
 
 double ParallelEngine::decode_step_seconds(index_t batch,
                                            double avg_context) const {
-  MARLIN_CHECK(batch >= 1, "batch must be >= 1");
-  if (cfg_.trivial()) return engine_.decode_step_seconds(batch, avg_context);
-  const auto bucket = static_cast<index_t>(avg_context / 64.0);
-  const auto key = std::make_pair(batch, bucket);
-  {
-    const std::lock_guard lock(cache_mutex_);
-    if (const auto it = decode_cache_.find(key); it != decode_cache_.end()) {
-      return it->second;
-    }
-  }
-  const double t =
-      decode_breakdown_at(batch, static_cast<double>(bucket) * 64.0 + 32.0)
-          .total_s;
-  const std::lock_guard lock(cache_mutex_);
-  decode_cache_[key] = t;
-  return t;
+  return verify_step_seconds(batch, avg_context, 0);
 }
 
 double ParallelEngine::verify_step_seconds(index_t batch, double avg_context,
@@ -135,40 +132,19 @@ double ParallelEngine::verify_step_seconds(index_t batch, double avg_context,
   if (cfg_.trivial()) {
     return engine_.verify_step_seconds(batch, avg_context, depth);
   }
-  if (depth == 0) return decode_step_seconds(batch, avg_context);
   const auto bucket = static_cast<index_t>(avg_context / 64.0);
   const auto key = std::make_tuple(batch, bucket, depth);
   {
     const std::lock_guard lock(cache_mutex_);
-    if (const auto it = verify_cache_.find(key); it != verify_cache_.end()) {
+    if (const auto it = step_cache_.find(key); it != step_cache_.end()) {
       return it->second;
     }
   }
-  const double ctx = static_cast<double>(bucket) * 64.0 + 32.0;
-  const auto mb = plan_microbatches(cfg_, batch);
-  const index_t mb_tokens = mb.seqs * (depth + 1);
-
-  // Same composition as a decode step, with each stage verifying the
-  // widened candidate batch: compute and TP all-reduces price
-  // (depth + 1)x the tokens, activations on the stage boundaries carry
-  // every candidate.
-  double stage_max = 0.0;
-  for (const Worker& w : workers_) {
-    const double t = w.verify_compute_seconds(mb.seqs, ctx, depth) +
-                     w.tp_comm_seconds(mb_tokens);
-    stage_max = std::max(stage_max, t);
-  }
-  const int pp = cfg_.pipeline_parallel;
-  const double activation_bytes =
-      static_cast<double>(mb_tokens) *
-      static_cast<double>(engine_.config().model.hidden) * 2.0;
-  const double send = pp > 1 ? static_cast<double>(pp - 1) *
-                                   link_.transfer_seconds(activation_bytes)
-                             : 0.0;
-  const double t = static_cast<double>(mb.count + pp - 1) * stage_max + send +
-                   engine_.config().step_overhead_s;
+  const double t =
+      step_breakdown(batch, static_cast<double>(bucket) * 64.0 + 32.0, depth)
+          .total_s;
   const std::lock_guard lock(cache_mutex_);
-  verify_cache_[key] = t;
+  step_cache_[key] = t;
   return t;
 }
 
@@ -186,34 +162,8 @@ double ParallelEngine::prefill_seconds(index_t batch,
     stage_max = std::max(stage_max, t);
   }
   const int pp = cfg_.pipeline_parallel;
-  const double activation_bytes =
-      static_cast<double>(mb_tokens) *
-      static_cast<double>(engine_.config().model.hidden) * 2.0;
-  const double send = pp > 1 ? static_cast<double>(pp - 1) *
-                                   link_.transfer_seconds(activation_bytes)
-                             : 0.0;
-  return static_cast<double>(mb.count + pp - 1) * stage_max + send +
-         engine_.config().prefill_overhead_s;
-}
-
-void ParallelEngine::warm_decode_cache(const SimContext& ctx,
-                                       index_t max_batch,
-                                       double max_context) const {
-  if (cfg_.trivial()) {
-    engine_.warm_decode_cache(ctx, max_batch, max_context);
-    return;
-  }
-  if (ctx.serial()) return;
-  MARLIN_CHECK(max_batch >= 1, "batch must be >= 1");
-  // One task per batch size fills the per-rank step model (and, through
-  // it, the Engine's per-block memo) concurrently; cached values equal
-  // on-demand computation bit-for-bit, so warming never changes results.
-  const auto buckets = static_cast<index_t>(max_context / 64.0) + 1;
-  ctx.parallel_for(1, max_batch + 1, [&](std::int64_t batch) {
-    for (index_t b = 0; b < buckets; ++b) {
-      (void)decode_step_seconds(batch, static_cast<double>(b) * 64.0 + 1.0);
-    }
-  });
+  return static_cast<double>(mb.count + pp - 1) * stage_max +
+         send_seconds(mb_tokens) + engine_.config().prefill_overhead_s;
 }
 
 index_t ParallelEngine::min_kv_block_budget(index_t block_size,

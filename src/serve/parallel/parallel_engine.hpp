@@ -15,21 +15,28 @@
 //
 // The fill/drain bubble fraction is (stages-1)/(microbatches+stages-1).
 //
+// A speculative verification step is the same composition with every
+// sequence scoring `depth + 1` candidate tokens (compute, all-reduces and
+// sends at the widened token count); a decode step is depth 0, and both
+// share one memo.
+//
 // With `ParallelConfig::comm_buckets > 1` a decode stage's per-block
 // all-reduces are split into chunks that overlap the next block's compute
-// (see Worker::overlapped_decode_stage_seconds); the stage time becomes
-// the max over ranks of that overlapped schedule, never above the
-// serialized one, and the difference is surfaced per step as
+// (see Worker::overlapped_stage_seconds); the stage time becomes the max
+// over ranks of that overlapped schedule, never above the serialized
+// one, and the difference is surfaced per step as
 // `StepBreakdown::overlap_saved_s`. The default (1 bucket) reproduces the
-// serialized pricing bit-for-bit.
+// serialized pricing bit-for-bit. Verification steps keep the serialized
+// stage.
 //
 // The trivial config (TP=1, PP=1) delegates every query to the wrapped
 // single-device Engine, so it reproduces its numbers — and the
 // fig15/fig16/serve_scheduler goldens — bit-for-bit.
 //
 // Deterministic and memoised like the Engine; safe to share across
-// concurrent sweep workers. `warm_decode_cache` fans the per-rank step
-// evaluation onto the SimContext pool with bit-identical results.
+// concurrent sweep workers. The inherited `warm_decode_cache` fans the
+// per-rank step evaluation onto the SimContext pool with bit-identical
+// results.
 
 #include <map>
 #include <mutex>
@@ -69,13 +76,11 @@ class ParallelEngine final : public StepModel {
                                        index_t prompt_tokens) const override;
   /// Speculative verification across the rank grid: the whole draft batch
   /// is verified in one pipelined step — per-microbatch stage time is the
-  /// max over ranks of `Worker::verify_compute_seconds` plus the TP
+  /// max over ranks of `Worker::step_compute_seconds` plus the TP
   /// all-reduce at the widened `(depth + 1)x` token count, with the usual
-  /// pipeline fill/drain and activation sends. Memoised like decode.
+  /// pipeline fill/drain and activation sends. Memoised.
   [[nodiscard]] double verify_step_seconds(index_t batch, double avg_context,
                                            index_t depth) const override;
-  void warm_decode_cache(const SimContext& ctx, index_t max_batch,
-                         double max_context) const override;
 
   /// Latency decomposition of one decode step (not memoised; the total
   /// equals decode_step_seconds bit-for-bit).
@@ -103,17 +108,21 @@ class ParallelEngine final : public StepModel {
   [[nodiscard]] double max_weight_shard_bytes() const;
 
  private:
-  [[nodiscard]] StepBreakdown decode_breakdown_at(index_t batch,
-                                                  double bucket_context) const;
+  /// Decomposition of one step whose sequences each score `depth + 1`
+  /// tokens at the bucket-centred context (depth 0 is a decode step).
+  [[nodiscard]] StepBreakdown step_breakdown(index_t batch,
+                                             double bucket_context,
+                                             index_t depth) const;
+  /// Activation send/recv of `tokens` across every stage boundary.
+  [[nodiscard]] double send_seconds(index_t tokens) const;
 
   const Engine& engine_;
   ParallelConfig cfg_;
   std::vector<Worker> workers_;
   Interconnect link_;
   mutable std::mutex cache_mutex_;
-  mutable std::map<std::pair<index_t, index_t>, double> decode_cache_;
-  mutable std::map<std::tuple<index_t, index_t, index_t>, double>
-      verify_cache_;
+  /// Step seconds keyed (batch, 64-token context bucket, depth).
+  mutable std::map<std::tuple<index_t, index_t, index_t>, double> step_cache_;
 };
 
 }  // namespace marlin::serve::parallel

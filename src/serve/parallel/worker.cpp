@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "serve/parallel/interconnect.hpp"
+#include "serve/sched/block_manager.hpp"
 #include "util/error.hpp"
 
 namespace marlin::serve::parallel {
@@ -65,60 +66,36 @@ index_t Worker::kv_block_budget(index_t block_size,
       what.str() + " on " + engine_->config().gpu.name);
 }
 
-sched::BlockManager Worker::make_block_manager(
-    index_t block_size, double activation_reserve) const {
-  sched::BlockManagerConfig bc;
-  bc.block_size = block_size;
-  bc.num_blocks = kv_block_budget(block_size, activation_reserve);
-  return sched::BlockManager(bc);
+double Worker::compute_seconds(index_t m, double attention_layer_s) const {
+  const double layers = static_cast<double>(num_layers_);
+  double t = layers * engine_->block_linear_seconds(m, cfg_.tensor_parallel) +
+             layers * attention_layer_s;
+  if (has_lm_head()) t += engine_->lm_head_seconds(m, cfg_.tensor_parallel);
+  return t;
 }
 
-double Worker::decode_compute_seconds(index_t mb_tokens,
-                                      double avg_context) const {
-  const double layers = static_cast<double>(num_layers_);
-  double t = layers * engine_->block_linear_seconds(mb_tokens,
-                                                    cfg_.tensor_parallel) +
-             layers * engine_->attention_layer_seconds(mb_tokens, avg_context,
-                                                       cfg_.tensor_parallel);
-  if (has_lm_head()) {
-    t += engine_->lm_head_seconds(mb_tokens, cfg_.tensor_parallel);
-  }
-  return t;
+double Worker::step_compute_seconds(index_t seqs, double avg_context,
+                                    index_t depth) const {
+  return compute_seconds(seqs * (depth + 1),
+                         engine_->attention_layer_seconds(
+                             seqs, avg_context, cfg_.tensor_parallel));
 }
 
 double Worker::prefill_compute_seconds(index_t mb_tokens,
                                        index_t prompt_tokens) const {
-  const double layers = static_cast<double>(num_layers_);
-  double t = layers * engine_->block_linear_seconds(mb_tokens,
-                                                    cfg_.tensor_parallel) +
-             layers * engine_->prefill_attention_layer_seconds(
-                          mb_tokens, prompt_tokens, cfg_.tensor_parallel);
-  if (has_lm_head()) {
-    t += engine_->lm_head_seconds(mb_tokens, cfg_.tensor_parallel);
-  }
-  return t;
+  return compute_seconds(mb_tokens,
+                         engine_->prefill_attention_layer_seconds(
+                             mb_tokens, prompt_tokens, cfg_.tensor_parallel));
 }
 
-double Worker::verify_compute_seconds(index_t seqs, double avg_context,
-                                      index_t depth) const {
-  const index_t m = seqs * (depth + 1);
-  const double layers = static_cast<double>(num_layers_);
-  double t = layers * engine_->block_linear_seconds(m,
-                                                    cfg_.tensor_parallel) +
-             layers * engine_->attention_layer_seconds(seqs, avg_context,
-                                                       cfg_.tensor_parallel);
-  if (has_lm_head()) {
-    t += engine_->lm_head_seconds(m, cfg_.tensor_parallel);
-  }
-  return t;
-}
-
-double Worker::overlapped_decode_stage_seconds(index_t mb_tokens,
-                                               double avg_context,
-                                               int comm_buckets) const {
+double Worker::overlapped_stage_seconds(index_t seqs, double avg_context,
+                                        index_t depth,
+                                        int comm_buckets) const {
+  const index_t tokens = seqs * (depth + 1);
+  const double attention = engine_->attention_layer_seconds(
+      seqs, avg_context, cfg_.tensor_parallel);
   const double serialized =
-      decode_compute_seconds(mb_tokens, avg_context) +
-      tp_comm_seconds(mb_tokens);
+      compute_seconds(tokens, attention) + tp_comm_seconds(tokens);
   if (comm_buckets <= 1 || cfg_.tensor_parallel == 1 || num_layers_ == 0) {
     return serialized;
   }
@@ -130,11 +107,9 @@ double Worker::overlapped_decode_stage_seconds(index_t mb_tokens,
   // tail*: once the last block's compute retires, only its final chunk is
   // still draining.
   const double block_compute =
-      engine_->block_linear_seconds(mb_tokens, cfg_.tensor_parallel) +
-      engine_->attention_layer_seconds(mb_tokens, avg_context,
-                                       cfg_.tensor_parallel);
+      engine_->block_linear_seconds(tokens, cfg_.tensor_parallel) + attention;
   const Interconnect link = Interconnect::of(engine_->config().gpu);
-  const double bytes = static_cast<double>(mb_tokens) *
+  const double bytes = static_cast<double>(tokens) *
                        static_cast<double>(engine_->config().model.hidden) *
                        2.0;
   const double block_comm =
@@ -151,7 +126,7 @@ double Worker::overlapped_decode_stage_seconds(index_t mb_tokens,
   double t = block_compute +
              (layers - 1.0) * std::max(block_compute, block_comm) + tail;
   if (has_lm_head()) {
-    t += engine_->lm_head_seconds(mb_tokens, cfg_.tensor_parallel);
+    t += engine_->lm_head_seconds(tokens, cfg_.tensor_parallel);
   }
   return std::min(serialized, t);
 }

@@ -17,13 +17,10 @@
 //   * its compute time — the engine's per-layer prices composed over the
 //     stage's layer range, which the ParallelEngine maxes over ranks.
 //
-// Workers are immutable models (safe to share across concurrent sweeps);
-// mutable per-simulation state lives in the BlockManager instances they
-// hand out.
+// Workers are immutable models, safe to share across concurrent sweeps.
 
 #include "serve/engine.hpp"
 #include "serve/parallel/parallel_config.hpp"
-#include "serve/sched/block_manager.hpp"
 
 namespace marlin::serve::parallel {
 
@@ -56,39 +53,38 @@ class Worker {
   /// a clear deficit message when the shard alone overflows the device.
   [[nodiscard]] index_t kv_block_budget(index_t block_size,
                                         double activation_reserve = 0.1) const;
-  /// A fresh per-simulation BlockManager over this rank's budget.
-  [[nodiscard]] sched::BlockManager make_block_manager(
-      index_t block_size, double activation_reserve = 0.1) const;
 
-  /// Compute seconds of one decode microbatch of `mb_tokens` sequences at
-  /// `avg_context` on this rank (linear layers + paged attention + LM
-  /// head where owned; no communication).
-  [[nodiscard]] double decode_compute_seconds(index_t mb_tokens,
-                                              double avg_context) const;
+  /// Compute seconds of one decode or speculative-verification microbatch
+  /// of `seqs` sequences on this rank, each scoring `1 + depth` candidate
+  /// tokens: linear layers (and LM head, where owned) run at
+  /// `seqs * (depth + 1)` tokens while each sequence's paged KV is streamed
+  /// once per layer. A decode microbatch is depth 0. No communication.
+  [[nodiscard]] double step_compute_seconds(index_t seqs, double avg_context,
+                                            index_t depth) const;
   /// Compute seconds of one prefill microbatch totalling `mb_tokens` new
   /// tokens of `prompt_tokens`-long prompts on this rank.
   [[nodiscard]] double prefill_compute_seconds(index_t mb_tokens,
                                                index_t prompt_tokens) const;
-  /// Compute seconds of one speculative *verification* microbatch of
-  /// `seqs` sequences, each scoring `1 + depth` candidate tokens: linear
-  /// layers (and LM head, where owned) run at `seqs * (depth + 1)` tokens
-  /// while each sequence's paged KV is streamed once per layer.
-  [[nodiscard]] double verify_compute_seconds(index_t seqs,
-                                              double avg_context,
-                                              index_t depth) const;
   /// Tensor-parallel all-reduce seconds this rank pays per microbatch of
   /// `tokens` (two ring all-reduces per owned transformer block).
   [[nodiscard]] double tp_comm_seconds(index_t tokens) const;
-  /// Per-microbatch decode stage seconds with each block's all-reduces
-  /// split into `comm_buckets` chunks whose transfer overlaps the next
-  /// block's compute. `comm_buckets <= 1` (or TP=1) reproduces
-  /// `decode_compute_seconds + tp_comm_seconds` bit-for-bit; the result
-  /// is never above that serialized schedule.
-  [[nodiscard]] double overlapped_decode_stage_seconds(index_t mb_tokens,
-                                                       double avg_context,
-                                                       int comm_buckets) const;
+  /// Per-microbatch stage seconds of `step_compute_seconds` plus its
+  /// all-reduces, with each block's all-reduces split into `comm_buckets`
+  /// chunks whose transfer overlaps the next block's compute.
+  /// `comm_buckets <= 1` (or TP=1) reproduces the serialized
+  /// `step_compute_seconds + tp_comm_seconds` bit-for-bit; the result is
+  /// never above that serialized schedule.
+  [[nodiscard]] double overlapped_stage_seconds(index_t seqs,
+                                                double avg_context,
+                                                index_t depth,
+                                                int comm_buckets) const;
 
  private:
+  /// Linear layers and LM head (where owned) at `m` tokens, plus
+  /// `attention_layer_s` for each of the stage's layers.
+  [[nodiscard]] double compute_seconds(index_t m,
+                                       double attention_layer_s) const;
+
   const Engine* engine_;
   ParallelConfig cfg_;
   RankId rank_;

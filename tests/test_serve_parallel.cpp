@@ -121,9 +121,6 @@ TEST(Worker, PerRankBudgetGrowsWithShardingAndFeedsBlockManager) {
   // A quarter of the weights and a quarter of the per-token KV leave far
   // more than the single-device block count.
   EXPECT_GT(sharded.kv_block_budget(16), 2 * whole.kv_block_budget(16));
-  const auto bm = sharded.make_block_manager(16);
-  EXPECT_FALSE(bm.unlimited());
-  EXPECT_EQ(bm.total_blocks(), sharded.kv_block_budget(16));
 }
 
 TEST(Worker, OversizedShardClampsToZeroWithClearErrorNotUnderflow) {
@@ -423,23 +420,31 @@ TEST(StepModelReference, EveryPriceMatchesTheFrozenFormulasBitForBit) {
                              qd + " parallel verify");
                 }
                 for (const Worker& w : pe.workers()) {
-                  bits.check(w.decode_compute_seconds(batch, ctx),
+                  bits.check(w.step_compute_seconds(batch, ctx, 0),
                              reference::worker_decode_compute_seconds(
                                  pe, w, batch, ctx),
                              q + " worker decode");
                   for (const int buckets : {1, cb}) {
-                    bits.check(w.overlapped_decode_stage_seconds(batch, ctx,
-                                                                 buckets),
-                               reference::worker_overlapped_decode_stage_seconds(
-                                   pe, w, batch, ctx, buckets),
-                               q + " worker overlapped stage");
+                    bits.check(
+                        w.overlapped_stage_seconds(batch, ctx, 0, buckets),
+                        reference::worker_overlapped_decode_stage_seconds(
+                            pe, w, batch, ctx, buckets),
+                        q + " worker overlapped stage");
                   }
                   for (const index_t depth : depths) {
-                    bits.check(w.verify_compute_seconds(batch, ctx, depth),
-                               reference::worker_verify_compute_seconds(
-                                   pe, w, batch, ctx, depth),
-                               q + " worker verify depth" +
-                                   std::to_string(depth));
+                    const std::string qd =
+                        q + " worker verify depth" + std::to_string(depth);
+                    const double compute =
+                        reference::worker_verify_compute_seconds(pe, w, batch,
+                                                                 ctx, depth);
+                    bits.check(w.step_compute_seconds(batch, ctx, depth),
+                               compute, qd);
+                    // One bucket is the serialized verification stage.
+                    bits.check(
+                        w.overlapped_stage_seconds(batch, ctx, depth, 1),
+                        compute + reference::worker_tp_comm_seconds(
+                                      pe, w, batch * (depth + 1)),
+                        qd + " serialized stage");
                   }
                 }
               }
