@@ -56,6 +56,7 @@ ComparatorParams bitsandbytes_params() {
 gpusim::KernelEstimate ComparatorModel::estimate(
     const core::MatmulProblem& p, const gpusim::DeviceSpec& d,
     const gpusim::ClockModel& clock) const {
+  p.validate();
   gpusim::KernelEstimate est;
   est.useful_flops = p.flops();
   const double clock_ghz = clock.effective_clock_ghz(d, 1e9);  // sustained

@@ -3,6 +3,7 @@
 // A in FP16, B quantized (and possibly 2:4 sparse), C in FP16.
 
 #include "quant/qweights.hpp"
+#include "util/error.hpp"
 #include "util/matrix.hpp"
 
 namespace marlin::core {
@@ -21,6 +22,16 @@ struct MatmulProblem {
   /// Activation precision: 16 (FP16) or 8 (the W4A8 / QQQ follow-up of
   /// paper §6, which runs MMAs on the INT8 tensor cores at 2x rate).
   int activation_bits = 16;
+
+  /// Throws marlin::Error unless m, k and n are all >= 1 and group_size is
+  /// positive or quant::kPerColumn (the rule of QuantConfig::validate).
+  void validate() const {
+    MARLIN_CHECK(m >= 1 && k >= 1 && n >= 1,
+                 "empty problem: m " << m << ", k " << k << ", n " << n);
+    MARLIN_CHECK(group_size > 0 || group_size == quant::kPerColumn,
+                 "group size must be positive or per-column, got "
+                     << group_size);
+  }
 
   [[nodiscard]] double flops() const {
     return 2.0 * static_cast<double>(m) * static_cast<double>(k) *

@@ -17,7 +17,7 @@ gpusim::KernelEstimate estimate_impl(const MatmulProblem& p,
                                      const gpusim::ClockModel& clock,
                                      const MarlinPerfParams& perf,
                                      bool sparse) {
-  MARLIN_CHECK(p.m > 0 && p.k > 0 && p.n > 0, "empty problem");
+  p.validate();
   const double m_eff =
       static_cast<double>(std::min<index_t>(p.m_padded(), cfg.m_block));
 
