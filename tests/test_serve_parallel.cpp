@@ -360,9 +360,8 @@ TEST(StepModelReference, EveryPriceMatchesTheFrozenFormulasBitForBit) {
             const Engine& engine = warmed ? warm : cold;
             const ParallelEngine pe(engine, pc);
             if (warmed) pe.warm_decode_cache(pool, 128, 1000.5);
-            const std::string at = std::string(to_string(fmt)) + " " +
-                                   pc.to_string() + " cb" +
-                                   std::to_string(cb);
+            const std::string at =
+                std::string(to_string(fmt)) + " " + pc.to_string();
             for (const index_t batch : batches) {
               for (const index_t prompt : prompts) {
                 const std::string q = at + " b" + std::to_string(batch) +
