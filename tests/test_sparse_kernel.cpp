@@ -1,17 +1,22 @@
 // Functional Sparse-MARLIN kernel: correctness vs the decompressed
 // reference, SPTC operand selection, compressed-traffic ratio vs dense.
+// Both functional kernels are also tested bit for bit against their frozen
+// copies in reference_striped_kernels.cpp.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "core/marlin_kernel.hpp"
 #include "core/sparse_kernel.hpp"
 #include "layout/repack.hpp"
 #include "quant/uniform.hpp"
+#include "reference_striped_kernels.hpp"
 #include "sparse/two_four.hpp"
 #include "util/rng.hpp"
+#include "util/simd_ops.hpp"
 
 namespace marlin::core {
 namespace {
@@ -141,6 +146,107 @@ TEST(SparseKernel, RejectsShapeMismatch) {
   const auto s = random_sparse(64, 64, 32, 45);
   KernelConfig cfg;
   EXPECT_THROW(sparse_marlin_matmul(a.view(), s, cfg, 4), marlin::Error);
+}
+
+/// Every output bit, traffic counter and partition statistic must match.
+void expect_same_launch(const FunctionalResult& got,
+                        const FunctionalResult& want) {
+  ASSERT_EQ(got.c.rows(), want.c.rows());
+  ASSERT_EQ(got.c.cols(), want.c.cols());
+  index_t mismatched = 0;
+  for (index_t i = 0; i < got.c.rows(); ++i) {
+    for (index_t j = 0; j < got.c.cols(); ++j) {
+      mismatched += got.c(i, j).bits() != want.c(i, j).bits() ? 1 : 0;
+    }
+  }
+  EXPECT_EQ(mismatched, 0);
+  EXPECT_EQ(got.traffic.gmem_read_bytes, want.traffic.gmem_read_bytes);
+  EXPECT_EQ(got.traffic.gmem_write_bytes, want.traffic.gmem_write_bytes);
+  EXPECT_EQ(got.traffic.l2_read_bytes, want.traffic.l2_read_bytes);
+  EXPECT_EQ(got.traffic.smem_read_bytes, want.traffic.smem_read_bytes);
+  EXPECT_EQ(got.traffic.smem_write_bytes, want.traffic.smem_write_bytes);
+  EXPECT_EQ(got.reduction_steps, want.reduction_steps);
+  EXPECT_EQ(got.tiles_processed, want.tiles_processed);
+  EXPECT_EQ(got.max_stripe_len, want.max_stripe_len);
+}
+
+struct SimdLevelGuard {
+  ~SimdLevelGuard() { simd::reset_level(); }
+};
+
+/// One launch of the reference grid: the inputs of a shape plus the
+/// execution settings it runs at.
+struct StripedCase {
+  const Matrix<Half>& a;
+  const layout::MarlinWeights& dense;
+  const sparse::Sparse24Weights& sparse;
+  KernelConfig cfg;
+  int sms;
+  const SimContext& ctx;
+};
+
+/// Calls run(c) on 96 shapes crossing m (130 spans three m-blocks), K, N,
+/// the group size and the tile width. Each shape runs once; its SM count,
+/// thread count and SIMD level rotate with the shape index so that every
+/// pair of values from any two dimensions meets at least once, whether the
+/// host supports 1, 2 or 3 levels.
+template <typename Run>
+void for_each_striped_case(Run run) {
+  SimdLevelGuard guard;
+  std::vector<simd::Level> levels;
+  for (const simd::Level l : {simd::Level::kScalar, simd::Level::kAvx2,
+                              simd::Level::kAvx512}) {
+    if (simd::supported(l)) levels.push_back(l);
+  }
+  const SimContext pooled(4);
+  const int sm_counts[] = {1, 4, 72};
+  const SimContext* contexts[] = {&SimContext::serial_context(), &pooled};
+  std::size_t shape = 0;
+  for (const index_t m : {1, 5, 65, 130}) {
+    for (const index_t k : {64, 256}) {
+      for (const index_t n : {64, 192}) {
+        for (const index_t group : {index_t{64}, quant::kPerColumn}) {
+          const auto a = random_activations(m, k, 90 + m);
+          quant::QuantizedWeights q;
+          const auto s = random_sparse(k, n, group, 91 + k + n, nullptr, &q);
+          const auto mw = layout::marlin_repack(q);
+          for (const index_t n_sm : {64, 128, 256}) {
+            KernelConfig cfg;
+            cfg.n_sm_tile = n_sm;
+            const int sms = sm_counts[(shape / 3) % 3];
+            const SimContext& ctx = *contexts[shape % 2];
+            const simd::Level level = levels[(shape / 5) % levels.size()];
+            ++shape;
+            simd::set_level(level);
+            SCOPED_TRACE(::testing::Message()
+                         << "m=" << m << " k=" << k << " n=" << n
+                         << " group=" << group << " n_sm=" << n_sm
+                         << " sms=" << sms << " threads=" << ctx.num_threads()
+                         << " simd=" << simd::to_string(level));
+            run(StripedCase{a, mw, s, cfg, sms, ctx});
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(shape, 96u);
+}
+
+TEST(StripedKernelReference, DenseMatchesFrozenCopyBitForBit) {
+  for_each_striped_case([](const StripedCase& c) {
+    expect_same_launch(
+        marlin_matmul(c.a.view(), c.dense, c.cfg, c.sms, c.ctx),
+        reference::marlin_matmul(c.a.view(), c.dense, c.cfg, c.sms, c.ctx));
+  });
+}
+
+TEST(StripedKernelReference, SparseMatchesFrozenCopyBitForBit) {
+  for_each_striped_case([](const StripedCase& c) {
+    expect_same_launch(
+        sparse_marlin_matmul(c.a.view(), c.sparse, c.cfg, c.sms, c.ctx),
+        reference::sparse_marlin_matmul(c.a.view(), c.sparse, c.cfg, c.sms,
+                                        c.ctx));
+  });
 }
 
 }  // namespace
