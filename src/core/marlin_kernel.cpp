@@ -17,30 +17,6 @@ namespace {
 
 using layout::MarlinWeights;
 
-/// One SM's partial result for one (m_block, column) pair.
-struct ColumnPartial {
-  index_t key = 0;  // m_block * tile_cols + col
-  Matrix<float> acc;
-};
-
-struct SmOutput {
-  std::vector<ColumnPartial> partials;
-  gpusim::TrafficCounters traffic;
-};
-
-struct Grid {
-  index_t m = 0, k = 0, n = 0;
-  index_t tile_rows = 0, tile_cols = 0, m_blocks = 0;
-  index_t n_sm = 0;  // configured tile width
-
-  [[nodiscard]] index_t tile_width(index_t col) const {
-    return std::min(n_sm, n - col * n_sm);
-  }
-  [[nodiscard]] index_t m_rows(index_t m_block, index_t m_block_size) const {
-    return std::min<index_t>(m_block_size, m - m_block * m_block_size);
-  }
-};
-
 /// Static maps driving the plane-major weight-block assembly. A (slab,
 /// chunk) block's 128 packed registers are contiguous (register index
 /// reg = lane * 4 + block); nibble position ("plane") p of register reg
@@ -154,80 +130,49 @@ void warp_tree_reduce(std::vector<Matrix<float>>& parts,
   }
 }
 
-/// Execute one SM's stripe; returns its column partials and traffic.
-SmOutput run_sm(ConstMatrixView<Half> a, const MarlinWeights& b,
-                const KernelConfig& cfg, const Grid& grid,
-                const std::vector<TileCoord>& stripe) {
-  SmOutput out;
+/// One SM's segment of one output block: the warp-split dequant/MMA loop
+/// over its tiles, then the warps' tree reduction into the block's partial.
+Matrix<float> run_segment(ConstMatrixView<Half> a, const MarlinWeights& b,
+                          const KernelConfig& cfg, const TileGrid& grid,
+                          std::span<const TileCoord> tiles,
+                          gpusim::TrafficCounters& traffic) {
   const bool grouped = b.cfg.group_size != quant::kPerColumn;
   const simd::Ops& o = simd::ops();
 
   const index_t scale_groups_bytes_per_tile =
       grouped ? (64 / b.cfg.group_size + 1) * 2 : 0;  // upper bound per col
 
-  index_t cur_key = -1;
-  index_t cur_col = -1, cur_mb = -1;
-  index_t width = 0, m0 = 0, m_rows = 0;
-  int n_subtiles = 0, warps_per_sub = 0;
+  const index_t col = tiles.front().col;
+  const index_t width = grid.tile_width(col);
+  const index_t m0 = tiles.front().m_block * grid.m_block;
+  const index_t m_rows = grid.m_rows(tiles.front().m_block);
+  const int n_subtiles = static_cast<int>(width / 64);
+  MARLIN_CHECK(cfg.num_warps >= n_subtiles,
+               "need at least one warp per 64-wide subtile");
+  const int warps_per_sub = cfg.num_warps / n_subtiles;
   // Per warp: FP32 accumulator of its 64-wide subtile.
-  std::vector<Matrix<float>> warp_acc;
+  std::vector<Matrix<float>> warp_acc(static_cast<std::size_t>(cfg.num_warps),
+                                      Matrix<float>(m_rows, 64, 0.0f));
 
   float wblock[16][64];
   float afl[16];
   AssembleScratch scratch;
 
-  auto flush_column = [&]() {
-    if (cur_key < 0) return;
-    // Tree-reduce the k-split warps of each subtile, then concatenate.
-    Matrix<float> acc(m_rows, width);
-    for (int j = 0; j < n_subtiles; ++j) {
-      std::vector<Matrix<float>> parts;
-      for (int w = j; w < cfg.num_warps; w += n_subtiles) {
-        parts.push_back(std::move(warp_acc[static_cast<std::size_t>(w)]));
-      }
-      warp_tree_reduce(parts, out.traffic, o);
-      for (index_t r = 0; r < m_rows; ++r) {
-        for (index_t c = 0; c < 64; ++c) {
-          acc(r, j * 64 + c) = parts[0](r, c);
-        }
-      }
-    }
-    out.partials.push_back({cur_key, std::move(acc)});
-    cur_key = -1;
-  };
-
-  for (const TileCoord& t : stripe) {
-    const index_t key = t.m_block * grid.tile_cols + t.col;
-    if (key != cur_key) {
-      flush_column();
-      cur_key = key;
-      cur_col = t.col;
-      cur_mb = t.m_block;
-      width = grid.tile_width(cur_col);
-      m0 = cur_mb * cfg.m_block;
-      m_rows = grid.m_rows(cur_mb, cfg.m_block);
-      n_subtiles = static_cast<int>(width / 64);
-      MARLIN_CHECK(cfg.num_warps >= n_subtiles,
-                   "need at least one warp per 64-wide subtile");
-      warps_per_sub = cfg.num_warps / n_subtiles;
-      warp_acc.assign(static_cast<std::size_t>(cfg.num_warps), {});
-      for (auto& wa : warp_acc) wa = Matrix<float>(m_rows, 64, 0.0f);
-    }
-
+  for (const TileCoord& t : tiles) {
     // --- B tile load (streamed once, evict-first). ---
-    out.traffic.gmem_read_bytes += 64 * width / 2;
+    traffic.gmem_read_bytes += 64 * width / 2;
     if (grouped) {
-      out.traffic.gmem_read_bytes += scale_groups_bytes_per_tile * width;
+      traffic.gmem_read_bytes += scale_groups_bytes_per_tile * width;
     }
     // --- A block re-read through L2. ---
-    out.traffic.l2_read_bytes += m_rows * 64 * 2;
+    traffic.l2_read_bytes += m_rows * 64 * 2;
 
     // --- Tensor-core main loop: slabs x subtiles, split across warps. ---
     const index_t k0 = t.row * 64;
     for (int s = 0; s < 4; ++s) {  // 4 slabs of 16 reduction rows
       const index_t slab = t.row * 4 + s;
       for (int j = 0; j < n_subtiles; ++j) {
-        const index_t chunk = (cur_col * grid.n_sm) / 64 + j;
+        const index_t chunk = (col * grid.n_sm_tile) / 64 + j;
         // Warp owning (slab s, subtile j) per Algorithm 1.
         const int rank = s % warps_per_sub;
         const int warp = j + rank * n_subtiles;
@@ -249,8 +194,22 @@ SmOutput run_sm(ConstMatrixView<Half> a, const MarlinWeights& b,
       }
     }
   }
-  flush_column();
-  return out;
+
+  // Tree-reduce the k-split warps of each subtile, then concatenate.
+  Matrix<float> acc(m_rows, width);
+  for (int j = 0; j < n_subtiles; ++j) {
+    std::vector<Matrix<float>> parts;
+    for (int w = j; w < cfg.num_warps; w += n_subtiles) {
+      parts.push_back(std::move(warp_acc[static_cast<std::size_t>(w)]));
+    }
+    warp_tree_reduce(parts, traffic, o);
+    for (index_t r = 0; r < m_rows; ++r) {
+      for (index_t c = 0; c < 64; ++c) {
+        acc(r, j * 64 + c) = parts[0](r, c);
+      }
+    }
+  }
+  return acc;
 }
 
 }  // namespace
@@ -271,123 +230,92 @@ Matrix<float> reference_matmul(ConstMatrixView<Half> a,
   return c;
 }
 
-FunctionalResult marlin_matmul(ConstMatrixView<Half> a,
-                               const layout::MarlinWeights& b,
-                               const KernelConfig& cfg, int num_sms,
-                               const SimContext& ctx) {
-  const index_t m = a.rows(), k = a.cols(), n = b.n;
-  MARLIN_CHECK(k == b.k, "A cols must equal B rows");
+TileGrid::TileGrid(index_t m, index_t k, index_t n, const KernelConfig& cfg)
+    : m(m), k(k), n(n), n_sm_tile(cfg.n_sm_tile), m_block(cfg.m_block) {
   MARLIN_CHECK(k % 64 == 0, "K must be divisible by 64");
   MARLIN_CHECK(n % 64 == 0, "N must be divisible by 64");
-  MARLIN_CHECK(cfg.n_sm_tile % 64 == 0, "N_sm must be a multiple of 64");
+  MARLIN_CHECK(n_sm_tile >= 1, "N_sm tile must be positive, got " << n_sm_tile);
+  MARLIN_CHECK(m_block >= 1, "m_block must be positive, got " << m_block);
+  tile_rows = k / 64;
+  tile_cols = (n + n_sm_tile - 1) / n_sm_tile;
+  m_blocks = std::max<index_t>(1, (m + m_block - 1) / m_block);
+}
+
+FunctionalResult run_striped(const TileGrid& grid, int num_sms,
+                             const SimContext& ctx,
+                             const SegmentFn& run_segment,
+                             std::span<const float> column_scale) {
   MARLIN_CHECK(num_sms > 0, "need at least one SM");
-
-  Grid grid;
-  grid.m = m;
-  grid.k = k;
-  grid.n = n;
-  grid.n_sm = cfg.n_sm_tile;
-  grid.tile_rows = k / 64;
-  grid.tile_cols = (n + cfg.n_sm_tile - 1) / cfg.n_sm_tile;
-  grid.m_blocks = std::max<index_t>(1, (m + cfg.m_block - 1) / cfg.m_block);
-
   const StripedPartition part = striped_partition(
       grid.tile_rows, grid.tile_cols, num_sms, grid.m_blocks);
 
   // --- Phase 1: data-parallel stripe execution. Outputs are indexed by
-  // SM, so the execution order (and thread count) cannot affect them. ---
+  // SM, so the execution order (and thread count) cannot affect them. A
+  // stripe visits output blocks in ascending key order, so each SM's
+  // partials are in that order too. ---
+  struct SmOutput {
+    std::vector<Matrix<float>> partials;
+    gpusim::TrafficCounters traffic;
+  };
   std::vector<SmOutput> outputs(static_cast<std::size_t>(num_sms));
   ctx.parallel_for(0, num_sms, [&](std::int64_t sm) {
-    outputs[static_cast<std::size_t>(sm)] =
-        run_sm(a, b, cfg, grid, part.sm_tiles[static_cast<std::size_t>(sm)]);
+    SmOutput& out = outputs[static_cast<std::size_t>(sm)];
+    std::span<const TileCoord> rest =
+        part.sm_tiles[static_cast<std::size_t>(sm)];
+    while (!rest.empty()) {
+      const index_t key = grid.key(rest.front());
+      std::size_t len = 1;
+      while (len < rest.size() && grid.key(rest[len]) == key) ++len;
+      out.partials.push_back(run_segment(rest.first(len), out.traffic));
+      rest = rest.subspan(len);
+    }
   });
 
   FunctionalResult res;
-  res.c = Matrix<Half>(m, n);
+  res.c = Matrix<Half>(grid.m, grid.n);
   res.max_stripe_len = part.max_stripe_len();
   res.tiles_processed = part.total_tiles();
   // A is read from GMEM once in total (it then lives in L2; the per-tile
   // re-reads were counted as L2 traffic by each SM).
-  res.traffic.gmem_read_bytes += m * k * 2;
+  res.traffic.gmem_read_bytes += grid.m * grid.k * 2;
   for (const auto& o : outputs) res.traffic += o.traffic;
 
-  // Index partials: (sm, key) -> matrix.
-  std::vector<std::vector<const Matrix<float>*>> by_sm(
-      static_cast<std::size_t>(num_sms));
-  std::vector<std::vector<index_t>> keys_by_sm(
-      static_cast<std::size_t>(num_sms));
-  for (int sm = 0; sm < num_sms; ++sm) {
-    for (const auto& p : outputs[static_cast<std::size_t>(sm)].partials) {
-      by_sm[static_cast<std::size_t>(sm)].push_back(&p.acc);
-      keys_by_sm[static_cast<std::size_t>(sm)].push_back(p.key);
-    }
-  }
-  auto find_partial = [&](int sm, index_t key) -> const Matrix<float>& {
-    const auto& keys = keys_by_sm[static_cast<std::size_t>(sm)];
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-      if (keys[i] == key) return *by_sm[static_cast<std::size_t>(sm)][i];
-    }
-    MARLIN_CHECK(false, "missing partial for sm " << sm << " key " << key);
-    return *by_sm[0][0];  // unreachable
-  };
-
-  const bool per_column = b.cfg.group_size == quant::kPerColumn;
-  const auto perm = layout::scale_chunk_perm();
-  // Invert the scale permutation once (original position -> packed column).
-  std::array<int, 64> inv_perm{};
-  for (int p = 0; p < 64; ++p) {
-    inv_perm[static_cast<std::size_t>(perm[static_cast<std::size_t>(p)])] = p;
-  }
+  // --- Phase 2: serial bottom-to-top FP16 reduction per output block (the
+  // lock buffer protocol), directly in the output buffer. Blocks go in key
+  // order, so a cursor per SM walks its partials. ---
   const simd::Ops& o = simd::ops();
-  std::vector<float> colscale(static_cast<std::size_t>(cfg.n_sm_tile));
-  std::vector<float> scaled(static_cast<std::size_t>(cfg.n_sm_tile));
-
-  // --- Phase 2: serial bottom-to-top FP16 reduction per column (the lock
-  // buffer protocol), directly in the output buffer. ---
+  std::vector<std::size_t> next(static_cast<std::size_t>(num_sms), 0);
+  std::vector<float> scaled(static_cast<std::size_t>(grid.n_sm_tile));
   for (index_t key = 0;
        key < static_cast<index_t>(part.segments.size()); ++key) {
     const auto& segs = part.segments[static_cast<std::size_t>(key)];
     if (segs.empty()) continue;
     const index_t mb = key / grid.tile_cols;
     const index_t col = key % grid.tile_cols;
-    const index_t width = grid.tile_width(col);
-    const index_t m0 = mb * cfg.m_block;
-    const index_t m_rows = grid.m_rows(mb, cfg.m_block);
-    const index_t c0 = col * cfg.n_sm_tile;
-
-    if (per_column) {
-      // Output scaling (per-column scales applied once at write-out);
-      // scales_packed stores permuted columns, hence inv_perm.
-      for (index_t c = 0; c < width; ++c) {
-        const index_t chunk = (c0 + c) / 64;
-        const int packed_pos =
-            inv_perm[static_cast<std::size_t>((c0 + c) % 64)];
-        colscale[static_cast<std::size_t>(c)] =
-            b.scales_packed(0, chunk * 64 + packed_pos).to_float();
-      }
-    }
+    const auto width = static_cast<std::size_t>(grid.tile_width(col));
+    const index_t m0 = mb * grid.m_block;
+    const index_t m_rows = grid.m_rows(mb);
+    const index_t c0 = col * grid.n_sm_tile;
 
     bool first = true;
     for (const ColumnSegment& seg : segs) {
-      const Matrix<float>& partial = find_partial(seg.sm, key);
+      const auto sm = static_cast<std::size_t>(seg.sm);
+      const Matrix<float>& partial = outputs[sm].partials[next[sm]++];
       for (index_t r = 0; r < m_rows; ++r) {
         const float* prow = &partial(r, 0);
-        if (per_column) {
-          std::memcpy(scaled.data(), prow,
-                      static_cast<std::size_t>(width) * sizeof(float));
-          o.mul_f32(static_cast<std::size_t>(width), colscale.data(),
-                    scaled.data());
+        if (!column_scale.empty()) {
+          std::memcpy(scaled.data(), prow, width * sizeof(float));
+          o.mul_f32(width, column_scale.data() + c0, scaled.data());
           prow = scaled.data();
         }
         std::uint16_t* crow = half_bits_ptr(&res.c(m0 + r, c0));
         if (first) {
-          o.f32_to_f16(static_cast<std::size_t>(width), prow, crow);
+          o.f32_to_f16(width, prow, crow);
         } else {
-          // FP16 in-place reduction
-          o.f16_accum_f32(static_cast<std::size_t>(width), prow, crow);
+          o.f16_accum_f32(width, prow, crow);  // FP16 in-place reduction
         }
       }
-      const std::int64_t bytes = m_rows * width * 2;
+      const std::int64_t bytes = m_rows * static_cast<index_t>(width) * 2;
       res.traffic.gmem_write_bytes += bytes;
       if (!first) {
         res.traffic.gmem_read_bytes += bytes;
@@ -398,6 +326,36 @@ FunctionalResult marlin_matmul(ConstMatrixView<Half> a,
   }
   MARLIN_ASSERT(res.reduction_steps == part.reduction_steps());
   return res;
+}
+
+FunctionalResult marlin_matmul(ConstMatrixView<Half> a,
+                               const layout::MarlinWeights& b,
+                               const KernelConfig& cfg, int num_sms,
+                               const SimContext& ctx) {
+  MARLIN_CHECK(a.cols() == b.k, "A cols must equal B rows");
+  const TileGrid grid(a.rows(), b.k, b.n, cfg);
+  MARLIN_CHECK(cfg.n_sm_tile % 64 == 0, "N_sm must be a multiple of 64");
+
+  // Per-column scales are applied once at write-out. scales_packed stores
+  // each 64-column chunk permuted: packed position p holds column perm[p].
+  std::vector<float> column_scale;
+  if (b.cfg.group_size == quant::kPerColumn) {
+    const auto perm = layout::scale_chunk_perm();
+    column_scale.resize(static_cast<std::size_t>(b.n));
+    for (index_t c = 0; c < b.n; c += 64) {
+      for (int p = 0; p < 64; ++p) {
+        column_scale[static_cast<std::size_t>(
+            c + perm[static_cast<std::size_t>(p)])] =
+            b.scales_packed(0, c + p).to_float();
+      }
+    }
+  }
+  return run_striped(
+      grid, num_sms, ctx,
+      [&](std::span<const TileCoord> tiles, gpusim::TrafficCounters& traffic) {
+        return run_segment(a, b, cfg, grid, tiles, traffic);
+      },
+      column_scale);
 }
 
 }  // namespace marlin::core

@@ -19,7 +19,14 @@
 // On the host, SM workloads run on the SimContext's shared pool (they are
 // data-parallel; the serial FP16 reduction is performed as an ordered
 // second phase, which is the same dataflow the GPU lock buffer enforces),
-// so results are bit-identical at every thread count.
+// so results are bit-identical at every thread count. That launch —
+// partition, stripe execution, reduction — is `run_striped`, shared with
+// the Sparse-MARLIN kernel.
+
+#include <algorithm>
+#include <functional>
+#include <span>
+#include <vector>
 
 #include "core/config.hpp"
 #include "core/partition.hpp"
@@ -37,6 +44,50 @@ struct FunctionalResult {
   index_t tiles_processed = 0;
   index_t max_stripe_len = 0;
 };
+
+/// The B tile grid of one functional launch (paper §3.4): K in 64-row
+/// tiles, N in `n_sm_tile`-wide columns, and one virtual copy of the grid
+/// per `m_block` rows of A. The output block a tile contributes to is keyed
+/// m_block * tile_cols + col, as in StripedPartition::segments. The
+/// constructor rejects shapes neither kernel can run.
+struct TileGrid {
+  TileGrid(index_t m, index_t k, index_t n, const KernelConfig& cfg);
+
+  index_t m = 0, k = 0, n = 0;
+  index_t n_sm_tile = 0, m_block = 0;
+  index_t tile_rows = 0, tile_cols = 0, m_blocks = 0;
+
+  [[nodiscard]] index_t key(const TileCoord& t) const {
+    return t.m_block * tile_cols + t.col;
+  }
+  /// Width of tile column `col` (the last one may be narrower).
+  [[nodiscard]] index_t tile_width(index_t col) const {
+    return std::min(n_sm_tile, n - col * n_sm_tile);
+  }
+  /// Rows of A in batch block `mb` (the last one may be shorter).
+  [[nodiscard]] index_t m_rows(index_t mb) const {
+    return std::min(m_block, m - mb * m_block);
+  }
+};
+
+/// A kernel's main loop over one SM's segment: the consecutive tiles of one
+/// output block in that SM's stripe, top to bottom. Returns the block's
+/// FP32 partial (grid.m_rows x grid.tile_width) and adds the bytes it
+/// moves to `traffic`.
+using SegmentFn = std::function<Matrix<float>(
+    std::span<const TileCoord> tiles, gpusim::TrafficCounters& traffic)>;
+
+/// The striped launch both functional kernels share. Cuts `grid` into
+/// `num_sms` stripes (striped_partition), runs `run_segment` on every
+/// segment of every stripe with the SMs spread over `ctx`'s pool, and sums
+/// their traffic plus one GMEM read of A. Then reduces each output block's
+/// partials serially, bottom to top, in FP16 in the output (the lock
+/// buffer), through simd::ops(). A non-empty `column_scale` (one float per
+/// output column) multiplies each partial at write-out.
+FunctionalResult run_striped(const TileGrid& grid, int num_sms,
+                             const SimContext& ctx,
+                             const SegmentFn& run_segment,
+                             std::span<const float> column_scale = {});
 
 /// C = A * dequant(B). A is M x K FP16; B is the repacked MARLIN weight
 /// stream. `num_sms` controls the striped partition (use the target

@@ -1,80 +1,32 @@
 #include "core/sparse_kernel.hpp"
 
-#include <algorithm>
-#include <vector>
-
-#include "core/partition.hpp"
-
 namespace marlin::core {
-
-namespace {
-
-struct SmOutput {
-  std::vector<std::pair<index_t, Matrix<float>>> partials;
-  gpusim::TrafficCounters traffic;
-};
-
-}  // namespace
 
 FunctionalResult sparse_marlin_matmul(ConstMatrixView<Half> a,
                                       const sparse::Sparse24Weights& b,
                                       const KernelConfig& cfg, int num_sms,
                                       const SimContext& ctx) {
-  const index_t m = a.rows(), k = a.cols(), n = b.n;
-  MARLIN_CHECK(k == b.k, "A cols must equal B (original) rows");
-  MARLIN_CHECK(k % 64 == 0, "K must be divisible by 64");
-  MARLIN_CHECK(n % 64 == 0, "N must be divisible by 64");
-  MARLIN_CHECK(num_sms > 0, "need at least one SM");
+  MARLIN_CHECK(a.cols() == b.k, "A cols must equal B (original) rows");
+  const TileGrid grid(a.rows(), b.k, b.n, cfg);
 
-  const index_t tile_rows = k / 64;
-  const index_t tile_cols = (n + cfg.n_sm_tile - 1) / cfg.n_sm_tile;
-  const index_t m_blocks =
-      std::max<index_t>(1, (m + cfg.m_block - 1) / cfg.m_block);
-  const StripedPartition part =
-      striped_partition(tile_rows, tile_cols, num_sms, m_blocks);
+  auto run_segment = [&](std::span<const TileCoord> tiles,
+                         gpusim::TrafficCounters& traffic) {
+    const index_t width = grid.tile_width(tiles.front().col);
+    const index_t m0 = tiles.front().m_block * grid.m_block;
+    const index_t m_rows = grid.m_rows(tiles.front().m_block);
+    const index_t c0 = tiles.front().col * grid.n_sm_tile;
+    Matrix<float> acc(m_rows, width, 0.0f);
 
-  auto tile_width = [&](index_t col) {
-    return std::min<index_t>(cfg.n_sm_tile, n - col * cfg.n_sm_tile);
-  };
-  auto m_rows_of = [&](index_t mb) {
-    return std::min<index_t>(cfg.m_block, m - mb * cfg.m_block);
-  };
-
-  std::vector<SmOutput> outputs(static_cast<std::size_t>(num_sms));
-  auto run_one = [&](std::int64_t sm) {
-    SmOutput& out = outputs[static_cast<std::size_t>(sm)];
-    index_t cur_key = -1;
-    Matrix<float> acc;
-    index_t width = 0, m0 = 0, m_rows = 0, c0 = 0;
-
-    auto flush = [&]() {
-      if (cur_key < 0) return;
-      out.partials.emplace_back(cur_key, std::move(acc));
-      cur_key = -1;
-    };
-
-    for (const TileCoord& t :
-         part.sm_tiles[static_cast<std::size_t>(sm)]) {
-      const index_t key = t.m_block * tile_cols + t.col;
-      if (key != cur_key) {
-        flush();
-        cur_key = key;
-        width = tile_width(t.col);
-        m0 = t.m_block * cfg.m_block;
-        m_rows = m_rows_of(t.m_block);
-        c0 = t.col * cfg.n_sm_tile;
-        acc = Matrix<float>(m_rows, width, 0.0f);
-      }
-
+    for (const TileCoord& t : tiles) {
       // Compressed stream: codes (0.25 B / original element) + metadata
       // (4 bits per 4-row group) + grouped scales.
-      out.traffic.gmem_read_bytes += 64 * width / 4;  // nz codes
-      out.traffic.gmem_read_bytes += 64 * width / 8;  // 2-bit metadata
+      traffic.gmem_read_bytes += 64 * width / 4;  // nz codes
+      traffic.gmem_read_bytes += 64 * width / 8;  // 2-bit metadata
       if (b.cfg.group_size != quant::kPerColumn) {
-        out.traffic.gmem_read_bytes += (64 / b.cfg.group_size + 1) * 2 * width;
+        traffic.gmem_read_bytes += (64 / b.cfg.group_size + 1) * 2 * width;
       }
       // A block via L2 (transposed on the fly by ldmatrix .trans — free).
-      out.traffic.l2_read_bytes += m_rows * 64 * 2;
+      traffic.l2_read_bytes += m_rows * 64 * 2;
 
       const index_t k0 = t.row * 64;
       for (index_t g = 0; g < 16; ++g) {  // 16 groups of 4 original rows
@@ -100,59 +52,9 @@ FunctionalResult sparse_marlin_matmul(ConstMatrixView<Half> a,
         }
       }
     }
-    flush();
+    return acc;
   };
-
-  ctx.parallel_for(0, num_sms, run_one);
-
-  FunctionalResult res;
-  res.c = Matrix<Half>(m, n);
-  res.max_stripe_len = part.max_stripe_len();
-  res.tiles_processed = part.total_tiles();
-  res.traffic.gmem_read_bytes += m * k * 2;
-  for (const auto& o : outputs) res.traffic += o.traffic;
-
-  auto find_partial = [&](int sm, index_t key) -> const Matrix<float>& {
-    for (const auto& [pk, mat] :
-         outputs[static_cast<std::size_t>(sm)].partials) {
-      if (pk == key) return mat;
-    }
-    MARLIN_CHECK(false, "missing partial for sm " << sm << " key " << key);
-    return outputs[0].partials[0].second;  // unreachable
-  };
-
-  // Serial bottom-to-top FP16 reduction (lock buffer protocol).
-  for (index_t key = 0;
-       key < static_cast<index_t>(part.segments.size()); ++key) {
-    const auto& segs = part.segments[static_cast<std::size_t>(key)];
-    if (segs.empty()) continue;
-    const index_t mb = key / tile_cols;
-    const index_t col = key % tile_cols;
-    const index_t width = tile_width(col);
-    const index_t m0 = mb * cfg.m_block;
-    const index_t m_rows = m_rows_of(mb);
-    const index_t c0 = col * cfg.n_sm_tile;
-
-    bool first = true;
-    for (const ColumnSegment& seg : segs) {
-      const Matrix<float>& partial = find_partial(seg.sm, key);
-      for (index_t r = 0; r < m_rows; ++r) {
-        for (index_t c = 0; c < width; ++c) {
-          Half& out = res.c(m0 + r, c0 + c);
-          out = first ? Half(partial(r, c))
-                      : Half(out.to_float() + partial(r, c));
-        }
-      }
-      const std::int64_t bytes = m_rows * width * 2;
-      res.traffic.gmem_write_bytes += bytes;
-      if (!first) {
-        res.traffic.gmem_read_bytes += bytes;
-        ++res.reduction_steps;
-      }
-      first = false;
-    }
-  }
-  return res;
+  return run_striped(grid, num_sms, ctx, run_segment);
 }
 
 }  // namespace marlin::core

@@ -6,9 +6,10 @@
 // host simulation computes C = A * decompress(B) directly — but it does so
 // by emulating the *SPTC operand selection*: for every group of 4 original
 // reduction rows only the two metadata-addressed A elements are read and
-// multiplied with the two stored non-zero codes. Striping, the serial
-// FP16 lock-buffer reduction and traffic accounting mirror the dense
-// kernel; the compressed stream moves 0.75x the dense INT4 bytes.
+// multiplied with the two stored non-zero codes. Striping and the serial
+// FP16 lock-buffer reduction run on the dense kernel's `run_striped`;
+// traffic accounting mirrors the dense kernel, and the compressed stream
+// moves 0.75x the dense INT4 bytes.
 
 #include "core/config.hpp"
 #include "core/marlin_kernel.hpp"
