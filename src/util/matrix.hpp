@@ -25,9 +25,7 @@ class Matrix {
  public:
   Matrix() = default;
   Matrix(index_t rows, index_t cols, T fill = T{})
-      : rows_(rows), cols_(cols), data_(static_cast<std::size_t>(rows * cols), fill) {
-    MARLIN_CHECK(rows >= 0 && cols >= 0, "matrix dims must be non-negative");
-  }
+      : rows_(rows), cols_(cols), data_(checked_size(rows, cols), fill) {}
 
   [[nodiscard]] index_t rows() const noexcept { return rows_; }
   [[nodiscard]] index_t cols() const noexcept { return cols_; }
@@ -55,6 +53,13 @@ class Matrix {
   [[nodiscard]] ConstMatrixView<T> view() const noexcept;
 
  private:
+  /// Validates the dims before the storage is sized (a negative count
+  /// would otherwise surface as std::length_error from the vector).
+  static std::size_t checked_size(index_t rows, index_t cols) {
+    MARLIN_CHECK(rows >= 0 && cols >= 0, "matrix dims must be non-negative");
+    return static_cast<std::size_t>(rows * cols);
+  }
+
   index_t rows_ = 0;
   index_t cols_ = 0;
   std::vector<T> data_;

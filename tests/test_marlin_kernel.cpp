@@ -199,6 +199,19 @@ TEST(MarlinKernel, RejectsBadShapes) {
   EXPECT_THROW(marlin_matmul(a.view(), mw, cfg, 4), marlin::Error);
 }
 
+TEST(MarlinKernel, RejectsNonPositiveTileSizes) {
+  const auto a = random_activations(4, 128, 62);
+  const auto mw = layout::marlin_repack(random_qweights(128, 128, 64, 63));
+  for (const index_t bad : {index_t{0}, index_t{-64}}) {
+    KernelConfig n_sm;
+    n_sm.n_sm_tile = bad;
+    EXPECT_THROW(marlin_matmul(a.view(), mw, n_sm, 4), marlin::Error);
+    KernelConfig m_block;
+    m_block.m_block = bad;
+    EXPECT_THROW(marlin_matmul(a.view(), mw, m_block, 4), marlin::Error);
+  }
+}
+
 TEST(SmemBudget, PaperP4FitsAtBatch64ButP8DoesNot) {
   // §3.4: "P = 4 ... seemed sufficient ... while fitting into shared
   // memory even for M = 64". One stage at M=64/N_sm=256 is ~16.6 KB

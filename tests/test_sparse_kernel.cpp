@@ -148,6 +148,20 @@ TEST(SparseKernel, RejectsShapeMismatch) {
   EXPECT_THROW(sparse_marlin_matmul(a.view(), s, cfg, 4), marlin::Error);
 }
 
+TEST(SparseKernel, RejectsNonPositiveTileSizes) {
+  const auto a = random_activations(4, 128, 46);
+  const auto s = random_sparse(128, 128, 64, 47);
+  for (const index_t bad : {index_t{0}, index_t{-64}}) {
+    KernelConfig n_sm;
+    n_sm.n_sm_tile = bad;
+    EXPECT_THROW(sparse_marlin_matmul(a.view(), s, n_sm, 4), marlin::Error);
+    KernelConfig m_block;
+    m_block.m_block = bad;
+    EXPECT_THROW(sparse_marlin_matmul(a.view(), s, m_block, 4),
+                 marlin::Error);
+  }
+}
+
 /// Every output bit, traffic counter and partition statistic must match.
 void expect_same_launch(const FunctionalResult& got,
                         const FunctionalResult& want) {

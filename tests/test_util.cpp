@@ -45,6 +45,12 @@ TEST(Matrix, BlockOutOfRangeThrows) {
   EXPECT_THROW((void)m.view().block(2, 2, 3, 1), Error);
 }
 
+TEST(Matrix, NegativeDimsThrow) {
+  EXPECT_THROW((void)Matrix<int>(-1, 4), Error);
+  EXPECT_THROW((void)Matrix<int>(4, -3), Error);
+  EXPECT_THROW((void)Matrix<float>(-2, -2), Error);
+}
+
 TEST(Rng, Deterministic) {
   Rng a(123), b(123);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.next_u64(), b.next_u64());
