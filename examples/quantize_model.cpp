@@ -15,6 +15,7 @@
 #include "quant/gptq.hpp"
 #include "quant/uniform.hpp"
 #include "util/cli.hpp"
+#include "util/error.hpp"
 #include "util/sim_context.hpp"
 #include "util/table.hpp"
 
@@ -35,6 +36,9 @@ static int run(int argc, char** argv) {
   const index_t k = args.get_int("k", 512);
   const index_t n = args.get_int("n", 256);
   const index_t tokens = args.get_int("tokens", 2 * k);
+  MARLIN_CHECK(layers >= 1 && k >= 1 && n >= 1 && tokens >= 1,
+               "--layers, --k, --n and --tokens must be >= 1, got "
+                   << layers << ", " << k << ", " << n << ", " << tokens);
 
   quant::GptqConfig cfg;
   cfg.quant.group_size = args.get_int("group", 128);

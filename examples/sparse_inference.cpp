@@ -8,6 +8,7 @@
 
 #include "common.hpp"
 #include "baselines/kernel_model.hpp"
+#include "core/problem.hpp"
 #include "core/sparse_kernel.hpp"
 #include "eval/metrics.hpp"
 #include "eval/synthetic.hpp"
@@ -30,13 +31,16 @@ static int run(int argc, char** argv) {
   const index_t k = args.get_int("k", 256);
   const index_t n = args.get_int("n", 128);
   const index_t m = args.get_int("m", 16);
+  constexpr index_t kGroup = 64;
+  // Reject an empty or negative shape before building anything from it.
+  core::MatmulProblem{m, k, n, kGroup, true}.validate();
 
   // 1. Joint 2:4 prune + quantize with Hessian-aware selection.
   const auto layer = eval::make_synthetic_layer(k, n, 3 * k, 777);
   quant::HessianAccumulator acc(k);
   acc.add_sequence(layer.calib.view());
   quant::GptqConfig cfg;
-  cfg.quant.group_size = 64;
+  cfg.quant.group_size = kGroup;
   const auto sg =
       sparse::sparsegpt_24_quantize(layer.w.view(), acc.hessian(), cfg);
   const double nmse = eval::layer_output_nmse(
