@@ -26,7 +26,6 @@
 #include <algorithm>
 #include <functional>
 #include <span>
-#include <vector>
 
 #include "core/config.hpp"
 #include "core/partition.hpp"
