@@ -143,9 +143,10 @@ Matrix<float> run_segment(ConstMatrixView<Half> a, const MarlinWeights& b,
       grouped ? (64 / b.cfg.group_size + 1) * 2 : 0;  // upper bound per col
 
   const index_t col = tiles.front().col;
+  const index_t mb = tiles.front().m_block;
   const index_t width = grid.tile_width(col);
-  const index_t m0 = tiles.front().m_block * grid.m_block;
-  const index_t m_rows = grid.m_rows(tiles.front().m_block);
+  const index_t m0 = mb * grid.m_block;
+  const index_t m_rows = grid.m_rows(mb);
   const int n_subtiles = static_cast<int>(width / 64);
   MARLIN_CHECK(cfg.num_warps >= n_subtiles,
                "need at least one warp per 64-wide subtile");

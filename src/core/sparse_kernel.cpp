@@ -11,10 +11,12 @@ FunctionalResult sparse_marlin_matmul(ConstMatrixView<Half> a,
 
   auto run_segment = [&](std::span<const TileCoord> tiles,
                          gpusim::TrafficCounters& traffic) {
-    const index_t width = grid.tile_width(tiles.front().col);
-    const index_t m0 = tiles.front().m_block * grid.m_block;
-    const index_t m_rows = grid.m_rows(tiles.front().m_block);
-    const index_t c0 = tiles.front().col * grid.n_sm_tile;
+    const index_t tile_col = tiles.front().col;
+    const index_t mb = tiles.front().m_block;
+    const index_t width = grid.tile_width(tile_col);
+    const index_t m0 = mb * grid.m_block;
+    const index_t m_rows = grid.m_rows(mb);
+    const index_t c0 = tile_col * grid.n_sm_tile;
     Matrix<float> acc(m_rows, width, 0.0f);
 
     for (const TileCoord& t : tiles) {
