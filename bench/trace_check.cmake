@@ -1,15 +1,20 @@
 # Observability artifact check: run bench_serve_cluster with --trace-out /
 # --metrics-out at --threads 1 and --threads 4, require the two runs'
 # trace and metrics files to be byte-identical (the recorder's determinism
-# contract), and validate the trace structure with
+# contract), validate the trace structure with
 # scripts/check_trace_json.py (required keys, per-track monotone
-# timestamps, balanced B/E spans).
+# timestamps, balanced B/E spans), and compare its per-name event counts
+# against COUNTS_GOLDEN, so the trace cannot grow silently.
 #
 # Usage:
 #   cmake -DBINARY=<exe> -DPYTHON=<python3> -DCHECKER=<check_trace_json.py>
-#         -DWORKDIR=<dir> -P trace_check.cmake
+#         -DWORKDIR=<dir> -DCOUNTS_GOLDEN=<file> [-DUPDATE=1]
+#         -P trace_check.cmake
+#
+# UPDATE=1 rewrites COUNTS_GOLDEN instead of comparing (the
+# `update-goldens` build target drives this).
 
-foreach(var BINARY PYTHON CHECKER WORKDIR)
+foreach(var BINARY PYTHON CHECKER WORKDIR COUNTS_GOLDEN)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "trace_check.cmake needs -D${var}=...")
   endif()
@@ -46,7 +51,7 @@ endforeach()
 
 execute_process(
   COMMAND ${PYTHON} ${CHECKER} ${WORKDIR}/obs_trace_t1.json
-    --min-events 1000
+    --min-events 1000 --counts-out ${WORKDIR}/obs_trace_counts.txt
   OUTPUT_VARIABLE checker_out
   ERROR_VARIABLE checker_err
   RESULT_VARIABLE rc)
@@ -55,3 +60,18 @@ if(NOT rc EQUAL 0)
     "check_trace_json.py failed:\n${checker_out}${checker_err}")
 endif()
 message(STATUS "${checker_out}")
+
+file(READ ${WORKDIR}/obs_trace_counts.txt counts)
+if(DEFINED UPDATE)
+  file(WRITE ${COUNTS_GOLDEN} "${counts}")
+  message(STATUS "updated ${COUNTS_GOLDEN}")
+  return()
+endif()
+file(READ ${COUNTS_GOLDEN} expected)
+if(NOT counts STREQUAL expected)
+  message(FATAL_ERROR
+    "per-name trace event counts differ from ${COUNTS_GOLDEN}:\n"
+    "--- expected\n${expected}--- actual\n${counts}"
+    "If the change is intended, run `cmake --build <dir> --target "
+    "update-goldens` and commit the new counts.")
+endif()

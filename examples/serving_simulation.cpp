@@ -214,13 +214,9 @@ static int run(int argc, char** argv) {
                        }
                        cluster_rows[static_cast<std::size_t>(i)] = cl.str();
                      }
-                     double weights_per_gpu = engine.weight_bytes_per_gpu();
-                     if (!scfg.parallel.trivial()) {
-                       weights_per_gpu =
-                           serve::parallel::ParallelEngine(engine,
-                                                           scfg.parallel)
-                               .max_weight_shard_bytes();
-                     }
+                     const double weights_per_gpu =
+                         serve::parallel::ParallelEngine(engine, scfg.parallel)
+                             .max_weight_shard_bytes();
                      rows[static_cast<std::size_t>(i)] = {
                          serve::to_string(cfg.format),
                          format_double(m.mean_tpot_ms, 2),

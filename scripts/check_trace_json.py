@@ -14,11 +14,16 @@ structurally sound:
     no span is left open at the end;
   * X events carry a non-negative ``dur``; instants carry scope ``t``.
 
-Usage:  check_trace_json.py TRACE.json [--min-events N]
+With ``--counts-out FILE`` it also writes the number of non-metadata
+events of each name, one ``<name>\t<count>`` line per name in name order,
+so a golden of that file catches a trace that silently grows.
+
+Usage:  check_trace_json.py TRACE.json [--min-events N] [--counts-out FILE]
 Exit status: 0 = trace is well-formed, 1 = problems found.
 """
 
 import argparse
+import collections
 import json
 import math
 import sys
@@ -33,6 +38,8 @@ def main():
     parser.add_argument("--min-events", type=int, default=1,
                         help="fail when fewer non-metadata events than this "
                              "(default 1)")
+    parser.add_argument("--counts-out", metavar="FILE",
+                        help="write per-name event counts to FILE")
     args = parser.parse_args()
 
     try:
@@ -50,7 +57,7 @@ def main():
     failures = []
     last_ts = {}      # (pid, tid) -> last event timestamp on the track
     open_spans = {}   # (pid, tid) -> stack of open B-span names
-    counted = 0
+    counts = collections.Counter()  # event name -> non-metadata events
     for i, ev in enumerate(events):
         where = f"traceEvents[{i}]"
         if not isinstance(ev, dict):
@@ -76,7 +83,7 @@ def main():
             continue
         if ph == "M":
             continue  # metadata names tracks; it carries no timeline
-        counted += 1
+        counts[name] += 1
         track = (pid, tid)
         if ts < last_ts.get(track, 0.0):
             failures.append(
@@ -112,10 +119,16 @@ def main():
             failures.append(
                 f"span `{name}` still open at end of trace on track "
                 f"pid={pid} tid={tid}")
+    counted = sum(counts.values())
     if counted < args.min_events:
         failures.append(
             f"only {counted} non-metadata event(s); expected at least "
             f"{args.min_events}")
+
+    if args.counts_out:
+        with open(args.counts_out, "w", encoding="utf-8") as fh:
+            for name in sorted(counts):
+                fh.write(f"{name}\t{counts[name]}\n")
 
     if failures:
         print(f"{len(failures)} trace problem(s) in {args.trace}:")

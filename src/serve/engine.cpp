@@ -1,7 +1,6 @@
 #include "serve/engine.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/error.hpp"
 
@@ -32,6 +31,22 @@ void StepModel::warm_decode_cache(const SimContext& ctx, index_t max_batch,
       (void)decode_step_seconds(batch, static_cast<double>(b) * 64.0 + 1.0);
     }
   });
+}
+
+index_t checked_context_bucket(index_t batch, double avg_context,
+                               index_t depth) {
+  MARLIN_CHECK(batch >= 1, "batch must be >= 1, got " << batch);
+  MARLIN_CHECK(avg_context >= 0.0,
+               "average context must be >= 0 tokens, got " << avg_context);
+  MARLIN_CHECK(depth >= 0, "speculation depth must be >= 0, got " << depth);
+  // 64-token buckets keep the memos small.
+  return static_cast<index_t>(avg_context / 64.0);
+}
+
+void check_prefill_query(index_t batch, index_t prompt_tokens) {
+  MARLIN_CHECK(batch >= 1, "batch must be >= 1, got " << batch);
+  MARLIN_CHECK(prompt_tokens >= 0,
+               "prompt tokens must be >= 0, got " << prompt_tokens);
 }
 
 namespace {
@@ -113,12 +128,6 @@ double Engine::lm_head_seconds(index_t m, int tp) const {
   return t;
 }
 
-double Engine::linear_layers_seconds(index_t m) const {
-  return block_linear_seconds(m, 1) *
-             static_cast<double>(cfg_.model.num_layers) +
-         lm_head_seconds(m, 1);
-}
-
 double Engine::kv_bytes_per_token() const {
   // 2 (K and V) * layers * kv_heads * head_dim * 2 bytes.
   return 2.0 * static_cast<double>(cfg_.model.num_layers) *
@@ -153,19 +162,13 @@ double Engine::prefill_attention_layer_seconds(index_t m,
   return attn_flops / (cfg_.gpu.tc_flops(clock) * 0.5);
 }
 
-double Engine::attention_decode_seconds(index_t batch,
-                                        double avg_context) const {
-  // Paged attention is dominated by streaming the KV cache of every
-  // sequence.
-  const double kv_bytes =
-      kv_bytes_per_token() * avg_context * static_cast<double>(batch);
-  const double t_mem =
-      kv_bytes /
-      (cfg_.gpu.gmem_bytes_per_s() * cfg_.attention_mem_efficiency);
-  // One fused attention kernel launch per layer.
-  const double t_launch =
-      static_cast<double>(cfg_.model.num_layers) * cfg_.gpu.kernel_launch_s;
-  return t_mem + t_launch;
+double Engine::layer_range_seconds(index_t layers, index_t m,
+                                   double attention_layer_s, bool lm_head,
+                                   int tp) const {
+  const double n = static_cast<double>(layers);
+  double t = n * block_linear_seconds(m, tp) + n * attention_layer_s;
+  if (lm_head) t += lm_head_seconds(m, tp);
+  return t;
 }
 
 double Engine::decode_step_seconds(index_t batch, double avg_context) const {
@@ -174,11 +177,8 @@ double Engine::decode_step_seconds(index_t batch, double avg_context) const {
 
 double Engine::verify_step_seconds(index_t batch, double avg_context,
                                    index_t depth) const {
-  MARLIN_CHECK(batch >= 1, "batch must be >= 1");
-  MARLIN_CHECK(depth >= 0, "speculation depth must be >= 0");
-  // Bucket contexts to keep the memo small (64-token buckets).
-  const auto ctx_bucket = static_cast<index_t>(avg_context / 64.0);
-  const auto key = std::make_tuple(batch, ctx_bucket, depth);
+  const index_t bucket = checked_context_bucket(batch, avg_context, depth);
+  const auto key = std::make_tuple(batch, bucket, depth);
   {
     const std::lock_guard lock(cache_mutex_);
     if (const auto it = step_cache_.find(key); it != step_cache_.end()) {
@@ -190,27 +190,25 @@ double Engine::verify_step_seconds(index_t batch, double avg_context,
   // depth + 1 query positions share the fetch, which is the whole point
   // of verifying a draft in one batched step instead of depth + 1 decode
   // steps. A decode step is depth 0.
-  const double ctx = static_cast<double>(ctx_bucket) * 64.0 + 32.0;
-  const double t = linear_layers_seconds(batch * (depth + 1)) +
-                   attention_decode_seconds(batch, ctx) +
-                   cfg_.step_overhead_s;
+  const double t =
+      layer_range_seconds(
+          cfg_.model.num_layers, batch * (depth + 1),
+          attention_layer_seconds(batch, bucket_centre(bucket), 1), true, 1) +
+      cfg_.step_overhead_s;
   const std::lock_guard lock(cache_mutex_);
   step_cache_[key] = t;
   return t;
 }
 
 double Engine::prefill_seconds(index_t batch, index_t prompt_tokens) const {
-  const index_t m = batch * prompt_tokens;
-  // Quadratic attention term: ~4 * tokens * ctx * q_heads * head_dim FLOPs
-  // per layer (scores + values), at moderate tensor-core efficiency.
-  const double attn_flops =
-      4.0 * static_cast<double>(m) * static_cast<double>(prompt_tokens) *
-      static_cast<double>(cfg_.model.num_heads) *
-      static_cast<double>(cfg_.model.head_dim) *
-      static_cast<double>(cfg_.model.num_layers);
-  const double clock = cfg_.clock.effective_clock_ghz(cfg_.gpu, 0.0);
-  const double t_attn = attn_flops / (cfg_.gpu.tc_flops(clock) * 0.5);
-  return linear_layers_seconds(m) + t_attn + cfg_.prefill_overhead_s;
+  check_prefill_query(batch, prompt_tokens);
+  // An empty prompt still runs one token per sequence, as a rank does.
+  const index_t m = batch * std::max<index_t>(1, prompt_tokens);
+  return layer_range_seconds(cfg_.model.num_layers, m,
+                             prefill_attention_layer_seconds(m, prompt_tokens,
+                                                             1),
+                             true, 1) +
+         cfg_.prefill_overhead_s;
 }
 
 double Engine::weight_bits() const {
@@ -219,8 +217,17 @@ double Engine::weight_bits() const {
                                                 : 3.125;
 }
 
-double Engine::weight_bytes_per_gpu() const {
-  return cfg_.model.num_params() * weight_bits() / 8.0;
+double Engine::weight_bytes(index_t layers, bool embedding, bool lm_head,
+                            int tp) const {
+  MARLIN_CHECK(tp >= 1, "tensor-parallel degree must be >= 1");
+  const auto& model = cfg_.model;
+  const double ranks = static_cast<double>(tp);
+  double bytes = model.params_per_block() * static_cast<double>(layers) *
+                 weight_bits() / 8.0 / ranks;
+  // Embedding and LM head stay FP16, vocab-split across the TP group.
+  if (embedding) bytes += model.embedding_params() * 2.0 / ranks;
+  if (lm_head) bytes += model.embedding_params() * 2.0 / ranks;
+  return bytes;
 }
 
 }  // namespace marlin::serve

@@ -8,9 +8,12 @@
 //   * a fixed per-step engine overhead (scheduler / sampler / Python),
 //     calibrated once against the paper's measured 2.93x at batch 1 on A10.
 // Prefill prices the same linear layers at M = total new tokens plus the
-// quadratic attention term. Tensor and pipeline parallelism are priced by
-// `parallel::ParallelEngine`, which composes the per-layer building
-// blocks below across a rank grid.
+// quadratic attention term. Both are one formula, `layer_range_seconds`:
+// a span of transformer blocks at M tokens, each paying its linears and
+// its attention, plus the LM head where the span owns it. The single
+// device prices the whole model with it; `parallel::ParallelEngine`'s
+// workers price their stage of a rank grid with it, so `Engine` and a
+// tp = pp = 1 `ParallelEngine` agree bit for bit.
 
 #include <map>
 #include <memory>
@@ -28,10 +31,11 @@ enum class WeightFormat { kFp16, kMarlin, kSparseMarlin };
 
 const char* to_string(WeightFormat f);
 
-/// Interface the serving scheduler prices engine steps against. `Engine`
-/// implements it for the single-device cost model; the multi-GPU
-/// `parallel::ParallelEngine` implements it as max-over-ranks compute plus
-/// interconnect communication. Implementations must be deterministic: the
+/// Interface the serving scheduler prices engine steps against. The
+/// serving simulation prices through `parallel::ParallelEngine` (max over
+/// ranks of compute plus interconnect communication) at every grid size;
+/// `Engine` implements it for a bare single device, bit-identical to the
+/// one-rank grid. Implementations must be deterministic: the
 /// same (batch, context) query returns bit-identical seconds on every call
 /// and thread count.
 class StepModel {
@@ -71,9 +75,9 @@ class StepModel {
   /// layer: when the model can attribute a decode step to compute vs
   /// interconnect communication plus a pipeline-bubble share (the
   /// multi-GPU `parallel::ParallelEngine`), it fills the three outputs
-  /// and returns true. The default — the single-device Engine has no
-  /// meaningful split — declines, and recording falls back to the
-  /// undecomposed step time.
+  /// and returns true. The default — a single device has no meaningful
+  /// split — declines, and recording falls back to the undecomposed step
+  /// time.
   [[nodiscard]] virtual bool decode_split(index_t /*batch*/,
                                           double /*avg_context*/,
                                           double* /*compute_s*/,
@@ -99,6 +103,20 @@ struct EngineConfig {
   double attention_mem_efficiency = 0.70;
 };
 
+/// Checks one step-price query — `batch >= 1`, `avg_context >= 0`,
+/// `depth >= 0` — and returns the 64-token context bucket every step
+/// model memoises it under. Throws a one-line `Error` on a malformed query.
+[[nodiscard]] index_t checked_context_bucket(index_t batch, double avg_context,
+                                             index_t depth);
+/// The context a step in `bucket` is priced at: the bucket's centre.
+[[nodiscard]] inline double bucket_centre(index_t bucket) {
+  return static_cast<double>(bucket) * 64.0 + 32.0;
+}
+/// Checks one prefill query: `batch >= 1`, `prompt_tokens >= 0`.
+void check_prefill_query(index_t batch, index_t prompt_tokens);
+
+/// The single-device step model, kept for callers that price a bare
+/// device: the speculative draft model, `generation_time`, external drivers.
 class Engine : public StepModel {
  public:
   explicit Engine(EngineConfig cfg);
@@ -121,8 +139,12 @@ class Engine : public StepModel {
                                            index_t depth) const override;
 
   [[nodiscard]] const EngineConfig& config() const { return cfg_; }
-  /// Quantized weight bytes resident on the device.
-  [[nodiscard]] double weight_bytes_per_gpu() const;
+  /// Weight bytes of `layers` transformer blocks at the format's width,
+  /// plus the FP16 embedding table and LM head where held (MARLIN
+  /// quantizes only the linears), all split across `tp` ranks. The one
+  /// weight charge: rank shards and the single-device KV budget use it.
+  [[nodiscard]] double weight_bytes(index_t layers, bool embedding,
+                                    bool lm_head, int tp) const;
   /// FP16 KV-cache bytes one context token occupies (K and V for every
   /// layer). The serving scheduler derives its block budget from this.
   [[nodiscard]] double kv_bytes_per_token() const;
@@ -148,17 +170,20 @@ class Engine : public StepModel {
   /// against `prompt_tokens` of context, heads sharded across `tp`.
   [[nodiscard]] double prefill_attention_layer_seconds(
       index_t m, index_t prompt_tokens, int tp) const;
+  /// Compute seconds of `layers` transformer blocks, each paying its
+  /// linears at `m` tokens plus `attention_layer_s`, plus the LM head
+  /// when `lm_head`, all sharded across `tp`. The one step formula: a
+  /// rank prices its stage with it, a single device the whole model.
+  [[nodiscard]] double layer_range_seconds(index_t layers, index_t m,
+                                           double attention_layer_s,
+                                           bool lm_head, int tp) const;
 
  private:
-  [[nodiscard]] double linear_layers_seconds(index_t m) const;
-  [[nodiscard]] double attention_decode_seconds(index_t batch,
-                                                double avg_context) const;
-
   EngineConfig cfg_;
   baselines::KernelModelPtr kernel_;
   /// Guards every memo cache; held only around lookups/inserts, never
   /// across the kernel-model estimates, so the cache fills concurrently
-  /// without lock nesting (linear_layers_seconds runs under no lock when
+  /// without lock nesting (layer_range_seconds runs under no lock when
   /// verify_step_seconds computes a miss).
   mutable std::mutex cache_mutex_;
   /// Step seconds keyed (batch, 64-token context bucket, depth).

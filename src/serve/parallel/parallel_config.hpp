@@ -8,8 +8,9 @@
 // per stage boundary; a step is split into `microbatches` microbatches so
 // stages overlap (fill/drain bubbles shrink as microbatches grow).
 //
-// The trivial config (TP=1, PP=1) is the single-device model and is
-// guaranteed to reproduce the single-device `Engine` numbers bit-for-bit.
+// The trivial config (TP=1, PP=1) is the single-device model: it prices
+// through the same per-layer-range formula as the bare `Engine` and
+// reproduces its numbers bit for bit.
 
 #include <string>
 

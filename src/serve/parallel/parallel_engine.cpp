@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "util/error.hpp"
-
 namespace marlin::serve::parallel {
 
 namespace {
@@ -95,23 +93,16 @@ StepBreakdown ParallelEngine::step_breakdown(index_t batch,
 
 StepBreakdown ParallelEngine::decode_breakdown(index_t batch,
                                                double avg_context) const {
-  MARLIN_CHECK(batch >= 1, "batch must be >= 1");
-  if (cfg_.trivial()) {
-    StepBreakdown b;
-    b.total_s = engine_.decode_step_seconds(batch, avg_context);
-    b.stage_compute_s = b.total_s - engine_.config().step_overhead_s;
-    return b;
-  }
-  // Mirror the Engine's 64-token context bucketing so memo hits and fresh
-  // computations see the same context value.
-  const auto bucket = static_cast<index_t>(avg_context / 64.0);
-  return step_breakdown(batch, static_cast<double>(bucket) * 64.0 + 32.0, 0);
+  const index_t bucket = checked_context_bucket(batch, avg_context, 0);
+  return step_breakdown(batch, bucket_centre(bucket), 0);
 }
 
 bool ParallelEngine::decode_split(index_t batch, double avg_context,
                                   double* compute_s, double* comm_s,
                                   double* bubble_fraction) const {
-  // Trivial configs delegate to the wrapped Engine, which has no split.
+  // A one-rank grid has no interconnect or pipeline bubble to split off;
+  // declining keeps single-device traces free of an all-zero counter pair
+  // on every decode step.
   if (cfg_.trivial()) return false;
   const StepBreakdown b = decode_breakdown(batch, avg_context);
   *compute_s = b.stage_compute_s;
@@ -127,12 +118,7 @@ double ParallelEngine::decode_step_seconds(index_t batch,
 
 double ParallelEngine::verify_step_seconds(index_t batch, double avg_context,
                                            index_t depth) const {
-  MARLIN_CHECK(batch >= 1, "batch must be >= 1");
-  MARLIN_CHECK(depth >= 0, "speculation depth must be >= 0");
-  if (cfg_.trivial()) {
-    return engine_.verify_step_seconds(batch, avg_context, depth);
-  }
-  const auto bucket = static_cast<index_t>(avg_context / 64.0);
+  const index_t bucket = checked_context_bucket(batch, avg_context, depth);
   const auto key = std::make_tuple(batch, bucket, depth);
   {
     const std::lock_guard lock(cache_mutex_);
@@ -140,9 +126,7 @@ double ParallelEngine::verify_step_seconds(index_t batch, double avg_context,
       return it->second;
     }
   }
-  const double t =
-      step_breakdown(batch, static_cast<double>(bucket) * 64.0 + 32.0, depth)
-          .total_s;
+  const double t = step_breakdown(batch, bucket_centre(bucket), depth).total_s;
   const std::lock_guard lock(cache_mutex_);
   step_cache_[key] = t;
   return t;
@@ -150,8 +134,7 @@ double ParallelEngine::verify_step_seconds(index_t batch, double avg_context,
 
 double ParallelEngine::prefill_seconds(index_t batch,
                                        index_t prompt_tokens) const {
-  if (cfg_.trivial()) return engine_.prefill_seconds(batch, prompt_tokens);
-  MARLIN_CHECK(batch >= 1, "batch must be >= 1");
+  check_prefill_query(batch, prompt_tokens);
   const auto mb = plan_microbatches(cfg_, batch);
   const index_t mb_tokens = mb.seqs * std::max<index_t>(1, prompt_tokens);
 

@@ -29,9 +29,11 @@
 // serialized pricing bit-for-bit. Verification steps keep the serialized
 // stage.
 //
-// The trivial config (TP=1, PP=1) delegates every query to the wrapped
-// single-device Engine, so it reproduces its numbers — and the
-// fig15/fig16/serve_scheduler goldens — bit-for-bit.
+// Every grid, the one-rank TP=1 PP=1 grid included, prices through its
+// workers' `Engine::layer_range_seconds`, the one step formula the bare
+// single-device `Engine` also uses, so a one-rank grid reproduces the
+// Engine's step prices bit for bit. Its KV budget charges weights through
+// `Engine::weight_bytes`, as `sched::derive_kv_block_budget` does.
 //
 // Deterministic and memoised like the Engine; safe to share across
 // concurrent sweep workers. The inherited `warm_decode_cache` fans the
@@ -89,7 +91,7 @@ class ParallelEngine final : public StepModel {
 
   /// Observability split over `decode_breakdown`: per-microbatch stage
   /// compute, communication (TP all-reduce share plus activation sends)
-  /// and the pipeline bubble fraction.
+  /// and the pipeline bubble fraction. A one-rank grid declines.
   [[nodiscard]] bool decode_split(index_t batch, double avg_context,
                                   double* compute_s, double* comm_s,
                                   double* bubble_fraction) const override;

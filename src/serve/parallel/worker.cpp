@@ -37,14 +37,8 @@ bool Worker::has_lm_head() const {
 }
 
 double Worker::weight_shard_bytes() const {
-  const auto& model = engine_->config().model;
-  const double tp = static_cast<double>(cfg_.tensor_parallel);
-  double bytes = model.params_per_block() * static_cast<double>(num_layers_) *
-                 engine_->weight_bits() / 8.0 / tp;
-  // Embedding and LM head stay FP16, vocab-split across the TP group.
-  if (has_embedding()) bytes += model.embedding_params() * 2.0 / tp;
-  if (has_lm_head()) bytes += model.embedding_params() * 2.0 / tp;
-  return bytes;
+  return engine_->weight_bytes(num_layers_, has_embedding(), has_lm_head(),
+                               cfg_.tensor_parallel);
 }
 
 double Worker::kv_bytes_per_token() const {
@@ -66,39 +60,35 @@ index_t Worker::kv_block_budget(index_t block_size,
       what.str() + " on " + engine_->config().gpu.name);
 }
 
-double Worker::compute_seconds(index_t m, double attention_layer_s) const {
-  const double layers = static_cast<double>(num_layers_);
-  double t = layers * engine_->block_linear_seconds(m, cfg_.tensor_parallel) +
-             layers * attention_layer_s;
-  if (has_lm_head()) t += engine_->lm_head_seconds(m, cfg_.tensor_parallel);
-  return t;
-}
-
 double Worker::step_compute_seconds(index_t seqs, double avg_context,
                                     index_t depth) const {
-  return compute_seconds(seqs * (depth + 1),
-                         engine_->attention_layer_seconds(
-                             seqs, avg_context, cfg_.tensor_parallel));
+  return engine_->layer_range_seconds(
+      num_layers_, seqs * (depth + 1),
+      engine_->attention_layer_seconds(seqs, avg_context,
+                                       cfg_.tensor_parallel),
+      has_lm_head(), cfg_.tensor_parallel);
 }
 
 double Worker::prefill_compute_seconds(index_t mb_tokens,
                                        index_t prompt_tokens) const {
-  return compute_seconds(mb_tokens,
-                         engine_->prefill_attention_layer_seconds(
-                             mb_tokens, prompt_tokens, cfg_.tensor_parallel));
+  return engine_->layer_range_seconds(
+      num_layers_, mb_tokens,
+      engine_->prefill_attention_layer_seconds(mb_tokens, prompt_tokens,
+                                               cfg_.tensor_parallel),
+      has_lm_head(), cfg_.tensor_parallel);
 }
 
 double Worker::overlapped_stage_seconds(index_t seqs, double avg_context,
                                         index_t depth,
                                         int comm_buckets) const {
   const index_t tokens = seqs * (depth + 1);
-  const double attention = engine_->attention_layer_seconds(
-      seqs, avg_context, cfg_.tensor_parallel);
   const double serialized =
-      compute_seconds(tokens, attention) + tp_comm_seconds(tokens);
+      step_compute_seconds(seqs, avg_context, depth) + tp_comm_seconds(tokens);
   if (comm_buckets <= 1 || cfg_.tensor_parallel == 1 || num_layers_ == 0) {
     return serialized;
   }
+  const double attention = engine_->attention_layer_seconds(
+      seqs, avg_context, cfg_.tensor_parallel);
   // Per-block pieces: compute of one transformer block, and its two ring
   // all-reduces. Splitting an all-reduce into `comm_buckets` chunks keeps
   // the chunks in flight back to back on the link, so the ring's latency

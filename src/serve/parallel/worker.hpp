@@ -14,8 +14,8 @@
 //     caches KV for its own layers, sharded across TP). Block allocation
 //     is mirrored across ranks in lockstep, so the scheduler drives one
 //     logical BlockManager sized to the *minimum* rank budget;
-//   * its compute time — the engine's per-layer prices composed over the
-//     stage's layer range, which the ParallelEngine maxes over ranks.
+//   * its compute time — `Engine::layer_range_seconds` over the stage's
+//     layer range, which the ParallelEngine maxes over ranks.
 //
 // Workers are immutable models, safe to share across concurrent sweeps.
 
@@ -41,9 +41,9 @@ class Worker {
   [[nodiscard]] bool has_embedding() const { return rank_.stage == 0; }
   [[nodiscard]] bool has_lm_head() const;
 
-  /// Bytes of weights resident on this rank: the stage's blocks at the
-  /// engine's quantized width plus the FP16 embedding/head where owned,
-  /// all divided across the tensor-parallel group.
+  /// Bytes of weights resident on this rank: `Engine::weight_bytes` of the
+  /// stage's blocks plus the FP16 embedding/head where owned, divided
+  /// across the tensor-parallel group.
   [[nodiscard]] double weight_shard_bytes() const;
   /// KV bytes one context token occupies on THIS rank (its layers only,
   /// KV heads sharded across TP).
@@ -80,11 +80,6 @@ class Worker {
                                                 int comm_buckets) const;
 
  private:
-  /// Linear layers and LM head (where owned) at `m` tokens, plus
-  /// `attention_layer_s` for each of the stage's layers.
-  [[nodiscard]] double compute_seconds(index_t m,
-                                       double attention_layer_s) const;
-
   const Engine* engine_;
   ParallelConfig cfg_;
   RankId rank_;

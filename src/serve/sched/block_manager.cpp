@@ -464,7 +464,8 @@ index_t kv_blocks_that_fit(double hbm_bytes, double weight_bytes,
 index_t derive_kv_block_budget(const Engine& engine, index_t block_size,
                                double activation_reserve) {
   return kv_blocks_that_fit(
-      engine.config().gpu.hbm_bytes(), engine.weight_bytes_per_gpu(),
+      engine.config().gpu.hbm_bytes(),
+      engine.weight_bytes(engine.config().model.num_layers, true, true, 1),
       engine.kv_bytes_per_token(), block_size, activation_reserve,
       engine.config().model.name + std::string(" on ") +
           engine.config().gpu.name);

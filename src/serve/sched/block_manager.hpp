@@ -329,8 +329,10 @@ class BlockManager {
                                          const std::string& what);
 
 /// Per-GPU KV block budget of `engine` on its configured device: HBM bytes
-/// minus resident weights minus `activation_reserve` of HBM, divided by
-/// the bytes one block of KV occupies. Throws if the weights alone
+/// minus resident weights (`Engine::weight_bytes` of the whole model, so
+/// the embedding and LM head at FP16) minus `activation_reserve` of HBM,
+/// divided by the bytes one block of KV occupies. Equals the one-rank
+/// `ParallelEngine::min_kv_block_budget`. Throws if the weights alone
 /// overflow the device.
 [[nodiscard]] index_t derive_kv_block_budget(const Engine& engine,
                                              index_t block_size,

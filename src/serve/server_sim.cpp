@@ -39,25 +39,12 @@ cluster::ClusterStats simulate_cluster_detailed(const Engine& engine,
     }
   }
 
-  // Validate unconditionally: a malformed microbatch count must not be
-  // masked just because tp/pp happen to be 1 (the trivial path below
-  // never reaches the ParallelEngine ctor that would catch it).
-  cfg.parallel.validate();
-
-  // Non-trivial parallel configs price steps through the per-rank worker
-  // model; the trivial default stays on the engine itself so the legacy
-  // goldens path is untouched (same objects, same calls, same bits).
-  std::optional<parallel::ParallelEngine> sharded;
-  if (!cfg.parallel.trivial()) sharded.emplace(engine, cfg.parallel);
-  const StepModel& model =
-      sharded ? static_cast<const StepModel&>(*sharded) : engine;
-
-  index_t kv_blocks = cfg.kv_blocks;
-  if (kv_blocks < 0) {
-    kv_blocks = sharded
-                    ? sharded->min_kv_block_budget(cfg.kv_block_size)
-                    : sched::derive_kv_block_budget(engine, cfg.kv_block_size);
-  }
+  // Every grid, tp = pp = 1 included, prices through the per-rank worker
+  // model, and the derived KV budget is the binding rank's.
+  const parallel::ParallelEngine model(engine, cfg.parallel);
+  const index_t kv_blocks =
+      cfg.kv_blocks >= 0 ? cfg.kv_blocks
+                         : model.min_kv_block_budget(cfg.kv_block_size);
 
   sched::SchedulerConfig sc;
   sc.policy = cfg.policy;

@@ -421,15 +421,11 @@ Setup::Setup(const Engine& engine, const ServingConfig& cfg) {
   }
   trace = sched::generate_trace(w);
 
-  if (!cfg.parallel.trivial()) sharded_.emplace(engine, cfg.parallel);
-  const StepModel& model =
-      sharded_ ? static_cast<const StepModel&>(*sharded_) : engine;
-  index_t kv_blocks = cfg.kv_blocks;
-  if (kv_blocks < 0) {
-    kv_blocks = sharded_
-                    ? sharded_->min_kv_block_budget(cfg.kv_block_size)
-                    : sched::derive_kv_block_budget(engine, cfg.kv_block_size);
-  }
+  const parallel::ParallelEngine& model =
+      model_.emplace(engine, cfg.parallel);
+  const index_t kv_blocks =
+      cfg.kv_blocks >= 0 ? cfg.kv_blocks
+                         : model.min_kv_block_budget(cfg.kv_block_size);
 
   sched::SchedulerConfig sc;
   sc.policy = cfg.policy;

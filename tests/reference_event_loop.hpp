@@ -55,7 +55,7 @@ class Setup {
   std::vector<sched::TraceRequest> trace;
 
  private:
-  std::optional<parallel::ParallelEngine> sharded_;
+  std::optional<parallel::ParallelEngine> model_;
   std::optional<Engine> draft_;
   std::optional<sched::Scheduler> scheduler_;
   ClusterOptions options_;

@@ -16,24 +16,6 @@ double bucket_context(double avg_context) {
   return static_cast<double>(bucket) * 64.0 + 32.0;
 }
 
-double linear_layers_seconds(const Engine& engine, index_t m) {
-  return engine.block_linear_seconds(m, 1) *
-             static_cast<double>(engine.config().model.num_layers) +
-         engine.lm_head_seconds(m, 1);
-}
-
-double attention_decode_seconds(const Engine& engine, index_t batch,
-                                double avg_context) {
-  const EngineConfig& cfg = engine.config();
-  const double kv_bytes =
-      engine.kv_bytes_per_token() * avg_context * static_cast<double>(batch);
-  const double t_mem =
-      kv_bytes / (cfg.gpu.gmem_bytes_per_s() * cfg.attention_mem_efficiency);
-  const double t_launch =
-      static_cast<double>(cfg.model.num_layers) * cfg.gpu.kernel_launch_s;
-  return t_mem + t_launch;
-}
-
 struct MicrobatchPlan {
   int count = 1;
   index_t seqs = 0;
@@ -55,38 +37,6 @@ double activation_bytes(const ParallelEngine& pe, index_t tokens) {
 }
 
 }  // namespace
-
-double engine_decode_step_seconds(const Engine& engine, index_t batch,
-                                  double avg_context) {
-  return linear_layers_seconds(engine, batch) +
-         attention_decode_seconds(engine, batch,
-                                  bucket_context(avg_context)) +
-         engine.config().step_overhead_s;
-}
-
-double engine_verify_step_seconds(const Engine& engine, index_t batch,
-                                  double avg_context, index_t depth) {
-  if (depth == 0) return engine_decode_step_seconds(engine, batch, avg_context);
-  const index_t m = batch * (depth + 1);
-  return linear_layers_seconds(engine, m) +
-         attention_decode_seconds(engine, batch,
-                                  bucket_context(avg_context)) +
-         engine.config().step_overhead_s;
-}
-
-double engine_prefill_seconds(const Engine& engine, index_t batch,
-                              index_t prompt_tokens) {
-  const EngineConfig& cfg = engine.config();
-  const index_t m = batch * prompt_tokens;
-  const double attn_flops =
-      4.0 * static_cast<double>(m) * static_cast<double>(prompt_tokens) *
-      static_cast<double>(cfg.model.num_heads) *
-      static_cast<double>(cfg.model.head_dim) *
-      static_cast<double>(cfg.model.num_layers);
-  const double clock = cfg.clock.effective_clock_ghz(cfg.gpu, 0.0);
-  const double t_attn = attn_flops / (cfg.gpu.tc_flops(clock) * 0.5);
-  return linear_layers_seconds(engine, m) + t_attn + cfg.prefill_overhead_s;
-}
 
 double worker_decode_compute_seconds(const ParallelEngine& pe, const Worker& w,
                                      index_t mb_tokens, double avg_context) {
@@ -164,11 +114,6 @@ StepBreakdown parallel_decode_breakdown(const ParallelEngine& pe,
                                         index_t batch, double avg_context) {
   const Engine& engine = pe.engine();
   StepBreakdown b;
-  if (pe.config().trivial()) {
-    b.total_s = engine_decode_step_seconds(engine, batch, avg_context);
-    b.stage_compute_s = b.total_s - engine.config().step_overhead_s;
-    return b;
-  }
   const double ctx = bucket_context(avg_context);
   const auto mb = plan_microbatches(pe.config(), batch);
   b.microbatches = mb.count;
@@ -206,9 +151,6 @@ double parallel_decode_step_seconds(const ParallelEngine& pe, index_t batch,
 double parallel_verify_step_seconds(const ParallelEngine& pe, index_t batch,
                                     double avg_context, index_t depth) {
   const Engine& engine = pe.engine();
-  if (pe.config().trivial()) {
-    return engine_verify_step_seconds(engine, batch, avg_context, depth);
-  }
   if (depth == 0) return parallel_decode_step_seconds(pe, batch, avg_context);
   const double ctx = bucket_context(avg_context);
   const auto mb = plan_microbatches(pe.config(), batch);
@@ -232,9 +174,6 @@ double parallel_verify_step_seconds(const ParallelEngine& pe, index_t batch,
 double parallel_prefill_seconds(const ParallelEngine& pe, index_t batch,
                                 index_t prompt_tokens) {
   const Engine& engine = pe.engine();
-  if (pe.config().trivial()) {
-    return engine_prefill_seconds(engine, batch, prompt_tokens);
-  }
   const auto mb = plan_microbatches(pe.config(), batch);
   const index_t mb_tokens = mb.seqs * std::max<index_t>(1, prompt_tokens);
   double stage_max = 0.0;

@@ -1,36 +1,22 @@
 #pragma once
 // Test-only reference for the serving step cost model: the decode,
-// speculative-verification and prefill pricing of `Engine`,
-// `parallel::Worker` and `parallel::ParallelEngine`, as they stood when
-// each model wrote decode and verification as two separate formulas with
-// two memos. Kept deliberately simple — no memo, one formula per query —
-// so the step models can be tested against it for bit-equal seconds and
-// `StepBreakdown` fields.
+// speculative-verification and prefill pricing of `parallel::Worker` and
+// `parallel::ParallelEngine`, as they stood when each model wrote decode
+// and verification as two separate formulas with two memos. Kept
+// deliberately simple — no memo, one formula per query — so the step
+// models can be tested against it for bit-equal seconds and
+// `StepBreakdown` fields. The single-device `Engine` is checked against
+// the one-rank (tp 1, pp 1) grid of these formulas.
 //
 // Written only against the public API: the Engine's per-layer prices
 // (`block_linear_seconds`, `lm_head_seconds`, `attention_layer_seconds`,
-// `prefill_attention_layer_seconds`), `kv_bytes_per_token`, the
-// ParallelEngine's `workers()` and `link()`, and `Interconnect`.
+// `prefill_attention_layer_seconds`), the ParallelEngine's `workers()`
+// and `link()`, and `Interconnect`.
 
 #include "serve/engine.hpp"
 #include "serve/parallel/parallel_engine.hpp"
 
 namespace marlin::serve::reference {
-
-/// Engine decode step: whole-model linears at `batch` tokens, the paged
-/// KV stream at the 64-token bucket centre, plus the step overhead.
-double engine_decode_step_seconds(const Engine& engine, index_t batch,
-                                  double avg_context);
-
-/// Engine verification step: linears at `batch * (depth + 1)` tokens, the
-/// KV stream once; depth 0 is the decode step.
-double engine_verify_step_seconds(const Engine& engine, index_t batch,
-                                  double avg_context, index_t depth);
-
-/// Engine prefill: whole-model linears at `batch * prompt_tokens` tokens
-/// plus the quadratic attention term and the prefill overhead.
-double engine_prefill_seconds(const Engine& engine, index_t batch,
-                              index_t prompt_tokens);
 
 /// One rank's decode compute for `mb_tokens` sequences at `avg_context`.
 double worker_decode_compute_seconds(const parallel::ParallelEngine& pe,

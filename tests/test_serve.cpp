@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <vector>
+
 #include "serve/engine.hpp"
 #include "serve/generation.hpp"
 #include "serve/model_config.hpp"
@@ -93,24 +97,44 @@ TEST(Engine, DecodeMonotoneInBatchAndContext) {
   EXPECT_LE(e.decode_step_seconds(8, 128.0), e.decode_step_seconds(64, 128.0));
   EXPECT_LT(e.decode_step_seconds(16, 128.0),
             e.decode_step_seconds(16, 4096.0));
+  // Malformed queries throw one line; an empty prompt still prices its
+  // sequences' first token.
+  for (const auto& bad : std::vector<std::function<double()>>{
+           [&] { return e.decode_step_seconds(0, 128.0); },
+           [&] { return e.decode_step_seconds(2, -100.0); },
+           [&] { return e.verify_step_seconds(2, 128.0, -1); },
+           [&] { return e.prefill_seconds(0, 4); },
+           [&] { return e.prefill_seconds(4, -5); }}) {
+    try {
+      (void)bad();
+      ADD_FAILURE() << "a malformed step query must throw";
+    } catch (const Error& err) {
+      EXPECT_EQ(std::string(err.what()).find('\n'), std::string::npos);
+    }
+  }
+  EXPECT_GT(e.prefill_seconds(4, 0), e.config().prefill_overhead_s);
 }
 
 TEST(Engine, WeightBytesPerGpuShrinkWithFormatAndTp) {
   EngineConfig cfg = a10_7b(WeightFormat::kFp16);
-  const double fp16_bytes = Engine(cfg).weight_bytes_per_gpu();
+  const index_t layers = cfg.model.num_layers;
+  const double fp16_bytes = Engine(cfg).weight_bytes(layers, true, true, 1);
   cfg.format = WeightFormat::kMarlin;
   const Engine marlin(cfg);
-  const double q_bytes = marlin.weight_bytes_per_gpu();
-  EXPECT_NEAR(fp16_bytes / q_bytes, 16.0 / 4.125, 0.01);
-  // Under tensor parallelism every rank holds 1/tp of the weights. The
-  // embedding and LM head stay FP16, so a shard is heavier than the
-  // all-quantized device total divided by tp.
+  const double q_bytes = marlin.weight_bytes(layers, true, true, 1);
+  // Only the blocks shrink with the format: MARLIN quantizes the linear
+  // layers, and the embedding and LM head stay FP16.
+  const double fp16_ends = 2.0 * cfg.model.embedding_params() * 2.0;
+  EXPECT_NEAR((fp16_bytes - fp16_ends) / (q_bytes - fp16_ends), 16.0 / 4.125,
+              1e-9);
+  // A one-rank grid holds exactly the single-device charge; under tensor
+  // parallelism every rank holds half of it.
   const double tp1 =
       parallel::ParallelEngine(marlin, {1, 1, 0}).max_weight_shard_bytes();
   const double tp2 =
       parallel::ParallelEngine(marlin, {2, 1, 0}).max_weight_shard_bytes();
-  EXPECT_GT(tp1, q_bytes);
-  EXPECT_NEAR(tp2, tp1 / 2, 1.0);
+  EXPECT_EQ(tp1, q_bytes);
+  EXPECT_EQ(tp2, tp1 / 2);
 }
 
 TEST(Engine, TensorParallelismSpeedsUpBigModelsButSubLinearly) {

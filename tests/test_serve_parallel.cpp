@@ -180,6 +180,21 @@ TEST(ParallelEngine, TrivialConfigEqualsLegacyEngineBitForBit) {
   // must not mask a bad microbatch count).
   sc.parallel = {1, 1, -5};
   EXPECT_THROW((void)simulate_cluster_detailed(engine, sc), Error);
+  // Every step model rejects the same malformed queries and prices an
+  // empty prompt alike.
+  const ParallelEngine tp2(engine, {2, 1, 0});
+  for (const StepModel* m : {static_cast<const StepModel*>(&engine),
+                             static_cast<const StepModel*>(&pe),
+                             static_cast<const StepModel*>(&tp2)}) {
+    EXPECT_THROW((void)m->decode_step_seconds(0, 100.0), Error);
+    EXPECT_THROW((void)m->decode_step_seconds(2, -100.0), Error);
+    EXPECT_THROW((void)m->verify_step_seconds(2, 100.0, -1), Error);
+    EXPECT_THROW((void)m->prefill_seconds(0, 4), Error);
+    EXPECT_THROW((void)m->prefill_seconds(4, -5), Error);
+    EXPECT_GT(m->prefill_seconds(4, 0), engine.config().prefill_overhead_s);
+  }
+  EXPECT_THROW((void)tp2.decode_breakdown(2, -100.0), Error);
+  EXPECT_EQ(pe.prefill_seconds(4, 0), engine.prefill_seconds(4, 0));
 }
 
 TEST(ParallelEngine, TensorParallelSpeedsUpButPaysAllReduce) {
@@ -360,6 +375,9 @@ TEST(StepModelReference, EveryPriceMatchesTheFrozenFormulasBitForBit) {
             const Engine& engine = warmed ? warm : cold;
             const ParallelEngine pe(engine, pc);
             if (warmed) pe.warm_decode_cache(pool, 128, 1000.5);
+            // The bare Engine is checked against the frozen one-rank grid,
+            // and against a live one-rank ParallelEngine.
+            const ParallelEngine one_rank(engine, {1, 1, 0});
             const std::string at =
                 std::string(to_string(fmt)) + " " + pc.to_string();
             for (const index_t batch : batches) {
@@ -367,9 +385,12 @@ TEST(StepModelReference, EveryPriceMatchesTheFrozenFormulasBitForBit) {
                 const std::string q = at + " b" + std::to_string(batch) +
                                       " prompt" + std::to_string(prompt);
                 bits.check(engine.prefill_seconds(batch, prompt),
-                           reference::engine_prefill_seconds(engine, batch,
-                                                             prompt),
+                           reference::parallel_prefill_seconds(one_rank, batch,
+                                                               prompt),
                            q + " engine prefill");
+                bits.check(engine.prefill_seconds(batch, prompt),
+                           one_rank.prefill_seconds(batch, prompt),
+                           q + " engine vs one-rank prefill");
                 bits.check(pe.prefill_seconds(batch, prompt),
                            reference::parallel_prefill_seconds(pe, batch,
                                                                prompt),
@@ -400,9 +421,12 @@ TEST(StepModelReference, EveryPriceMatchesTheFrozenFormulasBitForBit) {
                 bits.check(got.overlap_saved_s, want.overlap_saved_s,
                            q + " overlap_saved_s");
                 bits.check(engine.decode_step_seconds(batch, ctx),
-                           reference::engine_decode_step_seconds(engine, batch,
-                                                                 ctx),
+                           reference::parallel_decode_step_seconds(
+                               one_rank, batch, ctx),
                            q + " engine decode");
+                bits.check(engine.decode_step_seconds(batch, ctx),
+                           one_rank.decode_step_seconds(batch, ctx),
+                           q + " engine vs one-rank decode");
                 bits.check(pe.decode_step_seconds(batch, ctx),
                            reference::parallel_decode_step_seconds(pe, batch,
                                                                    ctx),
@@ -410,9 +434,12 @@ TEST(StepModelReference, EveryPriceMatchesTheFrozenFormulasBitForBit) {
                 for (const index_t depth : depths) {
                   const std::string qd = q + " depth" + std::to_string(depth);
                   bits.check(engine.verify_step_seconds(batch, ctx, depth),
-                             reference::engine_verify_step_seconds(
-                                 engine, batch, ctx, depth),
+                             reference::parallel_verify_step_seconds(
+                                 one_rank, batch, ctx, depth),
                              qd + " engine verify");
+                  bits.check(engine.verify_step_seconds(batch, ctx, depth),
+                             one_rank.verify_step_seconds(batch, ctx, depth),
+                             qd + " engine vs one-rank verify");
                   bits.check(pe.verify_step_seconds(batch, ctx, depth),
                              reference::parallel_verify_step_seconds(
                                  pe, batch, ctx, depth),
@@ -450,6 +477,26 @@ TEST(StepModelReference, EveryPriceMatchesTheFrozenFormulasBitForBit) {
             }
           }
         }
+      }
+    }
+  }
+  // The single-device KV budget is the one-rank grid's, whatever the
+  // device, format or block size.
+  for (const auto& gpu :
+       {gpusim::a100_80g(), gpusim::rtxa6000(), gpusim::a10()}) {
+    for (const WeightFormat fmt : {WeightFormat::kFp16, WeightFormat::kMarlin,
+                                   WeightFormat::kSparseMarlin}) {
+      EngineConfig cfg = a100_cfg(llama2_7b(), fmt);
+      cfg.gpu = gpu;
+      const Engine engine(cfg);
+      const ParallelEngine one_rank(engine, {1, 1, 0});
+      for (const index_t block_size : {8, 16, 32}) {
+        bits.check(
+            static_cast<double>(
+                sched::derive_kv_block_budget(engine, block_size)),
+            static_cast<double>(one_rank.min_kv_block_budget(block_size)),
+            gpu.name + " " + to_string(fmt) + " block" +
+                std::to_string(block_size) + " kv budget");
       }
     }
   }
