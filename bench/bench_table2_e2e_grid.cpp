@@ -5,9 +5,9 @@
 // memory-bound (batch <= 16) on weaker or fewer GPUs, and shrink toward
 // ~1.1-1.2x at batch 128 or with 8-way tensor parallelism on A100s.
 //
-// The multi-GPU rows price each step through `parallel::ParallelEngine`
-// (Megatron sharding, two ring all-reduces per block); a 1-GPU row
-// delegates to the single-device Engine unchanged.
+// Every row prices each step through `parallel::ParallelEngine`
+// (Megatron sharding, two ring all-reduces per block); a 1-GPU row is the
+// one-rank grid, bit-identical to the single-device Engine.
 
 #include <iostream>
 
