@@ -26,9 +26,7 @@ static int run(int argc, char** argv) {
   const std::vector<double> sigmas{0.3, 0.8, 1.3};
   const auto rows = bench::run_sweep(
       ctx, sigmas, [&](const double sigma) -> std::vector<std::string> {
-        eval::SyntheticParams sp;
-        sp.feature_scale_sigma = sigma;
-        const auto layer = eval::make_synthetic_layer(128, 64, 512, 99, sp);
+        const auto layer = eval::make_synthetic_layer(128, 64, 512, 99, sigma);
 
         quant::QuantConfig qcfg;
         qcfg.group_size = 64;
@@ -42,10 +40,8 @@ static int run(int argc, char** argv) {
         gcfg.quant = qcfg;
         const auto gptq = quant::gptq_quantize(layer.w.view(), acc, gcfg);
 
-        quant::AwqConfig acfg;
-        acfg.quant = qcfg;
         const auto awq =
-            quant::awq_quantize(layer.w.view(), layer.calib.view(), acfg);
+            quant::awq_quantize(layer.w.view(), layer.calib.view(), qcfg);
 
         std::vector<Matrix<float>> candidates;
         candidates.push_back(rtn.dequantize());

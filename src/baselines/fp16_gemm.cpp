@@ -16,15 +16,16 @@ gpusim::KernelEstimate Fp16CutlassModel::estimate(
       2.0 * (static_cast<double>(p.k) * static_cast<double>(p.n)) +
       p.a_bytes() + p.c_bytes();
   const double t_mem =
-      bytes / (d.gmem_bytes_per_s() * params_.mem_efficiency);
+      bytes / (d.gmem_bytes_per_s() * kFp16MemEfficiency);
 
-  // Wave quantisation over threadblock tiles.
+  // Wave quantisation over 128 x 128 threadblock tiles.
+  constexpr index_t kTileM = 128;
+  constexpr index_t kTileN = 128;
   const double tiles_m =
-      std::ceil(mp / static_cast<double>(std::min<index_t>(
-                         params_.tile_m, static_cast<index_t>(mp))));
+      std::ceil(mp / static_cast<double>(
+                         std::min<index_t>(kTileM, static_cast<index_t>(mp))));
   const double tiles_n =
-      std::ceil(static_cast<double>(p.n) /
-                static_cast<double>(params_.tile_n));
+      std::ceil(static_cast<double>(p.n) / static_cast<double>(kTileN));
   const double tiles = tiles_m * tiles_n;
   const double waves = std::ceil(tiles / d.num_sms);
   const double quant_factor =
@@ -35,7 +36,7 @@ gpusim::KernelEstimate Fp16CutlassModel::estimate(
   for (int iter = 0; iter < 2; ++iter) {
     t_comp = 2.0 * mp * static_cast<double>(p.k) *
              static_cast<double>(p.n) * quant_factor /
-             (d.tc_flops(clock_ghz) * params_.tc_efficiency);
+             (d.tc_flops(clock_ghz) * kFp16TcEfficiency);
     clock_ghz = clock.effective_clock_ghz(
         d, std::min(t_comp, std::max(t_comp, t_mem)));
   }

@@ -8,23 +8,17 @@
 
 namespace marlin::baselines {
 
-struct Fp16PerfParams {
-  double mem_efficiency = 0.92;  // streaming efficiency of a tuned GEMM
-  double tc_efficiency = 0.95;   // CUTLASS tensor-core utilisation
-  index_t tile_m = 128;          // threadblock tile (wave quantisation)
-  index_t tile_n = 128;
-};
+/// Streaming efficiency of a tuned GEMM (also the ideal bounds').
+inline constexpr double kFp16MemEfficiency = 0.92;
+/// CUTLASS tensor-core utilisation (also the ideal bounds').
+inline constexpr double kFp16TcEfficiency = 0.95;
 
 class Fp16CutlassModel final : public KernelModel {
  public:
-  explicit Fp16CutlassModel(Fp16PerfParams params = {}) : params_(params) {}
   [[nodiscard]] std::string name() const override { return "fp16"; }
   [[nodiscard]] gpusim::KernelEstimate estimate(
       const core::MatmulProblem& p, const gpusim::DeviceSpec& d,
       const gpusim::ClockModel& clock) const override;
-
- private:
-  Fp16PerfParams params_;
 };
 
 /// Functional FP16 GEMM with FP32 accumulation (reference baseline for the

@@ -15,13 +15,13 @@ gpusim::KernelEstimate IdealModel::estimate(
   const double b_bytes = weight_bits_ / 8.0 * static_cast<double>(p.k) *
                          static_cast<double>(p.n);
   const double bytes = b_bytes + p.a_bytes() + p.c_bytes();
-  const double t_mem = bytes / (d.gmem_bytes_per_s() * eff_.mem_efficiency);
+  const double t_mem = bytes / (d.gmem_bytes_per_s() * kFp16MemEfficiency);
 
   const double tc_mult = sparse_ ? d.sparse_tc_multiplier : 1.0;
   const double t_comp = 2.0 * static_cast<double>(p.m_padded()) *
                         static_cast<double>(p.k) * static_cast<double>(p.n) /
                         (d.tc_flops(clock_ghz) * tc_mult *
-                         eff_.tc_efficiency);
+                         kFp16TcEfficiency);
 
   est.breakdown.mem_s = t_mem;
   est.breakdown.compute_s = t_comp;

@@ -16,12 +16,8 @@ namespace marlin::baselines {
 class IdealModel final : public KernelModel {
  public:
   /// bits_mode: 16 (dense FP16), 4 (INT4+scales), 3 (INT4+2:4).
-  IdealModel(std::string name, double weight_bits, bool sparse,
-             Fp16PerfParams eff = {})
-      : name_(std::move(name)),
-        weight_bits_(weight_bits),
-        sparse_(sparse),
-        eff_(eff) {}
+  IdealModel(std::string name, double weight_bits, bool sparse)
+      : name_(std::move(name)), weight_bits_(weight_bits), sparse_(sparse) {}
 
   [[nodiscard]] std::string name() const override { return name_; }
   [[nodiscard]] gpusim::KernelEstimate estimate(
@@ -32,7 +28,6 @@ class IdealModel final : public KernelModel {
   std::string name_;
   double weight_bits_;
   bool sparse_;
-  Fp16PerfParams eff_;
 };
 
 /// Factory helpers with the paper's exact storage overheads at group 128.

@@ -11,6 +11,13 @@ namespace marlin::core {
 
 namespace {
 
+// Achieved fraction of aggregate L2 bandwidth for A-block re-reads.
+constexpr double kL2Efficiency = 0.85;
+// cp.async GMEM->SMEM latency hidden by the software pipeline.
+constexpr double kLoadLatencyS = 6.0e-7;
+// Lock acquisition + partial flush cost per serial reduction step.
+constexpr double kReductionStepLatencyS = 1.5e-6;
+
 gpusim::KernelEstimate estimate_impl(const MatmulProblem& p,
                                      const KernelConfig& cfg,
                                      const gpusim::DeviceSpec& d,
@@ -75,7 +82,7 @@ gpusim::KernelEstimate estimate_impl(const MatmulProblem& p,
 
     // --- L2 bound (Eq. 1): every tile also pulls its A block from L2. ---
     const double l2_share =
-        d.l2_bytes_per_s() * perf.l2_efficiency / part.active_sms;
+        d.l2_bytes_per_s() * kL2Efficiency / part.active_sms;
     const double a_block_bytes = m_eff * static_cast<double>(cfg.k_sm_tile) * 2.0;
     const double t_tile_l2 = (a_block_bytes + tile_b_bytes) / l2_share;
 
@@ -85,7 +92,7 @@ gpusim::KernelEstimate estimate_impl(const MatmulProblem& p,
     pp.num_tiles = static_cast<int>(std::min<index_t>(
         part.max_stripe, static_cast<index_t>(1) << 22));
     pp.tile_load_s = std::max(tile_load_s, t_tile_l2);
-    pp.load_latency_s = perf.load_latency_s;
+    pp.load_latency_s = kLoadLatencyS;
     pp.tile_compute_s = t_tile_comp;
     const gpusim::PipelineResult pipe = gpusim::simulate_pipeline(pp);
 
@@ -93,8 +100,8 @@ gpusim::KernelEstimate estimate_impl(const MatmulProblem& p,
         part.max_column_depth > 1
             ? static_cast<double>(part.max_column_depth - 1) *
                   (m_eff * width * 2.0 * 2.0 /
-                       (d.l2_bytes_per_s() * perf.l2_efficiency) +
-                   perf.reduction_step_latency_s)
+                       (d.l2_bytes_per_s() * kL2Efficiency) +
+                   kReductionStepLatencyS)
             : 0.0;
 
     est.seconds = d.kernel_launch_s + pipe.total_s + t_reduce;
@@ -104,7 +111,7 @@ gpusim::KernelEstimate estimate_impl(const MatmulProblem& p,
     est.breakdown.compute_s = tiles_max * t_tile_comp;
     est.breakdown.reduce_s = t_reduce;
     est.breakdown.pipeline_fill_s =
-        pp.tile_load_s * cfg.pipeline_depth + perf.load_latency_s;
+        pp.tile_load_s * cfg.pipeline_depth + kLoadLatencyS;
     est.effective_clock_ghz = clock_ghz;
 
     // Thermal / locked-clock feedback for the next iteration.

@@ -21,16 +21,10 @@ struct MarlinPerfParams {
   /// 16-byte per-thread loads of offline-reshuffled tiles hit close to
   /// peak; 0.92 matches the ~3.87x endpoint of paper Fig. 1.
   double mem_efficiency = 0.92;
-  /// Achieved fraction of aggregate L2 bandwidth for A-block re-reads.
-  double l2_efficiency = 0.85;
   /// Cap on tensor-pipe utilisation from the dequant/scale companion work
   /// that shares issue slots with the MMAs (paper reports ~10% off peak
   /// compute in the large-batch regime).
   double tc_efficiency_cap = 0.90;
-  /// cp.async GMEM->SMEM latency hidden by the software pipeline.
-  double load_latency_s = 6.0e-7;
-  /// Lock acquisition + partial flush cost per serial reduction step.
-  double reduction_step_latency_s = 1.5e-6;
 };
 
 /// Dense MARLIN (INT4 weights, FP16 activations).

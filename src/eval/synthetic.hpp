@@ -19,16 +19,10 @@ struct SyntheticLayer {
   Matrix<float> calib;  // tokens x K calibration activations
 };
 
-struct SyntheticParams {
-  double weight_tail_dof = 5.0;    // Student-t dof for weights
-  double weight_scale = 0.02;      // base std-dev
-  double column_scale_sigma = 0.3; // log-normal sigma of per-column scales
-  double feature_corr = 0.6;       // AR(1) rho across the K features
-  double feature_scale_sigma = 0.8;// log-normal sigma of feature magnitudes
-};
-
+/// `feature_scale_sigma` is the log-normal sigma of the per-feature
+/// activation magnitudes: larger values give heavier outlier channels.
 SyntheticLayer make_synthetic_layer(index_t k, index_t n, index_t tokens,
                                     std::uint64_t seed,
-                                    const SyntheticParams& p = {});
+                                    double feature_scale_sigma = 0.8);
 
 }  // namespace marlin::eval

@@ -20,27 +20,26 @@ enum class ClockMode {
 struct ClockModel {
   ClockMode mode = ClockMode::kBoost;
 
-  /// Thermal decay parameters for kAutoThermal: the clock approaches base
-  /// as accumulated compute-energy (utilisation-weighted busy seconds)
-  /// exceeds the thermal budget. Values chosen to move the knee of the
-  /// decay to kernels in the multi-millisecond range, as observed in paper
-  /// Figure 11 for large matrices at large batch.
-  double thermal_budget_s = 2e-3;
-  double thermal_decay_s = 8e-3;
-
   /// Effective SM clock for a kernel that keeps tensor pipes busy for
   /// `compute_busy_s` seconds (utilisation-weighted).
   [[nodiscard]] double effective_clock_ghz(const DeviceSpec& d,
                                            double compute_busy_s) const {
+    // Thermal decay parameters for kAutoThermal: the clock approaches base
+    // as accumulated compute-energy (utilisation-weighted busy seconds)
+    // exceeds the thermal budget. Values chosen to move the knee of the
+    // decay to kernels in the multi-millisecond range, as observed in paper
+    // Figure 11 for large matrices at large batch.
+    constexpr double kThermalBudgetS = 2e-3;
+    constexpr double kThermalDecayS = 8e-3;
     switch (mode) {
       case ClockMode::kBoost:
         return d.boost_clock_ghz;
       case ClockMode::kLockedBase:
         return d.base_clock_ghz;
       case ClockMode::kAutoThermal: {
-        if (compute_busy_s <= thermal_budget_s) return d.boost_clock_ghz;
-        const double over = compute_busy_s - thermal_budget_s;
-        const double f = over / (over + thermal_decay_s);  // in [0, 1)
+        if (compute_busy_s <= kThermalBudgetS) return d.boost_clock_ghz;
+        const double over = compute_busy_s - kThermalBudgetS;
+        const double f = over / (over + kThermalDecayS);  // in [0, 1)
         return d.boost_clock_ghz - f * (d.boost_clock_ghz - d.base_clock_ghz);
       }
     }

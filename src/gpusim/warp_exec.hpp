@@ -26,17 +26,6 @@ struct WarpExecParams {
   int num_warps = 8;   // warps per SM working on the tile
   int warp_tile_m = 16;
   int warp_tile_n = 64;
-  /// Tensor-pipe occupancy per mma.sync(m16n8k16), in cycles. Derived from
-  /// the A10 peak: 125 TF / 1.695 GHz / 72 SMs = 1024 FLOP/cycle/SM =
-  /// 256 FLOP/cycle/partition; one mma is 2048 FLOPs*2 = 4096... measured as
-  /// 16 cycles of pipe occupancy per partition on GA10x.
-  double mma_issue_cycles = 16.0;
-  /// Dependent-use latency of mma accumulators (microbenchmarked ~24-32 on
-  /// Ampere; Sun et al. 2022).
-  double mma_latency_cycles = 24.0;
-  /// Scheduler dispatch slots consumed per mma for companion instructions
-  /// (dequant lop3s, shared loads, address bookkeeping).
-  double aux_dispatch_per_mma = 6.0;
 };
 
 /// Fraction of tensor-core peak sustainable with this configuration, in

@@ -64,10 +64,9 @@ double weighted_error(ConstMatrixView<float> w,
 }  // namespace
 
 AwqResult awq_quantize(ConstMatrixView<float> w, ConstMatrixView<float> calib,
-                       const AwqConfig& cfg) {
+                       const QuantConfig& cfg) {
   const index_t k = w.rows(), n = w.cols();
   MARLIN_CHECK(calib.cols() == k, "calibration width must equal K");
-  MARLIN_CHECK(cfg.alpha_grid >= 1, "need at least one alpha step");
 
   // Channel statistics: mean |x_i| (saliency) and E[x_i^2] (objective).
   std::vector<double> mean_abs(static_cast<std::size_t>(k), 0.0);
@@ -89,9 +88,10 @@ AwqResult awq_quantize(ConstMatrixView<float> w, ConstMatrixView<float> calib,
   Matrix<float> scaled(k, n);
   AwqResult best;
   bool first = true;
-  for (int step = 0; step <= cfg.alpha_grid; ++step) {
+  constexpr int kAlphaGrid = 20;  // alpha in {0, 1/grid, ..., 1}
+  for (int step = 0; step <= kAlphaGrid; ++step) {
     const double alpha =
-        static_cast<double>(step) / static_cast<double>(cfg.alpha_grid);
+        static_cast<double>(step) / static_cast<double>(kAlphaGrid);
     // s_i = (mean|x_i|)^alpha, normalised to geometric mean 1 so the
     // overall weight magnitude (and thus group ranges) stays comparable.
     std::vector<float> s(static_cast<std::size_t>(k));
@@ -110,7 +110,7 @@ AwqResult awq_quantize(ConstMatrixView<float> w, ConstMatrixView<float> calib,
         scaled(i, j) = w(i, j) * s[static_cast<std::size_t>(i)];
       }
     }
-    auto q = quantize_asymmetric_grouped(scaled.view(), cfg.quant);
+    auto q = quantize_asymmetric_grouped(scaled.view(), cfg);
     q.channel_scale = s;
     const double err = weighted_error(w, q, x2);
     if (first || err < best.weighted_error) {

@@ -67,11 +67,6 @@ struct AsymmetricQuantizedWeights {
 AsymmetricQuantizedWeights quantize_asymmetric_grouped(
     ConstMatrixView<float> w, const QuantConfig& cfg);
 
-struct AwqConfig {
-  QuantConfig quant;
-  int alpha_grid = 20;  // alpha in {0, 1/grid, ..., 1}
-};
-
 struct AwqResult {
   AsymmetricQuantizedWeights weights;
   double alpha = 0;
@@ -81,9 +76,10 @@ struct AwqResult {
 };
 
 /// Activation-aware quantization: search the channel-scale exponent alpha
-/// minimising E_x ||x W - x_hat W_hat||^2 under a diagonal activation
-/// model, then quantize the scaled weights asymmetrically.
+/// in {0, 1/20, ..., 1} minimising E_x ||x W - x_hat W_hat||^2 under a
+/// diagonal activation model, then quantize the scaled weights
+/// asymmetrically under `cfg`.
 AwqResult awq_quantize(ConstMatrixView<float> w, ConstMatrixView<float> calib,
-                       const AwqConfig& cfg);
+                       const QuantConfig& cfg);
 
 }  // namespace marlin::quant

@@ -138,13 +138,15 @@ double Engine::kv_bytes_per_token() const {
 double Engine::attention_layer_seconds(index_t batch, double avg_context,
                                        int tp) const {
   MARLIN_CHECK(tp >= 1, "tensor-parallel degree must be >= 1");
+  // Attention kernel streaming efficiency (paged KV gather).
+  constexpr double kAttentionMemEfficiency = 0.70;
   // One layer's share of the paged-attention KV stream: K and V heads are
   // sharded across the tensor-parallel group, plus the per-layer launch.
   const double kv_bytes = 2.0 * static_cast<double>(cfg_.model.num_kv_heads) *
                           static_cast<double>(cfg_.model.head_dim) * 2.0 / tp *
                           avg_context * static_cast<double>(batch);
   return kv_bytes /
-             (cfg_.gpu.gmem_bytes_per_s() * cfg_.attention_mem_efficiency) +
+             (cfg_.gpu.gmem_bytes_per_s() * kAttentionMemEfficiency) +
          cfg_.gpu.kernel_launch_s;
 }
 

@@ -99,8 +99,6 @@ struct EngineConfig {
   /// detokenisation) — dominates TTFT and is why the paper's TTFT gains
   /// (1.5-1.9x) are much smaller than its TPOT gains.
   double prefill_overhead_s = 12e-3;
-  /// Attention kernel streaming efficiency (paged KV gather).
-  double attention_mem_efficiency = 0.70;
 };
 
 /// Checks one step-price query — `batch >= 1`, `avg_context >= 0`,

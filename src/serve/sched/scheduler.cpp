@@ -183,10 +183,16 @@ class Ticker {
   // waiting request's key falls without bound while everyone else's only
   // rises with service, so no tier or debt can starve it.
   [[nodiscard]] double wfq_key(const Request& r) const {
+    // One priority tier outranks this many tokens of weighted service debt.
+    constexpr double kTierPenaltyTokens = 8192.0;
+    // Waiting one second forgives this many tokens of weighted service
+    // debt (and, eventually, any tier penalty); positive, so no request
+    // starves.
+    constexpr double kAgingTokensPerS = 256.0;
     const TenantSpec& t = spec_of(r.tenant_id);
     return s_.service_debt.find(r.tenant_id)->second +
-           static_cast<double>(t.tier) * cfg_.wfq_tier_penalty_tokens -
-           cfg_.wfq_aging_tokens_per_s * (s_.now - r.arrival_s);
+           static_cast<double>(t.tier) * kTierPenaltyTokens -
+           kAgingTokensPerS * (s_.now - r.arrival_s);
   }
 
   // A request that can never hold prompt + output tokens under the budget
@@ -708,12 +714,6 @@ Scheduler::Scheduler(const StepModel& model, SchedulerConfig cfg,
   cfg_.slo.validate();
   MARLIN_CHECK(!cfg_.speculation.enabled() || draft_model_ != nullptr,
                "speculative decoding needs a draft StepModel");
-  if (cfg_.policy == SchedPolicy::kWeightedFair) {
-    MARLIN_CHECK(cfg_.wfq_aging_tokens_per_s > 0,
-                 "WFQ needs a positive aging rate (starvation-proofness)");
-    MARLIN_CHECK(cfg_.wfq_tier_penalty_tokens >= 0,
-                 "negative WFQ tier penalty");
-  }
   // Mirror the tenant specs' soft KV quotas into the block manager unless
   // quotas were configured there explicitly.
   if (cfg_.blocks.tenant_quotas.empty()) {

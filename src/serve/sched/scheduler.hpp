@@ -146,13 +146,6 @@ struct SchedulerConfig {
   /// `kv_block_quota`s are mirrored into `blocks.tenant_quotas` by the
   /// Scheduler constructor unless quotas were configured explicitly.
   std::vector<TenantSpec> tenants;
-  /// WFQ tier spacing: one priority tier outranks this many tokens of
-  /// weighted service debt.
-  double wfq_tier_penalty_tokens = 8192.0;
-  /// WFQ aging: waiting one second forgives this many tokens of weighted
-  /// service debt (and, eventually, any tier penalty) — the
-  /// starvation-proofness knob. Must be > 0 under kWeightedFair.
-  double wfq_aging_tokens_per_s = 256.0;
 
   /// Speculative decoding; requires a draft model when enabled.
   SpeculationConfig speculation;

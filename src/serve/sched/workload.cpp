@@ -33,11 +33,18 @@ WorkloadShape workload_by_name(const std::string& name) {
 
 namespace {
 
+// kBursty: mean window lengths; the ON rate is scaled so the mean rate
+// over ON+OFF stays `qps`.
+constexpr double kBurstOnS = 4.0;
+constexpr double kBurstOffS = 12.0;
+
+// kShareGpt: log-normal sigma (in log-token space).
+constexpr double kLengthSigma = 0.8;
+
 /// Log-normal token length with median `median`, clamped to [lo, hi].
-index_t lognormal_tokens(Rng& rng, index_t median, double sigma, index_t lo,
-                         index_t hi) {
+index_t lognormal_tokens(Rng& rng, index_t median, index_t lo, index_t hi) {
   const double x =
-      static_cast<double>(median) * std::exp(sigma * rng.normal());
+      static_cast<double>(median) * std::exp(kLengthSigma * rng.normal());
   const auto t = static_cast<index_t>(std::llround(x));
   return std::clamp(t, lo, hi);
 }
@@ -57,11 +64,11 @@ std::vector<TraceRequest> poisson_trace(const WorkloadConfig& cfg, Rng& rng,
     r.arrival_s = t;
     if (lognormal_lengths) {
       r.input_tokens = lognormal_tokens(rng, cfg.input_tokens,
-                                        cfg.length_sigma, cfg.min_tokens,
-                                        cfg.max_input_tokens);
+                                        kShareGptMinTokens,
+                                        kShareGptMaxInputTokens);
       r.output_tokens = lognormal_tokens(rng, cfg.output_tokens,
-                                         cfg.length_sigma, cfg.min_tokens,
-                                         cfg.max_output_tokens);
+                                         kShareGptMinTokens,
+                                         kShareGptMaxOutputTokens);
     } else {
       r.input_tokens = cfg.input_tokens;
       r.output_tokens = cfg.output_tokens;
@@ -74,12 +81,12 @@ std::vector<TraceRequest> poisson_trace(const WorkloadConfig& cfg, Rng& rng,
 std::vector<TraceRequest> bursty_trace(const WorkloadConfig& cfg, Rng& rng) {
   // Interrupted Poisson: exponential ON windows at rate qps * (on+off)/on
   // separated by exponential OFF gaps, so the long-run mean rate is qps.
-  const double cycle = cfg.burst_on_s + cfg.burst_off_s;
-  const double on_rate = cfg.qps * cycle / cfg.burst_on_s;
+  const double cycle = kBurstOnS + kBurstOffS;
+  const double on_rate = cfg.qps * cycle / kBurstOnS;
   std::vector<TraceRequest> trace;
   double window_start = 0.0;
   while (window_start < cfg.duration_s) {
-    const double on_len = rng.exponential(1.0 / cfg.burst_on_s);
+    const double on_len = rng.exponential(1.0 / kBurstOnS);
     const double window_end =
         std::min(window_start + on_len, cfg.duration_s);
     double t = window_start;
@@ -88,7 +95,7 @@ std::vector<TraceRequest> bursty_trace(const WorkloadConfig& cfg, Rng& rng) {
       if (t >= window_end) break;
       trace.push_back({t, cfg.input_tokens, cfg.output_tokens});
     }
-    window_start = window_end + rng.exponential(1.0 / cfg.burst_off_s);
+    window_start = window_end + rng.exponential(1.0 / kBurstOffS);
   }
   return trace;
 }

@@ -29,6 +29,14 @@ const char* to_string(WorkloadShape s);
 /// anything else, listing the known names.
 WorkloadShape workload_by_name(const std::string& name);
 
+/// kShareGpt: shortest prompt or output length a log-normal draw is
+/// clamped to.
+inline constexpr index_t kShareGptMinTokens = 4;
+/// kShareGpt: longest prompt length a log-normal draw is clamped to.
+inline constexpr index_t kShareGptMaxInputTokens = 2048;
+/// kShareGpt: longest output length a log-normal draw is clamped to.
+inline constexpr index_t kShareGptMaxOutputTokens = 1024;
+
 struct TraceRequest {
   double arrival_s = 0;
   index_t input_tokens = 0;
@@ -54,17 +62,6 @@ struct WorkloadConfig {
   index_t input_tokens = 64;   // fixed length; log-normal median for ShareGPT
   index_t output_tokens = 64;
   std::uint64_t seed = 42;
-
-  // kBursty: mean window lengths; the ON rate is scaled so the mean rate
-  // over ON+OFF stays `qps`.
-  double burst_on_s = 4.0;
-  double burst_off_s = 12.0;
-
-  // kShareGpt: log-normal sigma (in log-token space) and length clamps.
-  double length_sigma = 0.8;
-  index_t min_tokens = 4;
-  index_t max_input_tokens = 2048;
-  index_t max_output_tokens = 1024;
 
   /// Per-tenant traffic mix: tenant id `i` receives `tenant_shares[i]` of
   /// the requests (shares are relative weights, not required to sum to 1).

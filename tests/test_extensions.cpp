@@ -65,14 +65,14 @@ TEST(Awq, SearchPicksNonTrivialAlphaOnOutlierActivations) {
   // With strong activation outliers, plain (alpha=0) quantization is
   // suboptimal — AWQ's whole premise.
   const auto layer = eval::make_synthetic_layer(128, 32, 512, 7);
-  quant::AwqConfig cfg;
-  cfg.quant.group_size = 64;
+  quant::QuantConfig cfg;
+  cfg.group_size = 64;
   const auto r = quant::awq_quantize(layer.w.view(), layer.calib.view(), cfg);
   EXPECT_GT(r.alpha, 0.0);
 
   // And the chosen scaling beats alpha = 0 on true output error.
   const auto plain =
-      quant::quantize_asymmetric_grouped(layer.w.view(), cfg.quant);
+      quant::quantize_asymmetric_grouped(layer.w.view(), cfg);
   const double e_awq = eval::layer_output_nmse(
       layer.w.view(), r.weights.dequantize().view(), layer.calib.view());
   const double e_plain = eval::layer_output_nmse(
@@ -82,8 +82,8 @@ TEST(Awq, SearchPicksNonTrivialAlphaOnOutlierActivations) {
 
 TEST(Awq, MarlinRepackRoundTrip) {
   const auto layer = eval::make_synthetic_layer(128, 64, 256, 9);
-  quant::AwqConfig cfg;
-  cfg.quant.group_size = 64;
+  quant::QuantConfig cfg;
+  cfg.group_size = 64;
   const auto r = quant::awq_quantize(layer.w.view(), layer.calib.view(), cfg);
   const auto mw = layout::marlin_repack_awq(r.weights);
   EXPECT_TRUE(mw.asymmetric());
@@ -101,8 +101,8 @@ TEST(Awq, FunctionalKernelComputesXW) {
   // reproduce x * W.
   const index_t m = 8, k = 128, n = 64;
   const auto layer = eval::make_synthetic_layer(k, n, 384, 11);
-  quant::AwqConfig cfg;
-  cfg.quant.group_size = 64;
+  quant::QuantConfig cfg;
+  cfg.group_size = 64;
   const auto r = quant::awq_quantize(layer.w.view(), layer.calib.view(), cfg);
   const auto mw = layout::marlin_repack_awq(r.weights);
 

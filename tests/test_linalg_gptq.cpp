@@ -201,9 +201,7 @@ TEST(Gptq, ScalesAreFp16AndCodesInRange) {
 TEST(Gptq, ActOrderValidAndCompetitiveOnHeterogeneousHessian) {
   // Strong per-feature scale diversity makes the Hessian diagonal very
   // heterogeneous — the regime desc_act was designed for.
-  eval::SyntheticParams sp;
-  sp.feature_scale_sigma = 1.2;
-  const auto layer = eval::make_synthetic_layer(128, 16, 512, 911, sp);
+  const auto layer = eval::make_synthetic_layer(128, 16, 512, 911, 1.2);
   HessianAccumulator acc(128);
   acc.add_sequence(layer.calib.view());
   const auto h = acc.hessian();

@@ -176,9 +176,6 @@ TEST(WeightedFairQueuing, NameRoundTripsAndValidates) {
   const Engine engine(a6000_marlin());
   SchedulerConfig cfg;
   cfg.policy = SchedPolicy::kWeightedFair;
-  cfg.wfq_aging_tokens_per_s = 0.0;  // starvation-proofness knob required
-  EXPECT_THROW(Scheduler(engine, cfg), Error);
-  cfg.wfq_aging_tokens_per_s = 256.0;
   cfg.tenants = {TenantSpec{}, TenantSpec{}};  // duplicate id 0
   EXPECT_THROW(Scheduler(engine, cfg), Error);
 }
@@ -239,25 +236,28 @@ TEST(WeightedFairQueuing, AgingIsStarvationProof) {
   SchedulerConfig cfg;
   cfg.policy = SchedPolicy::kWeightedFair;
   cfg.max_batch = 1;
-  // A brutal tier gap with weak aging would park tier-9 forever behind a
-  // steady tier-0 stream; the aging credit must push it through anyway.
+  // Nine tiers of 8192 tokens against aging at 256 tokens/s: the tier-9
+  // request outranks a fresh tier-0 one only after ~288 s of waiting. The
+  // vip stream keeps the one batch slot busy for longer than that, and its
+  // large weight keeps its service debt near 0, so only aging can lift the
+  // tier-9 request over it. Prefill-bound requests keep the step count low.
   TenantSpec vip;
   vip.id = 0;
   vip.tier = 0;
+  vip.weight = 1e6;
   TenantSpec dirt;
   dirt.id = 1;
   dirt.tier = 9;
   cfg.tenants = {vip, dirt};
-  cfg.wfq_tier_penalty_tokens = 1e6;
-  cfg.wfq_aging_tokens_per_s = 1e7;  // 0.9 s of waiting beats 9 tiers
   const Scheduler s(engine, cfg);
   std::vector<TraceRequest> trace;
-  trace.push_back({0.0, 64, 8, 1});  // the starvation candidate
-  for (index_t i = 0; i < 40; ++i) {
-    trace.push_back({static_cast<double>(i) * 0.05, 64, 8, 0});
+  trace.push_back({0.0, 2048, 1, 1});  // the starvation candidate
+  // Each vip prefill takes ~0.24 s and one arrives every 0.2 s until 320 s.
+  for (index_t i = 0; i < 1600; ++i) {
+    trace.push_back({static_cast<double>(i) * 0.2, 2048, 1, 0});
   }
   const auto stats = cluster::EventLoop(s, {}).run(trace).sched;
-  EXPECT_EQ(stats.metrics.completed, 41);
+  EXPECT_EQ(stats.metrics.completed, 1601);
   // It cannot be the last to finish: aging lifts it over the vip stream.
   index_t later = 0;
   for (std::size_t i = 1; i < trace.size(); ++i) {

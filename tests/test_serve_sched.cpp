@@ -183,10 +183,10 @@ TEST(Workload, ShapesAreOrderedAndWithinBounds) {
     for (const auto& r : trace) {
       EXPECT_GE(r.arrival_s, prev);
       EXPECT_LT(r.arrival_s, w.duration_s);
-      EXPECT_GE(r.input_tokens, w.min_tokens);
-      EXPECT_LE(r.input_tokens, w.max_input_tokens);
-      EXPECT_GE(r.output_tokens, w.min_tokens);
-      EXPECT_LE(r.output_tokens, w.max_output_tokens);
+      EXPECT_GE(r.input_tokens, kShareGptMinTokens);
+      EXPECT_LE(r.input_tokens, kShareGptMaxInputTokens);
+      EXPECT_GE(r.output_tokens, kShareGptMinTokens);
+      EXPECT_LE(r.output_tokens, kShareGptMaxOutputTokens);
       prev = r.arrival_s;
     }
   }
