@@ -100,9 +100,7 @@ void Replica::migrate_out(std::size_t request_id,
                           << "'s running batch");
   state_.running.erase(it);
   state_.outstanding_tokens -= r.owed_tokens();
-  state_.bm.release(r.blocks, r.tenant_id);
-  for (sched::SequenceBlocks& f : r.forks) state_.bm.release(f, r.tenant_id);
-  r.forks.clear();
+  state_.release_kv(r);
   ++migrated_out_;
 }
 
@@ -110,39 +108,11 @@ index_t Replica::begin_migration(std::size_t request_id,
                                  std::vector<sched::Request>& requests) {
   MARLIN_ASSERT(request_id < requests.size());
   sched::Request& r = requests[request_id];
-  sched::BlockManager& bm = state_.bm;
-  r.blocks.reserve(
-      static_cast<std::size_t>(bm.blocks_for_tokens(r.max_kv_tokens())));
-  const index_t need = bm.blocks_for_tokens(r.prefill_target());
-  index_t cached_tokens = 0;
-  const sched::PrefixCacheConfig& pc = bm.config().prefix_cache;
-  if (pc.enabled &&
-      r.hashable_prefix_blocks(bm.block_size()) >= pc.min_prefix_blocks) {
-    r.append_prefix_chain(bm.block_size(), need, probe_chain_);
-    const index_t hits =
-        bm.acquire_prefill(r.blocks, need, probe_chain_, r.tenant_id);
-    // Blocks already published here don't cross the wire; count the
-    // skipped tokens like a prefill-side cache hit.
-    cached_tokens = hits * bm.block_size();
-    state_.prefix_tokens_skipped += cached_tokens;
-    if (hits > 0) {
-      ++state_.prefix_cache_hits;
-      if (state_.obs != nullptr) {
-        state_.obs->on_prefix_cache_hit(state_.now, r.id, id_, hits,
-                                        cached_tokens);
-      }
-    }
-  } else {
-    bm.acquire(r.blocks, need, r.tenant_id);
-  }
-  bm.publish(r.blocks);
-  if (r.num_sequences > 1) {
-    const index_t per_seq = bm.blocks_for_tokens(r.max_kv_tokens());
-    r.forks.reserve(static_cast<std::size_t>(r.num_sequences - 1));
-    for (index_t k = 1; k < r.num_sequences; ++k) {
-      r.forks.push_back(bm.fork(r.blocks, r.tenant_id, per_seq));
-    }
-  }
+  // Blocks already published here don't cross the wire; the skipped
+  // tokens count like a prefill-side cache hit.
+  const index_t cached_tokens = state_.acquire_prompt(r);
+  state_.bm.publish(r.blocks);
+  state_.fork_sequences(r);
   return cached_tokens;
 }
 

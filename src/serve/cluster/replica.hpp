@@ -138,9 +138,6 @@ class Replica {
   index_t routed_ = 0;
   index_t migrated_in_ = 0;
   index_t migrated_out_ = 0;
-  /// Prefix-chain scratch for `begin_migration` (retained capacity keeps
-  /// repeated handoffs allocation-free).
-  std::vector<std::uint64_t> probe_chain_;
 };
 
 }  // namespace marlin::serve::cluster

@@ -243,9 +243,7 @@ class Ticker {
     const index_t blocks_freed = held_blocks(v);
     // Releasing decrements refcounts; published prompt blocks park in the
     // prefix cache, so the recompute prefill usually re-hits them.
-    s_.bm.release(v.blocks, v.tenant_id);
-    for (SequenceBlocks& f : v.forks) s_.bm.release(f, v.tenant_id);
-    v.forks.clear();
+    s_.release_kv(v);
     set_prefilled(v, 0);
     ++v.preemptions;
     ++s_.preemptions;
@@ -369,9 +367,7 @@ class Ticker {
     }
     r.set_state(RequestState::kFinished);
     s_.outstanding_tokens -= r.owed_tokens();
-    s_.bm.release(r.blocks, r.tenant_id);
-    for (SequenceBlocks& f : r.forks) s_.bm.release(f, r.tenant_id);
-    r.forks.clear();
+    s_.release_kv(r);
     if (s_.obs != nullptr) {
       s_.obs->on_finished(s_.now, r.id, r.generated, request_ttft_ms(r),
                           request_tpot_ms(r));
@@ -476,32 +472,9 @@ bool Ticker::take(std::size_t id) {
     reclaim_for(r);
   }
   if (!s_.bm.can_admit(r.prefill_target())) return false;
-  // Reserve the lifetime footprint up front so decode-time `grow_to`
-  // never reallocates the block-id vector.
-  r.blocks.reserve(
-      static_cast<std::size_t>(s_.bm.blocks_for_tokens(r.max_kv_tokens())));
-  const index_t need = s_.bm.blocks_for_tokens(r.prefill_target());
-  index_t cached_tokens = 0;
-  const PrefixCacheConfig& pc = s_.bm.config().prefix_cache;
-  if (pc.enabled &&
-      r.hashable_prefix_blocks(s_.bm.block_size()) >= pc.min_prefix_blocks) {
-    r.append_prefix_chain(s_.bm.block_size(), need, s_.scratch.chain);
-    const index_t hits =
-        s_.bm.acquire_prefill(r.blocks, need, s_.scratch.chain, r.tenant_id);
-    // Chunked prefill starts past the cached run — those tokens' KV
-    // already exists, so their prefill compute is skipped outright.
-    cached_tokens = hits * s_.bm.block_size();
-    s_.prefix_tokens_skipped += cached_tokens;
-    if (hits > 0) {
-      ++s_.prefix_cache_hits;
-      if (s_.obs != nullptr) {
-        s_.obs->on_prefix_cache_hit(s_.now, r.id, s_.replica_id, hits,
-                                    cached_tokens);
-      }
-    }
-  } else {
-    s_.bm.acquire(r.blocks, need, r.tenant_id);
-  }
+  // Chunked prefill starts past the cached run — those tokens' KV
+  // already exists, so their prefill compute is skipped outright.
+  const index_t cached_tokens = s_.acquire_prompt(r);
   r.set_state(RequestState::kPrefilling);
   set_prefilled(r, cached_tokens);
   s_.prefilling.push_back(id);
@@ -573,16 +546,7 @@ void Ticker::prefill_round() {
       finish(r);  // a 1-token output: the prefill emitted all of it
       continue;
     }
-    // Fork the extra sampling sequences: they share every prompt block
-    // until their first divergent write copy-on-writes the tail.
-    if (r.num_sequences > 1 && r.forks.empty()) {
-      const index_t per_seq =
-          s_.bm.blocks_for_tokens(r.max_kv_tokens());
-      r.forks.reserve(static_cast<std::size_t>(r.num_sequences - 1));
-      for (index_t k = 1; k < r.num_sequences; ++k) {
-        r.forks.push_back(s_.bm.fork(r.blocks, r.tenant_id, per_seq));
-      }
-    }
+    s_.fork_sequences(r);
     s_.running.push_back(id);
   }
   s_.prefilling.resize(keep);
@@ -732,6 +696,47 @@ void ReplicaState::register_tenants(const TenantSpecs& tenants) {
   for (const auto& [id, spec] : tenants) {
     if (tenant_specs.emplace(id, spec).second) service_debt[id] = 0.0;
   }
+}
+
+index_t ReplicaState::acquire_prompt(Request& r) {
+  // Reserve the lifetime footprint up front so decode-time `grow_to`
+  // never reallocates the block-id vector.
+  r.blocks.reserve(
+      static_cast<std::size_t>(bm.blocks_for_tokens(r.max_kv_tokens())));
+  const index_t need = bm.blocks_for_tokens(r.prefill_target());
+  const PrefixCacheConfig& pc = bm.config().prefix_cache;
+  if (!pc.enabled ||
+      r.hashable_prefix_blocks(bm.block_size()) < pc.min_prefix_blocks) {
+    bm.acquire(r.blocks, need, r.tenant_id);
+    return 0;
+  }
+  r.append_prefix_chain(bm.block_size(), need, scratch.chain);
+  const index_t hits =
+      bm.acquire_prefill(r.blocks, need, scratch.chain, r.tenant_id);
+  const index_t cached_tokens = hits * bm.block_size();
+  prefix_tokens_skipped += cached_tokens;
+  if (hits > 0) {
+    ++prefix_cache_hits;
+    if (obs != nullptr) {
+      obs->on_prefix_cache_hit(now, r.id, replica_id, hits, cached_tokens);
+    }
+  }
+  return cached_tokens;
+}
+
+void ReplicaState::fork_sequences(Request& r) {
+  if (r.num_sequences <= 1 || !r.forks.empty()) return;
+  const index_t per_seq = bm.blocks_for_tokens(r.max_kv_tokens());
+  r.forks.reserve(static_cast<std::size_t>(r.num_sequences - 1));
+  for (index_t k = 1; k < r.num_sequences; ++k) {
+    r.forks.push_back(bm.fork(r.blocks, r.tenant_id, per_seq));
+  }
+}
+
+void ReplicaState::release_kv(Request& r) {
+  bm.release(r.blocks, r.tenant_id);
+  for (SequenceBlocks& f : r.forks) bm.release(f, r.tenant_id);
+  r.forks.clear();
 }
 
 TenantSpecs Scheduler::resolve_tenants(

@@ -193,6 +193,21 @@ struct ReplicaState {
   /// first tick under WFQ.
   void register_tenants(const TenantSpecs& tenants);
 
+  /// Acquires `r`'s prompt KV (`prefill_target()` tokens) after reserving
+  /// its lifetime block vector. With the prefix cache on and a long
+  /// enough hashable prefix, the leading run of cached blocks is reused
+  /// (counted in `prefix_cache_hits` / `prefix_tokens_skipped` and
+  /// reported to `obs`); otherwise every block is freshly acquired.
+  /// Returns the prompt tokens whose KV came out of the cache. The caller
+  /// has checked `bm.can_admit`.
+  index_t acquire_prompt(Request& r);
+  /// Forks `r`'s extra n>1 sampling sequences off its prompt blocks (they
+  /// share every block until a divergent write copies the tail); a no-op
+  /// for n = 1 or when the forks exist.
+  void fork_sequences(Request& r);
+  /// Releases the KV of every sequence of `r` and clears its forks.
+  void release_kv(Request& r);
+
   /// Reusable per-tick scratch buffers. Kept on the replica (not on the
   /// per-call Ticker) so a steady-state decode tick performs zero heap
   /// allocations — admission and the round compaction reuse the capacity
