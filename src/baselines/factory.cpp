@@ -29,13 +29,4 @@ KernelModelPtr make_kernel_model(const std::string& name) {
   return nullptr;  // unreachable
 }
 
-std::vector<KernelModelPtr> open_source_comparators() {
-  std::vector<KernelModelPtr> v;
-  v.push_back(make_kernel_model("torch-int4"));
-  v.push_back(make_kernel_model("exllamav2"));
-  v.push_back(make_kernel_model("awq"));
-  v.push_back(make_kernel_model("bitsandbytes"));
-  return v;
-}
-
 }  // namespace marlin::baselines

@@ -36,8 +36,4 @@ using KernelModelPtr = std::unique_ptr<KernelModel>;
 /// "bitsandbytes", "ideal-dense", "ideal-int4", "ideal-sparse".
 KernelModelPtr make_kernel_model(const std::string& name);
 
-/// The comparator set of paper Figure 1 (torch-int4, exllamav2, awq,
-/// bitsandbytes), in plot order.
-std::vector<KernelModelPtr> open_source_comparators();
-
 }  // namespace marlin::baselines

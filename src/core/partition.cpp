@@ -14,14 +14,6 @@ index_t StripedPartition::max_stripe_len() const {
   return mx;
 }
 
-index_t StripedPartition::min_stripe_len() const {
-  index_t mn = total_tiles();
-  for (const auto& s : sm_tiles) {
-    mn = std::min(mn, static_cast<index_t>(s.size()));
-  }
-  return mn;
-}
-
 index_t StripedPartition::reduction_steps() const {
   index_t steps = 0;
   for (const auto& col : segments) {
@@ -112,7 +104,6 @@ PartitionStats striped_partition_stats(index_t tile_rows, index_t tile_cols,
   const index_t base = st.total_tiles / num_sms;
   const index_t rem = st.total_tiles % num_sms;
   st.max_stripe = base + (rem > 0 ? 1 : 0);
-  st.min_stripe = base;
   st.active_sms = static_cast<int>(
       std::min<index_t>(num_sms, st.total_tiles));
 

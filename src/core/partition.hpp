@@ -50,7 +50,6 @@ struct StripedPartition {
     return tile_rows * tile_cols * m_blocks;
   }
   [[nodiscard]] index_t max_stripe_len() const;
-  [[nodiscard]] index_t min_stripe_len() const;
   /// Number of serial global-reduction steps (sum over columns of
   /// segments-1).
   [[nodiscard]] index_t reduction_steps() const;
@@ -76,7 +75,6 @@ struct StripedPartition {
 struct PartitionStats {
   index_t total_tiles = 0;
   index_t max_stripe = 0;
-  index_t min_stripe = 0;
   index_t reduction_steps = 0;
   index_t max_column_depth = 1;
   int active_sms = 0;

@@ -48,18 +48,4 @@ std::vector<double> layer_output_nmse_sweep(
   return out;
 }
 
-double weight_nmse(ConstMatrixView<float> w, ConstMatrixView<float> w_hat) {
-  MARLIN_CHECK(w.rows() == w_hat.rows() && w.cols() == w_hat.cols(),
-               "weight shapes differ");
-  double num = 0.0, den = 0.0;
-  for (index_t i = 0; i < w.rows(); ++i) {
-    for (index_t j = 0; j < w.cols(); ++j) {
-      const double d = static_cast<double>(w(i, j)) - w_hat(i, j);
-      num += d * d;
-      den += static_cast<double>(w(i, j)) * w(i, j);
-    }
-  }
-  return den > 0 ? num / den : 0.0;
-}
-
 }  // namespace marlin::eval

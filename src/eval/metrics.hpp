@@ -21,8 +21,4 @@ namespace marlin::eval {
     const SimContext& ctx, ConstMatrixView<float> w,
     const std::vector<Matrix<float>>& w_hats, ConstMatrixView<float> calib);
 
-/// Plain weight-space NMSE ||W - W_hat||_F^2 / ||W||_F^2.
-[[nodiscard]] double weight_nmse(ConstMatrixView<float> w,
-                                 ConstMatrixView<float> w_hat);
-
 }  // namespace marlin::eval

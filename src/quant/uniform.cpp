@@ -121,17 +121,4 @@ QuantizedWeights quantize_rtn(ConstMatrixView<float> w,
   return q;
 }
 
-double reconstruction_mse(ConstMatrixView<float> w,
-                          const QuantizedWeights& q) {
-  MARLIN_CHECK(w.rows() == q.k && w.cols() == q.n, "shape mismatch");
-  double err = 0.0;
-  for (index_t i = 0; i < q.k; ++i) {
-    for (index_t j = 0; j < q.n; ++j) {
-      const double d = w(i, j) - q.decode(i, j);
-      err += d * d;
-    }
-  }
-  return err / (static_cast<double>(q.k) * static_cast<double>(q.n));
-}
-
 }  // namespace marlin::quant

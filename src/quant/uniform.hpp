@@ -48,7 +48,4 @@ float group_scale(std::span<const float> v, const QuantConfig& cfg);
 /// error over a small grid (paper §3.5 modification (a)).
 QuantizedWeights quantize_rtn(ConstMatrixView<float> w, const QuantConfig& cfg);
 
-/// Mean squared reconstruction error ||W - deq(Q)||^2 / (K*N).
-double reconstruction_mse(ConstMatrixView<float> w, const QuantizedWeights& q);
-
 }  // namespace marlin::quant

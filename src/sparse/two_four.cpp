@@ -8,10 +8,7 @@
 
 namespace marlin::sparse {
 
-namespace {
-
-template <typename Score>
-SparseMask prune_with_score(ConstMatrixView<float> w, Score&& score) {
+SparseMask prune_24_magnitude(ConstMatrixView<float> w) {
   const index_t k = w.rows(), n = w.cols();
   MARLIN_CHECK(k % 4 == 0, "K must be divisible by 4 for 2:4 sparsity");
   SparseMask mask;
@@ -20,7 +17,7 @@ SparseMask prune_with_score(ConstMatrixView<float> w, Score&& score) {
     for (index_t g = 0; g < k; g += 4) {
       std::array<std::pair<double, int>, 4> scored;
       for (int t = 0; t < 4; ++t) {
-        scored[static_cast<std::size_t>(t)] = {score(g + t, j), t};
+        scored[static_cast<std::size_t>(t)] = {std::abs(w(g + t, j)), t};
       }
       std::sort(scored.begin(), scored.end(),
                 [](const auto& a, const auto& b) { return a.first > b.first; });
@@ -29,23 +26,6 @@ SparseMask prune_with_score(ConstMatrixView<float> w, Score&& score) {
     }
   }
   return mask;
-}
-
-}  // namespace
-
-SparseMask prune_24_magnitude(ConstMatrixView<float> w) {
-  return prune_with_score(
-      w, [&](index_t i, index_t j) { return std::abs(w(i, j)); });
-}
-
-SparseMask prune_24_saliency(ConstMatrixView<float> w,
-                             std::span<const double> h_diag) {
-  MARLIN_CHECK(static_cast<index_t>(h_diag.size()) == w.rows(),
-               "h_diag size must equal K");
-  return prune_with_score(w, [&](index_t i, index_t j) {
-    const double x = w(i, j);
-    return x * x * h_diag[static_cast<std::size_t>(i)];
-  });
 }
 
 bool is_valid_24(const SparseMask& mask) {

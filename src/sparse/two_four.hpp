@@ -23,12 +23,6 @@ struct SparseMask {
 /// Magnitude pruning: keep the 2 largest |w| per group of 4.
 SparseMask prune_24_magnitude(ConstMatrixView<float> w);
 
-/// Hessian-aware pruning (SparseGPT-style saliency): keep the 2 elements
-/// with largest w^2 * h_diag per group, where h_diag is the diagonal of the
-/// calibration Hessian over the K dimension.
-SparseMask prune_24_saliency(ConstMatrixView<float> w,
-                             std::span<const double> h_diag);
-
 /// True iff every aligned 4-group of every column has exactly 2 non-zeros.
 [[nodiscard]] bool is_valid_24(const SparseMask& mask);
 

@@ -54,20 +54,6 @@ void Table::print(std::ostream& os) const {
   for (const auto& row : rows_) emit(row);
 }
 
-std::string Table::to_csv() const {
-  std::ostringstream os;
-  auto emit = [&](const std::vector<std::string>& row) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      if (c) os << ',';
-      os << row[c];
-    }
-    os << '\n';
-  };
-  emit(header_);
-  for (const auto& row : rows_) emit(row);
-  return os.str();
-}
-
 std::string format_double(double v, int precision) {
   std::ostringstream os;
   os << std::fixed << std::setprecision(precision) << v;

@@ -20,7 +20,6 @@ class Table {
                          const std::vector<double>& values, int precision = 2);
 
   void print(std::ostream& os) const;
-  [[nodiscard]] std::string to_csv() const;
 
   [[nodiscard]] std::size_t num_rows() const noexcept { return rows_.size(); }
 

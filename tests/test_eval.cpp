@@ -64,7 +64,6 @@ TEST(Metrics, NmseZeroForIdenticalAndPositiveOtherwise) {
   EXPECT_GT(layer_output_nmse(layer.w.view(), perturbed.view(),
                               layer.calib.view()),
             0.0);
-  EXPECT_GT(weight_nmse(layer.w.view(), perturbed.view()), 0.0);
 }
 
 TEST(Metrics, OutputNmseWeightsBigFeaturesMore) {

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "core/partition.hpp"
@@ -36,7 +37,11 @@ TEST_P(StripedProperties, CoversEveryTileExactlyOnce) {
 TEST_P(StripedProperties, BalancedWithinOneTile) {
   const auto [rows, cols, sms, mb] = GetParam();
   const auto part = striped_partition(rows, cols, sms, mb);
-  EXPECT_LE(part.max_stripe_len() - part.min_stripe_len(), 1);
+  index_t min_len = part.total_tiles();
+  for (const auto& s : part.sm_tiles) {
+    min_len = std::min(min_len, static_cast<index_t>(s.size()));
+  }
+  EXPECT_LE(part.max_stripe_len() - min_len, 1);
 }
 
 TEST_P(StripedProperties, SegmentsAreBottomToTopAndDisjoint) {
@@ -61,7 +66,6 @@ TEST_P(StripedProperties, StatsMatchMaterializedPartition) {
   const auto stats = striped_partition_stats(rows, cols, sms, mb);
   EXPECT_EQ(stats.total_tiles, part.total_tiles());
   EXPECT_EQ(stats.max_stripe, part.max_stripe_len());
-  EXPECT_EQ(stats.min_stripe, part.min_stripe_len());
   EXPECT_EQ(stats.reduction_steps, part.reduction_steps());
   EXPECT_EQ(stats.max_column_depth, part.max_column_depth());
 }

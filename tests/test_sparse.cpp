@@ -46,29 +46,6 @@ TEST(TwoFour, MagnitudeMaskValidAndKeepsLargest) {
   }
 }
 
-TEST(TwoFour, SaliencyUsesHessianDiagonal) {
-  // With a huge Hessian weight on row 0 of each group, row 0 must survive
-  // even when its magnitude is smallest.
-  Matrix<float> w(8, 2, 0.0f);
-  for (index_t g = 0; g < 2; ++g) {
-    for (index_t j = 0; j < 2; ++j) {
-      w(g * 4 + 0, j) = 0.01f;
-      w(g * 4 + 1, j) = 1.0f;
-      w(g * 4 + 2, j) = 0.5f;
-      w(g * 4 + 3, j) = 0.2f;
-    }
-  }
-  std::vector<double> hdiag{1e8, 1, 1, 1, 1e8, 1, 1, 1};
-  const auto mask = prune_24_saliency(w.view(), hdiag);
-  EXPECT_TRUE(is_valid_24(mask));
-  for (index_t g = 0; g < 2; ++g) {
-    for (index_t j = 0; j < 2; ++j) {
-      EXPECT_EQ(mask.keep(g * 4 + 0, j), 1);
-      EXPECT_EQ(mask.keep(g * 4 + 1, j), 1);
-    }
-  }
-}
-
 TEST(TwoFour, ApplyMaskZeroesExactlyHalf) {
   const auto w = random_weights(32, 8, 2);
   const auto mask = prune_24_magnitude(w.view());
