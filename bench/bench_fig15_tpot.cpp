@@ -46,10 +46,6 @@ static int run(int argc, char** argv) {
     cfg.format = fmt;
     engines.push_back(std::make_unique<serve::Engine>(cfg));
   }
-  // Fill each engine's decode memo on the shared pool before the sims
-  // (the per-GPU step-model evaluation is the expensive part; the event
-  // loops then run off the cache).
-  for (const auto& e : engines) e->warm_decode_cache(ctx, 128, 128.0);
 
   // Every (format, QPS) serving simulation is an independent fixed-seed
   // run; all 12 fan out on the context and land in point order.

@@ -44,7 +44,6 @@ static int run(int argc, char** argv) {
     cfg.format = fmt;
     engines.push_back(std::make_unique<serve::Engine>(cfg));
   }
-  for (const auto& e : engines) e->warm_decode_cache(ctx, 128, 128.0);
 
   struct Point {
     std::size_t engine;

@@ -77,8 +77,6 @@ static int run(int argc, char** argv) {
             << " ms, TPOT deadline " << tpot_slo
             << " ms; per-replica KV budget 192 blocks of 16 tokens\n\n";
 
-  engine.warm_decode_cache(ctx, 128, 256.0);
-
   const auto base_config = [&] {
     serve::ServingConfig sc;
     sc.qps = cli.qps;

@@ -66,8 +66,6 @@ static int run(int argc, char** argv) {
             << format_double(engine.kv_bytes_per_token() / 1024.0, 0)
             << " KiB/token on the device interconnect unless swept\n\n";
 
-  engine.warm_decode_cache(ctx, 128, 256.0);
-
   const auto base_config = [&] {
     serve::ServingConfig sc;
     sc.qps = cli.qps;

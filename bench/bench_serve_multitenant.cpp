@@ -86,8 +86,6 @@ static int run(int argc, char** argv) {
             << "Speculation: TinyLlama-1.1B draft, depth " << spec_depth
             << ", acceptance " << format_double(spec_accept, 2) << "\n\n";
 
-  engine.warm_decode_cache(ctx, 128, 256.0);
-
   struct Point {
     std::size_t mix, policy, spec;
   };

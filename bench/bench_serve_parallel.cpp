@@ -82,10 +82,6 @@ static int run(int argc, char** argv) {
   }
   world.print(std::cout);
 
-  // ShareGPT tails reach 2048 + 1024 tokens; warm every grid's decode
-  // memo that far on the shared pool before the serial event loops.
-  for (const auto& pe : engines) pe.warm_decode_cache(ctx, 128, 3072.0);
-
   std::cout << "\nDecode-step decomposition at batch 64, context 512 "
                "(per-microbatch stage max, ring all-reduce, activation "
                "send, fill/drain bubble):\n";

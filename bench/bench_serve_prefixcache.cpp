@@ -82,8 +82,6 @@ static int run(int argc, char** argv) {
             << "Shared mixes: 4 system prompts of 256 tokens on 80% of "
                "requests; KV budget 768 blocks of 16 tokens per replica\n\n";
 
-  engine.warm_decode_cache(ctx, 128, 512.0);
-
   struct Point {
     std::size_t mix, cache, policy;
   };

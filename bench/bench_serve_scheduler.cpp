@@ -69,9 +69,6 @@ static int run(int argc, char** argv) {
             << "KV budgets (blocks of " << block_size
             << " tokens): unlimited, hbm=" << derived << ", tight=128\n\n";
 
-  // ShareGPT tails reach 2048 + 1024 tokens; warm the decode memo that far.
-  engine.warm_decode_cache(ctx, 128, 3072.0);
-
   struct Point {
     std::size_t shape, policy, budget;
   };
