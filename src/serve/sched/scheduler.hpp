@@ -222,8 +222,9 @@ struct ReplicaState {
     /// Per-request "left the queue this pass" flags; lazily sized to the
     /// request vector and re-cleared (via `order`) after every pass.
     std::vector<std::uint8_t> taken;
-    /// Chained prefix hashes of the request being admitted (prefix cache
-    /// lookups reuse this buffer's capacity).
+    /// Chained prefix hashes of the request whose prompt KV is being
+    /// acquired, on admission or migration landing (prefix cache lookups
+    /// reuse this buffer's capacity).
     std::vector<std::uint64_t> chain;
   };
   /// Scratch reused across `Scheduler::admit` / `Scheduler::step` ticks.
