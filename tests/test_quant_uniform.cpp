@@ -119,7 +119,8 @@ TEST_P(RtnGroupSweep, FinerGroupsNeverWorse) {
   fine.group_size = GetParam() / 2;
   const double mse_coarse =
       squared_relative_error(w, quantize_rtn(w.view(), coarse));
-  const double mse_fine = squared_relative_error(w, quantize_rtn(w.view(), fine));
+  const double mse_fine =
+      squared_relative_error(w, quantize_rtn(w.view(), fine));
   EXPECT_LE(mse_fine, mse_coarse * 1.02);  // FP16 scale rounding slack
 }
 
