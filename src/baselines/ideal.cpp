@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "baselines/fp16_gemm.hpp"
+
 namespace marlin::baselines {
 
 gpusim::KernelEstimate IdealModel::estimate(

@@ -8,7 +8,6 @@
 // ratio 16 / 4.125 = 3.879x in the memory-bound regime, exactly the
 // asymptote the paper quotes.
 
-#include "baselines/fp16_gemm.hpp"
 #include "baselines/kernel_model.hpp"
 
 namespace marlin::baselines {
