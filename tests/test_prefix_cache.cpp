@@ -1,8 +1,9 @@
 // Ref-counted KV block API, hashed prefix cache and copy-on-write
 // sharing: refcount/charging invariants, the pinned chain-hash values,
 // LRU parking/eviction order, first-publisher-wins races, cache-off
-// bit-equality end to end, and the zero-alloc steady-state decode tick
-// with the cache warm.
+// bit-equality end to end, the zero-alloc steady-state decode tick with
+// the cache warm, and random operation sequences checked op by op against
+// the frozen manager in reference_block_manager.cpp.
 
 #include <gtest/gtest.h>
 
@@ -11,10 +12,14 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <sstream>
+#include <string>
 #include <vector>
 
+#include "reference_block_manager.hpp"
 #include "serve/server_sim.hpp"
 #include "util/hash.hpp"
+#include "util/rng.hpp"
 
 // ------------------------------------------------------------------------
 // Counting global allocator (same pattern as test_simd_dispatch): every
@@ -565,6 +570,253 @@ TEST(HotPath, WarmCacheSteadyStateDecodeTickDoesNotAllocate) {
   }
   EXPECT_EQ(s.bm.used_blocks(), 0);
   EXPECT_GT(s.bm.cached_blocks(), 0);  // shared header parked for reuse
+}
+
+// ------------------------------------ differential vs the frozen manager
+//
+// Random operation sequences run on the live BlockManager and on the
+// frozen copy in reference_block_manager.cpp side by side. After every
+// operation both must agree on every handle's block ids and on every
+// public counter.
+
+/// One sequence, held in both managers.
+struct PairedHandle {
+  SequenceBlocks live;
+  reference::SequenceBlocks ref;
+  index_t tenant = 0;
+  index_t written = 0;  // tokens of KV the sequence has written
+};
+
+/// First disagreement between the two managers, or "" when they match.
+std::string first_difference(
+    const BlockManager& a, const reference::BlockManager& b,
+    const std::vector<PairedHandle>& handles, index_t tenants,
+    const std::vector<std::vector<std::uint64_t>>& chains) {
+  std::ostringstream out;
+  const auto check = [&](const char* what, index_t x, index_t y) {
+    if (out.tellp() == 0 && x != y) {
+      out << what << ": live " << x << " vs reference " << y;
+    }
+  };
+  check("used_blocks", a.used_blocks(), b.used_blocks());
+  check("free_blocks", a.free_blocks(), b.free_blocks());
+  check("watermark_blocks", a.watermark_blocks(), b.watermark_blocks());
+  check("peak_used_blocks", a.peak_used_blocks(), b.peak_used_blocks());
+  check("blocks_allocated_total", a.blocks_allocated_total(),
+        b.blocks_allocated_total());
+  check("blocks_freed_total", a.blocks_freed_total(), b.blocks_freed_total());
+  check("grow_failures", a.grow_failures(), b.grow_failures());
+  check("prefix_cache_lookup_blocks", a.prefix_cache_lookup_blocks(),
+        b.prefix_cache_lookup_blocks());
+  check("prefix_cache_hit_blocks", a.prefix_cache_hit_blocks(),
+        b.prefix_cache_hit_blocks());
+  check("prefix_cache_evictions", a.prefix_cache_evictions(),
+        b.prefix_cache_evictions());
+  check("cow_forks", a.cow_forks(), b.cow_forks());
+  check("cow_copies", a.cow_copies(), b.cow_copies());
+  check("cached_blocks", a.cached_blocks(), b.cached_blocks());
+  for (index_t t = 0; t < tenants; ++t) {
+    check("tenant_used_blocks", a.tenant_used_blocks(t),
+          b.tenant_used_blocks(t));
+    check("effective_quota", a.effective_quota(t), b.effective_quota(t));
+    check("over_quota_blocks", a.over_quota_blocks(t), b.over_quota_blocks(t));
+    check("within_quota", a.within_quota(t, 1) ? 1 : 0,
+          b.within_quota(t, 1) ? 1 : 0);
+  }
+  for (const auto& chain : chains) {
+    check("cached_chain_blocks", a.cached_chain_blocks(chain),
+          b.cached_chain_blocks(chain));
+  }
+  for (std::size_t h = 0; h < handles.size() && out.tellp() == 0; ++h) {
+    check("cached_prefix_blocks", handles[h].live.cached_prefix_blocks(),
+          handles[h].ref.cached_prefix_blocks());
+    if (out.tellp() == 0 && handles[h].live.ids() != handles[h].ref.ids()) {
+      out << "ids of handle " << h;
+    }
+  }
+  return out.str();
+}
+
+/// Work the differential reached over a sweep, so a setting that stops
+/// exercising its path fails instead of passing vacuously.
+struct DifferentialCoverage {
+  index_t evictions = 0;
+  index_t cow_copies = 0;
+  index_t grow_failures = 0;
+  index_t prefix_hits = 0;
+  index_t over_quota = 0;
+};
+
+/// `ops` random operations on both managers under `cfg` with `tenants`
+/// tenant ids: acquire, acquire_prefill over three shared chains,
+/// publish, fork, grow_to (decode appends that usually fit, and writes
+/// that start inside earlier, possibly shared blocks) and release.
+void run_differential(const BlockManagerConfig& cfg, index_t tenants,
+                      std::uint64_t seed, int ops,
+                      DifferentialCoverage& coverage) {
+  BlockManager live(cfg);
+  reference::BlockManager ref(cfg);
+  const std::vector<std::vector<std::uint64_t>> chains = {
+      chain_of(0, 6), chain_of(1, 6), chain_of(2, 6)};
+  const index_t bs = cfg.block_size;
+  Rng rng(seed);
+  const auto pick = [&](index_t n) {
+    return static_cast<index_t>(rng.uniform_int(static_cast<std::uint64_t>(n)));
+  };
+  std::vector<PairedHandle> handles;
+  for (int op = 0; op < ops; ++op) {
+    index_t kind = pick(16);
+    if (handles.empty()) kind = kind % 2;  // only the acquires apply
+    if (handles.size() >= 12 && kind < 2) kind = 15;  // release instead
+    const std::size_t at = handles.empty()
+                               ? 0
+                               : static_cast<std::size_t>(pick(
+                                     static_cast<index_t>(handles.size())));
+    const char* name = "";
+    if (kind < 2) {
+      // A new sequence: a plain acquire or a prefill over a shared chain.
+      PairedHandle h;
+      h.tenant = pick(tenants);
+      bool threw_live = false;
+      bool threw_ref = false;
+      if (kind == 0) {
+        name = "acquire";
+        const index_t n = pick(5);
+        try {
+          live.acquire(h.live, n, h.tenant);
+        } catch (const Error&) {
+          threw_live = true;
+        }
+        try {
+          ref.acquire(h.ref, n, h.tenant);
+        } catch (const Error&) {
+          threw_ref = true;
+        }
+      } else {
+        name = "acquire_prefill";
+        const auto& full = chains[static_cast<std::size_t>(pick(3))];
+        const index_t k = pick(7);
+        const std::vector<std::uint64_t> chain(full.begin(), full.begin() + k);
+        const index_t n = k + pick(3);
+        try {
+          live.acquire_prefill(h.live, n, chain, h.tenant);
+        } catch (const Error&) {
+          threw_live = true;
+        }
+        try {
+          ref.acquire_prefill(h.ref, n, chain, h.tenant);
+        } catch (const Error&) {
+          threw_ref = true;
+        }
+      }
+      ASSERT_EQ(threw_live, threw_ref) << "seed " << seed << " op " << op;
+      if (!threw_live) {
+        h.written = std::max<index_t>(0, h.live.count() * bs - pick(bs));
+        handles.push_back(std::move(h));
+      }
+    } else if (kind == 2 || kind == 3) {
+      name = "publish";
+      live.publish(handles[at].live);
+      ref.publish(handles[at].ref);
+    } else if (kind == 4 || kind == 5) {
+      name = "fork";
+      PairedHandle child;
+      child.tenant = pick(4) == 0 ? pick(tenants) : handles[at].tenant;
+      child.written = handles[at].written;
+      child.live = live.fork(handles[at].live, child.tenant);
+      child.ref = ref.fork(handles[at].ref, child.tenant);
+      handles.push_back(std::move(child));
+    } else if (kind < 14) {
+      // Decode growth: `kind` 6..11 append one to a block's worth of
+      // tokens past what is written (most fit the last block); 12..13
+      // write from a random earlier token, which may sit in a shared or
+      // published block.
+      PairedHandle& h = handles[at];
+      index_t covered = h.written;
+      if (kind < 12) {
+        name = "grow_to (append)";
+      } else {
+        name = "grow_to (rewrite)";
+        covered = pick(h.live.count() * bs + 1);
+      }
+      const index_t tokens = std::max(covered, h.written) + 1 + pick(bs);
+      const bool grew_live = live.grow_to(h.live, tokens, covered, h.tenant);
+      const bool grew_ref = ref.grow_to(h.ref, tokens, covered, h.tenant);
+      ASSERT_EQ(grew_live, grew_ref) << "seed " << seed << " op " << op;
+      if (grew_live) h.written = std::max(h.written, tokens);
+    } else {
+      name = "release";
+      live.release(handles[at].live, handles[at].tenant);
+      ref.release(handles[at].ref, handles[at].tenant);
+      handles.erase(handles.begin() + static_cast<std::ptrdiff_t>(at));
+    }
+    ASSERT_EQ(first_difference(live, ref, handles, tenants, chains), "")
+        << "seed " << seed << " op " << op << " (" << name << ")";
+    for (index_t t = 0; t < tenants; ++t) {
+      coverage.over_quota += live.over_quota_blocks(t) > 0 ? 1 : 0;
+    }
+  }
+  coverage.evictions += live.prefix_cache_evictions();
+  coverage.cow_copies += live.cow_copies();
+  coverage.grow_failures += live.grow_failures();
+  coverage.prefix_hits += live.prefix_cache_hit_blocks();
+  for (PairedHandle& h : handles) {
+    live.release(h.live, h.tenant);
+    ref.release(h.ref, h.tenant);
+  }
+  EXPECT_EQ(live.used_blocks(), 0) << "seed " << seed;
+  EXPECT_EQ(first_difference(live, ref, {}, tenants, chains), "")
+      << "seed " << seed;
+}
+
+DifferentialCoverage sweep_differential(const BlockManagerConfig& cfg,
+                                        index_t tenants) {
+  DifferentialCoverage coverage;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    run_differential(cfg, tenants, seed, 400, coverage);
+    if (::testing::Test::HasFatalFailure()) break;
+  }
+  return coverage;
+}
+
+TEST(BlockManagerReference, SmallBudgetEvictionMatches) {
+  BlockManagerConfig cfg = cache_cfg(24);
+  cfg.block_size = 4;
+  const DifferentialCoverage c = sweep_differential(cfg, 1);
+  EXPECT_GT(c.evictions, 0);
+  EXPECT_GT(c.cow_copies, 0);
+  EXPECT_GT(c.grow_failures, 0);
+  EXPECT_GT(c.prefix_hits, 0);
+}
+
+TEST(BlockManagerReference, CachedBlockCapEvictionMatches) {
+  BlockManagerConfig cfg = cache_cfg(96, /*max_cached=*/3);
+  cfg.block_size = 4;
+  const DifferentialCoverage c = sweep_differential(cfg, 1);
+  EXPECT_GT(c.evictions, 0);
+  EXPECT_GT(c.cow_copies, 0);
+  EXPECT_GT(c.prefix_hits, 0);
+}
+
+TEST(BlockManagerReference, TwoTenantQuotasMatch) {
+  BlockManagerConfig cfg = cache_cfg(40);
+  cfg.block_size = 8;
+  cfg.watermark = 0.05;
+  cfg.tenant_quotas = {{0, 10}, {1, 16}};
+  const DifferentialCoverage c = sweep_differential(cfg, 2);
+  EXPECT_GT(c.over_quota, 0);
+  EXPECT_GT(c.cow_copies, 0);
+  EXPECT_GT(c.grow_failures, 0);
+}
+
+TEST(BlockManagerReference, UnlimitedAndCacheOffMatch) {
+  BlockManagerConfig unlimited = cache_cfg(0);
+  unlimited.block_size = 4;
+  EXPECT_GT(sweep_differential(unlimited, 1).prefix_hits, 0);
+  BlockManagerConfig plain = cache_cfg(32);
+  plain.block_size = 4;
+  plain.prefix_cache.enabled = false;
+  EXPECT_GT(sweep_differential(plain, 1).cow_copies, 0);
 }
 
 }  // namespace
