@@ -23,28 +23,14 @@ BlockManager::BlockManager(BlockManagerConfig cfg) : cfg_(std::move(cfg)) {
   MARLIN_CHECK(cfg_.watermark >= 0.0 && cfg_.watermark < 1.0,
                "watermark must be in [0, 1)");
   cfg_.prefix_cache.validate();
+  // Nothing is reserved for the budget: ids are minted on first use and
+  // the per-id arrays grow with them, so a replica pays memory for the
+  // blocks it hands out. Reserving the budget up front cost ~83 B per
+  // block per replica, whose heap arena then grew with every repeated
+  // simulation in one process.
   if (!unlimited()) {
     watermark_blocks_ = static_cast<index_t>(
         std::ceil(cfg_.watermark * static_cast<double>(cfg_.num_blocks)));
-    // Capacity only: ids are minted on first use, so a replica touches
-    // (and pays resident memory for) just the blocks it ever hands out,
-    // while the per-id arrays never reallocate on the decode path.
-    const std::size_t n = uz(cfg_.num_blocks);
-    free_list_.reserve(n);
-    refcount_.reserve(n);
-    hash_.reserve(n);
-    hashed_.reserve(n);
-    published_.reserve(n);
-    parked_.reserve(n);
-    lru_prev_.reserve(n);
-    lru_next_.reserve(n);
-    holder_head_.reserve(n);
-    // Two nodes per block cover single ownership plus one shared
-    // reference without the pool ever reallocating on the steady-state
-    // decode path; deeper sharing grows it geometrically.
-    node_tenant_.reserve(2 * n);
-    node_next_.reserve(2 * n);
-    if (cache_on()) table_.reserve(n);
   }
   for (const auto& [tenant, quota] : cfg_.tenant_quotas) {
     MARLIN_CHECK(tenant >= 0, "tenant id must be >= 0");
@@ -264,6 +250,7 @@ void BlockManager::release_ids(std::vector<index_t>& ids, index_t tenant) {
 }
 
 void BlockManager::acquire(SequenceBlocks& seq, index_t n, index_t tenant) {
+  seq.forget_writable();
   acquire_ids(seq.ids_, n, tenant);
 }
 
@@ -276,6 +263,7 @@ index_t BlockManager::acquire_prefill(SequenceBlocks& seq, index_t n,
                "prefix chain covers " << chain.size()
                                       << " blocks but the allocation is "
                                       << n);
+  seq.forget_writable();
   // Pass 1 (read-only): the leading run of published matches, and how
   // many of them are parked — resurrecting a parked block consumes free
   // budget, referencing a live one does not.
@@ -318,7 +306,8 @@ index_t BlockManager::acquire_prefill(SequenceBlocks& seq, index_t n,
   return hits;
 }
 
-void BlockManager::publish(const SequenceBlocks& seq) {
+void BlockManager::publish(SequenceBlocks& seq) {
+  seq.forget_writable();  // published blocks copy before a write
   if (!cache_on()) return;
   for (const index_t id : seq.ids_) {
     if (hashed_[uz(id)] == 0 || published_[uz(id)] != 0) continue;
@@ -344,13 +333,15 @@ index_t BlockManager::cached_chain_blocks(
 }
 
 void BlockManager::release(SequenceBlocks& seq, index_t tenant) {
+  seq.forget_writable();
   release_ids(seq.ids_, tenant);
   seq.cached_prefix_ = 0;
 }
 
-SequenceBlocks BlockManager::fork(const SequenceBlocks& parent, index_t tenant,
+SequenceBlocks BlockManager::fork(SequenceBlocks& parent, index_t tenant,
                                   index_t reserve_blocks) {
   MARLIN_CHECK(tenant >= 0, "tenant id must be >= 0");
+  parent.forget_writable();  // its blocks are shared now; the child's too
   SequenceBlocks child;
   child.ids_.reserve(std::max(parent.ids_.size(), uz(reserve_blocks)));
   for (const index_t id : parent.ids_) {
@@ -362,8 +353,9 @@ SequenceBlocks BlockManager::fork(const SequenceBlocks& parent, index_t tenant,
   return child;
 }
 
-bool BlockManager::grow_to(SequenceBlocks& seq, index_t tokens,
-                           index_t covered_tokens, index_t tenant) {
+bool BlockManager::grow_scan(SequenceBlocks& seq, index_t tokens,
+                             index_t covered_tokens, index_t tenant) {
+  ++grow_scans_;
   const index_t have = seq.count();
   const index_t need = blocks_for_tokens(tokens) - have;
   // Copy-on-write scan: blocks the write range [covered_tokens, tokens)
@@ -377,8 +369,7 @@ bool BlockManager::grow_to(SequenceBlocks& seq, index_t tokens,
     if (refcount_[uz(id)] > 1 || published_[uz(id)] != 0) ++copies;
   }
   const index_t fresh = std::max<index_t>(need, 0) + copies;
-  if (fresh <= 0) return true;
-  if (!can_allocate(fresh)) {
+  if (fresh > 0 && !can_allocate(fresh)) {
     ++grow_failures_;
     return false;
   }
@@ -395,6 +386,10 @@ bool BlockManager::grow_to(SequenceBlocks& seq, index_t tokens,
     }
   }
   if (need > 0) acquire_ids(seq.ids_, need, tenant);
+  // Every block from the first written one on is now exclusive and
+  // unpublished: copies and appends are fresh, the rest were already.
+  seq.write_from_ = first_write * cfg_.block_size;
+  seq.writable_end_ = seq.count() * cfg_.block_size;
   return true;
 }
 

@@ -122,6 +122,10 @@ class BlockManager {
   [[nodiscard]] index_t blocks_freed_total() const { return freed_total_; }
   /// `grow_to` calls the budget refused — the scheduler preempts on each.
   [[nodiscard]] index_t grow_failures() const { return grow_failures_; }
+  /// `grow_to` calls that got past the writable-mark check and scanned
+  /// their write range — the decode growth work, one per block crossing
+  /// or shared-block write rather than one per token.
+  [[nodiscard]] index_t grow_scans() const { return grow_scans_; }
 
   // Prefix-cache / sharing counters.
 
@@ -178,7 +182,7 @@ class BlockManager {
   /// First publisher of a hash wins; a concurrent duplicate's blocks
   /// simply lose their hash and free normally. No-op when the cache is
   /// off.
-  void publish(const SequenceBlocks& seq);
+  void publish(SequenceBlocks& seq);
 
   /// Leading blocks of `chain` currently published (live or parked) —
   /// what an admission of this prefix would reuse. Read-only: refcounts
@@ -197,7 +201,7 @@ class BlockManager {
   /// New handle referencing every block of `parent` (refcount++ on each,
   /// no physical allocation) on `tenant`'s account — the n>1 sampling
   /// fork. `reserve_blocks` pre-sizes the child handle (0 = parent size).
-  [[nodiscard]] SequenceBlocks fork(const SequenceBlocks& parent,
+  [[nodiscard]] SequenceBlocks fork(SequenceBlocks& parent,
                                     index_t tenant = 0,
                                     index_t reserve_blocks = 0);
 
@@ -207,8 +211,17 @@ class BlockManager {
   /// touches. `covered_tokens` is the KV the sequence has already
   /// written; pass `tokens` when only appending. Returns false (holdings
   /// untouched) if the budget cannot cover appends + copies.
+  ///
+  /// A write inside the handle's writable mark (see sequence_blocks.hpp)
+  /// needs neither and returns at once; only the rest scan the write
+  /// range (`grow_scans`).
   [[nodiscard]] bool grow_to(SequenceBlocks& seq, index_t tokens,
-                             index_t covered_tokens, index_t tenant = 0);
+                             index_t covered_tokens, index_t tenant = 0) {
+    if (tokens <= seq.writable_end_ && covered_tokens >= seq.write_from_) {
+      return true;
+    }
+    return grow_scan(seq, tokens, covered_tokens, tenant);
+  }
 
   // ---- per-tenant quota accounting -------------------------------------
 
@@ -259,6 +272,10 @@ class BlockManager {
   void lru_remove(index_t id);
   /// Reclaims the LRU head into the free list.
   void evict_one();
+  /// `grow_to` past the writable-mark check: scans the write range,
+  /// copies and appends, and sets the mark on success.
+  [[nodiscard]] bool grow_scan(SequenceBlocks& seq, index_t tokens,
+                               index_t covered_tokens, index_t tenant);
   /// Raw-id bodies shared by the handle API (acquire/release/fork/CoW).
   void acquire_ids(std::vector<index_t>& out, index_t n, index_t tenant);
   void release_ids(std::vector<index_t>& ids, index_t tenant);
@@ -270,6 +287,7 @@ class BlockManager {
   index_t allocated_total_ = 0;
   index_t freed_total_ = 0;
   index_t grow_failures_ = 0;
+  index_t grow_scans_ = 0;
   index_t prefix_lookups_total_ = 0;
   index_t prefix_hits_total_ = 0;
   index_t prefix_evictions_total_ = 0;
@@ -278,8 +296,9 @@ class BlockManager {
   std::vector<index_t> free_list_;  // returned ids ready to reuse
   index_t next_fresh_ = 0;          // next never-minted id
 
-  // Per-id state (indexed by block id; grown as ids are minted — within
-  // the reserved capacity in bounded mode).
+  // Per-id state (indexed by block id; grown geometrically as ids are
+  // minted, so a replica pays for the blocks it hands out, not for its
+  // budget).
   std::vector<index_t> refcount_;
   /// Chain hash per id; meaningful iff `hashed_[id]`.
   std::vector<std::uint64_t> hash_;
@@ -293,9 +312,9 @@ class BlockManager {
   /// `holder_head_[id]` tops id's stack with the most recently acquired
   /// live holder — the charged tenant of the last-toucher rule — and
   /// nodes link toward older holders through `node_next_`. Freed nodes
-  /// recycle through `node_free_head_`; the pool is pre-reserved to 2x
-  /// the budget so steady-state reference traffic never allocates
-  /// (heavier sharing grows it geometrically, amortized).
+  /// recycle through `node_free_head_`; the pool grows geometrically with
+  /// the peak number of live references, so steady-state reference
+  /// traffic never allocates.
   std::vector<index_t> node_tenant_;
   std::vector<index_t> node_next_;
   index_t node_free_head_ = -1;

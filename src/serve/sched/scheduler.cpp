@@ -557,7 +557,14 @@ void Ticker::decode_round() {
 
   // Grow every running sequence's KV for the tokens this step commits
   // (one for plain decode, the speculative commit otherwise); preempt
-  // the policy's victim when the budget runs dry.
+  // the policy's victim when the budget runs dry. The same pass sums the
+  // step's batch and context over the survivors. Each of the n sampled
+  // sequences occupies a batch slot with the same context length
+  // (lockstep decoding). The sum is exact in int64, and every partial sum
+  // stays an integer below 2^53, so `avg_ctx` has the bits of a double
+  // sum over the surviving running set.
+  index_t batch = 0;
+  index_t ctx_sum = 0;
   for (std::size_t i = 0; i < s_.running.size();) {
     Request& r = requests_[s_.running[i]];
     // KV the sequences have written so far: the last emitted token's KV
@@ -574,30 +581,29 @@ void Ticker::decode_round() {
         MARLIN_ASSERT(!s_.running.empty());
         const std::size_t victim = choose_victim_pos();
         preempted_self = victim == i;
+        if (victim < i) {  // already summed: take it back out
+          const Request& v = requests_[s_.running[victim]];
+          batch -= v.num_sequences;
+          ctx_sum -= v.num_sequences * (v.prompt_tokens + v.generated);
+        }
         preempt_running_at(victim);
         if (preempted_self) break;
         if (victim < i) --i;  // `r` shifted one slot left; keep growing it
       }
     }
-    if (!preempted_self) ++i;
+    if (!preempted_self) {
+      batch += r.num_sequences;
+      ctx_sum += r.num_sequences * (r.prompt_tokens + r.generated);
+      ++i;
+    }
   }
   if (s_.running.empty()) return;
 
   // One decode step for all running sequences: a plain one-token step,
   // or a speculative round (draft proposes `depth` tokens sequentially,
   // the target verifies every candidate in one batched step).
-  double ctx_sum = 0.0;
-  index_t batch = 0;
-  for (const std::size_t id : s_.running) {
-    const Request& q = requests_[id];
-    // Each of the n sampled sequences occupies a batch slot with the
-    // same context length (lockstep decoding).
-    batch += q.num_sequences;
-    ctx_sum += static_cast<double>(q.num_sequences) *
-               (static_cast<double>(q.prompt_tokens) +
-                static_cast<double>(q.generated));
-  }
-  const double avg_ctx = ctx_sum / static_cast<double>(batch);
+  const double avg_ctx =
+      static_cast<double>(ctx_sum) / static_cast<double>(batch);
   const double t0 = s_.now;
   double t_step;
   if (spec.enabled()) {

@@ -304,6 +304,9 @@ struct SchedStats {
   index_t kv_blocks_allocated = 0;
   index_t kv_blocks_freed = 0;
   index_t kv_grow_failures = 0;
+  /// Decode growths that scanned their write range (past the handles'
+  /// writable marks), summed over replicas. A work counter, not exported.
+  index_t kv_grow_scans = 0;
   std::vector<Request> requests;
 };
 

@@ -10,12 +10,19 @@
 // sampling request); the block returns to the free list (or to the
 // prefix cache's LRU) only when the last reference is released.
 //
+// The handle also carries a writable mark: the token range it can write
+// without an allocation or a copy, because every block in it is held by
+// this handle alone and unpublished. A successful `grow_to` sets it and
+// every other mutation of the handle clears it, so a decode step that
+// stays inside its last block costs one comparison.
+//
 // Copying the struct copies the id list but does NOT acquire references —
 // use `BlockManager::fork` for a real shared handle. The manager's
 // double-release guard turns an accidentally copied-and-released handle
 // into an error instead of silent corruption.
 
 #include <cstddef>
+#include <limits>
 #include <vector>
 
 #include "util/matrix.hpp"
@@ -44,8 +51,19 @@ class SequenceBlocks {
 
  private:
   friend class BlockManager;
+  /// Clears the writable mark: no write passes the fast check.
+  void forget_writable() {
+    write_from_ = std::numeric_limits<index_t>::max();
+    writable_end_ = std::numeric_limits<index_t>::min();
+  }
+
   std::vector<index_t> ids_;
   index_t cached_prefix_ = 0;
+  /// Writable mark: the blocks holding tokens [write_from_, writable_end_)
+  /// are held by this handle alone and unpublished, and writable_end_ is
+  /// the token capacity of `ids_`. Cleared (empty range) by default.
+  index_t write_from_ = std::numeric_limits<index_t>::max();
+  index_t writable_end_ = std::numeric_limits<index_t>::min();
 };
 
 }  // namespace marlin::serve::sched

@@ -361,6 +361,7 @@ ClusterStats run(const sched::Scheduler& scheduler,
     stats.sched.kv_blocks_allocated += s.bm.blocks_allocated_total();
     stats.sched.kv_blocks_freed += s.bm.blocks_freed_total();
     stats.sched.kv_grow_failures += s.bm.grow_failures();
+    stats.sched.kv_grow_scans += s.bm.grow_scans();
     stats.sched.peak_kv_blocks =
         std::max(stats.sched.peak_kv_blocks, s.bm.peak_used_blocks());
     stats.sched.sim_end_s = std::max(stats.sched.sim_end_s, s.now);

@@ -365,6 +365,7 @@ void expect_same_cluster_stats(const cluster::ClusterStats& a,
   EXPECT_EQ(x.kv_blocks_allocated, y.kv_blocks_allocated) << seed;
   EXPECT_EQ(x.kv_blocks_freed, y.kv_blocks_freed) << seed;
   EXPECT_EQ(x.kv_grow_failures, y.kv_grow_failures) << seed;
+  EXPECT_EQ(x.kv_grow_scans, y.kv_grow_scans) << seed;
   ASSERT_EQ(x.requests.size(), y.requests.size()) << seed;
   for (std::size_t i = 0; i < x.requests.size(); ++i) {
     const sched::Request& p = x.requests[i];
@@ -558,6 +559,7 @@ void expect_same_replica_run(const ReplicaRun& a, const ReplicaRun& b,
       << seed;
   EXPECT_EQ(x.bm.cow_forks(), y.bm.cow_forks()) << seed;
   EXPECT_EQ(x.bm.cow_copies(), y.bm.cow_copies()) << seed;
+  EXPECT_EQ(x.bm.grow_scans(), y.bm.grow_scans()) << seed;
   EXPECT_EQ(x.outstanding_tokens, y.outstanding_tokens) << seed;
   EXPECT_EQ(x.outstanding_tokens, 0) << seed;
   EXPECT_EQ(x.bm.used_blocks(), 0) << seed;

@@ -23,25 +23,32 @@
 
 // ------------------------------------------------------------------------
 // Counting global allocator (same pattern as test_simd_dispatch): every
-// replaceable operator new bumps one relaxed counter so tests can assert
-// that a code window performed zero heap allocations.
+// replaceable operator new bumps relaxed call and byte counters so tests
+// can assert that a code window performed zero heap allocations, or how
+// many bytes it asked for.
 
 namespace {
 std::atomic<std::uint64_t> g_new_calls{0};
+std::atomic<std::uint64_t> g_new_bytes{0};
 
 std::uint64_t alloc_count() {
   return g_new_calls.load(std::memory_order_relaxed);
+}
+std::uint64_t alloc_bytes() {
+  return g_new_bytes.load(std::memory_order_relaxed);
 }
 }  // namespace
 
 void* operator new(std::size_t n) {
   g_new_calls.fetch_add(1, std::memory_order_relaxed);
+  g_new_bytes.fetch_add(n, std::memory_order_relaxed);
   if (void* p = std::malloc(n ? n : 1)) return p;
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t n) { return ::operator new(n); }
 void* operator new(std::size_t n, std::align_val_t al) {
   g_new_calls.fetch_add(1, std::memory_order_relaxed);
+  g_new_bytes.fetch_add(n, std::memory_order_relaxed);
   const std::size_t a = std::max(sizeof(void*), static_cast<std::size_t>(al));
   void* p = nullptr;
   if (posix_memalign(&p, a, n ? n : 1) != 0) throw std::bad_alloc();
@@ -570,6 +577,21 @@ TEST(HotPath, WarmCacheSteadyStateDecodeTickDoesNotAllocate) {
   }
   EXPECT_EQ(s.bm.used_blocks(), 0);
   EXPECT_GT(s.bm.cached_blocks(), 0);  // shared header parked for reuse
+}
+
+TEST(BlockManagerMemory, ConstructionAllocatesByUseNotByBudget) {
+  // Per-id metadata grows with the ids a manager mints: a 2^20-block
+  // budget (about 83 MB of reserved arrays at the old ~83 B per block)
+  // must cost next to nothing until blocks are handed out.
+  for (const bool cache : {false, true}) {
+    BlockManagerConfig cfg = cache_cfg(index_t{1} << 20);
+    cfg.prefix_cache.enabled = cache;
+    const std::uint64_t before = alloc_bytes();
+    const BlockManager bm(cfg);
+    EXPECT_LT(alloc_bytes() - before, std::uint64_t{64} << 10)
+        << "prefix cache " << (cache ? "on" : "off");
+    EXPECT_EQ(bm.free_blocks(), index_t{1} << 20);
+  }
 }
 
 // ------------------------------------ differential vs the frozen manager

@@ -322,6 +322,89 @@ TEST(WeightedFairQueuing, InfeasibleReclaimPreemptsNobody) {
   EXPECT_GT(stats.requests[2].first_token_s, stats.requests[0].arrival_s);
 }
 
+/// Prices steps with an Engine and checks every decode price's inputs
+/// against the double formula over the replica's running set.
+class ContextCheckingModel : public StepModel {
+ public:
+  explicit ContextCheckingModel(const Engine& engine) : engine_(engine) {}
+  void watch(const ReplicaState* s, const std::vector<Request>* requests) {
+    s_ = s;
+    requests_ = requests;
+  }
+  [[nodiscard]] index_t decode_calls() const { return decode_calls_; }
+
+  double decode_step_seconds(index_t batch, double avg_context) const override {
+    double ctx_sum = 0.0;
+    index_t expected_batch = 0;
+    for (const std::size_t id : s_->running) {
+      const Request& q = (*requests_)[id];
+      expected_batch += q.num_sequences;
+      ctx_sum += static_cast<double>(q.num_sequences) *
+                 (static_cast<double>(q.prompt_tokens) +
+                  static_cast<double>(q.generated));
+    }
+    EXPECT_EQ(batch, expected_batch) << "decode step " << decode_calls_;
+    EXPECT_EQ(avg_context, ctx_sum / static_cast<double>(expected_batch))
+        << "decode step " << decode_calls_;
+    ++decode_calls_;
+    return engine_.decode_step_seconds(batch, avg_context);
+  }
+  double prefill_seconds(index_t batch, index_t prompt_tokens) const override {
+    return engine_.prefill_seconds(batch, prompt_tokens);
+  }
+  double verify_step_seconds(index_t batch, double avg_context,
+                             index_t depth) const override {
+    return engine_.verify_step_seconds(batch, avg_context, depth);
+  }
+
+ private:
+  const Engine& engine_;
+  const ReplicaState* s_ = nullptr;
+  const std::vector<Request>* requests_ = nullptr;
+  mutable index_t decode_calls_ = 0;
+};
+
+TEST(WeightedFairQueuing, GrowthPreemptionLeavesThePricedContextExact) {
+  // Two n=2 requests of 24-token prompts on a 5-block cache. Tenant 0
+  // (quota 1) is admitted first and over quota. At the first decode step
+  // each request copies its shared half-full prompt block: tenant 0's
+  // copy takes the last free block, so tenant 1's growth fails and
+  // preempts tenant 0 — a request the fused growth pass already summed.
+  const Engine engine(a6000_marlin());
+  ContextCheckingModel model(engine);
+  SchedulerConfig cfg;
+  cfg.policy = SchedPolicy::kWeightedFair;
+  cfg.max_batch = 4;
+  cfg.blocks.num_blocks = 5;
+  cfg.blocks.watermark = 0.0;
+  TenantSpec hog;
+  hog.id = 0;
+  hog.kv_block_quota = 1;
+  TenantSpec guest;
+  guest.id = 1;
+  cfg.tenants = {hog, guest};
+  const Scheduler sched(model, cfg);
+
+  std::vector<Request> requests;
+  for (index_t t = 0; t < 2; ++t) {
+    requests.emplace_back(t, 0.0, 24, 16, t).num_sequences = 2;
+  }
+  ReplicaState s = sched.make_replica_state();
+  model.watch(&s, &requests);
+  sched.register_tenants(s, requests);
+  for (std::size_t i = 0; i < requests.size(); ++i) s.queue.push_back(i);
+  while (s.busy()) {
+    sched.admit(s, requests);
+    sched.step(s, requests);
+  }
+  EXPECT_GT(model.decode_calls(), 0);
+  EXPECT_GT(requests[0].preemptions, 0);  // the summed victim
+  EXPECT_EQ(requests[1].preemptions, 0);
+  EXPECT_EQ(requests[0].generated, 16);
+  EXPECT_EQ(requests[1].generated, 16);
+  EXPECT_EQ(s.bm.used_blocks(), 0);
+}
+
 TEST(WeightedFairQueuing, SingleTenantMatchesFcfsStructure) {
   // With one neutral tenant and no quotas, wfq degenerates to FCFS: same
   // completions, same step counts, same preemption count.

@@ -105,6 +105,25 @@ TEST(BlockManager, UnlimitedModeTracksButNeverFails) {
   bm.release(b);
 }
 
+TEST(BlockManager, DecodeGrowthScansOncePerBlockCrossing) {
+  // One sequence decoding 160 tokens at 16 tokens per block: only the
+  // writes that open a new block (tokens 1, 17, ..., 145) get past the
+  // writable mark.
+  BlockManager bm(blocks_cfg(16));
+  SequenceBlocks seq;
+  for (index_t tokens = 1; tokens <= 160; ++tokens) {
+    ASSERT_TRUE(bm.grow_to(seq, tokens, tokens - 1));
+  }
+  EXPECT_EQ(bm.grow_scans(), 10);
+  EXPECT_EQ(seq.count(), 10);
+  EXPECT_EQ(bm.blocks_allocated_total(), 10);
+  // Any other mutation clears the mark: the next write scans again.
+  bm.publish(seq);
+  ASSERT_TRUE(bm.grow_to(seq, 160, 159));
+  EXPECT_EQ(bm.grow_scans(), 11);
+  bm.release(seq);
+}
+
 TEST(BlockBudget, DerivedFromHbmWeightsAndFormat) {
   EngineConfig cfg;
   cfg.model = llama2_7b();
