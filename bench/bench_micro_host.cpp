@@ -1,6 +1,7 @@
 // google-benchmark micro-benchmarks of the host-side hot paths: packing,
-// the lop3 dequant trick, weight repacking, and the functional kernels.
-// These measure real work on this machine (not the GPU timing model).
+// the lop3 dequant trick, weight repacking, the functional kernels, and
+// the serving scheduler's decode tick. These measure real work on this
+// machine (not the GPU timing model).
 //
 // On top of the fixed BENCHMARK() cases, main() registers one case per
 // (kernel, supported SIMD level) — `micro_pack_interleaved[avx2]` and
@@ -26,6 +27,8 @@
 #include "quant/pack.hpp"
 #include "quant/uniform.hpp"
 #include "eval/synthetic.hpp"
+#include "serve/engine.hpp"
+#include "serve/sched/scheduler.hpp"
 #include "sparse/compressed.hpp"
 #include "sparse/two_four.hpp"
 #include "util/cpuid.hpp"
@@ -199,6 +202,67 @@ void BM_Compress24(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 256 * 256);
 }
 BENCHMARK(BM_Compress24);
+
+// ---- Serving scheduler ---------------------------------------------------
+
+/// One decode tick of a replica running 256 n=2 requests whose 256-token
+/// shared prompt header sits in a warm prefix cache: KV growth,
+/// copy-on-write splits and batch bookkeeping, with every step price
+/// served from the engine's memo. Reports the write-range scans per tick.
+void BM_DecodeTick(benchmark::State& state) {
+  using serve::sched::Request;
+  serve::EngineConfig ecfg;
+  ecfg.model = serve::llama2_7b();
+  ecfg.gpu = gpusim::rtxa6000();
+  const serve::Engine engine(ecfg);
+  serve::sched::SchedulerConfig scfg;
+  scfg.max_batch = 256;
+  scfg.blocks.num_blocks = index_t{1} << 16;
+  scfg.blocks.prefix_cache.enabled = true;
+  const serve::sched::Scheduler sched(engine, scfg);
+  serve::sched::ReplicaState s = sched.make_replica_state();
+  std::vector<Request> requests;
+  // Queues a fresh wave of 256 requests (264-token prompts, 1024 output
+  // tokens) and ticks until its first decode step.
+  const auto start_wave = [&] {
+    requests.clear();
+    for (index_t i = 0; i < 256; ++i) {
+      Request& r = requests.emplace_back(i, 0.0, 264, 1024);
+      r.prefix_id = 0;
+      r.prefix_tokens = 256;
+      r.num_sequences = 2;
+    }
+    sched.register_tenants(s, requests);
+    for (std::size_t i = 0; i < requests.size(); ++i) s.queue.push_back(i);
+    const index_t steps = s.decode_steps;
+    while (s.decode_steps == steps) {
+      sched.admit(s, requests);
+      sched.step(s, requests);
+    }
+  };
+  // A first wave publishes the header and fills the step memo.
+  start_wave();
+  while (s.busy()) sched.step(s, requests);
+  start_wave();
+  index_t ticks = 0;
+  index_t scans = 0;
+  for (auto _ : state) {
+    if (!s.busy()) {
+      state.PauseTiming();
+      start_wave();
+      state.ResumeTiming();
+    }
+    const index_t before = s.bm.grow_scans();
+    sched.step(s, requests);
+    benchmark::DoNotOptimize(s.now);
+    scans += s.bm.grow_scans() - before;
+    ++ticks;
+  }
+  state.SetItemsProcessed(state.iterations() * 512);  // sequences decoded
+  state.counters["scans_per_tick"] =
+      static_cast<double>(scans) / static_cast<double>(ticks);
+}
+BENCHMARK(BM_DecodeTick);
 
 // ---- Scalar-vs-SIMD dispatch cases -------------------------------------
 // One case per (kernel, supported level), registered from main() with

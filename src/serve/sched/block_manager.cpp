@@ -24,10 +24,9 @@ BlockManager::BlockManager(BlockManagerConfig cfg) : cfg_(std::move(cfg)) {
                "watermark must be in [0, 1)");
   cfg_.prefix_cache.validate();
   // Nothing is reserved for the budget: ids are minted on first use and
-  // the per-id arrays grow with them, so a replica pays memory for the
-  // blocks it hands out. Reserving the budget up front cost ~83 B per
-  // block per replica, whose heap arena then grew with every repeated
-  // simulation in one process.
+  // the per-id arrays grow with them, so a replica pays memory only for
+  // the blocks it hands out (a budget-sized reservation costs ~83 B per
+  // block per replica even if the blocks are never used).
   if (!unlimited()) {
     watermark_blocks_ = static_cast<index_t>(
         std::ceil(cfg_.watermark * static_cast<double>(cfg_.num_blocks)));
