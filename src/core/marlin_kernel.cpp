@@ -81,6 +81,8 @@ void assemble_weight_block(const MarlinWeights& b, index_t slab, index_t chunk,
                            bool grouped, const simd::Ops& o,
                            AssembleScratch& scr, float out[16][64]) {
   const AssembleTables& t = assemble_tables();
+  // Only AWQ weights take the asymmetric branch, and only tests run them
+  // (Awq.FunctionalKernelComputesXW).
   const bool asym = b.asymmetric();
   const std::uint32_t* regs = &b.packed[b.packed_index(slab, chunk, 0, 0)];
   o.dequant_u4_planes(128, regs, scr.planes);

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "core/timing.hpp"
-
 namespace marlin::core {
 
 Matrix<Half> w4a8_matmul(const quant::Int8Activations& a,
@@ -34,14 +32,6 @@ Matrix<Half> w4a8_matmul(const quant::Int8Activations& a,
     }
   }
   return c;
-}
-
-gpusim::KernelEstimate w4a8_estimate_auto(const MatmulProblem& p,
-                                          const gpusim::DeviceSpec& d,
-                                          const gpusim::ClockModel& clock) {
-  MatmulProblem w4a8 = p;
-  w4a8.activation_bits = 8;
-  return marlin_estimate_auto(w4a8, d, clock);
 }
 
 }  // namespace marlin::core

@@ -4,22 +4,15 @@
 // scales and the per-token activation scale are applied at the FP32
 // epilogue, exactly like the QQQ kernel's two-level scheme.
 
-#include "core/problem.hpp"
-#include "gpusim/clock.hpp"
-#include "gpusim/estimate.hpp"
 #include "quant/int8_act.hpp"
 #include "quant/qweights.hpp"
 
 namespace marlin::core {
 
 /// Functional W4A8 matmul: INT32 accumulation per scale group, FP32
-/// epilogue. Output FP16 (like MARLIN).
+/// epilogue. Output FP16 (like MARLIN). Test-only until bench_ext_w4a8
+/// runs it: W4A8.MatmulMatchesFloatReferenceWithinQuantNoise checks it.
 Matrix<Half> w4a8_matmul(const quant::Int8Activations& a,
                          const quant::QuantizedWeights& b);
-
-/// Timing: the MARLIN schedule with 1-byte activations and 2x MMA rate.
-[[nodiscard]] gpusim::KernelEstimate w4a8_estimate_auto(
-    const MatmulProblem& p, const gpusim::DeviceSpec& d,
-    const gpusim::ClockModel& clock);
 
 }  // namespace marlin::core

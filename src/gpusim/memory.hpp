@@ -43,15 +43,4 @@ struct TrafficCounters {
   return lhs < rhs;
 }
 
-/// Time to stream `bytes` from GMEM at efficiency `eff` (fraction of peak).
-[[nodiscard]] inline double gmem_time_s(const DeviceSpec& d, double bytes,
-                                        double eff) {
-  return bytes / (d.gmem_bytes_per_s() * eff);
-}
-
-[[nodiscard]] inline double l2_time_s(const DeviceSpec& d, double bytes,
-                                      double eff) {
-  return bytes / (d.l2_bytes_per_s() * eff);
-}
-
 }  // namespace marlin::gpusim

@@ -9,6 +9,7 @@
 // layout for A (the i(i XOR j) swizzle, paper §3.4) is designed so that
 // both the ldmatrix reads and the cp.async writes are conflict-free; the
 // layout tests verify this against this model.
+// Test-only: SmemBank.* and Swizzle.* are its callers.
 
 #include <cstdint>
 #include <span>

@@ -20,6 +20,9 @@ struct Coord {
   int col = 0;
 };
 
+// The three mma operand maps are test-only (Fragment.*); the repack and the
+// kernel use weight_block16_coord.
+
 /// A operand (m16 x k16, FP16): 8 elements per thread, indices 0..7.
 [[nodiscard]] constexpr Coord mma_a_coord(int lane, int idx) {
   const int group = lane >> 2;         // 0..7

@@ -8,6 +8,8 @@
 // (top-left, bottom-left, top-right, bottom-right), matching the a0..a7
 // fragment layout. The generated addresses are what the SMEM bank model
 // checks for conflicts.
+// Test-only: Swizzle.LdmatrixConflictFreeWhereLinearIsNot and
+// Swizzle.StoreOfContiguousRowsConflictFree are its callers.
 
 #include <array>
 #include <cstdint>

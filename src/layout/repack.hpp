@@ -69,11 +69,12 @@ MarlinWeights marlin_repack(const quant::QuantizedWeights& q);
 /// AWQ repack: same tile/interleave layout plus packed zero points. The
 /// stored stream quantizes the channel-scaled W'; activations must be
 /// divided by `channel_scale` upstream (returned unchanged for the caller).
+/// Test-only until bench_ext_awq runs it: Awq.MarlinRepackRoundTrip.
 MarlinWeights marlin_repack_awq(const quant::AsymmetricQuantizedWeights& q);
 
 /// Reference inverse: fully dequantise a MarlinWeights back to K x N floats
 /// (bit-identical to QuantizedWeights::dequantize of the source; for AWQ,
-/// to the *scaled* weights W').
+/// to the *scaled* weights W'). Test-only: RepackRoundTrip.* and Awq.*.
 Matrix<float> marlin_unpack_dequant(const MarlinWeights& mw);
 
 }  // namespace marlin::layout

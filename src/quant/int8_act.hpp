@@ -28,6 +28,7 @@ struct Int8Activations {
   }
 };
 
+/// Test-only with w4a8_matmul: W4A8.ActivationRoundTripBound checks it.
 Int8Activations quantize_activations_int8(ConstMatrixView<Half> a);
 
 /// Reference dequantisation (for error-bound tests).

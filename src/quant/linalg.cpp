@@ -65,13 +65,13 @@ void factor_upper(Matrix<double>& a) {
 }
 
 /// Columns [c0, c0 + kRhs) of H^{-1} from the upper factor R = L^T (upper
-/// triangle of `r`): solves L Y = I, then L^T X = Y, for rows [stop, n)
-/// of X, into x (n x kRhs, row-major). Column c's entries keep the
+/// triangle of `r`): solves L Y = I, then L^T X = Y, for rows [c0, n) of
+/// X, into x (n x kRhs, row-major). Column c's entries keep the
 /// operation order of the textbook per-column solve (one serial chain per
 /// entry, read along R's rows): the forward solve starts at row c0,
 /// because the rows above a unit vector's 1 stay +0 and subtracting a
 /// finite ±0 product leaves a value unchanged.
-void solve_columns(const Matrix<double>& r, index_t c0, index_t stop,
+void solve_columns(const Matrix<double>& r, index_t c0,
                    std::vector<double>& x) {
   const index_t n = r.rows();
   x.assign(static_cast<std::size_t>(n * kRhs), 0.0);
@@ -80,40 +80,10 @@ void solve_columns(const Matrix<double>& r, index_t c0, index_t stop,
   }
   simd::ops().tri_solve8_f64(static_cast<std::size_t>(n), r.data(),
                              static_cast<std::size_t>(c0),
-                             static_cast<std::size_t>(stop), x.data());
+                             static_cast<std::size_t>(c0), x.data());
 }
 
 }  // namespace
-
-Matrix<double> cholesky_lower(const Matrix<double>& h) {
-  const index_t n = h.rows();
-  Matrix<double> r = h;
-  mirror_lower(r);
-  factor_upper(r);
-  Matrix<double> l(n, n, 0.0);
-  for (index_t i = 0; i < n; ++i) {
-    for (index_t j = 0; j <= i; ++j) l(i, j) = r(j, i);
-  }
-  return l;
-}
-
-Matrix<double> spd_inverse(const Matrix<double>& h) {
-  const index_t n = h.rows();
-  Matrix<double> r = h;
-  mirror_lower(r);
-  factor_upper(r);
-  Matrix<double> inv(n, n);
-  std::vector<double> x;
-  for (index_t c0 = 0; c0 < n; c0 += kRhs) {
-    solve_columns(r, c0, 0, x);
-    for (index_t c = c0; c < std::min(n, c0 + kRhs); ++c) {
-      for (index_t i = 0; i < n; ++i) {
-        inv(i, c) = x[static_cast<std::size_t>(i * kRhs + c - c0)];
-      }
-    }
-  }
-  return inv;
-}
 
 Matrix<double> upper_cholesky_of_inverse(Matrix<double> h) {
   const index_t n = h.rows();
@@ -125,7 +95,7 @@ Matrix<double> upper_cholesky_of_inverse(Matrix<double> h) {
   // of R are dead once their columns are solved, so they take the result.
   std::vector<double> x;
   for (index_t c0 = 0; c0 < n; c0 += kRhs) {
-    solve_columns(h, c0, c0, x);
+    solve_columns(h, c0, x);
     for (index_t c = c0; c < std::min(n, c0 + kRhs); ++c) {
       for (index_t i = c; i < n; ++i) {
         h(c, i) = x[static_cast<std::size_t>(i * kRhs + c - c0)];
@@ -157,16 +127,6 @@ void add_gram_upper(ConstMatrixView<float> a, Matrix<double>& g) {
       }
     }
   }
-}
-
-Matrix<double> gram(ConstMatrixView<float> a) {
-  const index_t n = a.cols();
-  Matrix<double> g(n, n, 0.0);
-  add_gram_upper(a, g);
-  for (index_t i = 0; i < n; ++i) {
-    for (index_t j = 0; j < i; ++j) g(i, j) = g(j, i);
-  }
-  return g;
 }
 
 }  // namespace marlin::quant

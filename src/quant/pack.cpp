@@ -1,8 +1,5 @@
 #include "quant/pack.hpp"
 
-#include <bit>
-#include <cstring>
-
 #include "util/error.hpp"
 #include "util/simd_ops.hpp"
 
@@ -40,85 +37,6 @@ std::vector<std::uint32_t> pack_interleaved(
     for (std::size_t i = 0; i < codes.size(); i += 8) {
       out[i / 8] = pack8_interleaved(codes.subspan(i, 8));
     }
-  }
-  return out;
-}
-
-std::uint32_t pack8_linear(std::span<const std::uint8_t> codes8) {
-  MARLIN_CHECK(codes8.size() == 8, "need exactly 8 codes");
-  std::uint32_t out = 0;
-  for (int i = 0; i < 8; ++i) {
-    MARLIN_CHECK(codes8[static_cast<std::size_t>(i)] < 16, "code out of range");
-    out |= static_cast<std::uint32_t>(codes8[static_cast<std::size_t>(i)])
-           << (4 * i);
-  }
-  return out;
-}
-
-std::array<std::uint8_t, 8> unpack8_linear(std::uint32_t packed) {
-  std::array<std::uint8_t, 8> out{};
-  for (int i = 0; i < 8; ++i) {
-    out[static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>((packed >> (4 * i)) & 0xfu);
-  }
-  return out;
-}
-
-std::vector<std::uint32_t> pack_bits(std::span<const std::uint8_t> codes,
-                                     int bits) {
-  MARLIN_CHECK(bits == 2 || bits == 4 || bits == 8,
-               "supported widths: 2, 4, 8 bits");
-  const int per_reg = 32 / bits;
-  MARLIN_CHECK(codes.size() % static_cast<std::size_t>(per_reg) == 0,
-               "size must be a multiple of " << per_reg);
-  const std::uint32_t mask = (bits == 32) ? ~0u : ((1u << bits) - 1u);
-  std::vector<std::uint32_t> out(codes.size() / static_cast<std::size_t>(per_reg));
-  if (bits == 4) {
-    if (simd::ops().pack_u4_linear(out.size(), codes.data(), out.data())) {
-      return out;
-    }
-    // Out-of-range code: fall through to the checked loop for the error.
-  } else if (bits == 8 && std::endian::native == std::endian::little) {
-    // Byte-per-code: packing 4 codes little-endian into a uint32 is memcpy
-    // (and every uint8 is in range for 8 bits).
-    if (!codes.empty()) std::memcpy(out.data(), codes.data(), codes.size());
-    return out;
-  }
-  for (std::size_t i = 0; i < codes.size(); i += static_cast<std::size_t>(per_reg)) {
-    std::uint32_t reg = 0;
-    for (int j = 0; j < per_reg; ++j) {
-      const std::uint8_t c = codes[i + static_cast<std::size_t>(j)];
-      MARLIN_CHECK((c & ~mask) == 0, "code out of range for " << bits
-                                                              << " bits");
-      reg |= static_cast<std::uint32_t>(c) << (bits * j);
-    }
-    out[i / static_cast<std::size_t>(per_reg)] = reg;
-  }
-  return out;
-}
-
-std::vector<std::uint8_t> unpack_bits(std::span<const std::uint32_t> packed,
-                                      int bits, std::size_t count) {
-  MARLIN_CHECK(bits == 2 || bits == 4 || bits == 8,
-               "supported widths: 2, 4, 8 bits");
-  const int per_reg = 32 / bits;
-  MARLIN_CHECK(count <= packed.size() * static_cast<std::size_t>(per_reg),
-               "count exceeds packed data");
-  const std::uint32_t mask = (1u << bits) - 1u;
-  std::vector<std::uint8_t> out(count);
-  std::size_t start = 0;
-  if (bits == 4) {
-    const std::size_t full_regs = count / 8;
-    simd::ops().unpack_u4_linear(full_regs, packed.data(), out.data());
-    start = full_regs * 8;
-  } else if (bits == 8 && std::endian::native == std::endian::little) {
-    if (count > 0) std::memcpy(out.data(), packed.data(), count);
-    start = count;
-  }
-  for (std::size_t i = start; i < count; ++i) {
-    const std::uint32_t reg = packed[i / static_cast<std::size_t>(per_reg)];
-    const int j = static_cast<int>(i % static_cast<std::size_t>(per_reg));
-    out[i] = static_cast<std::uint8_t>((reg >> (bits * j)) & mask);
   }
   return out;
 }

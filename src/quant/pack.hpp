@@ -35,16 +35,4 @@ inline constexpr std::array<int, 8> kInterleaveNibbleOfLogical = {
 [[nodiscard]] std::vector<std::uint32_t> pack_interleaved(
     std::span<const std::uint8_t> codes);
 
-/// Plain non-interleaved packing (nibble i = logical weight i) — the layout
-/// "naive" kernels use; kept for the dequant ablation.
-[[nodiscard]] std::uint32_t pack8_linear(std::span<const std::uint8_t> codes8);
-[[nodiscard]] std::array<std::uint8_t, 8> unpack8_linear(std::uint32_t packed);
-
-/// Generic fixed-width packing for the "extreme compression" extension
-/// (paper §7): bits in {2, 4, 8}, 32/bits codes per register, linear order.
-[[nodiscard]] std::vector<std::uint32_t> pack_bits(
-    std::span<const std::uint8_t> codes, int bits);
-[[nodiscard]] std::vector<std::uint8_t> unpack_bits(
-    std::span<const std::uint32_t> packed, int bits, std::size_t count);
-
 }  // namespace marlin::quant

@@ -2,38 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "util/simd_ops.hpp"
 
 namespace marlin::quant {
-
-AsymmetricParams asymmetric_params(std::span<const float> v, int bits) {
-  MARLIN_CHECK(!v.empty(), "empty vector");
-  MARLIN_CHECK(bits >= 2 && bits <= 8, "bits out of range");
-  const auto [mn, mx] = std::minmax_element(v.begin(), v.end());
-  AsymmetricParams p;
-  p.zero = *mn;
-  const float range = *mx - *mn;
-  const float levels = static_cast<float>((1 << bits) - 1);
-  p.scale = range > 0 ? range / levels : 1.0f;
-  return p;
-}
-
-std::vector<int> quantize_asymmetric(std::span<const float> v, int bits,
-                                     const AsymmetricParams& p) {
-  std::vector<int> q(v.size());
-  const int qmax = (1 << bits) - 1;
-  simd::ops().quantize_asym(v.size(), v.data(), p.scale, p.zero, qmax,
-                            q.data());
-  return q;
-}
-
-std::vector<float> dequantize_asymmetric(std::span<const int> q,
-                                         const AsymmetricParams& p) {
-  std::vector<float> v(q.size());
-  simd::ops().dequant_asym(q.size(), q.data(), p.scale, p.zero, v.data());
-  return v;
-}
 
 float symmetric_scale(std::span<const float> v, int bits, float clip) {
   MARLIN_CHECK(clip > 0.0f && clip <= 1.0f, "clip must be in (0,1]");

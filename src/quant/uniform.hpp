@@ -1,27 +1,15 @@
 #pragma once
-// Uniform quantization primitives: the paper's §2.2 asymmetric min-max
-// definition (used for analysis/tests) and the symmetric round-to-nearest
-// (RTN) quantizer that produces MARLIN-format weights.
+// Uniform quantization primitives: the symmetric round-to-nearest (RTN)
+// quantizer that produces MARLIN-format weights. The paper's §2.2
+// asymmetric min-max quantizer, with an FP16 scale and an integer zero
+// point per group, is quant::quantize_asymmetric_grouped (quant/awq.hpp).
 
 #include <span>
-#include <vector>
 
 #include "quant/qweights.hpp"
 #include "util/matrix.hpp"
 
 namespace marlin::quant {
-
-/// Paper §2.2: Q(v, b) = round((v - z) / s) with z = min(v),
-/// s = (max(v) - min(v)) / (2^b - 1). Returns integer levels in [0, 2^b-1].
-struct AsymmetricParams {
-  float scale = 1.0f;
-  float zero = 0.0f;
-};
-AsymmetricParams asymmetric_params(std::span<const float> v, int bits);
-std::vector<int> quantize_asymmetric(std::span<const float> v, int bits,
-                                     const AsymmetricParams& p);
-std::vector<float> dequantize_asymmetric(std::span<const int> q,
-                                         const AsymmetricParams& p);
 
 /// Symmetric scale for a group: s = max|v| / (2^(b-1) - 1), so the code
 /// range [-(2^(b-1)-1), 2^(b-1)-1] covers the data. `clip` in (0, 1]

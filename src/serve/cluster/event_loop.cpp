@@ -175,12 +175,10 @@ EventLoop::EventLoop(const sched::Scheduler& scheduler, ClusterOptions opts)
 }
 
 ClusterStats EventLoop::run(const std::vector<sched::TraceRequest>& trace,
-                            const SimContext& ctx,
                             obs::ServeRecorder* obs) const {
   ClusterStats stats;
   std::vector<sched::Request>& requests = stats.sched.requests;
   requests.reserve(trace.size());
-  index_t max_context = 1;
   for (std::size_t i = 0; i < trace.size(); ++i) {
     requests.emplace_back(static_cast<index_t>(i), trace[i].arrival_s,
                           trace[i].input_tokens, trace[i].output_tokens,
@@ -189,15 +187,6 @@ ClusterStats EventLoop::run(const std::vector<sched::TraceRequest>& trace,
     requests.back().prefix_tokens = trace[i].prefix_tokens;
     requests.back().num_sequences = std::max<index_t>(
         1, trace[i].num_sequences);
-    max_context =
-        std::max(max_context, trace[i].input_tokens + trace[i].output_tokens);
-  }
-  const sched::SchedulerConfig& cfg = scheduler_.config();
-  scheduler_.model().warm_decode_cache(ctx, cfg.max_batch,
-                                       static_cast<double>(max_context));
-  if (scheduler_.draft_model() != nullptr) {
-    scheduler_.draft_model()->warm_decode_cache(
-        ctx, cfg.max_batch, static_cast<double>(max_context));
   }
 
   // The fleet only ever grows (a deque keeps references stable); retired

@@ -3,10 +3,9 @@
 // the scheduler's run loop, hoisted one level up so it can drive a whole
 // fleet of replicas behind a front-end Router.
 //
-// The loop is strictly serial and deterministic (part of the
-// bit-identical-across-threads contract; parallelism lives below, in
-// StepModel evaluation). Busy replicas sit in a `BusyHeap`, an indexed
-// min-heap keyed (clock, id). Each iteration:
+// The loop is strictly serial and deterministic, so a run gives the same
+// bits at every thread count. Busy replicas sit in a `BusyHeap`, an
+// indexed min-heap keyed (clock, id). Each iteration:
 //
 //   1. The *frontier* is the heap top's clock — the earliest busy
 //      replica — or, when the whole fleet is idle, the next undelivered
@@ -38,7 +37,6 @@
 #include "serve/cluster/replica.hpp"
 #include "serve/cluster/router.hpp"
 #include "serve/sched/scheduler.hpp"
-#include "util/sim_context.hpp"
 
 namespace marlin::serve::cluster {
 
@@ -172,16 +170,14 @@ class EventLoop {
   /// every replica is ticked with; borrowed, must outlive the loop.
   EventLoop(const sched::Scheduler& scheduler, ClusterOptions opts);
 
-  /// Runs `trace` (ascending arrival times) to completion. `ctx` only
-  /// pre-warms the step model's decode memo — results are bit-identical
-  /// for every context. Stateless across calls: every run builds a fresh
-  /// fleet, so repeat runs reproduce exactly. `obs` (borrowed, may be
-  /// null) attaches the observability recorder to the router, every
-  /// replica and the autoscaler; the run's scheduling decisions are
-  /// identical with or without it.
+  /// Runs `trace` (ascending arrival times) to completion. Stateless
+  /// across calls: every run builds a fresh fleet, so repeat runs
+  /// reproduce exactly. `obs` (borrowed, may be null) attaches the
+  /// observability recorder to the router, every replica and the
+  /// autoscaler; the run's scheduling decisions are identical with or
+  /// without it.
   [[nodiscard]] ClusterStats run(
       const std::vector<sched::TraceRequest>& trace,
-      const SimContext& ctx = SimContext::serial_context(),
       obs::ServeRecorder* obs = nullptr) const;
 
  private:

@@ -68,6 +68,8 @@ class StepModel {
   /// Purely a warm-up: cached values must equal on-demand computation, so
   /// simulation results are bit-identical whether or not (and on how many
   /// threads) this ran. A serial context skips the fan-out.
+  /// Tested warm against cold by StepModelReference; outside the tests only
+  /// perfbench calls (and overrides) it.
   virtual void warm_decode_cache(const SimContext& ctx, index_t max_batch,
                                  double max_context) const;
 

@@ -149,11 +149,10 @@ double ParallelEngine::prefill_seconds(index_t batch,
          send_seconds(mb_tokens) + engine_.config().prefill_overhead_s;
 }
 
-index_t ParallelEngine::min_kv_block_budget(index_t block_size,
-                                            double activation_reserve) const {
+index_t ParallelEngine::min_kv_block_budget(index_t block_size) const {
   index_t budget = 0;
   for (const Worker& w : workers_) {
-    const index_t b = w.kv_block_budget(block_size, activation_reserve);
+    const index_t b = w.kv_block_budget(block_size);
     budget = budget == 0 ? b : std::min(budget, b);
   }
   return budget;

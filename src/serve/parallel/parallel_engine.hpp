@@ -36,9 +36,7 @@
 // `Engine::weight_bytes`, as `sched::derive_kv_block_budget` does.
 //
 // Deterministic and memoised like the Engine; safe to share across
-// concurrent sweep workers. The inherited `warm_decode_cache` fans the
-// per-rank step evaluation onto the SimContext pool with bit-identical
-// results.
+// concurrent sweep workers.
 
 #include <map>
 #include <mutex>
@@ -104,8 +102,7 @@ class ParallelEngine final : public StepModel {
 
   /// The binding per-rank KV block budget: block allocation is mirrored
   /// across ranks, so the scheduler budget is the minimum over workers.
-  [[nodiscard]] index_t min_kv_block_budget(
-      index_t block_size, double activation_reserve = 0.1) const;
+  [[nodiscard]] index_t min_kv_block_budget(index_t block_size) const;
   /// Largest weight shard any rank holds.
   [[nodiscard]] double max_weight_shard_bytes() const;
 

@@ -49,14 +49,13 @@ double Worker::kv_bytes_per_token() const {
          static_cast<double>(cfg_.tensor_parallel);
 }
 
-index_t Worker::kv_block_budget(index_t block_size,
-                                double activation_reserve) const {
+index_t Worker::kv_block_budget(index_t block_size) const {
   std::ostringstream what;
   what << engine_->config().model.name << " rank (tp " << rank_.tp
        << ", stage " << rank_.stage << ", " << num_layers_ << " layers)";
   return sched::kv_blocks_that_fit(
       engine_->config().gpu.hbm_bytes(), weight_shard_bytes(),
-      kv_bytes_per_token(), block_size, activation_reserve,
+      kv_bytes_per_token(), block_size,
       what.str() + " on " + engine_->config().gpu.name);
 }
 

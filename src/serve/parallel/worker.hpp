@@ -51,8 +51,7 @@ class Worker {
   /// Paged KV block budget of this rank: HBM minus the weight shard minus
   /// an activation reserve, in blocks of `block_size` tokens. Throws with
   /// a clear deficit message when the shard alone overflows the device.
-  [[nodiscard]] index_t kv_block_budget(index_t block_size,
-                                        double activation_reserve = 0.1) const;
+  [[nodiscard]] index_t kv_block_budget(index_t block_size) const;
 
   /// Compute seconds of one decode or speculative-verification microbatch
   /// of `seqs` sequences on this rank, each scoring `1 + depth` candidate

@@ -423,25 +423,20 @@ bool BlockManager::within_quota(index_t tenant, index_t extra) const {
 
 index_t kv_blocks_that_fit(double hbm_bytes, double weight_bytes,
                            double kv_bytes_per_token, index_t block_size,
-                           double activation_reserve,
                            const std::string& what) {
+  // Share of HBM held back for activations and workspace.
+  constexpr double kActivationReserve = 0.1;
   MARLIN_CHECK(block_size >= 1, "block size must be >= 1 token");
-  MARLIN_CHECK(activation_reserve >= 0.0 && activation_reserve < 1.0,
-               "activation reserve must be in [0, 1)");
   MARLIN_CHECK(kv_bytes_per_token > 0.0, "KV bytes per token must be > 0");
-  const double available =
-      hbm_bytes * (1.0 - activation_reserve) - weight_bytes;
+  const double usable = hbm_bytes * (1.0 - kActivationReserve);
+  const double available = usable - weight_bytes;
   // Clamp the headroom at zero with a clear deficit message. Letting a
   // negative `available` reach the block-count cast below would underflow
   // into a garbage budget.
   MARLIN_CHECK(available > 0,
                what << " weights (" << weight_bytes / 1e9
-                    << " GB) exceed the usable "
-                    << hbm_bytes * (1.0 - activation_reserve) / 1e9
-                    << " GB of HBM by "
-                    << (weight_bytes -
-                        hbm_bytes * (1.0 - activation_reserve)) /
-                           1e9
+                    << " GB) exceed the usable " << usable / 1e9
+                    << " GB of HBM by " << (weight_bytes - usable) / 1e9
                     << " GB; KV block budget clamps to 0");
   const double block_bytes =
       kv_bytes_per_token * static_cast<double>(block_size);
@@ -455,12 +450,11 @@ index_t kv_blocks_that_fit(double hbm_bytes, double weight_bytes,
   return blocks;
 }
 
-index_t derive_kv_block_budget(const Engine& engine, index_t block_size,
-                               double activation_reserve) {
+index_t derive_kv_block_budget(const Engine& engine, index_t block_size) {
   return kv_blocks_that_fit(
       engine.config().gpu.hbm_bytes(),
       engine.weight_bytes(engine.config().model.num_layers, true, true, 1),
-      engine.kv_bytes_per_token(), block_size, activation_reserve,
+      engine.kv_bytes_per_token(), block_size,
       engine.config().model.name + std::string(" on ") +
           engine.config().gpu.name);
 }

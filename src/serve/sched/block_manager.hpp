@@ -186,8 +186,8 @@ class BlockManager {
 
   /// Leading blocks of `chain` currently published (live or parked) —
   /// what an admission of this prefix would reuse. Read-only: refcounts
-  /// and LRU order are untouched. The cluster router's prefix-affinity
-  /// probe.
+  /// and LRU order are untouched. Test-only: a white-box observer for
+  /// PrefixCache.* and BlockManagerReference.
   [[nodiscard]] index_t cached_chain_blocks(
       const std::vector<std::uint64_t>& chain) const;
 
@@ -228,7 +228,8 @@ class BlockManager {
   /// Blocks charged to `tenant` (shared blocks charge their last-acquired
   /// live holder — see the header's charging rule).
   [[nodiscard]] index_t tenant_used_blocks(index_t tenant) const;
-  /// True when the tenant carries a configured quota.
+  /// True when the tenant carries a configured quota. Test-only:
+  /// TenantQuota.* reads it.
   [[nodiscard]] bool has_quota(index_t tenant) const;
   /// The tenant's *effective* quota: the configured value capped by the
   /// total budget (a quota cannot promise more than the cache holds).
@@ -336,7 +337,7 @@ class BlockManager {
 
 /// Shared budget arithmetic: paged KV blocks of `block_size` tokens that
 /// fit in `hbm_bytes` beside `weight_bytes` of resident weights, holding
-/// back `activation_reserve` of HBM. The headroom is clamped at zero and a
+/// back 10% of HBM for activations. The headroom is clamped at zero and a
 /// clear deficit error is thrown — a negative headroom must never reach the
 /// block-count cast and underflow (reachable once tensor-parallel sharding
 /// shrinks per-rank weights asymmetrically). `what` names the model/rank
@@ -344,17 +345,15 @@ class BlockManager {
 [[nodiscard]] index_t kv_blocks_that_fit(double hbm_bytes, double weight_bytes,
                                          double kv_bytes_per_token,
                                          index_t block_size,
-                                         double activation_reserve,
                                          const std::string& what);
 
 /// Per-GPU KV block budget of `engine` on its configured device: HBM bytes
 /// minus resident weights (`Engine::weight_bytes` of the whole model, so
-/// the embedding and LM head at FP16) minus `activation_reserve` of HBM,
+/// the embedding and LM head at FP16) minus the activation reserve,
 /// divided by the bytes one block of KV occupies. Equals the one-rank
 /// `ParallelEngine::min_kv_block_budget`. Throws if the weights alone
 /// overflow the device.
 [[nodiscard]] index_t derive_kv_block_budget(const Engine& engine,
-                                             index_t block_size,
-                                             double activation_reserve = 0.1);
+                                             index_t block_size);
 
 }  // namespace marlin::serve::sched

@@ -25,9 +25,9 @@
 // call for engine call, floating-point add for add — to the original
 // single-engine serving loop, which the fig15/fig16 goldens pin down.
 //
-// The event loop is strictly serial (its results are part of the
-// bit-identical-across-threads contract); parallelism comes from warming
-// the engine's decode memo on the SimContext pool before the loop runs.
+// The event loop is strictly serial, so its results are the same at every
+// thread count; benches get their parallelism by running whole sweep points
+// side by side on the SimContext pool (bench::run_sweep).
 
 // Multi-tenant weighted fair queuing (`--policy wfq`): requests carry a
 // tenant id; admission orders the queue by each tenant's weighted service

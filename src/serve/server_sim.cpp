@@ -10,8 +10,7 @@
 namespace marlin::serve {
 
 cluster::ClusterStats simulate_cluster_detailed(const Engine& engine,
-                                                const ServingConfig& cfg,
-                                                const SimContext& ctx) {
+                                                const ServingConfig& cfg) {
   sched::WorkloadConfig w;
   w.shape = cfg.shape;
   w.qps = cfg.qps;
@@ -89,7 +88,7 @@ cluster::ClusterStats simulate_cluster_detailed(const Engine& engine,
 
   const sched::Scheduler scheduler(model, sc, draft ? &*draft : nullptr);
   return cluster::EventLoop(scheduler, copts)
-      .run(sched::generate_trace(w), ctx, cfg.recorder);
+      .run(sched::generate_trace(w), cfg.recorder);
 }
 
 }  // namespace marlin::serve

@@ -95,10 +95,8 @@ struct ServingConfig {
 };
 
 /// Full cluster statistics: the fleet-summed SchedStats plus per-replica
-/// accounting. `ctx` pre-warms the engine's decode memo on its pool; the
-/// results are bit-identical for every context.
-cluster::ClusterStats simulate_cluster_detailed(
-    const Engine& engine, const ServingConfig& cfg,
-    const SimContext& ctx = SimContext::serial_context());
+/// accounting.
+cluster::ClusterStats simulate_cluster_detailed(const Engine& engine,
+                                                const ServingConfig& cfg);
 
 }  // namespace marlin::serve

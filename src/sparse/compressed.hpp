@@ -52,13 +52,15 @@ Sparse24Weights compress_24(const quant::QuantizedWeights& q,
 Matrix<float> decompress_24(const Sparse24Weights& s);
 
 /// Figure 8 metadata word stream: 16-bit words covering 16 original rows of
-/// one column (4 nibbles, bottom group in the low nibble).
+/// one column (4 nibbles, bottom group in the low nibble). Test-only:
+/// Metadata.WordsEncodeAscendingIndices.
 std::vector<std::uint16_t> pack_metadata_words(const Sparse24Weights& s);
 
 /// Figure 8 (2a/2b): reshuffled metadata so that one 128-bit load per
 /// 8-thread group feeds four mma.sp steps. Returns, for each (row-slab of
 /// 16 original rows x column-block of 8), the 8 words in load order and a
 /// map back to (column, slab) so tests can verify the round trip.
+/// Test-only: Metadata.ReshuffleIsAPermutationOfWords.
 struct ReshuffledMeta {
   /// words[slab][block][i]: i-th 16-bit word of the 128-bit vector.
   std::vector<std::vector<std::vector<std::uint16_t>>> words;

@@ -2,8 +2,6 @@
 
 #include <ostream>
 
-#include "util/simd_ops.hpp"
-
 namespace marlin {
 
 std::uint16_t float_to_half_bits(float f) noexcept {
@@ -72,14 +70,6 @@ float half_bits_to_float(std::uint16_t h) noexcept {
     x = sign | ((exp - 15 + 127) << 23) | (man << 13);
   }
   return std::bit_cast<float>(x);
-}
-
-void halves_to_floats(std::size_t n, const Half* h, float* out) {
-  simd::ops().f16_to_f32(n, half_bits_ptr(h), out);
-}
-
-void floats_to_halves(std::size_t n, const float* f, Half* out) {
-  simd::ops().f32_to_f16(n, f, half_bits_ptr(out));
 }
 
 std::ostream& operator<<(std::ostream& os, Half h) {

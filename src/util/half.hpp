@@ -93,20 +93,13 @@ static_assert(sizeof(Half) == 2);
 static_assert(std::is_standard_layout_v<Half>);
 
 /// View a contiguous run of Half values as their raw binary16 bits (Half is
-/// standard-layout around a single uint16_t), for the bulk converters below.
+/// standard-layout around a single uint16_t), for the simd::Ops FP16 kernels.
 inline std::uint16_t* half_bits_ptr(Half* h) noexcept {
   return reinterpret_cast<std::uint16_t*>(h);
 }
 inline const std::uint16_t* half_bits_ptr(const Half* h) noexcept {
   return reinterpret_cast<const std::uint16_t*>(h);
 }
-
-/// Bulk conversions dispatched through the active SIMD level
-/// (util/simd_ops.hpp); bit-identical to calling half_bits_to_float /
-/// float_to_half_bits per element. Not noexcept: resolving the SIMD level
-/// can throw on an invalid MARLIN_SIMD setting.
-void halves_to_floats(std::size_t n, const Half* h, float* out);
-void floats_to_halves(std::size_t n, const float* f, Half* out);
 
 std::ostream& operator<<(std::ostream& os, Half h);
 

@@ -200,7 +200,6 @@ void f16_accum_f32_avx2(std::size_t n, const float* v, std::uint16_t* out) {
 // Packs 4 groups of 8 nibble codes per iteration: byte-shuffle into nibble
 // order, then two widening multiply-adds assemble each group's 8 nibbles
 // into a 16-bit half, and an OR/permute compresses the four 32-bit results.
-template <bool kInterleaved>
 bool pack_u4_avx2(std::size_t groups, const std::uint8_t* codes,
                   std::uint32_t* out) {
   const __m256i hi_nibble = _mm256_set1_epi8(static_cast<char>(0xf0));
@@ -217,7 +216,7 @@ bool pack_u4_avx2(std::size_t groups, const std::uint8_t* codes,
     __m256i v = _mm256_loadu_si256(
         reinterpret_cast<const __m256i*>(codes + g * 8));
     if (!_mm256_testz_si256(v, hi_nibble)) return false;  // code >= 16
-    if constexpr (kInterleaved) v = _mm256_shuffle_epi8(v, shuf);
+    v = _mm256_shuffle_epi8(v, shuf);
     const __m256i pairs = _mm256_maddubs_epi16(v, mul_nib);
     const __m256i quads = _mm256_madd_epi16(pairs, mul_pair);
     const __m256i merged =
@@ -231,34 +230,11 @@ bool pack_u4_avx2(std::size_t groups, const std::uint8_t* codes,
     std::uint32_t reg = 0;
     for (int i = 0; i < 8; ++i) {
       if (c[i] >= 16) return false;
-      reg |= static_cast<std::uint32_t>(c[i])
-             << (4 * (kInterleaved ? kNib[i] : i));
+      reg |= static_cast<std::uint32_t>(c[i]) << (4 * kNib[i]);
     }
     out[g] = reg;
   }
   return true;
-}
-
-void unpack_u4_linear_avx2(std::size_t nregs, const std::uint32_t* packed,
-                           std::uint8_t* out) {
-  const __m256i lo_mask = _mm256_set1_epi16(0x000f);
-  std::size_t r = 0;
-  for (; r + 4 <= nregs; r += 4) {
-    const __m128i raw =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(packed + r));
-    const __m256i w = _mm256_cvtepu8_epi16(raw);  // one source byte per lane
-    const __m256i lo = _mm256_and_si256(w, lo_mask);
-    const __m256i hi = _mm256_and_si256(_mm256_srli_epi16(w, 4), lo_mask);
-    const __m256i res = _mm256_or_si256(lo, _mm256_slli_epi16(hi, 8));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + r * 8), res);
-  }
-  for (; r < nregs; ++r) {
-    const std::uint32_t reg = packed[r];
-    for (int j = 0; j < 8; ++j) {
-      out[r * 8 + static_cast<std::size_t>(j)] =
-          static_cast<std::uint8_t>((reg >> (4 * j)) & 0xfu);
-    }
-  }
 }
 
 void dequant_u4_planes_avx2(std::size_t nregs, const std::uint32_t* regs,
@@ -307,43 +283,6 @@ void encode_symmetric_avx2(std::size_t n, const float* v, float scale,
   }
 }
 
-void quantize_asym_avx2(std::size_t n, const float* v, float scale,
-                        float zero, int qmax, int* out) {
-  const __m256 vscale = _mm256_set1_ps(scale);
-  const __m256 vzero = _mm256_set1_ps(zero);
-  const __m256i vmin = _mm256_setzero_si256();
-  const __m256i vmax = _mm256_set1_epi32(qmax);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 d =
-        _mm256_div_ps(_mm256_sub_ps(_mm256_loadu_ps(v + i), vzero), vscale);
-    __m256i c = _mm256_cvtps_epi32(d);
-    c = _mm256_min_epi32(_mm256_max_epi32(c, vmin), vmax);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), c);
-  }
-  for (; i < n; ++i) {
-    const int code =
-        static_cast<int>(std::nearbyint((v[i] - zero) / scale));
-    out[i] = std::clamp(code, 0, qmax);
-  }
-}
-
-void dequant_asym_avx2(std::size_t n, const int* q, float scale, float zero,
-                       float* out) {
-  const __m256 vscale = _mm256_set1_ps(scale);
-  const __m256 vzero = _mm256_set1_ps(zero);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 f = _mm256_cvtepi32_ps(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(q + i)));
-    _mm256_storeu_ps(out + i,
-                     _mm256_add_ps(_mm256_mul_ps(f, vscale), vzero));
-  }
-  for (; i < n; ++i) {
-    out[i] = static_cast<float>(q[i]) * scale + zero;
-  }
-}
-
 }  // namespace
 
 void apply_avx2_overrides(Ops& t) {
@@ -357,13 +296,9 @@ void apply_avx2_overrides(Ops& t) {
   t.f16_to_f32 = f16_to_f32_avx2;
   t.f32_to_f16 = f32_to_f16_avx2;
   t.f16_accum_f32 = f16_accum_f32_avx2;
-  t.pack_u4_interleaved = pack_u4_avx2<true>;
-  t.pack_u4_linear = pack_u4_avx2<false>;
-  t.unpack_u4_linear = unpack_u4_linear_avx2;
+  t.pack_u4_interleaved = pack_u4_avx2;
   t.dequant_u4_planes = dequant_u4_planes_avx2;
   t.encode_symmetric = encode_symmetric_avx2;
-  t.quantize_asym = quantize_asym_avx2;
-  t.dequant_asym = dequant_asym_avx2;
 }
 
 }  // namespace marlin::simd::detail

@@ -88,7 +88,6 @@ void f16_accum_f32_scalar(std::size_t n, const float* v, std::uint16_t* out) {
   }
 }
 
-template <bool kInterleaved>
 bool pack_u4_scalar(std::size_t groups, const std::uint8_t* codes,
                     std::uint32_t* out) {
   for (std::size_t g = 0; g < groups; ++g) {
@@ -96,23 +95,11 @@ bool pack_u4_scalar(std::size_t groups, const std::uint8_t* codes,
     std::uint32_t reg = 0;
     for (int i = 0; i < 8; ++i) {
       if (c[i] >= 16) return false;
-      const int nibble = kInterleaved ? kNibbleOfLogical[i] : i;
-      reg |= static_cast<std::uint32_t>(c[i]) << (4 * nibble);
+      reg |= static_cast<std::uint32_t>(c[i]) << (4 * kNibbleOfLogical[i]);
     }
     out[g] = reg;
   }
   return true;
-}
-
-void unpack_u4_linear_scalar(std::size_t nregs, const std::uint32_t* packed,
-                             std::uint8_t* out) {
-  for (std::size_t r = 0; r < nregs; ++r) {
-    const std::uint32_t reg = packed[r];
-    for (int j = 0; j < 8; ++j) {
-      out[r * 8 + static_cast<std::size_t>(j)] =
-          static_cast<std::uint8_t>((reg >> (4 * j)) & 0xfu);
-    }
-  }
 }
 
 void dequant_u4_planes_scalar(std::size_t nregs, const std::uint32_t* regs,
@@ -138,22 +125,6 @@ void encode_symmetric_scalar(std::size_t n, const float* v, float scale,
   }
 }
 
-void quantize_asym_scalar(std::size_t n, const float* v, float scale,
-                          float zero, int qmax, int* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const int code =
-        static_cast<int>(std::nearbyint((v[i] - zero) / scale));
-    out[i] = std::clamp(code, 0, qmax);
-  }
-}
-
-void dequant_asym_scalar(std::size_t n, const int* q, float scale, float zero,
-                         float* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = static_cast<float>(q[i]) * scale + zero;
-  }
-}
-
 Ops make_scalar_table() {
   Ops t;
   t.level = Level::kScalar;
@@ -167,13 +138,9 @@ Ops make_scalar_table() {
   t.f16_to_f32 = f16_to_f32_scalar;
   t.f32_to_f16 = f32_to_f16_scalar;
   t.f16_accum_f32 = f16_accum_f32_scalar;
-  t.pack_u4_interleaved = pack_u4_scalar<true>;
-  t.pack_u4_linear = pack_u4_scalar<false>;
-  t.unpack_u4_linear = unpack_u4_linear_scalar;
+  t.pack_u4_interleaved = pack_u4_scalar;
   t.dequant_u4_planes = dequant_u4_planes_scalar;
   t.encode_symmetric = encode_symmetric_scalar;
-  t.quantize_asym = quantize_asym_scalar;
-  t.dequant_asym = dequant_asym_scalar;
   return t;
 }
 

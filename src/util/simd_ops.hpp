@@ -78,12 +78,6 @@ struct Ops {
   /// caller re-runs the scalar path for the exact error).
   bool (*pack_u4_interleaved)(std::size_t groups, const std::uint8_t* codes,
                               std::uint32_t* out);
-  /// Same, linear nibble order (nibble i = code i).
-  bool (*pack_u4_linear)(std::size_t groups, const std::uint8_t* codes,
-                         std::uint32_t* out);
-  /// Expands `nregs` linear-packed registers into 8*nregs codes.
-  void (*unpack_u4_linear)(std::size_t nregs, const std::uint32_t* packed,
-                           std::uint8_t* out);
   /// Plane-major nibble dequantisation: for nibble position p (0..7) and
   /// register i, out[p * nregs + i] = (float)((regs[i] >> 4p) & 0xF) - 8.
   /// (Bitwise equal to quant::dequant8's Half values converted to float.)
@@ -95,12 +89,6 @@ struct Ops {
   /// 2^(b-1)-1) + 2^(b-1)) — quant::encode_symmetric over a span.
   void (*encode_symmetric)(std::size_t n, const float* v, float scale,
                            int bits, std::uint8_t* out);
-  /// out[i] = clamp((int)nearbyint((v[i] - zero) / scale), 0, qmax).
-  void (*quantize_asym)(std::size_t n, const float* v, float scale,
-                        float zero, int qmax, int* out);
-  /// out[i] = (float)q[i] * scale + zero (separate multiply and add).
-  void (*dequant_asym)(std::size_t n, const int* q, float scale, float zero,
-                       float* out);
 };
 
 /// The table for `active_level()` (re-reads the level on every call, so

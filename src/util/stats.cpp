@@ -41,13 +41,4 @@ double relative_frobenius_error(std::span<const float> a,
   return std::sqrt(num / den);
 }
 
-double max_abs_error(std::span<const float> a, std::span<const float> b) {
-  MARLIN_CHECK(a.size() == b.size(), "size mismatch");
-  double m = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    m = std::max(m, std::abs(static_cast<double>(a[i]) - b[i]));
-  }
-  return m;
-}
-
 }  // namespace marlin

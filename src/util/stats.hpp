@@ -21,8 +21,4 @@ namespace marlin {
 [[nodiscard]] double relative_frobenius_error(std::span<const float> a,
                                               std::span<const float> b);
 
-/// max_i |a_i - b_i|
-[[nodiscard]] double max_abs_error(std::span<const float> a,
-                                   std::span<const float> b);
-
 }  // namespace marlin

@@ -21,8 +21,6 @@ class Table {
 
   void print(std::ostream& os) const;
 
-  [[nodiscard]] std::size_t num_rows() const noexcept { return rows_.size(); }
-
  private:
   std::vector<std::string> header_;
   std::vector<std::vector<std::string>> rows_;

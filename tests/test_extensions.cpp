@@ -1,5 +1,5 @@
 // Extension features: AWQ-format support (paper §6), W4A8 / QQQ-style
-// INT8 activations (paper §6), and 2/8-bit packing for "extreme
+// INT8 activations (paper §6), and 2/8-bit weights for "extreme
 // compression" (paper §7).
 
 #include <gtest/gtest.h>
@@ -16,7 +16,6 @@
 #include "quant/awq.hpp"
 #include "quant/gptq.hpp"
 #include "quant/int8_act.hpp"
-#include "quant/pack.hpp"
 #include "quant/uniform.hpp"
 #include "util/rng.hpp"
 
@@ -212,32 +211,7 @@ TEST(W4A8, ExtendsSpeedupIntoComputeBoundRegime) {
   EXPECT_LT(ratio, 2.2);
 }
 
-// --------------------------------------------------- bit-width packing ----
-
-class PackBitsRoundTrip : public ::testing::TestWithParam<int> {};
-
-TEST_P(PackBitsRoundTrip, Random) {
-  const int bits = GetParam();
-  Rng rng(21);
-  std::vector<std::uint8_t> codes(128);
-  for (auto& c : codes) {
-    c = static_cast<std::uint8_t>(rng.uniform_int(1u << bits));
-  }
-  const auto packed = quant::pack_bits(codes, bits);
-  EXPECT_EQ(packed.size(), codes.size() * static_cast<std::size_t>(bits) / 32);
-  const auto back = quant::unpack_bits(packed, bits, codes.size());
-  EXPECT_EQ(back, codes);
-}
-
-INSTANTIATE_TEST_SUITE_P(Widths, PackBitsRoundTrip,
-                         ::testing::Values(2, 4, 8));
-
-TEST(PackBits, RejectsBadWidthAndRange) {
-  std::vector<std::uint8_t> codes(16, 1);
-  EXPECT_THROW(quant::pack_bits(codes, 3), marlin::Error);
-  codes[0] = 4;  // out of 2-bit range
-  EXPECT_THROW(quant::pack_bits(codes, 2), marlin::Error);
-}
+// --------------------------------------------------------- bit widths ----
 
 TEST(BitWidths, TimingModelScalesWithWeightBits) {
   // Memory-bound regime: time proportional to stored bits per weight.

@@ -214,10 +214,6 @@ TEST(LinalgMatchesReference, FactorsAndInverseAtEverySimdLevel) {
       simd::set_level(l);
       const std::string where =
           "n=" + std::to_string(n) + " simd=" + simd::to_string(l);
-      EXPECT_TRUE(same_bits(cholesky_lower(h), reference::cholesky_lower(h)))
-          << "cholesky_lower " << where;
-      EXPECT_TRUE(same_bits(spd_inverse(h), reference::spd_inverse(h)))
-          << "spd_inverse " << where;
       EXPECT_TRUE(same_bits(upper_cholesky_of_inverse(h),
                             reference::upper_cholesky_of_inverse(h)))
           << "upper_cholesky_of_inverse " << where;
@@ -258,9 +254,6 @@ TEST(GramMatchesReference, AccumulatorAndGramAtEverySimdLevel) {
     }
     Matrix<double> want_gram(k, k, 0.0);
     reference::add_gram_upper(seqs[2].view(), want_gram);
-    for (index_t i = 0; i < k; ++i) {
-      for (index_t j = 0; j < i; ++j) want_gram(i, j) = want_gram(j, i);
-    }
 
     for (const simd::Level l : kAllLevels) {
       if (!simd::supported(l)) continue;
@@ -269,7 +262,9 @@ TEST(GramMatchesReference, AccumulatorAndGramAtEverySimdLevel) {
       for (const auto& x : seqs) acc.add_sequence(x.view());
       EXPECT_TRUE(same_bits(acc.hessian(), want_h))
           << "hessian k=" << k << " simd=" << simd::to_string(l);
-      EXPECT_TRUE(same_bits(gram(seqs[2].view()), want_gram))
+      Matrix<double> gram(k, k, 0.0);
+      add_gram_upper(seqs[2].view(), gram);
+      EXPECT_TRUE(same_bits(gram, want_gram))
           << "gram k=" << k << " simd=" << simd::to_string(l);
     }
   }

@@ -260,14 +260,14 @@ struct Observation {
   std::size_t event_count = 0;
 };
 
-Observation observe(const SimContext& ctx) {
+Observation observe() {
   TraceRecorder trace;
   MetricsRegistry metrics;
   ServeRecorder rec(&trace, &metrics);
   serve::ServingConfig cfg = stress_config();
   cfg.recorder = &rec;
   Observation out;
-  out.stats = serve::simulate_cluster_detailed(test_engine(), cfg, ctx);
+  out.stats = serve::simulate_cluster_detailed(test_engine(), cfg);
   out.trace_json = trace.to_json();
   out.metrics_text = metrics.expose();
   out.event_count = trace.events().size();
@@ -288,24 +288,18 @@ double metric_value(const std::string& text, const std::string& series) {
   return -1.0;
 }
 
-TEST(ServeRecorderSim, ByteIdenticalAcrossThreadCountsAndRepeatRuns) {
-  const Observation serial = observe(SimContext::serial_context());
-  EXPECT_GT(serial.event_count, 100u);
-  {
-    const SimContext threaded(4);
-    const Observation t4 = observe(threaded);
-    EXPECT_EQ(serial.trace_json, t4.trace_json);
-    EXPECT_EQ(serial.metrics_text, t4.metrics_text);
-  }
-  const Observation again = observe(SimContext::serial_context());
-  EXPECT_EQ(serial.trace_json, again.trace_json);
-  EXPECT_EQ(serial.metrics_text, again.metrics_text);
+TEST(ServeRecorderSim, ByteIdenticalAcrossRepeatRuns) {
+  const Observation first = observe();
+  EXPECT_GT(first.event_count, 100u);
+  const Observation again = observe();
+  EXPECT_EQ(first.trace_json, again.trace_json);
+  EXPECT_EQ(first.metrics_text, again.metrics_text);
 }
 
 TEST(ServeRecorderSim, RecorderDoesNotChangeSchedulingResults) {
   const serve::ServingConfig plain = stress_config();
   const auto base = serve::simulate_cluster_detailed(test_engine(), plain);
-  const Observation obs = observe(SimContext::serial_context());
+  const Observation obs = observe();
   EXPECT_EQ(base.sched.metrics.completed, obs.stats.sched.metrics.completed);
   EXPECT_EQ(base.sched.metrics.mean_tpot_ms,
             obs.stats.sched.metrics.mean_tpot_ms);
@@ -354,7 +348,7 @@ TEST(ServeRecorderSim, SpansBalanceAndTimestampsAreMonotonePerTrack) {
 }
 
 TEST(ServeRecorderSim, MetricsAgreeWithSchedStats) {
-  const Observation obs = observe(SimContext::serial_context());
+  const Observation obs = observe();
   const auto& st = obs.stats.sched;
   const auto& text = obs.metrics_text;
   // The stress config must actually exercise the interesting paths.

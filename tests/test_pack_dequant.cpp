@@ -41,19 +41,6 @@ TEST(Pack, RoundTripInterleaved) {
   }
 }
 
-TEST(Pack, RoundTripLinear) {
-  Rng rng(2);
-  for (int i = 0; i < 2000; ++i) {
-    const auto codes = random_codes(rng);
-    EXPECT_EQ(unpack8_linear(pack8_linear(codes)), codes);
-  }
-}
-
-TEST(Pack, InterleavedDiffersFromLinear) {
-  std::array<std::uint8_t, 8> codes{0, 1, 2, 3, 4, 5, 6, 7};
-  EXPECT_NE(pack8_interleaved(codes), pack8_linear(codes));
-}
-
 TEST(Pack, FlatArray) {
   Rng rng(3);
   std::vector<std::uint8_t> codes(64);

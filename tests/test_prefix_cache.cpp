@@ -497,22 +497,6 @@ TEST(PrefixCacheEndToEnd, ParallelSamplingForksAndDiverges) {
   EXPECT_GT(st.metrics.mean_batch, one.metrics.mean_batch);
 }
 
-TEST(PrefixCacheEndToEnd, DeterministicAcrossThreadCounts) {
-  const serve::Engine engine = test_engine();
-  serve::ServingConfig sc = shared_prefix_config();
-  sc.prefix_cache.enabled = true;
-  sc.sampling_n = 2;
-  const SimContext& serial = SimContext::serial_context();
-  const SimContext pool(4);
-  const auto a = serve::simulate_cluster_detailed(engine, sc, serial).sched;
-  const auto b = serve::simulate_cluster_detailed(engine, sc, pool).sched;
-  EXPECT_EQ(a.metrics.mean_tpot_ms, b.metrics.mean_tpot_ms);
-  EXPECT_EQ(a.metrics.mean_ttft_ms, b.metrics.mean_ttft_ms);
-  EXPECT_EQ(a.prefix_cache_hit_blocks, b.prefix_cache_hit_blocks);
-  EXPECT_EQ(a.prefix_cache_evictions, b.prefix_cache_evictions);
-  EXPECT_EQ(a.cow_copies, b.cow_copies);
-}
-
 // ------------------------------------------------- allocation regression
 
 TEST(HotPath, WarmCacheSteadyStateDecodeTickDoesNotAllocate) {

@@ -1,5 +1,5 @@
-// Uniform quantization: the paper's §2.2 asymmetric definition, symmetric
-// RTN with grouping, and the §3.5 clipping-threshold search.
+// Uniform quantization: symmetric RTN with grouping and the §3.5
+// clipping-threshold search.
 
 #include <gtest/gtest.h>
 
@@ -32,39 +32,6 @@ double squared_relative_error(const Matrix<float>& w,
   const double e = relative_frobenius_error(w.flat(), q.dequantize().flat());
   return e * e;
 }
-
-TEST(Asymmetric, MatchesPaperFormula) {
-  // Q(v, b) = round((v - min) / s), s = (max - min) / (2^b - 1).
-  const std::vector<float> v{-1.0f, -0.4f, 0.2f, 1.0f};
-  const auto p = asymmetric_params(v, 4);
-  EXPECT_FLOAT_EQ(p.zero, -1.0f);
-  EXPECT_FLOAT_EQ(p.scale, 2.0f / 15.0f);
-  const auto q = quantize_asymmetric(v, 4, p);
-  EXPECT_EQ(q[0], 0);
-  EXPECT_EQ(q[3], 15);
-  const auto back = dequantize_asymmetric(q, p);
-  // Extremes are exact.
-  EXPECT_FLOAT_EQ(back[0], -1.0f);
-  EXPECT_FLOAT_EQ(back[3], 1.0f);
-}
-
-class AsymmetricErrorBound : public ::testing::TestWithParam<int> {};
-
-TEST_P(AsymmetricErrorBound, WithinHalfStep) {
-  const int bits = GetParam();
-  Rng rng(99);
-  std::vector<float> v(257);
-  for (auto& x : v) x = static_cast<float>(rng.uniform(-3.0, 5.0));
-  const auto p = asymmetric_params(v, bits);
-  const auto q = quantize_asymmetric(v, bits, p);
-  const auto back = dequantize_asymmetric(q, p);
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    EXPECT_LE(std::abs(back[i] - v[i]), p.scale * 0.5f + 1e-6f);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Bits, AsymmetricErrorBound,
-                         ::testing::Values(2, 3, 4, 8));
 
 TEST(Symmetric, ScaleCoversRange) {
   const std::vector<float> v{-0.7f, 0.1f, 0.35f};

@@ -521,36 +521,6 @@ TEST(Speculation, ComposesWithPreemptionAndChunkedPrefill) {
   }
 }
 
-TEST(Speculation, BitIdenticalAcrossThreadCounts) {
-  const Engine engine(a6000_marlin());
-  ServingConfig sc;
-  sc.qps = 8.0;
-  sc.duration_s = 15.0;
-  sc.kv_blocks = 128;
-  sc.policy = SchedPolicy::kWeightedFair;
-  sc.tenants = {TenantSpec{0, "a", 2.0, 0, 48, 1.0},
-                TenantSpec{1, "b", 1.0, 1, 48, 1.0}};
-  sc.speculation.depth = 4;
-  sc.speculation.acceptance = 0.8;
-  const SimContext serial(1);
-  const SimContext pooled(4);
-  const auto a = simulate_cluster_detailed(engine, sc, serial).sched;
-  const auto b = simulate_cluster_detailed(engine, sc, pooled).sched;
-  EXPECT_EQ(a.metrics.mean_tpot_ms, b.metrics.mean_tpot_ms);
-  EXPECT_EQ(a.metrics.mean_ttft_ms, b.metrics.mean_ttft_ms);
-  EXPECT_EQ(a.metrics.p90_ttft_ms, b.metrics.p90_ttft_ms);
-  EXPECT_EQ(a.metrics.completed, b.metrics.completed);
-  EXPECT_EQ(a.preemptions, b.preemptions);
-  EXPECT_EQ(a.decode_steps, b.decode_steps);
-  EXPECT_EQ(a.spec_rounds, b.spec_rounds);
-  EXPECT_EQ(a.spec_committed_tokens, b.spec_committed_tokens);
-  ASSERT_EQ(a.requests.size(), b.requests.size());
-  for (std::size_t i = 0; i < a.requests.size(); ++i) {
-    EXPECT_EQ(a.requests[i].finish_s, b.requests[i].finish_s);
-    EXPECT_EQ(a.requests[i].tenant_id, b.requests[i].tenant_id);
-  }
-}
-
 TEST(PerTenantMetrics, SplitsByTenant) {
   const Engine engine(a6000_marlin());
   ServingConfig sc;

@@ -290,31 +290,6 @@ TEST(ParallelEngine, MinRankBudgetBindsAcrossAsymmetricStages) {
   EXPECT_EQ(pe.workers().size(), 4u);
 }
 
-TEST(ParallelEngine, ServingBitIdenticalAcrossThreadCounts) {
-  const Engine engine(a100_cfg());
-  ServingConfig sc;
-  sc.qps = 8.0;
-  sc.duration_s = 15.0;
-  sc.shape = sched::WorkloadShape::kShareGpt;
-  sc.policy = sched::SchedPolicy::kShortestJob;
-  sc.kv_blocks = -1;  // per-rank derived budget
-  sc.max_batch = 32;
-  sc.parallel = {2, 2, 0};
-  const SimContext serial(1);
-  const SimContext pooled(4);
-  const auto a = simulate_cluster_detailed(engine, sc, serial).sched;
-  const auto b = simulate_cluster_detailed(engine, sc, pooled).sched;
-  EXPECT_EQ(a.metrics.mean_tpot_ms, b.metrics.mean_tpot_ms);
-  EXPECT_EQ(a.metrics.mean_ttft_ms, b.metrics.mean_ttft_ms);
-  EXPECT_EQ(a.metrics.p90_tpot_ms, b.metrics.p90_tpot_ms);
-  EXPECT_EQ(a.metrics.p90_ttft_ms, b.metrics.p90_ttft_ms);
-  EXPECT_EQ(a.metrics.mean_batch, b.metrics.mean_batch);
-  EXPECT_EQ(a.metrics.completed, b.metrics.completed);
-  EXPECT_EQ(a.preemptions, b.preemptions);
-  EXPECT_EQ(a.decode_steps, b.decode_steps);
-  EXPECT_EQ(a.peak_kv_blocks, b.peak_kv_blocks);
-}
-
 TEST(ParallelEngine, RepeatRunsAreDeterministic) {
   const Engine engine(a100_cfg());
   ServingConfig sc;

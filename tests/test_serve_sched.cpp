@@ -249,26 +249,6 @@ ServingConfig overload_cfg() {
   return sc;
 }
 
-TEST(Scheduler, MetricsBitIdenticalAcrossThreadCounts) {
-  const Engine engine(a6000_marlin());
-  ServingConfig sc = overload_cfg();
-  sc.shape = WorkloadShape::kShareGpt;
-  sc.policy = SchedPolicy::kShortestJob;
-  sc.kv_blocks = 256;
-  const SimContext serial(1);
-  const SimContext pooled(4);
-  const auto a = simulate_cluster_detailed(engine, sc, serial).sched;
-  const auto b = simulate_cluster_detailed(engine, sc, pooled).sched;
-  EXPECT_EQ(a.metrics.mean_tpot_ms, b.metrics.mean_tpot_ms);
-  EXPECT_EQ(a.metrics.mean_ttft_ms, b.metrics.mean_ttft_ms);
-  EXPECT_EQ(a.metrics.p90_tpot_ms, b.metrics.p90_tpot_ms);
-  EXPECT_EQ(a.metrics.p90_ttft_ms, b.metrics.p90_ttft_ms);
-  EXPECT_EQ(a.metrics.mean_batch, b.metrics.mean_batch);
-  EXPECT_EQ(a.metrics.completed, b.metrics.completed);
-  EXPECT_EQ(a.preemptions, b.preemptions);
-  EXPECT_EQ(a.decode_steps, b.decode_steps);
-}
-
 TEST(Scheduler, PreemptionRecomputeRoundTrip) {
   const Engine engine(a6000_marlin());
   ServingConfig sc = overload_cfg();

@@ -199,11 +199,9 @@ TEST(SimdKnownAnswer, PackMatchesQuantPack8) {
       for (auto& c : codes) {
         c = static_cast<std::uint8_t>(rng.uniform_int(16));
       }
-      std::uint32_t inter = 0, linear = 0;
+      std::uint32_t inter = 0;
       ASSERT_TRUE(t.pack_u4_interleaved(1, codes.data(), &inter));
-      ASSERT_TRUE(t.pack_u4_linear(1, codes.data(), &linear));
       EXPECT_EQ(inter, quant::pack8_interleaved(codes));
-      EXPECT_EQ(linear, quant::pack8_linear(codes));
     }
   }
 }
@@ -220,23 +218,7 @@ TEST(SimdKnownAnswer, PackRejectsOutOfRangeCodes) {
       std::vector<std::uint32_t> out(13);
       EXPECT_FALSE(t.pack_u4_interleaved(13, codes.data(), out.data()))
           << simd::to_string(l) << " bad index " << bad;
-      EXPECT_FALSE(t.pack_u4_linear(13, codes.data(), out.data()));
     }
-  }
-}
-
-TEST(SimdKnownAnswer, UnpackInvertsLinearPack) {
-  Rng rng(12);
-  for (const simd::Level l : kAllLevels) {
-    if (!simd::supported(l)) continue;
-    const simd::Ops& t = simd::ops_for(l);
-    std::vector<std::uint8_t> codes(29 * 8);
-    for (auto& c : codes) c = static_cast<std::uint8_t>(rng.uniform_int(16));
-    std::vector<std::uint32_t> packed(29);
-    ASSERT_TRUE(t.pack_u4_linear(29, codes.data(), packed.data()));
-    std::vector<std::uint8_t> back(29 * 8, 0xff);
-    t.unpack_u4_linear(29, packed.data(), back.data());
-    EXPECT_EQ(back, codes);
   }
 }
 
@@ -486,12 +468,9 @@ TEST(SimdBitIdentity, PackUnpackDequantKernels) {
   for (const std::size_t groups : kSizes) {
     std::vector<std::uint8_t> codes(groups * 8);
     for (auto& c : codes) c = static_cast<std::uint8_t>(rng.uniform_int(16));
-    std::vector<std::uint32_t> inter_ref(groups), lin_ref(groups);
+    std::vector<std::uint32_t> inter_ref(groups);
     ASSERT_TRUE(
         scalar.pack_u4_interleaved(groups, codes.data(), inter_ref.data()));
-    ASSERT_TRUE(scalar.pack_u4_linear(groups, codes.data(), lin_ref.data()));
-    std::vector<std::uint8_t> unpack_ref(groups * 8);
-    scalar.unpack_u4_linear(groups, lin_ref.data(), unpack_ref.data());
     std::vector<float> planes_ref(8 * groups);
     scalar.dequant_u4_planes(groups, inter_ref.data(), planes_ref.data());
 
@@ -501,11 +480,6 @@ TEST(SimdBitIdentity, PackUnpackDequantKernels) {
       std::vector<std::uint32_t> out(groups);
       ASSERT_TRUE(t.pack_u4_interleaved(groups, codes.data(), out.data()));
       expect_bytes_eq(out, inter_ref, l, "pack_u4_interleaved", groups);
-      ASSERT_TRUE(t.pack_u4_linear(groups, codes.data(), out.data()));
-      expect_bytes_eq(out, lin_ref, l, "pack_u4_linear", groups);
-      std::vector<std::uint8_t> up(groups * 8);
-      t.unpack_u4_linear(groups, lin_ref.data(), up.data());
-      expect_bytes_eq(up, unpack_ref, l, "unpack_u4_linear", groups);
       std::vector<float> planes(8 * groups);
       t.dequant_u4_planes(groups, inter_ref.data(), planes.data());
       expect_bytes_eq(planes, planes_ref, l, "dequant_u4_planes", groups);
@@ -525,11 +499,7 @@ TEST(SimdBitIdentity, QuantizeKernels) {
         v[i] = std::nearbyint(v[i]) + 0.5f;
       }
     }
-    const float scale = 0.375f, zero = -1.25f;
-    std::vector<int> q0(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      q0[i] = static_cast<int>(rng.uniform_int(16));
-    }
+    const float scale = 0.375f;
     for (const int bits : {2, 4, 8}) {
       std::vector<std::uint8_t> enc_ref(n);
       scalar.encode_symmetric(n, v.data(), scale, bits, enc_ref.data());
@@ -540,20 +510,6 @@ TEST(SimdBitIdentity, QuantizeKernels) {
                                           enc.data());
         expect_bytes_eq(enc, enc_ref, l, "encode_symmetric", n);
       }
-    }
-    std::vector<int> q_ref(n);
-    std::vector<float> dq_ref(n);
-    scalar.quantize_asym(n, v.data(), scale, zero, 15, q_ref.data());
-    scalar.dequant_asym(n, q0.data(), scale, zero, dq_ref.data());
-    for (const simd::Level l : kAllLevels) {
-      if (l == simd::Level::kScalar || !simd::supported(l)) continue;
-      const simd::Ops& t = simd::ops_for(l);
-      std::vector<int> q(n);
-      t.quantize_asym(n, v.data(), scale, zero, 15, q.data());
-      expect_bytes_eq(q, q_ref, l, "quantize_asym", n);
-      std::vector<float> dq(n);
-      t.dequant_asym(n, q0.data(), scale, zero, dq.data());
-      expect_bytes_eq(dq, dq_ref, l, "dequant_asym", n);
     }
   }
 }
@@ -600,7 +556,8 @@ PipelineArtifacts run_pipeline() {
   kcfg.num_warps = 4;
   out.c = core::marlin_matmul(a.view(), out.mw, kcfg, 4).c;
   out.ref = core::reference_matmul(a.view(), out.q.dequantize().view());
-  out.gram = quant::gram(af.view());
+  out.gram = Matrix<double>(k, k, 0.0);
+  quant::add_gram_upper(af.view(), out.gram);
   return out;
 }
 
