@@ -208,7 +208,7 @@ BENCHMARK(BM_Compress24);
 /// One decode tick of a replica running 256 n=2 requests whose 256-token
 /// shared prompt header sits in a warm prefix cache: KV growth,
 /// copy-on-write splits and batch bookkeeping, with every step price
-/// served from the engine's memo. Reports the write-range scans per tick.
+/// served from the step memo. Reports the write-range scans per tick.
 void BM_DecodeTick(benchmark::State& state) {
   using serve::sched::Request;
   serve::EngineConfig ecfg;

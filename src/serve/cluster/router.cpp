@@ -2,6 +2,7 @@
 
 #include "obs/serve_recorder.hpp"
 #include "util/error.hpp"
+#include "util/hash.hpp"
 
 namespace marlin::serve::cluster {
 
@@ -64,7 +65,7 @@ std::size_t Router::pick(const sched::Request& r,
       break;
     }
     case Placement::kSessionAffinity: {
-      const auto h = mix64(static_cast<std::uint64_t>(r.tenant_id));
+      const auto h = util::mix64(static_cast<std::uint64_t>(r.tenant_id));
       chosen = routable[static_cast<std::size_t>(h % routable.size())];
       break;
     }

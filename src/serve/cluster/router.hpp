@@ -14,16 +14,15 @@
 //   * kSessionAffinity — hash the tenant id onto the routable set, so one
 //                       tenant's requests land on one replica while the
 //                       fleet size holds (the hook prefix caching will
-//                       later exploit). Uses a fixed splitmix64-style
-//                       mixer, never std::hash (implementation-defined).
+//                       later exploit). Uses `util::mix64`, the pinned
+//                       splitmix64 finalizer, never std::hash
+//                       (implementation-defined).
 
-#include <cstdint>
 #include <deque>
 #include <string>
 #include <vector>
 
 #include "serve/cluster/replica.hpp"
-#include "util/hash.hpp"
 
 namespace marlin::serve::cluster {
 
@@ -33,14 +32,6 @@ const char* to_string(Placement p);
 /// Parses "round-robin" / "least-loaded" / "session-affinity"; throws on
 /// anything else.
 Placement placement_by_name(const std::string& name);
-
-/// Deterministic 64-bit mix (splitmix64 finalizer) — the session-affinity
-/// hash. The implementation moved to `util/hash.hpp` when the prefix
-/// cache started chaining it over KV blocks; this alias keeps the
-/// historical spelling (and its known-answer tests) stable.
-[[nodiscard]] constexpr std::uint64_t mix64(std::uint64_t x) {
-  return util::mix64(x);
-}
 
 class Router {
  public:

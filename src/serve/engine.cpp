@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "serve/parallel/parallel_engine.hpp"
 #include "util/error.hpp"
 
 namespace marlin::serve {
@@ -18,6 +19,11 @@ const char* to_string(WeightFormat f) {
   return "?";
 }
 
+double StepModel::decode_step_seconds(index_t batch,
+                                      double avg_context) const {
+  return verify_step_seconds(batch, avg_context, 0);
+}
+
 void StepModel::warm_decode_cache(const SimContext& ctx, index_t max_batch,
                                   double max_context) const {
   if (ctx.serial()) return;
@@ -31,22 +37,6 @@ void StepModel::warm_decode_cache(const SimContext& ctx, index_t max_batch,
       (void)decode_step_seconds(batch, static_cast<double>(b) * 64.0 + 1.0);
     }
   });
-}
-
-index_t checked_context_bucket(index_t batch, double avg_context,
-                               index_t depth) {
-  MARLIN_CHECK(batch >= 1, "batch must be >= 1, got " << batch);
-  MARLIN_CHECK(avg_context >= 0.0,
-               "average context must be >= 0 tokens, got " << avg_context);
-  MARLIN_CHECK(depth >= 0, "speculation depth must be >= 0, got " << depth);
-  // 64-token buckets keep the memos small.
-  return static_cast<index_t>(avg_context / 64.0);
-}
-
-void check_prefill_query(index_t batch, index_t prompt_tokens) {
-  MARLIN_CHECK(batch >= 1, "batch must be >= 1, got " << batch);
-  MARLIN_CHECK(prompt_tokens >= 0,
-               "prompt tokens must be >= 0, got " << prompt_tokens);
 }
 
 namespace {
@@ -78,7 +68,16 @@ core::MatmulProblem shard(const LayerShape& l, index_t m, int tp,
 }  // namespace
 
 Engine::Engine(EngineConfig cfg)
-    : cfg_(std::move(cfg)), kernel_(make_kernel(cfg_.format)) {}
+    : cfg_(std::move(cfg)), kernel_(make_kernel(cfg_.format)) {
+  MARLIN_CHECK(cfg_.model.num_layers >= 1,
+               "model '" << cfg_.model.name << "' has "
+                         << cfg_.model.num_layers
+                         << " transformer layers; need at least 1");
+  grid_ = std::make_unique<const parallel::ParallelEngine>(
+      *this, parallel::ParallelConfig{});
+}
+
+Engine::~Engine() = default;
 
 double Engine::block_linear_seconds(index_t m, int tp) const {
   MARLIN_CHECK(tp >= 1, "tensor-parallel degree must be >= 1");
@@ -173,44 +172,13 @@ double Engine::layer_range_seconds(index_t layers, index_t m,
   return t;
 }
 
-double Engine::decode_step_seconds(index_t batch, double avg_context) const {
-  return verify_step_seconds(batch, avg_context, 0);
-}
-
 double Engine::verify_step_seconds(index_t batch, double avg_context,
                                    index_t depth) const {
-  const index_t bucket = checked_context_bucket(batch, avg_context, depth);
-  const auto key = std::make_tuple(batch, bucket, depth);
-  {
-    const std::lock_guard lock(cache_mutex_);
-    if (const auto it = step_cache_.find(key); it != step_cache_.end()) {
-      return it->second;
-    }
-  }
-  // The linear layers see every candidate token (batch * (depth + 1) of
-  // them), but each sequence's paged KV is streamed once per layer — the
-  // depth + 1 query positions share the fetch, which is the whole point
-  // of verifying a draft in one batched step instead of depth + 1 decode
-  // steps. A decode step is depth 0.
-  const double t =
-      layer_range_seconds(
-          cfg_.model.num_layers, batch * (depth + 1),
-          attention_layer_seconds(batch, bucket_centre(bucket), 1), true, 1) +
-      cfg_.step_overhead_s;
-  const std::lock_guard lock(cache_mutex_);
-  step_cache_[key] = t;
-  return t;
+  return grid_->verify_step_seconds(batch, avg_context, depth);
 }
 
 double Engine::prefill_seconds(index_t batch, index_t prompt_tokens) const {
-  check_prefill_query(batch, prompt_tokens);
-  // An empty prompt still runs one token per sequence, as a rank does.
-  const index_t m = batch * std::max<index_t>(1, prompt_tokens);
-  return layer_range_seconds(cfg_.model.num_layers, m,
-                             prefill_attention_layer_seconds(m, prompt_tokens,
-                                                             1),
-                             true, 1) +
-         cfg_.prefill_overhead_s;
+  return grid_->prefill_seconds(batch, prompt_tokens);
 }
 
 double Engine::weight_bits() const {

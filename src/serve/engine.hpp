@@ -10,15 +10,15 @@
 // Prefill prices the same linear layers at M = total new tokens plus the
 // quadratic attention term. Both are one formula, `layer_range_seconds`:
 // a span of transformer blocks at M tokens, each paying its linears and
-// its attention, plus the LM head where the span owns it. The single
-// device prices the whole model with it; `parallel::ParallelEngine`'s
-// workers price their stage of a rank grid with it, so `Engine` and a
-// tp = pp = 1 `ParallelEngine` agree bit for bit.
+// its attention, plus the LM head where the span owns it.
+// `parallel::ParallelEngine`'s workers price their stage of a rank grid
+// with it. `Engine` holds no step formula of its own: its `StepModel`
+// methods forward to a one-rank grid it builds over itself, so a bare
+// `Engine` is the tp = pp = 1 `ParallelEngine` by construction.
 
 #include <map>
 #include <memory>
 #include <mutex>
-#include <tuple>
 
 #include "baselines/kernel_model.hpp"
 #include "gpusim/clock.hpp"
@@ -27,25 +27,28 @@
 
 namespace marlin::serve {
 
+namespace parallel {
+class ParallelEngine;
+}
+
 enum class WeightFormat { kFp16, kMarlin, kSparseMarlin };
 
 const char* to_string(WeightFormat f);
 
-/// Interface the serving scheduler prices engine steps against. The
-/// serving simulation prices through `parallel::ParallelEngine` (max over
-/// ranks of compute plus interconnect communication) at every grid size;
-/// `Engine` implements it for a bare single device, bit-identical to the
-/// one-rank grid. Implementations must be deterministic: the
-/// same (batch, context) query returns bit-identical seconds on every call
-/// and thread count.
+/// Interface the serving scheduler prices engine steps against.
+/// `parallel::ParallelEngine` (max over ranks of compute plus interconnect
+/// communication) is the one implementation in `src/`; a bare `Engine`
+/// forwards to its own one-rank grid. Implementations must be
+/// deterministic: the same (batch, context) query returns bit-identical
+/// seconds on every call and thread count.
 class StepModel {
  public:
   virtual ~StepModel() = default;
 
-  /// Seconds to advance every sequence of `batch` by one token.
+  /// Seconds to advance every sequence of `batch` by one token: the
+  /// depth-0 verification step.
   [[nodiscard]] virtual double decode_step_seconds(index_t batch,
-                                                   double avg_context)
-      const = 0;
+                                                   double avg_context) const;
   /// Seconds to prefill `batch` sequences of `prompt_tokens` tokens each.
   [[nodiscard]] virtual double prefill_seconds(index_t batch,
                                                index_t prompt_tokens)
@@ -57,12 +60,11 @@ class StepModel {
   /// `batch * (depth + 1)` tokens while the paged KV cache is streamed
   /// once (the candidates share the sequence's blocks), which is exactly
   /// why verification is cheaper than `depth + 1` decode steps on a
-  /// memory-bound decode. `depth == 0` must equal `decode_step_seconds`
-  /// bit-for-bit.
+  /// memory-bound decode. `depth == 0` is a decode step.
   [[nodiscard]] virtual double verify_step_seconds(index_t batch,
                                                    double avg_context,
                                                    index_t depth) const = 0;
-  /// Pre-fills the decode memo for every batch in [1, max_batch] and the
+  /// Pre-fills the step memo for every batch in [1, max_batch] and the
   /// 64-token context buckets up to `max_context`, fanning the
   /// `decode_step_seconds` evaluations out on the context's shared pool.
   /// Purely a warm-up: cached values must equal on-demand computation, so
@@ -103,38 +105,23 @@ struct EngineConfig {
   double prefill_overhead_s = 12e-3;
 };
 
-/// Checks one step-price query — `batch >= 1`, `avg_context >= 0`,
-/// `depth >= 0` — and returns the 64-token context bucket every step
-/// model memoises it under. Throws a one-line `Error` on a malformed query.
-[[nodiscard]] index_t checked_context_bucket(index_t batch, double avg_context,
-                                             index_t depth);
-/// The context a step in `bucket` is priced at: the bucket's centre.
-[[nodiscard]] inline double bucket_centre(index_t bucket) {
-  return static_cast<double>(bucket) * 64.0 + 32.0;
-}
-/// Checks one prefill query: `batch >= 1`, `prompt_tokens >= 0`.
-void check_prefill_query(index_t batch, index_t prompt_tokens);
-
-/// The single-device step model, kept for callers that price a bare
-/// device: the speculative draft model, `generation_time`, external drivers.
+/// The single-device cost model: per-layer pricing for the rank grid,
+/// plus a `StepModel` face for callers that price a bare device (the
+/// speculative draft model, `generation_time`, external drivers), which
+/// forwards to `ParallelEngine(*this, {})`.
 class Engine : public StepModel {
  public:
+  /// Throws a one-line `Error` when the model has no transformer blocks.
   explicit Engine(EngineConfig cfg);
+  ~Engine() override;
+  /// Not copyable or movable: the grid's workers refer to this Engine.
+  Engine(const Engine&) = delete;
+  Engine& operator=(const Engine&) = delete;
 
-  /// Seconds to advance every sequence of `batch` by one token, with the
-  /// given mean context length: the depth-0 verification step.
-  [[nodiscard]] double decode_step_seconds(index_t batch,
-                                           double avg_context) const override;
-
-  /// Seconds to prefill `batch` sequences of `prompt_tokens` tokens each.
+  /// The one-rank grid's prefill price.
   [[nodiscard]] double prefill_seconds(index_t batch,
                                        index_t prompt_tokens) const override;
-
-  /// Speculative verification: linear layers at `batch * (depth + 1)`
-  /// tokens, one shared KV stream per layer. Results are memoised; the
-  /// memo caches are mutex-guarded so one Engine can be shared by
-  /// concurrent sweep workers (values are deterministic, so duplicated
-  /// computation of a missing entry is benign).
+  /// The one-rank grid's (memoised) verification price.
   [[nodiscard]] double verify_step_seconds(index_t batch, double avg_context,
                                            index_t depth) const override;
 
@@ -152,9 +139,11 @@ class Engine : public StepModel {
   /// FP16, 4.125 for MARLIN incl. group scales, 3.125 for Sparse-MARLIN).
   [[nodiscard]] double weight_bits() const;
 
-  // Per-layer pricing — the building blocks the multi-GPU worker model
-  // composes into per-rank / per-stage times. All are memoised where a
-  // kernel-model estimate is involved and deterministic.
+  // Per-layer pricing — the building blocks the worker model composes
+  // into per-rank / per-stage times. All are deterministic and memoised
+  // where a kernel-model estimate is involved; the memos are
+  // mutex-guarded so one Engine can be shared by concurrent sweep workers
+  // (duplicated computation of a missing entry is benign).
 
   /// One transformer block's linear layers at M tokens, Megatron-sharded
   /// across `tp` ranks (QKV & gate/up column-split, O & down row-split).
@@ -172,8 +161,8 @@ class Engine : public StepModel {
       index_t m, index_t prompt_tokens, int tp) const;
   /// Compute seconds of `layers` transformer blocks, each paying its
   /// linears at `m` tokens plus `attention_layer_s`, plus the LM head
-  /// when `lm_head`, all sharded across `tp`. The one step formula: a
-  /// rank prices its stage with it, a single device the whole model.
+  /// when `lm_head`, all sharded across `tp`. The one step formula: every
+  /// rank prices its stage with it.
   [[nodiscard]] double layer_range_seconds(index_t layers, index_t m,
                                            double attention_layer_s,
                                            bool lm_head, int tp) const;
@@ -183,13 +172,13 @@ class Engine : public StepModel {
   baselines::KernelModelPtr kernel_;
   /// Guards every memo cache; held only around lookups/inserts, never
   /// across the kernel-model estimates, so the cache fills concurrently
-  /// without lock nesting (layer_range_seconds runs under no lock when
-  /// verify_step_seconds computes a miss).
+  /// without lock nesting.
   mutable std::mutex cache_mutex_;
-  /// Step seconds keyed (batch, 64-token context bucket, depth).
-  mutable std::map<std::tuple<index_t, index_t, index_t>, double> step_cache_;
   mutable std::map<std::pair<index_t, int>, double> block_cache_;
   mutable std::map<std::pair<index_t, int>, double> head_cache_;
+  /// `ParallelEngine(*this, {})`: the step model and step memo behind
+  /// this Engine's `StepModel` methods. Declared last, built last.
+  std::unique_ptr<const parallel::ParallelEngine> grid_;
 };
 
 }  // namespace marlin::serve

@@ -2,8 +2,8 @@
 // Batched generation benchmark (paper Figure 14 and Table 2): total time to
 // produce output tokens 2..64 — i.e. the pure decode phase after prefill —
 // for a fixed batch of sequences with 64 input tokens each. Any StepModel
-// prices the steps: a single-device `Engine`, or a `parallel::ParallelEngine`
-// for the multi-GPU rows of Table 2.
+// prices the steps: a `parallel::ParallelEngine` for the multi-GPU rows of
+// Table 2, or a bare `Engine`, which forwards to its own one-rank grid.
 
 #include "serve/engine.hpp"
 

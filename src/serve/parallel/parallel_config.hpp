@@ -8,9 +8,8 @@
 // per stage boundary; a step is split into `microbatches` microbatches so
 // stages overlap (fill/drain bubbles shrink as microbatches grow).
 //
-// The trivial config (TP=1, PP=1) is the single-device model: it prices
-// through the same per-layer-range formula as the bare `Engine` and
-// reproduces its numbers bit for bit.
+// The trivial config (TP=1, PP=1) is the single-device model: a bare
+// `Engine` prices its steps through exactly this one-rank grid.
 
 #include <string>
 

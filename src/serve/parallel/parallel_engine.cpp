@@ -2,9 +2,36 @@
 
 #include <algorithm>
 
+#include "util/error.hpp"
+
 namespace marlin::serve::parallel {
 
 namespace {
+
+/// Checks one step-price query — `batch >= 1`, `avg_context >= 0`,
+/// `depth >= 0` — and returns the 64-token context bucket the step memo
+/// keys it under. Throws a one-line `Error` on a malformed query.
+index_t checked_context_bucket(index_t batch, double avg_context,
+                               index_t depth) {
+  MARLIN_CHECK(batch >= 1, "batch must be >= 1, got " << batch);
+  MARLIN_CHECK(avg_context >= 0.0,
+               "average context must be >= 0 tokens, got " << avg_context);
+  MARLIN_CHECK(depth >= 0, "speculation depth must be >= 0, got " << depth);
+  // 64-token buckets keep the memo small.
+  return static_cast<index_t>(avg_context / 64.0);
+}
+
+/// The context a step in `bucket` is priced at: the bucket's centre.
+double bucket_centre(index_t bucket) {
+  return static_cast<double>(bucket) * 64.0 + 32.0;
+}
+
+/// Checks one prefill query: `batch >= 1`, `prompt_tokens >= 0`.
+void check_prefill_query(index_t batch, index_t prompt_tokens) {
+  MARLIN_CHECK(batch >= 1, "batch must be >= 1, got " << batch);
+  MARLIN_CHECK(prompt_tokens >= 0,
+               "prompt tokens must be >= 0, got " << prompt_tokens);
+}
 
 /// Microbatch count and per-microbatch sequence count for a step over
 /// `batch` sequences: never more microbatches than sequences, sizes are
@@ -63,8 +90,8 @@ StepBreakdown ParallelEngine::step_breakdown(index_t batch,
   // tensor-parallel all-reduce share. Iterate in rank order with a strict
   // greater-than so the argmax is deterministic. With comm_buckets > 1
   // the schedule the step actually pays is the overlapped one, tracked as
-  // a second max over the same rank order; one bucket keeps both maxima
-  // equal by construction.
+  // a second max over the same rank order; one bucket is the serialized
+  // schedule itself, so nothing is priced twice.
   double stage_max = 0.0;
   double stage_max_overlapped = 0.0;
   for (const Worker& w : workers_) {
@@ -76,10 +103,13 @@ StepBreakdown ParallelEngine::step_breakdown(index_t batch,
       b.stage_compute_s = compute;
       b.tp_comm_s = comm;
     }
-    stage_max_overlapped = std::max(
-        stage_max_overlapped,
-        w.overlapped_stage_seconds(mb.seqs, bucket_context, depth, buckets));
+    if (buckets > 1) {
+      stage_max_overlapped = std::max(
+          stage_max_overlapped,
+          w.overlapped_stage_seconds(mb.seqs, bucket_context, depth, buckets));
+    }
   }
+  if (buckets == 1) stage_max_overlapped = stage_max;
 
   const int pp = cfg_.pipeline_parallel;
   b.pp_send_s = send_seconds(tokens);
@@ -109,11 +139,6 @@ bool ParallelEngine::decode_split(index_t batch, double avg_context,
   *comm_s = b.tp_comm_s + b.pp_send_s;
   *bubble_fraction = b.bubble_fraction;
   return true;
-}
-
-double ParallelEngine::decode_step_seconds(index_t batch,
-                                           double avg_context) const {
-  return verify_step_seconds(batch, avg_context, 0);
 }
 
 double ParallelEngine::verify_step_seconds(index_t batch, double avg_context,

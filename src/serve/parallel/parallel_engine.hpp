@@ -1,6 +1,6 @@
 #pragma once
-// Multi-GPU tensor/pipeline-parallel step model over the single-device
-// Engine cost model.
+// Tensor/pipeline-parallel step model over the Engine's per-layer cost
+// model.
 //
 // A step is priced as the pipeline schedule of `microbatches` microbatches
 // over `pipeline_parallel` stages, each stage's per-microbatch time being
@@ -30,13 +30,14 @@
 // stage.
 //
 // Every grid, the one-rank TP=1 PP=1 grid included, prices through its
-// workers' `Engine::layer_range_seconds`, the one step formula the bare
-// single-device `Engine` also uses, so a one-rank grid reproduces the
-// Engine's step prices bit for bit. Its KV budget charges weights through
-// `Engine::weight_bytes`, as `sched::derive_kv_block_budget` does.
+// workers' `Engine::layer_range_seconds`, the one step formula. This is
+// the one step model and the one step memo: a bare `Engine` builds a
+// one-rank grid over itself and forwards its `StepModel` methods to it.
+// The KV budget charges weights through `Engine::weight_bytes`, as
+// `sched::derive_kv_block_budget` does.
 //
-// Deterministic and memoised like the Engine; safe to share across
-// concurrent sweep workers.
+// Deterministic and memoised; safe to share across concurrent sweep
+// workers.
 
 #include <map>
 #include <mutex>
@@ -70,8 +71,6 @@ class ParallelEngine final : public StepModel {
  public:
   ParallelEngine(const Engine& engine, ParallelConfig cfg);
 
-  [[nodiscard]] double decode_step_seconds(index_t batch,
-                                           double avg_context) const override;
   [[nodiscard]] double prefill_seconds(index_t batch,
                                        index_t prompt_tokens) const override;
   /// Speculative verification across the rank grid: the whole draft batch

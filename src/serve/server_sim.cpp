@@ -9,34 +9,54 @@
 
 namespace marlin::serve {
 
-cluster::ClusterStats simulate_cluster_detailed(const Engine& engine,
-                                                const ServingConfig& cfg) {
+sched::WorkloadConfig ServingConfig::workload() const {
   sched::WorkloadConfig w;
-  w.shape = cfg.shape;
-  w.qps = cfg.qps;
-  w.duration_s = cfg.duration_s;
-  w.input_tokens = cfg.input_tokens;
-  w.output_tokens = cfg.output_tokens;
-  w.seed = cfg.seed;
-  w.shared_prefix_tokens = cfg.shared_prefix_tokens;
-  w.shared_prefix_groups = cfg.shared_prefix_groups;
-  w.shared_prefix_share = cfg.shared_prefix_share;
-  w.sampling_n = cfg.sampling_n;
+  w.shape = shape;
+  w.qps = qps;
+  w.duration_s = duration_s;
+  w.input_tokens = input_tokens;
+  w.output_tokens = output_tokens;
+  w.seed = seed;
+  w.shared_prefix_tokens = shared_prefix_tokens;
+  w.shared_prefix_groups = shared_prefix_groups;
+  w.shared_prefix_share = shared_prefix_share;
+  w.sampling_n = sampling_n;
 
   // Tenant mix: `tenant_shares[i]` is tenant id i's share, so scatter the
   // specs' traffic shares by id (ids need not be dense).
-  if (!cfg.tenants.empty()) {
+  if (!tenants.empty()) {
     index_t max_id = 0;
-    for (const auto& t : cfg.tenants) {
+    for (const auto& t : tenants) {
       t.validate();
       MARLIN_CHECK(t.id < 4096, "tenant id " << t.id << " unreasonably large");
       max_id = std::max(max_id, t.id);
     }
     w.tenant_shares.assign(static_cast<std::size_t>(max_id) + 1, 0.0);
-    for (const auto& t : cfg.tenants) {
+    for (const auto& t : tenants) {
       w.tenant_shares[static_cast<std::size_t>(t.id)] = t.traffic_share;
     }
   }
+  return w;
+}
+
+sched::SchedulerConfig ServingConfig::scheduler(index_t kv_blocks) const {
+  sched::SchedulerConfig sc;
+  sc.policy = policy;
+  sc.max_batch = max_batch;
+  sc.prefill_chunk_tokens = prefill_chunk_tokens;
+  sc.blocks.block_size = kv_block_size;
+  sc.blocks.num_blocks = kv_blocks;
+  prefix_cache.validate();
+  sc.blocks.prefix_cache = prefix_cache;
+  sc.tenants = tenants;
+  sc.speculation = speculation;
+  sc.slo = slo;
+  return sc;
+}
+
+cluster::ClusterStats simulate_cluster_detailed(const Engine& engine,
+                                                const ServingConfig& cfg) {
+  const sched::WorkloadConfig w = cfg.workload();
 
   // Every grid, tp = pp = 1 included, prices through the per-rank worker
   // model, and the derived KV budget is the binding rank's.
@@ -45,17 +65,7 @@ cluster::ClusterStats simulate_cluster_detailed(const Engine& engine,
       cfg.kv_blocks >= 0 ? cfg.kv_blocks
                          : model.min_kv_block_budget(cfg.kv_block_size);
 
-  sched::SchedulerConfig sc;
-  sc.policy = cfg.policy;
-  sc.max_batch = cfg.max_batch;
-  sc.prefill_chunk_tokens = cfg.prefill_chunk_tokens;
-  sc.blocks.block_size = cfg.kv_block_size;
-  sc.blocks.num_blocks = kv_blocks;
-  cfg.prefix_cache.validate();
-  sc.blocks.prefix_cache = cfg.prefix_cache;
-  sc.tenants = cfg.tenants;
-  sc.speculation = cfg.speculation;
-  sc.slo = cfg.slo;
+  const sched::SchedulerConfig sc = cfg.scheduler(kv_blocks);
 
   // The draft engine shares the target's device, format and clocks — only
   // the model differs (TinyLlama-1.1B unless configured). It stays on a

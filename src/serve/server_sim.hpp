@@ -16,6 +16,7 @@
 #include "serve/engine.hpp"
 #include "serve/parallel/parallel_config.hpp"
 #include "serve/sched/scheduler.hpp"
+#include "serve/sched/workload.hpp"
 
 namespace marlin::serve {
 
@@ -54,10 +55,9 @@ struct ServingConfig {
   /// Parallel-sampling width stamped on every request (n>1 decodes n
   /// continuations of one prompt, sharing the prompt KV copy-on-write).
   index_t sampling_n = 1;
-  /// Multi-GPU sharding. The default (TP=1, PP=1) runs the engine
-  /// directly and reproduces the single-device goldens byte-for-byte;
-  /// anything else prices steps through `parallel::ParallelEngine` (max
-  /// over ranks plus interconnect communication).
+  /// Multi-GPU sharding. Every grid, the default TP=1 PP=1 included,
+  /// prices steps through `parallel::ParallelEngine` (max over ranks plus
+  /// interconnect communication); the default is the single device.
   parallel::ParallelConfig parallel{};
 
   /// Multi-tenant serving: tenant specs (WFQ weights, priority tiers,
@@ -92,6 +92,13 @@ struct ServingConfig {
   /// and metrics into it; the scheduling decisions themselves are
   /// identical with or without a recorder attached.
   obs::ServeRecorder* recorder = nullptr;
+
+  /// The workload the trace is generated from, tenant traffic shares
+  /// scattered by tenant id. Validates every tenant spec.
+  [[nodiscard]] sched::WorkloadConfig workload() const;
+  /// The scheduler configuration over `kv_blocks` KV blocks. Validates
+  /// the prefix-cache config.
+  [[nodiscard]] sched::SchedulerConfig scheduler(index_t kv_blocks) const;
 };
 
 /// Full cluster statistics: the fleet-summed SchedStats plus per-replica

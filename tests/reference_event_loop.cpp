@@ -5,6 +5,7 @@
 
 #include "serve/parallel/interconnect.hpp"
 #include "util/error.hpp"
+#include "util/hash.hpp"
 
 namespace marlin::serve::cluster::reference {
 namespace {
@@ -41,7 +42,7 @@ class Placer {
         return best;
       }
       case Placement::kSessionAffinity: {
-        const auto h = mix64(static_cast<std::uint64_t>(r.tenant_id));
+        const auto h = util::mix64(static_cast<std::uint64_t>(r.tenant_id));
         return routable[static_cast<std::size_t>(h % routable.size())];
       }
     }
@@ -401,26 +402,7 @@ ClusterStats run(const sched::Scheduler& scheduler,
 Setup::Setup(const Engine& engine, const ServingConfig& cfg) {
   MARLIN_CHECK(cfg.recorder == nullptr,
                "the reference loop does not record");
-  sched::WorkloadConfig w;
-  w.shape = cfg.shape;
-  w.qps = cfg.qps;
-  w.duration_s = cfg.duration_s;
-  w.input_tokens = cfg.input_tokens;
-  w.output_tokens = cfg.output_tokens;
-  w.seed = cfg.seed;
-  w.shared_prefix_tokens = cfg.shared_prefix_tokens;
-  w.shared_prefix_groups = cfg.shared_prefix_groups;
-  w.shared_prefix_share = cfg.shared_prefix_share;
-  w.sampling_n = cfg.sampling_n;
-  if (!cfg.tenants.empty()) {
-    index_t max_id = 0;
-    for (const auto& t : cfg.tenants) max_id = std::max(max_id, t.id);
-    w.tenant_shares.assign(static_cast<std::size_t>(max_id) + 1, 0.0);
-    for (const auto& t : cfg.tenants) {
-      w.tenant_shares[static_cast<std::size_t>(t.id)] = t.traffic_share;
-    }
-  }
-  trace = sched::generate_trace(w);
+  trace = sched::generate_trace(cfg.workload());
 
   const parallel::ParallelEngine& model =
       model_.emplace(engine, cfg.parallel);
@@ -428,16 +410,7 @@ Setup::Setup(const Engine& engine, const ServingConfig& cfg) {
       cfg.kv_blocks >= 0 ? cfg.kv_blocks
                          : model.min_kv_block_budget(cfg.kv_block_size);
 
-  sched::SchedulerConfig sc;
-  sc.policy = cfg.policy;
-  sc.max_batch = cfg.max_batch;
-  sc.prefill_chunk_tokens = cfg.prefill_chunk_tokens;
-  sc.blocks.block_size = cfg.kv_block_size;
-  sc.blocks.num_blocks = kv_blocks;
-  sc.blocks.prefix_cache = cfg.prefix_cache;
-  sc.tenants = cfg.tenants;
-  sc.speculation = cfg.speculation;
-  sc.slo = cfg.slo;
+  const sched::SchedulerConfig sc = cfg.scheduler(kv_blocks);
 
   if (cfg.speculation.enabled()) {
     EngineConfig dcfg = engine.config();

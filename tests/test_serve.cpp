@@ -115,6 +115,23 @@ TEST(Engine, DecodeMonotoneInBatchAndContext) {
   EXPECT_GT(e.prefill_seconds(4, 0), e.config().prefill_overhead_s);
 }
 
+TEST(Engine, RejectsAModelWithoutLayers) {
+  // ModelConfig::num_layers defaults to 0; such a model has no step to
+  // price, so the Engine refuses it with one line naming the model.
+  EngineConfig cfg = a10_7b(WeightFormat::kMarlin);
+  cfg.model.name = "headless";
+  cfg.model.num_layers = 0;
+  try {
+    const Engine e(cfg);
+    ADD_FAILURE() << "an Engine over a zero-layer model must throw";
+  } catch (const Error& err) {
+    const std::string what = err.what();
+    EXPECT_NE(what.find("headless"), std::string::npos) << what;
+    EXPECT_NE(what.find("0 transformer layers"), std::string::npos) << what;
+    EXPECT_EQ(what.find('\n'), std::string::npos) << what;
+  }
+}
+
 TEST(Engine, WeightBytesPerGpuShrinkWithFormatAndTp) {
   EngineConfig cfg = a10_7b(WeightFormat::kFp16);
   const index_t layers = cfg.model.num_layers;

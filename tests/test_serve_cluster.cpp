@@ -11,6 +11,7 @@
 #include "reference_event_loop.hpp"
 #include "serve/cluster/busy_heap.hpp"
 #include "serve/server_sim.hpp"
+#include "util/hash.hpp"
 
 namespace marlin::serve::cluster {
 namespace {
@@ -182,7 +183,7 @@ TEST(RouterPlacement, SessionAffinityPinsTenantsViaMix64) {
     // The placement is a pure function of the tenant id and fleet size —
     // repeat picks (and the same tenant's later requests) pin to it.
     EXPECT_EQ(picked,
-              mix64(static_cast<std::uint64_t>(r.tenant_id)) % 3u);
+              util::mix64(static_cast<std::uint64_t>(r.tenant_id)) % 3u);
     EXPECT_EQ(router.pick(r, fleet), picked);
     ++hit[picked];
   }
@@ -193,9 +194,9 @@ TEST(RouterPlacement, SessionAffinityPinsTenantsViaMix64) {
 TEST(RouterPlacement, Mix64IsAPinnedPlatformIndependentFunction) {
   // splitmix64 finalizer known-answer values — these may never change, or
   // session-affinity placements (and goldens) silently reshuffle.
-  EXPECT_EQ(mix64(0), 0xe220a8397b1dcdafULL);
-  EXPECT_EQ(mix64(1), 0x910a2dec89025cc1ULL);
-  EXPECT_NE(mix64(2), mix64(3));
+  EXPECT_EQ(util::mix64(0), 0xe220a8397b1dcdafULL);
+  EXPECT_EQ(util::mix64(1), 0x910a2dec89025cc1ULL);
+  EXPECT_NE(util::mix64(2), util::mix64(3));
 }
 
 TEST(RouterPlacement, NoRoutableReplicaThrows) {
@@ -806,7 +807,7 @@ TEST(BusyHeap, TopMatchesALinearScanUnderRandomUpdates) {
   std::vector<double> now(kReplicas, 0.0);
   std::uint64_t x = 12345;
   for (int step = 0; step < 5000; ++step) {
-    x = mix64(x);
+    x = util::mix64(x);
     const std::size_t id = x % kReplicas;
     busy[id] = (x >> 8) % 4 != 0;
     now[id] = static_cast<double>((x >> 16) % 6);

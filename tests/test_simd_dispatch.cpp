@@ -604,8 +604,8 @@ TEST(SimdEndToEnd, PipelineBitIdenticalAcrossLevels) {
 // A steady-state decode tick (no arrivals, no admissions, every running
 // sequence growing within its reserved block vector) must perform zero
 // heap allocations: the scheduler reuses ReplicaState scratch, the block
-// manager recycles its free list, and the engine serves decode times from
-// its warmed memo.
+// manager recycles its free list, and the engine's one-rank grid serves
+// decode times from its warmed step memo.
 
 TEST(HotPath, SteadyStateDecodeTickDoesNotAllocate) {
   serve::EngineConfig ecfg;
@@ -625,8 +625,8 @@ TEST(HotPath, SteadyStateDecodeTickDoesNotAllocate) {
   for (index_t i = 0; i < 8; ++i) {
     requests.emplace_back(i, 0.0, 64, 32);
   }
-  // Warm the decode memo for every (batch, context-bucket) pair the run
-  // can touch, exactly as EventLoop::run pre-warms before ticking.
+  // Warm the step memo for every (batch, context-bucket) pair the run can
+  // touch, so no tick inserts into it.
   for (index_t batch = 1; batch <= scfg.max_batch; ++batch) {
     for (index_t b = 0; b < 4; ++b) {
       (void)engine.decode_step_seconds(batch,
