@@ -26,6 +26,7 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <new>
 #include <sstream>
 #include <string>
 #include <type_traits>
@@ -111,18 +112,23 @@ inline void maybe_print_help(const CliArgs& args, const std::string& binary,
 
 /// Shared `main` for bench and example binaries: runs `body` and turns a
 /// `marlin::Error` escaping it (a bad flag value, an invalid serving
-/// configuration) into one `<binary>: error: <message>` line on stderr
-/// and exit code 2, instead of `std::terminate` and exit 134.
+/// configuration) or a `std::bad_alloc` (a configuration too large to
+/// hold) into one `<binary>: error: <message>` line on stderr and exit
+/// code 2, instead of `std::terminate` and exit 134.
 inline int run_main(int argc, char** argv, int (*body)(int, char**)) {
-  try {
-    return body(argc, argv);
-  } catch (const Error& e) {
+  const auto fail = [&](std::string msg) {
     std::string binary = argc > 0 ? argv[0] : "marlin";
     binary = binary.substr(binary.find_last_of('/') + 1);
-    std::string msg = e.what();
     std::replace(msg.begin(), msg.end(), '\n', ' ');
     std::cerr << binary << ": error: " << msg << "\n";
     return 2;
+  };
+  try {
+    return body(argc, argv);
+  } catch (const Error& e) {
+    return fail(e.what());
+  } catch (const std::bad_alloc&) {
+    return fail("out of memory: the configuration is too large to simulate");
   }
 }
 

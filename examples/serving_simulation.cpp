@@ -111,6 +111,7 @@ static int run(int argc, char** argv) {
   // the multi-tenant machinery (see bench_serve_multitenant for tiered
   // mixes with quotas).
   const index_t tenants = args.get_int("tenants", 0);
+  MARLIN_CHECK(tenants >= 0, "--tenants must be >= 0 (0 = one tenant)");
   for (index_t t = 0; t < tenants; ++t) {
     sched::TenantSpec spec;
     spec.id = t;

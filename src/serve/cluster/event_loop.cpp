@@ -178,16 +178,7 @@ ClusterStats EventLoop::run(const std::vector<sched::TraceRequest>& trace,
                             obs::ServeRecorder* obs) const {
   ClusterStats stats;
   std::vector<sched::Request>& requests = stats.sched.requests;
-  requests.reserve(trace.size());
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    requests.emplace_back(static_cast<index_t>(i), trace[i].arrival_s,
-                          trace[i].input_tokens, trace[i].output_tokens,
-                          trace[i].tenant_id);
-    requests.back().prefix_id = trace[i].prefix_id;
-    requests.back().prefix_tokens = trace[i].prefix_tokens;
-    requests.back().num_sequences = std::max<index_t>(
-        1, trace[i].num_sequences);
-  }
+  requests = sched::requests_from_trace(trace);
 
   // The fleet only ever grows (a deque keeps references stable); retired
   // replicas stay in place so ids keep indexing it. Under disaggregation

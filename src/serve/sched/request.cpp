@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "serve/sched/workload.hpp"
 #include "util/error.hpp"
 #include "util/hash.hpp"
 
@@ -86,6 +87,21 @@ void Request::set_state(RequestState next) {
                                              << to_string(next) << " (id "
                                              << id << ")");
   state = next;
+}
+
+std::vector<Request> requests_from_trace(
+    const std::vector<TraceRequest>& trace) {
+  std::vector<Request> requests;
+  requests.reserve(trace.size());
+  for (const TraceRequest& t : trace) {
+    Request& r = requests.emplace_back(static_cast<index_t>(requests.size()),
+                                       t.arrival_s, t.input_tokens,
+                                       t.output_tokens, t.tenant_id);
+    r.prefix_id = t.prefix_id;
+    r.prefix_tokens = t.prefix_tokens;
+    r.num_sequences = std::max<index_t>(1, t.num_sequences);
+  }
+  return requests;
 }
 
 }  // namespace marlin::serve::sched

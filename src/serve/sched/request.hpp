@@ -37,6 +37,8 @@
 
 namespace marlin::serve::sched {
 
+struct TraceRequest;
+
 enum class RequestState { kQueued, kPrefilling, kRunning, kPreempted,
                           kFinished };
 
@@ -151,5 +153,10 @@ struct Request {
     return state == RequestState::kFinished;
   }
 };
+
+/// The requests a run over `trace` starts from, in trace order: request
+/// i is `trace[i]`, queued, with id i.
+[[nodiscard]] std::vector<Request> requests_from_trace(
+    const std::vector<TraceRequest>& trace);
 
 }  // namespace marlin::serve::sched

@@ -166,8 +166,11 @@ void assign_prefixes(const WorkloadConfig& cfg,
 }  // namespace
 
 std::vector<TraceRequest> generate_trace(const WorkloadConfig& cfg) {
-  MARLIN_CHECK(cfg.qps > 0, "QPS must be positive");
-  MARLIN_CHECK(cfg.duration_s > 0, "duration must be positive");
+  // A non-finite rate or window would grow the trace without bound.
+  MARLIN_CHECK(cfg.qps > 0 && std::isfinite(cfg.qps),
+               "QPS must be positive and finite");
+  MARLIN_CHECK(cfg.duration_s > 0 && std::isfinite(cfg.duration_s),
+               "duration must be positive and finite");
   MARLIN_CHECK(cfg.input_tokens >= 1 && cfg.output_tokens >= 1,
                "token counts must be >= 1");
   MARLIN_CHECK(cfg.shared_prefix_tokens >= 0,

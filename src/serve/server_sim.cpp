@@ -1,87 +1,86 @@
 #include "serve/server_sim.hpp"
 
 #include <algorithm>
-#include <optional>
+#include <memory>
 
 #include "serve/parallel/interconnect.hpp"
-#include "serve/parallel/parallel_engine.hpp"
 #include "util/error.hpp"
 
 namespace marlin::serve {
 
-sched::WorkloadConfig ServingConfig::workload() const {
+namespace {
+
+// The workload the trace is generated from, tenant traffic shares
+// scattered by tenant id. Validates every tenant spec.
+sched::WorkloadConfig workload_config(const ServingConfig& cfg) {
   sched::WorkloadConfig w;
-  w.shape = shape;
-  w.qps = qps;
-  w.duration_s = duration_s;
-  w.input_tokens = input_tokens;
-  w.output_tokens = output_tokens;
-  w.seed = seed;
-  w.shared_prefix_tokens = shared_prefix_tokens;
-  w.shared_prefix_groups = shared_prefix_groups;
-  w.shared_prefix_share = shared_prefix_share;
-  w.sampling_n = sampling_n;
+  w.shape = cfg.shape;
+  w.qps = cfg.qps;
+  w.duration_s = cfg.duration_s;
+  w.input_tokens = cfg.input_tokens;
+  w.output_tokens = cfg.output_tokens;
+  w.seed = cfg.seed;
+  w.shared_prefix_tokens = cfg.shared_prefix_tokens;
+  w.shared_prefix_groups = cfg.shared_prefix_groups;
+  w.shared_prefix_share = cfg.shared_prefix_share;
+  w.sampling_n = cfg.sampling_n;
 
   // Tenant mix: `tenant_shares[i]` is tenant id i's share, so scatter the
   // specs' traffic shares by id (ids need not be dense).
-  if (!tenants.empty()) {
+  if (!cfg.tenants.empty()) {
     index_t max_id = 0;
-    for (const auto& t : tenants) {
+    for (const auto& t : cfg.tenants) {
       t.validate();
       MARLIN_CHECK(t.id < 4096, "tenant id " << t.id << " unreasonably large");
       max_id = std::max(max_id, t.id);
     }
     w.tenant_shares.assign(static_cast<std::size_t>(max_id) + 1, 0.0);
-    for (const auto& t : tenants) {
+    for (const auto& t : cfg.tenants) {
       w.tenant_shares[static_cast<std::size_t>(t.id)] = t.traffic_share;
     }
   }
   return w;
 }
 
-sched::SchedulerConfig ServingConfig::scheduler(index_t kv_blocks) const {
+// The scheduler configuration over the configured KV budget; a negative
+// one is derived from HBM on every rank of `grid`, and the binding rank's
+// wins. Validates the prefix-cache config.
+sched::SchedulerConfig scheduler_config(const ServingConfig& cfg,
+                                        const parallel::ParallelEngine& grid) {
   sched::SchedulerConfig sc;
-  sc.policy = policy;
-  sc.max_batch = max_batch;
-  sc.prefill_chunk_tokens = prefill_chunk_tokens;
-  sc.blocks.block_size = kv_block_size;
-  sc.blocks.num_blocks = kv_blocks;
-  prefix_cache.validate();
-  sc.blocks.prefix_cache = prefix_cache;
-  sc.tenants = tenants;
-  sc.speculation = speculation;
-  sc.slo = slo;
+  sc.policy = cfg.policy;
+  sc.max_batch = cfg.max_batch;
+  sc.prefill_chunk_tokens = cfg.prefill_chunk_tokens;
+  sc.blocks.block_size = cfg.kv_block_size;
+  sc.blocks.num_blocks = cfg.kv_blocks >= 0
+                             ? cfg.kv_blocks
+                             : grid.min_kv_block_budget(cfg.kv_block_size);
+  cfg.prefix_cache.validate();
+  sc.blocks.prefix_cache = cfg.prefix_cache;
+  sc.tenants = cfg.tenants;
+  sc.speculation = cfg.speculation;
+  sc.slo = cfg.slo;
   return sc;
 }
 
-cluster::ClusterStats simulate_cluster_detailed(const Engine& engine,
-                                                const ServingConfig& cfg) {
-  const sched::WorkloadConfig w = cfg.workload();
+// The draft engine shares the target's device, format and clocks — only
+// the model differs (TinyLlama-1.1B unless configured). It stays on a
+// single device even when the target verifies across a rank grid.
+std::unique_ptr<const Engine> draft_engine(const Engine& engine,
+                                           const ServingConfig& cfg) {
+  if (!cfg.speculation.enabled()) return nullptr;
+  EngineConfig dcfg = engine.config();
+  dcfg.model =
+      cfg.draft_model.name.empty() ? tinyllama_1_1b() : cfg.draft_model;
+  return std::make_unique<const Engine>(dcfg);
+}
 
-  // Every grid, tp = pp = 1 included, prices through the per-rank worker
-  // model, and the derived KV budget is the binding rank's.
-  const parallel::ParallelEngine model(engine, cfg.parallel);
-  const index_t kv_blocks =
-      cfg.kv_blocks >= 0 ? cfg.kv_blocks
-                         : model.min_kv_block_budget(cfg.kv_block_size);
-
-  const sched::SchedulerConfig sc = cfg.scheduler(kv_blocks);
-
-  // The draft engine shares the target's device, format and clocks — only
-  // the model differs (TinyLlama-1.1B unless configured). It stays on a
-  // single device even when the target verifies across a rank grid.
-  std::optional<Engine> draft;
-  if (cfg.speculation.enabled()) {
-    EngineConfig dcfg = engine.config();
-    dcfg.model =
-        cfg.draft_model.name.empty() ? tinyllama_1_1b() : cfg.draft_model;
-    draft.emplace(dcfg);
-  }
-
-  // Disaggregated pools: price unset transfer-link fields from the engine
-  // (KV footprint per token) and the device's interconnect, so callers
-  // only opt in to the pool shape and get physical pricing for free. An
-  // explicit non-zero value always wins.
+// Disaggregated pools: price unset transfer-link fields from the engine
+// (KV footprint per token) and the device's interconnect, so callers
+// only opt in to the pool shape and get physical pricing for free. An
+// explicit non-zero value always wins.
+cluster::ClusterOptions priced_options(const Engine& engine,
+                                       const ServingConfig& cfg) {
   cluster::ClusterOptions copts = cfg.cluster;
   if (copts.disagg.enabled) {
     if (copts.disagg.kv_bytes_per_token <= 0) {
@@ -95,10 +94,26 @@ cluster::ClusterStats simulate_cluster_detailed(const Engine& engine,
       copts.disagg.link_latency_s = link.latency_s;
     }
   }
+  return copts;
+}
 
-  const sched::Scheduler scheduler(model, sc, draft ? &*draft : nullptr);
-  return cluster::EventLoop(scheduler, copts)
-      .run(sched::generate_trace(w), cfg.recorder);
+}  // namespace
+
+Simulation::Simulation(const Engine& engine, const ServingConfig& cfg)
+    : trace(sched::generate_trace(workload_config(cfg))),
+      model_(engine, cfg.parallel),
+      draft_(draft_engine(engine, cfg)),
+      scheduler_(model_, scheduler_config(cfg, model_), draft_.get()),
+      options_(priced_options(engine, cfg)),
+      recorder_(cfg.recorder) {}
+
+cluster::ClusterStats Simulation::run() const {
+  return cluster::EventLoop(scheduler_, options_).run(trace, recorder_);
+}
+
+cluster::ClusterStats simulate_cluster_detailed(const Engine& engine,
+                                                const ServingConfig& cfg) {
+  return Simulation(engine, cfg).run();
 }
 
 }  // namespace marlin::serve

@@ -3,18 +3,23 @@
 // over the request-level scheduler subsystem in serve/sched/ and the
 // cluster event loop in serve/cluster/.
 //
-// `simulate_cluster_detailed` turns a ServingConfig into a workload trace
-// plus a scheduler configuration and runs the continuous-batching
-// scheduler on the configured fleet. The defaults (one replica, Poisson
-// arrivals, FCFS, unlimited KV blocks, unchunked prefill) reproduce the
-// pre-subsystem simulator bit-for-bit — the fig15/fig16 golden tables
-// hold — while the extra knobs open the scheduler's policy, workload and
-// KV-budget space to the benches. Callers that only need the
-// single-engine view read its `.sched` (or `.sched.metrics`) slice.
+// `Simulation` turns a ServingConfig into a workload trace, the rank grid,
+// the scheduler, the draft engine and priced cluster options, and runs
+// them on the configured fleet; `simulate_cluster_detailed` is that run.
+// The defaults (one replica, Poisson arrivals, FCFS, unlimited KV blocks,
+// unchunked prefill) reproduce the pre-subsystem simulator bit-for-bit —
+// the fig15/fig16 golden tables hold — while the extra knobs open the
+// scheduler's policy, workload and KV-budget space to the benches.
+// Callers that only need the single-engine view read its `.sched` (or
+// `.sched.metrics`) slice.
+
+#include <memory>
+#include <vector>
 
 #include "serve/cluster/event_loop.hpp"
 #include "serve/engine.hpp"
 #include "serve/parallel/parallel_config.hpp"
+#include "serve/parallel/parallel_engine.hpp"
 #include "serve/sched/scheduler.hpp"
 #include "serve/sched/workload.hpp"
 
@@ -92,17 +97,44 @@ struct ServingConfig {
   /// and metrics into it; the scheduling decisions themselves are
   /// identical with or without a recorder attached.
   obs::ServeRecorder* recorder = nullptr;
+};
 
-  /// The workload the trace is generated from, tenant traffic shares
-  /// scattered by tenant id. Validates every tenant spec.
-  [[nodiscard]] sched::WorkloadConfig workload() const;
-  /// The scheduler configuration over `kv_blocks` KV blocks. Validates
-  /// the prefix-cache config.
-  [[nodiscard]] sched::SchedulerConfig scheduler(index_t kv_blocks) const;
+/// One serving run, set up: a test may reshape `trace` or hand the
+/// scheduler and options to a reference loop first. Not copyable: the
+/// scheduler borrows the step models held here.
+class Simulation {
+ public:
+  Simulation(const Engine& engine, const ServingConfig& cfg);
+  Simulation(const Simulation&) = delete;
+  Simulation& operator=(const Simulation&) = delete;
+
+  /// The workload `run` serves, generated from the config until a caller
+  /// replaces it (ascending arrival times).
+  std::vector<sched::TraceRequest> trace;
+
+  /// Prices every step through the rank grid (tp = pp = 1 included) and,
+  /// under speculation, the drafts through the draft engine.
+  [[nodiscard]] const sched::Scheduler& scheduler() const {
+    return scheduler_;
+  }
+  /// `cfg.cluster` with the unset disaggregation link fields priced.
+  [[nodiscard]] const cluster::ClusterOptions& options() const {
+    return options_;
+  }
+
+  /// `cluster::EventLoop(scheduler(), options()).run(trace, recorder)`.
+  [[nodiscard]] cluster::ClusterStats run() const;
+
+ private:
+  parallel::ParallelEngine model_;
+  std::unique_ptr<const Engine> draft_;  // null without speculation
+  sched::Scheduler scheduler_;
+  cluster::ClusterOptions options_;
+  obs::ServeRecorder* recorder_;
 };
 
 /// Full cluster statistics: the fleet-summed SchedStats plus per-replica
-/// accounting.
+/// accounting. `Simulation(engine, cfg).run()`.
 cluster::ClusterStats simulate_cluster_detailed(const Engine& engine,
                                                 const ServingConfig& cfg);
 

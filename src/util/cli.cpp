@@ -1,7 +1,7 @@
 #include "util/cli.hpp"
 
 #include <algorithm>
-#include <cstdlib>
+#include <charconv>
 
 #include "util/error.hpp"
 
@@ -44,17 +44,35 @@ std::string CliArgs::get_string(const std::string& name,
   return it == flags_.end() ? fallback : it->second;
 }
 
+namespace {
+
+/// All of `text` as a T, else an Error naming `--name`: empty, trailing
+/// junk and out of range are all rejected.
+template <typename T>
+T parse_whole(const std::string& name, const std::string& text,
+              const char* kind) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || stop != end) {
+    throw Error("--" + name + " expects " + kind + ", got '" + text + "'");
+  }
+  return value;
+}
+
+}  // namespace
+
 std::int64_t CliArgs::get_int(const std::string& name,
                               std::int64_t fallback) const {
   const auto it = flags_.find(name);
   if (it == flags_.end()) return fallback;
-  return std::strtoll(it->second.c_str(), nullptr, 10);
+  return parse_whole<std::int64_t>(name, it->second, "a 64-bit integer");
 }
 
 double CliArgs::get_double(const std::string& name, double fallback) const {
   const auto it = flags_.find(name);
   if (it == flags_.end()) return fallback;
-  return std::strtod(it->second.c_str(), nullptr);
+  return parse_whole<double>(name, it->second, "a double-precision number");
 }
 
 bool CliArgs::get_bool(const std::string& name, bool fallback) const {

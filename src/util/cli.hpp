@@ -1,6 +1,8 @@
 #pragma once
 // Minimal command-line flag parser for the examples and bench binaries.
 // Supports `--name=value`, `--name value`, and bare `--flag` booleans.
+// Numeric getters parse the whole value and throw an Error naming the
+// flag on empty, malformed or out-of-range input.
 
 #include <optional>
 #include <string>

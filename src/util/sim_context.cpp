@@ -30,13 +30,15 @@ void SimContext::parallel_for(
   pool()->parallel_for(begin, end, fn);
 }
 
-unsigned SimContext::resolve_threads(unsigned requested) noexcept {
-  if (requested != 0) return requested;
-  if (const char* env = std::getenv("MARLIN_THREADS")) {
-    const long v = std::strtol(env, nullptr, 10);
-    if (v > 0) return static_cast<unsigned>(v);
-  }
-  return std::max(1u, std::thread::hardware_concurrency());
+unsigned SimContext::resolve_threads(unsigned requested) {
+  long n = requested;
+  const char* env = std::getenv("MARLIN_THREADS");
+  if (n == 0 && env != nullptr) n = std::strtol(env, nullptr, 10);
+  MARLIN_CHECK(n <= static_cast<long>(kMaxThreads),
+               "thread count " << n << " (--threads or MARLIN_THREADS) "
+                               << "exceeds the maximum of " << kMaxThreads);
+  if (n > 0) return static_cast<unsigned>(n);
+  return std::clamp(std::thread::hardware_concurrency(), 1u, kMaxThreads);
 }
 
 const SimContext& SimContext::serial_context() {
@@ -46,7 +48,9 @@ const SimContext& SimContext::serial_context() {
 
 SimContext make_sim_context(const CliArgs& args) {
   const std::int64_t threads = args.get_int("threads", 0);
-  MARLIN_CHECK(threads >= 0, "--threads must be >= 0 (0 = auto)");
+  MARLIN_CHECK(threads >= 0 && threads <= SimContext::kMaxThreads,
+               "--threads must be in [0, " << SimContext::kMaxThreads
+                                           << "] (0 = auto)");
   return SimContext(static_cast<unsigned>(threads));
 }
 

@@ -33,8 +33,13 @@ class CliArgs;
 
 class SimContext {
  public:
+  /// Most executors a context may run: the pool starts one OS thread per
+  /// executor but the caller, so a larger count is refused, not started.
+  static constexpr unsigned kMaxThreads = 1024;
+
   /// n_threads == 0 resolves via MARLIN_THREADS, then hardware concurrency;
-  /// n_threads == 1 forces serial mode (no pool, inline execution).
+  /// n_threads == 1 forces serial mode (no pool, inline execution). Throws
+  /// when the resolved count exceeds kMaxThreads.
   explicit SimContext(unsigned n_threads = 0);
 
   SimContext(const SimContext&) = delete;
@@ -60,9 +65,10 @@ class SimContext {
   void parallel_for(std::int64_t begin, std::int64_t end,
                     const std::function<void(std::int64_t)>& fn) const;
 
-  /// The thread-count policy: `requested` if nonzero, else MARLIN_THREADS,
-  /// else hardware concurrency (at least 1).
-  [[nodiscard]] static unsigned resolve_threads(unsigned requested) noexcept;
+  /// The thread-count policy: `requested` if nonzero, else a positive
+  /// MARLIN_THREADS, else hardware concurrency (clamped to [1,
+  /// kMaxThreads]). Throws when the first two exceed kMaxThreads.
+  [[nodiscard]] static unsigned resolve_threads(unsigned requested);
 
   /// Process-wide serial context — the default for kernel entry points so
   /// existing call sites keep their exact behaviour.
@@ -74,7 +80,8 @@ class SimContext {
   mutable std::once_flag started_;
 };
 
-/// Context for a binary's `--threads` flag (0/absent = auto policy).
+/// Context for a binary's `--threads` flag (0/absent = auto policy);
+/// throws unless it is in [0, SimContext::kMaxThreads].
 [[nodiscard]] SimContext make_sim_context(const CliArgs& args);
 
 }  // namespace marlin

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <deque>
 
-#include "serve/parallel/interconnect.hpp"
 #include "util/error.hpp"
 #include "util/hash.hpp"
 
@@ -70,29 +69,13 @@ index_t recount_load(const Replica& rep,
   return total;
 }
 
-std::vector<sched::Request> requests_from_trace(
-    const std::vector<sched::TraceRequest>& trace) {
-  std::vector<sched::Request> requests;
-  requests.reserve(trace.size());
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    requests.emplace_back(static_cast<index_t>(i), trace[i].arrival_s,
-                          trace[i].input_tokens, trace[i].output_tokens,
-                          trace[i].tenant_id);
-    requests.back().prefix_id = trace[i].prefix_id;
-    requests.back().prefix_tokens = trace[i].prefix_tokens;
-    requests.back().num_sequences =
-        std::max<index_t>(1, trace[i].num_sequences);
-  }
-  return requests;
-}
-
 ClusterStats run(const sched::Scheduler& scheduler,
                  const ClusterOptions& opts,
                  const std::vector<sched::TraceRequest>& trace) {
   opts.validate();
   ClusterStats stats;
   std::vector<sched::Request>& requests = stats.sched.requests;
-  requests = requests_from_trace(trace);
+  requests = sched::requests_from_trace(trace);
   index_t max_context = 1;
   for (const sched::TraceRequest& t : trace) {
     max_context = std::max(max_context, t.input_tokens + t.output_tokens);
@@ -397,42 +380,6 @@ ClusterStats run(const sched::Scheduler& scheduler,
     }
   }
   return stats;
-}
-
-Setup::Setup(const Engine& engine, const ServingConfig& cfg) {
-  MARLIN_CHECK(cfg.recorder == nullptr,
-               "the reference loop does not record");
-  trace = sched::generate_trace(cfg.workload());
-
-  const parallel::ParallelEngine& model =
-      model_.emplace(engine, cfg.parallel);
-  const index_t kv_blocks =
-      cfg.kv_blocks >= 0 ? cfg.kv_blocks
-                         : model.min_kv_block_budget(cfg.kv_block_size);
-
-  const sched::SchedulerConfig sc = cfg.scheduler(kv_blocks);
-
-  if (cfg.speculation.enabled()) {
-    EngineConfig dcfg = engine.config();
-    dcfg.model =
-        cfg.draft_model.name.empty() ? tinyllama_1_1b() : cfg.draft_model;
-    draft_.emplace(dcfg);
-  }
-  scheduler_.emplace(model, sc, draft_ ? &*draft_ : nullptr);
-
-  options_ = cfg.cluster;
-  if (options_.disagg.enabled) {
-    if (options_.disagg.kv_bytes_per_token <= 0) {
-      options_.disagg.kv_bytes_per_token = engine.kv_bytes_per_token();
-    }
-    if (options_.disagg.link_bytes_per_s <= 0 &&
-        options_.disagg.link_latency_s <= 0) {
-      const parallel::Interconnect link =
-          parallel::Interconnect::of(engine.config().gpu);
-      options_.disagg.link_bytes_per_s = link.bytes_per_s;
-      options_.disagg.link_latency_s = link.latency_s;
-    }
-  }
 }
 
 }  // namespace marlin::serve::cluster::reference

@@ -10,14 +10,12 @@
 // It shares `Replica` and the passive `Scheduler` with the real loop (so
 // both run the same tick), but none of the state this optimization
 // introduced: not the busy heap, not the maintained load counter, not
-// the once-per-run tenant table. Recording is not supported.
+// the once-per-run tenant table. Recording is not supported. Tests build
+// the inputs of both loops with one `serve::Simulation`.
 
-#include <optional>
 #include <vector>
 
 #include "serve/cluster/event_loop.hpp"
-#include "serve/parallel/parallel_engine.hpp"
-#include "serve/server_sim.hpp"
 
 namespace marlin::serve::cluster::reference {
 
@@ -27,38 +25,9 @@ namespace marlin::serve::cluster::reference {
 [[nodiscard]] index_t recount_load(
     const Replica& rep, const std::vector<sched::Request>& requests);
 
-/// The trace-order request vector a run over `trace` starts from.
-[[nodiscard]] std::vector<sched::Request> requests_from_trace(
-    const std::vector<sched::TraceRequest>& trace);
-
 /// `EventLoop(scheduler, opts).run(trace)` computed the slow way.
 [[nodiscard]] ClusterStats run(const sched::Scheduler& scheduler,
                                const ClusterOptions& opts,
                                const std::vector<sched::TraceRequest>& trace);
-
-/// The trace, scheduler and priced cluster options that
-/// `simulate_cluster_detailed(engine, cfg)` runs, built piecewise so a
-/// test can hand the same inputs to either loop (and reshape the trace
-/// first). Supports every ServingConfig except a recorder. Not copyable:
-/// the scheduler borrows the step models held here.
-class Setup {
- public:
-  Setup(const Engine& engine, const ServingConfig& cfg);
-  Setup(const Setup&) = delete;
-  Setup& operator=(const Setup&) = delete;
-
-  [[nodiscard]] const sched::Scheduler& scheduler() const {
-    return *scheduler_;
-  }
-  [[nodiscard]] const ClusterOptions& options() const { return options_; }
-
-  std::vector<sched::TraceRequest> trace;
-
- private:
-  std::optional<parallel::ParallelEngine> model_;
-  std::optional<Engine> draft_;
-  std::optional<sched::Scheduler> scheduler_;
-  ClusterOptions options_;
-};
 
 }  // namespace marlin::serve::cluster::reference

@@ -1,8 +1,8 @@
 // Seed-swept randomized invariant fuzzer for the serving stack: every
 // seed derives a random ServingConfig spanning the policy × replica ×
-// SLO × prefix-cache × speculation × disaggregation × autoscaler ×
-// tensor/pipeline-parallel space,
-// runs it end to end, and asserts the invariants that must hold for
+// SLO × prefix-cache × speculation (and draft model) × disaggregation ×
+// autoscaler × tensor/pipeline-parallel × KV block size space, runs it
+// end to end, and asserts the invariants that must hold for
 // *every* configuration:
 //
 //   - no KV blocks leak (every replica ends at used_blocks == 0),
@@ -14,7 +14,8 @@
 //   - the optimized EventLoop (busy-replica heap, maintained least-loaded
 //     counters, once-per-run tenant table) produces bit-equal
 //     ClusterStats to the frozen linear-scan reference loop in
-//     reference_event_loop.cpp, on every seed,
+//     reference_event_loop.cpp, on every seed, both fed by one
+//     `Simulation` (the set-up `simulate_cluster_detailed` runs),
 //   - attaching a ServeRecorder with both a trace and a metrics sink
 //     changes no bit of the ClusterStats, and every exported
 //     `marlin_*_total` series equals the stats field it is derived from,
@@ -35,6 +36,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <map>
+#include <optional>
 #include <random>
 #include <sstream>
 #include <string>
@@ -203,21 +205,6 @@ FuzzCase case_for_seed(std::uint64_t seed) {
   const bool kv_at_boundary = pick(0, 9) == 0;
   const bool same_instant_burst = pick(0, 49) == 0;
   if (one_token_outputs) sc.output_tokens = 1;
-  if (kv_at_boundary && !same_instant_burst) {
-    sched::Request nominal(0, 0.0, sc.input_tokens + sc.shared_prefix_tokens,
-                           sc.output_tokens);
-    nominal.num_sequences = sc.sampling_n;
-    const index_t lifetime = nominal.max_kv_blocks(sc.kv_block_size);
-    index_t budget = lifetime;
-    const auto watermark = [&](index_t blocks) {
-      sched::BlockManagerConfig bm;
-      bm.block_size = sc.kv_block_size;
-      bm.num_blocks = blocks;
-      return sched::BlockManager(bm).watermark_blocks();
-    };
-    while (lifetime + watermark(budget) > budget) ++budget;
-    sc.kv_blocks = budget;
-  }
   double grid_s = snap_arrivals ? arrival_grid_s : 0.0;
   if (same_instant_burst) {
     // FCFS: the sorted policies re-sort the whole queue on every tick, so
@@ -253,6 +240,28 @@ FuzzCase case_for_seed(std::uint64_t seed) {
   const index_t cache_cap = pick(1, 8);
   if (cap_cache && sc.prefix_cache.enabled) {
     sc.prefix_cache.max_cached_blocks = cache_cap;
+  }
+  // The KV block size (the CLI's `--kv-block-size`) and, on about half the
+  // speculation seeds, a named draft model (`--draft-model`) in place of
+  // the TinyLlama default. Drawn last for the same reason.
+  sc.kv_block_size = std::array<index_t, 3>{8, 16, 32}[pick(0, 2)];
+  const bool named_draft = pick(0, 1) == 0;
+  if (named_draft && sc.speculation.enabled()) sc.draft_model = llama2_7b();
+  // The never-fits boundary, at the drawn block size.
+  if (kv_at_boundary && !same_instant_burst) {
+    sched::Request nominal(0, 0.0, sc.input_tokens + sc.shared_prefix_tokens,
+                           sc.output_tokens);
+    nominal.num_sequences = sc.sampling_n;
+    const index_t lifetime = nominal.max_kv_blocks(sc.kv_block_size);
+    index_t budget = lifetime;
+    const auto watermark = [&](index_t blocks) {
+      sched::BlockManagerConfig bm;
+      bm.block_size = sc.kv_block_size;
+      bm.num_blocks = blocks;
+      return sched::BlockManager(bm).watermark_blocks();
+    };
+    while (lifetime + watermark(budget) > budget) ++budget;
+    sc.kv_blocks = budget;
   }
   return FuzzCase{sc, grid_s};
 }
@@ -514,7 +523,7 @@ template <typename Admit>
 ReplicaRun run_one_replica(const sched::Scheduler& scheduler,
                            const std::vector<sched::TraceRequest>& trace,
                            const Admit& admit) {
-  ReplicaRun run{cluster::reference::requests_from_trace(trace),
+  ReplicaRun run{sched::requests_from_trace(trace),
                  scheduler.make_replica_state()};
   std::vector<sched::Request>& requests = run.requests;
   sched::ReplicaState& s = run.state;
@@ -584,12 +593,16 @@ TEST(ClusterFuzz, InvariantsHoldAcrossTheSeedSweep) {
   index_t derived_sharded = 0;
   index_t derived_single = 0;
   index_t capped_cache_evictions = 0;
+  index_t odd_block_sizes = 0;
+  index_t named_drafts = 0;
+  index_t rejecting = 0;
+  index_t shedding = 0;
   for (index_t seed = 1; seed <= seeds; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     const FuzzCase fc = case_for_seed(seed);
     const ServingConfig& sc = fc.sc;
-    const cluster::ClusterStats cs =
-        simulate_cluster_detailed(fuzz_engine(), sc);
+    Simulation sim(fuzz_engine(), sc);
+    const cluster::ClusterStats cs = sim.run();
     check_invariants(cs, seed);
     EXPECT_GT(cs.sched.requests.size(), 0u) << "seed " << seed;
 
@@ -609,41 +622,35 @@ TEST(ClusterFuzz, InvariantsHoldAcrossTheSeedSweep) {
     }
 
     // Differential oracle, every seed: the optimized loop against the
-    // frozen linear-scan reference on identical inputs.
-    cluster::reference::Setup setup(fuzz_engine(), sc);
+    // frozen linear-scan reference on identical inputs, on some seeds
+    // with the arrivals snapped to a grid first.
+    std::optional<cluster::ClusterStats> snapped;
     if (fc.arrival_grid_s > 0) {
-      for (sched::TraceRequest& r : setup.trace) {
+      for (sched::TraceRequest& r : sim.trace) {
         r.arrival_s = std::floor(r.arrival_s / fc.arrival_grid_s) *
                       fc.arrival_grid_s;
       }
-    }
-    const cluster::ClusterStats fast =
-        cluster::EventLoop(setup.scheduler(), setup.options())
-            .run(setup.trace);
-    if (fc.arrival_grid_s > 0) {
-      check_invariants(fast, seed);
-    } else {
-      expect_same_cluster_stats(cs, fast, seed);  // set-up mirrors server_sim
+      snapped = sim.run();
+      check_invariants(*snapped, seed);
     }
     expect_same_cluster_stats(
-        fast,
-        cluster::reference::run(setup.scheduler(), setup.options(),
-                                setup.trace),
+        snapped ? *snapped : cs,
+        cluster::reference::run(sim.scheduler(), sim.options(), sim.trace),
         seed);
     // Admission differential, every seed: the trace on one FCFS replica,
     // admitted by the scheduler and by the frozen queue-snapshot copy.
     {
       ServingConfig one = sc;
       one.policy = sched::SchedPolicy::kFcfs;
-      const cluster::reference::Setup fcfs(fuzz_engine(), one);
+      const Simulation fcfs(fuzz_engine(), one);
       const sched::Scheduler& scheduler = fcfs.scheduler();
       expect_same_replica_run(
-          run_one_replica(scheduler, setup.trace,
+          run_one_replica(scheduler, sim.trace,
                           [&](sched::ReplicaState& s,
                               std::vector<sched::Request>& requests) {
                             scheduler.admit(s, requests);
                           }),
-          run_one_replica(scheduler, setup.trace,
+          run_one_replica(scheduler, sim.trace,
                           [&](sched::ReplicaState& s,
                               std::vector<sched::Request>& requests) {
                             sched::reference::admit_fcfs(scheduler, s,
@@ -666,6 +673,11 @@ TEST(ClusterFuzz, InvariantsHoldAcrossTheSeedSweep) {
         cs.sched.prefix_cache_evictions > 0) {
       ++capped_cache_evictions;
     }
+    odd_block_sizes += sc.kv_block_size != 16 ? 1 : 0;
+    named_drafts +=
+        sc.speculation.enabled() && !sc.draft_model.name.empty() ? 1 : 0;
+    rejecting += cs.sched.rejected > 0 ? 1 : 0;
+    shedding += cs.sched.shed > 0 ? 1 : 0;
     autoscaler_adds += cs.replicas_added > 0 ? 1 : 0;
     for (const cluster::ReplicaStats& rep : cs.replicas) {
       if (rep.lifecycle == cluster::ReplicaLifecycle::kRetired) {
@@ -684,6 +696,10 @@ TEST(ClusterFuzz, InvariantsHoldAcrossTheSeedSweep) {
     EXPECT_GT(derived_sharded, 0);
     EXPECT_GT(derived_single, 0);
     EXPECT_GT(capped_cache_evictions, 0);
+    EXPECT_GT(odd_block_sizes, 0);
+    EXPECT_GT(named_drafts, 0);
+    EXPECT_GT(rejecting, 0);
+    EXPECT_GT(shedding, 0);
   }
 }
 

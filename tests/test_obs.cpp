@@ -7,60 +7,16 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "counting_allocator.hpp"
 #include "obs/metrics.hpp"
 #include "obs/serve_recorder.hpp"
 #include "obs/trace.hpp"
 #include "serve/server_sim.hpp"
-
-// Counting global allocator (same pattern as test_simd_dispatch): every
-// replaceable operator new in this binary bumps one relaxed counter, so
-// tests can assert a code window performed zero heap allocations.
-
-namespace {
-std::atomic<std::uint64_t> g_new_calls{0};
-
-std::uint64_t alloc_count() {
-  return g_new_calls.load(std::memory_order_relaxed);
-}
-}  // namespace
-
-void* operator new(std::size_t n) {
-  g_new_calls.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void* operator new(std::size_t n, std::align_val_t al) {
-  g_new_calls.fetch_add(1, std::memory_order_relaxed);
-  const std::size_t a =
-      std::max(sizeof(void*), static_cast<std::size_t>(al));
-  void* p = nullptr;
-  if (posix_memalign(&p, a, n ? n : 1) != 0) throw std::bad_alloc();
-  return p;
-}
-void* operator new[](std::size_t n, std::align_val_t al) {
-  return ::operator new(n, al);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
 
 namespace marlin::obs {
 namespace {
@@ -403,6 +359,61 @@ TEST(ServeRecorderSim, MetricsAgreeWithSchedStats) {
 }
 
 // ------------------------------------------------- recording-off fast path
+
+// A steady-state decode tick (no arrivals, no admissions, every running
+// sequence growing within its reserved block vector) performs zero heap
+// allocations with the observer hooks compiled in but off.
+TEST(HotPath, SteadyStateDecodeTickDoesNotAllocate) {
+  serve::sched::SchedulerConfig scfg;
+  scfg.policy = serve::sched::SchedPolicy::kFcfs;
+  scfg.max_batch = 8;
+  scfg.blocks.block_size = 16;
+  scfg.blocks.num_blocks = 256;
+  const serve::sched::Scheduler sched(test_engine(), scfg);
+
+  std::vector<serve::sched::Request> requests;
+  for (index_t i = 0; i < 8; ++i) requests.emplace_back(i, 0.0, 64, 32);
+  // Warm the step memo for every (batch, context-bucket) pair the run can
+  // touch, so no tick inserts into it.
+  for (index_t batch = 1; batch <= scfg.max_batch; ++batch) {
+    for (index_t b = 0; b < 4; ++b) {
+      (void)test_engine().decode_step_seconds(
+          batch, static_cast<double>(b) * 64.0 + 1.0);
+    }
+  }
+
+  serve::sched::ReplicaState s = sched.make_replica_state();
+  ASSERT_EQ(s.obs, nullptr);  // recording defaults off
+  sched.register_tenants(s, requests);
+  for (std::size_t i = 0; i < requests.size(); ++i) s.queue.push_back(i);
+  // Warm-up ticks: one admission (grows the scratch and reserves each
+  // request's lifetime block vector), the prefill round, and two decode
+  // rounds to settle every lazily-grown container.
+  while (s.decode_steps < 2) {
+    ASSERT_TRUE(s.busy());
+    sched.admit(s, requests);
+    sched.step(s, requests);
+  }
+  ASSERT_EQ(s.running.size(), requests.size());
+
+  const std::uint64_t before = alloc_count();
+  for (int tick = 0; tick < 5; ++tick) {
+    sched.admit(s, requests);  // empty queue: must also be free of allocs
+    sched.step(s, requests);
+  }
+  const std::uint64_t allocs = alloc_count() - before;
+  EXPECT_EQ(allocs, 0u)
+      << allocs << " heap allocations across 5 steady-state decode ticks";
+  EXPECT_EQ(s.decode_steps, 7);
+  EXPECT_EQ(s.running.size(), requests.size());  // still mid-decode
+
+  // Drain to completion: every block returns to the manager.
+  while (s.busy()) {
+    sched.admit(s, requests);
+    sched.step(s, requests);
+  }
+  EXPECT_EQ(s.bm.used_blocks(), 0);
+}
 
 TEST(HotPath, SteadyStateDecodeTickWithNullObserverDoesNotAllocate) {
   serve::sched::SchedulerConfig scfg;

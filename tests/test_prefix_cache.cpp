@@ -8,67 +8,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "counting_allocator.hpp"
 #include "reference_block_manager.hpp"
 #include "serve/server_sim.hpp"
 #include "util/hash.hpp"
 #include "util/rng.hpp"
-
-// ------------------------------------------------------------------------
-// Counting global allocator (same pattern as test_simd_dispatch): every
-// replaceable operator new bumps relaxed call and byte counters so tests
-// can assert that a code window performed zero heap allocations, or how
-// many bytes it asked for.
-
-namespace {
-std::atomic<std::uint64_t> g_new_calls{0};
-std::atomic<std::uint64_t> g_new_bytes{0};
-
-std::uint64_t alloc_count() {
-  return g_new_calls.load(std::memory_order_relaxed);
-}
-std::uint64_t alloc_bytes() {
-  return g_new_bytes.load(std::memory_order_relaxed);
-}
-}  // namespace
-
-void* operator new(std::size_t n) {
-  g_new_calls.fetch_add(1, std::memory_order_relaxed);
-  g_new_bytes.fetch_add(n, std::memory_order_relaxed);
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void* operator new(std::size_t n, std::align_val_t al) {
-  g_new_calls.fetch_add(1, std::memory_order_relaxed);
-  g_new_bytes.fetch_add(n, std::memory_order_relaxed);
-  const std::size_t a = std::max(sizeof(void*), static_cast<std::size_t>(al));
-  void* p = nullptr;
-  if (posix_memalign(&p, a, n ? n : 1) != 0) throw std::bad_alloc();
-  return p;
-}
-void* operator new[](std::size_t n, std::align_val_t al) {
-  return ::operator new(n, al);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
 
 namespace marlin::serve::sched {
 namespace {

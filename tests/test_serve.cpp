@@ -286,5 +286,34 @@ TEST(ServingSim, TtftImprovementSmallerThanTpot) {
   EXPECT_LT(ttft_gain, tpot_gain);
 }
 
+TEST(ServingSim, LoneRequestFollowsTheStepModelClosedForm) {
+  // Zero load: the first token lands one batch-1 prefill after arrival,
+  // each later one a batch-1 decode step at its context later. This ties
+  // the serving stack to the step model without a frozen copy between.
+  const Engine marlin(a6000_7b(WeightFormat::kMarlin));
+  const auto check = [&](parallel::ParallelConfig grid, double arrival_s,
+                         index_t prompt, index_t output) {
+    SCOPED_TRACE(grid.to_string());
+    ServingConfig sc;
+    sc.parallel = grid;
+    Simulation sim(marlin, sc);
+    sim.trace = {sched::TraceRequest{arrival_s, prompt, output}};
+    const cluster::ClusterStats cs = sim.run();
+    ASSERT_EQ(cs.sched.requests.size(), 1u);
+    const StepModel& model = sim.scheduler().model();
+    double t = arrival_s + model.prefill_seconds(1, prompt);
+    EXPECT_EQ(cs.sched.requests[0].first_token_s, t);
+    for (index_t g = 1; g < output; ++g) {
+      t += model.decode_step_seconds(1, static_cast<double>(prompt + g));
+    }
+    EXPECT_EQ(cs.sched.requests[0].finish_s, t);
+  };
+  check({}, 0.0, 64, 32);
+  check({}, 1.25, 64, 32);
+  check({4, 1, 0, 1}, 0.0, 100, 17);
+  check({2, 2, 0, 1}, 0.5, 48, 9);
+  check({}, 0.0, 64, 1);
+}
+
 }  // namespace
 }  // namespace marlin::serve

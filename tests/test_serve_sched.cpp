@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "serve/server_sim.hpp"
 #include "util/rng.hpp"
 
@@ -164,6 +166,16 @@ TEST(Workload, SeedReproducesTraceExactly) {
   w.seed = 7;
   const auto t3 = generate_trace(w);
   EXPECT_NE(t1.front().arrival_s, t3.front().arrival_s);
+}
+
+TEST(Workload, NonFiniteRateOrWindowIsRejected) {
+  // Either would grow the trace until memory runs out.
+  WorkloadConfig w;
+  w.qps = std::numeric_limits<double>::infinity();
+  EXPECT_THROW((void)generate_trace(w), Error);
+  w.qps = 1.0;
+  w.duration_s = std::numeric_limits<double>::infinity();
+  EXPECT_THROW((void)generate_trace(w), Error);
 }
 
 TEST(Workload, PoissonMatchesTheLegacyArrivalProcess) {

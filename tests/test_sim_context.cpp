@@ -96,6 +96,19 @@ TEST(SimContextPolicy, CliThreadsFlag) {
   EXPECT_EQ(ctx.num_threads(), 2u);
 }
 
+TEST(SimContextPolicy, CountsAboveTheMaximumThrowBeforeAnyPoolStarts) {
+  constexpr unsigned kMax = SimContext::kMaxThreads;
+  EXPECT_THROW(SimContext ctx(kMax + 1), Error);
+  EXPECT_EQ(SimContext::resolve_threads(kMax), kMax);  // starts nothing
+  for (const char* count : {"1025", "4294967297", "-1"}) {
+    const char* argv[] = {"prog", "--threads", count};
+    EXPECT_THROW((void)make_sim_context(CliArgs(3, argv)), Error) << count;
+  }
+  ASSERT_EQ(setenv("MARLIN_THREADS", "100000", 1), 0);
+  EXPECT_THROW((void)SimContext::resolve_threads(0), Error);
+  ASSERT_EQ(unsetenv("MARLIN_THREADS"), 0);
+}
+
 TEST(SimContextPolicy, PoolIsLazyAndShared) {
   const SimContext ctx(4);
   ThreadPool* p1 = ctx.pool();

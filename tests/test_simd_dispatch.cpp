@@ -1,20 +1,17 @@
 // Runtime SIMD dispatch (util/cpuid.hpp + util/simd_ops.hpp): level
 // selection precedence, known answers of the op tables against the quant/
 // reference implementations, the bit-identity contract across every level
-// this host supports (levels the host lacks are skipped gracefully), an
-// end-to-end pipeline identity check, and the zero-allocation contract of
-// the serving steady-state decode tick.
+// this host supports (levels the host lacks are skipped gracefully) and
+// an end-to-end pipeline identity check.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
-#include <new>
 #include <string>
 #include <vector>
 
@@ -24,54 +21,10 @@
 #include "quant/linalg.hpp"
 #include "quant/pack.hpp"
 #include "quant/uniform.hpp"
-#include "serve/server_sim.hpp"
 #include "util/cpuid.hpp"
 #include "util/half.hpp"
 #include "util/rng.hpp"
 #include "util/simd_ops.hpp"
-
-// ------------------------------------------------------------------------
-// Counting global allocator: every replaceable operator new in this test
-// binary bumps one relaxed counter, so tests can assert that a code window
-// performed zero heap allocations. Single-threaded tests read it exactly.
-
-namespace {
-std::atomic<std::uint64_t> g_new_calls{0};
-
-std::uint64_t alloc_count() {
-  return g_new_calls.load(std::memory_order_relaxed);
-}
-}  // namespace
-
-void* operator new(std::size_t n) {
-  g_new_calls.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void* operator new(std::size_t n, std::align_val_t al) {
-  g_new_calls.fetch_add(1, std::memory_order_relaxed);
-  const std::size_t a =
-      std::max(sizeof(void*), static_cast<std::size_t>(al));
-  void* p = nullptr;
-  if (posix_memalign(&p, a, n ? n : 1) != 0) throw std::bad_alloc();
-  return p;
-}
-void* operator new[](std::size_t n, std::align_val_t al) {
-  return ::operator new(n, al);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
 
 namespace marlin {
 namespace {
@@ -597,74 +550,6 @@ TEST(SimdEndToEnd, PipelineBitIdenticalAcrossLevels) {
               0)
         << "gram matrix differs at " << simd::to_string(l);
   }
-}
-
-// ------------------------------------------------- allocation regression
-//
-// A steady-state decode tick (no arrivals, no admissions, every running
-// sequence growing within its reserved block vector) must perform zero
-// heap allocations: the scheduler reuses ReplicaState scratch, the block
-// manager recycles its free list, and the engine's one-rank grid serves
-// decode times from its warmed step memo.
-
-TEST(HotPath, SteadyStateDecodeTickDoesNotAllocate) {
-  serve::EngineConfig ecfg;
-  ecfg.model = serve::llama2_7b();
-  ecfg.gpu = gpusim::rtxa6000();
-  ecfg.format = serve::WeightFormat::kMarlin;
-  const serve::Engine engine(ecfg);
-
-  serve::sched::SchedulerConfig scfg;
-  scfg.policy = serve::sched::SchedPolicy::kFcfs;
-  scfg.max_batch = 8;
-  scfg.blocks.block_size = 16;
-  scfg.blocks.num_blocks = 256;
-  const serve::sched::Scheduler sched(engine, scfg);
-
-  std::vector<serve::sched::Request> requests;
-  for (index_t i = 0; i < 8; ++i) {
-    requests.emplace_back(i, 0.0, 64, 32);
-  }
-  // Warm the step memo for every (batch, context-bucket) pair the run can
-  // touch, so no tick inserts into it.
-  for (index_t batch = 1; batch <= scfg.max_batch; ++batch) {
-    for (index_t b = 0; b < 4; ++b) {
-      (void)engine.decode_step_seconds(batch,
-                                       static_cast<double>(b) * 64.0 + 1.0);
-    }
-  }
-
-  serve::sched::ReplicaState s = sched.make_replica_state();
-  sched.register_tenants(s, requests);
-  for (std::size_t i = 0; i < requests.size(); ++i) s.queue.push_back(i);
-
-  // Warm-up ticks: one admission (grows the scratch and reserves each
-  // request's lifetime block vector), the prefill round, and two decode
-  // rounds to settle every lazily-grown container.
-  while (s.decode_steps < 2) {
-    ASSERT_TRUE(s.busy());
-    sched.admit(s, requests);
-    sched.step(s, requests);
-  }
-  ASSERT_EQ(s.running.size(), requests.size());
-
-  const std::uint64_t before = alloc_count();
-  for (int tick = 0; tick < 5; ++tick) {
-    sched.admit(s, requests);  // empty queue: must also be free of allocs
-    sched.step(s, requests);
-  }
-  const std::uint64_t allocs = alloc_count() - before;
-  EXPECT_EQ(allocs, 0u)
-      << allocs << " heap allocations across 5 steady-state decode ticks";
-  EXPECT_EQ(s.decode_steps, 7);
-  EXPECT_EQ(s.running.size(), requests.size());  // still mid-decode
-
-  // Drain to completion: every block returns to the manager.
-  while (s.busy()) {
-    sched.admit(s, requests);
-    sched.step(s, requests);
-  }
-  EXPECT_EQ(s.bm.used_blocks(), 0);
 }
 
 }  // namespace

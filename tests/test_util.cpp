@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <new>
 #include <sstream>
 
+#include "common.hpp"
 #include "util/cli.hpp"
 #include "util/error.hpp"
 #include "util/matrix.hpp"
@@ -140,6 +142,47 @@ TEST(Cli, ParsesAllForms) {
   EXPECT_EQ(args.positional()[0], "positional");
   EXPECT_EQ(args.flag_names(),
             (std::vector<std::string>{"device", "enable", "m"}));
+}
+
+TEST(Cli, NumbersParseWholeOrThrowNamingTheFlag) {
+  const char* argv[] = {"prog", "--a=3x", "--b=", "--c=1e400", "--d=2.5",
+                        "--e=99999999999999999999", "--f", "--g=-3"};
+  const CliArgs args(8, argv);
+  const auto error = [](auto get) {
+    try {
+      (void)get();
+    } catch (const Error& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  EXPECT_EQ(error([&] { return args.get_double("a", 0); }),
+            "--a expects a double-precision number, got '3x'");
+  EXPECT_EQ(error([&] { return args.get_int("b", 0); }),
+            "--b expects a 64-bit integer, got ''");
+  EXPECT_EQ(error([&] { return args.get_double("c", 0); }),
+            "--c expects a double-precision number, got '1e400'");
+  EXPECT_EQ(error([&] { return args.get_int("d", 0); }),
+            "--d expects a 64-bit integer, got '2.5'");
+  EXPECT_EQ(error([&] { return args.get_int("e", 0); }),
+            "--e expects a 64-bit integer, got '99999999999999999999'");
+  EXPECT_EQ(error([&] { return args.get_int("f", 0); }),
+            "--f expects a 64-bit integer, got 'true'");
+  EXPECT_EQ(args.get_int("g", 0), -3);
+  EXPECT_EQ(args.get_double("d", 0), 2.5);
+}
+
+TEST(RunMain, BadAllocEndsInOneLineAndExit2) {
+  char prog[] = "/some/dir/prog";
+  char* argv[] = {prog, nullptr};
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(bench::run_main(1, argv, [](int, char**) -> int {
+              throw std::bad_alloc();
+            }),
+            2);
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            "prog: error: out of memory: the configuration is too large to "
+            "simulate\n");
 }
 
 // The pool is reached through SimContext — the only supported owner.
