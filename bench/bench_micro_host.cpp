@@ -252,10 +252,10 @@ void BM_DecodeTick(benchmark::State& state) {
       start_wave();
       state.ResumeTiming();
     }
-    const index_t before = s.bm.grow_scans();
+    const index_t before = s.bm.counters().kv_grow_scans;
     sched.step(s, requests);
     benchmark::DoNotOptimize(s.now);
-    scans += s.bm.grow_scans() - before;
+    scans += s.bm.counters().kv_grow_scans - before;
     ++ticks;
   }
   state.SetItemsProcessed(state.iterations() * 512);  // sequences decoded

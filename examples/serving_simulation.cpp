@@ -14,6 +14,7 @@
 // activation send/recv).
 
 #include <iostream>
+#include <utility>
 
 #include "common.hpp"
 #include "serve/parallel/parallel_engine.hpp"
@@ -100,12 +101,18 @@ static int run(int argc, char** argv) {
   scfg.shared_prefix_groups = args.get_int("shared-prefix-groups", 1);
   scfg.shared_prefix_share = args.get_double("shared-prefix-share", 1.0);
   scfg.sampling_n = args.get_int("sampling-n", 1);
-  scfg.parallel.tensor_parallel = static_cast<int>(args.get_int("tp", 1));
-  scfg.parallel.pipeline_parallel = static_cast<int>(args.get_int("pp", 1));
-  scfg.parallel.microbatches =
-      static_cast<int>(args.get_int("microbatches", 0));
-  scfg.parallel.comm_buckets =
-      static_cast<int>(args.get_int("comm-buckets", 1));
+  // The grid fields are ints: range-check before narrowing, or
+  // `--tp 4294967298` would run as tp2.
+  const auto get_grid_int = [&](const char* name, int fallback) {
+    const std::int64_t v = args.get_int(name, fallback);
+    MARLIN_CHECK(std::in_range<int>(v), "--" << name << " " << v
+                                             << " is out of range");
+    return static_cast<int>(v);
+  };
+  scfg.parallel.tensor_parallel = get_grid_int("tp", 1);
+  scfg.parallel.pipeline_parallel = get_grid_int("pp", 1);
+  scfg.parallel.microbatches = get_grid_int("microbatches", 0);
+  scfg.parallel.comm_buckets = get_grid_int("comm-buckets", 1);
   scfg.parallel.validate();
   // --tenants N: N equal-weight, equal-share tenants — enough to exercise
   // the multi-tenant machinery (see bench_serve_multitenant for tiered

@@ -57,69 +57,84 @@ void ClusterOptions::validate() const {
 
 namespace {
 
+using S = sched::SchedStats;
+/// The exported ledger: one `marlin_*_total` counter per row, read from
+/// the fleet totals. `kv_grow_scans` is a work counter and stays out.
+struct LedgerRow {
+  const char* name;
+  const char* help;
+  index_t S::*member;
+};
+constexpr LedgerRow kLedgerRows[] = {
+    {"marlin_requests_rejected_total",
+     "Requests that could never fit the KV budget", &S::rejected},
+    {"marlin_requests_shed_total", "Requests shed by deadline-aware admission",
+     &S::shed},
+    {"marlin_preemptions_total", "Recompute preemptions of running sequences",
+     &S::preemptions},
+    {"marlin_prefill_steps_total", "Chunked-prefill rounds", &S::prefill_steps},
+    {"marlin_decode_steps_total", "Decode engine steps", &S::decode_steps},
+    {"marlin_spec_rounds_total", "Speculative propose-then-verify rounds",
+     &S::spec_rounds},
+    {"marlin_spec_draft_tokens_total", "Draft tokens proposed",
+     &S::spec_draft_tokens},
+    {"marlin_spec_committed_tokens_total", "Tokens committed by verification",
+     &S::spec_committed_tokens},
+    {"marlin_prefix_cache_hits_total",
+     "Admissions that reused cached prefix blocks", &S::prefix_cache_hits},
+    {"marlin_prefix_cache_hit_blocks_total",
+     "KV blocks reused from the prefix cache", &S::prefix_cache_hit_blocks},
+    {"marlin_prefix_tokens_skipped_total",
+     "Prefill tokens skipped thanks to cached prefixes",
+     &S::prefix_tokens_skipped},
+    {"marlin_prefix_cache_lookup_blocks_total",
+     "Prompt blocks probed against the prefix cache",
+     &S::prefix_cache_lookup_blocks},
+    {"marlin_prefix_cache_evictions_total",
+     "Cached-but-idle prefix blocks reclaimed under pressure",
+     &S::prefix_cache_evictions},
+    {"marlin_cow_forks_total",
+     "Sequences forked to share a prompt copy-on-write", &S::cow_forks},
+    {"marlin_cow_copies_total",
+     "Shared KV blocks copied on first divergent write", &S::cow_copies},
+    {"marlin_slo_ttft_violations_total",
+     "Completed requests past the TTFT deadline", &S::slo_ttft_violations},
+    {"marlin_slo_tpot_violations_total",
+     "Completed requests past the TPOT deadline", &S::slo_tpot_violations},
+    {"marlin_kv_blocks_allocated_total", "KV blocks handed out over the run",
+     &S::kv_blocks_allocated},
+    {"marlin_kv_blocks_freed_total", "KV blocks returned over the run",
+     &S::kv_blocks_freed},
+    {"marlin_kv_grow_failures_total",
+     "Decode KV growths refused by the budget (preemption pressure)",
+     &S::kv_grow_failures},
+};
+
 /// The metrics exposition's single writer of run totals: every
 /// `marlin_*_total` counter and run-end gauge, derived from the finished
 /// run's stats. Counters are incremented by the run's totals, so a
 /// registry reused across runs accumulates; gauges take this run's value.
 void export_run_metrics(const ClusterStats& stats, obs::MetricsRegistry& m) {
-  const sched::SchedStats& st = stats.sched;
+  const S& st = stats.sched;
+  const auto n = [](index_t v) { return static_cast<double>(v); };
+  for (const LedgerRow& c : kLedgerRows) {
+    m.counter(c.name, c.help).inc(n(st.*c.member));
+  }
   index_t routed = 0;
   index_t retired = 0;
   for (const ReplicaStats& rep : stats.replicas) {
     routed += rep.routed;
     retired += rep.lifecycle == ReplicaLifecycle::kRetired ? 1 : 0;
   }
-  const auto n = [](index_t v) { return static_cast<double>(v); };
   const struct {
     const char* name;
     const char* help;
     double value;
-  } counters[] = {
+  } fleet_counters[] = {
       {"marlin_requests_routed_total",
        "Requests the router placed on a replica", n(routed)},
       {"marlin_requests_completed_total", "Requests that finished generating",
        n(st.metrics.completed)},
-      {"marlin_requests_rejected_total",
-       "Requests that could never fit the KV budget", n(st.rejected)},
-      {"marlin_requests_shed_total",
-       "Requests shed by deadline-aware admission", n(st.shed)},
-      {"marlin_preemptions_total",
-       "Recompute preemptions of running sequences", n(st.preemptions)},
-      {"marlin_prefill_steps_total", "Chunked-prefill rounds",
-       n(st.prefill_steps)},
-      {"marlin_decode_steps_total", "Decode engine steps",
-       n(st.decode_steps)},
-      {"marlin_spec_rounds_total", "Speculative propose-then-verify rounds",
-       n(st.spec_rounds)},
-      {"marlin_spec_draft_tokens_total", "Draft tokens proposed",
-       n(st.spec_draft_tokens)},
-      {"marlin_spec_committed_tokens_total",
-       "Tokens committed by verification", n(st.spec_committed_tokens)},
-      {"marlin_prefix_cache_hits_total",
-       "Admissions that reused cached prefix blocks",
-       n(st.prefix_cache_hits)},
-      {"marlin_prefix_cache_hit_blocks_total",
-       "KV blocks reused from the prefix cache",
-       n(st.prefix_cache_hit_blocks)},
-      {"marlin_prefix_tokens_skipped_total",
-       "Prefill tokens skipped thanks to cached prefixes",
-       n(st.prefix_tokens_skipped)},
-      {"marlin_prefix_cache_lookup_blocks_total",
-       "Prompt blocks probed against the prefix cache",
-       n(st.prefix_cache_lookup_blocks)},
-      {"marlin_prefix_cache_evictions_total",
-       "Cached-but-idle prefix blocks reclaimed under pressure",
-       n(st.prefix_cache_evictions)},
-      {"marlin_cow_forks_total",
-       "Sequences forked to share a prompt copy-on-write", n(st.cow_forks)},
-      {"marlin_cow_copies_total",
-       "Shared KV blocks copied on first divergent write", n(st.cow_copies)},
-      {"marlin_slo_ttft_violations_total",
-       "Completed requests past the TTFT deadline",
-       n(st.slo_ttft_violations)},
-      {"marlin_slo_tpot_violations_total",
-       "Completed requests past the TPOT deadline",
-       n(st.slo_tpot_violations)},
       {"marlin_kv_transfers_total",
        "Prefill -> decode KV handoffs (disaggregated pools)",
        n(stats.migrations)},
@@ -128,13 +143,6 @@ void export_run_metrics(const ClusterStats& stats, obs::MetricsRegistry& m) {
       {"marlin_kv_transfer_seconds_total",
        "Link seconds spent moving KV prefill -> decode",
        stats.transfer_seconds},
-      {"marlin_kv_blocks_allocated_total", "KV blocks handed out over the run",
-       n(st.kv_blocks_allocated)},
-      {"marlin_kv_blocks_freed_total", "KV blocks returned over the run",
-       n(st.kv_blocks_freed)},
-      {"marlin_kv_grow_failures_total",
-       "Decode KV growths refused by the budget (preemption pressure)",
-       n(st.kv_grow_failures)},
       {"marlin_replicas_started_total", "Replicas brought up",
        static_cast<double>(stats.replicas.size())},
       {"marlin_replicas_drained_total",
@@ -144,7 +152,7 @@ void export_run_metrics(const ClusterStats& stats, obs::MetricsRegistry& m) {
       {"marlin_autoscaler_evaluations_total", "Autoscaler evaluation points",
        n(stats.autoscaler_evaluations)},
   };
-  for (const auto& c : counters) m.counter(c.name, c.help).inc(c.value);
+  for (const auto& c : fleet_counters) m.counter(c.name, c.help).inc(c.value);
   for (const sched::TenantMetrics& t : sched::per_tenant_metrics(st)) {
     if (t.completed == 0) continue;
     m.counter("marlin_tenant_tokens_generated_total",
@@ -484,73 +492,49 @@ ClusterStats EventLoop::run(const std::vector<sched::TraceRequest>& trace,
     retire_if_drained(*target);
   }
 
-  // Legacy SchedStats over the whole fleet: counters summed, metrics over
-  // the trace-order request vector — for one replica this is exactly what
-  // the pre-cluster scheduler loop computed.
+  fold_fleet_stats(fleet, migration_ttft_violations, stats);
+  if (obs != nullptr && obs->metrics() != nullptr) {
+    export_run_metrics(stats, *obs->metrics());
+  }
+  return stats;
+}
+
+void fold_fleet_stats(const std::deque<Replica>& fleet,
+                      index_t migration_ttft_violations, ClusterStats& stats) {
+  sched::SchedStats& st = stats.sched;
   double batch_weighted = 0;
   double decode_time_total = 0;
-  for (const Replica& rep : fleet) {
-    const sched::ReplicaState& s = rep.state();
-    stats.sched.preemptions += s.preemptions;
-    stats.sched.rejected += s.rejected;
-    stats.sched.shed += s.shed;
-    stats.sched.prefill_steps += s.prefill_steps;
-    stats.sched.decode_steps += s.decode_steps;
-    stats.sched.spec_rounds += s.spec_rounds;
-    stats.sched.spec_draft_tokens += s.spec_draft_tokens;
-    stats.sched.spec_committed_tokens += s.spec_committed_tokens;
-    stats.sched.slo_ttft_violations += s.slo_ttft_violations;
-    stats.sched.slo_tpot_violations += s.slo_tpot_violations;
-    stats.sched.prefix_cache_lookup_blocks += s.bm.prefix_cache_lookup_blocks();
-    stats.sched.prefix_cache_hits += s.prefix_cache_hits;
-    stats.sched.prefix_cache_hit_blocks += s.bm.prefix_cache_hit_blocks();
-    stats.sched.prefix_cache_evictions += s.bm.prefix_cache_evictions();
-    stats.sched.prefix_tokens_skipped += s.prefix_tokens_skipped;
-    stats.sched.cow_forks += s.bm.cow_forks();
-    stats.sched.cow_copies += s.bm.cow_copies();
-    stats.sched.kv_blocks_allocated += s.bm.blocks_allocated_total();
-    stats.sched.kv_blocks_freed += s.bm.blocks_freed_total();
-    stats.sched.kv_grow_failures += s.bm.grow_failures();
-    stats.sched.kv_grow_scans += s.bm.grow_scans();
-    stats.sched.peak_kv_blocks =
-        std::max(stats.sched.peak_kv_blocks, s.bm.peak_used_blocks());
-    stats.sched.sim_end_s = std::max(stats.sched.sim_end_s, s.now);
-    batch_weighted += s.batch_weighted;
-    decode_time_total += s.decode_time_total;
-  }
-  stats.sched.slo_ttft_violations += migration_ttft_violations;
-  stats.sched.metrics =
-      sched::metrics_from_requests(requests, batch_weighted,
-                                   decode_time_total);
-
   stats.replicas.reserve(fleet.size());
   for (const Replica& rep : fleet) {
     const sched::ReplicaState& s = rep.state();
-    ReplicaStats r;
+    st += s;
+    st += s.bm.counters();
+    st.peak_kv_blocks = std::max(st.peak_kv_blocks, s.bm.peak_used_blocks());
+    st.sim_end_s = std::max(st.sim_end_s, s.now);
+    batch_weighted += s.batch_weighted;
+    decode_time_total += s.decode_time_total;
+
+    ReplicaStats& r = stats.replicas.emplace_back();
+    r += s;
+    r += s.bm.counters();
     r.id = rep.id();
     r.lifecycle = rep.lifecycle();
     r.role = rep.role();
     r.clock_s = s.now;
     r.routed = rep.routed();
-    r.shed = s.shed;
-    r.preemptions = s.preemptions;
-    r.prefill_steps = s.prefill_steps;
-    r.decode_steps = s.decode_steps;
     r.peak_kv_blocks = s.bm.peak_used_blocks();
     r.leaked_kv_blocks = s.bm.used_blocks();
     r.migrated_in = rep.migrated_in();
     r.migrated_out = rep.migrated_out();
-    stats.replicas.push_back(r);
   }
-  for (const sched::Request& r : requests) {
+  st.slo_ttft_violations += migration_ttft_violations;
+  st.metrics = sched::metrics_from_requests(st.requests, batch_weighted,
+                                            decode_time_total);
+  for (const sched::Request& r : st.requests) {
     if (r.finish_s >= 0 && r.replica >= 0) {
       ++stats.replicas[static_cast<std::size_t>(r.replica)].completed;
     }
   }
-  if (obs != nullptr && obs->metrics() != nullptr) {
-    export_run_metrics(stats, *obs->metrics());
-  }
-  return stats;
 }
 
 }  // namespace marlin::serve::cluster

@@ -32,6 +32,7 @@
 // golden byte-identical through the refactor (and is pinned by
 // test_serve_cluster).
 
+#include <deque>
 #include <vector>
 
 #include "serve/cluster/replica.hpp"
@@ -108,18 +109,14 @@ struct ClusterOptions {
   void validate() const;
 };
 
-/// One replica's end-of-run accounting.
-struct ReplicaStats {
+/// One replica's end-of-run accounting: its ledger plus its fleet place.
+struct ReplicaStats : sched::RunCounters, sched::KvCounters {
   index_t id = 0;
   ReplicaLifecycle lifecycle = ReplicaLifecycle::kActive;
   ReplicaRole role = ReplicaRole::kUnified;
   double clock_s = 0;    // final value of the replica's clock
   index_t routed = 0;    // requests the router placed here
   index_t completed = 0;
-  index_t shed = 0;
-  index_t preemptions = 0;
-  index_t prefill_steps = 0;
-  index_t decode_steps = 0;
   index_t peak_kv_blocks = 0;
   /// KV blocks still allocated after the run — always 0 unless a
   /// lifecycle bug leaks them (asserted by tests).
@@ -163,6 +160,13 @@ struct ClusterStats {
   double transfer_seconds = 0;  // summed per-transfer link time
   std::vector<LinkStats> links;
 };
+
+/// The one end-of-run fold every loop shares: a `ReplicaStats` row per
+/// replica, the replicas' ledgers summed into `stats.sched` (plus the
+/// loop's `migration_ttft_violations`), the fleet's KV peak and end time,
+/// and the metrics over `stats.sched.requests`.
+void fold_fleet_stats(const std::deque<Replica>& fleet,
+                      index_t migration_ttft_violations, ClusterStats& stats);
 
 class EventLoop {
  public:

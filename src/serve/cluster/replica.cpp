@@ -33,8 +33,8 @@ const char* to_string(ReplicaRole role) {
 
 Replica::Replica(index_t id, const sched::Scheduler& scheduler,
                  ReplicaRole role)
-    : id_(id), scheduler_(&scheduler),
-      state_(scheduler.make_replica_state()), role_(role) {
+    : scheduler_(&scheduler), state_(scheduler.make_replica_state()),
+      role_(role) {
   state_.replica_id = id;
 }
 
@@ -45,15 +45,15 @@ void Replica::deliver(std::size_t request_id,
   MARLIN_ASSERT(request_id < requests.size());
   MARLIN_CHECK(lifecycle_ == ReplicaLifecycle::kActive,
                "routed a request to " << to_string(lifecycle_) << " replica "
-                                      << id_);
+                                      << id());
   sched::Request& r = requests[request_id];
-  r.replica = id_;
+  r.replica = id();
   advance_to(r.arrival_s);
   state_.queue.push_back(request_id);
   state_.outstanding_tokens += r.owed_tokens();
   ++routed_;
   if (state_.obs != nullptr) {
-    state_.obs->on_request_queued(r.arrival_s, r.id, r.tenant_id, id_);
+    state_.obs->on_request_queued(r.arrival_s, r.id, r.tenant_id, id());
   }
 }
 
@@ -61,7 +61,7 @@ void Replica::tick(std::vector<sched::Request>& requests) {
   scheduler_->admit(state_, requests);
   scheduler_->step(state_, requests);
   if (state_.obs != nullptr) {
-    state_.obs->on_tick(state_.now, id_,
+    state_.obs->on_tick(state_.now, id(),
                         static_cast<index_t>(state_.queue.size()),
                         static_cast<index_t>(state_.running.size()),
                         state_.bm.used_blocks(), state_.bm.total_blocks());
@@ -91,12 +91,13 @@ void Replica::migrate_out(std::size_t request_id,
                                          << to_string(r.state)
                                          << " (only running requests whose "
                                             "prefill completed may move)");
-  MARLIN_CHECK(r.replica == id_, "request " << r.id << " is placed on replica "
-                                            << r.replica << ", not " << id_);
+  MARLIN_CHECK(r.replica == id(), "request " << r.id
+                                             << " is placed on replica "
+                                             << r.replica << ", not " << id());
   const auto it =
       std::find(state_.running.begin(), state_.running.end(), request_id);
   MARLIN_CHECK(it != state_.running.end(),
-               "request " << r.id << " is not in replica " << id_
+               "request " << r.id << " is not in replica " << id()
                           << "'s running batch");
   state_.running.erase(it);
   state_.outstanding_tokens -= r.owed_tokens();
@@ -120,7 +121,7 @@ void Replica::finish_migration(std::size_t request_id, double ready_s,
                                std::vector<sched::Request>& requests) {
   MARLIN_ASSERT(request_id < requests.size());
   sched::Request& r = requests[request_id];
-  r.replica = id_;
+  r.replica = id();
   advance_to(ready_s);
   state_.running.push_back(request_id);
   state_.outstanding_tokens += r.owed_tokens();

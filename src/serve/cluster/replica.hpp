@@ -40,7 +40,7 @@ class Replica {
   Replica(index_t id, const sched::Scheduler& scheduler,
           ReplicaRole role = ReplicaRole::kUnified);
 
-  [[nodiscard]] index_t id() const { return id_; }
+  [[nodiscard]] index_t id() const { return state_.replica_id; }
   [[nodiscard]] ReplicaLifecycle lifecycle() const { return lifecycle_; }
   [[nodiscard]] ReplicaRole role() const { return role_; }
   /// Accepts new placements: active (draining/retired replicas only
@@ -130,7 +130,6 @@ class Replica {
   [[nodiscard]] const sched::ReplicaState& state() const { return state_; }
 
  private:
-  index_t id_;
   const sched::Scheduler* scheduler_;
   sched::ReplicaState state_;
   ReplicaLifecycle lifecycle_ = ReplicaLifecycle::kActive;

@@ -160,7 +160,7 @@ void BlockManager::release_ref(index_t id, index_t tenant) {
   node_free_head_ = node;
   if (--refcount_[uz(id)] == 0) {
     --used_;
-    ++freed_total_;
+    ++counters_.kv_blocks_freed;
     if (cache_on() && published_[uz(id)] != 0) {
       // Park instead of free: the content stays hittable until pressure
       // reclaims it.
@@ -220,7 +220,7 @@ void BlockManager::evict_one() {
   lru_remove(id);
   parked_[uz(id)] = 0;
   --cached_;
-  ++prefix_evictions_total_;
+  ++counters_.prefix_cache_evictions;
   scrub_to_free(id);
 }
 
@@ -236,7 +236,7 @@ void BlockManager::acquire_ids(std::vector<index_t>& out, index_t n,
     acquire_ref(id, tenant);
     out.push_back(id);
   }
-  allocated_total_ += n;
+  counters_.kv_blocks_allocated += n;
 }
 
 void BlockManager::release_ids(std::vector<index_t>& ids, index_t tenant) {
@@ -275,8 +275,8 @@ index_t BlockManager::acquire_prefill(SequenceBlocks& seq, index_t n,
       ++hits;
       if (parked_[uz(it->second)] != 0) ++parked_hits;
     }
-    prefix_lookups_total_ += static_cast<index_t>(chain.size());
-    prefix_hits_total_ += hits;
+    counters_.prefix_cache_lookup_blocks += static_cast<index_t>(chain.size());
+    counters_.prefix_cache_hit_blocks += hits;
   }
   const index_t fresh = n - hits;
   MARLIN_CHECK(can_allocate(fresh + parked_hits),
@@ -300,7 +300,7 @@ index_t BlockManager::acquire_prefill(SequenceBlocks& seq, index_t n,
     }
     seq.ids_.push_back(id);
   }
-  allocated_total_ += fresh;
+  counters_.kv_blocks_allocated += fresh;
   seq.cached_prefix_ = hits;
   return hits;
 }
@@ -348,13 +348,13 @@ SequenceBlocks BlockManager::fork(SequenceBlocks& parent, index_t tenant,
     child.ids_.push_back(id);
   }
   child.cached_prefix_ = parent.cached_prefix_;
-  ++cow_forks_total_;
+  ++counters_.cow_forks;
   return child;
 }
 
 bool BlockManager::grow_scan(SequenceBlocks& seq, index_t tokens,
                              index_t covered_tokens, index_t tenant) {
-  ++grow_scans_;
+  ++counters_.kv_grow_scans;
   const index_t have = seq.count();
   const index_t need = blocks_for_tokens(tokens) - have;
   // Copy-on-write scan: blocks the write range [covered_tokens, tokens)
@@ -369,7 +369,7 @@ bool BlockManager::grow_scan(SequenceBlocks& seq, index_t tokens,
   }
   const index_t fresh = std::max<index_t>(need, 0) + copies;
   if (fresh > 0 && !can_allocate(fresh)) {
-    ++grow_failures_;
+    ++counters_.kv_grow_failures;
     return false;
   }
   for (index_t k = first_write; k < have && copies > 0; ++k) {
@@ -379,8 +379,8 @@ bool BlockManager::grow_scan(SequenceBlocks& seq, index_t tokens,
       acquire_ref(copy, tenant);
       release_ref(old_id, tenant);
       seq.ids_[uz(k)] = copy;
-      ++allocated_total_;
-      ++cow_copies_total_;
+      ++counters_.kv_blocks_allocated;
+      ++counters_.cow_copies;
       --copies;
     }
   }

@@ -55,6 +55,7 @@
 #include <vector>
 
 #include "serve/engine.hpp"
+#include "serve/sched/counters.hpp"
 #include "serve/sched/sequence_blocks.hpp"
 #include "serve/sched/tenant.hpp"
 #include "util/hash.hpp"
@@ -108,44 +109,21 @@ class BlockManager {
   /// High-water mark of blocks simultaneously referenced.
   [[nodiscard]] index_t peak_used_blocks() const { return peak_used_; }
 
-  // Cumulative traffic counters for the observability layer (plain
-  // increments on the allocation paths — recording off or on, they cost
-  // the same and allocate nothing).
-
-  /// Total physical blocks handed out (fresh allocations and CoW copies;
-  /// prefix-cache hits are counted in `prefix_cache_hit_blocks` instead).
-  [[nodiscard]] index_t blocks_allocated_total() const {
-    return allocated_total_;
-  }
-  /// Total physical blocks whose refcount dropped to zero (returned to
-  /// the free list or parked in the prefix cache).
-  [[nodiscard]] index_t blocks_freed_total() const { return freed_total_; }
-  /// `grow_to` calls the budget refused — the scheduler preempts on each.
-  [[nodiscard]] index_t grow_failures() const { return grow_failures_; }
-  /// `grow_to` calls that got past the writable-mark check and scanned
-  /// their write range — the decode growth work, one per block crossing
-  /// or shared-block write rather than one per token.
-  [[nodiscard]] index_t grow_scans() const { return grow_scans_; }
-
-  // Prefix-cache / sharing counters.
-
-  /// Admission-time block lookups against the prefix table.
+  /// Cumulative KV traffic (plain increments on the allocation paths —
+  /// recording off or on, they cost the same and allocate nothing).
+  [[nodiscard]] const KvCounters& counters() const { return counters_; }
+  // Flat reads of five of them: `perfbench/driver.cpp` reads these names.
   [[nodiscard]] index_t prefix_cache_lookup_blocks() const {
-    return prefix_lookups_total_;
+    return counters_.prefix_cache_lookup_blocks;
   }
-  /// Lookups served by an existing block (refcount++ instead of a fresh
-  /// allocation + recomputed prefill) — the "blocks saved" figure.
   [[nodiscard]] index_t prefix_cache_hit_blocks() const {
-    return prefix_hits_total_;
+    return counters_.prefix_cache_hit_blocks;
   }
-  /// Cached blocks reclaimed into the free list under pressure.
   [[nodiscard]] index_t prefix_cache_evictions() const {
-    return prefix_evictions_total_;
+    return counters_.prefix_cache_evictions;
   }
-  /// `fork` calls (one per extra sequence sharing a prompt).
-  [[nodiscard]] index_t cow_forks() const { return cow_forks_total_; }
-  /// Shared blocks copied before a write (the CoW split points).
-  [[nodiscard]] index_t cow_copies() const { return cow_copies_total_; }
+  [[nodiscard]] index_t cow_forks() const { return counters_.cow_forks; }
+  [[nodiscard]] index_t cow_copies() const { return counters_.cow_copies; }
   /// Blocks currently parked in the LRU (refcount 0, content cached).
   [[nodiscard]] index_t cached_blocks() const { return cached_; }
 
@@ -214,7 +192,7 @@ class BlockManager {
   ///
   /// A write inside the handle's writable mark (see sequence_blocks.hpp)
   /// needs neither and returns at once; only the rest scan the write
-  /// range (`grow_scans`).
+  /// range (`KvCounters::kv_grow_scans`).
   [[nodiscard]] bool grow_to(SequenceBlocks& seq, index_t tokens,
                              index_t covered_tokens, index_t tenant = 0) {
     if (tokens <= seq.writable_end_ && covered_tokens >= seq.write_from_) {
@@ -285,15 +263,7 @@ class BlockManager {
   index_t watermark_blocks_ = 0;
   index_t used_ = 0;
   index_t peak_used_ = 0;
-  index_t allocated_total_ = 0;
-  index_t freed_total_ = 0;
-  index_t grow_failures_ = 0;
-  index_t grow_scans_ = 0;
-  index_t prefix_lookups_total_ = 0;
-  index_t prefix_hits_total_ = 0;
-  index_t prefix_evictions_total_ = 0;
-  index_t cow_forks_total_ = 0;
-  index_t cow_copies_total_ = 0;
+  KvCounters counters_;
   std::vector<index_t> free_list_;  // returned ids ready to reuse
   index_t next_fresh_ = 0;          // next never-minted id
 

@@ -55,6 +55,7 @@
 
 #include "serve/engine.hpp"
 #include "serve/sched/block_manager.hpp"
+#include "serve/sched/counters.hpp"
 #include "serve/sched/request.hpp"
 #include "serve/sched/tenant.hpp"
 #include "serve/sched/workload.hpp"
@@ -77,6 +78,7 @@ struct ServingMetrics {
   double p90_ttft_ms = 0;
   double mean_batch = 0;  // average decode batch the engine observed
   index_t completed = 0;
+  bool operator==(const ServingMetrics&) const = default;
 };
 
 namespace sched {
@@ -159,8 +161,8 @@ struct SchedulerConfig {
 /// Scheduler policy is ticked against. The cluster `EventLoop` owns one
 /// per replica (wrapped in `cluster::Replica`); request objects
 /// themselves live in the cluster-wide trace-order vector and are
-/// referenced here by index.
-struct ReplicaState {
+/// referenced here by index. Its `RunCounters` are its share of the ledger.
+struct ReplicaState : RunCounters {
   explicit ReplicaState(const BlockManagerConfig& blocks) : bm(blocks) {}
 
   BlockManager bm;
@@ -239,24 +241,6 @@ struct ReplicaState {
   /// allocation-free steady-state decode tick is preserved.
   obs::ServeRecorder* obs = nullptr;
 
-  // Counters the EventLoop sums into SchedStats.
-  index_t preemptions = 0;
-  index_t rejected = 0;
-  index_t shed = 0;
-  index_t prefill_steps = 0;
-  index_t decode_steps = 0;
-  index_t spec_rounds = 0;
-  index_t spec_draft_tokens = 0;
-  index_t spec_committed_tokens = 0;
-  index_t slo_ttft_violations = 0;
-  index_t slo_tpot_violations = 0;
-  /// Prompt tokens whose prefill was skipped because their KV came out of
-  /// the prefix cache (block-level counters live on `bm`).
-  index_t prefix_tokens_skipped = 0;
-  /// Prefix-cache probes (admissions and migration landings) that reused
-  /// at least one cached block.
-  index_t prefix_cache_hits = 0;
-
   /// Requests in flight or waiting — a busy replica must be ticked.
   [[nodiscard]] bool busy() const {
     return !queue.empty() || !prefilling.empty() || !running.empty();
@@ -267,46 +251,13 @@ struct ReplicaState {
   }
 };
 
-/// Everything one simulation produced: the golden-stable metrics plus
-/// scheduler-level counters and the final per-request states (trace
-/// order) for policy-behaviour assertions.
-struct SchedStats {
+/// Everything one simulation produced: the golden-stable metrics, the
+/// ledger summed over replicas, the fleet's KV peak and end time, and the
+/// final per-request states (trace order) for policy assertions.
+struct SchedStats : RunCounters, KvCounters {
   ServingMetrics metrics;
-  index_t preemptions = 0;
-  index_t rejected = 0;  // could never fit in the KV budget
-  index_t shed = 0;      // SLO shed-on-hopeless (kFinished, no tokens)
-  index_t prefill_steps = 0;
-  index_t decode_steps = 0;
   index_t peak_kv_blocks = 0;
   double sim_end_s = 0;
-  /// SLO accounting (0 when no deadline is configured): completed
-  /// requests that missed their TTFT / TPOT deadline.
-  index_t slo_ttft_violations = 0;
-  index_t slo_tpot_violations = 0;
-  /// Speculative decoding counters (all 0 when speculation is off):
-  /// propose-then-verify rounds, draft tokens proposed, tokens committed.
-  index_t spec_rounds = 0;
-  index_t spec_draft_tokens = 0;
-  index_t spec_committed_tokens = 0;
-  /// Prefix-cache / CoW-sharing counters, summed over replicas (all 0
-  /// with the cache off and n=1 sampling). Hit blocks are exactly the
-  /// physical allocations (and their recomputed prefill) saved; the
-  /// hit-rate is hits / lookups.
-  index_t prefix_cache_hits = 0;  // probes that reused >= 1 cached block
-  index_t prefix_cache_hit_blocks = 0;
-  index_t prefix_cache_lookup_blocks = 0;
-  index_t prefix_cache_evictions = 0;
-  index_t prefix_tokens_skipped = 0;
-  index_t cow_forks = 0;
-  index_t cow_copies = 0;
-  /// KV block traffic summed over replicas: physical blocks handed out
-  /// and returned, and decode growths the budget refused.
-  index_t kv_blocks_allocated = 0;
-  index_t kv_blocks_freed = 0;
-  index_t kv_grow_failures = 0;
-  /// Decode growths that scanned their write range (past the handles'
-  /// writable marks), summed over replicas. A work counter, not exported.
-  index_t kv_grow_scans = 0;
   std::vector<Request> requests;
 };
 

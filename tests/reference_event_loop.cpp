@@ -76,18 +76,7 @@ ClusterStats run(const sched::Scheduler& scheduler,
   ClusterStats stats;
   std::vector<sched::Request>& requests = stats.sched.requests;
   requests = sched::requests_from_trace(trace);
-  index_t max_context = 1;
-  for (const sched::TraceRequest& t : trace) {
-    max_context = std::max(max_context, t.input_tokens + t.output_tokens);
-  }
   const sched::SchedulerConfig& cfg = scheduler.config();
-  const SimContext& ctx = SimContext::serial_context();
-  scheduler.model().warm_decode_cache(ctx, cfg.max_batch,
-                                      static_cast<double>(max_context));
-  if (scheduler.draft_model() != nullptr) {
-    scheduler.draft_model()->warm_decode_cache(
-        ctx, cfg.max_batch, static_cast<double>(max_context));
-  }
 
   const DisaggConfig& disagg = opts.disagg;
   const index_t initial_replicas =
@@ -321,64 +310,7 @@ ClusterStats run(const sched::Scheduler& scheduler,
     retire_drained();
   }
 
-  double batch_weighted = 0;
-  double decode_time_total = 0;
-  for (const Replica& rep : fleet) {
-    const sched::ReplicaState& s = rep.state();
-    stats.sched.preemptions += s.preemptions;
-    stats.sched.rejected += s.rejected;
-    stats.sched.shed += s.shed;
-    stats.sched.prefill_steps += s.prefill_steps;
-    stats.sched.decode_steps += s.decode_steps;
-    stats.sched.spec_rounds += s.spec_rounds;
-    stats.sched.spec_draft_tokens += s.spec_draft_tokens;
-    stats.sched.spec_committed_tokens += s.spec_committed_tokens;
-    stats.sched.slo_ttft_violations += s.slo_ttft_violations;
-    stats.sched.slo_tpot_violations += s.slo_tpot_violations;
-    stats.sched.prefix_cache_lookup_blocks += s.bm.prefix_cache_lookup_blocks();
-    stats.sched.prefix_cache_hits += s.prefix_cache_hits;
-    stats.sched.prefix_cache_hit_blocks += s.bm.prefix_cache_hit_blocks();
-    stats.sched.prefix_cache_evictions += s.bm.prefix_cache_evictions();
-    stats.sched.prefix_tokens_skipped += s.prefix_tokens_skipped;
-    stats.sched.cow_forks += s.bm.cow_forks();
-    stats.sched.cow_copies += s.bm.cow_copies();
-    stats.sched.kv_blocks_allocated += s.bm.blocks_allocated_total();
-    stats.sched.kv_blocks_freed += s.bm.blocks_freed_total();
-    stats.sched.kv_grow_failures += s.bm.grow_failures();
-    stats.sched.kv_grow_scans += s.bm.grow_scans();
-    stats.sched.peak_kv_blocks =
-        std::max(stats.sched.peak_kv_blocks, s.bm.peak_used_blocks());
-    stats.sched.sim_end_s = std::max(stats.sched.sim_end_s, s.now);
-    batch_weighted += s.batch_weighted;
-    decode_time_total += s.decode_time_total;
-  }
-  stats.sched.slo_ttft_violations += migration_ttft_violations;
-  stats.sched.metrics = sched::metrics_from_requests(
-      requests, batch_weighted, decode_time_total);
-
-  for (const Replica& rep : fleet) {
-    const sched::ReplicaState& s = rep.state();
-    ReplicaStats r;
-    r.id = rep.id();
-    r.lifecycle = rep.lifecycle();
-    r.role = rep.role();
-    r.clock_s = s.now;
-    r.routed = rep.routed();
-    r.shed = s.shed;
-    r.preemptions = s.preemptions;
-    r.prefill_steps = s.prefill_steps;
-    r.decode_steps = s.decode_steps;
-    r.peak_kv_blocks = s.bm.peak_used_blocks();
-    r.leaked_kv_blocks = s.bm.used_blocks();
-    r.migrated_in = rep.migrated_in();
-    r.migrated_out = rep.migrated_out();
-    stats.replicas.push_back(r);
-  }
-  for (const sched::Request& r : requests) {
-    if (r.finish_s >= 0 && r.replica >= 0) {
-      ++stats.replicas[static_cast<std::size_t>(r.replica)].completed;
-    }
-  }
+  fold_fleet_stats(fleet, migration_ttft_violations, stats);
   return stats;
 }
 

@@ -7,8 +7,9 @@
 // recounts every replica's least-loaded key from its queue and flights;
 // and it registers tenants by walking the trace once per replica.
 //
-// It shares `Replica` and the passive `Scheduler` with the real loop (so
-// both run the same tick), but none of the state this optimization
+// It shares `Replica`, the passive `Scheduler` and the end-of-run fold
+// `fold_fleet_stats` with the real loop (so both run the same tick and
+// the same accounting), but none of the state this optimization
 // introduced: not the busy heap, not the maintained load counter, not
 // the once-per-run tenant table. Recording is not supported. Tests build
 // the inputs of both loops with one `serve::Simulation`.

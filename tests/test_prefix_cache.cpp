@@ -102,7 +102,7 @@ TEST(PrefixCache, MissPublishParkAndResurrect) {
 
   SequenceBlocks a;
   EXPECT_EQ(bm.acquire_prefill(a, 4, chain), 0);  // cold: all misses
-  EXPECT_EQ(bm.prefix_cache_lookup_blocks(), 4);
+  EXPECT_EQ(bm.counters().prefix_cache_lookup_blocks, 4);
   EXPECT_EQ(bm.cached_chain_blocks(chain), 0);  // unpublished: unhittable
   bm.publish(a);
   EXPECT_EQ(bm.cached_chain_blocks(chain), 4);
@@ -116,7 +116,7 @@ TEST(PrefixCache, MissPublishParkAndResurrect) {
   SequenceBlocks b;
   EXPECT_EQ(bm.acquire_prefill(b, 4, chain), 4);  // warm: resurrected
   EXPECT_EQ(b.cached_prefix_blocks(), 4);
-  EXPECT_EQ(bm.prefix_cache_hit_blocks(), 4);
+  EXPECT_EQ(bm.counters().prefix_cache_hit_blocks, 4);
   EXPECT_EQ(bm.cached_blocks(), 0);
   EXPECT_EQ(bm.used_blocks(), 4);
   bm.release(b);
@@ -135,7 +135,7 @@ TEST(PrefixCache, PressureEvictsDeepestChainPositionsFirst) {
   // stays contiguous and hittable.
   SequenceBlocks t;
   bm.acquire(t, 3);
-  EXPECT_EQ(bm.prefix_cache_evictions(), 1);
+  EXPECT_EQ(bm.counters().prefix_cache_evictions, 1);
   EXPECT_EQ(bm.cached_blocks(), 3);
   EXPECT_EQ(bm.cached_chain_blocks(chain), 3);
   bm.release(t);
@@ -163,7 +163,7 @@ TEST(PrefixCache, BoundedIdsMintInOrderReuseLifoAndEvictLast) {
   SequenceBlocks a;
   bm.acquire(a, 3);  // unminted ids go out before any parked one
   EXPECT_EQ(a.ids(), (std::vector<index_t>{2, 3, 4}));
-  EXPECT_EQ(bm.prefix_cache_evictions(), 0);
+  EXPECT_EQ(bm.counters().prefix_cache_evictions, 0);
   bm.release(a);  // returns 4, 3, 2: 2 is on top
 
   SequenceBlocks b;
@@ -172,12 +172,12 @@ TEST(PrefixCache, BoundedIdsMintInOrderReuseLifoAndEvictLast) {
   SequenceBlocks c;
   bm.acquire(c, 2);  // the last returned id, then the last unminted one
   EXPECT_EQ(c.ids(), (std::vector<index_t>{4, 5}));
-  EXPECT_EQ(bm.prefix_cache_evictions(), 0);
+  EXPECT_EQ(bm.counters().prefix_cache_evictions, 0);
 
   SequenceBlocks d;
   bm.acquire(d, 1);  // every id in use or parked: evict the LRU head
   EXPECT_EQ(d.ids(), (std::vector<index_t>{1}));
-  EXPECT_EQ(bm.prefix_cache_evictions(), 1);
+  EXPECT_EQ(bm.counters().prefix_cache_evictions, 1);
   EXPECT_EQ(bm.cached_chain_blocks(chain), 1);
   for (SequenceBlocks* s : {&b, &c, &d}) bm.release(*s);
   EXPECT_EQ(bm.used_blocks(), 0);
@@ -191,7 +191,7 @@ TEST(PrefixCache, MaxCachedBlocksCapsTheLru) {
   bm.publish(a);
   bm.release(a);
   EXPECT_EQ(bm.cached_blocks(), 2);  // cap enforced at park time
-  EXPECT_EQ(bm.prefix_cache_evictions(), 2);
+  EXPECT_EQ(bm.counters().prefix_cache_evictions, 2);
   EXPECT_EQ(bm.cached_chain_blocks(chain), 2);
 }
 
@@ -246,14 +246,14 @@ TEST(CopyOnWrite, ForkSharesThenSplitsAtFirstDivergentToken) {
   SequenceBlocks parent;
   bm.acquire(parent, 4);  // 64 tokens of prompt KV
   SequenceBlocks child = bm.fork(parent);
-  EXPECT_EQ(bm.cow_forks(), 1);
+  EXPECT_EQ(bm.counters().cow_forks, 1);
   EXPECT_EQ(bm.used_blocks(), 4);  // refcount++, no physical allocation
   EXPECT_EQ(child.ids(), parent.ids());
 
   // The child writes tokens [48, 64): block 3 is shared, so it is copied;
   // blocks 0..2 stay physically shared.
   ASSERT_TRUE(bm.grow_to(child, 64, 48));
-  EXPECT_EQ(bm.cow_copies(), 1);
+  EXPECT_EQ(bm.counters().cow_copies, 1);
   EXPECT_EQ(bm.used_blocks(), 5);
   EXPECT_EQ(child.ids()[0], parent.ids()[0]);
   EXPECT_EQ(child.ids()[2], parent.ids()[2]);
@@ -274,7 +274,7 @@ TEST(CopyOnWrite, PublishedBlocksAreCopiedBeforeAWrite) {
   bm.acquire_prefill(a, 2, chain);
   bm.publish(a);
   ASSERT_TRUE(bm.grow_to(a, 33, 20));  // writes [20, 33): copies block 1
-  EXPECT_EQ(bm.cow_copies(), 1);
+  EXPECT_EQ(bm.counters().cow_copies, 1);
   EXPECT_EQ(bm.cached_blocks(), 1);  // displaced original parked
   EXPECT_EQ(bm.cached_chain_blocks(chain), 2);
   EXPECT_EQ(a.count(), 3);
@@ -288,7 +288,7 @@ TEST(CopyOnWrite, AppendOnlyGrowthNeverCopies) {
   SequenceBlocks child = bm.fork(parent);
   // covered == tokens' block boundary: pure append past the shared run.
   ASSERT_TRUE(bm.grow_to(child, 48, 32));
-  EXPECT_EQ(bm.cow_copies(), 0);
+  EXPECT_EQ(bm.counters().cow_copies, 0);
   EXPECT_EQ(child.count(), 3);
   bm.release(parent);
   bm.release(child);
@@ -301,7 +301,7 @@ TEST(CopyOnWrite, GrowFailureLeavesHoldingsUntouched) {
   SequenceBlocks child = bm.fork(parent);
   // Needs 1 append + 2 CoW copies = 3 blocks; only 1 is left.
   EXPECT_FALSE(bm.grow_to(child, 64, 20));
-  EXPECT_EQ(bm.grow_failures(), 1);
+  EXPECT_EQ(bm.counters().kv_grow_failures, 1);
   EXPECT_EQ(child.count(), 3);
   EXPECT_EQ(child.ids(), parent.ids());
   EXPECT_EQ(bm.used_blocks(), 3);
@@ -394,12 +394,9 @@ TEST(PrefixCacheEndToEnd, UniqueWorkloadIsUnchangedByTheCache) {
   sc.prefix_cache.enabled = true;
   const auto on = serve::simulate_cluster_detailed(engine, sc).sched;
 
-  EXPECT_EQ(off.metrics.completed, on.metrics.completed);
-  EXPECT_EQ(off.metrics.mean_tpot_ms, on.metrics.mean_tpot_ms);
-  EXPECT_EQ(off.metrics.mean_ttft_ms, on.metrics.mean_ttft_ms);
-  EXPECT_EQ(off.preemptions, on.preemptions);
-  EXPECT_EQ(off.prefill_steps, on.prefill_steps);
-  EXPECT_EQ(off.decode_steps, on.decode_steps);
+  EXPECT_EQ(off.metrics, on.metrics);
+  EXPECT_EQ(static_cast<const RunCounters&>(off),
+            static_cast<const RunCounters&>(on));
   EXPECT_EQ(off.peak_kv_blocks, on.peak_kv_blocks);
   EXPECT_EQ(off.sim_end_s, on.sim_end_s);
   EXPECT_EQ(on.prefix_cache_hit_blocks, 0);  // nothing shareable
@@ -491,7 +488,7 @@ TEST(HotPath, WarmCacheSteadyStateDecodeTickDoesNotAllocate) {
     sched.admit(s, requests);
     sched.step(s, requests);
   }
-  EXPECT_GT(s.bm.prefix_cache_hit_blocks(), 0);  // the cache engaged
+  EXPECT_GT(s.bm.counters().prefix_cache_hit_blocks, 0);  // the cache engaged
   ASSERT_EQ(s.running.size(), requests.size());
 
   const std::uint64_t before = alloc_count();
@@ -557,18 +554,19 @@ std::string first_difference(
   check("free_blocks", a.free_blocks(), b.free_blocks());
   check("watermark_blocks", a.watermark_blocks(), b.watermark_blocks());
   check("peak_used_blocks", a.peak_used_blocks(), b.peak_used_blocks());
-  check("blocks_allocated_total", a.blocks_allocated_total(),
+  const KvCounters& kv = a.counters();
+  check("kv_blocks_allocated", kv.kv_blocks_allocated,
         b.blocks_allocated_total());
-  check("blocks_freed_total", a.blocks_freed_total(), b.blocks_freed_total());
-  check("grow_failures", a.grow_failures(), b.grow_failures());
-  check("prefix_cache_lookup_blocks", a.prefix_cache_lookup_blocks(),
+  check("kv_blocks_freed", kv.kv_blocks_freed, b.blocks_freed_total());
+  check("kv_grow_failures", kv.kv_grow_failures, b.grow_failures());
+  check("prefix_cache_lookup_blocks", kv.prefix_cache_lookup_blocks,
         b.prefix_cache_lookup_blocks());
-  check("prefix_cache_hit_blocks", a.prefix_cache_hit_blocks(),
+  check("prefix_cache_hit_blocks", kv.prefix_cache_hit_blocks,
         b.prefix_cache_hit_blocks());
-  check("prefix_cache_evictions", a.prefix_cache_evictions(),
+  check("prefix_cache_evictions", kv.prefix_cache_evictions,
         b.prefix_cache_evictions());
-  check("cow_forks", a.cow_forks(), b.cow_forks());
-  check("cow_copies", a.cow_copies(), b.cow_copies());
+  check("cow_forks", kv.cow_forks, b.cow_forks());
+  check("cow_copies", kv.cow_copies, b.cow_copies());
   check("cached_blocks", a.cached_blocks(), b.cached_blocks());
   for (index_t t = 0; t < tenants; ++t) {
     check("tenant_used_blocks", a.tenant_used_blocks(t),
@@ -711,10 +709,10 @@ void run_differential(const BlockManagerConfig& cfg, index_t tenants,
       coverage.over_quota += live.over_quota_blocks(t) > 0 ? 1 : 0;
     }
   }
-  coverage.evictions += live.prefix_cache_evictions();
-  coverage.cow_copies += live.cow_copies();
-  coverage.grow_failures += live.grow_failures();
-  coverage.prefix_hits += live.prefix_cache_hit_blocks();
+  coverage.evictions += live.counters().prefix_cache_evictions;
+  coverage.cow_copies += live.counters().cow_copies;
+  coverage.grow_failures += live.counters().kv_grow_failures;
+  coverage.prefix_hits += live.counters().prefix_cache_hit_blocks;
   for (PairedHandle& h : handles) {
     live.release(h.live, h.tenant);
     ref.release(h.ref, h.tenant);

@@ -50,23 +50,11 @@ std::vector<sched::TraceRequest> make_trace(
 // per-request outcome — "equivalent" here means equivalent to the double.
 void expect_sched_equal(const sched::SchedStats& a,
                         const sched::SchedStats& b) {
-  EXPECT_EQ(a.metrics.mean_tpot_ms, b.metrics.mean_tpot_ms);
-  EXPECT_EQ(a.metrics.mean_ttft_ms, b.metrics.mean_ttft_ms);
-  EXPECT_EQ(a.metrics.p50_tpot_ms, b.metrics.p50_tpot_ms);
-  EXPECT_EQ(a.metrics.p90_tpot_ms, b.metrics.p90_tpot_ms);
-  EXPECT_EQ(a.metrics.p99_tpot_ms, b.metrics.p99_tpot_ms);
-  EXPECT_EQ(a.metrics.p90_ttft_ms, b.metrics.p90_ttft_ms);
-  EXPECT_EQ(a.metrics.mean_batch, b.metrics.mean_batch);
-  EXPECT_EQ(a.metrics.completed, b.metrics.completed);
-  EXPECT_EQ(a.preemptions, b.preemptions);
-  EXPECT_EQ(a.rejected, b.rejected);
-  EXPECT_EQ(a.shed, b.shed);
-  EXPECT_EQ(a.prefill_steps, b.prefill_steps);
-  EXPECT_EQ(a.decode_steps, b.decode_steps);
+  EXPECT_EQ(a.metrics, b.metrics);
+  EXPECT_EQ(static_cast<const sched::RunCounters&>(a),
+            static_cast<const sched::RunCounters&>(b));
   EXPECT_EQ(a.peak_kv_blocks, b.peak_kv_blocks);
   EXPECT_EQ(a.sim_end_s, b.sim_end_s);
-  EXPECT_EQ(a.slo_ttft_violations, b.slo_ttft_violations);
-  EXPECT_EQ(a.slo_tpot_violations, b.slo_tpot_violations);
   ASSERT_EQ(a.requests.size(), b.requests.size());
   for (std::size_t i = 0; i < a.requests.size(); ++i) {
     EXPECT_EQ(a.requests[i].first_token_s, b.requests[i].first_token_s);
@@ -793,6 +781,125 @@ TEST(LeastLoadedCounter, FollowsADisaggMigration) {
   EXPECT_EQ(dst.outstanding_tokens(), 8);
   tick_until(dst, requests, [&] { return !dst.busy(); });
   EXPECT_EQ(dst.outstanding_tokens(), 0);
+}
+
+// ------------------------------------------------------------ fleet fold
+
+TEST(FleetFold, SumsEveryLedgerCounterAndFillsEveryRow) {
+  // Two replicas whose 21 ledger counters are all non-zero and differ
+  // between them: a tight budget with a capped prefix cache (hits,
+  // evictions, growth preemption), n = 2 sampling (CoW), speculation, a
+  // TTFT deadline a batched prefill misses and a TPOT deadline every
+  // completion misses. Replica r also gets r + 1 requests that can never
+  // fit and r + 1 seen too late to make their deadline, and replica 1 a
+  // second wave of longer prompts.
+  sched::SchedulerConfig cfg = sched_cfg(40);
+  cfg.prefill_chunk_tokens = 64;
+  cfg.blocks.prefix_cache.enabled = true;
+  cfg.blocks.prefix_cache.max_cached_blocks = 2;
+  cfg.speculation.depth = 2;
+  cfg.slo.ttft_deadline_ms = 60;
+  cfg.slo.tpot_deadline_ms = 1e-3;
+  const sched::Scheduler sch(test_engine(), cfg, &test_engine());
+  std::vector<sched::Request> requests;
+  std::deque<Replica> fleet;
+  for (index_t rep = 0; rep < 2; ++rep) {
+    std::vector<std::size_t> first, late;
+    const auto add = [&](std::vector<std::size_t>& into, double arrival_s,
+                         index_t prompt, index_t output) -> sched::Request& {
+      into.push_back(requests.size());
+      return requests.emplace_back(static_cast<index_t>(requests.size()),
+                                   arrival_s, prompt, output);
+    };
+    for (index_t k = 0; k < 4 + 2 * rep; ++k) {
+      sched::Request& r = add(first, 0.0, 96, 40);
+      r.prefix_id = k % (1 + rep);
+      r.prefix_tokens = 64;
+      r.num_sequences = 2;
+    }
+    for (index_t k = 0; k <= rep; ++k) {
+      add(first, 0.0, 16, 1000);  // never fits
+      add(late, 0.0, 16, 8);
+    }
+    for (index_t k = 0; k < 2 * rep; ++k) add(late, 0.6, 192, 40);
+    Replica& r = fleet.emplace_back(rep, sch);
+    r.register_tenants(sch.resolve_tenants(requests));
+    for (const std::size_t id : first) r.deliver(id, requests);
+    tick_until(r, requests, [&] { return r.now() > 0.5; });
+    for (const std::size_t id : late) r.deliver(id, requests);
+    tick_until(r, requests, [&] { return !r.busy(); });
+  }
+
+  ClusterStats stats;
+  stats.sched.requests = requests;
+  fold_fleet_stats(fleet, /*migration_ttft_violations=*/7, stats);
+  const sched::SchedStats& st = stats.sched;
+  ASSERT_EQ(stats.replicas.size(), 2u);
+  // Each ledger field, named independently of the `+=` bodies: per
+  // replica in its row, and summed in the fleet totals (plus the loop's
+  // own TTFT violations).
+  using Run = sched::RunCounters;
+  using Kv = sched::KvCounters;
+  const std::pair<const char*, index_t Run::*> run_fields[] = {
+      {"preemptions", &Run::preemptions}, {"rejected", &Run::rejected},
+      {"shed", &Run::shed}, {"prefill_steps", &Run::prefill_steps},
+      {"decode_steps", &Run::decode_steps}, {"spec_rounds", &Run::spec_rounds},
+      {"spec_draft_tokens", &Run::spec_draft_tokens},
+      {"spec_committed_tokens", &Run::spec_committed_tokens},
+      {"slo_ttft_violations", &Run::slo_ttft_violations},
+      {"slo_tpot_violations", &Run::slo_tpot_violations},
+      {"prefix_tokens_skipped", &Run::prefix_tokens_skipped},
+      {"prefix_cache_hits", &Run::prefix_cache_hits}};
+  const std::pair<const char*, index_t Kv::*> kv_fields[] = {
+      {"kv_blocks_allocated", &Kv::kv_blocks_allocated},
+      {"kv_blocks_freed", &Kv::kv_blocks_freed},
+      {"kv_grow_failures", &Kv::kv_grow_failures},
+      {"kv_grow_scans", &Kv::kv_grow_scans},
+      {"prefix_cache_lookup_blocks", &Kv::prefix_cache_lookup_blocks},
+      {"prefix_cache_hit_blocks", &Kv::prefix_cache_hit_blocks},
+      {"prefix_cache_evictions", &Kv::prefix_cache_evictions},
+      {"cow_forks", &Kv::cow_forks}, {"cow_copies", &Kv::cow_copies}};
+  const auto check = [&](const auto& fields, const auto& part) {
+    for (const auto& [name, field] : fields) {
+      const index_t a = part(fleet[0]).*field;
+      const index_t b = part(fleet[1]).*field;
+      EXPECT_GT(a, 0) << name;
+      EXPECT_NE(a, b) << name;
+      EXPECT_EQ(stats.replicas[0].*field, a) << name;
+      EXPECT_EQ(stats.replicas[1].*field, b) << name;
+      const index_t loop = std::string(name) == "slo_ttft_violations" ? 7 : 0;
+      EXPECT_EQ(st.*field, a + b + loop) << name;
+    }
+  };
+  check(run_fields, [](const Replica& r) -> const Run& { return r.state(); });
+  check(kv_fields,
+        [](const Replica& r) -> const Kv& { return r.state().bm.counters(); });
+
+  // The rest of SchedStats and of each row.
+  const sched::ReplicaState& s0 = fleet[0].state();
+  const sched::ReplicaState& s1 = fleet[1].state();
+  EXPECT_EQ(st.peak_kv_blocks, std::max(s0.bm.peak_used_blocks(),
+                                        s1.bm.peak_used_blocks()));
+  EXPECT_EQ(st.sim_end_s, std::max(s0.now, s1.now));
+  EXPECT_EQ(st.metrics, sched::metrics_from_requests(
+                            requests, s0.batch_weighted + s1.batch_weighted,
+                            s0.decode_time_total + s1.decode_time_total));
+  EXPECT_EQ(st.requests.size(), requests.size());
+  for (std::size_t i = 0; i < 2; ++i) {
+    const ReplicaStats& row = stats.replicas[i];
+    const Replica& rep = fleet[i];
+    EXPECT_EQ(row.id, rep.id());
+    EXPECT_EQ(row.lifecycle, rep.lifecycle());
+    EXPECT_EQ(row.role, rep.role());
+    EXPECT_EQ(row.clock_s, rep.now());
+    EXPECT_EQ(row.routed, rep.routed());
+    // Every routed request ends completed, rejected or shed.
+    EXPECT_EQ(row.completed, row.routed - row.rejected - row.shed);
+    EXPECT_EQ(row.peak_kv_blocks, rep.state().bm.peak_used_blocks());
+    EXPECT_EQ(row.leaked_kv_blocks, 0);
+    EXPECT_EQ(row.migrated_out, rep.migrated_out());
+    EXPECT_EQ(row.migrated_in, rep.migrated_in());
+  }
 }
 
 // ------------------------------------------------------ busy-replica heap

@@ -116,13 +116,13 @@ TEST(BlockManager, DecodeGrowthScansOncePerBlockCrossing) {
   for (index_t tokens = 1; tokens <= 160; ++tokens) {
     ASSERT_TRUE(bm.grow_to(seq, tokens, tokens - 1));
   }
-  EXPECT_EQ(bm.grow_scans(), 10);
+  EXPECT_EQ(bm.counters().kv_grow_scans, 10);
   EXPECT_EQ(seq.count(), 10);
-  EXPECT_EQ(bm.blocks_allocated_total(), 10);
+  EXPECT_EQ(bm.counters().kv_blocks_allocated, 10);
   // Any other mutation clears the mark: the next write scans again.
   bm.publish(seq);
   ASSERT_TRUE(bm.grow_to(seq, 160, 159));
-  EXPECT_EQ(bm.grow_scans(), 11);
+  EXPECT_EQ(bm.counters().kv_grow_scans, 11);
   bm.release(seq);
 }
 
