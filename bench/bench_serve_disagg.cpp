@@ -127,7 +127,7 @@ static int run(int argc, char** argv) {
         format_double(m.p99_tpot_ms, 2),
         format_double(m.mean_ttft_ms, 2),
         format_double(m.mean_batch, 1),
-        std::to_string(cs.migrations),
+        std::to_string(cs.sched.migrated_out),
         format_double(cs.transfer_seconds, 3),
         std::to_string(m.completed),
         std::to_string(cs.sched.preemptions)};
@@ -180,7 +180,8 @@ static int run(int argc, char** argv) {
   // Fleet-level transfer volume of the auto-priced disagg cell, for the
   // machine-readable trajectory.
   json.set_extra("transfer_s", cells[2].transfer_seconds);
-  json.set_extra("migrations", static_cast<double>(cells[2].migrations), 0);
+  json.set_extra("migrations",
+                 static_cast<double>(cells[2].sched.migrated_out), 0);
 
   // `--trace-out` / `--metrics-out`: one serial re-run of the
   // disaggregated config on the device link, so the trace shows the

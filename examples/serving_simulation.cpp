@@ -215,8 +215,8 @@ static int run(int argc, char** argv) {
                           << " scaled), shed " << st.shed
                           << ", TTFT viol " << st.slo_ttft_violations
                           << ", TPOT viol " << st.slo_tpot_violations;
-                       if (cs.migrations > 0) {
-                         cl << ", migrations " << cs.migrations << " ("
+                       if (st.migrated_out > 0) {
+                         cl << ", migrations " << st.migrated_out << " ("
                             << format_bytes(cs.transfer_bytes) << " in "
                             << format_double(cs.transfer_seconds, 3) << " s)";
                        }

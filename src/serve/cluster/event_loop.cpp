@@ -59,7 +59,8 @@ namespace {
 
 using S = sched::SchedStats;
 /// The exported ledger: one `marlin_*_total` counter per row, read from
-/// the fleet totals. `kv_grow_scans` is a work counter and stays out.
+/// the fleet totals. `kv_grow_scans` is a work counter and stays out, as
+/// does `migrated_in` (every handoff lands, so it equals `migrated_out`).
 struct LedgerRow {
   const char* name;
   const char* help;
@@ -108,6 +109,10 @@ constexpr LedgerRow kLedgerRows[] = {
     {"marlin_kv_grow_failures_total",
      "Decode KV growths refused by the budget (preemption pressure)",
      &S::kv_grow_failures},
+    {"marlin_requests_routed_total", "Requests the router placed on a replica",
+     &S::routed},
+    {"marlin_kv_transfers_total",
+     "Prefill -> decode KV handoffs (disaggregated pools)", &S::migrated_out},
 };
 
 /// The metrics exposition's single writer of run totals: every
@@ -120,10 +125,8 @@ void export_run_metrics(const ClusterStats& stats, obs::MetricsRegistry& m) {
   for (const LedgerRow& c : kLedgerRows) {
     m.counter(c.name, c.help).inc(n(st.*c.member));
   }
-  index_t routed = 0;
   index_t retired = 0;
   for (const ReplicaStats& rep : stats.replicas) {
-    routed += rep.routed;
     retired += rep.lifecycle == ReplicaLifecycle::kRetired ? 1 : 0;
   }
   const struct {
@@ -131,13 +134,8 @@ void export_run_metrics(const ClusterStats& stats, obs::MetricsRegistry& m) {
     const char* help;
     double value;
   } fleet_counters[] = {
-      {"marlin_requests_routed_total",
-       "Requests the router placed on a replica", n(routed)},
       {"marlin_requests_completed_total", "Requests that finished generating",
        n(st.metrics.completed)},
-      {"marlin_kv_transfers_total",
-       "Prefill -> decode KV handoffs (disaggregated pools)",
-       n(stats.migrations)},
       {"marlin_kv_transfer_bytes_total", "KV bytes moved prefill -> decode",
        stats.transfer_bytes},
       {"marlin_kv_transfer_seconds_total",
@@ -251,14 +249,6 @@ ClusterStats EventLoop::run(const std::vector<sched::TraceRequest>& trace,
   std::vector<PendingMigration> pending;
   index_t migration_ttft_violations = 0;
 
-  const auto link_stats_for = [&](index_t src, index_t dst) -> LinkStats& {
-    for (LinkStats& l : stats.links) {
-      if (l.src == src && l.dst == dst) return l;
-    }
-    stats.links.push_back(LinkStats{src, dst, 0, 0.0, 0.0});
-    return stats.links.back();
-  };
-
   // Scans a prefill replica right after its tick for requests whose
   // prefill just completed. Each is decided exactly once: migrate when an
   // active decode replica can hold the KV, otherwise decode in place (the
@@ -320,16 +310,8 @@ ClusterStats EventLoop::run(const std::vector<sched::TraceRequest>& trace,
         }
       }
       r.first_token_s = ready_s;
-      ++r.migrations;
-      ++stats.migrations;
-      stats.transferred_tokens += moved;
-      stats.transfer_skipped_tokens += skipped;
       stats.transfer_bytes += bytes;
       stats.transfer_seconds += ready_s - t0;
-      LinkStats& link = link_stats_for(src.id(), dest->id());
-      ++link.transfers;
-      link.bytes += bytes;
-      link.seconds += ready_s - t0;
       if (obs != nullptr) {
         obs->on_kv_transfer(t0, ready_s, r.id, src.id(), dest->id(), bytes,
                             moved);
@@ -521,11 +503,8 @@ void fold_fleet_stats(const std::deque<Replica>& fleet,
     r.lifecycle = rep.lifecycle();
     r.role = rep.role();
     r.clock_s = s.now;
-    r.routed = rep.routed();
     r.peak_kv_blocks = s.bm.peak_used_blocks();
     r.leaked_kv_blocks = s.bm.used_blocks();
-    r.migrated_in = rep.migrated_in();
-    r.migrated_out = rep.migrated_out();
   }
   st.slo_ttft_violations += migration_ttft_violations;
   st.metrics = sched::metrics_from_requests(st.requests, batch_weighted,

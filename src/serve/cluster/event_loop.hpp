@@ -114,27 +114,12 @@ struct ReplicaStats : sched::RunCounters, sched::KvCounters {
   index_t id = 0;
   ReplicaLifecycle lifecycle = ReplicaLifecycle::kActive;
   ReplicaRole role = ReplicaRole::kUnified;
-  double clock_s = 0;    // final value of the replica's clock
-  index_t routed = 0;    // requests the router placed here
+  double clock_s = 0;  // final value of the replica's clock
   index_t completed = 0;
   index_t peak_kv_blocks = 0;
   /// KV blocks still allocated after the run — always 0 unless a
   /// lifecycle bug leaks them (asserted by tests).
   index_t leaked_kv_blocks = 0;
-  /// Disaggregation traffic: requests this replica handed off at prefill
-  /// completion / received into its decode batch.
-  index_t migrated_out = 0;
-  index_t migrated_in = 0;
-};
-
-/// Per-link KV-transfer accounting under disaggregation, keyed by the
-/// (source, destination) replica pair in first-use order.
-struct LinkStats {
-  index_t src = 0;
-  index_t dst = 0;
-  index_t transfers = 0;
-  double bytes = 0;
-  double seconds = 0;
 };
 
 /// Fleet-level outcome: the legacy SchedStats (metrics over all requests,
@@ -149,16 +134,10 @@ struct ClusterStats {
   index_t autoscaler_evaluations = 0;  // evaluation points reached
   index_t peak_replicas = 0;     // max simultaneously routable
 
-  // Disaggregation accounting (all zero when disagg is off).
-  index_t migrations = 0;  // prefill -> decode handoffs completed or begun
-  /// Prompt tokens whose KV actually crossed the wire (migrated tokens
-  /// minus destination prefix-cache hits).
-  index_t transferred_tokens = 0;
-  /// Prompt tokens a destination's prefix cache spared the wire.
-  index_t transfer_skipped_tokens = 0;
+  // KV wire traffic under disaggregation (zero when off); the handoff
+  // count is `sched.migrated_out`.
   double transfer_bytes = 0;
   double transfer_seconds = 0;  // summed per-transfer link time
-  std::vector<LinkStats> links;
 };
 
 /// The one end-of-run fold every loop shares: a `ReplicaStats` row per

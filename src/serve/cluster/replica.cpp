@@ -51,7 +51,7 @@ void Replica::deliver(std::size_t request_id,
   advance_to(r.arrival_s);
   state_.queue.push_back(request_id);
   state_.outstanding_tokens += r.owed_tokens();
-  ++routed_;
+  ++state_.routed;
   if (state_.obs != nullptr) {
     state_.obs->on_request_queued(r.arrival_s, r.id, r.tenant_id, id());
   }
@@ -102,7 +102,7 @@ void Replica::migrate_out(std::size_t request_id,
   state_.running.erase(it);
   state_.outstanding_tokens -= r.owed_tokens();
   state_.release_kv(r);
-  ++migrated_out_;
+  ++state_.migrated_out;
 }
 
 index_t Replica::begin_migration(std::size_t request_id,
@@ -125,7 +125,7 @@ void Replica::finish_migration(std::size_t request_id, double ready_s,
   advance_to(ready_s);
   state_.running.push_back(request_id);
   state_.outstanding_tokens += r.owed_tokens();
-  ++migrated_in_;
+  ++state_.migrated_in;
 }
 
 }  // namespace marlin::serve::cluster

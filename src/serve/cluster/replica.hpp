@@ -54,7 +54,6 @@ class Replica {
   [[nodiscard]] bool busy() const { return state_.busy(); }
   /// The replica's discrete-event clock (time its last step completed).
   [[nodiscard]] double now() const { return state_.now; }
-  [[nodiscard]] index_t routed() const { return routed_; }
 
   /// Clock-advance to `t` if `t` is in the future (idle jump / fleet
   /// join); never moves the clock backwards.
@@ -113,9 +112,6 @@ class Replica {
   void finish_migration(std::size_t request_id, double ready_s,
                         std::vector<sched::Request>& requests);
 
-  [[nodiscard]] index_t migrated_in() const { return migrated_in_; }
-  [[nodiscard]] index_t migrated_out() const { return migrated_out_; }
-
   /// The least-loaded placement key: `Request::owed_tokens()` summed
   /// over queued and in-flight requests, i.e. prompt + output - prefilled
   /// per request. A running request keeps counting its full output (the
@@ -134,9 +130,6 @@ class Replica {
   sched::ReplicaState state_;
   ReplicaLifecycle lifecycle_ = ReplicaLifecycle::kActive;
   ReplicaRole role_ = ReplicaRole::kUnified;
-  index_t routed_ = 0;
-  index_t migrated_in_ = 0;
-  index_t migrated_out_ = 0;
 };
 
 }  // namespace marlin::serve::cluster

@@ -127,11 +127,12 @@ double Engine::lm_head_seconds(index_t m, int tp) const {
   return t;
 }
 
-double Engine::kv_bytes_per_token() const {
-  // 2 (K and V) * layers * kv_heads * head_dim * 2 bytes.
-  return 2.0 * static_cast<double>(cfg_.model.num_layers) *
+double Engine::kv_bytes_per_token(index_t layers, int tp) const {
+  // 2 (K and V) * layers * kv_heads * head_dim * 2 bytes / tp.
+  return 2.0 * static_cast<double>(layers) *
          static_cast<double>(cfg_.model.num_kv_heads) *
-         static_cast<double>(cfg_.model.head_dim) * 2.0;
+         static_cast<double>(cfg_.model.head_dim) * 2.0 /
+         static_cast<double>(tp);
 }
 
 double Engine::attention_layer_seconds(index_t batch, double avg_context,

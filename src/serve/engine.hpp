@@ -132,9 +132,15 @@ class Engine : public StepModel {
   /// weight charge: rank shards and the single-device KV budget use it.
   [[nodiscard]] double weight_bytes(index_t layers, bool embedding,
                                     bool lm_head, int tp) const;
-  /// FP16 KV-cache bytes one context token occupies (K and V for every
-  /// layer). The serving scheduler derives its block budget from this.
-  [[nodiscard]] double kv_bytes_per_token() const;
+  /// FP16 KV-cache bytes one context token occupies in `layers` layers
+  /// (K and V), its heads split across `tp` ranks. The one KV footprint:
+  /// rank budgets and the single-device form below use it.
+  [[nodiscard]] double kv_bytes_per_token(index_t layers, int tp) const;
+  /// Every layer on one device. The serving scheduler derives its block
+  /// budget from this.
+  [[nodiscard]] double kv_bytes_per_token() const {
+    return kv_bytes_per_token(cfg_.model.num_layers, 1);
+  }
   /// Quantized weight bits per parameter of the configured format (16 for
   /// FP16, 4.125 for MARLIN incl. group scales, 3.125 for Sparse-MARLIN).
   [[nodiscard]] double weight_bits() const;

@@ -42,11 +42,7 @@ double Worker::weight_shard_bytes() const {
 }
 
 double Worker::kv_bytes_per_token() const {
-  const auto& model = engine_->config().model;
-  return 2.0 * static_cast<double>(num_layers_) *
-         static_cast<double>(model.num_kv_heads) *
-         static_cast<double>(model.head_dim) * 2.0 /
-         static_cast<double>(cfg_.tensor_parallel);
+  return engine_->kv_bytes_per_token(num_layers_, cfg_.tensor_parallel);
 }
 
 index_t Worker::kv_block_budget(index_t block_size) const {

@@ -28,6 +28,11 @@ struct RunCounters {
   // skipped), and the probes that reused at least one cached block.
   index_t prefix_tokens_skipped = 0;
   index_t prefix_cache_hits = 0;
+  // Requests the router placed here, and prefill -> decode KV handoffs
+  // this replica sent / received (0 unless disaggregated).
+  index_t routed = 0;
+  index_t migrated_out = 0;
+  index_t migrated_in = 0;
   bool operator==(const RunCounters&) const = default;
 };
 
@@ -53,7 +58,7 @@ struct KvCounters {
 
 // A field added above without its `+=` line below fails these asserts.
 inline RunCounters& operator+=(RunCounters& a, const RunCounters& b) {
-  static_assert(sizeof(RunCounters) == 12 * sizeof(index_t));
+  static_assert(sizeof(RunCounters) == 15 * sizeof(index_t));
   a.preemptions += b.preemptions;
   a.rejected += b.rejected;
   a.shed += b.shed;
@@ -66,6 +71,9 @@ inline RunCounters& operator+=(RunCounters& a, const RunCounters& b) {
   a.slo_tpot_violations += b.slo_tpot_violations;
   a.prefix_tokens_skipped += b.prefix_tokens_skipped;
   a.prefix_cache_hits += b.prefix_cache_hits;
+  a.routed += b.routed;
+  a.migrated_out += b.migrated_out;
+  a.migrated_in += b.migrated_in;
   return a;
 }
 

@@ -102,9 +102,6 @@ struct Request {
   /// (single-replica runs route everything to replica 0). A migration
   /// re-stamps this to the destination when the KV handoff completes.
   index_t replica = -1;
-  /// Prefill -> decode handoffs under disaggregated pools (0 or 1 — a
-  /// request migrates at most once).
-  index_t migrations = 0;
   /// Set once the disaggregated EventLoop has decided this request's
   /// placement at prefill completion (migrate or decode in place), so a
   /// later pass — or a post-preemption re-prefill — never re-decides.

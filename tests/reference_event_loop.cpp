@@ -121,14 +121,6 @@ ClusterStats run(const sched::Scheduler& scheduler,
   std::vector<PendingMigration> pending;
   index_t migration_ttft_violations = 0;
 
-  const auto link_stats_for = [&](index_t src, index_t dst) -> LinkStats& {
-    for (LinkStats& l : stats.links) {
-      if (l.src == src && l.dst == dst) return l;
-    }
-    stats.links.push_back(LinkStats{src, dst, 0, 0.0, 0.0});
-    return stats.links.back();
-  };
-
   const auto scan_migrations = [&](Replica& src) {
     for (std::size_t pos = 0; pos < src.state().running.size();) {
       const std::size_t id = src.state().running[pos];
@@ -181,16 +173,8 @@ ClusterStats run(const sched::Scheduler& scheduler,
         }
       }
       r.first_token_s = ready_s;
-      ++r.migrations;
-      ++stats.migrations;
-      stats.transferred_tokens += moved;
-      stats.transfer_skipped_tokens += skipped;
       stats.transfer_bytes += bytes;
       stats.transfer_seconds += ready_s - t0;
-      LinkStats& link = link_stats_for(src.id(), dest->id());
-      ++link.transfers;
-      link.bytes += bytes;
-      link.seconds += ready_s - t0;
       pending.push_back(PendingMigration{
           id, static_cast<std::size_t>(dest->id()), ready_s});
     }

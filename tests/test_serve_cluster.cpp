@@ -379,10 +379,14 @@ TEST(DisaggDifferential, ZeroCostLinkMatchesUnifiedAndLegacyBitForBit) {
       EventLoop(sch, ClusterOptions{}).run(trace).sched;
   EXPECT_EQ(unified.metrics.completed, 4);
   const ClusterStats disagg = EventLoop(sch, disagg_1p1d()).run(trace);
-  expect_sched_equal(unified, disagg.sched);
+  // The handoff counters are the one difference, checked below.
+  sched::SchedStats handed_off = disagg.sched;
+  handed_off.migrated_out = handed_off.migrated_in = 0;
+  expect_sched_equal(unified, handed_off);
   // The handoffs really happened — equivalence is not migration
   // having silently fallen back to in-place decoding.
-  EXPECT_EQ(disagg.migrations, 4);
+  EXPECT_EQ(disagg.sched.migrated_out, 4);
+  EXPECT_EQ(disagg.sched.migrated_in, 4);
   EXPECT_EQ(disagg.transfer_seconds, 0.0);
   ASSERT_EQ(disagg.replicas.size(), 2u);
   EXPECT_EQ(disagg.replicas[0].role, ReplicaRole::kPrefill);
@@ -403,8 +407,10 @@ TEST(DisaggMigration, PricedLinkDelaysTtftAndAccountsPerLink) {
       EventLoop(sch, disagg_1p1d(1e3, 1e6, 1e-3)).run(trace);
   const ClusterStats free_link =
       EventLoop(sch, disagg_1p1d()).run(trace);
-  EXPECT_EQ(cs.migrations, 3);
-  EXPECT_EQ(cs.transferred_tokens, 3 * 64);
+  EXPECT_EQ(cs.sched.migrated_out, 3);
+  // Every prompt token crossed the wire: the cold destination cache
+  // skipped none, so 3 x 64 tokens at 1 KB each.
+  EXPECT_EQ(cs.sched.prefix_tokens_skipped, 0);
   EXPECT_DOUBLE_EQ(cs.transfer_bytes, 3.0 * 64.0 * 1e3);
   // Accumulated as (arrival - start) differences, so allow float slack.
   EXPECT_NEAR(cs.transfer_seconds, 3.0 * (64.0 * 1e3 / 1e6 + 1e-3), 1e-12);
@@ -415,18 +421,17 @@ TEST(DisaggMigration, PricedLinkDelaysTtftAndAccountsPerLink) {
     EXPECT_NEAR(cs.sched.requests[i].first_token_s,
                 free_link.sched.requests[i].first_token_s + per_transfer_s,
                 1e-9);
-    EXPECT_EQ(cs.sched.requests[i].migrations, 1);
+    EXPECT_EQ(cs.sched.requests[i].replica, 1);  // decoded after the handoff
   }
   EXPECT_GT(cs.sched.metrics.mean_ttft_ms,
             free_link.sched.metrics.mean_ttft_ms);
-  // Per-link accounting: one prefill replica, one decode replica, one
-  // directed link carrying everything.
-  ASSERT_EQ(cs.links.size(), 1u);
-  EXPECT_EQ(cs.links[0].src, 0);
-  EXPECT_EQ(cs.links[0].dst, 1);
-  EXPECT_EQ(cs.links[0].transfers, 3);
-  EXPECT_DOUBLE_EQ(cs.links[0].bytes, cs.transfer_bytes);
-  EXPECT_DOUBLE_EQ(cs.links[0].seconds, cs.transfer_seconds);
+  // One prefill replica, one decode replica: the one link's two ends
+  // each count every handoff.
+  ASSERT_EQ(cs.replicas.size(), 2u);
+  EXPECT_EQ(cs.replicas[0].migrated_out, 3);
+  EXPECT_EQ(cs.replicas[0].migrated_in, 0);
+  EXPECT_EQ(cs.replicas[1].migrated_out, 0);
+  EXPECT_EQ(cs.replicas[1].migrated_in, 3);
 }
 
 TEST(DisaggMigration, TransferCanMissATtftDeadlineThePrefillMet) {
@@ -442,7 +447,7 @@ TEST(DisaggMigration, TransferCanMissATtftDeadlineThePrefillMet) {
   EXPECT_EQ(free_link.sched.slo_ttft_violations, 0);
   const ClusterStats slow =
       EventLoop(sch, disagg_1p1d(1e3, 1e4, 0.0)).run(trace);  // 6.4 s/transfer
-  EXPECT_EQ(slow.migrations, 2);
+  EXPECT_EQ(slow.sched.migrated_out, 2);
   EXPECT_EQ(slow.sched.slo_ttft_violations, 2);
 }
 
@@ -461,8 +466,8 @@ TEST(DisaggMigration, FullDecodePoolFallsBackToDecodingInPlace) {
     trace.push_back(r);
   }
   const ClusterStats cs = EventLoop(sch, disagg_1p1d()).run(trace);
-  EXPECT_GE(cs.migrations, 1);  // the first handoff always fits
-  EXPECT_LT(cs.migrations, 3);  // at least one fell back in place
+  EXPECT_GE(cs.sched.migrated_out, 1);  // the first handoff always fits
+  EXPECT_LT(cs.sched.migrated_out, 3);  // at least one fell back in place
   ASSERT_EQ(cs.replicas.size(), 2u);
   // In-place fallback means the prefill replica really decoded.
   EXPECT_GT(cs.replicas[0].decode_steps, 0);
@@ -488,7 +493,7 @@ TEST(DisaggMigration, BlockedDecodeReplicaWaitsForItsInFlightLanding) {
   trace[1] = {0.15, 48, 40};
   const ClusterStats cs =
       EventLoop(sch, disagg_1p1d(0.0, 0.0, 1.0)).run(trace);
-  EXPECT_EQ(cs.migrations, 2);
+  EXPECT_EQ(cs.sched.migrated_out, 2);
   ASSERT_EQ(cs.replicas.size(), 2u);
   EXPECT_GE(cs.replicas[1].preemptions, 1);
   EXPECT_EQ(cs.sched.metrics.completed, 2);
@@ -540,7 +545,7 @@ TEST(DisaggMigration, DrainingPrefillReplicaFinishesItsWorkInPlace) {
   while (!requests[0].finished()) src.tick(requests);
   EXPECT_EQ(requests[0].replica, 0);
   EXPECT_GE(requests[0].finish_s, 0.0);
-  EXPECT_EQ(src.migrated_out(), 0);
+  EXPECT_EQ(src.state().migrated_out, 0);
   EXPECT_TRUE(src.try_retire());
   EXPECT_EQ(src.state().bm.used_blocks(), 0);
 }
@@ -569,7 +574,7 @@ TEST(DisaggMigration, DestinationPrefixCacheSkipsTransferredBlocks) {
   EXPECT_EQ(dst.begin_migration(0, requests), 0);
   dst.finish_migration(0, src.now(), requests);
   while (!requests[0].finished()) dst.tick(requests);
-  EXPECT_EQ(dst.migrated_in(), 1);
+  EXPECT_EQ(dst.state().migrated_in, 1);
 
   // Second request shares the prefix: releasing the first parked its
   // published prompt blocks in the destination's cache, so the re-acquire
@@ -598,10 +603,10 @@ TEST(DisaggMigration, EndToEndServerSimPricesTransfersFromTheEngine) {
   sc.cluster.disagg.prefill_replicas = 1;
   sc.cluster.disagg.decode_replicas = 1;
   const ClusterStats cs = simulate_cluster_detailed(test_engine(), sc);
-  EXPECT_GT(cs.migrations, 0);
-  EXPECT_GT(cs.transferred_tokens, 0);
+  EXPECT_GT(cs.sched.migrated_out, 0);
   // kv_bytes_per_token auto-derives from the engine (> 0), and the link
-  // from the device interconnect, so real time accrues on the wire.
+  // from the device interconnect, so tokens cross the wire and real time
+  // accrues on it.
   EXPECT_GT(cs.transfer_bytes, 0.0);
   EXPECT_GT(cs.transfer_seconds, 0.0);
   EXPECT_EQ(cs.sched.metrics.completed + cs.sched.rejected + cs.sched.shed,
@@ -612,7 +617,7 @@ TEST(DisaggMigration, EndToEndServerSimPricesTransfersFromTheEngine) {
   // Bit-identical repeat.
   const ClusterStats again = simulate_cluster_detailed(test_engine(), sc);
   expect_sched_equal(cs.sched, again.sched);
-  EXPECT_EQ(cs.migrations, again.migrations);
+  EXPECT_EQ(cs.sched.migrated_out, again.sched.migrated_out);
   EXPECT_EQ(cs.transfer_bytes, again.transfer_bytes);
 }
 
@@ -786,13 +791,15 @@ TEST(LeastLoadedCounter, FollowsADisaggMigration) {
 // ------------------------------------------------------------ fleet fold
 
 TEST(FleetFold, SumsEveryLedgerCounterAndFillsEveryRow) {
-  // Two replicas whose 21 ledger counters are all non-zero and differ
+  // A prefill and a decode replica whose 24 ledger counters are all
+  // non-zero (a handoff count on its own end of the handoff) and differ
   // between them: a tight budget with a capped prefix cache (hits,
   // evictions, growth preemption), n = 2 sampling (CoW), speculation, a
   // TTFT deadline a batched prefill misses and a TPOT deadline every
   // completion misses. Replica r also gets r + 1 requests that can never
   // fit and r + 1 seen too late to make their deadline, and replica 1 a
-  // second wave of longer prompts.
+  // second wave of longer prompts. Last, one request prefills on replica
+  // 0 and is handed off to replica 1 to decode.
   sched::SchedulerConfig cfg = sched_cfg(40);
   cfg.prefill_chunk_tokens = 64;
   cfg.blocks.prefix_cache.enabled = true;
@@ -822,13 +829,27 @@ TEST(FleetFold, SumsEveryLedgerCounterAndFillsEveryRow) {
       add(late, 0.0, 16, 8);
     }
     for (index_t k = 0; k < 2 * rep; ++k) add(late, 0.6, 192, 40);
-    Replica& r = fleet.emplace_back(rep, sch);
+    Replica& r = fleet.emplace_back(
+        rep, sch, rep == 0 ? ReplicaRole::kPrefill : ReplicaRole::kDecode);
     r.register_tenants(sch.resolve_tenants(requests));
     for (const std::size_t id : first) r.deliver(id, requests);
     tick_until(r, requests, [&] { return r.now() > 0.5; });
     for (const std::size_t id : late) r.deliver(id, requests);
     tick_until(r, requests, [&] { return !r.busy(); });
   }
+  Replica& src = fleet[0];
+  Replica& dst = fleet[1];
+  const std::size_t moved = requests.size();
+  requests.emplace_back(static_cast<index_t>(moved),
+                        std::max(src.now(), dst.now()), 96, 8);
+  src.deliver(moved, requests);
+  tick_until(src, requests, [&] {
+    return requests[moved].state == sched::RequestState::kRunning;
+  });
+  src.migrate_out(moved, requests);
+  (void)dst.begin_migration(moved, requests);
+  dst.finish_migration(moved, src.now(), requests);
+  tick_until(dst, requests, [&] { return !dst.busy(); });
 
   ClusterStats stats;
   stats.sched.requests = requests;
@@ -849,7 +870,9 @@ TEST(FleetFold, SumsEveryLedgerCounterAndFillsEveryRow) {
       {"slo_ttft_violations", &Run::slo_ttft_violations},
       {"slo_tpot_violations", &Run::slo_tpot_violations},
       {"prefix_tokens_skipped", &Run::prefix_tokens_skipped},
-      {"prefix_cache_hits", &Run::prefix_cache_hits}};
+      {"prefix_cache_hits", &Run::prefix_cache_hits},
+      {"routed", &Run::routed}, {"migrated_out", &Run::migrated_out},
+      {"migrated_in", &Run::migrated_in}};
   const std::pair<const char*, index_t Kv::*> kv_fields[] = {
       {"kv_blocks_allocated", &Kv::kv_blocks_allocated},
       {"kv_blocks_freed", &Kv::kv_blocks_freed},
@@ -863,7 +886,8 @@ TEST(FleetFold, SumsEveryLedgerCounterAndFillsEveryRow) {
     for (const auto& [name, field] : fields) {
       const index_t a = part(fleet[0]).*field;
       const index_t b = part(fleet[1]).*field;
-      EXPECT_GT(a, 0) << name;
+      // Only the decode replica receives a handoff.
+      EXPECT_GT(std::string(name) == "migrated_in" ? b : a, 0) << name;
       EXPECT_NE(a, b) << name;
       EXPECT_EQ(stats.replicas[0].*field, a) << name;
       EXPECT_EQ(stats.replicas[1].*field, b) << name;
@@ -892,13 +916,12 @@ TEST(FleetFold, SumsEveryLedgerCounterAndFillsEveryRow) {
     EXPECT_EQ(row.lifecycle, rep.lifecycle());
     EXPECT_EQ(row.role, rep.role());
     EXPECT_EQ(row.clock_s, rep.now());
-    EXPECT_EQ(row.routed, rep.routed());
-    // Every routed request ends completed, rejected or shed.
-    EXPECT_EQ(row.completed, row.routed - row.rejected - row.shed);
+    // Every request routed or handed here ends completed, rejected, shed
+    // or handed on.
+    EXPECT_EQ(row.completed, row.routed + row.migrated_in - row.migrated_out -
+                                 row.rejected - row.shed);
     EXPECT_EQ(row.peak_kv_blocks, rep.state().bm.peak_used_blocks());
     EXPECT_EQ(row.leaked_kv_blocks, 0);
-    EXPECT_EQ(row.migrated_out, rep.migrated_out());
-    EXPECT_EQ(row.migrated_in, rep.migrated_in());
   }
 }
 
