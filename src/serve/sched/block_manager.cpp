@@ -120,6 +120,7 @@ void BlockManager::acquire_ref(index_t id, index_t tenant) {
     }
     ++used_;
     peak_used_ = std::max(peak_used_, used_);
+    ++counters_.kv_blocks_allocated;
   } else {
     // Last toucher pays: the charge moves from the previous top holder.
     tenant_slot(node_tenant_[uz(holder_head_[uz(id)])]) -= 1;
@@ -236,7 +237,6 @@ void BlockManager::acquire_ids(std::vector<index_t>& out, index_t n,
     acquire_ref(id, tenant);
     out.push_back(id);
   }
-  counters_.kv_blocks_allocated += n;
 }
 
 void BlockManager::release_ids(std::vector<index_t>& ids, index_t tenant) {
@@ -300,7 +300,6 @@ index_t BlockManager::acquire_prefill(SequenceBlocks& seq, index_t n,
     }
     seq.ids_.push_back(id);
   }
-  counters_.kv_blocks_allocated += fresh;
   seq.cached_prefix_ = hits;
   return hits;
 }
@@ -379,7 +378,6 @@ bool BlockManager::grow_scan(SequenceBlocks& seq, index_t tokens,
       acquire_ref(copy, tenant);
       release_ref(old_id, tenant);
       seq.ids_[uz(k)] = copy;
-      ++counters_.kv_blocks_allocated;
       ++counters_.cow_copies;
       --copies;
     }

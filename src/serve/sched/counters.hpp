@@ -37,7 +37,9 @@ struct RunCounters {
 };
 
 struct KvCounters {
-  // Blocks handed out (fresh and CoW copies) and refcounts that hit 0.
+  // Refcounts that left 0 (fresh blocks, CoW copies and parked prefix
+  // blocks revived by a hit) and refcounts that hit 0: allocated minus
+  // freed is always the live count, `BlockManager::used_blocks()`.
   index_t kv_blocks_allocated = 0;
   index_t kv_blocks_freed = 0;
   // `grow_to` calls the budget refused (each preempts), and those past

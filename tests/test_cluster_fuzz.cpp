@@ -291,9 +291,13 @@ void check_invariants(const cluster::ClusterStats& cs, std::uint64_t seed) {
   const auto offered = static_cast<index_t>(st.requests.size());
 
   // ---- no KV leaks anywhere in the fleet -------------------------------
+  // Allocated minus freed is the live count, so it is the leak too.
   for (const auto& rep : cs.replicas) {
     EXPECT_EQ(rep.leaked_kv_blocks, 0)
         << "seed " << seed << ": replica " << rep.id << " leaked KV blocks";
+    EXPECT_EQ(rep.kv_blocks_allocated - rep.kv_blocks_freed,
+              rep.leaked_kv_blocks)
+        << "seed " << seed << ": replica " << rep.id;
   }
 
   // ---- request conservation --------------------------------------------

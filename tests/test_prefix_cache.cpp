@@ -555,8 +555,10 @@ std::string first_difference(
   check("watermark_blocks", a.watermark_blocks(), b.watermark_blocks());
   check("peak_used_blocks", a.peak_used_blocks(), b.peak_used_blocks());
   const KvCounters& kv = a.counters();
+  // The frozen oracle counts a revived parked block as no allocation; the
+  // live manager does, so allocated - freed is its live count.
   check("kv_blocks_allocated", kv.kv_blocks_allocated,
-        b.blocks_allocated_total());
+        b.used_blocks() + b.blocks_freed_total());
   check("kv_blocks_freed", kv.kv_blocks_freed, b.blocks_freed_total());
   check("kv_grow_failures", kv.kv_grow_failures, b.grow_failures());
   check("prefix_cache_lookup_blocks", kv.prefix_cache_lookup_blocks,
