@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <deque>
-#include <limits>
 #include <string>
 
 #include "obs/metrics.hpp"
 #include "obs/serve_recorder.hpp"
-#include "serve/cluster/busy_heap.hpp"
+#include "serve/cluster/event_queue.hpp"
 #include "util/error.hpp"
 
 namespace marlin::serve::cluster {
@@ -197,13 +196,13 @@ ClusterStats EventLoop::run(const std::vector<sched::TraceRequest>& trace,
   // result.
   const sched::TenantSpecs tenants = scheduler_.resolve_tenants(requests);
   std::deque<Replica> fleet;
-  // Busy replicas keyed (clock, id); re-keyed only where a replica's
-  // clock or busy state can change: delivery, migration landing, its own
-  // tick (plus the migration scan after it) and an autoscaler add.
-  BusyHeap busy;
-  busy.reserve(static_cast<std::size_t>(initial_replicas));
+  EventQueue events;
+  events.reserve(static_cast<std::size_t>(initial_replicas));
+  // Queues or re-keys a replica's tick wherever its clock or busy state
+  // can change: delivery, landing, its own tick and an autoscaler add.
   const auto rekey = [&](const Replica& rep) {
-    busy.update(static_cast<std::size_t>(rep.id()), rep.busy(), rep.now());
+    events.set_tick(static_cast<std::size_t>(rep.id()), rep.busy(),
+                    rep.now());
   };
   for (index_t i = 0; i < initial_replicas; ++i) {
     const ReplicaRole role =
@@ -218,7 +217,15 @@ ClusterStats EventLoop::run(const std::vector<sched::TraceRequest>& trace,
     }
   }
   Router router(opts_.placement, obs);
-  std::size_t next_arrival = 0;
+
+  // The trace cursor is the one queued arrival: delivering request i
+  // queues request i + 1.
+  const auto queue_arrival = [&](std::size_t i) {
+    if (i < requests.size()) {
+      events.push(Event{requests[i].arrival_s, EventKind::kArrival, 0, i, 0});
+    }
+  };
+  queue_arrival(0);
 
   const auto routable_count = [&] {
     index_t n = 0;
@@ -238,16 +245,9 @@ ClusterStats EventLoop::run(const std::vector<sched::TraceRequest>& trace,
   // A migration decided at time t releases the KV on the source and
   // acquires it on the destination immediately (the receive buffer is
   // held for the transfer's duration), then the request sits in flight
-  // until `ready_s = t + link time`, when it joins the destination's
-  // decode batch. In-flight handoffs are loop events like arrivals: they
-  // bound the idle frontier and are delivered once the frontier passes.
-  struct PendingMigration {
-    std::size_t request_id;
-    std::size_t dest;  // fleet index
-    double ready_s;
-  };
-  std::vector<PendingMigration> pending;
-  index_t migration_ttft_violations = 0;
+  // until `ready_s = t + link time`, when its landing event delivers it
+  // to the destination's decode batch.
+  std::size_t decisions = 0;  // landing ties resolve in decision order
 
   // Scans a prefill replica right after its tick for requests whose
   // prefill just completed. Each is decided exactly once: migrate when an
@@ -296,193 +296,138 @@ ClusterStats EventLoop::run(const std::vector<sched::TraceRequest>& trace,
       const double bytes =
           disagg.kv_bytes_per_token * static_cast<double>(moved);
       const double ready_s = t0 + disagg.transfer_seconds(bytes);
-      // The first token cannot be streamed before its KV handoff
-      // completes: the transfer latency lands on TTFT, and a deadline the
-      // prefill met can be missed on the wire.
-      const sched::SloConfig& slo = scheduler_.config().slo;
-      if (slo.ttft_deadline_ms > 0 && r.first_token_s >= 0) {
-        const double old_ms = (r.first_token_s - r.arrival_s) * 1e3;
-        const double new_ms = (ready_s - r.arrival_s) * 1e3;
-        if (old_ms <= slo.ttft_deadline_ms &&
-            new_ms > slo.ttft_deadline_ms) {
-          ++migration_ttft_violations;
-          if (obs != nullptr) obs->on_slo_ttft_violation(ready_s, r.id);
-        }
-      }
-      r.first_token_s = ready_s;
+      src.delay_first_token(id, ready_s, requests);
       stats.transfer_bytes += bytes;
       stats.transfer_seconds += ready_s - t0;
       if (obs != nullptr) {
         obs->on_kv_transfer(t0, ready_s, r.id, src.id(), dest->id(), bytes,
                             moved);
       }
-      pending.push_back(
-          PendingMigration{id, static_cast<std::size_t>(dest->id()),
-                           ready_s});
+      events.push(Event{ready_s, EventKind::kLanding, decisions++, id,
+                        static_cast<std::size_t>(dest->id())});
     }
   };
 
+  // ---- handlers, one per event kind ------------------------------------
   const AutoscalerConfig& as = opts_.autoscaler;
-  double next_eval_s = as.interval_s;
   stats.peak_replicas = routable_count();
-
-  // Autoscaler catch-up: evaluate at every interval multiple the frontier
-  // has passed (before delivery, so new replicas are routable for the
-  // arrivals at this frontier and queue depth is measured pre-delivery).
-  const auto autoscale_upto = [&](double frontier) {
-    if (!as.enabled) return;
-    while (next_eval_s <= frontier) {
-      const double t_eval = next_eval_s;
-      next_eval_s += as.interval_s;
-      ++stats.autoscaler_evaluations;
-      const index_t routable = routable_count();
-      index_t queued = 0;
-      for (const Replica& rep : fleet) {
-        if (rep.routable()) {
-          queued += static_cast<index_t>(rep.state().queue.size());
-        }
-      }
-      const double load =
-          static_cast<double>(queued) / static_cast<double>(routable);
-      if (load > as.scale_up_queue_per_replica &&
-          routable < as.max_replicas) {
-        const index_t new_id = static_cast<index_t>(fleet.size());
-        fleet.emplace_back(new_id, scheduler_);
-        fleet.back().advance_to(t_eval);  // joins at the evaluation time
-        fleet.back().register_tenants(tenants);
-        rekey(fleet.back());
-        if (obs != nullptr) {
-          fleet.back().set_observer(obs);
-          obs->on_autoscaler_eval(t_eval, load, routable, "scale-up");
-          obs->on_replica_start(t_eval, new_id);
-        }
-        ++stats.replicas_added;
-        stats.peak_replicas = std::max(stats.peak_replicas, routable_count());
-      } else if (load < as.scale_down_queue_per_replica &&
-                 routable > as.min_replicas) {
-        if (obs != nullptr) {
-          obs->on_autoscaler_eval(t_eval, load, routable, "scale-down");
-        }
-        // Drain the highest-id routable replica (the newest addition —
-        // LIFO keeps the stable core replicas serving).
-        for (std::size_t i = fleet.size(); i-- > 0;) {
-          if (fleet[i].routable()) {
-            fleet[i].begin_drain();
-            ++stats.replicas_drained;
-            if (obs != nullptr) {
-              obs->on_replica_drain(t_eval, fleet[i].id());
-            }
-            retire_if_drained(fleet[i]);
-            break;
-          }
-        }
-      } else if (obs != nullptr) {
-        obs->on_autoscaler_eval(t_eval, load, routable, "hold");
-      }
-    }
-  };
-
-  while (true) {
-    double frontier;
-    if (busy.empty()) {
-      // Idle jump to the next event: an undelivered arrival or an
-      // in-flight migration, whichever lands first. Neither left means
-      // the trace is drained.
-      bool have_event = false;
-      frontier = 0.0;
-      if (next_arrival < requests.size()) {
-        frontier = requests[next_arrival].arrival_s;
-        have_event = true;
-      }
-      for (const PendingMigration& p : pending) {
-        if (!have_event || p.ready_s < frontier) {
-          frontier = p.ready_s;
-          have_event = true;
-        }
-      }
-      if (!have_event) break;
-    } else {
-      frontier = fleet[busy.top()].now();
-    }
-
-    autoscale_upto(frontier);
-
-    // Deliver every in-flight migration the frontier has passed (list
-    // order is decision order, so ties resolve deterministically).
-    for (std::size_t i = 0; i < pending.size();) {
-      if (pending[i].ready_s <= frontier) {
-        Replica& dest = fleet[pending[i].dest];
-        dest.finish_migration(pending[i].request_id, pending[i].ready_s,
-                              requests);
-        rekey(dest);
-        pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(i));
-      } else {
-        ++i;
-      }
-    }
-
-    // Deliver (route) every arrival the frontier has passed.
-    while (next_arrival < requests.size() &&
-           requests[next_arrival].arrival_s <= frontier) {
-      Replica& placed = fleet[router.pick(requests[next_arrival], fleet)];
-      placed.deliver(next_arrival, requests);
-      rekey(placed);
-      ++next_arrival;
-    }
-
-    // Delivery can wake a replica whose clock is earlier than the old
-    // frontier; re-read the top so ticks stay globally time-ordered.
-    MARLIN_ASSERT(!busy.empty());
-    Replica* const target = &fleet[busy.top()];
-
-    // Liveness guard: a tick of a busy replica must change *something*
-    // (the clock, a flight, or a terminal counter) or the loop would spin
-    // forever — it idles a decode replica waiting on a landing, and
-    // throws on anything else (a scheduler bug).
-    const double now_before = target->now();
-    const std::size_t queue_before = target->state().queue.size();
-    const std::size_t active_before = target->state().active();
-    const index_t terminal_before =
-        target->state().rejected + target->state().shed;
-
-    target->tick(requests);
-
-    if (target->busy() && target->now() == now_before &&
-        target->state().queue.size() == queue_before &&
-        target->state().active() == active_before &&
-        target->state().rejected + target->state().shed == terminal_before) {
-      // Only a decode replica's queue can block with nothing admitted:
-      // on KV its in-flight landings hold. It idles until the first one.
-      double land_s = std::numeric_limits<double>::infinity();
-      for (const PendingMigration& p : pending) {
-        if (p.dest == static_cast<std::size_t>(target->id())) {
-          land_s = std::min(land_s, p.ready_s);
-        }
-      }
-      MARLIN_CHECK(land_s < std::numeric_limits<double>::infinity(),
-                   "event loop stalled: replica " << target->id()
-                                                  << " made no progress at t="
-                                                  << target->now());
-      target->advance_to(land_s);
-    }
-
-    if (disagg.enabled && target->role() == ReplicaRole::kPrefill) {
-      scan_migrations(*target);
-    }
-
-    rekey(*target);
-    retire_if_drained(*target);
+  if (as.enabled) {
+    events.push(Event{as.interval_s, EventKind::kEvaluation});
   }
 
-  fold_fleet_stats(fleet, migration_ttft_violations, stats);
+  // Adds a replica or drains the highest-id one against the mean queue
+  // depth per routable replica, then queues the next evaluation.
+  const auto evaluate = [&](double t_eval) {
+    events.push(Event{t_eval + as.interval_s, EventKind::kEvaluation});
+    ++stats.autoscaler_evaluations;
+    const index_t routable = routable_count();
+    index_t queued = 0;
+    for (const Replica& rep : fleet) {
+      if (rep.routable()) {
+        queued += static_cast<index_t>(rep.state().queue.size());
+      }
+    }
+    const double load =
+        static_cast<double>(queued) / static_cast<double>(routable);
+    if (load > as.scale_up_queue_per_replica && routable < as.max_replicas) {
+      const index_t new_id = static_cast<index_t>(fleet.size());
+      fleet.emplace_back(new_id, scheduler_);
+      fleet.back().advance_to(t_eval);  // joins at the evaluation time
+      fleet.back().register_tenants(tenants);
+      rekey(fleet.back());
+      if (obs != nullptr) {
+        fleet.back().set_observer(obs);
+        obs->on_autoscaler_eval(t_eval, load, routable, "scale-up");
+        obs->on_replica_start(t_eval, new_id);
+      }
+      ++stats.replicas_added;
+      stats.peak_replicas = std::max(stats.peak_replicas, routable_count());
+    } else if (load < as.scale_down_queue_per_replica &&
+               routable > as.min_replicas) {
+      if (obs != nullptr) {
+        obs->on_autoscaler_eval(t_eval, load, routable, "scale-down");
+      }
+      // Drain the highest-id routable replica (the newest addition —
+      // LIFO keeps the stable core replicas serving).
+      for (std::size_t i = fleet.size(); i-- > 0;) {
+        if (fleet[i].routable()) {
+          fleet[i].begin_drain();
+          ++stats.replicas_drained;
+          if (obs != nullptr) obs->on_replica_drain(t_eval, fleet[i].id());
+          retire_if_drained(fleet[i]);
+          break;
+        }
+      }
+    } else if (obs != nullptr) {
+      obs->on_autoscaler_eval(t_eval, load, routable, "hold");
+    }
+  };
+
+  // One admission pass plus one engine step. A tick must change
+  // *something* (the clock, a flight, or a terminal counter); one that
+  // does not leaves its replica out of the queue. Only a decode replica
+  // blocked on KV that its in-flight landings hold can do that, and its
+  // next landing queues it again.
+  const auto tick = [&](Replica& rep) {
+    const double now_before = rep.now();
+    const std::size_t queue_before = rep.state().queue.size();
+    const std::size_t active_before = rep.state().active();
+    const index_t terminal_before = rep.state().rejected + rep.state().shed;
+    rep.tick(requests);
+    const bool stuck = rep.busy() && rep.now() == now_before &&
+                       rep.state().queue.size() == queue_before &&
+                       rep.state().active() == active_before &&
+                       rep.state().rejected + rep.state().shed ==
+                           terminal_before;
+    if (disagg.enabled && rep.role() == ReplicaRole::kPrefill) {
+      scan_migrations(rep);
+    }
+    events.set_tick(static_cast<std::size_t>(rep.id()),
+                    rep.busy() && !stuck, rep.now());
+    retire_if_drained(rep);
+  };
+
+  // Time order: every event runs at its own instant, so a replica an
+  // arrival wakes ticks before any later arrival is routed, landings land
+  // in ready-time order and an evaluation sees only earlier events. An
+  // evaluation never keeps the run alive: the run ends when nothing else
+  // is queued.
+  while (!events.empty()) {
+    const Event ev = events.top();
+    if (ev.kind == EventKind::kTick) {
+      tick(fleet[ev.replica]);
+      continue;
+    }
+    events.pop();
+    if (ev.kind == EventKind::kEvaluation) {
+      if (events.empty()) break;
+      evaluate(ev.time);
+    } else if (ev.kind == EventKind::kLanding) {
+      Replica& dest = fleet[ev.replica];
+      dest.finish_migration(ev.request, ev.time, requests);
+      rekey(dest);
+    } else {
+      Replica& placed = fleet[router.pick(requests[ev.request], fleet)];
+      placed.deliver(ev.request, requests);
+      rekey(placed);
+      queue_arrival(ev.request + 1);
+    }
+  }
+  // A replica still busy made no progress and had no landing to wait for.
+  for (const Replica& rep : fleet) {
+    MARLIN_CHECK(!rep.busy(), "event loop stalled: replica "
+                                  << rep.id() << " made no progress at t="
+                                  << rep.now());
+  }
+
+  fold_fleet_stats(fleet, stats);
   if (obs != nullptr && obs->metrics() != nullptr) {
     export_run_metrics(stats, *obs->metrics());
   }
   return stats;
 }
 
-void fold_fleet_stats(const std::deque<Replica>& fleet,
-                      index_t migration_ttft_violations, ClusterStats& stats) {
+void fold_fleet_stats(const std::deque<Replica>& fleet, ClusterStats& stats) {
   sched::SchedStats& st = stats.sched;
   double batch_weighted = 0;
   double decode_time_total = 0;
@@ -506,7 +451,6 @@ void fold_fleet_stats(const std::deque<Replica>& fleet,
     r.peak_kv_blocks = s.bm.peak_used_blocks();
     r.leaked_kv_blocks = s.bm.used_blocks();
   }
-  st.slo_ttft_violations += migration_ttft_violations;
   st.metrics = sched::metrics_from_requests(st.requests, batch_weighted,
                                             decode_time_total);
   for (const sched::Request& r : st.requests) {

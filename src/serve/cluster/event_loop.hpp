@@ -4,33 +4,40 @@
 // fleet of replicas behind a front-end Router.
 //
 // The loop is strictly serial and deterministic, so a run gives the same
-// bits at every thread count. Busy replicas sit in a `BusyHeap`, an
-// indexed min-heap keyed (clock, id). Each iteration:
+// bits at every thread count. It has one clock, an `EventQueue` of four
+// event kinds, popped in time order (ties: evaluation, landing, arrival,
+// tick at one instant):
 //
-//   1. The *frontier* is the heap top's clock — the earliest busy
-//      replica — or, when the whole fleet is idle, the next undelivered
-//      arrival's (or in-flight migration's) time.
-//   2. The autoscaler (if enabled) evaluates at every multiple of its
-//      interval the frontier has passed, adding replicas or draining the
-//      highest-id one against the observed queue depth.
-//   3. The Router delivers every arrival with `arrival_s <= frontier` to
-//      its placed replica (which advances an idle replica's clock to the
-//      arrival — a request cannot be seen early) and re-keys it.
-//   4. The heap top (earliest clock, ties: lowest id) is *ticked*: one
-//      admission pass plus one engine step (see Scheduler's passive API),
-//      then re-keyed, and retired if it was draining and went idle.
+//   - *evaluation* (autoscaler on): adds a replica or drains the
+//     highest-id one against the queue depth observed at that instant,
+//     then queues the next evaluation `interval_s` later;
+//   - *landing* (disaggregated pools): a KV handoff completes and the
+//     request joins its decode replica's batch (ties: decision order);
+//   - *arrival*: the Router places the trace's next request (which
+//     advances an idle replica's clock to the arrival — a request cannot
+//     be seen early), then the request after it is queued;
+//   - *tick* (one per busy replica, keyed by its clock; ties: lowest id):
+//     one admission pass plus one engine step (see Scheduler's passive
+//     API), then the replica is re-keyed, and retired if it was draining
+//     and went idle.
 //
-// Cost per event: a tick is O(log R) heap work for R replicas; an
-// arrival is O(R) integer compares in the Router (each replica's
-// least-loaded key is a maintained counter); nothing rescans the fleet
-// per tick. The autoscaler's evaluations scan the fleet once each.
+// So a replica woken by an arrival ticks before any later arrival is
+// routed, landings land in ready-time order, and an evaluation never
+// acts on a fleet that has not yet seen an earlier arrival. The run ends
+// when nothing but the next evaluation is queued.
+//
+// Cost per event: O(log(R + L)) queue work for R replicas and L landings
+// in flight; an arrival adds O(R) integer compares in the Router (each
+// replica's least-loaded key is a maintained counter); nothing rescans
+// the fleet per tick. The autoscaler's evaluations scan the fleet once
+// each.
 //
 // With one replica this reduces — engine call for engine call — to the
-// original single-engine scheduler loop: step 3 is its
-// `admit_arrivals(now)`, the idle frontier is its idle jump, and step 4
-// is its loop body. That equivalence is what keeps every pre-cluster
-// golden byte-identical through the refactor (and is pinned by
-// test_serve_cluster).
+// original single-engine scheduler loop: the arrivals at or before the
+// replica's clock are its `admit_arrivals(now)`, an idle replica waits
+// for the next arrival as its idle jump did, and a tick is its loop
+// body. That equivalence is what keeps every single-replica golden
+// byte-identical (and is pinned by test_serve_cluster).
 
 #include <deque>
 #include <vector>
@@ -42,7 +49,7 @@
 namespace marlin::serve::cluster {
 
 /// Deterministic trace-driven autoscaler. Evaluates on the simulated
-/// clock (every `interval_s` of the event-loop frontier) against the mean
+/// clock (an evaluation event every `interval_s`) against the mean
 /// queue depth per routable replica — purely a function of the trace, so
 /// runs reproduce bit-identically.
 struct AutoscalerConfig {
@@ -141,11 +148,9 @@ struct ClusterStats {
 };
 
 /// The one end-of-run fold every loop shares: a `ReplicaStats` row per
-/// replica, the replicas' ledgers summed into `stats.sched` (plus the
-/// loop's `migration_ttft_violations`), the fleet's KV peak and end time,
-/// and the metrics over `stats.sched.requests`.
-void fold_fleet_stats(const std::deque<Replica>& fleet,
-                      index_t migration_ttft_violations, ClusterStats& stats);
+/// replica, the replicas' ledgers summed into `stats.sched`, the fleet's
+/// KV peak and end time, and the metrics over `stats.sched.requests`.
+void fold_fleet_stats(const std::deque<Replica>& fleet, ClusterStats& stats);
 
 class EventLoop {
  public:

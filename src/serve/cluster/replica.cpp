@@ -117,6 +117,22 @@ index_t Replica::begin_migration(std::size_t request_id,
   return cached_tokens;
 }
 
+void Replica::delay_first_token(std::size_t request_id, double ready_s,
+                                std::vector<sched::Request>& requests) {
+  MARLIN_ASSERT(request_id < requests.size());
+  sched::Request& r = requests[request_id];
+  const double deadline_ms = scheduler_->config().slo.ttft_deadline_ms;
+  if (deadline_ms > 0 && r.first_token_s >= 0 &&
+      (r.first_token_s - r.arrival_s) * 1e3 <= deadline_ms &&
+      (ready_s - r.arrival_s) * 1e3 > deadline_ms) {
+    ++state_.slo_ttft_violations;
+    if (state_.obs != nullptr) {
+      state_.obs->on_slo_ttft_violation(ready_s, r.id);
+    }
+  }
+  r.first_token_s = ready_s;
+}
+
 void Replica::finish_migration(std::size_t request_id, double ready_s,
                                std::vector<sched::Request>& requests) {
   MARLIN_ASSERT(request_id < requests.size());

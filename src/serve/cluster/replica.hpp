@@ -106,6 +106,13 @@ class Replica {
   index_t begin_migration(std::size_t request_id,
                           std::vector<sched::Request>& requests);
 
+  /// Source side, once the handoff is priced: the request's first token
+  /// streams only when its KV lands at `ready_s`. A TTFT deadline its
+  /// prefill here met but the wire misses counts in this replica's
+  /// `slo_ttft_violations`.
+  void delay_first_token(std::size_t request_id, double ready_s,
+                         std::vector<sched::Request>& requests);
+
   /// Completes an in-flight migration at `ready_s`: stamps the placement,
   /// advances the clock (the request cannot decode before its KV landed)
   /// and appends it to the running batch.

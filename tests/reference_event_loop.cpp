@@ -76,7 +76,6 @@ ClusterStats run(const sched::Scheduler& scheduler,
   ClusterStats stats;
   std::vector<sched::Request>& requests = stats.sched.requests;
   requests = sched::requests_from_trace(trace);
-  const sched::SchedulerConfig& cfg = scheduler.config();
 
   const DisaggConfig& disagg = opts.disagg;
   const index_t initial_replicas =
@@ -99,16 +98,6 @@ ClusterStats run(const sched::Scheduler& scheduler,
     for (const Replica& rep : fleet) n += rep.routable() ? 1 : 0;
     return n;
   };
-  const auto earliest_busy = [&]() -> Replica* {
-    Replica* best = nullptr;
-    for (Replica& rep : fleet) {
-      // Strict < keeps the lowest id on ties.
-      if (rep.busy() && (best == nullptr || rep.now() < best->now())) {
-        best = &rep;
-      }
-    }
-    return best;
-  };
   const auto retire_drained = [&] {
     for (Replica& rep : fleet) (void)rep.try_retire();
   };
@@ -118,8 +107,9 @@ ClusterStats run(const sched::Scheduler& scheduler,
     std::size_t dest;
     double ready_s;
   };
-  std::vector<PendingMigration> pending;
-  index_t migration_ttft_violations = 0;
+  std::vector<PendingMigration> pending;  // decision order
+  // Replicas whose last tick made no progress: they wait for a landing.
+  std::vector<bool> parked(fleet.size(), false);
 
   const auto scan_migrations = [&](Replica& src) {
     for (std::size_t pos = 0; pos < src.state().running.size();) {
@@ -163,16 +153,7 @@ ClusterStats run(const sched::Scheduler& scheduler,
       const double bytes =
           disagg.kv_bytes_per_token * static_cast<double>(moved);
       const double ready_s = t0 + disagg.transfer_seconds(bytes);
-      const sched::SloConfig& slo = cfg.slo;
-      if (slo.ttft_deadline_ms > 0 && r.first_token_s >= 0) {
-        const double old_ms = (r.first_token_s - r.arrival_s) * 1e3;
-        const double new_ms = (ready_s - r.arrival_s) * 1e3;
-        if (old_ms <= slo.ttft_deadline_ms &&
-            new_ms > slo.ttft_deadline_ms) {
-          ++migration_ttft_violations;
-        }
-      }
-      r.first_token_s = ready_s;
+      src.delay_first_token(id, ready_s, requests);
       stats.transfer_bytes += bytes;
       stats.transfer_seconds += ready_s - t0;
       pending.push_back(PendingMigration{
@@ -184,117 +165,112 @@ ClusterStats run(const sched::Scheduler& scheduler,
   double next_eval_s = as.interval_s;
   stats.peak_replicas = routable_count();
 
-  const auto autoscale_upto = [&](double frontier) {
-    if (!as.enabled) return;
-    while (next_eval_s <= frontier) {
-      const double t_eval = next_eval_s;
-      next_eval_s += as.interval_s;
-      ++stats.autoscaler_evaluations;
+  const auto evaluate = [&] {
+    const double t_eval = next_eval_s;
+    next_eval_s += as.interval_s;
+    ++stats.autoscaler_evaluations;
+    retire_drained();
+    const index_t routable = routable_count();
+    index_t queued = 0;
+    for (const Replica& rep : fleet) {
+      if (rep.routable()) {
+        queued += static_cast<index_t>(rep.state().queue.size());
+      }
+    }
+    const double load =
+        static_cast<double>(queued) / static_cast<double>(routable);
+    if (load > as.scale_up_queue_per_replica && routable < as.max_replicas) {
+      const index_t new_id = static_cast<index_t>(fleet.size());
+      fleet.emplace_back(new_id, scheduler);
+      fleet.back().advance_to(t_eval);
+      fleet.back().register_tenants(scheduler.resolve_tenants(requests));
+      parked.push_back(false);
+      ++stats.replicas_added;
+      stats.peak_replicas = std::max(stats.peak_replicas, routable_count());
+    } else if (load < as.scale_down_queue_per_replica &&
+               routable > as.min_replicas) {
+      for (std::size_t i = fleet.size(); i-- > 0;) {
+        if (fleet[i].routable()) {
+          fleet[i].begin_drain();
+          ++stats.replicas_drained;
+          break;
+        }
+      }
       retire_drained();
-      const index_t routable = routable_count();
-      index_t queued = 0;
-      for (const Replica& rep : fleet) {
-        if (rep.routable()) {
-          queued += static_cast<index_t>(rep.state().queue.size());
-        }
-      }
-      const double load =
-          static_cast<double>(queued) / static_cast<double>(routable);
-      if (load > as.scale_up_queue_per_replica &&
-          routable < as.max_replicas) {
-        const index_t new_id = static_cast<index_t>(fleet.size());
-        fleet.emplace_back(new_id, scheduler);
-        fleet.back().advance_to(t_eval);
-        fleet.back().register_tenants(scheduler.resolve_tenants(requests));
-        ++stats.replicas_added;
-        stats.peak_replicas = std::max(stats.peak_replicas, routable_count());
-      } else if (load < as.scale_down_queue_per_replica &&
-                 routable > as.min_replicas) {
-        for (std::size_t i = fleet.size(); i-- > 0;) {
-          if (fleet[i].routable()) {
-            fleet[i].begin_drain();
-            ++stats.replicas_drained;
-            break;
-          }
-        }
-        retire_drained();
-      }
     }
   };
 
-  while (true) {
-    Replica* target = earliest_busy();
-    double frontier;
-    if (target == nullptr) {
-      bool have_event = false;
-      frontier = 0.0;
-      if (next_arrival < requests.size()) {
-        frontier = requests[next_arrival].arrival_s;
-        have_event = true;
-      }
-      for (const PendingMigration& p : pending) {
-        if (!have_event || p.ready_s < frontier) {
-          frontier = p.ready_s;
-          have_event = true;
-        }
-      }
-      if (!have_event) break;
-    } else {
-      frontier = target->now();
-    }
-
-    autoscale_upto(frontier);
-
-    for (std::size_t i = 0; i < pending.size();) {
-      if (pending[i].ready_s <= frontier) {
-        fleet[pending[i].dest].finish_migration(pending[i].request_id,
-                                                pending[i].ready_s, requests);
-        pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(i));
-      } else {
-        ++i;
-      }
-    }
-
-    while (next_arrival < requests.size() &&
-           requests[next_arrival].arrival_s <= frontier) {
-      const std::size_t placed =
-          placer.pick(requests[next_arrival], fleet, requests);
-      fleet[placed].deliver(next_arrival, requests);
-      ++next_arrival;
-    }
-
-    target = earliest_busy();
-    MARLIN_CHECK(target != nullptr, "reference loop: no busy replica");
-    const double now_before = target->now();
-    const std::size_t queue_before = target->state().queue.size();
-    const std::size_t active_before = target->state().active();
+  const auto tick = [&](Replica& target) {
+    const double now_before = target.now();
+    const std::size_t queue_before = target.state().queue.size();
+    const std::size_t active_before = target.state().active();
     const index_t terminal_before =
-        target->state().rejected + target->state().shed;
-    target->tick(requests);
-    if (target->busy() && target->now() == now_before &&
-        target->state().queue.size() == queue_before &&
-        target->state().active() == active_before &&
-        target->state().rejected + target->state().shed == terminal_before) {
-      // A decode replica blocked on KV its in-flight landings hold idles
-      // until the first of them lands.
-      double land_s = -1;
-      for (const PendingMigration& p : pending) {
-        if (p.dest == static_cast<std::size_t>(target->id()) &&
-            (land_s < 0 || p.ready_s < land_s)) {
-          land_s = p.ready_s;
-        }
-      }
-      MARLIN_CHECK(land_s >= 0, "reference loop: replica "
-                                    << target->id() << " stalled");
-      target->advance_to(land_s);
-    }
-    if (disagg.enabled && target->role() == ReplicaRole::kPrefill) {
-      scan_migrations(*target);
+        target.state().rejected + target.state().shed;
+    target.tick(requests);
+    parked[static_cast<std::size_t>(target.id())] =
+        target.busy() && target.now() == now_before &&
+        target.state().queue.size() == queue_before &&
+        target.state().active() == active_before &&
+        target.state().rejected + target.state().shed == terminal_before;
+    if (disagg.enabled && target.role() == ReplicaRole::kPrefill) {
+      scan_migrations(target);
     }
     retire_drained();
+  };
+
+  // Each step runs the earliest event, found by scanning every source:
+  // (time, phase) with phases evaluation < landing < arrival < tick, and
+  // ties within a phase to the first found (decision order for landings,
+  // lowest id for ticks) by a strict <.
+  enum Phase { kEvaluation, kLanding, kArrival, kTick };
+  while (true) {
+    bool found = false;
+    double time = 0;
+    Phase phase = kTick;
+    std::size_t index = 0;
+    const auto consider = [&](double t, Phase p, std::size_t i) {
+      if (!found || t < time || (t == time && p < phase)) {
+        found = true;
+        time = t;
+        phase = p;
+        index = i;
+      }
+    };
+    for (std::size_t i = 0; i < pending.size(); ++i) {
+      consider(pending[i].ready_s, kLanding, i);
+    }
+    if (next_arrival < requests.size()) {
+      consider(requests[next_arrival].arrival_s, kArrival, next_arrival);
+    }
+    for (std::size_t i = 0; i < fleet.size(); ++i) {
+      if (fleet[i].busy() && !parked[i]) consider(fleet[i].now(), kTick, i);
+    }
+    // Only the other events keep the run going.
+    if (!found) break;
+    if (as.enabled) consider(next_eval_s, kEvaluation, 0);
+
+    if (phase == kEvaluation) {
+      evaluate();
+    } else if (phase == kLanding) {
+      const PendingMigration p = pending[index];
+      pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(index));
+      fleet[p.dest].finish_migration(p.request_id, p.ready_s, requests);
+      parked[p.dest] = false;
+    } else if (phase == kArrival) {
+      const std::size_t placed = placer.pick(requests[index], fleet, requests);
+      fleet[placed].deliver(index, requests);
+      parked[placed] = false;
+      ++next_arrival;
+    } else {
+      tick(fleet[index]);
+    }
+  }
+  for (const Replica& rep : fleet) {
+    MARLIN_CHECK(!rep.busy(), "reference loop: replica " << rep.id()
+                                                         << " stalled");
   }
 
-  fold_fleet_stats(fleet, migration_ttft_violations, stats);
+  fold_fleet_stats(fleet, stats);
   return stats;
 }
 

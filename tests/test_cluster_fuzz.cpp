@@ -9,11 +9,12 @@
 //   - request conservation (completed + rejected + shed == offered, and
 //     every request reaches a terminal state),
 //   - monotone time (arrival <= first token <= finish <= sim end),
-//   - per-tenant splits sum back to the fleet totals,
+//   - per-tenant splits sum back to the fleet totals, and the replicas'
+//     ledger rows sum back to the fleet's ledger,
 //   - repeat runs reproduce bit-identically (subset of seeds),
-//   - the optimized EventLoop (busy-replica heap, maintained least-loaded
+//   - the optimized EventLoop (event queue, maintained least-loaded
 //     counters, once-per-run tenant table) produces bit-equal
-//     ClusterStats to the frozen linear-scan reference loop in
+//     ClusterStats to the linear-scan time-ordered reference loop in
 //     reference_event_loop.cpp, on every seed, both fed by one
 //     `Simulation` (the set-up `simulate_cluster_detailed` runs),
 //   - attaching a ServeRecorder with both a trace and a metrics sink
@@ -286,6 +287,10 @@ FuzzCase case_for_seed(std::uint64_t seed) {
   return FuzzCase{sc, grid_s};
 }
 
+// The two halves of the run ledger, for whole-struct comparisons.
+const sched::RunCounters& run_part(const sched::RunCounters& c) { return c; }
+const sched::KvCounters& kv_part(const sched::KvCounters& c) { return c; }
+
 void check_invariants(const cluster::ClusterStats& cs, std::uint64_t seed) {
   const sched::SchedStats& st = cs.sched;
   const auto offered = static_cast<index_t>(st.requests.size());
@@ -351,33 +356,32 @@ void check_invariants(const cluster::ClusterStats& cs, std::uint64_t seed) {
   EXPECT_EQ(tenant_preempt, st.preemptions) << "seed " << seed;
   EXPECT_EQ(tenant_tokens, generated_total) << "seed " << seed;
 
+  // ---- the rows sum to the fleet's ledger ------------------------------
+  // No counter lives outside a replica's ledger.
+  sched::RunCounters run_sum;
+  sched::KvCounters kv_sum;
+  for (const auto& rep : cs.replicas) {
+    run_sum += rep;
+    kv_sum += rep;
+  }
+  EXPECT_EQ(run_sum, run_part(st)) << "seed " << seed;
+  EXPECT_EQ(kv_sum, kv_part(st)) << "seed " << seed;
+
   // ---- placement and handoffs (inert unless disaggregated) -------------
   // Every request is routed exactly once; every handoff lands; and only a
   // handoff reaches the decode pool, so the requests that end there are
   // the handoffs received.
-  index_t routed = 0;
-  index_t migrated_out = 0;
-  index_t migrated_in = 0;
-  for (const auto& rep : cs.replicas) {
-    routed += rep.routed;
-    migrated_out += rep.migrated_out;
-    migrated_in += rep.migrated_in;
-  }
-  EXPECT_EQ(routed, offered) << "seed " << seed;
-  EXPECT_EQ(migrated_out, migrated_in) << "seed " << seed;
+  EXPECT_EQ(st.routed, offered) << "seed " << seed;
+  EXPECT_EQ(st.migrated_out, st.migrated_in) << "seed " << seed;
   index_t ended_in_decode_pool = 0;
   for (const auto& r : st.requests) {
     ASSERT_GE(r.replica, 0) << "seed " << seed << ": request " << r.id;
     const auto& rep = cs.replicas[static_cast<std::size_t>(r.replica)];
     ended_in_decode_pool += rep.role == cluster::ReplicaRole::kDecode ? 1 : 0;
   }
-  EXPECT_EQ(ended_in_decode_pool, migrated_in) << "seed " << seed;
+  EXPECT_EQ(ended_in_decode_pool, st.migrated_in) << "seed " << seed;
   EXPECT_GE(cs.transfer_seconds, 0.0) << "seed " << seed;
 }
-
-// The two halves of the run ledger, for whole-struct comparisons.
-const sched::RunCounters& run_part(const sched::RunCounters& c) { return c; }
-const sched::KvCounters& kv_part(const sched::KvCounters& c) { return c; }
 
 // Field-by-field equality of two runs' complete ClusterStats: every
 // counter, every metric double, every per-replica record and every
@@ -584,8 +588,8 @@ void expect_same_replica_run(const ReplicaRun& a, const ReplicaRun& b,
 
 TEST(ClusterFuzz, InvariantsHoldAcrossTheSeedSweep) {
   const index_t seeds = seed_count();
-  // Coverage of the paths the busy-replica heap and the retire check
-  // must get right, tallied over the sweep.
+  // Coverage of the paths the event queue and the retire check must get
+  // right, tallied over the sweep.
   index_t wide_fleets = 0;
   index_t autoscaler_adds = 0;
   index_t autoscaler_retires = 0;
@@ -625,7 +629,7 @@ TEST(ClusterFuzz, InvariantsHoldAcrossTheSeedSweep) {
     }
 
     // Differential oracle, every seed: the optimized loop against the
-    // frozen linear-scan reference on identical inputs, on some seeds
+    // linear-scan reference on identical inputs, on some seeds
     // with the arrivals snapped to a grid first.
     std::optional<cluster::ClusterStats> snapped;
     if (fc.arrival_grid_s > 0) {

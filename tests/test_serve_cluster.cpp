@@ -4,12 +4,15 @@
 // KV-block leaks, config validation, disaggregated prefill/decode pools (zero-cost-link
 // differential equivalence, priced KV transfers, migration edge cases),
 // the maintained least-loaded counter against a recount after every
-// replica call, and the busy-replica heap against a linear scan.
+// replica call, the event queue against a linear scan, and the time
+// order it gives the loop (woken replicas, evaluations, landings).
 
 #include <gtest/gtest.h>
 
+#include "obs/serve_recorder.hpp"
+#include "obs/trace.hpp"
 #include "reference_event_loop.hpp"
-#include "serve/cluster/busy_heap.hpp"
+#include "serve/cluster/event_queue.hpp"
 #include "serve/server_sim.hpp"
 #include "util/hash.hpp"
 
@@ -853,12 +856,11 @@ TEST(FleetFold, SumsEveryLedgerCounterAndFillsEveryRow) {
 
   ClusterStats stats;
   stats.sched.requests = requests;
-  fold_fleet_stats(fleet, /*migration_ttft_violations=*/7, stats);
+  fold_fleet_stats(fleet, stats);
   const sched::SchedStats& st = stats.sched;
   ASSERT_EQ(stats.replicas.size(), 2u);
   // Each ledger field, named independently of the `+=` bodies: per
-  // replica in its row, and summed in the fleet totals (plus the loop's
-  // own TTFT violations).
+  // replica in its row, and summed in the fleet totals.
   using Run = sched::RunCounters;
   using Kv = sched::KvCounters;
   const std::pair<const char*, index_t Run::*> run_fields[] = {
@@ -891,8 +893,7 @@ TEST(FleetFold, SumsEveryLedgerCounterAndFillsEveryRow) {
       EXPECT_NE(a, b) << name;
       EXPECT_EQ(stats.replicas[0].*field, a) << name;
       EXPECT_EQ(stats.replicas[1].*field, b) << name;
-      const index_t loop = std::string(name) == "slo_ttft_violations" ? 7 : 0;
-      EXPECT_EQ(st.*field, a + b + loop) << name;
+      EXPECT_EQ(st.*field, a + b) << name;
     }
   };
   check(run_fields, [](const Replica& r) -> const Run& { return r.state(); });
@@ -925,32 +926,164 @@ TEST(FleetFold, SumsEveryLedgerCounterAndFillsEveryRow) {
   }
 }
 
-// ------------------------------------------------------ busy-replica heap
+// ------------------------------------------------------------ event queue
 
-TEST(BusyHeap, TopMatchesALinearScanUnderRandomUpdates) {
-  // Coarse clocks force many ties; the heap must break them to the
-  // lowest id exactly like the scan it replaces.
+TEST(EventQueue, TopMatchesALinearScanUnderRandomUpdates) {
+  // Coarse times force many ties: across kinds the phase order decides,
+  // ticks break them to the lowest id and landings to the first pushed,
+  // exactly like a scan over every pending event with a strict <.
   constexpr std::size_t kReplicas = 9;
-  BusyHeap heap;
-  heap.reserve(kReplicas);
+  EventQueue queue;
+  queue.reserve(kReplicas);
   std::vector<bool> busy(kReplicas, false);
   std::vector<double> now(kReplicas, 0.0);
+  std::vector<Event> others;  // push order
+  std::size_t seq = 0;
   std::uint64_t x = 12345;
   for (int step = 0; step < 5000; ++step) {
     x = util::mix64(x);
-    const std::size_t id = x % kReplicas;
-    busy[id] = (x >> 8) % 4 != 0;
-    now[id] = static_cast<double>((x >> 16) % 6);
-    heap.update(id, busy[id], now[id]);
-    std::size_t best = kReplicas;
-    for (std::size_t i = 0; i < kReplicas; ++i) {
-      if (busy[i] && (best == kReplicas || now[i] < now[best])) best = i;
+    const double t = static_cast<double>((x >> 16) % 6);
+    switch ((x >> 8) % 4) {
+      case 0: {  // a landing
+        others.push_back(Event{t, EventKind::kLanding, seq++, 0, x % 3});
+        queue.push(others.back());
+        break;
+      }
+      case 1: {  // pop the top
+        if (queue.empty()) break;
+        const Event top = queue.top();
+        if (top.kind == EventKind::kTick) {
+          busy[top.replica] = false;
+          queue.set_tick(top.replica, false, 0.0);
+        } else {
+          queue.pop();
+          std::erase_if(others, [&](const Event& e) {
+            return e.kind == top.kind && e.tie == top.tie;
+          });
+        }
+        break;
+      }
+      default: {  // re-key, insert or remove a tick
+        const std::size_t id = x % kReplicas;
+        busy[id] = (x >> 24) % 4 != 0;
+        now[id] = t;
+        queue.set_tick(id, busy[id], now[id]);
+      }
     }
-    ASSERT_EQ(heap.empty(), best == kReplicas) << "step " << step;
-    if (best < kReplicas) {
-      ASSERT_EQ(heap.top(), best) << "step " << step;
+    const Event* best = nullptr;
+    for (const Event& e : others) {
+      if (best == nullptr || e.time < best->time ||
+          (e.time == best->time && e.kind < best->kind)) {
+        best = &e;
+      }
+    }
+    std::size_t tick = kReplicas;
+    for (std::size_t i = 0; i < kReplicas; ++i) {
+      if (busy[i] && (tick == kReplicas || now[i] < now[tick])) tick = i;
+    }
+    ASSERT_EQ(queue.empty(), best == nullptr && tick == kReplicas)
+        << "step " << step;
+    if (queue.empty()) continue;
+    const Event& top = queue.top();
+    if (best == nullptr || (tick < kReplicas && now[tick] < best->time)) {
+      ASSERT_EQ(top.kind, EventKind::kTick) << "step " << step;
+      ASSERT_EQ(top.replica, tick) << "step " << step;
+      ASSERT_EQ(top.time, now[tick]) << "step " << step;
+    } else {
+      ASSERT_EQ(top.kind, best->kind) << "step " << step;
+      ASSERT_EQ(top.tie, best->tie) << "step " << step;
+      ASSERT_EQ(top.time, best->time) << "step " << step;
     }
   }
+}
+
+// ------------------------------------------------------------- time order
+
+TEST(TimeOrder, WokenReplicaTicksBeforeLaterArrivals) {
+  // Replica 0 is deep in a long prefill when round-robin hands replica 1
+  // two requests. The first must start at its own arrival, alone, as a
+  // lone request would: it is not held back until the second arrives.
+  const sched::Scheduler sch(test_engine(), sched_cfg(0));
+  ClusterOptions opts;
+  opts.replicas = 2;
+  const std::vector<sched::TraceRequest> trace = {
+      {0.0, 2048, 4}, {0.01, 64, 4}, {0.02, 64, 4}, {0.03, 64, 4}};
+  ASSERT_GT(sch.model().prefill_seconds(1, 2048), 0.03);
+  const ClusterStats cs = EventLoop(sch, opts).run(trace);
+  const sched::Request& first = cs.sched.requests[1];
+  ASSERT_EQ(first.replica, 1);
+  ASSERT_EQ(cs.sched.requests[3].replica, 1);
+  EXPECT_EQ(first.first_token_s, 0.01 + sch.model().prefill_seconds(1, 64));
+}
+
+TEST(TimeOrder, NoRequestIsPlacedOnAReplicaStartedAfterItArrived) {
+  // One replica admitting one request per tick: five requests queue at
+  // t = 0, the first in a long prefill, and a sixth arrives at 10 ms.
+  // The evaluation at 50 ms sees four queued and adds a replica, which
+  // the sixth request must not reach: it was routed when it arrived.
+  sched::SchedulerConfig cfg = sched_cfg(0);
+  cfg.max_batch = 1;
+  const sched::Scheduler sch(test_engine(), cfg);
+  ClusterOptions opts;
+  opts.placement = Placement::kLeastLoaded;
+  opts.autoscaler.enabled = true;
+  opts.autoscaler.max_replicas = 2;
+  opts.autoscaler.interval_s = 0.05;
+  opts.autoscaler.scale_up_queue_per_replica = 2.0;
+  opts.autoscaler.scale_down_queue_per_replica = 0.5;
+  std::vector<sched::TraceRequest> trace(5, {0.0, 64, 4});
+  trace[0].input_tokens = 2048;
+  trace.push_back({0.01, 64, 4});
+  ASSERT_GT(sch.model().prefill_seconds(1, 2048), 0.05);
+  obs::TraceRecorder recorded;
+  obs::ServeRecorder recorder(&recorded, nullptr);
+  const ClusterStats cs = EventLoop(sch, opts).run(trace, &recorder);
+  ASSERT_GT(cs.replicas_added, 0);
+  // Replicas start in id order, so the first start event's process is
+  // replica 0's.
+  std::vector<double> start_us;
+  std::int64_t pid0 = -1;
+  for (const obs::TraceEvent& e : recorded.events()) {
+    if (e.cat != "replica" || e.name != "start") continue;
+    if (pid0 < 0) pid0 = e.pid;
+    ASSERT_EQ(e.pid - pid0, static_cast<std::int64_t>(start_us.size()));
+    start_us.push_back(e.ts_us);
+  }
+  ASSERT_EQ(start_us.size(), cs.replicas.size());
+  for (const sched::Request& r : cs.sched.requests) {
+    EXPECT_LE(start_us[static_cast<std::size_t>(r.replica)],
+              r.arrival_s * 1e6)
+        << "request " << r.id << " on replica " << r.replica;
+  }
+}
+
+TEST(TimeOrder, LandingsLandInReadyTimeOrder) {
+  // One prefill replica, admitting one request per tick, hands A (a long
+  // prompt, a long transfer) and then B (a short one) to the decode
+  // replica; B's KV lands first. It then prefills C, whose long step
+  // runs past both landings. B must decode from its own landing and
+  // finish while A is still on the wire.
+  sched::SchedulerConfig cfg = sched_cfg(0);
+  cfg.max_batch = 1;
+  const sched::Scheduler sch(test_engine(), cfg);
+  const double prefill_c = sch.model().prefill_seconds(1, 4096);
+  // The link moves A's 256 tokens in half of C's prefill.
+  const ClusterOptions opts = disagg_1p1d(1e3, 256e3 / (prefill_c / 2));
+  const std::vector<sched::TraceRequest> trace = {
+      {0.0, 256, 8}, {0.0, 16, 2}, {0.0, 4096, 1}, {0.0, 16, 2}};
+  const ClusterStats cs = EventLoop(sch, opts).run(trace);
+  const sched::Request& a = cs.sched.requests[0];
+  const sched::Request& b = cs.sched.requests[1];
+  const sched::Request& c = cs.sched.requests[2];
+  ASSERT_EQ(a.replica, 1);
+  ASSERT_EQ(b.replica, 1);
+  ASSERT_EQ(c.replica, 0);  // a 1-token output finishes at its prefill
+  // A was decided first, B lands first, and C's prefill ends after both.
+  ASSERT_LT(b.first_token_s, a.first_token_s);
+  ASSERT_GE(c.finish_s, a.first_token_s);
+  EXPECT_LT(b.finish_s, a.first_token_s);
+  const ClusterStats ref = reference::run(sch, opts, trace);
+  EXPECT_EQ(ref.sched.requests[1].finish_s, b.finish_s);
 }
 
 // ------------------------------------------------------------- validation
