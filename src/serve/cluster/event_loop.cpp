@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <deque>
 #include <string>
+#include <tuple>
 
 #include "obs/metrics.hpp"
 #include "obs/serve_recorder.hpp"
@@ -197,9 +198,8 @@ ClusterStats EventLoop::run(const std::vector<sched::TraceRequest>& trace,
   const sched::TenantSpecs tenants = scheduler_.resolve_tenants(requests);
   std::deque<Replica> fleet;
   EventQueue events;
-  events.reserve(static_cast<std::size_t>(initial_replicas));
-  // Queues or re-keys a replica's tick wherever its clock or busy state
-  // can change: delivery, landing, its own tick and an autoscaler add.
+  // Queues or re-keys a replica's tick where another event can change its
+  // clock or busy state: a delivery or a landing (a tick re-keys itself).
   const auto rekey = [&](const Replica& rep) {
     events.set_tick(static_cast<std::size_t>(rep.id()), rep.busy(),
                     rep.now());
@@ -218,14 +218,9 @@ ClusterStats EventLoop::run(const std::vector<sched::TraceRequest>& trace,
   }
   Router router(opts_.placement, obs);
 
-  // The trace cursor is the one queued arrival: delivering request i
-  // queues request i + 1.
-  const auto queue_arrival = [&](std::size_t i) {
-    if (i < requests.size()) {
-      events.push(Event{requests[i].arrival_s, EventKind::kArrival, 0, i, 0});
-    }
-  };
-  queue_arrival(0);
+  // The trace cursor is the one queued arrival: routing request i queues
+  // request i + 1.
+  if (!requests.empty()) events.push_arrival(requests[0].arrival_s, 0);
 
   const auto routable_count = [&] {
     index_t n = 0;
@@ -247,7 +242,6 @@ ClusterStats EventLoop::run(const std::vector<sched::TraceRequest>& trace,
   // held for the transfer's duration), then the request sits in flight
   // until `ready_s = t + link time`, when its landing event delivers it
   // to the destination's decode batch.
-  std::size_t decisions = 0;  // landing ties resolve in decision order
 
   // Scans a prefill replica right after its tick for requests whose
   // prefill just completed. Each is decided exactly once: migrate when an
@@ -303,8 +297,7 @@ ClusterStats EventLoop::run(const std::vector<sched::TraceRequest>& trace,
         obs->on_kv_transfer(t0, ready_s, r.id, src.id(), dest->id(), bytes,
                             moved);
       }
-      events.push(Event{ready_s, EventKind::kLanding, decisions++, id,
-                        static_cast<std::size_t>(dest->id())});
+      events.push_landing(ready_s, id, static_cast<std::size_t>(dest->id()));
     }
   };
 
@@ -312,13 +305,13 @@ ClusterStats EventLoop::run(const std::vector<sched::TraceRequest>& trace,
   const AutoscalerConfig& as = opts_.autoscaler;
   stats.peak_replicas = routable_count();
   if (as.enabled) {
-    events.push(Event{as.interval_s, EventKind::kEvaluation});
+    events.push_evaluation(as.interval_s);
   }
 
   // Adds a replica or drains the highest-id one against the mean queue
   // depth per routable replica, then queues the next evaluation.
   const auto evaluate = [&](double t_eval) {
-    events.push(Event{t_eval + as.interval_s, EventKind::kEvaluation});
+    events.push_evaluation(t_eval + as.interval_s);
     ++stats.autoscaler_evaluations;
     const index_t routable = routable_count();
     index_t queued = 0;
@@ -333,8 +326,7 @@ ClusterStats EventLoop::run(const std::vector<sched::TraceRequest>& trace,
       const index_t new_id = static_cast<index_t>(fleet.size());
       fleet.emplace_back(new_id, scheduler_);
       fleet.back().advance_to(t_eval);  // joins at the evaluation time
-      fleet.back().register_tenants(tenants);
-      rekey(fleet.back());
+      fleet.back().register_tenants(tenants);  // idle: queues no tick
       if (obs != nullptr) {
         fleet.back().set_observer(obs);
         obs->on_autoscaler_eval(t_eval, load, routable, "scale-up");
@@ -368,17 +360,13 @@ ClusterStats EventLoop::run(const std::vector<sched::TraceRequest>& trace,
   // does not leaves its replica out of the queue. Only a decode replica
   // blocked on KV that its in-flight landings hold can do that, and its
   // next landing queues it again.
+  const auto progress = [](const sched::ReplicaState& s) {
+    return std::tuple(s.now, s.queue.size(), s.active(), s.rejected + s.shed);
+  };
   const auto tick = [&](Replica& rep) {
-    const double now_before = rep.now();
-    const std::size_t queue_before = rep.state().queue.size();
-    const std::size_t active_before = rep.state().active();
-    const index_t terminal_before = rep.state().rejected + rep.state().shed;
+    const auto before = progress(rep.state());
     rep.tick(requests);
-    const bool stuck = rep.busy() && rep.now() == now_before &&
-                       rep.state().queue.size() == queue_before &&
-                       rep.state().active() == active_before &&
-                       rep.state().rejected + rep.state().shed ==
-                           terminal_before;
+    const bool stuck = rep.busy() && progress(rep.state()) == before;
     if (disagg.enabled && rep.role() == ReplicaRole::kPrefill) {
       scan_migrations(rep);
     }
@@ -387,30 +375,31 @@ ClusterStats EventLoop::run(const std::vector<sched::TraceRequest>& trace,
     retire_if_drained(rep);
   };
 
-  // Time order: every event runs at its own instant, so a replica an
-  // arrival wakes ticks before any later arrival is routed, landings land
-  // in ready-time order and an evaluation sees only earlier events. An
-  // evaluation never keeps the run alive: the run ends when nothing else
-  // is queued.
+  // An evaluation never keeps the run alive: the run ends when nothing
+  // else is queued.
   while (!events.empty()) {
     const Event ev = events.top();
-    if (ev.kind == EventKind::kTick) {
-      tick(fleet[ev.replica]);
+    if (ev.kind() == EventKind::kTick) {
+      tick(fleet[ev.id()]);
       continue;
     }
     events.pop();
-    if (ev.kind == EventKind::kEvaluation) {
+    if (ev.kind() == EventKind::kEvaluation) {
       if (events.empty()) break;
       evaluate(ev.time);
-    } else if (ev.kind == EventKind::kLanding) {
-      Replica& dest = fleet[ev.replica];
-      dest.finish_migration(ev.request, ev.time, requests);
+    } else if (ev.kind() == EventKind::kLanding) {
+      const EventQueue::Landing landing = events.take_landing(ev.id());
+      Replica& dest = fleet[landing.dest];
+      dest.finish_migration(landing.request, ev.time, requests);
       rekey(dest);
     } else {
-      Replica& placed = fleet[router.pick(requests[ev.request], fleet)];
-      placed.deliver(ev.request, requests);
+      const std::size_t i = ev.id();
+      Replica& placed = fleet[router.pick(requests[i], fleet)];
+      placed.deliver(i, requests);
       rekey(placed);
-      queue_arrival(ev.request + 1);
+      if (i + 1 < requests.size()) {
+        events.push_arrival(requests[i + 1].arrival_s, i + 1);
+      }
     }
   }
   // A replica still busy made no progress and had no landing to wait for.

@@ -4,40 +4,33 @@
 // fleet of replicas behind a front-end Router.
 //
 // The loop is strictly serial and deterministic, so a run gives the same
-// bits at every thread count. It has one clock, an `EventQueue` of four
-// event kinds, popped in time order (ties: evaluation, landing, arrival,
-// tick at one instant):
+// bits at every thread count. Its one clock is an `EventQueue` popped in
+// time order; at one instant an autoscaler *evaluation* runs first, then
+// KV *landings* (in decision order), then the trace's next *arrival*,
+// then replica *ticks* (lowest id first):
 //
-//   - *evaluation* (autoscaler on): adds a replica or drains the
-//     highest-id one against the queue depth observed at that instant,
-//     then queues the next evaluation `interval_s` later;
-//   - *landing* (disaggregated pools): a KV handoff completes and the
-//     request joins its decode replica's batch (ties: decision order);
-//   - *arrival*: the Router places the trace's next request (which
-//     advances an idle replica's clock to the arrival — a request cannot
-//     be seen early), then the request after it is queued;
-//   - *tick* (one per busy replica, keyed by its clock; ties: lowest id):
-//     one admission pass plus one engine step (see Scheduler's passive
-//     API), then the replica is re-keyed, and retired if it was draining
-//     and went idle.
+//   - evaluation: adds a replica or drains the highest-id one against the
+//     queue depth at that instant, then queues the next one;
+//   - landing: a KV handoff completes and joins its decode replica;
+//   - arrival: the Router places the request (an idle replica's clock
+//     advances to the arrival — a request cannot be seen early) and the
+//     next request is queued;
+//   - tick (one per busy replica, keyed by its clock): one admission
+//     pass plus one engine step (see Scheduler's passive API); a drained
+//     replica that went idle retires.
 //
 // So a replica woken by an arrival ticks before any later arrival is
-// routed, landings land in ready-time order, and an evaluation never
-// acts on a fleet that has not yet seen an earlier arrival. The run ends
-// when nothing but the next evaluation is queued.
+// routed, and landings land in ready-time order. The run ends when only
+// the next evaluation is left.
 //
 // Cost per event: O(log(R + L)) queue work for R replicas and L landings
 // in flight; an arrival adds O(R) integer compares in the Router (each
-// replica's least-loaded key is a maintained counter); nothing rescans
-// the fleet per tick. The autoscaler's evaluations scan the fleet once
-// each.
+// replica's least-loaded key is a maintained counter). An evaluation
+// scans the fleet once.
 //
 // With one replica this reduces — engine call for engine call — to the
-// original single-engine scheduler loop: the arrivals at or before the
-// replica's clock are its `admit_arrivals(now)`, an idle replica waits
-// for the next arrival as its idle jump did, and a tick is its loop
-// body. That equivalence is what keeps every single-replica golden
-// byte-identical (and is pinned by test_serve_cluster).
+// original single-engine scheduler loop, which keeps every
+// single-replica golden byte-identical (pinned by test_serve_cluster).
 
 #include <deque>
 #include <vector>

@@ -934,32 +934,34 @@ TEST(EventQueue, TopMatchesALinearScanUnderRandomUpdates) {
   // exactly like a scan over every pending event with a strict <.
   constexpr std::size_t kReplicas = 9;
   EventQueue queue;
-  queue.reserve(kReplicas);
   std::vector<bool> busy(kReplicas, false);
   std::vector<double> now(kReplicas, 0.0);
-  std::vector<Event> others;  // push order
-  std::size_t seq = 0;
+  struct Landing {
+    double time;
+    std::size_t seq;
+  };
+  std::vector<Landing> landings;  // push order
+  std::size_t pushed = 0;
   std::uint64_t x = 12345;
   for (int step = 0; step < 5000; ++step) {
     x = util::mix64(x);
     const double t = static_cast<double>((x >> 16) % 6);
     switch ((x >> 8) % 4) {
-      case 0: {  // a landing
-        others.push_back(Event{t, EventKind::kLanding, seq++, 0, x % 3});
-        queue.push(others.back());
+      case 0:  // a landing; its request is its push index
+        landings.push_back({t, pushed});
+        queue.push_landing(t, pushed++, x % kReplicas);
         break;
-      }
       case 1: {  // pop the top
         if (queue.empty()) break;
         const Event top = queue.top();
-        if (top.kind == EventKind::kTick) {
-          busy[top.replica] = false;
-          queue.set_tick(top.replica, false, 0.0);
+        if (top.kind() == EventKind::kTick) {
+          busy[top.id()] = false;
+          queue.set_tick(top.id(), false, 0.0);
         } else {
           queue.pop();
-          std::erase_if(others, [&](const Event& e) {
-            return e.kind == top.kind && e.tie == top.tie;
-          });
+          ASSERT_EQ(queue.take_landing(top.id()).request, top.id());
+          std::erase_if(landings,
+                        [&](const Landing& l) { return l.seq == top.id(); });
         }
         break;
       }
@@ -970,29 +972,26 @@ TEST(EventQueue, TopMatchesALinearScanUnderRandomUpdates) {
         queue.set_tick(id, busy[id], now[id]);
       }
     }
-    const Event* best = nullptr;
-    for (const Event& e : others) {
-      if (best == nullptr || e.time < best->time ||
-          (e.time == best->time && e.kind < best->kind)) {
-        best = &e;
-      }
+    const Landing* landing = nullptr;
+    for (const Landing& l : landings) {
+      if (landing == nullptr || l.time < landing->time) landing = &l;
     }
     std::size_t tick = kReplicas;
     for (std::size_t i = 0; i < kReplicas; ++i) {
       if (busy[i] && (tick == kReplicas || now[i] < now[tick])) tick = i;
     }
-    ASSERT_EQ(queue.empty(), best == nullptr && tick == kReplicas)
+    ASSERT_EQ(queue.empty(), landing == nullptr && tick == kReplicas)
         << "step " << step;
     if (queue.empty()) continue;
     const Event& top = queue.top();
-    if (best == nullptr || (tick < kReplicas && now[tick] < best->time)) {
-      ASSERT_EQ(top.kind, EventKind::kTick) << "step " << step;
-      ASSERT_EQ(top.replica, tick) << "step " << step;
+    if (landing == nullptr || (tick < kReplicas && now[tick] < landing->time)) {
+      ASSERT_EQ(top.kind(), EventKind::kTick) << "step " << step;
+      ASSERT_EQ(top.id(), tick) << "step " << step;
       ASSERT_EQ(top.time, now[tick]) << "step " << step;
     } else {
-      ASSERT_EQ(top.kind, best->kind) << "step " << step;
-      ASSERT_EQ(top.tie, best->tie) << "step " << step;
-      ASSERT_EQ(top.time, best->time) << "step " << step;
+      ASSERT_EQ(top.kind(), EventKind::kLanding) << "step " << step;
+      ASSERT_EQ(top.id(), landing->seq) << "step " << step;
+      ASSERT_EQ(top.time, landing->time) << "step " << step;
     }
   }
 }
