@@ -26,7 +26,12 @@
 //     decode batch (committed tokens under speculation),
 //   - on every seed's trace run on one FCFS replica, `Scheduler::admit`
 //     produces bit-equal request outcomes and replica counters to the
-//     frozen queue-snapshot admission in reference_admission.cpp.
+//     frozen queue-snapshot admission in reference_admission.cpp,
+//   - on every seed's trace run on one replica under the seed's own
+//     scheduler (policy, speculation, n > 1, prefix cache, quotas, block
+//     size), `Scheduler::admit` plus `Scheduler::step` produce bit-equal
+//     request outcomes and replica counters to the frozen snapshot
+//     admission plus the frozen per-request step in reference_step.cpp.
 //
 // The sweep size defaults to 200 fixed seeds and can be narrowed with
 // MARLIN_FUZZ_SEEDS=<n> (the sanitizer CI job runs a subset; the seeds
@@ -50,6 +55,7 @@
 #include "obs/trace.hpp"
 #include "reference_admission.hpp"
 #include "reference_event_loop.hpp"
+#include "reference_step.hpp"
 #include "serve/server_sim.hpp"
 
 namespace marlin::serve {
@@ -526,17 +532,17 @@ void expect_tokens_conserved(const cluster::ClusterStats& cs,
 
 /// One replica's run over a trace, driven tick by tick the way the
 /// EventLoop drives a single busy replica: deliver every arrival up to
-/// the replica's clock (jumping the idle clock to the next arrival), one
-/// admission pass, one step. `admit` is the admission pass under test.
+/// the replica's clock (jumping the idle clock to the next arrival), then
+/// `tick`, the admission pass and step under test.
 struct ReplicaRun {
   std::vector<sched::Request> requests;
   sched::ReplicaState state;
 };
 
-template <typename Admit>
+template <typename Tick>
 ReplicaRun run_one_replica(const sched::Scheduler& scheduler,
                            const std::vector<sched::TraceRequest>& trace,
-                           const Admit& admit) {
+                           const Tick& tick) {
   ReplicaRun run{sched::requests_from_trace(trace),
                  scheduler.make_replica_state()};
   std::vector<sched::Request>& requests = run.requests;
@@ -554,8 +560,7 @@ ReplicaRun run_one_replica(const sched::Scheduler& scheduler,
       s.queue.push_back(next);
       s.outstanding_tokens += requests[next].owed_tokens();
     }
-    admit(s, requests);
-    scheduler.step(s, requests);
+    tick(s, requests);
   }
   return run;
 }
@@ -579,6 +584,9 @@ void expect_same_replica_run(const ReplicaRun& a, const ReplicaRun& b,
   const sched::ReplicaState& x = a.state;
   const sched::ReplicaState& y = b.state;
   EXPECT_EQ(x.now, y.now) << seed;
+  EXPECT_EQ(x.batch_weighted, y.batch_weighted) << seed;
+  EXPECT_EQ(x.decode_time_total, y.decode_time_total) << seed;
+  EXPECT_EQ(x.service_debt, y.service_debt) << seed;
   EXPECT_EQ(run_part(x), run_part(y)) << seed;
   EXPECT_EQ(x.bm.counters(), y.bm.counters()) << seed;
   EXPECT_EQ(x.outstanding_tokens, y.outstanding_tokens) << seed;
@@ -656,12 +664,33 @@ TEST(ClusterFuzz, InvariantsHoldAcrossTheSeedSweep) {
                           [&](sched::ReplicaState& s,
                               std::vector<sched::Request>& requests) {
                             scheduler.admit(s, requests);
+                            scheduler.step(s, requests);
                           }),
           run_one_replica(scheduler, sim.trace,
                           [&](sched::ReplicaState& s,
                               std::vector<sched::Request>& requests) {
-                            sched::reference::admit_fcfs(scheduler, s,
-                                                         requests);
+                            sched::reference::admit(scheduler, s, requests);
+                            scheduler.step(s, requests);
+                          }),
+          seed);
+    }
+    // Step differential, every seed: the trace on one replica under the
+    // seed's own scheduler, ticked by the scheduler and by the frozen
+    // admission plus the frozen step (never mixed on one ReplicaState).
+    {
+      const sched::Scheduler& scheduler = sim.scheduler();
+      expect_same_replica_run(
+          run_one_replica(scheduler, sim.trace,
+                          [&](sched::ReplicaState& s,
+                              std::vector<sched::Request>& requests) {
+                            scheduler.admit(s, requests);
+                            scheduler.step(s, requests);
+                          }),
+          run_one_replica(scheduler, sim.trace,
+                          [&](sched::ReplicaState& s,
+                              std::vector<sched::Request>& requests) {
+                            sched::reference::admit(scheduler, s, requests);
+                            sched::reference::step(scheduler, s, requests);
                           }),
           seed);
     }
