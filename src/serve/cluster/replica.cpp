@@ -99,7 +99,8 @@ void Replica::migrate_out(std::size_t request_id,
   MARLIN_CHECK(it != state_.running.end(),
                "request " << r.id << " is not in replica " << id()
                           << "'s running batch");
-  state_.running.erase(it);
+  state_.leave_running(
+      static_cast<std::size_t>(it - state_.running.begin()), requests);
   state_.outstanding_tokens -= r.owed_tokens();
   state_.release_kv(r);
   ++state_.migrated_out;
@@ -139,7 +140,7 @@ void Replica::finish_migration(std::size_t request_id, double ready_s,
   sched::Request& r = requests[request_id];
   r.replica = id();
   advance_to(ready_s);
-  state_.running.push_back(request_id);
+  state_.join_running(request_id, requests);
   state_.outstanding_tokens += r.owed_tokens();
   ++state_.migrated_in;
 }

@@ -33,6 +33,9 @@ struct RunCounters {
   index_t routed = 0;
   index_t migrated_out = 0;
   index_t migrated_in = 0;
+  // Running requests the decode rounds visited: those at a block crossing
+  // or a finish, or all of them under speculation and WFQ (not exported).
+  index_t decode_visits = 0;
   bool operator==(const RunCounters&) const = default;
 };
 
@@ -60,7 +63,7 @@ struct KvCounters {
 
 // A field added above without its `+=` line below fails these asserts.
 inline RunCounters& operator+=(RunCounters& a, const RunCounters& b) {
-  static_assert(sizeof(RunCounters) == 15 * sizeof(index_t));
+  static_assert(sizeof(RunCounters) == 16 * sizeof(index_t));
   a.preemptions += b.preemptions;
   a.rejected += b.rejected;
   a.shed += b.shed;
@@ -76,6 +79,7 @@ inline RunCounters& operator+=(RunCounters& a, const RunCounters& b) {
   a.routed += b.routed;
   a.migrated_out += b.migrated_out;
   a.migrated_in += b.migrated_in;
+  a.decode_visits += b.decode_visits;
   return a;
 }
 

@@ -75,8 +75,13 @@ struct Request {
   index_t num_sequences = 1;
 
   RequestState state = RequestState::kQueued;
-  /// Output tokens emitted so far (the prefill emits token 1).
+  /// Output tokens emitted so far (the prefill emits token 1). Lags while
+  /// the request runs: read it through `ReplicaState::generated` then.
   index_t generated = 0;
+  /// The holding replica's `decode_steps` at which `generated` was last
+  /// brought up to date, or -1 outside a running batch (`generated` is
+  /// then exact).
+  index_t synced_step = -1;
   /// Tokens prefilled in the current admission (chunked prefill cursor).
   index_t prefilled = 0;
   /// KV blocks of the primary sequence (ref-counted BlockManager handle).

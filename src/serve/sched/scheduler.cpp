@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "obs/serve_recorder.hpp"
 #include "util/error.hpp"
@@ -237,7 +238,7 @@ class Ticker {
   void preempt_running_at(std::size_t pos) {
     MARLIN_ASSERT(pos < s_.running.size());
     const std::size_t victim = s_.running[pos];
-    s_.running.erase(s_.running.begin() + static_cast<std::ptrdiff_t>(pos));
+    s_.leave_running(pos, requests_);
     Request& v = requests_[victim];
     v.set_state(RequestState::kPreempted);
     const index_t blocks_freed = held_blocks(v);
@@ -355,6 +356,23 @@ class Ticker {
     const auto c =
         static_cast<index_t>(std::floor(r.spec_credit + spec_expected_));
     return std::clamp<index_t>(c, 1, std::max<index_t>(1, remaining));
+  }
+
+  // The step a request's next decode visit falls on, from `r.generated`
+  // as of `s_.decode_steps`: its first growth past a handle's writable
+  // mark or its finishing commit, whichever comes first. Under
+  // speculation and WFQ every step, since the commit credit and the
+  // service debt move every step, in running order.
+  [[nodiscard]] index_t next_visit(const Request& r) const {
+    if (cfg_.speculation.enabled() || wfq_) return s_.decode_steps;
+    index_t writable = r.blocks.writable_end();
+    for (const SequenceBlocks& f : r.forks) {
+      writable = std::min(writable, f.writable_end());
+    }
+    // Plain steps grow to prompt + generated tokens, one more per step.
+    const index_t to_crossing = writable - (r.prompt_tokens + r.generated) + 1;
+    const index_t to_finish = r.output_tokens - 1 - r.generated;
+    return s_.decode_steps + std::min(to_crossing, to_finish);
   }
 
   // Completion: SLO accounting, every sequence's KV released.
@@ -547,26 +565,43 @@ void Ticker::prefill_round() {
       continue;
     }
     s_.fork_sequences(r);
-    s_.running.push_back(id);
+    s_.join_running(id, requests_);
   }
   s_.prefilling.resize(keep);
 }
 
 void Ticker::decode_round() {
   const SpeculationConfig& spec = cfg_.speculation;
+  std::vector<std::size_t>& running = s_.running;
+  std::vector<index_t>& due = s_.due_steps;
+  // Marks a visit whose request left `running` (and, below, a finisher's
+  // slot in `running`).
+  constexpr std::size_t kGone = std::numeric_limits<std::size_t>::max();
 
-  // Grow every running sequence's KV for the tokens this step commits
-  // (one for plain decode, the speculative commit otherwise); preempt
-  // the policy's victim when the budget runs dry. The same pass sums the
-  // step's batch and context over the survivors. Each of the n sampled
-  // sequences occupies a batch slot with the same context length
-  // (lockstep decoding). The sum is exact in int64, and every partial sum
-  // stays an integer below 2^53, so `avg_ctx` has the bits of a double
-  // sum over the surviving running set.
-  index_t batch = 0;
-  index_t ctx_sum = 0;
-  for (std::size_t i = 0; i < s_.running.size();) {
-    Request& r = requests_[s_.running[i]];
+  // The positions in `running` of the requests due at this step. One that
+  // is not due neither grows past its writable mark nor finishes: its
+  // `grow_to` would return inline and its commit is the one token every
+  // survivor gets below, so it is not visited.
+  std::vector<std::size_t>& visits = s_.scratch.visits;
+  visits.resize(running.size());
+  std::size_t due_count = 0;
+  for (std::size_t i = 0; i < running.size(); ++i) {
+    visits[due_count] = i;
+    due_count += due[i] <= s_.decode_steps ? 1 : 0;
+  }
+  visits.resize(due_count);
+  s_.decode_visits += static_cast<index_t>(due_count);
+
+  // Grow each visited request's KV for the tokens this step commits (one
+  // for plain decode, the speculative commit otherwise); preempt the
+  // policy's victim when the budget runs dry. A victim leaves the batch
+  // sums, so they price the surviving running set.
+  // `pos` is a reference: a preemption below moves it with `running`.
+  for (const std::size_t& pos : visits) {
+    if (pos == kGone) continue;  // an earlier visit's victim
+    Request& r = requests_[running[pos]];
+    r.generated = s_.generated(r);
+    r.synced_step = s_.decode_steps;
     // KV the sequences have written so far: the last emitted token's KV
     // lands during this step, hence the -1. Every sequence of an n>1
     // request decodes in lockstep, so target and write range are shared;
@@ -578,32 +613,30 @@ void Ticker::decode_round() {
     for (std::size_t h = 0; h <= r.forks.size() && !preempted_self; ++h) {
       SequenceBlocks& seq = h == 0 ? r.blocks : r.forks[h - 1];
       while (!s_.bm.grow_to(seq, target, covered, r.tenant_id)) {
-        MARLIN_ASSERT(!s_.running.empty());
+        MARLIN_ASSERT(!running.empty());
         const std::size_t victim = choose_victim_pos();
-        preempted_self = victim == i;
-        if (victim < i) {  // already summed: take it back out
-          const Request& v = requests_[s_.running[victim]];
-          batch -= v.num_sequences;
-          ctx_sum -= v.num_sequences * (v.prompt_tokens + v.generated);
-        }
+        preempted_self = victim == pos;
         preempt_running_at(victim);
+        // `running` closed up over the victim: keep the visits current.
+        for (std::size_t& v : visits) {
+          if (v != kGone && v >= victim) v = v == victim ? kGone : v - 1;
+        }
         if (preempted_self) break;
-        if (victim < i) --i;  // `r` shifted one slot left; keep growing it
       }
     }
-    if (!preempted_self) {
-      batch += r.num_sequences;
-      ctx_sum += r.num_sequences * (r.prompt_tokens + r.generated);
-      ++i;
-    }
   }
-  if (s_.running.empty()) return;
+  if (running.empty()) return;
 
   // One decode step for all running sequences: a plain one-token step,
   // or a speculative round (draft proposes `depth` tokens sequentially,
-  // the target verifies every candidate in one batched step).
-  const double avg_ctx =
-      static_cast<double>(ctx_sum) / static_cast<double>(batch);
+  // the target verifies every candidate in one batched step). Each of the
+  // n sampled sequences occupies a batch slot with the same context
+  // length (lockstep decoding). The context sum is exact in int64 and
+  // stays an integer below 2^53, so `avg_ctx` has the bits of a double
+  // sum over the running set.
+  const index_t batch = s_.decode_batch;
+  const double avg_ctx = static_cast<double>(s_.decode_context) /
+                         static_cast<double>(batch);
   const double t0 = s_.now;
   double t_step;
   if (spec.enabled()) {
@@ -633,11 +666,16 @@ void Ticker::decode_round() {
     }
   }
 
-  // Stable in-place compaction, as in prefill_round: a steady-state
-  // decode tick must not allocate.
-  std::size_t keep = 0;
-  for (const std::size_t id : s_.running) {
-    Request& r = requests_[id];
+  // Every running request commits one token; `ReplicaState::generated`
+  // counts it for the unvisited ones. A visited request commits its own
+  // count and then finishes or gets its next due step. Finishers leave
+  // `running` in one stable in-place compaction from the first of them:
+  // a steady-state decode tick must not allocate.
+  s_.decode_context += batch;
+  std::size_t first_finished = kGone;
+  for (const std::size_t pos : visits) {
+    if (pos == kGone) continue;
+    Request& r = requests_[running[pos]];
     const index_t committed = commit_tokens(r);
     if (spec.enabled()) {
       r.spec_credit =
@@ -645,16 +683,32 @@ void Ticker::decode_round() {
       s_.spec_committed_tokens += committed * r.num_sequences;
     }
     r.generated += committed;
+    r.synced_step = s_.decode_steps;
+    s_.decode_context += r.num_sequences * (committed - 1);
     // Every sampled sequence consumes a batch slot, so WFQ charges the
     // tenant for all of them.
     add_service(r.tenant_id, committed * r.num_sequences);
-    if (r.generated >= r.output_tokens) {
-      finish(r);
-    } else {
-      s_.running[keep++] = id;
+    if (r.generated < r.output_tokens) {
+      due[pos] = next_visit(r);
+      continue;
     }
+    finish(r);
+    r.synced_step = -1;
+    s_.decode_batch -= r.num_sequences;
+    s_.decode_context -= r.num_sequences * (r.prompt_tokens + r.generated);
+    running[pos] = kGone;
+    first_finished = std::min(first_finished, pos);
   }
-  s_.running.resize(keep);
+  if (first_finished == kGone) return;
+  std::size_t keep = first_finished;
+  for (std::size_t i = first_finished + 1; i < running.size(); ++i) {
+    if (running[i] == kGone) continue;
+    running[keep] = running[i];
+    due[keep] = due[i];
+    ++keep;
+  }
+  running.resize(keep);
+  due.resize(keep);
 }
 
 void Ticker::step() {
@@ -737,6 +791,28 @@ void ReplicaState::fork_sequences(Request& r) {
   for (index_t k = 1; k < r.num_sequences; ++k) {
     r.forks.push_back(bm.fork(r.blocks, r.tenant_id, per_seq));
   }
+}
+
+void ReplicaState::join_running(std::size_t id,
+                                std::vector<Request>& requests) {
+  Request& r = requests[id];
+  running.push_back(id);
+  due_steps.push_back(decode_steps);
+  r.synced_step = decode_steps;
+  decode_batch += r.num_sequences;
+  decode_context += r.num_sequences * (r.prompt_tokens + r.generated);
+}
+
+void ReplicaState::leave_running(std::size_t pos,
+                                 std::vector<Request>& requests) {
+  MARLIN_ASSERT(pos < running.size());
+  Request& r = requests[running[pos]];
+  running.erase(running.begin() + static_cast<std::ptrdiff_t>(pos));
+  due_steps.erase(due_steps.begin() + static_cast<std::ptrdiff_t>(pos));
+  r.generated = generated(r);
+  r.synced_step = -1;
+  decode_batch -= r.num_sequences;
+  decode_context -= r.num_sequences * (r.prompt_tokens + r.generated);
 }
 
 void ReplicaState::release_kv(Request& r) {

@@ -19,7 +19,9 @@
 //      token. Before the step each sequence's KV is grown into fresh
 //      blocks; when the budget is exhausted the *last-admitted* running
 //      sequence is preempted (blocks freed, recompute on re-admission,
-//      re-queued at the front).
+//      re-queued at the front). The round visits only the requests *due*
+//      at that step — a block crossing or a finish — in running order;
+//      the rest commit their token without a visit (see `ReplicaState`).
 //
 // A 1-replica `cluster::EventLoop` with default options reduces — engine
 // call for engine call, floating-point add for add — to the original
@@ -185,6 +187,35 @@ struct ReplicaState : RunCounters {
   double batch_weighted = 0;
   double decode_time_total = 0;
 
+  /// The running batch as the next decode step prices it: its sequences
+  /// (sum of `num_sequences`) and their integer context sum, sum of
+  /// num_sequences * (prompt_tokens + generated). Kept exact by
+  /// `join_running` / `leave_running` and by the decode round itself.
+  index_t decode_batch = 0;
+  index_t decode_context = 0;
+
+  /// `due_steps[i]` is the decode step (the value of `decode_steps` when
+  /// it runs) that must next visit `running[i]`: its next block crossing
+  /// or its finish, or the next step under speculation and WFQ. It
+  /// changes only with `running`: through `join_running` /
+  /// `leave_running` and in the decode round.
+  std::vector<index_t> due_steps;
+
+  /// Appends request `id` to `running`, adds it to the batch sums and
+  /// makes it due at the next decode step. Its `generated` is exact.
+  void join_running(std::size_t id, std::vector<Request>& requests);
+  /// Removes `running[pos]` from the running batch and the batch sums,
+  /// and brings its `generated` up to date.
+  void leave_running(std::size_t pos, std::vector<Request>& requests);
+  /// `r.generated` as of this replica's last decode step. A request in
+  /// this replica's running batch commits one token per plain decode step
+  /// without being visited, so its field lags until its next event; read
+  /// a running request's output through this, never through the field.
+  [[nodiscard]] index_t generated(const Request& r) const {
+    return r.synced_step < 0 ? r.generated
+                             : r.generated + (decode_steps - r.synced_step);
+  }
+
   // WFQ state: one resolved spec and one weighted service-debt counter
   // (tokens served / weight) per tenant appearing in the trace.
   TenantSpecs tenant_specs;
@@ -228,6 +259,8 @@ struct ReplicaState : RunCounters {
     /// acquired, on admission or migration landing (prefix cache lookups
     /// reuse this buffer's capacity).
     std::vector<std::uint64_t> chain;
+    /// Positions in `running` of the requests one decode round visits.
+    std::vector<std::size_t> visits;
   };
   /// Scratch reused across `Scheduler::admit` / `Scheduler::step` ticks.
   TickScratch scratch;
@@ -317,7 +350,9 @@ class Scheduler {
   /// One engine step at `s.now`: a chunked-prefill round if any request
   /// is prefilling, otherwise KV growth / preemption plus one decode (or
   /// speculative propose-then-verify) round for every running sequence.
-  /// Advances `s.now`; a no-op when nothing is admitted.
+  /// The decode round visits only the requests due at this step (every
+  /// one under speculation or WFQ). Advances `s.now`; a no-op when
+  /// nothing is admitted.
   void step(ReplicaState& s, std::vector<Request>& requests) const;
 
   [[nodiscard]] const SchedulerConfig& config() const { return cfg_; }

@@ -48,6 +48,10 @@ class SequenceBlocks {
   /// Leading blocks served from the prefix cache at the last admission
   /// (refcount++ instead of a fresh allocation + recomputed prefill).
   [[nodiscard]] index_t cached_prefix_blocks() const { return cached_prefix_; }
+  /// The writable mark's end: tokens up to it can be written without an
+  /// allocation or a copy (below any token count while the mark is
+  /// cleared).
+  [[nodiscard]] index_t writable_end() const { return writable_end_; }
 
  private:
   friend class BlockManager;

@@ -122,7 +122,7 @@ ClusterStats run(const sched::Scheduler& scheduler,
       }
       r.migration_decided = true;
       if (src.lifecycle() != ReplicaLifecycle::kActive ||
-          r.generated >= r.output_tokens) {
+          src.state().generated(r) >= r.output_tokens) {
         ++pos;
         continue;
       }

@@ -677,13 +677,14 @@ TEST(LeastLoadedCounter, RunningRequestKeepsItsFullOutputWhileDecoding) {
     return requests[0].state == sched::RequestState::kRunning;
   });
   EXPECT_EQ(rep.outstanding_tokens(), 10);
-  const index_t generated_at_start = requests[0].generated;
-  while (requests[0].generated < requests[0].output_tokens - 1) {
+  const auto generated = [&] { return rep.state().generated(requests[0]); };
+  const index_t generated_at_start = generated();
+  while (generated() < requests[0].output_tokens - 1) {
     rep.tick(requests);
     EXPECT_EQ(rep.outstanding_tokens(), 10);
     EXPECT_COUNTER_EXACT(rep, requests);
   }
-  EXPECT_GT(requests[0].generated, generated_at_start);
+  EXPECT_GT(generated(), generated_at_start);
   tick_until(rep, requests, [&] { return requests[0].finished(); });
   EXPECT_EQ(rep.outstanding_tokens(), 0);
 }
@@ -794,7 +795,7 @@ TEST(LeastLoadedCounter, FollowsADisaggMigration) {
 // ------------------------------------------------------------ fleet fold
 
 TEST(FleetFold, SumsEveryLedgerCounterAndFillsEveryRow) {
-  // A prefill and a decode replica whose 24 ledger counters are all
+  // A prefill and a decode replica whose 25 ledger counters are all
   // non-zero (a handoff count on its own end of the handoff) and differ
   // between them: a tight budget with a capped prefix cache (hits,
   // evictions, growth preemption), n = 2 sampling (CoW), speculation, a
@@ -874,7 +875,8 @@ TEST(FleetFold, SumsEveryLedgerCounterAndFillsEveryRow) {
       {"prefix_tokens_skipped", &Run::prefix_tokens_skipped},
       {"prefix_cache_hits", &Run::prefix_cache_hits},
       {"routed", &Run::routed}, {"migrated_out", &Run::migrated_out},
-      {"migrated_in", &Run::migrated_in}};
+      {"migrated_in", &Run::migrated_in},
+      {"decode_visits", &Run::decode_visits}};
   const std::pair<const char*, index_t Kv::*> kv_fields[] = {
       {"kv_blocks_allocated", &Kv::kv_blocks_allocated},
       {"kv_blocks_freed", &Kv::kv_blocks_freed},

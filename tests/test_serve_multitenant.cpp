@@ -341,7 +341,7 @@ class ContextCheckingModel : public StepModel {
       expected_batch += q.num_sequences;
       ctx_sum += static_cast<double>(q.num_sequences) *
                  (static_cast<double>(q.prompt_tokens) +
-                  static_cast<double>(q.generated));
+                  static_cast<double>(s_->generated(q)));
     }
     EXPECT_EQ(batch, expected_batch) << "decode step " << decode_calls_;
     EXPECT_EQ(avg_context, ctx_sum / static_cast<double>(expected_batch))
