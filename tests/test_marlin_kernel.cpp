@@ -7,6 +7,7 @@
 
 #include "core/marlin_kernel.hpp"
 #include "layout/repack.hpp"
+#include "param_bytes.hpp"
 #include "quant/uniform.hpp"
 #include "util/rng.hpp"
 
@@ -20,6 +21,13 @@ struct KernelCase {
   index_t group;
   int sms;
 };
+
+void PrintTo(const KernelCase& c, std::ostream* os) {
+  test_support::print_field_bytes(c, os, &KernelCase::m, &KernelCase::k,
+                                 &KernelCase::n, &KernelCase::n_sm,
+                                 &KernelCase::warps, &KernelCase::group,
+                                 &KernelCase::sms);
+}
 
 Matrix<Half> random_activations(index_t m, index_t k, std::uint64_t seed) {
   Rng rng(seed);

@@ -7,6 +7,7 @@
 #include <set>
 
 #include "core/partition.hpp"
+#include "param_bytes.hpp"
 
 namespace marlin::core {
 namespace {
@@ -16,6 +17,11 @@ struct GridCase {
   int sms;
   index_t m_blocks;
 };
+
+void PrintTo(const GridCase& c, std::ostream* os) {
+  test_support::print_field_bytes(c, os, &GridCase::rows, &GridCase::cols,
+                                 &GridCase::sms, &GridCase::m_blocks);
+}
 
 class StripedProperties : public ::testing::TestWithParam<GridCase> {};
 

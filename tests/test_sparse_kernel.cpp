@@ -12,6 +12,7 @@
 #include "core/marlin_kernel.hpp"
 #include "core/sparse_kernel.hpp"
 #include "layout/repack.hpp"
+#include "param_bytes.hpp"
 #include "quant/uniform.hpp"
 #include "reference_striped_kernels.hpp"
 #include "sparse/two_four.hpp"
@@ -64,6 +65,12 @@ struct SparseCase {
   index_t group;
   int sms;
 };
+
+void PrintTo(const SparseCase& c, std::ostream* os) {
+  test_support::print_field_bytes(c, os, &SparseCase::m, &SparseCase::k,
+                                 &SparseCase::n, &SparseCase::n_sm,
+                                 &SparseCase::group, &SparseCase::sms);
+}
 
 class SparseKernelCorrectness : public ::testing::TestWithParam<SparseCase> {};
 
