@@ -361,8 +361,8 @@ class Ticker {
   // The step a request's next decode visit falls on, from `r.generated`
   // as of `s_.decode_steps`: its first growth past a handle's writable
   // mark or its finishing commit, whichever comes first. Under
-  // speculation and WFQ every step, since the commit credit and the
-  // service debt move every step, in running order.
+  // speculation and WFQ it is the next step: the commit credit and the
+  // WFQ service debt must move every step, in running order.
   [[nodiscard]] index_t next_visit(const Request& r) const {
     if (cfg_.speculation.enabled() || wfq_) return s_.decode_steps;
     index_t writable = r.blocks.writable_end();

@@ -170,7 +170,10 @@ struct ReplicaState : RunCounters {
   BlockManager bm;
   std::deque<std::size_t> queue;        // waiting request indices
   std::vector<std::size_t> prefilling;  // admission order, this flight
-  std::vector<std::size_t> running;     // admission order
+  /// Admission order. Changed only through `join_running` /
+  /// `leave_running` and by the decode round, which keep `due_steps`,
+  /// `decode_batch` and `decode_context` in step with it.
+  std::vector<std::size_t> running;
   /// Sum of `Request::owed_tokens()` over queue, prefilling and running:
   /// the least-loaded placement key, read in O(1) per replica. Kept
   /// exact wherever a request enters or leaves this replica or its
@@ -189,16 +192,12 @@ struct ReplicaState : RunCounters {
 
   /// The running batch as the next decode step prices it: its sequences
   /// (sum of `num_sequences`) and their integer context sum, sum of
-  /// num_sequences * (prompt_tokens + generated). Kept exact by
-  /// `join_running` / `leave_running` and by the decode round itself.
+  /// num_sequences * (prompt_tokens + generated).
   index_t decode_batch = 0;
   index_t decode_context = 0;
-
   /// `due_steps[i]` is the decode step (the value of `decode_steps` when
   /// it runs) that must next visit `running[i]`: its next block crossing
-  /// or its finish, or the next step under speculation and WFQ. It
-  /// changes only with `running`: through `join_running` /
-  /// `leave_running` and in the decode round.
+  /// or its finish, or the next step under speculation and WFQ.
   std::vector<index_t> due_steps;
 
   /// Appends request `id` to `running`, adds it to the batch sums and
@@ -207,10 +206,11 @@ struct ReplicaState : RunCounters {
   /// Removes `running[pos]` from the running batch and the batch sums,
   /// and brings its `generated` up to date.
   void leave_running(std::size_t pos, std::vector<Request>& requests);
-  /// `r.generated` as of this replica's last decode step. A request in
-  /// this replica's running batch commits one token per plain decode step
-  /// without being visited, so its field lags until its next event; read
-  /// a running request's output through this, never through the field.
+  /// `r.generated` as of this replica's last decode step, for a request
+  /// in this replica's running batch or in none. A running request
+  /// commits one token per plain decode step without being visited, so
+  /// its field lags until its next event; read a running request's
+  /// output through this, never through the field.
   [[nodiscard]] index_t generated(const Request& r) const {
     return r.synced_step < 0 ? r.generated
                              : r.generated + (decode_steps - r.synced_step);

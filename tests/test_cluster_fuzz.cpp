@@ -594,6 +594,7 @@ void expect_same_replica_run(const ReplicaRun& a, const ReplicaRun& b,
   x_run.decode_visits = y_run.decode_visits = 0;
   EXPECT_EQ(x_run, y_run) << seed;
   EXPECT_EQ(x.bm.counters(), y.bm.counters()) << seed;
+  EXPECT_EQ(x.bm.peak_used_blocks(), y.bm.peak_used_blocks()) << seed;
   EXPECT_EQ(x.outstanding_tokens, y.outstanding_tokens) << seed;
   EXPECT_EQ(x.outstanding_tokens, 0) << seed;
   EXPECT_EQ(x.bm.used_blocks(), 0) << seed;
