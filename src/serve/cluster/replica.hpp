@@ -6,7 +6,7 @@
 // flights, KV block manager, WFQ state, counters) and borrows the passive
 // `sched::Scheduler` policy object that ticks it — the scheduler in turn
 // references the StepModel pricing the engine steps, so one Scheduler
-// (and one step memo) can be shared by every replica of a
+// (and one step table) can be shared by every replica of a
 // homogeneous fleet while each Replica keeps fully independent state.
 //
 // Lifecycle: kActive replicas accept routed requests; `begin_drain` stops

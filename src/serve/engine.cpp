@@ -28,9 +28,9 @@ void StepModel::warm_decode_cache(const SimContext& ctx, index_t max_batch,
                                   double max_context) const {
   if (ctx.serial()) return;
   MARLIN_CHECK(max_batch >= 1, "batch must be >= 1");
-  // One task per batch size fills the model's (mutex-guarded) memos — the
-  // expensive kernel-model part — concurrently; every 64-token context
-  // bucket is then priced from the already-cached linear time.
+  // One task per batch size fills the model's tables — the expensive
+  // kernel-model part — concurrently; every 64-token context bucket is
+  // then priced from the already-cached linear time.
   const auto buckets = static_cast<index_t>(max_context / 64.0) + 1;
   ctx.parallel_for(1, max_batch + 1, [&](std::int64_t batch) {
     for (index_t b = 0; b < buckets; ++b) {
@@ -79,52 +79,64 @@ Engine::Engine(EngineConfig cfg)
 
 Engine::~Engine() = default;
 
-double Engine::block_linear_seconds(index_t m, int tp) const {
+template <class Fn>
+double Engine::memoised(const LayerTable& table, LayerMap& tail, index_t m,
+                        int tp, Fn&& price) const {
   MARLIN_CHECK(tp >= 1, "tensor-parallel degree must be >= 1");
+  if (tp <= kTableTp && m >= 0 && m < kTableM) {
+    return table.get(static_cast<std::size_t>(tp - 1),
+                     static_cast<std::size_t>(m), price);
+  }
   const auto key = std::make_pair(m, tp);
   {
     const std::lock_guard lock(cache_mutex_);
-    if (const auto it = block_cache_.find(key); it != block_cache_.end()) {
-      return it->second;
-    }
+    if (const auto it = tail.find(key); it != tail.end()) return it->second;
   }
-  double per_block = 0.0;
-  const auto layers = block_linear_layers(cfg_.model);
-  for (std::size_t i = 0; i < layers.size(); ++i) {
-    const bool split_n = layers[i].name == "qkv_proj" ||
-                         layers[i].name == "gate_up_proj" ||
-                         layers[i].name == "up_proj";
-    const core::MatmulProblem p =
-        shard(layers[i], m, tp, cfg_.group_size, split_n);
-    per_block += kernel_->estimate(p, cfg_.gpu, cfg_.clock).seconds;
-  }
+  const double t = price();
   const std::lock_guard lock(cache_mutex_);
-  block_cache_[key] = per_block;
-  return per_block;
+  tail[key] = t;
+  return t;
+}
+
+double Engine::block_linear_seconds(index_t m, int tp) const {
+  return memoised(block_table_, block_cache_, m, tp, [&] {
+    double per_block = 0.0;
+    const auto layers = block_linear_layers(cfg_.model);
+    for (std::size_t i = 0; i < layers.size(); ++i) {
+      const bool split_n = layers[i].name == "qkv_proj" ||
+                           layers[i].name == "gate_up_proj" ||
+                           layers[i].name == "up_proj";
+      const core::MatmulProblem p =
+          shard(layers[i], m, tp, cfg_.group_size, split_n);
+      per_block += kernel_->estimate(p, cfg_.gpu, cfg_.clock).seconds;
+    }
+    return per_block;
+  });
 }
 
 double Engine::lm_head_seconds(index_t m, int tp) const {
-  MARLIN_CHECK(tp >= 1, "tensor-parallel degree must be >= 1");
-  const auto key = std::make_pair(m, tp);
-  {
-    const std::lock_guard lock(cache_mutex_);
-    if (const auto it = head_cache_.find(key); it != head_cache_.end()) {
-      return it->second;
-    }
-  }
-  // The LM head stays FP16 in all configurations (vLLM does not quantize
-  // it); under tensor parallelism its vocab dimension is column-split.
-  core::MatmulProblem head;
-  head.m = m;
-  head.k = cfg_.model.hidden;
-  head.n = std::max<index_t>(64, cfg_.model.vocab / tp);
-  head.group_size = cfg_.group_size;
-  const double t = baselines::make_kernel_model("fp16")
-                       ->estimate(head, cfg_.gpu, cfg_.clock)
-                       .seconds;
+  return memoised(head_table_, head_cache_, m, tp, [&] {
+    // The LM head stays FP16 in all configurations (vLLM does not quantize
+    // it); under tensor parallelism its vocab dimension is column-split.
+    core::MatmulProblem head;
+    head.m = m;
+    head.k = cfg_.model.hidden;
+    head.n = std::max<index_t>(64, cfg_.model.vocab / tp);
+    head.group_size = cfg_.group_size;
+    return baselines::make_kernel_model("fp16")
+        ->estimate(head, cfg_.gpu, cfg_.clock)
+        .seconds;
+  });
+}
+
+const Engine& Engine::draft_engine(const ModelConfig& model) const {
   const std::lock_guard lock(cache_mutex_);
-  head_cache_[key] = t;
-  return t;
+  for (const auto& d : drafts_) {
+    if (d->config().model == model) return *d;
+  }
+  EngineConfig dcfg = cfg_;
+  dcfg.model = model;
+  return *drafts_.emplace_back(std::make_unique<const Engine>(dcfg));
 }
 
 double Engine::kv_bytes_per_token(index_t layers, int tp) const {

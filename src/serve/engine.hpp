@@ -19,11 +19,13 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <vector>
 
 #include "baselines/kernel_model.hpp"
 #include "gpusim/clock.hpp"
 #include "serve/model_config.hpp"
 #include "util/sim_context.hpp"
+#include "util/slot_table.hpp"
 
 namespace marlin::serve {
 
@@ -64,7 +66,7 @@ class StepModel {
   [[nodiscard]] virtual double verify_step_seconds(index_t batch,
                                                    double avg_context,
                                                    index_t depth) const = 0;
-  /// Pre-fills the step memo for every batch in [1, max_batch] and the
+  /// Pre-fills the step table for every batch in [1, max_batch] and the
   /// 64-token context buckets up to `max_context`, fanning the
   /// `decode_step_seconds` evaluations out on the context's shared pool.
   /// Purely a warm-up: cached values must equal on-demand computation, so
@@ -145,11 +147,22 @@ class Engine : public StepModel {
   /// FP16, 4.125 for MARLIN incl. group scales, 3.125 for Sparse-MARLIN).
   [[nodiscard]] double weight_bits() const;
 
+  /// The speculative draft engine for `model`: this engine's device,
+  /// format and clocks with only the model swapped. Built on the first
+  /// request for that model and shared by every later one, so repeated
+  /// simulations price their drafts from warm tables. Thread-safe.
+  [[nodiscard]] const Engine& draft_engine(const ModelConfig& model) const;
+
   // Per-layer pricing — the building blocks the worker model composes
   // into per-rank / per-stage times. All are deterministic and memoised
-  // where a kernel-model estimate is involved; the memos are
-  // mutex-guarded so one Engine can be shared by concurrent sweep workers
-  // (duplicated computation of a missing entry is benign).
+  // where a kernel-model estimate is involved, so one Engine can be
+  // shared by concurrent sweep workers (duplicated computation of a
+  // missing entry is benign). The linear and LM-head prices of every
+  // `tp <= kTableTp` and `m < kTableM` (every decode shape) live in flat
+  // tables read without a lock; larger prefill shapes fall back to a
+  // mutex-guarded map.
+  static constexpr int kTableTp = 8;
+  static constexpr index_t kTableM = 4096;
 
   /// One transformer block's linear layers at M tokens, Megatron-sharded
   /// across `tp` ranks (QKV & gate/up column-split, O & down row-split).
@@ -174,15 +187,26 @@ class Engine : public StepModel {
                                            bool lm_head, int tp) const;
 
  private:
+  /// One page (32 KB) per `tp` priced, one slot per `m`.
+  using LayerTable = util::SlotTable<kTableM>;
+  using LayerMap = std::map<std::pair<index_t, int>, double>;
+  template <class Fn>
+  double memoised(const LayerTable& table, LayerMap& tail, index_t m, int tp,
+                  Fn&& price) const;
+
   EngineConfig cfg_;
   baselines::KernelModelPtr kernel_;
-  /// Guards every memo cache; held only around lookups/inserts, never
-  /// across the kernel-model estimates, so the cache fills concurrently
-  /// without lock nesting.
+  LayerTable block_table_{kTableTp};
+  LayerTable head_table_{kTableTp};
+  /// Guards the map tails and the draft engines; held only around
+  /// lookups/inserts, never across the kernel-model estimates, so the
+  /// tails fill concurrently without lock nesting.
   mutable std::mutex cache_mutex_;
-  mutable std::map<std::pair<index_t, int>, double> block_cache_;
-  mutable std::map<std::pair<index_t, int>, double> head_cache_;
-  /// `ParallelEngine(*this, {})`: the step model and step memo behind
+  mutable LayerMap block_cache_;
+  mutable LayerMap head_cache_;
+  /// One draft engine per requested draft model.
+  mutable std::vector<std::unique_ptr<const Engine>> drafts_;
+  /// `ParallelEngine(*this, {})`: the step model and step table behind
   /// this Engine's `StepModel` methods. Declared last, built last.
   std::unique_ptr<const parallel::ParallelEngine> grid_;
 };

@@ -34,6 +34,8 @@ struct ModelConfig {
   }
   /// FP16 weight bytes.
   [[nodiscard]] double fp16_bytes() const { return num_params() * 2.0; }
+
+  bool operator==(const ModelConfig&) const = default;
 };
 
 /// One linear layer of a transformer block: K = input dim, N = output dim.

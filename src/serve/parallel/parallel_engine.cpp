@@ -9,7 +9,7 @@ namespace marlin::serve::parallel {
 namespace {
 
 /// Checks one step-price query — `batch >= 1`, `avg_context >= 0`,
-/// `depth >= 0` — and returns the 64-token context bucket the step memo
+/// `depth >= 0` — and returns the 64-token context bucket the step table
 /// keys it under. Throws a one-line `Error` on a malformed query.
 index_t checked_context_bucket(index_t batch, double avg_context,
                                index_t depth) {
@@ -17,7 +17,7 @@ index_t checked_context_bucket(index_t batch, double avg_context,
   MARLIN_CHECK(avg_context >= 0.0,
                "average context must be >= 0 tokens, got " << avg_context);
   MARLIN_CHECK(depth >= 0, "speculation depth must be >= 0, got " << depth);
-  // 64-token buckets keep the memo small.
+  // 64-token buckets keep the step table small.
   return static_cast<index_t>(avg_context / 64.0);
 }
 
@@ -144,17 +144,16 @@ bool ParallelEngine::decode_split(index_t batch, double avg_context,
 double ParallelEngine::verify_step_seconds(index_t batch, double avg_context,
                                            index_t depth) const {
   const index_t bucket = checked_context_bucket(batch, avg_context, depth);
-  const auto key = std::make_tuple(batch, bucket, depth);
-  {
-    const std::lock_guard lock(cache_mutex_);
-    if (const auto it = step_cache_.find(key); it != step_cache_.end()) {
-      return it->second;
-    }
+  const auto price = [&] {
+    return step_breakdown(batch, bucket_centre(bucket), depth).total_s;
+  };
+  if (depth >= kTableDepths || batch > kTableBatches ||
+      bucket >= kTableBuckets) {
+    return price();
   }
-  const double t = step_breakdown(batch, bucket_centre(bucket), depth).total_s;
-  const std::lock_guard lock(cache_mutex_);
-  step_cache_[key] = t;
-  return t;
+  return step_table_.get(
+      static_cast<std::size_t>(depth * kTableBatches + batch - 1),
+      static_cast<std::size_t>(bucket), price);
 }
 
 double ParallelEngine::prefill_seconds(index_t batch,

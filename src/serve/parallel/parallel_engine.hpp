@@ -18,7 +18,7 @@
 // A speculative verification step is the same composition with every
 // sequence scoring `depth + 1` candidate tokens (compute, all-reduces and
 // sends at the widened token count); a decode step is depth 0, and both
-// share one memo.
+// share one step table.
 //
 // With `ParallelConfig::comm_buckets > 1` a decode stage's per-block
 // all-reduces are split into chunks that overlap the next block's compute
@@ -31,22 +31,25 @@
 //
 // Every grid, the one-rank TP=1 PP=1 grid included, prices through its
 // workers' `Engine::layer_range_seconds`, the one step formula. This is
-// the one step model and the one step memo: a bare `Engine` builds a
+// the one step model and the one step table: a bare `Engine` builds a
 // one-rank grid over itself and forwards its `StepModel` methods to it.
 // The KV budget charges weights through `Engine::weight_bytes`, as
 // `sched::derive_kv_block_budget` does.
 //
-// Deterministic and memoised; safe to share across concurrent sweep
-// workers.
+// Step prices are memoised in a flat table indexed [depth][batch][64-token
+// context bucket], filled on first use and read without a lock; a page
+// (one depth and batch) costs memory only once priced. A query outside
+// the table's bounds is priced afresh from the Engine's memoised
+// per-layer prices, which gives the same bits. Safe to share across
+// concurrent sweep workers.
 
-#include <map>
-#include <mutex>
-#include <tuple>
+#include <cstdint>
 #include <vector>
 
 #include "serve/engine.hpp"
 #include "serve/parallel/interconnect.hpp"
 #include "serve/parallel/worker.hpp"
+#include "util/slot_table.hpp"
 
 namespace marlin::serve::parallel {
 
@@ -69,6 +72,12 @@ struct StepBreakdown {
 
 class ParallelEngine final : public StepModel {
  public:
+  /// Bounds of the step table: depths [0, kTableDepths), batches
+  /// [1, kTableBatches] and contexts below kTableBuckets * 64 tokens.
+  static constexpr index_t kTableDepths = 8;
+  static constexpr index_t kTableBatches = 256;
+  static constexpr index_t kTableBuckets = 64;
+
   ParallelEngine(const Engine& engine, ParallelConfig cfg);
 
   [[nodiscard]] double prefill_seconds(index_t batch,
@@ -77,7 +86,8 @@ class ParallelEngine final : public StepModel {
   /// is verified in one pipelined step — per-microbatch stage time is the
   /// max over ranks of `Worker::step_compute_seconds` plus the TP
   /// all-reduce at the widened `(depth + 1)x` token count, with the usual
-  /// pipeline fill/drain and activation sends. Memoised.
+  /// pipeline fill/drain and activation sends. Memoised in the step table
+  /// within its bounds.
   [[nodiscard]] double verify_step_seconds(index_t batch, double avg_context,
                                            index_t depth) const override;
 
@@ -104,6 +114,11 @@ class ParallelEngine final : public StepModel {
   [[nodiscard]] index_t min_kv_block_budget(index_t block_size) const;
   /// Largest weight shard any rank holds.
   [[nodiscard]] double max_weight_shard_bytes() const;
+  /// Step-table slots filled so far, each counted once: one per distinct
+  /// in-bounds (batch, context bucket, depth) priced, on any thread.
+  [[nodiscard]] std::int64_t step_table_fills() const {
+    return step_table_.fills();
+  }
 
  private:
   /// Decomposition of one step whose sequences each score `depth + 1`
@@ -118,9 +133,8 @@ class ParallelEngine final : public StepModel {
   ParallelConfig cfg_;
   std::vector<Worker> workers_;
   Interconnect link_;
-  mutable std::mutex cache_mutex_;
-  /// Step seconds keyed (batch, 64-token context bucket, depth).
-  mutable std::map<std::tuple<index_t, index_t, index_t>, double> step_cache_;
+  /// Step seconds; page `depth * kTableBatches + batch - 1`, slot bucket.
+  util::SlotTable<kTableBuckets> step_table_{kTableDepths * kTableBatches};
 };
 
 }  // namespace marlin::serve::parallel

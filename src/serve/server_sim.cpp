@@ -1,7 +1,6 @@
 #include "serve/server_sim.hpp"
 
 #include <algorithm>
-#include <memory>
 
 #include "serve/parallel/interconnect.hpp"
 #include "util/error.hpp"
@@ -65,14 +64,12 @@ sched::SchedulerConfig scheduler_config(const ServingConfig& cfg,
 
 // The draft engine shares the target's device, format and clocks — only
 // the model differs (TinyLlama-1.1B unless configured). It stays on a
-// single device even when the target verifies across a rank grid.
-std::unique_ptr<const Engine> draft_engine(const Engine& engine,
-                                           const ServingConfig& cfg) {
+// single device even when the target verifies across a rank grid, and
+// the target engine keeps it, so every simulation prices it warm.
+const Engine* draft_engine(const Engine& engine, const ServingConfig& cfg) {
   if (!cfg.speculation.enabled()) return nullptr;
-  EngineConfig dcfg = engine.config();
-  dcfg.model =
-      cfg.draft_model.name.empty() ? tinyllama_1_1b() : cfg.draft_model;
-  return std::make_unique<const Engine>(dcfg);
+  return &engine.draft_engine(
+      cfg.draft_model.name.empty() ? tinyllama_1_1b() : cfg.draft_model);
 }
 
 // Disaggregated pools: price unset transfer-link fields from the engine
@@ -103,7 +100,7 @@ Simulation::Simulation(const Engine& engine, const ServingConfig& cfg)
     : trace(sched::generate_trace(workload_config(cfg))),
       model_(engine, cfg.parallel),
       draft_(draft_engine(engine, cfg)),
-      scheduler_(model_, scheduler_config(cfg, model_), draft_.get()),
+      scheduler_(model_, scheduler_config(cfg, model_), draft_),
       options_(priced_options(engine, cfg)),
       recorder_(cfg.recorder) {}
 

@@ -13,7 +13,6 @@
 // Callers that only need the single-engine view read its `.sched` (or
 // `.sched.metrics`) slice.
 
-#include <memory>
 #include <vector>
 
 #include "serve/cluster/event_loop.hpp"
@@ -73,9 +72,9 @@ struct ServingConfig {
   std::vector<sched::TenantSpec> tenants;
 
   /// Speculative decoding (depth 0 = off). When enabled, the simulation
-  /// builds a draft engine from `draft_model` — same device, weight
-  /// format and clocks as the target; TinyLlama-1.1B when unnamed — and
-  /// every decode step becomes a propose-then-verify round. Under a
+  /// prices drafts on the target's `Engine::draft_engine(draft_model)` —
+  /// same device, weight format and clocks; TinyLlama-1.1B when unnamed —
+  /// and every decode step becomes a propose-then-verify round. Under a
   /// non-trivial `parallel` config the draft stays replicated on a single
   /// device while the target verifies across the rank grid.
   sched::SpeculationConfig speculation;
@@ -127,7 +126,7 @@ class Simulation {
 
  private:
   parallel::ParallelEngine model_;
-  std::unique_ptr<const Engine> draft_;  // null without speculation
+  const Engine* draft_;  // the engine's shared draft; null without speculation
   sched::Scheduler scheduler_;
   cluster::ClusterOptions options_;
   obs::ServeRecorder* recorder_;

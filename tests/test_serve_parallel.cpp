@@ -9,7 +9,10 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <set>
 #include <string>
+#include <thread>
+#include <tuple>
 
 #include "reference_step_model.hpp"
 #include "serve/parallel/parallel_engine.hpp"
@@ -326,9 +329,18 @@ class BitChecker {
 };
 
 TEST(StepModelReference, EveryPriceMatchesTheFrozenFormulasBitForBit) {
-  const index_t batches[] = {1, 7, 64, 128};
-  const double contexts[] = {1.0, 63.9, 64.0, 1000.5};
-  const index_t depths[] = {0, 1, 3};
+  // The last batch, context and depth of each list lie past the step
+  // table's bounds, so those prices take the out-of-table path. Prefill
+  // at batch >= 64 and 512-token prompts prices m past Engine::kTableM,
+  // which the per-layer map tail memoises.
+  constexpr index_t kPastBatch = ParallelEngine::kTableBatches + 3;
+  constexpr double kPastContext =
+      static_cast<double>(ParallelEngine::kTableBuckets) * 64.0 + 100.5;
+  constexpr index_t kPastDepth = ParallelEngine::kTableDepths;
+  static_assert(64 * 512 >= Engine::kTableM);
+  const index_t batches[] = {1, 7, 64, 128, kPastBatch};
+  const double contexts[] = {1.0, 63.9, 64.0, 1000.5, kPastContext};
+  const index_t depths[] = {0, 1, 3, kPastDepth};
   const index_t prompts[] = {1, 17, 512};
   const SimContext pool(4);
   BitChecker bits;
@@ -415,10 +427,14 @@ TEST(StepModelReference, EveryPriceMatchesTheFrozenFormulasBitForBit) {
                   bits.check(engine.verify_step_seconds(batch, ctx, depth),
                              one_rank.verify_step_seconds(batch, ctx, depth),
                              qd + " engine vs one-rank verify");
-                  bits.check(pe.verify_step_seconds(batch, ctx, depth),
-                             reference::parallel_verify_step_seconds(
-                                 pe, batch, ctx, depth),
-                             qd + " parallel verify");
+                  // The first read fills the grid's slot (or prices past
+                  // its bounds); the second reads it back.
+                  for (const char* pass : {" cold", " warm"}) {
+                    bits.check(pe.verify_step_seconds(batch, ctx, depth),
+                               reference::parallel_verify_step_seconds(
+                                   pe, batch, ctx, depth),
+                               qd + " parallel verify" + pass);
+                  }
                 }
                 for (const Worker& w : pe.workers()) {
                   bits.check(w.step_compute_seconds(batch, ctx, 0),
@@ -476,6 +492,129 @@ TEST(StepModelReference, EveryPriceMatchesTheFrozenFormulasBitForBit) {
     }
   }
   EXPECT_EQ(bits.mismatches(), 0) << "of " << bits.queries() << " queries";
+}
+
+// ------------------------------------------------------------ step table
+
+/// Forwards to a grid and records every distinct in-table (batch, context
+/// bucket, depth) the scheduler prices through it.
+class StepKeyRecorder final : public StepModel {
+ public:
+  explicit StepKeyRecorder(const ParallelEngine& grid) : grid_(grid) {}
+  double prefill_seconds(index_t batch, index_t prompt) const override {
+    return grid_.prefill_seconds(batch, prompt);
+  }
+  double verify_step_seconds(index_t batch, double ctx,
+                             index_t depth) const override {
+    const auto bucket = static_cast<index_t>(ctx / 64.0);
+    if (batch <= ParallelEngine::kTableBatches &&
+        bucket < ParallelEngine::kTableBuckets &&
+        depth < ParallelEngine::kTableDepths) {
+      keys_.emplace(batch, bucket, depth);
+    }
+    return grid_.verify_step_seconds(batch, ctx, depth);
+  }
+  [[nodiscard]] std::int64_t distinct() const {
+    return static_cast<std::int64_t>(keys_.size());
+  }
+
+ private:
+  const ParallelEngine& grid_;
+  mutable std::set<std::tuple<index_t, index_t, index_t>> keys_;
+};
+
+TEST(StepTable, ARunFillsOneSlotPerDistinctStepAndARepeatFillsNone) {
+  const Engine engine(a100_cfg());
+  for (const index_t depth : {0, 2}) {
+    ServingConfig sc;
+    sc.shape = sched::WorkloadShape::kShareGpt;
+    sc.qps = 8.0;
+    sc.duration_s = 20.0;
+    sc.parallel = {2, 2, 0};
+    sc.speculation.depth = depth;
+    const Simulation sim(engine, sc);
+    const auto& grid =
+        dynamic_cast<const ParallelEngine&>(sim.scheduler().model());
+    EXPECT_EQ(grid.step_table_fills(), 0);
+    const cluster::ClusterStats first = sim.run();
+    const std::int64_t fills = grid.step_table_fills();
+
+    // The same run through a recorder over a fresh grid names the steps.
+    const ParallelEngine fresh(engine, sc.parallel);
+    const StepKeyRecorder recorder(fresh);
+    const sched::Scheduler scheduler(recorder, sim.scheduler().config(),
+                                     sim.scheduler().draft_model());
+    const cluster::ClusterStats recorded =
+        cluster::EventLoop(scheduler, sim.options()).run(sim.trace);
+    EXPECT_GT(recorder.distinct(), 20) << "depth " << depth;
+    EXPECT_EQ(fills, recorder.distinct()) << "depth " << depth;
+    EXPECT_EQ(fresh.step_table_fills(), fills) << "depth " << depth;
+    EXPECT_EQ(recorded.sched.sim_end_s, first.sched.sim_end_s);
+
+    const cluster::ClusterStats second = sim.run();
+    EXPECT_EQ(grid.step_table_fills(), fills) << "depth " << depth;
+    EXPECT_EQ(second.sched.sim_end_s, first.sched.sim_end_s);
+    EXPECT_EQ(second.sched.metrics.mean_tpot_ms,
+              first.sched.metrics.mean_tpot_ms);
+  }
+}
+
+TEST(StepTable, RacingWarmUpsLeaveEverySlotAtTheColdSerialPrice) {
+  constexpr index_t kMaxBatch = 128;
+  constexpr double kMaxContext = 4000.0;
+  const index_t buckets = static_cast<index_t>(kMaxContext / 64.0) + 1;
+  const Engine engine(a100_cfg());
+  const ParallelEngine shared(engine, {2, 2, 0});
+  const SimContext pool(4);
+  {
+    std::thread a(
+        [&] { shared.warm_decode_cache(pool, kMaxBatch, kMaxContext); });
+    std::thread b(
+        [&] { shared.warm_decode_cache(pool, kMaxBatch, kMaxContext); });
+    a.join();
+    b.join();
+  }
+  EXPECT_EQ(shared.step_table_fills(), kMaxBatch * buckets);
+
+  const Engine cold_engine(a100_cfg());
+  const ParallelEngine cold(cold_engine, {2, 2, 0});
+  int mismatches = 0;
+  for (index_t batch = 1; batch <= kMaxBatch; ++batch) {
+    for (index_t b = 0; b < buckets; ++b) {
+      const double ctx = static_cast<double>(b) * 64.0 + 1.0;
+      if (shared.decode_step_seconds(batch, ctx) !=
+          cold.decode_step_seconds(batch, ctx)) {
+        ++mismatches;
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+  // Every read above was a table hit.
+  EXPECT_EQ(shared.step_table_fills(), kMaxBatch * buckets);
+}
+
+TEST(StepTable, SpeculativeSimulationsShareTheEnginesDraft) {
+  const Engine engine(a100_cfg(llama2_7b()));
+  const Engine& tiny = engine.draft_engine(tinyllama_1_1b());
+  EXPECT_EQ(&engine.draft_engine(tinyllama_1_1b()), &tiny);
+  EXPECT_EQ(tiny.config().model, tinyllama_1_1b());
+  EXPECT_EQ(tiny.config().format, engine.config().format);
+  EXPECT_NE(&engine.draft_engine(llama2_7b()), &tiny);
+
+  ServingConfig sc;
+  sc.qps = 4.0;
+  sc.duration_s = 5.0;
+  sc.speculation.depth = 3;
+  const Simulation a(engine, sc);
+  const Simulation b(engine, sc);
+  EXPECT_EQ(a.scheduler().draft_model(), &tiny);
+  EXPECT_EQ(b.scheduler().draft_model(), &tiny);
+  // A warm draft prices the same bits as a cold one.
+  const Engine cold(a100_cfg(llama2_7b()));
+  const auto warm_stats = a.run().sched;
+  EXPECT_EQ(b.run().sched.sim_end_s, warm_stats.sim_end_s);
+  EXPECT_EQ(simulate_cluster_detailed(cold, sc).sched.sim_end_s,
+            warm_stats.sim_end_s);
 }
 
 }  // namespace
