@@ -80,12 +80,13 @@ Engine::Engine(EngineConfig cfg)
 Engine::~Engine() = default;
 
 template <class Fn>
-double Engine::memoised(const LayerTable& table, LayerMap& tail, index_t m,
-                        int tp, Fn&& price) const {
+double Engine::memoised(LayerTable& table, LayerMap& tail, index_t m, int tp,
+                        Fn&& price) const {
   MARLIN_CHECK(tp >= 1, "tensor-parallel degree must be >= 1");
-  if (tp <= kTableTp && m >= 0 && m < kTableM) {
-    return table.get(static_cast<std::size_t>(tp - 1),
-                     static_cast<std::size_t>(m), price);
+  if (m >= 0 && m < kTableM) {
+    return table[static_cast<std::size_t>(tp - 1)]
+        .get()[static_cast<std::size_t>(m)]
+        .get(price);
   }
   const auto key = std::make_pair(m, tp);
   {

@@ -158,11 +158,12 @@ class Engine : public StepModel {
   // where a kernel-model estimate is involved, so one Engine can be
   // shared by concurrent sweep workers (duplicated computation of a
   // missing entry is benign). The linear and LM-head prices of every
-  // `tp <= kTableTp` and `m < kTableM` (every decode shape) live in flat
-  // tables read without a lock; larger prefill shapes fall back to a
-  // mutex-guarded map.
-  static constexpr int kTableTp = 8;
-  static constexpr index_t kTableM = 4096;
+  // `m < kTableM` (decode steps scoring fewer than 1,024 tokens, and short
+  // prefills) live in tables over (tp, m) read without a lock. Larger
+  // shapes, prefills of sparse m up to count x prompt tokens, fall back
+  // to a mutex-guarded map: it holds only the m that occur, where a dense
+  // row would grow to the largest one.
+  static constexpr index_t kTableM = 1024;
 
   /// One transformer block's linear layers at M tokens, Megatron-sharded
   /// across `tp` ranks (QKV & gate/up column-split, O & down row-split).
@@ -187,17 +188,18 @@ class Engine : public StepModel {
                                            bool lm_head, int tp) const;
 
  private:
-  /// One page (32 KB) per `tp` priced, one slot per `m`.
-  using LayerTable = util::SlotTable<kTableM>;
+  /// Seconds by [tp - 1][m]; a row's segments are allocated as its `m`
+  /// are priced (at most 8 KB per `tp` for m < kTableM).
+  using LayerTable = util::GrowArray<util::Lazy<util::SlotRow>, 8>;
   using LayerMap = std::map<std::pair<index_t, int>, double>;
   template <class Fn>
-  double memoised(const LayerTable& table, LayerMap& tail, index_t m, int tp,
+  double memoised(LayerTable& table, LayerMap& tail, index_t m, int tp,
                   Fn&& price) const;
 
   EngineConfig cfg_;
   baselines::KernelModelPtr kernel_;
-  LayerTable block_table_{kTableTp};
-  LayerTable head_table_{kTableTp};
+  mutable LayerTable block_table_;
+  mutable LayerTable head_table_;
   /// Guards the map tails and the draft engines; held only around
   /// lookups/inserts, never across the kernel-model estimates, so the
   /// tails fill concurrently without lock nesting.

@@ -147,13 +147,10 @@ double ParallelEngine::verify_step_seconds(index_t batch, double avg_context,
   const auto price = [&] {
     return step_breakdown(batch, bucket_centre(bucket), depth).total_s;
   };
-  if (depth >= kTableDepths || batch > kTableBatches ||
-      bucket >= kTableBuckets) {
-    return price();
-  }
-  return step_table_.get(
-      static_cast<std::size_t>(depth * kTableBatches + batch - 1),
-      static_cast<std::size_t>(bucket), price);
+  return step_table_[static_cast<std::size_t>(depth)]
+      .get()[static_cast<std::size_t>(batch - 1)]
+      .get()[static_cast<std::size_t>(bucket)]
+      .get(price, &step_fills_);
 }
 
 double ParallelEngine::prefill_seconds(index_t batch,

@@ -36,13 +36,13 @@
 // The KV budget charges weights through `Engine::weight_bytes`, as
 // `sched::derive_kv_block_budget` does.
 //
-// Step prices are memoised in a flat table indexed [depth][batch][64-token
-// context bucket], filled on first use and read without a lock; a page
-// (one depth and batch) costs memory only once priced. A query outside
-// the table's bounds is priced afresh from the Engine's memoised
-// per-layer prices, which gives the same bits. Safe to share across
-// concurrent sweep workers.
+// Step prices are memoised in a table indexed [depth][batch][64-token
+// context bucket], filled on first use and read without a lock. The table
+// has no fixed bounds: it grows to whatever batch, context and depth are
+// priced, and a row (one depth and batch) costs memory only once priced.
+// Safe to share across concurrent sweep workers.
 
+#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -72,12 +72,6 @@ struct StepBreakdown {
 
 class ParallelEngine final : public StepModel {
  public:
-  /// Bounds of the step table: depths [0, kTableDepths), batches
-  /// [1, kTableBatches] and contexts below kTableBuckets * 64 tokens.
-  static constexpr index_t kTableDepths = 8;
-  static constexpr index_t kTableBatches = 256;
-  static constexpr index_t kTableBuckets = 64;
-
   ParallelEngine(const Engine& engine, ParallelConfig cfg);
 
   [[nodiscard]] double prefill_seconds(index_t batch,
@@ -86,8 +80,8 @@ class ParallelEngine final : public StepModel {
   /// is verified in one pipelined step — per-microbatch stage time is the
   /// max over ranks of `Worker::step_compute_seconds` plus the TP
   /// all-reduce at the widened `(depth + 1)x` token count, with the usual
-  /// pipeline fill/drain and activation sends. Memoised in the step table
-  /// within its bounds.
+  /// pipeline fill/drain and activation sends. Memoised in the step
+  /// table.
   [[nodiscard]] double verify_step_seconds(index_t batch, double avg_context,
                                            index_t depth) const override;
 
@@ -115,9 +109,9 @@ class ParallelEngine final : public StepModel {
   /// Largest weight shard any rank holds.
   [[nodiscard]] double max_weight_shard_bytes() const;
   /// Step-table slots filled so far, each counted once: one per distinct
-  /// in-bounds (batch, context bucket, depth) priced, on any thread.
+  /// (batch, context bucket, depth) priced, on any thread.
   [[nodiscard]] std::int64_t step_table_fills() const {
-    return step_table_.fills();
+    return step_fills_.load(std::memory_order_relaxed);
   }
 
  private:
@@ -133,8 +127,11 @@ class ParallelEngine final : public StepModel {
   ParallelConfig cfg_;
   std::vector<Worker> workers_;
   Interconnect link_;
-  /// Step seconds; page `depth * kTableBatches + batch - 1`, slot bucket.
-  util::SlotTable<kTableBuckets> step_table_{kTableDepths * kTableBatches};
+  /// Step seconds by [depth][batch - 1][context bucket].
+  mutable util::GrowArray<
+      util::Lazy<util::GrowArray<util::Lazy<util::SlotRow>, 64>>, 8>
+      step_table_;
+  mutable std::atomic<std::int64_t> step_fills_{0};
 };
 
 }  // namespace marlin::serve::parallel

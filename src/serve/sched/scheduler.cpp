@@ -375,8 +375,7 @@ class Ticker {
     return s_.decode_steps + std::min(to_crossing, to_finish);
   }
 
-  // Completion: SLO accounting, every sequence's KV released and its
-  // block-id capacity freed (a preempted request keeps its reservation).
+  // Completion: SLO accounting, every sequence's KV released.
   void finish(Request& r) {
     r.finish_s = s_.now;
     if (cfg_.slo.tpot_deadline_ms > 0 &&
@@ -387,8 +386,6 @@ class Ticker {
     r.set_state(RequestState::kFinished);
     s_.outstanding_tokens -= r.owed_tokens();
     s_.release_kv(r);
-    r.blocks.free_capacity();
-    std::vector<SequenceBlocks>().swap(r.forks);
     if (s_.obs != nullptr) {
       s_.obs->on_finished(s_.now, r.id, r.generated, request_ttft_ms(r),
                           request_tpot_ms(r));

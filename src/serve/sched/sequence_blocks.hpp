@@ -45,12 +45,6 @@ class SequenceBlocks {
   /// Pre-sizes the id vector (reserve-to-lifetime keeps the steady-state
   /// decode tick allocation-free).
   void reserve(std::size_t blocks) { ids_.reserve(blocks); }
-  /// Frees the id vector of a released handle, reservation included, so
-  /// a finished request keeps no block-id capacity until the run ends.
-  void free_capacity() {
-    std::vector<index_t>().swap(ids_);
-    forget_writable();
-  }
   /// Leading blocks served from the prefix cache at the last admission
   /// (refcount++ instead of a fresh allocation + recomputed prefill).
   [[nodiscard]] index_t cached_prefix_blocks() const { return cached_prefix_; }

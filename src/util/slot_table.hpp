@@ -1,83 +1,126 @@
 #pragma once
-// SlotTable — a dense memo of doubles that readers use without a lock.
+// Memo tables of doubles that grow on demand and that readers use
+// without a lock.
 //
-// The table is `pages` pages of `PageSize` slots. Each slot is an atomic
-// double that holds NaN until it is filled; a page is allocated on its
-// first fill, so only the pages a caller touches cost memory. `get`
-// returns a slot's value, and on a miss computes it, stores it and
-// returns it. Two threads that miss the same slot at once both compute;
-// one store wins and the fill count counts that slot once.
+// `Slot` is one memo entry: an atomic double that holds NaN until it is
+// filled. `Lazy<T>` is a T built on first use. `GrowArray<T, Base>` is an
+// array over every index: its first `Base` elements live inline, and the
+// rest live in segments of doubling size, [Base, 2 Base), [2 Base,
+// 4 Base), ..., each allocated on its first touch. Nested, they make a
+// dense table over indices with no fixed bound, which costs memory only
+// where it is touched; a hit is one acquire load per level plus one
+// relaxed load of the slot.
 //
-// Only memoise deterministic functions: a reader may see either thread's
-// result, so both must have the same bits. A function that returns NaN
-// is recomputed on every call.
+// A segment, object or slot that two threads fill at once is published
+// by compare-exchange: the loser frees its copy and uses the winner's.
+// So only memoise deterministic functions: a reader may see either
+// thread's result, and both must have the same bits. A function that
+// returns NaN is recomputed on every call.
 
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <memory>
-#include <vector>
+
+#include "util/error.hpp"
 
 namespace marlin::util {
 
-template <std::size_t PageSize>
-class SlotTable {
+namespace detail {
+
+/// Stores `fresh` in `ptr` if it is still null and returns what `ptr`
+/// holds afterwards; a caller that loses the race frees `fresh`.
+template <class T, class Owner>
+T* publish(std::atomic<T*>& ptr, Owner fresh) {
+  T* seen = nullptr;
+  return ptr.compare_exchange_strong(seen, fresh.get(),
+                                     std::memory_order_acq_rel,
+                                     std::memory_order_acquire)
+             ? fresh.release()
+             : seen;
+}
+
+}  // namespace detail
+
+class Slot {
  public:
-  explicit SlotTable(std::size_t pages) : pages_(pages) {}
-  ~SlotTable() {
-    for (auto& p : pages_) delete p.load(std::memory_order_relaxed);
-  }
-  SlotTable(const SlotTable&) = delete;
-  SlotTable& operator=(const SlotTable&) = delete;
-
-  /// Slot `slot` of page `page` (both in range), filled with `fn()` on
-  /// first use.
+  /// The slot's value; on first use, `fn()` is computed and stored, and
+  /// `*fills` (when given) counts the store once.
   template <class Fn>
-  [[nodiscard]] double get(std::size_t page, std::size_t slot, Fn&& fn) const {
-    Page* p = pages_[page].load(std::memory_order_acquire);
-    if (p != nullptr) {
-      const double v = p->slots[slot].load(std::memory_order_relaxed);
-      if (!std::isnan(v)) return v;
-    } else {
-      // Publish a fresh page; a thread that loses the race frees its
-      // copy and uses the winner's.
-      auto fresh = std::make_unique<Page>();
-      p = pages_[page].compare_exchange_strong(p, fresh.get(),
-                                               std::memory_order_acq_rel,
-                                               std::memory_order_acquire)
-              ? fresh.release()
-              : p;
-    }
-    const double v = fn();
+  double get(Fn&& fn, std::atomic<std::int64_t>* fills = nullptr) {
+    const double v = v_.load(std::memory_order_relaxed);
+    if (!std::isnan(v)) return v;
+    const double fresh = fn();
     double empty = kEmpty;
-    if (p->slots[slot].compare_exchange_strong(empty, v,
-                                               std::memory_order_relaxed)) {
-      fills_.fetch_add(1, std::memory_order_relaxed);
+    if (v_.compare_exchange_strong(empty, fresh, std::memory_order_relaxed) &&
+        fills != nullptr) {
+      fills->fetch_add(1, std::memory_order_relaxed);
     }
-    return v;
-  }
-
-  /// Slots filled so far, each counted once.
-  [[nodiscard]] std::int64_t fills() const {
-    return fills_.load(std::memory_order_relaxed);
+    return fresh;
   }
 
  private:
   static constexpr double kEmpty = std::numeric_limits<double>::quiet_NaN();
   static_assert(std::atomic<double>::is_always_lock_free);
-
-  struct Page {
-    Page() {
-      for (auto& s : slots) s.store(kEmpty, std::memory_order_relaxed);
-    }
-    std::array<std::atomic<double>, PageSize> slots;
-  };
-
-  mutable std::vector<std::atomic<Page*>> pages_;
-  mutable std::atomic<std::int64_t> fills_{0};
+  std::atomic<double> v_{kEmpty};
 };
+
+template <class T>
+class Lazy {
+ public:
+  Lazy() = default;
+  ~Lazy() { delete p_.load(std::memory_order_relaxed); }
+  Lazy(const Lazy&) = delete;
+  Lazy& operator=(const Lazy&) = delete;
+
+  /// The object, default-constructed on first use.
+  T& get() {
+    T* p = p_.load(std::memory_order_acquire);
+    return *(p != nullptr ? p : detail::publish(p_, std::make_unique<T>()));
+  }
+
+ private:
+  std::atomic<T*> p_{nullptr};
+};
+
+template <class T, std::size_t Base>
+class GrowArray {
+  static_assert(std::has_single_bit(Base));
+
+ public:
+  GrowArray() = default;
+  ~GrowArray() {
+    for (auto& s : tail_) delete[] s.load(std::memory_order_relaxed);
+  }
+  GrowArray(const GrowArray&) = delete;
+  GrowArray& operator=(const GrowArray&) = delete;
+
+  /// Element `i`, default-constructed with its segment on first touch.
+  /// Throws past `Base << kSegments` elements.
+  T& operator[](std::size_t i) {
+    if (i < Base) return head_[i];
+    // Segment s >= 1 holds [Base << (s - 1), Base << s).
+    const auto s = static_cast<std::size_t>(std::bit_width(i / Base));
+    MARLIN_CHECK(s <= kSegments, "memo index " << i << " is past the table");
+    const std::size_t first = Base << (s - 1);
+    T* seg = tail_[s - 1].load(std::memory_order_acquire);
+    if (seg == nullptr) {
+      seg = detail::publish(tail_[s - 1], std::make_unique<T[]>(first));
+    }
+    return seg[i - first];
+  }
+
+ private:
+  static constexpr std::size_t kSegments = 26;
+  std::array<T, Base> head_;
+  std::array<std::atomic<T*>, kSegments> tail_{};
+};
+
+/// A row of slots, one per index.
+using SlotRow = GrowArray<Slot, 64>;
 
 }  // namespace marlin::util

@@ -9,10 +9,12 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <iterator>
 #include <set>
 #include <string>
 #include <thread>
 #include <tuple>
+#include <vector>
 
 #include "reference_step_model.hpp"
 #include "serve/parallel/parallel_engine.hpp"
@@ -329,18 +331,19 @@ class BitChecker {
 };
 
 TEST(StepModelReference, EveryPriceMatchesTheFrozenFormulasBitForBit) {
-  // The last batch, context and depth of each list lie past the step
-  // table's bounds, so those prices take the out-of-table path. Prefill
-  // at batch >= 64 and 512-token prompts prices m past Engine::kTableM,
-  // which the per-layer map tail memoises.
-  constexpr index_t kPastBatch = ParallelEngine::kTableBatches + 3;
-  constexpr double kPastContext =
-      static_cast<double>(ParallelEngine::kTableBuckets) * 64.0 + 100.5;
-  constexpr index_t kPastDepth = ParallelEngine::kTableDepths;
+  // The last batch, context and depth of each list lie past the first
+  // (inline) part of each level of the step table, so those prices fill
+  // segments the table grows on demand; batch 515 at depth 8 also prices
+  // m past Engine::kTableM. Prefill at batch >= 64 and 512-token prompts
+  // prices m in the per-layer map tail.
+  constexpr index_t kGrownBatch = 515;
+  constexpr double kGrownContext = 64.0 * 64.0 + 100.5;
+  constexpr index_t kGrownDepth = 8;
+  static_assert(kGrownBatch * (kGrownDepth + 1) >= Engine::kTableM);
   static_assert(64 * 512 >= Engine::kTableM);
-  const index_t batches[] = {1, 7, 64, 128, kPastBatch};
-  const double contexts[] = {1.0, 63.9, 64.0, 1000.5, kPastContext};
-  const index_t depths[] = {0, 1, 3, kPastDepth};
+  const index_t batches[] = {1, 7, 64, 128, kGrownBatch};
+  const double contexts[] = {1.0, 63.9, 64.0, 1000.5, kGrownContext};
+  const index_t depths[] = {0, 1, 3, kGrownDepth};
   const index_t prompts[] = {1, 17, 512};
   const SimContext pool(4);
   BitChecker bits;
@@ -496,8 +499,8 @@ TEST(StepModelReference, EveryPriceMatchesTheFrozenFormulasBitForBit) {
 
 // ------------------------------------------------------------ step table
 
-/// Forwards to a grid and records every distinct in-table (batch, context
-/// bucket, depth) the scheduler prices through it.
+/// Forwards to a grid and records every distinct (batch, context bucket,
+/// depth) the scheduler prices through it.
 class StepKeyRecorder final : public StepModel {
  public:
   explicit StepKeyRecorder(const ParallelEngine& grid) : grid_(grid) {}
@@ -506,12 +509,7 @@ class StepKeyRecorder final : public StepModel {
   }
   double verify_step_seconds(index_t batch, double ctx,
                              index_t depth) const override {
-    const auto bucket = static_cast<index_t>(ctx / 64.0);
-    if (batch <= ParallelEngine::kTableBatches &&
-        bucket < ParallelEngine::kTableBuckets &&
-        depth < ParallelEngine::kTableDepths) {
-      keys_.emplace(batch, bucket, depth);
-    }
+    keys_.emplace(batch, static_cast<index_t>(ctx / 64.0), depth);
     return grid_.verify_step_seconds(batch, ctx, depth);
   }
   [[nodiscard]] std::int64_t distinct() const {
@@ -591,6 +589,26 @@ TEST(StepTable, RacingWarmUpsLeaveEverySlotAtTheColdSerialPrice) {
   EXPECT_EQ(mismatches, 0);
   // Every read above was a table hit.
   EXPECT_EQ(shared.step_table_fills(), kMaxBatch * buckets);
+}
+
+TEST(StepTable, LargeShapesAreFilledOnceToo) {
+  // The table has no fixed bounds: a wide batch (as 256 n=2 requests
+  // price), a long context and a deep verification are each filled once
+  // and then read back.
+  const Engine engine(a100_cfg());
+  const ParallelEngine grid(engine, {2, 1, 0});
+  const std::tuple<index_t, double, index_t> shapes[] = {
+      {512, 300.0, 0}, {1000, 100000.0, 0}, {3, 5000.0, 20}};
+  std::vector<double> first;
+  for (const auto& [batch, ctx, depth] : shapes) {
+    first.push_back(grid.verify_step_seconds(batch, ctx, depth));
+  }
+  EXPECT_EQ(grid.step_table_fills(), 3);
+  for (std::size_t i = 0; i < std::size(shapes); ++i) {
+    const auto& [batch, ctx, depth] = shapes[i];
+    EXPECT_EQ(grid.verify_step_seconds(batch, ctx, depth), first[i]);
+  }
+  EXPECT_EQ(grid.step_table_fills(), 3);
 }
 
 TEST(StepTable, SpeculativeSimulationsShareTheEnginesDraft) {

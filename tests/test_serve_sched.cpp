@@ -284,23 +284,6 @@ TEST(Scheduler, PreemptionRecomputeRoundTrip) {
   EXPECT_EQ(unlimited.preemptions, 0);
 }
 
-TEST(Scheduler, FinishedRequestsHoldNoBlockIdCapacity) {
-  // A request reserves its lifetime block-id footprint at admission and
-  // keeps it across a preemption; finishing frees it and the fork list.
-  const Engine engine(a6000_marlin());
-  ServingConfig sc = overload_cfg();
-  sc.kv_blocks = 96;
-  sc.sampling_n = 2;
-  const auto st = simulate_cluster_detailed(engine, sc).sched;
-  EXPECT_GT(st.preemptions, 0);
-  EXPECT_GT(st.cow_forks, 0);
-  for (const auto& r : st.requests) {
-    EXPECT_EQ(r.state, RequestState::kFinished);
-    EXPECT_EQ(r.blocks.ids().capacity(), 0u) << "request " << r.id;
-    EXPECT_EQ(r.forks.capacity(), 0u) << "request " << r.id;
-  }
-}
-
 TEST(Scheduler, ChunkedPrefillTakesMoreSmallerSteps) {
   const Engine engine(a6000_marlin());
   ServingConfig sc = overload_cfg();

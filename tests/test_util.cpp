@@ -1,10 +1,15 @@
-// util substrate: matrices, rng, stats, table, cli, thread pool.
+// util substrate: matrices, rng, stats, table, cli, thread pool, memo
+// tables.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
+#include <cstddef>
+#include <cstdint>
 #include <new>
 #include <sstream>
+#include <vector>
 
 #include "common.hpp"
 #include "util/cli.hpp"
@@ -12,6 +17,7 @@
 #include "util/matrix.hpp"
 #include "util/rng.hpp"
 #include "util/sim_context.hpp"
+#include "util/slot_table.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 #include "util/threadpool.hpp"
@@ -216,6 +222,42 @@ TEST(ErrorMacro, MessageContainsContext) {
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("value was 42"), std::string::npos);
   }
+}
+
+TEST(SlotRow, EveryIndexHasItsOwnSlotAcrossSegments) {
+  // Indices in the inline head, on each side of several segment edges and
+  // far out: each slot keeps the value it was filled with.
+  util::SlotRow row;
+  std::atomic<std::int64_t> fills{0};
+  std::vector<std::size_t> indices;
+  for (std::size_t i = 0; i < 600; ++i) indices.push_back(i);
+  for (const std::size_t i : {1023u, 1024u, 4095u, 4096u, 100000u}) {
+    indices.push_back(i);
+  }
+  for (const std::size_t i : indices) {
+    EXPECT_EQ(row[i].get([&] { return static_cast<double>(i); }, &fills),
+              static_cast<double>(i));
+  }
+  EXPECT_EQ(fills.load(), static_cast<std::int64_t>(indices.size()));
+  for (const std::size_t i : indices) {
+    EXPECT_EQ(row[i].get([] { return -1.0; }, &fills), static_cast<double>(i))
+        << "index " << i;
+  }
+  EXPECT_EQ(fills.load(), static_cast<std::int64_t>(indices.size()));
+  // A function that returns NaN is recomputed and never counted.
+  int calls = 0;
+  const auto nan = [&] {
+    ++calls;
+    return std::nan("");
+  };
+  EXPECT_TRUE(std::isnan(row[7000].get(nan, &fills)));
+  EXPECT_TRUE(std::isnan(row[7000].get(nan, &fills)));
+  EXPECT_EQ(calls, 2);
+}
+
+TEST(SlotRow, AnIndexPastTheLastSegmentThrows) {
+  util::SlotRow row;
+  EXPECT_THROW((void)row[std::size_t{1} << 40], Error);
 }
 
 }  // namespace
