@@ -232,7 +232,6 @@ void BM_DecodeTick(benchmark::State& state) {
       r.prefix_tokens = 256;
       r.num_sequences = 2;
     }
-    sched.register_tenants(s, requests);
     for (std::size_t i = 0; i < requests.size(); ++i) s.queue.push_back(i);
     const index_t steps = s.decode_steps;
     while (s.decode_steps == steps) {

@@ -193,9 +193,6 @@ ClusterStats EventLoop::run(const std::vector<sched::TraceRequest>& trace,
   const index_t initial_replicas =
       disagg.enabled ? disagg.prefill_replicas + disagg.decode_replicas
                      : opts_.replicas;
-  // Tenants resolve once per run; each replica copies the O(tenants)
-  // result.
-  const sched::TenantSpecs tenants = scheduler_.resolve_tenants(requests);
   std::deque<Replica> fleet;
   EventQueue events;
   // Queues or re-keys a replica's tick where another event can change its
@@ -210,7 +207,6 @@ ClusterStats EventLoop::run(const std::vector<sched::TraceRequest>& trace,
         : (i < disagg.prefill_replicas ? ReplicaRole::kPrefill
                                        : ReplicaRole::kDecode);
     fleet.emplace_back(i, scheduler_, role);
-    fleet.back().register_tenants(tenants);
     if (obs != nullptr) {
       fleet.back().set_observer(obs);
       obs->on_replica_start(0.0, i);
@@ -326,7 +322,6 @@ ClusterStats EventLoop::run(const std::vector<sched::TraceRequest>& trace,
       const index_t new_id = static_cast<index_t>(fleet.size());
       fleet.emplace_back(new_id, scheduler_);
       fleet.back().advance_to(t_eval);  // joins at the evaluation time
-      fleet.back().register_tenants(tenants);  // idle: queues no tick
       if (obs != nullptr) {
         fleet.back().set_observer(obs);
         obs->on_autoscaler_eval(t_eval, load, routable, "scale-up");

@@ -66,14 +66,6 @@ class Replica {
   /// One scheduler tick: an admission pass, then one engine step.
   void tick(std::vector<sched::Request>& requests);
 
-  /// Registers the run's resolved tenants (`Scheduler::resolve_tenants`,
-  /// computed once per run) with this replica's WFQ state in
-  /// O(tenants); idempotent. Required before the first tick, including
-  /// for replicas the autoscaler adds mid-run.
-  void register_tenants(const sched::TenantSpecs& tenants) {
-    state_.register_tenants(tenants);
-  }
-
   /// Attaches the observability recorder (borrowed; null detaches — the
   /// default, recording-off fast path). The EventLoop sets this on every
   /// replica it creates when a recorder is supplied.

@@ -68,7 +68,8 @@ core::MatmulProblem shard(const LayerShape& l, index_t m, int tp,
 }  // namespace
 
 Engine::Engine(EngineConfig cfg)
-    : cfg_(std::move(cfg)), kernel_(make_kernel(cfg_.format)) {
+    : cfg_(std::move(cfg)), kernel_(make_kernel(cfg_.format)),
+      head_kernel_(baselines::make_kernel_model("fp16")) {
   MARLIN_CHECK(cfg_.model.num_layers >= 1,
                "model '" << cfg_.model.name << "' has "
                          << cfg_.model.num_layers
@@ -124,9 +125,7 @@ double Engine::lm_head_seconds(index_t m, int tp) const {
     head.k = cfg_.model.hidden;
     head.n = std::max<index_t>(64, cfg_.model.vocab / tp);
     head.group_size = cfg_.group_size;
-    return baselines::make_kernel_model("fp16")
-        ->estimate(head, cfg_.gpu, cfg_.clock)
-        .seconds;
+    return head_kernel_->estimate(head, cfg_.gpu, cfg_.clock).seconds;
   });
 }
 

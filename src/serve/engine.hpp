@@ -198,6 +198,8 @@ class Engine : public StepModel {
 
   EngineConfig cfg_;
   baselines::KernelModelPtr kernel_;
+  /// Prices the LM head, which stays FP16 in every weight format.
+  baselines::KernelModelPtr head_kernel_;
   mutable LayerTable block_table_;
   mutable LayerTable head_table_;
   /// Guards the map tails and the draft engines; held only around

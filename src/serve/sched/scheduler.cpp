@@ -131,26 +131,6 @@ ServingMetrics metrics_from_requests(const std::vector<Request>& requests,
 
 namespace {
 
-/// Admission priority key of the sorted policies; smaller admits first.
-/// (FCFS walks the queue head unsorted; kWeightedFair uses the separate
-/// double-valued WFQ key in Ticker.)
-index_t policy_key(SchedPolicy policy, const Request& r) {
-  switch (policy) {
-    case SchedPolicy::kFcfs:
-    case SchedPolicy::kWeightedFair:
-      return 0;
-    case SchedPolicy::kShortestJob:
-      // Remaining service: prefill work plus the decode tokens still owed.
-      return r.prefill_target() + (r.output_tokens - r.generated);
-    case SchedPolicy::kMaxUtilization:
-      // Smallest *lifetime* KV footprint packs the most sequences into
-      // the budget; the admission scan skips over requests whose prefill
-      // doesn't fit right now (e.g. a recompute-heavy preempted head).
-      return r.max_kv_tokens();
-  }
-  return 0;
-}
-
 /// One tick's worth of scheduling against a ReplicaState — the former
 /// scheduler run-loop body, with its helper lambdas promoted to member
 /// functions. Constructed per Scheduler::admit/step call (it only
@@ -159,41 +139,63 @@ index_t policy_key(SchedPolicy policy, const Request& r) {
 /// cluster byte-identical to the pre-cluster goldens.
 class Ticker {
  public:
-  Ticker(const SchedulerConfig& cfg, const StepModel& model,
-         const StepModel* draft, double spec_expected, ReplicaState& s,
+  Ticker(const Scheduler& sched, double spec_expected, ReplicaState& s,
          std::vector<Request>& requests)
-      : cfg_(cfg), model_(model), draft_(draft),
-        wfq_(cfg.policy == SchedPolicy::kWeightedFair),
+      : sched_(sched), cfg_(sched.config()), model_(sched.model()),
+        draft_(sched.draft_model()),
+        wfq_(cfg_.policy == SchedPolicy::kWeightedFair),
         spec_expected_(spec_expected), s_(s), requests_(requests) {}
 
   void admit();
   void step();
 
  private:
-  [[nodiscard]] const TenantSpec& spec_of(index_t tenant) const {
-    return s_.tenant_specs.find(tenant)->second;
-  }
   void add_service(index_t tenant, index_t tokens) {
     if (!wfq_) return;
     s_.service_debt[tenant] +=
-        static_cast<double>(tokens) / spec_of(tenant).weight;
+        static_cast<double>(tokens) / sched_.tenant(tenant).weight;
   }
 
-  // WFQ admission key; smaller admits first. Weighted service debt plus a
-  // fixed penalty per priority tier, minus a linear aging credit: a
-  // waiting request's key falls without bound while everyone else's only
-  // rises with service, so no tier or debt can starve it.
-  [[nodiscard]] double wfq_key(const Request& r) const {
+  // Admission priority key of the sorted policies; smaller admits first
+  // (FCFS walks the queue head unsorted). The SJF and max-util keys are
+  // token counts below 2^53, so their doubles order exactly as the
+  // integers do.
+  [[nodiscard]] double admission_key(const Request& r) const {
+    if (cfg_.policy == SchedPolicy::kShortestJob) {
+      // Remaining service: prefill work plus the decode tokens still owed.
+      return static_cast<double>(r.prefill_target() +
+                                 (r.output_tokens - r.generated));
+    }
+    if (cfg_.policy == SchedPolicy::kMaxUtilization) {
+      // Smallest *lifetime* KV footprint packs the most sequences into
+      // the budget; the admission scan skips over requests whose prefill
+      // doesn't fit right now (e.g. a recompute-heavy preempted head).
+      return static_cast<double>(r.max_kv_tokens());
+    }
+    // WFQ: weighted service debt plus a fixed penalty per priority tier,
+    // minus a linear aging credit. A waiting request's key falls without
+    // bound while everyone else's only rises with service, so no tier or
+    // debt can starve it.
     // One priority tier outranks this many tokens of weighted service debt.
     constexpr double kTierPenaltyTokens = 8192.0;
     // Waiting one second forgives this many tokens of weighted service
     // debt (and, eventually, any tier penalty); positive, so no request
     // starves.
     constexpr double kAgingTokensPerS = 256.0;
-    const TenantSpec& t = spec_of(r.tenant_id);
-    return s_.service_debt.find(r.tenant_id)->second +
-           static_cast<double>(t.tier) * kTierPenaltyTokens -
+    const auto debt = s_.service_debt.find(r.tenant_id);
+    return (debt == s_.service_debt.end() ? 0.0 : debt->second) +
+           static_cast<double>(sched_.tenant(r.tenant_id).tier) *
+               kTierPenaltyTokens -
            kAgingTokensPerS * (s_.now - r.arrival_s);
+  }
+
+  // New prompt tokens `r` prefills in this round: the rest of its prompt,
+  // capped at the chunk size when prefill is chunked.
+  [[nodiscard]] index_t prefill_chunk(const Request& r) const {
+    const index_t rest = r.prefill_target() - r.prefilled;
+    return cfg_.prefill_chunk_tokens > 0
+               ? std::min(rest, cfg_.prefill_chunk_tokens)
+               : rest;
   }
 
   // A request that can never hold prompt + output tokens under the budget
@@ -402,6 +404,7 @@ class Ticker {
   void prefill_round();
   void decode_round();
 
+  const Scheduler& sched_;
   const SchedulerConfig& cfg_;
   const StepModel& model_;
   const StepModel* draft_;
@@ -426,34 +429,21 @@ void Ticker::admit() {
     return;
   }
   // The sorted policies take requests from anywhere in the queue: admit
-  // from a snapshot in policy order, then erase what left. Reused
-  // scratch: `order`/`keyed` keep their grown capacity across ticks;
-  // `taken` is lazily sized once and re-cleared via `order` below.
+  // from a snapshot in policy order, then erase what left. Keys are
+  // loop-invariant during the sort, so each is computed once; the sort
+  // is stable, so equal keys keep queue order. Reused scratch: `keyed`
+  // keeps its grown capacity across ticks; `taken` is lazily sized once
+  // and re-cleared via `keyed` below.
   ReplicaState::TickScratch& scr = s_.scratch;
-  scr.order.assign(s_.queue.begin(), s_.queue.end());
-  if (wfq_) {
-    // Keys are loop-invariant during the sort; compute each once
-    // instead of per comparison (stable on ties, like the other
-    // policies).
-    scr.keyed.clear();
-    for (const std::size_t id : scr.order) {
-      scr.keyed.emplace_back(wfq_key(requests_[id]), id);
-    }
-    std::stable_sort(
-        scr.keyed.begin(), scr.keyed.end(),
-        [](const auto& a, const auto& b) { return a.first < b.first; });
-    for (std::size_t i = 0; i < scr.keyed.size(); ++i) {
-      scr.order[i] = scr.keyed[i].second;
-    }
-  } else {
-    std::stable_sort(scr.order.begin(), scr.order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return policy_key(cfg_.policy, requests_[a]) <
-                              policy_key(cfg_.policy, requests_[b]);
-                     });
+  scr.keyed.clear();
+  for (const std::size_t id : s_.queue) {
+    scr.keyed.emplace_back(admission_key(requests_[id]), id);
   }
+  std::stable_sort(
+      scr.keyed.begin(), scr.keyed.end(),
+      [](const auto& a, const auto& b) { return a.first < b.first; });
   if (scr.taken.size() < requests_.size()) scr.taken.resize(requests_.size());
-  for (const std::size_t id : scr.order) {
+  for (const auto& [key, id] : scr.keyed) {
     if (s_.active() >= batch_cap) break;
     if (take(id)) {
       scr.taken[id] = 1;
@@ -465,7 +455,7 @@ void Ticker::admit() {
   }
   std::erase_if(s_.queue,
                 [&](std::size_t id) { return scr.taken[id] != 0; });
-  for (const std::size_t id : scr.order) scr.taken[id] = 0;
+  for (const auto& [key, id] : scr.keyed) scr.taken[id] = 0;
 }
 
 bool Ticker::take(std::size_t id) {
@@ -506,12 +496,7 @@ void Ticker::prefill_round() {
   // One prefill chunk round over the whole prefill flight.
   double total_new = 0.0;
   for (const std::size_t id : s_.prefilling) {
-    const Request& r = requests_[id];
-    index_t chunk = r.prefill_target() - r.prefilled;
-    if (cfg_.prefill_chunk_tokens > 0) {
-      chunk = std::min(chunk, cfg_.prefill_chunk_tokens);
-    }
-    total_new += static_cast<double>(chunk);
+    total_new += static_cast<double>(prefill_chunk(requests_[id]));
   }
   const auto count = static_cast<index_t>(s_.prefilling.size());
   // Mean new tokens per sequence prices the chunk; with a uniform
@@ -532,10 +517,7 @@ void Ticker::prefill_round() {
   std::size_t keep = 0;
   for (const std::size_t id : s_.prefilling) {
     Request& r = requests_[id];
-    index_t chunk = r.prefill_target() - r.prefilled;
-    if (cfg_.prefill_chunk_tokens > 0) {
-      chunk = std::min(chunk, cfg_.prefill_chunk_tokens);
-    }
+    const index_t chunk = prefill_chunk(r);
     set_prefilled(r, r.prefilled + chunk);
     add_service(r.tenant_id, chunk);
     if (r.prefilled < r.prefill_target()) {
@@ -750,12 +732,13 @@ Scheduler::Scheduler(const StepModel& model, SchedulerConfig cfg,
   if (cfg_.speculation.enabled()) {
     spec_expected_ = cfg_.speculation.expected_tokens_per_round();
   }
+  for (const TenantSpec& t : cfg_.tenants) tenants_.emplace(t.id, t);
 }
 
-void ReplicaState::register_tenants(const TenantSpecs& tenants) {
-  for (const auto& [id, spec] : tenants) {
-    if (tenant_specs.emplace(id, spec).second) service_debt[id] = 0.0;
-  }
+const TenantSpec& Scheduler::tenant(index_t id) const {
+  static const TenantSpec kNeutral;
+  const auto it = tenants_.find(id);
+  return it == tenants_.end() ? kNeutral : it->second;
 }
 
 index_t ReplicaState::acquire_prompt(Request& r) {
@@ -821,29 +804,12 @@ void ReplicaState::release_kv(Request& r) {
   r.forks.clear();
 }
 
-TenantSpecs Scheduler::resolve_tenants(
-    const std::vector<Request>& requests) const {
-  TenantSpecs specs;
-  for (const Request& r : requests) {
-    if (!specs.contains(r.tenant_id)) {
-      specs.emplace(r.tenant_id,
-                    tenant_spec_or_default(cfg_.tenants, r.tenant_id));
-    }
-  }
-  return specs;
-}
-
-void Scheduler::register_tenants(ReplicaState& s,
-                                 const std::vector<Request>& requests) const {
-  s.register_tenants(resolve_tenants(requests));
-}
-
 void Scheduler::admit(ReplicaState& s, std::vector<Request>& requests) const {
-  Ticker(cfg_, model_, draft_model_, spec_expected_, s, requests).admit();
+  Ticker(*this, spec_expected_, s, requests).admit();
 }
 
 void Scheduler::step(ReplicaState& s, std::vector<Request>& requests) const {
-  Ticker(cfg_, model_, draft_model_, spec_expected_, s, requests).step();
+  Ticker(*this, spec_expected_, s, requests).step();
 }
 
 }  // namespace marlin::serve::sched

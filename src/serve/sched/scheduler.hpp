@@ -216,15 +216,10 @@ struct ReplicaState : RunCounters {
                              : r.generated + (decode_steps - r.synced_step);
   }
 
-  // WFQ state: one resolved spec and one weighted service-debt counter
-  // (tokens served / weight) per tenant appearing in the trace.
-  TenantSpecs tenant_specs;
+  /// WFQ weighted service debt (tokens served / weight) per tenant this
+  /// replica has served; a tenant enters on its first service, and an
+  /// absent one owes nothing.
   std::map<index_t, double> service_debt;
-
-  /// Registers every tenant of `tenants` not yet known here (resolved
-  /// spec plus zeroed service debt). O(tenants); required before the
-  /// first tick under WFQ.
-  void register_tenants(const TenantSpecs& tenants);
 
   /// Acquires `r`'s prompt KV (`prefill_target()` tokens) after reserving
   /// its lifetime block vector. With the prefix cache on and a long
@@ -245,15 +240,14 @@ struct ReplicaState : RunCounters {
   /// per-call Ticker) so a steady-state decode tick performs zero heap
   /// allocations — admission and the round compaction reuse the capacity
   /// grown on earlier ticks. Contents are meaningless between calls.
-  /// `order`, `keyed` and `taken` serve only the sorted policies (SJF,
-  /// max-util, WFQ); FCFS admission pops the queue head in place.
+  /// `keyed` and `taken` serve only the sorted policies (SJF, max-util,
+  /// WFQ); FCFS admission pops the queue head in place.
   struct TickScratch {
-    /// Queue snapshot, rearranged into policy order by `admit`.
-    std::vector<std::size_t> order;
-    /// Precomputed WFQ `(key, request)` pairs for the stable sort.
+    /// The queue as `(admission key, request)` pairs, stable-sorted into
+    /// policy order by `admit`.
     std::vector<std::pair<double, std::size_t>> keyed;
     /// Per-request "left the queue this pass" flags; lazily sized to the
-    /// request vector and re-cleared (via `order`) after every pass.
+    /// request vector and re-cleared (via `keyed`) after every pass.
     std::vector<std::uint8_t> taken;
     /// Chained prefix hashes of the request whose prompt KV is being
     /// acquired, on admission or migration landing (prefix cache lookups
@@ -328,17 +322,11 @@ class Scheduler {
     return ReplicaState(cfg_.blocks);
   }
 
-  /// Resolved spec of every tenant appearing in `requests`. One O(requests)
-  /// walk per run; every replica then registers the result in O(tenants)
-  /// via `ReplicaState::register_tenants`.
-  [[nodiscard]] TenantSpecs resolve_tenants(
-      const std::vector<Request>& requests) const;
-
-  /// Single-replica shorthand for
-  /// `s.register_tenants(resolve_tenants(requests))`, exactly what the
-  /// legacy loop did before its first iteration. Idempotent.
-  void register_tenants(ReplicaState& s,
-                        const std::vector<Request>& requests) const;
+  /// A no-op, kept because the frozen benchmark driver still calls it:
+  /// tenants resolve in the constructor and service debt fills on first
+  /// service, so a replica needs no registration.
+  void register_tenants(ReplicaState& /*s*/,
+                        const std::vector<Request>& /*requests*/) const {}
 
   /// One admission pass in policy order, bounded by the batch cap and KV
   /// watermark: rejects never-fitting requests, sheds SLO-hopeless ones,
@@ -358,11 +346,15 @@ class Scheduler {
   [[nodiscard]] const SchedulerConfig& config() const { return cfg_; }
   [[nodiscard]] const StepModel& model() const { return model_; }
   [[nodiscard]] const StepModel* draft_model() const { return draft_model_; }
+  /// Tenant `id`'s configured spec, or the neutral default spec (weight 1,
+  /// tier 0, no quota) for an id the config does not list.
+  [[nodiscard]] const TenantSpec& tenant(index_t id) const;
 
  private:
   const StepModel& model_;
   const StepModel* draft_model_;
   SchedulerConfig cfg_;
+  std::map<index_t, TenantSpec> tenants_;  // cfg_.tenants by id
   double spec_expected_ = 1.0;  // expected committed tokens per round
 };
 

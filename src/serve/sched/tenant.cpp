@@ -17,14 +17,4 @@ void TenantSpec::validate() const {
                "tenant " << id << " needs a positive traffic share");
 }
 
-TenantSpec tenant_spec_or_default(const std::vector<TenantSpec>& tenants,
-                                  index_t tenant_id) {
-  for (const auto& t : tenants) {
-    if (t.id == tenant_id) return t;
-  }
-  TenantSpec spec;
-  spec.id = tenant_id;
-  return spec;
-}
-
 }  // namespace marlin::serve::sched

@@ -22,9 +22,7 @@
 // `traffic_share` feeds the workload generator's tenant mix — it shapes
 // the trace, not the scheduler.
 
-#include <map>
 #include <string>
-#include <vector>
 
 #include "util/matrix.hpp"
 
@@ -43,14 +41,5 @@ struct TenantSpec {
 
   void validate() const;
 };
-
-/// Looks up `tenant_id` in `tenants`; returns a default-constructed spec
-/// (weight 1, tier 0, no quota) with that id when absent, so requests from
-/// unconfigured tenants are legal and neutral.
-[[nodiscard]] TenantSpec tenant_spec_or_default(
-    const std::vector<TenantSpec>& tenants, index_t tenant_id);
-
-/// Resolved specs of the tenants a run's trace mentions, keyed by id.
-using TenantSpecs = std::map<index_t, TenantSpec>;
 
 }  // namespace marlin::serve::sched

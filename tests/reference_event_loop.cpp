@@ -88,7 +88,6 @@ ClusterStats run(const sched::Scheduler& scheduler,
         : (i < disagg.prefill_replicas ? ReplicaRole::kPrefill
                                        : ReplicaRole::kDecode);
     fleet.emplace_back(i, scheduler, role);
-    fleet.back().register_tenants(scheduler.resolve_tenants(requests));
   }
   Placer placer(opts.placement);
   std::size_t next_arrival = 0;
@@ -183,7 +182,6 @@ ClusterStats run(const sched::Scheduler& scheduler,
       const index_t new_id = static_cast<index_t>(fleet.size());
       fleet.emplace_back(new_id, scheduler);
       fleet.back().advance_to(t_eval);
-      fleet.back().register_tenants(scheduler.resolve_tenants(requests));
       parked.push_back(false);
       ++stats.replicas_added;
       stats.peak_replicas = std::max(stats.peak_replicas, routable_count());

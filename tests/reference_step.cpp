@@ -47,8 +47,11 @@ class Stepper {
  private:
   void add_service(index_t tenant, index_t tokens) {
     if (!wfq_) return;
-    s_.service_debt[tenant] += static_cast<double>(tokens) /
-                               s_.tenant_specs.find(tenant)->second.weight;
+    double weight = 1.0;  // an unconfigured tenant is neutral
+    for (const TenantSpec& t : cfg_.tenants) {
+      if (t.id == tenant) weight = t.weight;
+    }
+    s_.service_debt[tenant] += static_cast<double>(tokens) / weight;
   }
 
   index_t commit_tokens(const Request& r) const {

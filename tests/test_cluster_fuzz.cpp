@@ -547,7 +547,6 @@ ReplicaRun run_one_replica(const sched::Scheduler& scheduler,
                  scheduler.make_replica_state()};
   std::vector<sched::Request>& requests = run.requests;
   sched::ReplicaState& s = run.state;
-  scheduler.register_tenants(s, requests);
   std::size_t next = 0;
   while (true) {
     if (!s.busy()) {

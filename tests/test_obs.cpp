@@ -373,7 +373,7 @@ TEST(HotPath, SteadyStateDecodeTickDoesNotAllocate) {
 
   std::vector<serve::sched::Request> requests;
   for (index_t i = 0; i < 8; ++i) requests.emplace_back(i, 0.0, 64, 32);
-  // Warm the step memo for every (batch, context-bucket) pair the run can
+  // Warm the step table for every (batch, context-bucket) pair the run can
   // touch, so no tick inserts into it.
   for (index_t batch = 1; batch <= scfg.max_batch; ++batch) {
     for (index_t b = 0; b < 4; ++b) {
@@ -384,7 +384,6 @@ TEST(HotPath, SteadyStateDecodeTickDoesNotAllocate) {
 
   serve::sched::ReplicaState s = sched.make_replica_state();
   ASSERT_EQ(s.obs, nullptr);  // recording defaults off
-  sched.register_tenants(s, requests);
   for (std::size_t i = 0; i < requests.size(); ++i) s.queue.push_back(i);
   // Warm-up ticks: one admission (grows the scratch and reserves each
   // request's lifetime block vector), the prefill round, and two decode
@@ -434,7 +433,6 @@ TEST(HotPath, SteadyStateDecodeTickWithNullObserverDoesNotAllocate) {
 
   serve::sched::ReplicaState s = sched.make_replica_state();
   ASSERT_EQ(s.obs, nullptr);  // recording defaults off
-  sched.register_tenants(s, requests);
   for (std::size_t i = 0; i < requests.size(); ++i) s.queue.push_back(i);
   while (s.decode_steps < 2) {
     ASSERT_TRUE(s.busy());

@@ -473,7 +473,6 @@ TEST(HotPath, WarmCacheSteadyStateDecodeTickDoesNotAllocate) {
   }
 
   ReplicaState s = sched.make_replica_state();
-  sched.register_tenants(s, requests);
 
   // Wave 1 admits cold and publishes at prefill completion; wave 2 then
   // hits the warm cache, so the steady-state window below runs with live

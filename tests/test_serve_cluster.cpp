@@ -513,7 +513,6 @@ TEST(DisaggMigration, OnlyRunningRequestsMayMigrateOut) {
   std::vector<sched::Request> requests;
   requests.emplace_back(0, 0.0, 64, 8);
   requests.emplace_back(1, 0.0, 64, 8);
-  src.register_tenants(sch.resolve_tenants(requests));
   src.deliver(0, requests);
   // Still queued: no prefill has produced KV worth moving.
   EXPECT_THROW(src.migrate_out(0, requests), Error);
@@ -536,7 +535,6 @@ TEST(DisaggMigration, DrainingPrefillReplicaFinishesItsWorkInPlace) {
   Replica src(0, sch, ReplicaRole::kPrefill);
   std::vector<sched::Request> requests;
   requests.emplace_back(0, 0.0, 64, 8);
-  src.register_tenants(sch.resolve_tenants(requests));
   src.deliver(0, requests);
   while (requests[0].state != sched::RequestState::kRunning) {
     src.tick(requests);
@@ -565,8 +563,6 @@ TEST(DisaggMigration, DestinationPrefixCacheSkipsTransferredBlocks) {
     r.prefix_id = 7;
     r.prefix_tokens = 64;  // 4 full blocks of shared prefix
   }
-  src.register_tenants(sch.resolve_tenants(requests));
-  dst.register_tenants(sch.resolve_tenants(requests));
 
   // First request: cold destination cache, everything crosses the wire.
   src.deliver(0, requests);
@@ -653,7 +649,6 @@ TEST(LeastLoadedCounter, MatchesRecountThroughDeliverChunkedPrefillAndFinish) {
   requests.emplace_back(0, 0.0, 40, 6);
   requests.emplace_back(1, 0.0, 70, 3);
   requests.emplace_back(2, 0.0, 9, 12);
-  rep.register_tenants(sch.resolve_tenants(requests));
   for (std::size_t i = 0; i < requests.size(); ++i) {
     rep.deliver(i, requests);
     EXPECT_COUNTER_EXACT(rep, requests);
@@ -670,7 +665,6 @@ TEST(LeastLoadedCounter, RunningRequestKeepsItsFullOutputWhileDecoding) {
   Replica rep(0, sch);
   std::vector<sched::Request> requests;
   requests.emplace_back(0, 0.0, 32, 10);
-  rep.register_tenants(sch.resolve_tenants(requests));
   rep.deliver(0, requests);
   EXPECT_EQ(rep.outstanding_tokens(), 42);
   tick_until(rep, requests, [&] {
@@ -697,7 +691,6 @@ TEST(LeastLoadedCounter, TracksPreemptionUnderATightKvBudget) {
   Replica rep(0, sch);
   std::vector<sched::Request> requests;
   for (index_t i = 0; i < 4; ++i) requests.emplace_back(i, 0.0, 32, 40);
-  rep.register_tenants(sch.resolve_tenants(requests));
   for (std::size_t i = 0; i < requests.size(); ++i) {
     rep.deliver(i, requests);
   }
@@ -719,7 +712,6 @@ TEST(LeastLoadedCounter, PrefixCacheHitStartsPastTheCachedRun) {
     r.prefix_id = 3;
     r.prefix_tokens = 64;  // 4 full shared blocks
   }
-  rep.register_tenants(sch.resolve_tenants(requests));
   rep.deliver(0, requests);
   tick_until(rep, requests, [&] { return requests[0].finished(); });
   // The second request's admission hits the published prefix, so its
@@ -740,7 +732,6 @@ TEST(LeastLoadedCounter, ShedAndRejectedRequestsLeaveTheKey) {
     Replica rep(0, sch);
     std::vector<sched::Request> requests;
     requests.emplace_back(0, 0.0, 96, 8);
-    rep.register_tenants(sch.resolve_tenants(requests));
     rep.deliver(0, requests);
     EXPECT_EQ(rep.outstanding_tokens(), 104);
     tick_until(rep, requests, [&] { return !rep.busy(); });
@@ -756,7 +747,6 @@ TEST(LeastLoadedCounter, ShedAndRejectedRequestsLeaveTheKey) {
     std::vector<sched::Request> requests;
     requests.emplace_back(0, 0.0, 64, 8);
     requests.emplace_back(1, 0.0, 32, 4);
-    rep.register_tenants(sch.resolve_tenants(requests));
     rep.deliver(0, requests);
     rep.deliver(1, requests);
     tick_until(rep, requests, [&] { return !rep.busy(); });
@@ -771,9 +761,6 @@ TEST(LeastLoadedCounter, FollowsADisaggMigration) {
   Replica dst(1, sch, ReplicaRole::kDecode);
   std::vector<sched::Request> requests;
   requests.emplace_back(0, 0.0, 64, 8);
-  const sched::TenantSpecs tenants = sch.resolve_tenants(requests);
-  src.register_tenants(tenants);
-  dst.register_tenants(tenants);
   src.deliver(0, requests);
   tick_until(src, requests, [&] {
     return requests[0].state == sched::RequestState::kRunning;
@@ -835,7 +822,6 @@ TEST(FleetFold, SumsEveryLedgerCounterAndFillsEveryRow) {
     for (index_t k = 0; k < 2 * rep; ++k) add(late, 0.6, 192, 40);
     Replica& r = fleet.emplace_back(
         rep, sch, rep == 0 ? ReplicaRole::kPrefill : ReplicaRole::kDecode);
-    r.register_tenants(sch.resolve_tenants(requests));
     for (const std::size_t id : first) r.deliver(id, requests);
     tick_until(r, requests, [&] { return r.now() > 0.5; });
     for (const std::size_t id : late) r.deliver(id, requests);

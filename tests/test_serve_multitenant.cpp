@@ -126,7 +126,6 @@ TEST(TenantSpecValidation, RejectsBadSpecs) {
   EXPECT_THROW(t.validate(), Error);
   t.traffic_share = 1.0;
   t.validate();  // default-ish spec is fine
-  EXPECT_EQ(tenant_spec_or_default({t}, 5).id, 5);  // absent id -> neutral
 }
 
 // ---------------------------------------------------------- tenant mixes
@@ -391,7 +390,6 @@ TEST(WeightedFairQueuing, GrowthPreemptionLeavesThePricedContextExact) {
   }
   ReplicaState s = sched.make_replica_state();
   model.watch(&s, &requests);
-  sched.register_tenants(s, requests);
   for (std::size_t i = 0; i < requests.size(); ++i) s.queue.push_back(i);
   while (s.busy()) {
     sched.admit(s, requests);
@@ -420,6 +418,73 @@ TEST(WeightedFairQueuing, SingleTenantMatchesFcfsStructure) {
   EXPECT_EQ(fcfs.decode_steps, wfq.decode_steps);
   EXPECT_EQ(fcfs.prefill_steps, wfq.prefill_steps);
   EXPECT_EQ(fcfs.metrics.mean_tpot_ms, wfq.metrics.mean_tpot_ms);
+}
+
+TEST(WeightedFairQueuing, KeysThatRoundToOneDoubleAdmitInQueueOrder) {
+  // At a late clock the aging credits of two close arrivals round to one
+  // double, so their keys tie although the first request waited longer.
+  // The admission sort is stable: a tie keeps queue order, which here puts
+  // the later arrival first.
+  const Engine engine(a6000_marlin());
+  SchedulerConfig cfg;
+  cfg.policy = SchedPolicy::kWeightedFair;
+  cfg.max_batch = 1;
+  const Scheduler sched(engine, cfg);
+  const double now = 1e9;
+  const double early = 1.0;
+  const double late = 1.0 + 1e-8;
+  ASSERT_LT(early, late);
+  ASSERT_EQ(256.0 * (now - early), 256.0 * (now - late));
+
+  std::vector<Request> requests;
+  requests.emplace_back(0, late, 64, 8);
+  requests.emplace_back(1, early, 64, 8);
+  ReplicaState s = sched.make_replica_state();
+  s.now = now;
+  s.queue = {0, 1};
+  sched.admit(s, requests);
+  ASSERT_EQ(s.prefilling.size(), 1u);
+  EXPECT_EQ(s.prefilling[0], 0u);
+  ASSERT_EQ(s.queue.size(), 1u);
+  EXPECT_EQ(s.queue[0], 1u);
+}
+
+TEST(WeightedFairQueuing, UnconfiguredTenantIsServedNeutrally) {
+  // A fresh replica needs no tenant registration: tenant 7 is not in the
+  // config, so it gets weight 1 and tier 0 and overtakes the configured
+  // tier-1 tenant; each tenant's debt enters on its first service.
+  const Engine engine(a6000_marlin());
+  SchedulerConfig cfg;
+  cfg.policy = SchedPolicy::kWeightedFair;
+  cfg.max_batch = 1;  // admission order == service order
+  TenantSpec known;
+  known.id = 0;
+  known.weight = 4.0;
+  known.tier = 1;
+  cfg.tenants = {known};
+  const Scheduler sched(engine, cfg);
+
+  std::vector<Request> requests;
+  requests.emplace_back(0, 0.0, 64, 8, /*tenant_id=*/0);
+  requests.emplace_back(1, 0.0, 32, 6, /*tenant_id=*/7);
+  ReplicaState s = sched.make_replica_state();
+  s.queue = {0, 1};
+  EXPECT_TRUE(s.service_debt.empty());
+  while (s.busy()) {
+    sched.admit(s, requests);
+    sched.step(s, requests);
+  }
+  EXPECT_LT(requests[1].finish_s, requests[0].first_token_s);
+  // Served tokens: the prompt at prefill, then one per decode step after
+  // the prefill's first token.
+  ASSERT_EQ(s.service_debt.size(), 2u);
+  EXPECT_EQ(s.service_debt.at(7), 32.0 + 5.0);
+  EXPECT_EQ(s.service_debt.at(0), (64.0 + 7.0) / 4.0);
+  const TenantSpec& neutral = sched.tenant(7);
+  EXPECT_EQ(neutral.weight, 1.0);
+  EXPECT_EQ(neutral.tier, 0);
+  EXPECT_EQ(neutral.kv_block_quota, kNoQuota);
+  EXPECT_EQ(sched.tenant(0).weight, 4.0);
 }
 
 // ---------------------------------------------------- speculative decoding
