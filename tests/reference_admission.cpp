@@ -44,13 +44,14 @@ void admit(const Scheduler& scheduler, ReplicaState& s,
     return 0;
   };
   const auto wfq_key = [&](const Request& r) {
-    int tier = 0;  // an unconfigured tenant is neutral
+    TenantSpec spec;  // an unconfigured tenant is neutral
     for (const TenantSpec& t : cfg.tenants) {
-      if (t.id == r.tenant_id) tier = t.tier;
+      if (t.id == r.tenant_id) spec = t;
     }
-    const auto debt = s.service_debt.find(r.tenant_id);
-    return (debt == s.service_debt.end() ? 0.0 : debt->second) +
-           static_cast<double>(tier) * 8192.0 -
+    const auto served = s.service_debt.find(r.tenant_id);
+    return (served == s.service_debt.end() ? 0.0 : served->second) /
+               spec.weight +
+           static_cast<double>(spec.tier) * 8192.0 -
            256.0 * (s.now - r.arrival_s);
   };
   // WFQ borrow-and-reclaim, planned on a snapshot and executed only when

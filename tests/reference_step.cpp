@@ -45,13 +45,10 @@ class Stepper {
   void decode_round();
 
  private:
+  // Every policy counts each tenant's served tokens as an integer sum;
+  // the WFQ key divides it by the weight once (reference_admission.cpp).
   void add_service(index_t tenant, index_t tokens) {
-    if (!wfq_) return;
-    double weight = 1.0;  // an unconfigured tenant is neutral
-    for (const TenantSpec& t : cfg_.tenants) {
-      if (t.id == tenant) weight = t.weight;
-    }
-    s_.service_debt[tenant] += static_cast<double>(tokens) / weight;
+    s_.service_debt[tenant] += static_cast<double>(tokens);
   }
 
   index_t commit_tokens(const Request& r) const {

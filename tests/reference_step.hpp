@@ -4,7 +4,9 @@
 // its KV and sum the batch and context, once to commit its tokens — and
 // kept `Request::generated` current on every request after every round.
 // Kept deliberately simple so the real step can be fuzzed against it for
-// bit-equal request outcomes and replica counters.
+// bit-equal request outcomes and replica counters. Under every policy it
+// counts each tenant's served tokens as an integer sum, added per
+// request per round; the WFQ key divides that sum by the weight once.
 //
 // Written only against the public ReplicaState / BlockManager / StepModel
 // API; it never touches the real step's own bookkeeping on ReplicaState,
