@@ -34,7 +34,7 @@ struct RunCounters {
   index_t migrated_out = 0;
   index_t migrated_in = 0;
   // Running requests the decode rounds visited: those at a block crossing
-  // or a finish, or all of them under speculation and WFQ (not exported).
+  // or a finish, or all of them under speculation (not exported).
   index_t decode_visits = 0;
   bool operator==(const RunCounters&) const = default;
 };

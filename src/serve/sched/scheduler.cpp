@@ -150,26 +150,12 @@ class Ticker {
   void step();
 
  private:
-  void add_service(index_t tenant, index_t tokens) {
-    if (!wfq_) return;
-    s_.service_debt[tenant] +=
-        static_cast<double>(tokens) / sched_.tenant(tenant).weight;
-  }
-
   // Admission priority key of the sorted policies; smaller admits first
-  // (FCFS walks the queue head unsorted). The SJF and max-util keys are
-  // token counts below 2^53, so their doubles order exactly as the
-  // integers do.
+  // (FCFS walks the queue head unsorted).
   [[nodiscard]] double admission_key(const Request& r) const {
-    if (cfg_.policy == SchedPolicy::kShortestJob) {
-      // Remaining service: prefill work plus the decode tokens still owed.
-      return static_cast<double>(r.prefill_target() +
-                                 (r.output_tokens - r.generated));
-    }
-    if (cfg_.policy == SchedPolicy::kMaxUtilization) {
-      // Smallest *lifetime* KV footprint packs the most sequences into
-      // the budget; the admission scan skips over requests whose prefill
-      // doesn't fit right now (e.g. a recompute-heavy preempted head).
+    if (!wfq_) {
+      // SJF and max-util: prompt + output - 1, SJF's remaining work less
+      // one, fixed while a request waits; exact as a double below 2^53.
       return static_cast<double>(r.max_kv_tokens());
     }
     // WFQ: weighted service debt plus a fixed penalty per priority tier,
@@ -182,10 +168,10 @@ class Ticker {
     // debt (and, eventually, any tier penalty); positive, so no request
     // starves.
     constexpr double kAgingTokensPerS = 256.0;
-    const auto debt = s_.service_debt.find(r.tenant_id);
-    return (debt == s_.service_debt.end() ? 0.0 : debt->second) +
-           static_cast<double>(sched_.tenant(r.tenant_id).tier) *
-               kTierPenaltyTokens -
+    const TenantSpec& tenant = sched_.tenant(r.tenant_id);
+    return static_cast<double>(s_.served_tokens(r.tenant_id)) /
+               tenant.weight +
+           static_cast<double>(tenant.tier) * kTierPenaltyTokens -
            kAgingTokensPerS * (s_.now - r.arrival_s);
   }
 
@@ -363,10 +349,9 @@ class Ticker {
   // The step a request's next decode visit falls on, from `r.generated`
   // as of `s_.decode_steps`: its first growth past a handle's writable
   // mark or its finishing commit, whichever comes first. Under
-  // speculation and WFQ it is the next step: the commit credit and the
-  // WFQ service debt must move every step, in running order.
+  // speculation it is the next step: the commit credit moves every step.
   [[nodiscard]] index_t next_visit(const Request& r) const {
-    if (cfg_.speculation.enabled() || wfq_) return s_.decode_steps;
+    if (cfg_.speculation.enabled()) return s_.decode_steps;
     index_t writable = r.blocks.writable_end();
     for (const SequenceBlocks& f : r.forks) {
       writable = std::min(writable, f.writable_end());
@@ -431,31 +416,27 @@ void Ticker::admit() {
   // The sorted policies take requests from anywhere in the queue: admit
   // from a snapshot in policy order, then erase what left. Keys are
   // loop-invariant during the sort, so each is computed once; the sort
-  // is stable, so equal keys keep queue order. Reused scratch: `keyed`
-  // keeps its grown capacity across ticks; `taken` is lazily sized once
-  // and re-cleared via `keyed` below.
-  ReplicaState::TickScratch& scr = s_.scratch;
-  scr.keyed.clear();
+  // is stable, so equal keys keep queue order. `keyed` keeps its grown
+  // capacity across ticks.
+  std::vector<std::pair<double, std::size_t>>& keyed = s_.scratch.keyed;
+  keyed.clear();
   for (const std::size_t id : s_.queue) {
-    scr.keyed.emplace_back(admission_key(requests_[id]), id);
+    keyed.emplace_back(admission_key(requests_[id]), id);
   }
   std::stable_sort(
-      scr.keyed.begin(), scr.keyed.end(),
+      keyed.begin(), keyed.end(),
       [](const auto& a, const auto& b) { return a.first < b.first; });
-  if (scr.taken.size() < requests_.size()) scr.taken.resize(requests_.size());
-  for (const auto& [key, id] : scr.keyed) {
+  for (const auto& [key, id] : keyed) {
     if (s_.active() >= batch_cap) break;
-    if (take(id)) {
-      scr.taken[id] = 1;
-      continue;
-    }
     // SJF respects head-of-line order; max-util and WFQ keep scanning
     // for anything that still fits.
-    if (cfg_.policy == SchedPolicy::kShortestJob) break;
+    if (!take(id) && cfg_.policy == SchedPolicy::kShortestJob) break;
   }
-  std::erase_if(s_.queue,
-                [&](std::size_t id) { return scr.taken[id] != 0; });
-  for (const auto& [key, id] : scr.keyed) scr.taken[id] = 0;
+  // Taken requests left the queued states; reclaim victims re-queued.
+  std::erase_if(s_.queue, [&](std::size_t id) {
+    const RequestState st = requests_[id].state;
+    return st != RequestState::kQueued && st != RequestState::kPreempted;
+  });
 }
 
 bool Ticker::take(std::size_t id) {
@@ -519,7 +500,7 @@ void Ticker::prefill_round() {
     Request& r = requests_[id];
     const index_t chunk = prefill_chunk(r);
     set_prefilled(r, r.prefilled + chunk);
-    add_service(r.tenant_id, chunk);
+    s_.service_of(r.tenant_id).tokens += chunk;
     if (r.prefilled < r.prefill_target()) {
       s_.prefilling[keep++] = id;
       continue;
@@ -663,21 +644,19 @@ void Ticker::decode_round() {
       r.spec_credit =
           r.spec_credit + spec_expected_ - static_cast<double>(committed);
       s_.spec_committed_tokens += committed * r.num_sequences;
+      // `running_seqs` charged one token per sequence; charge the rest.
+      s_.service_of(r.tenant_id).tokens += r.num_sequences * (committed - 1);
     }
     r.generated += committed;
     r.synced_step = s_.decode_steps;
     s_.decode_context += r.num_sequences * (committed - 1);
-    // Every sampled sequence consumes a batch slot, so WFQ charges the
-    // tenant for all of them.
-    add_service(r.tenant_id, committed * r.num_sequences);
     if (r.generated < r.output_tokens) {
       due[pos] = next_visit(r);
       continue;
     }
     finish(r);
     r.synced_step = -1;
-    s_.decode_batch -= r.num_sequences;
-    s_.decode_context -= r.num_sequences * (r.prompt_tokens + r.generated);
+    s_.count_running(r, -r.num_sequences);
     running[pos] = kGone;
     first_finished = std::min(first_finished, pos);
   }
@@ -698,8 +677,7 @@ void Ticker::step() {
     prefill_round();
     return;  // EventLoop re-checks arrivals before the next engine step
   }
-  if (s_.running.empty()) return;
-  decode_round();
+  decode_round();  // a no-op with nothing running
 }
 
 }  // namespace
@@ -782,8 +760,7 @@ void ReplicaState::join_running(std::size_t id,
   running.push_back(id);
   due_steps.push_back(decode_steps);
   r.synced_step = decode_steps;
-  decode_batch += r.num_sequences;
-  decode_context += r.num_sequences * (r.prompt_tokens + r.generated);
+  count_running(r, r.num_sequences);
 }
 
 void ReplicaState::leave_running(std::size_t pos,
@@ -794,8 +771,15 @@ void ReplicaState::leave_running(std::size_t pos,
   due_steps.erase(due_steps.begin() + static_cast<std::ptrdiff_t>(pos));
   r.generated = generated(r);
   r.synced_step = -1;
-  decode_batch -= r.num_sequences;
-  decode_context -= r.num_sequences * (r.prompt_tokens + r.generated);
+  count_running(r, -r.num_sequences);
+}
+
+void ReplicaState::count_running(const Request& r, index_t seqs) {
+  decode_batch += seqs;
+  decode_context += seqs * (r.prompt_tokens + r.generated);
+  TenantService& t = service_of(r.tenant_id);
+  t.tokens -= seqs * decode_steps;
+  t.running_seqs += seqs;
 }
 
 void ReplicaState::release_kv(Request& r) {

@@ -20,8 +20,8 @@
 //      blocks; when the budget is exhausted the *last-admitted* running
 //      sequence is preempted (blocks freed, recompute on re-admission,
 //      re-queued at the front). The round visits only the requests *due*
-//      at that step — a block crossing or a finish — in running order;
-//      the rest commit their token without a visit (see `ReplicaState`).
+//      at that step (a block crossing or a finish; all under speculation)
+//      in running order; the rest commit without a visit (`ReplicaState`).
 //
 // A 1-replica `cluster::EventLoop` with default options reduces — engine
 // call for engine call, floating-point add for add — to the original
@@ -33,7 +33,7 @@
 
 // Multi-tenant weighted fair queuing (`--policy wfq`): requests carry a
 // tenant id; admission orders the queue by each tenant's weighted service
-// debt (tokens served / WFQ weight) plus a fixed priority-tier penalty,
+// debt (integer tokens served / WFQ weight) plus a fixed priority-tier penalty,
 // minus a linear aging credit — a waiting request's key falls without
 // bound, so no tier or debt can starve it. Per-tenant KV quotas are soft:
 // tenants borrow free blocks past their quota, and both admission and
@@ -87,9 +87,10 @@ namespace sched {
 
 enum class SchedPolicy {
   kFcfs,            // arrival order; preempted requests re-queue in front
-  kShortestJob,     // least remaining work (prompt + remaining output) first
-  kMaxUtilization,  // smallest lifetime KV footprint first, skipping
-                    // non-fitting requests so admission packs the budget
+  kShortestJob,     // smallest prompt + output first (the remaining work,
+                    // fixed while a request waits); stops at a refusal
+  kMaxUtilization,  // SJF's order, but scans past non-fitting requests so
+                    // admission packs the KV budget
   kWeightedFair,    // multi-tenant weighted fair queuing with priority
                     // tiers, starvation-proof aging and soft KV quotas
 };
@@ -197,8 +198,29 @@ struct ReplicaState : RunCounters {
   index_t decode_context = 0;
   /// `due_steps[i]` is the decode step (the value of `decode_steps` when
   /// it runs) that must next visit `running[i]`: its next block crossing
-  /// or its finish, or the next step under speculation and WFQ.
+  /// or its finish, or the next step under speculation.
   std::vector<index_t> due_steps;
+
+  /// Tokens served per tenant id, under every policy, in exact integers:
+  /// `tokens + running_seqs * decode_steps`, as each running sequence
+  /// earns one token per decode step unvisited. Grown on first service.
+  struct TenantService {
+    index_t tokens = 0;
+    index_t running_seqs = 0;
+  };
+  std::vector<TenantService> service;
+  /// Tenant `tenant`'s slot in `service`, grown on first use.
+  TenantService& service_of(index_t tenant) {
+    const auto t = static_cast<std::size_t>(tenant);
+    if (t >= service.size()) service.resize(t + 1);
+    return service[t];
+  }
+  /// Tokens this replica has served tenant `tenant` (0 for none yet).
+  [[nodiscard]] index_t served_tokens(index_t tenant) const {
+    const auto t = static_cast<std::size_t>(tenant);
+    if (t >= service.size()) return 0;
+    return service[t].tokens + service[t].running_seqs * decode_steps;
+  }
 
   /// Appends request `id` to `running`, adds it to the batch sums and
   /// makes it due at the next decode step. Its `generated` is exact.
@@ -206,6 +228,9 @@ struct ReplicaState : RunCounters {
   /// Removes `running[pos]` from the running batch and the batch sums,
   /// and brings its `generated` up to date.
   void leave_running(std::size_t pos, std::vector<Request>& requests);
+  /// Adds `seqs` sequences of `r` (negative: removes them) to the batch
+  /// sums and to its tenant's running sequences; `r.generated` is exact.
+  void count_running(const Request& r, index_t seqs);
   /// `r.generated` as of this replica's last decode step, for a request
   /// in this replica's running batch or in none. A running request
   /// commits one token per plain decode step without being visited, so
@@ -215,11 +240,6 @@ struct ReplicaState : RunCounters {
     return r.synced_step < 0 ? r.generated
                              : r.generated + (decode_steps - r.synced_step);
   }
-
-  /// WFQ weighted service debt (tokens served / weight) per tenant this
-  /// replica has served; a tenant enters on its first service, and an
-  /// absent one owes nothing.
-  std::map<index_t, double> service_debt;
 
   /// Acquires `r`'s prompt KV (`prefill_target()` tokens) after reserving
   /// its lifetime block vector. With the prefix cache on and a long
@@ -240,15 +260,11 @@ struct ReplicaState : RunCounters {
   /// per-call Ticker) so a steady-state decode tick performs zero heap
   /// allocations — admission and the round compaction reuse the capacity
   /// grown on earlier ticks. Contents are meaningless between calls.
-  /// `keyed` and `taken` serve only the sorted policies (SJF, max-util,
-  /// WFQ); FCFS admission pops the queue head in place.
   struct TickScratch {
     /// The queue as `(admission key, request)` pairs, stable-sorted into
-    /// policy order by `admit`.
+    /// policy order by `admit` under SJF, max-util and WFQ; FCFS
+    /// admission pops the queue head in place.
     std::vector<std::pair<double, std::size_t>> keyed;
-    /// Per-request "left the queue this pass" flags; lazily sized to the
-    /// request vector and re-cleared (via `keyed`) after every pass.
-    std::vector<std::uint8_t> taken;
     /// Chained prefix hashes of the request whose prompt KV is being
     /// acquired, on admission or migration landing (prefix cache lookups
     /// reuse this buffer's capacity).
@@ -323,8 +339,8 @@ class Scheduler {
   }
 
   /// A no-op, kept because the frozen benchmark driver still calls it:
-  /// tenants resolve in the constructor and service debt fills on first
-  /// service, so a replica needs no registration.
+  /// tenants resolve in the constructor and a replica's service ledger
+  /// grows on first service, so a replica needs no registration.
   void register_tenants(ReplicaState& /*s*/,
                         const std::vector<Request>& /*requests*/) const {}
 
@@ -339,8 +355,8 @@ class Scheduler {
   /// is prefilling, otherwise KV growth / preemption plus one decode (or
   /// speculative propose-then-verify) round for every running sequence.
   /// The decode round visits only the requests due at this step (every
-  /// one under speculation or WFQ). Advances `s.now`; a no-op when
-  /// nothing is admitted.
+  /// one under speculation). Advances `s.now`; a no-op when nothing is
+  /// admitted.
   void step(ReplicaState& s, std::vector<Request>& requests) const;
 
   [[nodiscard]] const SchedulerConfig& config() const { return cfg_; }

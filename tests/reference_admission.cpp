@@ -48,9 +48,7 @@ void admit(const Scheduler& scheduler, ReplicaState& s,
     for (const TenantSpec& t : cfg.tenants) {
       if (t.id == r.tenant_id) spec = t;
     }
-    const auto served = s.service_debt.find(r.tenant_id);
-    return (served == s.service_debt.end() ? 0.0 : served->second) /
-               spec.weight +
+    return static_cast<double>(s.served_tokens(r.tenant_id)) / spec.weight +
            static_cast<double>(spec.tier) * 8192.0 -
            256.0 * (s.now - r.arrival_s);
   };

@@ -48,7 +48,7 @@ class Stepper {
   // Every policy counts each tenant's served tokens as an integer sum;
   // the WFQ key divides it by the weight once (reference_admission.cpp).
   void add_service(index_t tenant, index_t tokens) {
-    s_.service_debt[tenant] += static_cast<double>(tokens);
+    s_.service_of(tenant).tokens += tokens;
   }
 
   index_t commit_tokens(const Request& r) const {

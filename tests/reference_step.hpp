@@ -9,11 +9,12 @@
 // request per round; the WFQ key divides that sum by the weight once.
 //
 // Written only against the public ReplicaState / BlockManager / StepModel
-// API; it never touches the real step's own bookkeeping on ReplicaState,
-// so a run must drive one ReplicaState with the reference admission
-// (reference_admission.hpp) and this step only. Every policy, speculation,
-// n > 1 sampling, the prefix cache and tenant quotas are supported;
-// recording is not (a recorder throws).
+// API; it never touches the real step's own bookkeeping on ReplicaState
+// (it fills the service ledger through `service_of(t).tokens` alone, with
+// no running sequences), so a run must drive one ReplicaState with the
+// reference admission (reference_admission.hpp) and this step only.
+// Every policy, speculation, n > 1 sampling, the prefix cache and tenant
+// quotas are supported; recording is not (a recorder throws).
 
 #include <cstddef>
 #include <vector>

@@ -585,7 +585,10 @@ void expect_same_replica_run(const ReplicaRun& a, const ReplicaRun& b,
   EXPECT_EQ(x.now, y.now) << seed;
   EXPECT_EQ(x.batch_weighted, y.batch_weighted) << seed;
   EXPECT_EQ(x.decode_time_total, y.decode_time_total) << seed;
-  EXPECT_EQ(x.service_debt, y.service_debt) << seed;
+  ASSERT_EQ(x.service.size(), y.service.size()) << seed;
+  for (index_t t = 0; t < static_cast<index_t>(x.service.size()); ++t) {
+    EXPECT_EQ(x.served_tokens(t), y.served_tokens(t)) << seed << ' ' << t;
+  }
   // `decode_visits` counts the real decode round's work; the reference
   // step visits every request and counts nothing.
   sched::RunCounters x_run = x;

@@ -469,22 +469,67 @@ TEST(WeightedFairQueuing, UnconfiguredTenantIsServedNeutrally) {
   requests.emplace_back(1, 0.0, 32, 6, /*tenant_id=*/7);
   ReplicaState s = sched.make_replica_state();
   s.queue = {0, 1};
-  EXPECT_TRUE(s.service_debt.empty());
+  EXPECT_TRUE(s.service.empty());
   while (s.busy()) {
     sched.admit(s, requests);
     sched.step(s, requests);
   }
   EXPECT_LT(requests[1].finish_s, requests[0].first_token_s);
   // Served tokens: the prompt at prefill, then one per decode step after
-  // the prefill's first token.
-  ASSERT_EQ(s.service_debt.size(), 2u);
-  EXPECT_EQ(s.service_debt.at(7), 32.0 + 5.0);
-  EXPECT_EQ(s.service_debt.at(0), (64.0 + 7.0) / 4.0);
+  // the prefill's first token. The debt divides them by the weight.
+  ASSERT_EQ(s.service.size(), 8u);
+  EXPECT_EQ(static_cast<double>(s.served_tokens(7)), 32.0 + 5.0);
+  EXPECT_EQ(static_cast<double>(s.served_tokens(0)) / sched.tenant(0).weight,
+            (64.0 + 7.0) / 4.0);
   const TenantSpec& neutral = sched.tenant(7);
   EXPECT_EQ(neutral.weight, 1.0);
   EXPECT_EQ(neutral.tier, 0);
   EXPECT_EQ(neutral.kv_block_quota, kNoQuota);
   EXPECT_EQ(sched.tenant(0).weight, 4.0);
+}
+
+TEST(WeightedFairQueuing, DebtIsServedTokensOverWeightAfterManySteps) {
+  // One decode step at a time, tenant 0 (weight 3) is served 64 + 998 =
+  // 1062 tokens and tenant 1 (weight 1) 64 + 290 = 354. A running sum of
+  // 1/3 per step rounds away from 1062 / 3; the debt is the integer count
+  // divided once, so both debts are exactly 354, and two probes arriving
+  // together tie: admission takes whichever is queued first.
+  double running_sum = 64.0 / 3.0;
+  for (int step = 0; step < 998; ++step) running_sum += 1.0 / 3.0;
+  ASSERT_NE(running_sum, 354.0);
+
+  const Engine engine(a6000_marlin());
+  SchedulerConfig cfg;
+  cfg.policy = SchedPolicy::kWeightedFair;
+  cfg.max_batch = 1;
+  TenantSpec thirds;
+  thirds.id = 0;
+  thirds.weight = 3.0;
+  TenantSpec whole;
+  whole.id = 1;
+  cfg.tenants = {thirds, whole};
+  const Scheduler sched(engine, cfg);
+  for (const bool thirds_first : {true, false}) {
+    SCOPED_TRACE(thirds_first ? "weight-3 probe first" : "weight-1 first");
+    std::vector<Request> requests;
+    requests.emplace_back(0, 0.0, 64, 999, /*tenant_id=*/0);
+    requests.emplace_back(1, 0.0, 64, 291, /*tenant_id=*/1);
+    ReplicaState s = sched.make_replica_state();
+    s.queue = {0, 1};
+    while (s.busy()) {
+      sched.admit(s, requests);
+      sched.step(s, requests);
+    }
+    ASSERT_EQ(s.served_tokens(0), 1062);
+    ASSERT_EQ(s.served_tokens(1), 354);
+    requests.emplace_back(2, s.now, 16, 4, /*tenant_id=*/0);
+    requests.emplace_back(3, s.now, 16, 4, /*tenant_id=*/1);
+    const std::size_t head = thirds_first ? 2 : 3;
+    s.queue = {head, 5 - head};
+    sched.admit(s, requests);
+    ASSERT_EQ(s.prefilling.size(), 1u);
+    EXPECT_EQ(s.prefilling[0], head);
+  }
 }
 
 // ---------------------------------------------------- speculative decoding

@@ -343,23 +343,29 @@ TEST(Scheduler, OneTokenOutputFinishesAtPrefill) {
 }
 
 TEST(Scheduler, DecodeRoundsVisitRequestsOnlyAtTheirEvents) {
-  // 32 plain FCFS requests of 256 output tokens decode together for 255
+  // 32 plain requests of 256 output tokens decode together for 255
   // steps. A decode round visits a request when it joins the batch, when
   // its KV growth crosses into a new 16-token block and when it finishes:
-  // at most 256 / 16 + 2 visits each, not one per step (32 x 255).
+  // at most 256 / 16 + 2 visits each, not one per step (32 x 255). WFQ
+  // counts service per tenant, not per visit, so it has the same bound.
   const Engine engine(a6000_marlin());
-  SchedulerConfig cfg;
-  cfg.max_batch = 32;
-  cfg.blocks.block_size = 16;
-  cfg.blocks.num_blocks = 1024;
-  const Scheduler s(engine, cfg);
-  const std::vector<TraceRequest> trace(32, TraceRequest{0.0, 64, 256});
-  const auto stats = cluster::EventLoop(s, {}).run(trace).sched;
-  EXPECT_EQ(stats.metrics.completed, 32);
-  EXPECT_EQ(stats.preemptions, 0);
-  EXPECT_EQ(stats.decode_steps, 255);
-  EXPECT_GT(stats.decode_visits, 0);
-  EXPECT_LE(stats.decode_visits, 32 * (256 / 16 + 2));
+  for (const SchedPolicy policy :
+       {SchedPolicy::kFcfs, SchedPolicy::kWeightedFair}) {
+    SCOPED_TRACE(to_string(policy));
+    SchedulerConfig cfg;
+    cfg.policy = policy;
+    cfg.max_batch = 32;
+    cfg.blocks.block_size = 16;
+    cfg.blocks.num_blocks = 1024;
+    const Scheduler s(engine, cfg);
+    const std::vector<TraceRequest> trace(32, TraceRequest{0.0, 64, 256});
+    const auto stats = cluster::EventLoop(s, {}).run(trace).sched;
+    EXPECT_EQ(stats.metrics.completed, 32);
+    EXPECT_EQ(stats.preemptions, 0);
+    EXPECT_EQ(stats.decode_steps, 255);
+    EXPECT_GT(stats.decode_visits, 0);
+    EXPECT_LE(stats.decode_visits, 32 * (256 / 16 + 2));
+  }
 }
 
 TEST(SchedulerPolicy, ShortestJobOvertakesLongJobAtBatch1) {
